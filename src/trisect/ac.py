@@ -5,7 +5,9 @@ by another, conjugate a relator by a single generator, and (in the stable
 variant) add or delete a trivial generator-relator pair.  The search works
 on canonical keys, so two presentations differing by relator order, cyclic
 rotation, relator inversion, or a signed relabeling of the generators are
-one node.
+one node.  A search computes the images of each distinct relator under
+all signed relabelings once, and builds every key that relator appears
+in from those images.
 """
 
 from __future__ import annotations
@@ -141,32 +143,53 @@ def ab_det(p):
     return IntegerMatrix.from_rows(rows).determinant()
 
 
+def _relabelings(n):
+    """Every signed relabeling of n generators, in permutation-major order,
+    as a map from each letter (negative ones too) to its image letter."""
+    tables = []
+    for perm in permutations(range(1, n + 1)):
+        for signs in product((1, -1), repeat=n):
+            table = {}
+            for g, (s, h) in enumerate(zip(signs, perm), 1):
+                table[g] = s * h
+                table[-g] = -s * h
+            tables.append(table)
+    return tables
+
+
 def canonical_key(p, _memo=None):
     """Stable byte string naming the presentation up to symmetry.
 
     Relators are cyclically reduced and minimized over rotation and
     inversion, the list is sorted, and the whole is minimized over signed
     relabelings of the generators.
+
+    ``_memo`` is a dict owned by one search.  It holds each generator
+    count's relabeling tables and, per ``(generators, relator)``, the
+    relator's minimized image under every relabeling, so the images of a
+    relator are computed once per search however many states share it.
+    A relabeling only renames letters, so the image of a cyclically
+    reduced word is cyclically reduced and needs no further reduction.
     """
     n = p.generators
     memo = _memo if _memo is not None else {}
-    best = None
-    for perm in permutations(range(1, n + 1)):
-        for signs in product((1, -1), repeat=n):
-            table = {g: (signs[k] * perm[k],) for k, g in
-                     enumerate(range(1, n + 1))}
-            rel = []
-            for w in p.relators:
-                mapped = words.map_letters(w, table)
-                got = memo.get(mapped)
-                if got is None:
-                    got = words.cyclic_min(mapped)
-                    memo[mapped] = got
-                rel.append(got)
-            cand = tuple(sorted(rel))
-            if best is None or cand < best:
-                best = cand
-    body = "|".join(",".join(str(v) for v in r) for r in best or ())
+    columns = []
+    for w in p.relators:
+        images = memo.get((n, w))
+        if images is None:
+            tables = memo.get(n)
+            if tables is None:
+                tables = memo[n] = _relabelings(n)
+            core = words.cyclic_reduce(w)
+            inv = words.inverse(core)
+            images = tuple(
+                min(words.least_rotation(tuple(map(t.__getitem__, core))),
+                    words.least_rotation(tuple(map(t.__getitem__, inv))))
+                for t in tables)
+            memo[(n, w)] = images
+        columns.append(images)
+    best = min(map(sorted, zip(*columns)), default=())
+    body = "|".join(",".join(str(v) for v in r) for r in best)
     return ("%d:%s" % (n, body)).encode("ascii")
 
 

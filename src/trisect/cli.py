@@ -250,6 +250,11 @@ def _cmd_gprc_check(args):
 def _cmd_ac_search(args):
     if (args.ak is None) == (args.file is None):
         raise _UsageError("give exactly one of --ak N or a presentation file")
+    for flag, value in (("--max-length", args.max_length),
+                        ("--max-depth", args.max_depth),
+                        ("--max-states", args.max_states)):
+        if value < 1:
+            raise _UsageError("%s needs a value >= 1, got %d" % (flag, value))
     if args.ak is not None:
         if args.ak < 1:
             raise _UsageError("--ak needs n >= 1")

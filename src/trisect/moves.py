@@ -526,12 +526,6 @@ def unscramble(t):
     return cleaned, scripts
 
 
-def retemplate(t):
-    systems = [_retemplate_system(cs) for cs in t.systems()]
-    return TrisectionDiagram(t.genus, systems[0], systems[1], systems[2],
-                             declared_params=t.declared_params)
-
-
 # -- parameter constraints ----------------------------------------------------
 
 def check_classified_params(params):

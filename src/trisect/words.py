@@ -43,13 +43,6 @@ def cyclic_reduce(word):
     return tuple(w)
 
 
-def is_cyclically_reduced(word):
-    w = free_reduce(word)
-    if w != tuple(word):
-        return False
-    return not (len(w) > 1 and w[0] == -w[-1])
-
-
 def rotations(word):
     """All cyclic rotations of a word (the word itself if empty)."""
     if not word:
@@ -64,16 +57,25 @@ def cyclic_min(word):
     (unoriented) core words share the same key.
     """
     w = cyclic_reduce(word)
-    if not w:
+    return min(least_rotation(w), least_rotation(inverse(w)))
+
+
+def least_rotation(word):
+    """Lexicographically least cyclic rotation of ``word`` (``()`` if empty).
+
+    Only rotations that start at the word's least letter can win, so only
+    those are compared.
+    """
+    if not word:
         return ()
-    best = None
-    for cand in (w, inverse(w)):
-        doubled = cand + cand
-        n = len(cand)
-        for i in range(n):
-            rot = doubled[i : i + n]
-            if best is None or rot < best:
-                best = rot
+    least = min(word)
+    i = word.index(least)
+    best = word[i:] + word[:i]
+    for _ in range(word.count(least) - 1):
+        i = word.index(least, i + 1)
+        rot = word[i:] + word[:i]
+        if rot < best:
+            best = rot
     return best
 
 
@@ -103,10 +105,6 @@ def map_letters(word, table):
         img = table[abs(v)]
         out.extend(img if v > 0 else inverse(img))
     return free_reduce(out)
-
-
-def letters_used(word):
-    return {abs(v) for v in word}
 
 
 # -- slope words ------------------------------------------------------------

@@ -1,4 +1,7 @@
+import hashlib
+import json
 import random
+from itertools import permutations, product
 
 import pytest
 
@@ -6,7 +9,7 @@ from trisect.ac import (BalancedPresentation, ab_det, ac_search,
                         ak_presentation, apply_ac_move, canonical_key,
                         replay_ac_path, trivial_presentation,
                         _aligned_products)
-from trisect.words import map_letters
+from trisect.words import cyclic_reduce, inverse, map_letters
 
 
 def test_ak_presentation_family():
@@ -179,6 +182,75 @@ def test_canonical_key_examples():
     d = BalancedPresentation(1, ((-1,),))
     assert canonical_key(c) == canonical_key(d)
     assert canonical_key(ak_presentation(1)) != canonical_key(ak_presentation(2))
+
+
+def _brute_cyclic_min(w):
+    core = cyclic_reduce(w)
+    if not core:
+        return ()
+    return min(c[i:] + c[:i] for c in (core, inverse(core))
+               for i in range(len(c)))
+
+
+def _oracle_key(p):
+    """The key computed the long way: rebuild every relator under every
+    signed relabeling, then minimize over all rotations and inversions."""
+    n = p.generators
+    best = None
+    for perm in permutations(range(1, n + 1)):
+        for signs in product((1, -1), repeat=n):
+            table = {g: (signs[g - 1] * perm[g - 1],)
+                     for g in range(1, n + 1)}
+            cand = tuple(sorted(_brute_cyclic_min(map_letters(w, table))
+                                for w in p.relators))
+            if best is None or cand < best:
+                best = cand
+    body = "|".join(",".join(str(v) for v in r) for r in best)
+    return ("%d:%s" % (n, body)).encode("ascii")
+
+
+def test_canonical_key_matches_the_relabeling_oracle():
+    rng = random.Random(20261018)
+    shared = {}
+
+    def word(n):
+        return tuple(rng.choice((1, -1)) * rng.randrange(1, n + 1)
+                     for _ in range(rng.randrange(0, 9)))
+
+    for _ in range(60):
+        n = rng.randrange(0, 4)
+        p = BalancedPresentation(n, tuple(word(n) for _ in range(n)))
+        # the same relators again with one more generator: a memo keyed
+        # by word alone would hand them their images under n relabelings
+        q = BalancedPresentation(n + 1, p.relators + (word(n + 1),))
+        for pres in (p, q, p):
+            want = _oracle_key(pres)
+            assert canonical_key(pres) == want
+            assert canonical_key(pres, shared) == want
+    assert canonical_key(BalancedPresentation(0, ()), shared) == b"0:"
+
+
+# budgets 32/20; the counts and path digests pin each search tree
+@pytest.mark.parametrize("n, stable, cap, status, visited, stored, pruned, "
+                         "moves, digest", [
+    (1, False, 20000, "verified", 5, 30, 0, 12, "318d0b41c6b15ed0"),
+    (2, False, 20000, "verified", 38, 1026, 0, 43, "8dbb961e9483b75d"),
+    (2, True, 20000, "verified", 60, 1325, 0, 43, "8dbb961e9483b75d"),
+    (3, False, 5000, "unknown", 102, 5000, 1285, None, None),
+])
+def test_search_trees_are_pinned(n, stable, cap, status, visited, stored,
+                                 pruned, moves, digest):
+    res = ac_search(ak_presentation(n), 32, 20, stable=stable,
+                    max_states=cap)
+    assert res.verdict.status == status
+    assert (res.stats["visited"], res.stats["stored"],
+            res.stats["pruned_length"]) == (visited, stored, pruned)
+    if moves is None:
+        assert res.path is None
+    else:
+        assert len(res.path) == moves
+        text = json.dumps(res.verdict.witness["moves"]).encode()
+        assert hashlib.sha256(text).hexdigest()[:16] == digest
 
 
 def test_aligned_products_replay_to_their_children():

@@ -93,6 +93,16 @@ def test_usage_errors_exit_three(tmp_path, capsys):
                                          "linking size=1\nrow: 0\n"))[0] == 3
 
 
+@pytest.mark.parametrize("flag", ["--max-length", "--max-depth",
+                                  "--max-states"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_nonpositive_search_budgets_exit_three(capsys, flag, value):
+    code, out, err = run(capsys, "ac-search", "--ak", "2", flag, value)
+    assert code == 3
+    assert out == ""
+    assert "usage error: %s needs a value >= 1" % flag in err
+
+
 def test_io_and_parse_errors_exit_four(tmp_path, capsys):
     code, _, err = run(capsys, "validate", str(tmp_path / "missing.tri"))
     assert code == 4 and "io error" in err

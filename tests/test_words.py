@@ -2,7 +2,13 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from trisect import words
+
+_WORDS = st.lists(st.sampled_from((1, -1, 2, -2, 3, -3)),
+                  max_size=14).map(tuple)
 
 
 def test_free_reduce():
@@ -39,6 +45,15 @@ def test_cyclic_min_is_rotation_and_inversion_invariant():
         for rot in words.rotations(w):
             assert words.cyclic_min(rot) == key
         assert words.cyclic_min(words.inverse(w)) == key
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(_WORDS)
+def test_least_rotation_and_cyclic_min_against_all_rotations(w):
+    assert words.least_rotation(w) == min(words.rotations(w))
+    core = words.cyclic_reduce(w)
+    want = min(words.rotations(core) + words.rotations(words.inverse(core)))
+    assert words.cyclic_min(w) == want
 
 
 def test_substitute():
