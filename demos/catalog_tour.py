@@ -9,8 +9,8 @@ import random
 
 from trisect.catalog import FIGURE_ONE, FIGURE_TWO, genus_one_diagram
 from trisect.diagio import format_diagram
-from trisect.diagram import (chi_convention_note, euler_characteristic,
-                             trisection_h1, trisection_params)
+from trisect.diagram import (euler_characteristic, trisection_h1,
+                             trisection_params)
 from trisect.moves import connected_sum, handleslide, standardize, sum_name
 
 
@@ -20,9 +20,6 @@ def show(name, t):
           % (name, params.genus, *params.ks,
              euler_characteristic(params), trisection_h1(t),
              verdict.status))
-    note = chi_convention_note(params)
-    if note:
-        print("         note: %s" % note)
 
 
 def main():

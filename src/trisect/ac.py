@@ -333,7 +333,7 @@ def ac_search(p, max_total_length, max_depth, stable=False,
     expanding the smaller frontier.  Results are deterministic for fixed
     budgets.
     """
-    if max_total_length < 1 or max_depth < 1:
+    if max_total_length < 1 or max_depth < 1 or max_states < 1:
         raise ValueError("budgets must be positive")
     d = ab_det(p)
     if abs(d) != 1:

@@ -17,9 +17,9 @@ import time
 from . import diagio, reports
 from .ac import DEFAULT_MAX_STATES, ab_det, ac_search, ak_presentation
 from .catalog import FIGURE_ONE, FIGURE_TWO, genus_one_diagram
-from .diagram import (HeegaardDiagram, TrisectionDiagram,
-                      chi_convention_note, detect_k, euler_characteristic,
-                      heegaard_h1, trisection_h1, trisection_params)
+from .diagram import (HeegaardDiagram, TrisectionDiagram, detect_k,
+                      euler_characteristic, heegaard_h1, trisection_h1,
+                      trisection_params)
 from .kirby import (HeegaardKirbyDiagram, LinkingMatrix,
                     gprc_necessary_check, hk_to_trisection, surgery_h1,
                     trisection_to_hk, validate_hk)
@@ -111,9 +111,6 @@ def _cmd_invariants(args):
                    ("params", str(params)),
                    ("chi", euler_characteristic(params)),
                    ("h1", str(trisection_h1(obj)))]
-        note = chi_convention_note(params)
-        if note is not None:
-            payload.append(("note", note))
         return [(args.file, text)], payload, v, None
     if isinstance(obj, HeegaardDiagram) and \
             not isinstance(obj, HeegaardKirbyDiagram):

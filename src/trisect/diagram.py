@@ -102,6 +102,8 @@ class Curve:
 
 
 def curve_from_template(genus, handle, p, q):
+    if handle > genus:
+        raise ValueError("handle %d exceeds genus %d" % (handle, genus))
     tpl = SlopeTemplate(handle, p, q)
     return Curve(genus, tpl.word(), tpl.homology(genus), tpl)
 
@@ -243,22 +245,6 @@ class TrisectionParams:
 def euler_characteristic(params):
     """chi from the handle counts (1, k1, g - k2, k3, 1)."""
     return 2 + params.genus - (params.k1 + params.k2 + params.k3)
-
-
-def chi_convention_note(params):
-    """Explanatory note when the two chi conventions in circulation differ.
-
-    The engine computes chi = 2 + g - (k1+k2+k3); the other convention,
-    k1+k2+k3 - g + 2, agrees exactly when g = k1+k2+k3 and differs
-    otherwise, so reports carry this note for transparency.
-    """
-    chi = euler_characteristic(params)
-    alt = params.k1 + params.k2 + params.k3 - params.genus + 2
-    if alt == chi:
-        return None
-    return ("chi = 2 + g - (k1+k2+k3) = %d from the handle decomposition; "
-            "the alternative convention k1+k2+k3-g+2 = %d disagrees here "
-            "because g != k1+k2+k3" % (chi, alt))
 
 
 # -- Heegaard pair invariants -------------------------------------------------

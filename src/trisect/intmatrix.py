@@ -99,42 +99,45 @@ class IntegerMatrix:
         return self.nrows == self.ncols and abs(self.determinant()) == 1
 
 
-def smith_normal_form(m):
-    """Return (s, u, v) with u * m * v = s, u and v unimodular, and s diagonal
-    with non-negative entries d1 | d2 | ... (zeros trailing).
+def _diagonalize(a, u=None, v=None):
+    """Reduce the row lists a to Smith form in place.
 
-    Classical pivot reduction with explicit transform tracking.  The pivot is
-    always the smallest-magnitude nonzero entry of the remaining block, which
-    keeps growth moderate; correctness does not depend on the choice.
+    Row operations are mirrored on u and column operations on v when they
+    are given.  The pivot is always the smallest-magnitude nonzero entry of
+    the remaining block, which keeps growth moderate; correctness does not
+    depend on the choice, and the transforms never steer it.
     """
-    nr, nc = m.nrows, m.ncols
-    a = [list(r) for r in m.rows]
-    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
+    nr = len(a)
+    nc = len(a[0]) if a else 0
 
     def row_add(dst, src, k):  # row dst += k * row src
         a[dst] = [x + k * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + k * y for x, y in zip(u[dst], u[src])]
+        if u is not None:
+            u[dst] = [x + k * y for x, y in zip(u[dst], u[src])]
 
     def col_add(dst, src, k):
         for row in a:
             row[dst] += k * row[src]
-        for row in v:
-            row[dst] += k * row[src]
+        if v is not None:
+            for row in v:
+                row[dst] += k * row[src]
 
     def row_swap(i, j):
         a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
+        if u is not None:
+            u[i], u[j] = u[j], u[i]
 
     def col_swap(i, j):
         for row in a:
             row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+        if v is not None:
+            for row in v:
+                row[i], row[j] = row[j], row[i]
 
     def row_negate(i):
         a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
+        if u is not None:
+            u[i] = [-x for x in u[i]]
 
     t = 0
     while t < nr and t < nc:
@@ -185,14 +188,30 @@ def smith_normal_form(m):
             row_negate(t)
         t += 1
 
+
+def smith_normal_form(m):
+    """Return (s, u, v) with u * m * v = s, u and v unimodular, and s diagonal
+    with non-negative entries d1 | d2 | ... (zeros trailing).
+
+    Classical pivot reduction with explicit transform tracking.
+    """
+    nr, nc = m.nrows, m.ncols
+    a = [list(r) for r in m.rows]
+    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
+    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
+    _diagonalize(a, u, v)
     s = IntegerMatrix.from_rows(a)
     return s, IntegerMatrix.from_rows(u), IntegerMatrix.from_rows(v)
 
 
 def invariant_factors(m):
-    """Nonzero diagonal entries of the Smith form, in divisibility order."""
-    s, _, _ = smith_normal_form(m)
-    return tuple(d for d in s.diagonal() if d != 0)
+    """Nonzero diagonal entries of the Smith form, in divisibility order.
+
+    Runs the same reduction as smith_normal_form without the transforms.
+    """
+    a = [list(r) for r in m.rows]
+    _diagonalize(a)
+    return tuple(a[i][i] for i in range(min(m.nrows, m.ncols)) if a[i][i] != 0)
 
 
 def kernel_basis(m):

@@ -638,8 +638,10 @@ def standardize(t, budget=None):
                          % (max(ks), params.genus - 1))
     order = _ORDER_FOR_MAX[ks.index(max(ks))]
     relabeled = relabel_systems(t, order)
-    new_params, _ = trisection_params(relabeled, budget=budget)
-    cv = check_classified_params(new_params)
+    # each order is a rotation, so the relabeled diagram has the same
+    # ordered pairs: its parameters are params rotated, and the check
+    # sorts them
+    cv = check_classified_params(params)
     if cv.is_refuted:
         return [], cv
     names, v, tree = _decompose(relabeled, budget)

@@ -22,7 +22,7 @@ Every Verified verdict carries a move trace that replay_tietze can re-run.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 
 from . import words
@@ -116,11 +116,13 @@ def _find_elimination(gens, relators, max_len):
 
     Returns (ri, g, expr, cost) or None.  Cost estimates total growth; the
     candidate is rejected when a substituted relator would exceed max_len.
+    Letter counts are tabulated once per call, one Counter per relator.
     """
+    counts = [Counter(map(abs, r)) for r in relators]
     best = None
     for ri, r in enumerate(relators):
         for g in range(1, gens + 1):
-            if _count(r, g) != 1:
+            if counts[ri][g] != 1:
                 continue
             pos = next(k for k, v in enumerate(r) if abs(v) == g)
             rot = r[pos:] + r[:pos]  # signed g first
@@ -131,7 +133,7 @@ def _find_elimination(gens, relators, max_len):
             for rj, other in enumerate(relators):
                 if rj == ri:
                     continue
-                c = _count(other, g)
+                c = counts[rj][g]
                 if not c:
                     continue
                 new_len = len(other) + c * (len(expr) - 1)

@@ -316,3 +316,6 @@ def test_search_budget_validation():
         ac_search(ak_presentation(1), 0, 5)
     with pytest.raises(ValueError):
         ac_search(ak_presentation(1), 10, 0)
+    for max_states in (0, -1):
+        with pytest.raises(ValueError, match="budgets must be positive"):
+            ac_search(ak_presentation(1), 32, 20, max_states=max_states)

@@ -43,12 +43,13 @@ def test_invariants_of_s1xs3(tmp_path, capsys):
     assert "params: (1;1,1,1)" in out
     assert "chi: 0" in out
     assert "h1: Z" in out
-    # g != k1+k2+k3, so the convention note must appear
-    assert "note:" in out
+    # chi = 2 + g - (k1+k2+k3) follows from the decomposition; no note
+    # offers another convention, here where g != k1+k2+k3
+    assert "note:" not in out
 
 
 def test_agreeing_conventions_omit_the_note(tmp_path, capsys):
-    # g = k1+k2+k3, the S4 constraint, is where both chi formulas agree
+    # g = k1+k2+k3 for the S4 sum, so chi = 2
     t = connected_sum(genus_one_diagram("S4STAB1"),
                       connected_sum(genus_one_diagram("S4STAB2"),
                                     genus_one_diagram("S4STAB3")))
@@ -112,6 +113,15 @@ def test_io_and_parse_errors_exit_four(tmp_path, capsys):
     code, _, err = run(capsys, "validate", path)
     assert code == 4
     assert "line 2, col 8" in err
+
+
+def test_template_handle_above_the_genus_exits_four(tmp_path, capsys):
+    path = write(tmp_path, "high.tri",
+                 "trisection genus=2\nalpha: @1(1,0); @17(0,1)\n"
+                 "beta: @1(0,1); @2(0,1)\ngamma: @1(1,1); @2(1,0)\n")
+    code, out, err = run(capsys, "validate", path)
+    assert code == 4 and "verdict" not in out
+    assert "line 2, col 17" in err and "handle 17 exceeds genus 2" in err
 
 
 def test_help_exits_zero(capsys):

@@ -6,7 +6,7 @@ import pytest
 
 from trisect.diagram import (CutSystem, HeegaardDiagram, SlopeTemplate,
                              TrisectionDiagram, TrisectionParams,
-                             chi_convention_note, curve_from_template,
+                             curve_from_template,
                              curve_from_word, detect_k, euler_characteristic,
                              geometric_intersection, heegaard_h1,
                              is_standard_pair, pi1_presentation,
@@ -187,14 +187,6 @@ def test_euler_characteristic_frozen():
         p = TrisectionParams(g, k1, k2, k3)
         assert euler_characteristic(p) == expected
         assert euler_characteristic(p) == chi_oracle(g, k1, k2, k3)
-
-
-def test_chi_note_only_when_conventions_disagree():
-    assert chi_convention_note(TrisectionParams(0, 0, 0, 0)) is None
-    assert chi_convention_note(TrisectionParams(1, 1, 0, 0)) is None
-    note = chi_convention_note(TrisectionParams(1, 0, 0, 0))
-    assert note is not None and "k1+k2+k3" in note
-    assert chi_convention_note(TrisectionParams(1, 1, 1, 1)) is not None
 
 
 def test_pi1_presentation():

@@ -2,7 +2,12 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import ZZ
 from sympy import Matrix as SympyMatrix
+from sympy.matrices.normalforms import (
+    invariant_factors as sympy_invariant_factors)
 
 from trisect.intmatrix import (AbelianGroup, IntegerMatrix, cokernel,
                                invariant_factors, kernel_basis,
@@ -132,3 +137,33 @@ def test_kernel_basis_spans_an_explicit_kernel():
     assert len(basis) == 2
     assert span_equal([list(v) for v in basis],
                       [[1, -1, 0], [0, 1, -1]], 3)
+
+
+_SHAPES = st.tuples(st.integers(0, 5), st.integers(0, 5))
+
+
+@st.composite
+def _matrices(draw):
+    """Random, zero and torsion-heavy matrices of any shape up to 5x5."""
+    nr, nc = draw(_SHAPES)
+    kind = draw(st.sampled_from(("random", "zero", "torsion")))
+    if kind == "zero":
+        return [[0] * nc for _ in range(nr)]
+    rows = [[draw(st.integers(-9, 9)) for _ in range(nc)] for _ in range(nr)]
+    if kind == "torsion":
+        # a common factor on every row, on top of the drawn entries
+        k = draw(st.integers(2, 6))
+        rows = [[k * x for x in row] for row in rows]
+    return rows
+
+
+@settings(derandomize=True, database=None, max_examples=400)
+@given(_matrices())
+def test_invariant_factors_match_the_smith_diagonal_and_sympy(rows):
+    m = IntegerMatrix.from_rows(rows)
+    s, _, _ = smith_normal_form(m)
+    factors = invariant_factors(m)
+    assert factors == tuple(d for d in s.diagonal() if d != 0)
+    if rows and rows[0]:
+        oracle = sympy_invariant_factors(SympyMatrix(rows), domain=ZZ)
+        assert factors == tuple(abs(int(d)) for d in oracle if d != 0)

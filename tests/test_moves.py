@@ -1,12 +1,15 @@
+import hashlib
+import json
 import random
 
 import pytest
 
-from trisect.catalog import genus_one_diagram, genus_zero_diagram
+from trisect import moves
+from trisect.catalog import ALL_NAMES, genus_one_diagram, genus_zero_diagram
 from trisect.canonical import canonical_form
-from trisect.diagram import (TrisectionDiagram, CutSystem, curve_from_word,
-                             euler_characteristic, system_from_templates,
-                             trisection_params)
+from trisect.diagram import (HeegaardDiagram, TrisectionDiagram, CutSystem,
+                             curve_from_word, detect_k, euler_characteristic,
+                             system_from_templates, trisection_params)
 from trisect.intmatrix import span_equal
 from trisect.moves import (check_classified_params, classify_genus_one_sum,
                            connected_sum, destabilize,
@@ -15,6 +18,9 @@ from trisect.moves import (check_classified_params, classify_genus_one_sum,
                            heegaard_stabilize, i_stabilize,
                            replay_decomposition, split_along, standardize,
                            sum_name, unscramble)
+
+PAIR_TRACES_SHA256 = (
+    "bbc8a1bca0e7dad51703026d80dbd6a6bda18729dd872c955f473dd12fd41d8d")
 
 
 def _scrambled(t, rng, steps=5):
@@ -349,3 +355,47 @@ def test_sum_name_formatting():
     assert sum_name(["CP2"]) == "CP2"
     assert sum_name(["S1xS3", "CP2", "S1xS3"]) == "#2(S1xS3) # CP2"
     assert sum_name(["CP2", "CP2R", "CP2"]) == "CP2 # CP2 # CP2R"
+
+
+def _pair_traces_digest():
+    """sha256 over detect_k's k, status and Tietze trace on all three pairs
+    of plain and slide-scrambled catalog sums at g = 2..12."""
+    digest = hashlib.sha256()
+    for g in range(2, 13):
+        rng = random.Random(1000 + g)
+        t = genus_one_diagram(rng.choice(ALL_NAMES))
+        for _ in range(g - 1):
+            t = connected_sum(t, genus_one_diagram(rng.choice(ALL_NAMES)))
+        for diagram in (t, _scrambled(t, rng, steps=4)):
+            for a, b in (("alpha", "beta"), ("beta", "gamma"),
+                         ("gamma", "alpha")):
+                k, v = detect_k(HeegaardDiagram(g, diagram.system(a),
+                                                diagram.system(b)))
+                trace = v.witness["trace"] if v.is_verified else v.reason
+                digest.update(json.dumps([g, a, b, k, v.status, trace])
+                              .encode())
+    return digest.hexdigest()
+
+
+def test_detect_k_traces_on_catalog_sums_are_pinned():
+    # a change in any chosen Tietze move or any detected k shows here
+    assert _pair_traces_digest() == PAIR_TRACES_SHA256
+
+
+@pytest.mark.parametrize("names", [("S1xS3", "S1xS3", "CP2"),
+                                   ("S4STAB2", "S4STAB2")])
+def test_standardize_computes_the_parameters_once(monkeypatch, names):
+    t = genus_one_diagram(names[0])
+    for name in names[1:]:
+        t = connected_sum(t, genus_one_diagram(name))
+    t = _scrambled(t, random.Random(7))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return trisection_params(*args, **kwargs)
+
+    monkeypatch.setattr(moves, "trisection_params", counted)
+    found, v = standardize(t)
+    assert v.is_verified and sorted(found) == sorted(names)
+    assert calls == [t]

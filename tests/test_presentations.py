@@ -5,8 +5,9 @@ import random
 import pytest
 
 from trisect.intmatrix import IntegerMatrix, invariant_factors
-from trisect.presentations import (GroupPresentation, presentation,
-                                   replay_tietze, tietze_simplify)
+from trisect.presentations import (GroupPresentation, _find_elimination,
+                                   presentation, replay_tietze,
+                                   tietze_simplify)
 from trisect.words import free_reduce, inverse
 
 
@@ -153,3 +154,63 @@ def test_simplify_never_refutes():
         p = presentation(n, relators)
         _, v = tietze_simplify(p)
         assert not v.is_refuted
+
+
+def _count_per_candidate_elimination(gens, relators, max_len):
+    """The elimination scan that recounts letters for every candidate.
+
+    Returns the chosen (ri, g, expr, cost) and every admissible cost, so a
+    caller can tell when the strict < had to break a tie.
+    """
+    def count(word, g):
+        return sum(1 for v in word if abs(v) == g)
+
+    best = None
+    costs = []
+    for ri, r in enumerate(relators):
+        for g in range(1, gens + 1):
+            if count(r, g) != 1:
+                continue
+            pos = next(k for k, v in enumerate(r) if abs(v) == g)
+            rot = r[pos:] + r[:pos]
+            expr = inverse(rot[1:]) if rot[0] > 0 else rot[1:]
+            ok = True
+            cost = 0
+            for rj, other in enumerate(relators):
+                if rj == ri:
+                    continue
+                c = count(other, g)
+                if not c:
+                    continue
+                if len(other) + c * (len(expr) - 1) > max_len:
+                    ok = False
+                    break
+                cost += c * max(len(expr) - 1, 0)
+            if ok:
+                costs.append(cost)
+                if best is None or cost < best[3]:
+                    best = (ri, g, expr, cost)
+    return best, costs
+
+
+def test_find_elimination_matches_the_per_candidate_count():
+    rng = random.Random(4)
+    ties = over_length = repeated = 0
+    for _ in range(3000):
+        gens = rng.randint(1, 5)
+        max_len = rng.randint(2, 14)
+        relators = []
+        for _ in range(rng.randint(1, 6)):
+            word = tuple(rng.choice((1, -1)) * rng.randint(1, gens)
+                         for _ in range(rng.randint(1, 16)))
+            relators.append(word)
+            over_length += len(word) > max_len
+            repeated += len(set(map(abs, word))) < len(word)
+        if rng.random() < 0.2:
+            relators.append(relators[0])  # a duplicate relator
+        expected, costs = _count_per_candidate_elimination(gens, relators,
+                                                           max_len)
+        ties += bool(costs) and costs.count(min(costs)) > 1
+        assert _find_elimination(gens, relators, max_len) == expected
+    # the draws reach the cases where the two scans could part ways
+    assert min(ties, over_length, repeated) > 100
