@@ -4,7 +4,8 @@ One command per invocation; reports go to standard output in a
 line-oriented ``key: value`` form (or JSON with --json), diagram output
 goes to ``-o`` files or follows the report after a blank line.  Exit
 codes encode the verdict: 0 verified or plain success, 1 refuted,
-2 unknown or exhausted, 3 usage error, 4 I/O or parse error.
+2 unknown or exhausted, 3 usage error, 4 I/O or parse error, 5 internal
+error (a crash never exits with a verdict code).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .moves import classify_genus_one_sum
 
 EXIT_USAGE = 3
 EXIT_IO = 4
+EXIT_INTERNAL = 5
 
 
 class _UsageError(Exception):
@@ -293,12 +295,50 @@ _HK_WITNESS_KINDS = frozenset(["heegaard-kirby", "background", "framing",
                                "surgery-homology"])
 
 
+def _check_report_shape(doc):
+    """Raise a ParseError unless ``doc`` has the fields replay reads.
+
+    The error points at line 1, col 1, where the document starts: the
+    JSON decoder keeps no positions for the values it returns.
+    """
+    def need(cond, what):
+        if not cond:
+            raise diagio.ParseError("malformed report: %s" % what, 1)
+
+    need(isinstance(doc, dict), "expected a JSON object")
+    inputs = doc.get("inputs", [])
+    need(isinstance(inputs, list)
+         and all(isinstance(rec, dict) and isinstance(rec.get("name"), str)
+                 and isinstance(rec.get("sha256"), str) for rec in inputs),
+         "'inputs' must be a list of objects with string name and sha256")
+    need(isinstance(doc.get("operation", ""), str),
+         "'operation' must be a string")
+    need(isinstance(doc.get("payload", {}), dict),
+         "'payload' must be an object")
+    vdict = doc.get("verdict")
+    if vdict is None:
+        return
+    need(isinstance(vdict, dict) and vdict.get("status") in
+         ("verified", "refuted", "unknown"),
+         "'verdict' must be an object with status verified, refuted or "
+         "unknown")
+    if vdict["status"] != "unknown":
+        need(isinstance(vdict.get("reason"), str),
+             "'verdict.reason' must be a string")
+        w = vdict.get("witness")
+        need(w is None or isinstance(w, dict)
+             and isinstance(w.get("kind"), str),
+             "'verdict.witness' must be null or an object with a string "
+             "kind")
+
+
 def _cmd_replay(args):
     raw = _read(args.report)
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as e:
         raise diagio.ParseError("report is not valid JSON: %s" % e, 1)
+    _check_report_shape(doc)
     recorded = doc.get("inputs", [])
     given = args.inputs
     if len(given) != len(recorded):
@@ -461,9 +501,8 @@ def run_command(argv):
         return EXIT_USAGE
     except SystemExit as e:
         return 0 if not e.code else int(e.code)
-    start = time.monotonic()
     try:
-        inputs, payload, verdict, out_text = args.func(args)
+        return _run(args)
     except _UsageError as e:
         print("usage error: %s" % e, file=sys.stderr)
         return EXIT_USAGE
@@ -476,6 +515,19 @@ def run_command(argv):
     except OSError as e:
         print("io error: %s" % e, file=sys.stderr)
         return EXIT_IO
+    except Exception:
+        # exit codes 0-2 are verdicts, so a crash must not end with one;
+        # traceback is imported here, off the start-up path of every run
+        import traceback
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
+
+
+def _run(args):
+    """Run the parsed command, write its outputs, return the exit code."""
+    start = time.monotonic()
+    inputs, payload, verdict, out_text = args.func(args)
     elapsed_ms = int((time.monotonic() - start) * 1000)
     if out_text is not None:
         payload = payload + [("output-sha256", reports.sha256_text(out_text))]
@@ -488,12 +540,8 @@ def run_command(argv):
         elapsed_ms=elapsed_ms)
     wrote = False
     if out_text is not None and getattr(args, "output", None):
-        try:
-            with open(args.output, "w", encoding="utf-8") as f:
-                f.write(out_text)
-        except OSError as e:
-            print("io error: %s" % e, file=sys.stderr)
-            return EXIT_IO
+        with open(args.output, "w", encoding="utf-8") as f:
+            f.write(out_text)
         wrote = True
     if args.json:
         sys.stdout.write(reports.report_to_json(report))

@@ -13,6 +13,13 @@ Index conventions shared across the package:
 Geometric intersection numbers are exact only between slope-template
 curves; for word curves the engine reports the algebraic count as an
 honest lower bound instead of guessing minimal position.
+
+Which constructors check: ``SlopeTemplate``, ``Curve`` and ``CutSystem``
+check their data, and parsed files and link completions go through them.
+``curve_from_word`` and ``curve_from_template`` compute a curve's word
+and class themselves, so they skip the Curve checks; ``moved_system``
+skips the Lagrangian check for the systems moves build out of checked
+ones (its docstring gives the invariant).
 """
 
 from __future__ import annotations
@@ -101,16 +108,27 @@ class Curve:
         return {(abs(v) + 1) // 2 for v in self.word}
 
 
+def _unchecked(cls, **fields):
+    """A frozen ``cls`` with ``fields`` set and its __post_init__ skipped."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def curve_from_template(genus, handle, p, q):
     if handle > genus:
         raise ValueError("handle %d exceeds genus %d" % (handle, genus))
     tpl = SlopeTemplate(handle, p, q)
-    return Curve(genus, tpl.word(), tpl.homology(genus), tpl)
+    # the Christoffel word is cyclically reduced and abelianizes to (p, q)
+    return _unchecked(Curve, genus=genus, word=tpl.word(),
+                      homology=tpl.homology(genus), template=tpl)
 
 
 def curve_from_word(genus, word):
     w = words.cyclic_reduce(word)
-    return Curve(genus, w, abelianize(genus, w), None)
+    return _unchecked(Curve, genus=genus, word=w,
+                      homology=abelianize(genus, w), template=None)
 
 
 def same_curve(c1, c2):
@@ -139,9 +157,13 @@ def geometric_intersection(c1, c2):
 class CutSystem:
     """g disjoint curves cutting the genus-g handlebody to a ball.
 
-    Construction enforces the homological necessary condition: the g
-    classes must span a rank-g Lagrangian direct summand.  Embeddedness
-    and disjointness of word curves are declared input data.
+    ``CutSystem(genus, curves)`` enforces the homological necessary
+    condition: the g classes must span a rank-g Lagrangian direct
+    summand.  Input data (parsed files, link completions) goes through
+    it.  Moves go through ``moved_system`` instead: a move keeps a cut
+    system a cut system, so re-proving the condition after every slide,
+    split or destabilization would only repeat a fact already checked.
+    Embeddedness and disjointness of word curves are declared input data.
     """
     genus: int
     curves: tuple
@@ -166,16 +188,31 @@ class CutSystem:
             raise ValueError("curve index %d out of range 1..%d" % (i, self.genus))
         return self.curves[i - 1]
 
-    def replace(self, i, curve):
-        cs = list(self.curves)
-        cs[i - 1] = curve
-        return CutSystem(self.genus, tuple(cs))
-
     def member(self, curve):
         return any(same_curve(c, curve) for c in self.curves)
 
     def all_templated(self):
         return all(c.template is not None for c in self.curves)
+
+
+def moved_system(genus, curves):
+    """A cut system built by a move from checked ones, without re-checking.
+
+    Callers keep the invariant that makes the Lagrangian check redundant:
+    the new classes are a unimodular image, direct sum or direct summand
+    of the classes of systems that were already checked.
+
+    * a handleslide maps h_i to h_i +- h_j (a guide only conjugates);
+    * retemplating replaces a curve by the template of its own slope,
+      which at most flips the sign of its class;
+    * a connected sum joins checked systems on disjoint handle sets, and
+      a Heegaard stabilization adds (1,0) or (0,1) on a new handle;
+    * a split or destabilization keeps the curves on one side of a
+      support-disjoint sum, and a direct summand of a Lagrangian summand
+      is one on its own handles; the genus-one piece it removes is one
+      primitive slope.
+    """
+    return _unchecked(CutSystem, genus=genus, curves=curves)
 
 
 def system_from_templates(genus, slopes):
@@ -255,13 +292,22 @@ def heegaard_h1(d):
     return cokernel(cols, 2 * d.genus)
 
 
-def surface_relator(genus):
-    """Boundary word of the standard polygon: product of commutators."""
+def commutator_word(handles):
+    """Product of the commutators [x_h, y_h] over ``handles``, in order.
+
+    It is the boundary word of the subsurface those handles span, so it
+    is null-homologous.
+    """
     out = []
-    for h in range(1, genus + 1):
+    for h in handles:
         x, y = 2 * h - 1, 2 * h
         out.extend((x, y, -x, -y))
     return tuple(out)
+
+
+def surface_relator(genus):
+    """Boundary word of the standard polygon: product of commutators."""
+    return commutator_word(range(1, genus + 1))
 
 
 def quotient_presentation(genus, systems):

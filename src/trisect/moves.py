@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 from . import words
 from .catalog import genus_one_diagram, match_genus_one
-from .diagram import (Curve, CutSystem, HeegaardDiagram, TrisectionDiagram,
-                      curve_from_template, curve_from_word,
-                      geometric_intersection, relabel_systems,
+from .diagram import (Curve, HeegaardDiagram, TrisectionDiagram,
+                      commutator_word, curve_from_template, curve_from_word,
+                      geometric_intersection, moved_system, relabel_systems,
                       trisection_params)
 from .verdict import refuted, unknown, verified, weakest
 
@@ -44,8 +44,10 @@ def handleslide(cs, i, j, guide=(), sign=1):
     if sign < 0:
         wj = words.inverse(wj)
     guide = tuple(guide)
-    new_word = wi + guide + wj + words.inverse(guide)
-    return cs.replace(i, curve_from_word(cs.genus, new_word))
+    curves = list(cs.curves)
+    curves[i - 1] = curve_from_word(cs.genus,
+                                    wi + guide + wj + words.inverse(guide))
+    return moved_system(cs.genus, tuple(curves))
 
 
 def connected_sum(t1, t2):
@@ -69,7 +71,7 @@ def connected_sum(t1, t2):
     for cs1, cs2 in zip(t1.systems(), t2.systems()):
         curves = tuple(carried(c) for c in cs1.curves)
         curves += tuple(shifted(c) for c in cs2.curves)
-        systems.append(CutSystem(g, curves))
+        systems.append(moved_system(g, curves))
     declared = None
     if t1.declared_params is not None and t2.declared_params is not None:
         declared = tuple(a + b for a, b in
@@ -96,7 +98,7 @@ def heegaard_stabilize(d):
             else:
                 curves.append(curve_from_word(g, c.word))
         curves.append(curve_from_template(g, g, p, q))
-        return CutSystem(g, tuple(curves))
+        return moved_system(g, tuple(curves))
 
     return HeegaardDiagram(g, lift(d.alpha, 1, 0), lift(d.beta, 0, 1))
 
@@ -262,7 +264,7 @@ def destabilize(t, cert):
     for c in piece_curves:
         if c.template is None:
             raise ValueError("summand curve on handle %d lacks a template" % h)
-        piece_systems.append(CutSystem(1, (curve_from_template(
+        piece_systems.append(moved_system(1, (curve_from_template(
             1, 1, c.template.p, c.template.q),)))
     piece = TrisectionDiagram(1, *piece_systems)
     name, v = match_genus_one(piece)
@@ -283,7 +285,7 @@ def destabilize(t, cert):
     systems = []
     for cs in t.systems():
         keep = [drop(c) for c in cs.curves if h not in c.support()]
-        systems.append(CutSystem(g, tuple(keep)))
+        systems.append(moved_system(g, tuple(keep)))
     declared = None
     if t.declared_params is not None:
         ks = list(t.declared_params)
@@ -331,11 +333,7 @@ def find_reducing_certificate(t):
         return None
     left = tuple(comps[0])
     right = tuple(h for h in range(1, t.genus + 1) if h not in comps[0])
-    delta_word = []
-    for h in left:
-        x, y = 2 * h - 1, 2 * h
-        delta_word.extend((x, y, -x, -y))
-    delta = curve_from_word(t.genus, tuple(delta_word))
+    delta = curve_from_word(t.genus, commutator_word(left))
     return ReducingCertificate(delta, left, right)
 
 
@@ -368,7 +366,8 @@ def split_along(t, cert):
             if len(picked) != g_side:
                 raise ValueError("curve supports straddle the certificate "
                                  "partition")
-            systems.append(CutSystem(g_side, tuple(moved(c) for c in picked)))
+            systems.append(moved_system(g_side,
+                                        tuple(moved(c) for c in picked)))
         sides.append(TrisectionDiagram(g_side, *systems))
     return sides[0], sides[1]
 
@@ -506,7 +505,7 @@ def _retemplate_system(cs):
                     except ValueError:
                         pass
         out.append(c)
-    return CutSystem(cs.genus, tuple(out))
+    return moved_system(cs.genus, tuple(out))
 
 
 def unscramble(t):
@@ -732,7 +731,7 @@ def _replay_tree(t, node):
         left = tuple(node["left"])
         right = tuple(h for h in range(1, t.genus + 1) if h not in left)
         cert = ReducingCertificate(
-            curve_from_word(t.genus, _commutator_word(left)), left, right)
+            curve_from_word(t.genus, commutator_word(left)), left, right)
         lt, rt = split_along(t, cert)
         return (_replay_tree(lt, node["left_tree"])
                 + _replay_tree(rt, node["right_tree"]))
@@ -744,14 +743,6 @@ def _replay_tree(t, node):
     if op == "stuck":
         raise ValueError("script records a stuck state: %s" % node["reason"])
     raise ValueError("unknown script op %r" % op)
-
-
-def _commutator_word(handles):
-    out = []
-    for h in handles:
-        x, y = 2 * h - 1, 2 * h
-        out.extend((x, y, -x, -y))
-    return tuple(out)
 
 
 def _rebuild_stab_certificate(t, handle, index):

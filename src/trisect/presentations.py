@@ -111,39 +111,52 @@ def _drop_duplicates(relators, trace):
     return out
 
 
-def _find_elimination(gens, relators, max_len):
+def _elimination_expr(r, g):
+    """What generator g equals by relator r, where g occurs exactly once."""
+    pos = r.index(g) if g in r else r.index(-g)
+    rot = r[pos:] + r[:pos]  # signed g first
+    return words.inverse(rot[1:]) if rot[0] > 0 else rot[1:]
+
+
+def _find_elimination(relators, max_len):
     """Deterministic best (relator, generator) elimination candidate.
 
     Returns (ri, g, expr, cost) or None.  Cost estimates total growth; the
     candidate is rejected when a substituted relator would exceed max_len.
-    Letter counts are tabulated once per call, one Counter per relator.
+    Letter counts are tabulated once per call, one Counter per relator,
+    and indexed by generator: the candidates of a relator are its
+    count-1 generators in ascending order, and each candidate visits
+    only the relators containing it, in ascending order.  A candidate's
+    expression has len(r) - 1 letters, so only the winner's is built.
     """
     counts = [Counter(map(abs, r)) for r in relators]
-    best = None
+    holders = {}  # generator -> [(rj, count in relator rj)]
+    for rj, cnt in enumerate(counts):
+        for g, c in cnt.items():
+            holders.setdefault(g, []).append((rj, c))
+    best = None  # (cost, ri, g)
     for ri, r in enumerate(relators):
-        for g in range(1, gens + 1):
-            if counts[ri][g] != 1:
-                continue
-            pos = next(k for k, v in enumerate(r) if abs(v) == g)
-            rot = r[pos:] + r[:pos]  # signed g first
-            rest = rot[1:]
-            expr = words.inverse(rest) if rot[0] > 0 else rest
+        grow = len(r) - 2  # len(expr) - 1
+        for g in sorted(g for g, c in counts[ri].items() if c == 1):
             ok = True
             cost = 0
-            for rj, other in enumerate(relators):
+            for rj, c in holders[g]:
                 if rj == ri:
                     continue
-                c = counts[rj][g]
-                if not c:
-                    continue
-                new_len = len(other) + c * (len(expr) - 1)
-                if new_len > max_len:
+                if len(relators[rj]) + c * grow > max_len:
                     ok = False
                     break
-                cost += c * max(len(expr) - 1, 0)
-            if ok and (best is None or cost < best[3]):
-                best = (ri, g, expr, cost)
-    return best
+                cost += c * max(grow, 0)
+            if ok and (best is None or cost < best[0]):
+                best = (cost, ri, g)
+                if cost == 0:
+                    break  # costs are never negative, so nothing beats it
+        if best is not None and best[0] == 0:
+            break
+    if best is None:
+        return None
+    cost, ri, g = best
+    return ri, g, _elimination_expr(relators[ri], g), cost
 
 
 def _apply_elimination(gens, relators, ri, g, expr, trace):
@@ -200,7 +213,7 @@ def _greedy(gens, relators, max_len, budget, trace):
         relators = _drop_duplicates(relators, trace)
         if not relators or not budget.spend():
             return gens, relators
-        cand = _find_elimination(gens, relators, max_len)
+        cand = _find_elimination(relators, max_len)
         if cand is not None:
             ri, g, expr, _ = cand
             gens, relators = _apply_elimination(gens, relators, ri, g, expr, trace)
@@ -292,9 +305,7 @@ def replay_tietze(p, trace):
             r = relators[ri]
             if _count(r, g) != 1:
                 raise ValueError("eliminate needs a single occurrence")
-            pos = next(k for k, v in enumerate(r) if abs(v) == g)
-            rot = r[pos:] + r[:pos]
-            derived = words.inverse(rot[1:]) if rot[0] > 0 else rot[1:]
+            derived = _elimination_expr(r, g)
             if derived != tuple(expr):
                 raise ValueError("recorded elimination expression is wrong")
             out = []

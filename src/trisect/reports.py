@@ -348,12 +348,43 @@ def _replay_construction(objs, w):
           % (digest, w["output_sha256"]))
 
 
+# the status each witness kind certifies; None where the witness itself
+# tells which (a constraint case holds or fails, a linking matrix is zero
+# or has a nonzero entry) and its check compares the two
+CERTIFIED_STATUS = {
+    "params": "verified",
+    "params-mismatch": "refuted",
+    "torsion": "refuted",
+    "detect-k": "verified",
+    "decomposition": "verified",
+    "classification": "verified",
+    "catalog-match": "verified",
+    "no-genus-one-match": "refuted",
+    "standard-pair": "verified",
+    "nonstandard": "refuted",
+    "param-constraint": None,
+    "empty": "verified",
+    "heegaard-kirby": "verified",
+    "background": "refuted",
+    "framing": "refuted",
+    "link-crossing": "refuted",
+    "link-extension": "refuted",
+    "surgery-homology": "refuted",
+    "primitive-pairs": "verified",
+    "linking": None,
+    "ab-det": "refuted",
+    "ac-path": "verified",
+    "construction": "verified",
+}
+
+
 def replay_verdict(objs, vdict):
     """Re-derive a recorded verdict from its witness and the parsed inputs.
 
     ``objs`` is the tuple of parsed input objects in command order.  Returns
     None on success; raises ReplayError when the witness fails to reproduce
-    the recorded status, KeyError for an unsupported witness kind.
+    the recorded status, or certifies another status than the recorded
+    one, and KeyError for an unsupported witness kind.
     """
     status = vdict["status"]
     if status == "unknown":
@@ -362,6 +393,9 @@ def replay_verdict(objs, vdict):
     if w is None:
         raise ReplayError("verdict has no witness")
     kind = w["kind"]
+    certified = CERTIFIED_STATUS[kind]
+    _need(certified in (None, status),
+          "a %s witness certifies %s, not %s" % (kind, certified, status))
     one = objs[0]
     if kind == "params":
         _replay_params(one, w)
@@ -407,6 +441,9 @@ def replay_verdict(objs, vdict):
         _replay_primitive_pairs(one, w)
     elif kind == "linking":
         _replay_linking(one, w)
+        got = "refuted" if "entry" in w else "verified"
+        _need(got == status, "linking witness certifies %s, not %s"
+              % (got, status))
     elif kind == "ab-det":
         _replay_ab_det(one, w)
     elif kind == "ac-path":

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from trisect import diagio, reports
+from trisect import cli, diagio, reports
 from trisect.catalog import genus_one_diagram
 from trisect.cli import run_command
 from trisect.diagram import standard_heegaard
@@ -356,6 +356,83 @@ def test_replay_verdict_rejects_forged_params_witness():
             "status": "verified", "reason": "forged",
             "witness": {"kind": "params", "ks": [1, 0, 0],
                         "pairs": [good, good, good]}})
+
+
+# -- no crash ends with a verdict exit code -------------------------------------
+
+@pytest.mark.parametrize("report, inputs, what", [
+    ([], 0, "expected a JSON object"),
+    ({"inputs": [], "verdict": "verified"}, 0,
+     "'verdict' must be an object"),
+    ({"inputs": [{"name": "x"}], "verdict": {"status": "verified"}}, 1,
+     "'inputs' must be a list of objects with string name and sha256"),
+])
+def test_malformed_reports_are_parse_errors(tmp_path, capsys, report, inputs,
+                                            what):
+    rep = write(tmp_path, "r.json", json.dumps(report))
+    given = [write(tmp_path, "x.tri", "anything\n")] * inputs
+    code, out, err = run(capsys, "replay", rep, *given)
+    assert code == 4 and out == ""
+    assert "parse error: line 1, col 1: malformed report: " + what in err
+
+
+def test_a_crashing_command_exits_five(tmp_path, capsys, monkeypatch):
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_validate", crash)
+    path = tri_file(tmp_path, "c.tri", genus_one_diagram("CP2"))
+    code, out, err = run(capsys, "validate", path)
+    assert code == cli.EXIT_INTERNAL == 5
+    assert out == ""
+    assert "internal error" in err and "RuntimeError: boom" in err
+
+
+def _flipped(tmp_path, capsys, status, *argv):
+    _, doc, _ = _json_report(capsys, tmp_path, "r.json", *argv)
+    assert doc["verdict"]["status"] != status
+    doc["verdict"]["status"] = status
+    return write(tmp_path, "flipped.json", json.dumps(doc))
+
+
+def test_replay_rejects_a_verified_witness_flipped_to_refuted(tmp_path,
+                                                              capsys):
+    tri = tri_file(tmp_path, "c.tri", genus_one_diagram("CP2"))
+    rep = _flipped(tmp_path, capsys, "refuted", "classify", tri)
+    code, out, err = run(capsys, "replay", rep, tri)
+    assert code == 4 and "replay confirms" not in out
+    assert "a classification witness certifies verified, not refuted" in err
+
+
+def test_replay_rejects_refuted_witnesses_flipped_to_verified(tmp_path,
+                                                              capsys):
+    text = diagio.format_diagram(genus_one_diagram("CP2"))
+    bad = write(tmp_path, "bad.tri",
+                text.replace("params=(0,0,0)", "params=(1,1,1)"))
+    rep = _flipped(tmp_path, capsys, "verified", "validate", bad)
+    code, _, err = run(capsys, "replay", rep, bad)
+    assert code == 4
+    assert "a params-mismatch witness certifies refuted, not verified" in err
+
+    hopf = write(tmp_path, "h.lnk", "linking size=2\nrow: 0 1\nrow: 1 0\n")
+    rep = _flipped(tmp_path, capsys, "verified", "gprc-check", hopf)
+    code, _, err = run(capsys, "replay", rep, hopf)
+    assert code == 4
+    assert "linking witness certifies refuted, not verified" in err
+
+
+def test_a_kind_never_replays_under_the_status_it_does_not_certify():
+    one = (genus_one_diagram("CP2"),)
+    for kind, status in reports.CERTIFIED_STATUS.items():
+        if status is None:
+            continue
+        other = {"verified": "refuted", "refuted": "verified"}[status]
+        with pytest.raises(reports.ReplayError, match="certifies"):
+            reports.replay_verdict(one, {"status": other, "reason": "r",
+                                         "witness": {"kind": kind}})
+    with pytest.raises(KeyError):
+        reports.replay_verdict(one, {"status": "verified", "reason": "r",
+                                     "witness": {"kind": "no-such-kind"}})
 
 
 def test_report_format_is_line_oriented(tmp_path, capsys):

@@ -3,8 +3,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from trisect.diagram import (CutSystem, HeegaardDiagram, SlopeTemplate,
+from trisect.diagram import (Curve, CutSystem, HeegaardDiagram, SlopeTemplate,
                              TrisectionDiagram, TrisectionParams,
                              curve_from_template,
                              curve_from_word, detect_k, euler_characteristic,
@@ -36,6 +38,23 @@ def test_curve_from_template_words():
     c2 = curve_from_template(2, 2, 0, 1)
     assert c2.word == (4,)  # y2
     assert c2.support() == {2}
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(st.integers(1, 4).flatmap(lambda g: st.tuples(
+    st.just(g), st.integers(1, g), st.integers(-40, 40), st.integers(-40, 40),
+    st.lists(st.integers(1, 2 * g).flatmap(
+        lambda v: st.sampled_from((v, -v))), max_size=12))))
+def test_curve_builders_agree_with_the_checking_constructor(args):
+    # the builders skip Curve's checks, so they must never need them
+    g, h, p, q, word = args
+    c = curve_from_word(g, word)
+    assert c == Curve(c.genus, c.word, c.homology, c.template)
+    try:
+        t = curve_from_template(g, h, p, q)
+    except ValueError:
+        return  # (0, 0) or not primitive: SlopeTemplate still rejects it
+    assert t == Curve(t.genus, t.word, t.homology, t.template)
 
 
 def test_geometric_intersection_frozen():

@@ -3,13 +3,16 @@ import json
 import random
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
-from trisect import moves
+from trisect import diagram, moves
 from trisect.catalog import ALL_NAMES, genus_one_diagram, genus_zero_diagram
 from trisect.canonical import canonical_form
-from trisect.diagram import (HeegaardDiagram, TrisectionDiagram, CutSystem,
-                             curve_from_word, detect_k, euler_characteristic,
-                             system_from_templates, trisection_params)
+from trisect.diagram import (Curve, HeegaardDiagram, TrisectionDiagram,
+                             CutSystem, curve_from_word, detect_k,
+                             euler_characteristic, system_from_templates,
+                             trisection_params)
 from trisect.intmatrix import span_equal
 from trisect.moves import (check_classified_params, classify_genus_one_sum,
                            connected_sum, destabilize,
@@ -399,3 +402,103 @@ def test_standardize_computes_the_parameters_once(monkeypatch, names):
     found, v = standardize(t)
     assert v.is_verified and sorted(found) == sorted(names)
     assert calls == [t]
+
+
+# -- the trust boundary: moves build systems without re-checking them ---------
+
+def _sum(names):
+    t = genus_one_diagram(names[0])
+    for name in names[1:]:
+        t = connected_sum(t, genus_one_diagram(name))
+    return t
+
+
+@pytest.mark.parametrize("names", [
+    ("S1xS3", "CP2", "S4STAB1"),
+    ("S1xS3", "S4STAB1", "S4STAB1", "S1xS3", "S4STAB1", "CP2R")])
+def test_standardize_never_rechecks_a_moved_system(monkeypatch, names):
+    t = _scrambled(_sum(names), random.Random(11))
+    calls = []
+    lagrangian_verdict = diagram.lagrangian_verdict
+
+    def counted(*args):
+        calls.append(args)
+        return lagrangian_verdict(*args)
+
+    monkeypatch.setattr(diagram, "lagrangian_verdict", counted)
+    found, v = standardize(t)
+    assert v.is_verified and sorted(found) == sorted(names)
+    assert calls == []
+
+
+def _assert_checked(d):
+    """Every system and curve of ``d`` passes the checking constructors."""
+    systems = d.systems() if isinstance(d, TrisectionDiagram) \
+        else (d.alpha, d.beta)
+    for cs in systems:
+        assert cs == CutSystem(cs.genus, cs.curves)
+        for c in cs.curves:
+            assert c == Curve(c.genus, c.word, c.homology, c.template)
+
+
+def _classes(cs):
+    return [list(c.coeffs) for c in cs.classes()]
+
+
+@st.composite
+def _slid_sums(draw):
+    """A catalog sum at genus 2..6 whose systems went through random
+    slides, each along a guide word of length 0-3."""
+    g = draw(st.integers(2, 6))
+    t = _sum(draw(st.lists(st.sampled_from(ALL_NAMES), min_size=g,
+                           max_size=g)))
+    letter = st.builds(lambda v, s: v * s, st.integers(1, 2 * g),
+                       st.sampled_from((1, -1)))
+    systems = []
+    for cs in t.systems():
+        for _ in range(draw(st.integers(0, 6))):
+            i = draw(st.integers(1, g))
+            j = draw(st.integers(1, g - 1))
+            cs = handleslide(cs, i, j + (j >= i),
+                             guide=draw(st.lists(letter, max_size=3)),
+                             sign=draw(st.sampled_from((1, -1))))
+        systems.append(cs)
+    return TrisectionDiagram(g, *systems, declared_params=t.declared_params)
+
+
+def _walk(t):
+    """Unscramble, then destabilize and split wherever a certificate
+    exists, checking every diagram the moves build."""
+    _assert_checked(t)
+    if t.genus < 2:
+        return
+    cleaned, _ = unscramble(t)
+    _assert_checked(cleaned)
+    for before, after in zip(t.systems(), cleaned.systems()):
+        # slides and retemplating keep each system's Lagrangian
+        assert span_equal(_classes(before), _classes(after), 2 * t.genus)
+    scert = find_stabilization_certificate(cleaned, slide_budget=0)
+    if scert is not None and scert.omega.template is not None:
+        try:
+            rest = destabilize(cleaned, scert)
+        except ValueError:
+            rest = None
+        if rest is not None:
+            event("destabilize")
+            _assert_checked(rest)
+    cert = find_reducing_certificate(cleaned)
+    if cert is not None:
+        event("split")
+        left, right = split_along(cleaned, cert)
+        _assert_checked(connected_sum(left, right))
+        _walk(left)
+        _walk(right)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(_slid_sums())
+def test_moved_systems_pass_the_checking_constructors(t):
+    _walk(t)
+    _assert_checked(connected_sum(t, genus_one_diagram("CP2")))
+    _assert_checked(heegaard_stabilize(HeegaardDiagram(t.genus, t.alpha,
+                                                       t.beta)))

@@ -211,6 +211,6 @@ def test_find_elimination_matches_the_per_candidate_count():
         expected, costs = _count_per_candidate_elimination(gens, relators,
                                                            max_len)
         ties += bool(costs) and costs.count(min(costs)) > 1
-        assert _find_elimination(gens, relators, max_len) == expected
+        assert _find_elimination(relators, max_len) == expected
     # the draws reach the cases where the two scans could part ways
     assert min(ties, over_length, repeated) > 100
