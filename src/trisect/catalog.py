@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from .diagram import (CutSystem, TrisectionDiagram, system_from_templates,
                       trisection_params)
-from .homology import algebraic_intersection
-from .verdict import refuted, unknown, verified
+from .verdict import refuted, verified
 
 GENUS_ONE_SLOPES = {
     "CP2": ((1, 0), (0, 1), (1, 1)),
@@ -70,15 +69,36 @@ def stabilization_diagram(i):
     return genus_one_diagram("S4STAB%d" % i)
 
 
+def _slope_sign(a, b, c):
+    """Sign of det(a, b) * det(b, c) * det(c, a) over three slopes."""
+    prod = 1
+    for (p1, q1), (p2, q2) in ((a, b), (b, c), (c, a)):
+        prod *= p1 * q2 - q1 * p2
+    return (prod > 0) - (prod < 0)
+
+
 def triangle_sign(t):
     """Orientation sign of a genus-one diagram's slope triangle."""
-    a = t.alpha.curves[0].homology
-    b = t.beta.curves[0].homology
-    c = t.gamma.curves[0].homology
-    prod = (algebraic_intersection(a, b)
-            * algebraic_intersection(b, c)
-            * algebraic_intersection(c, a))
-    return 0 if prod == 0 else (1 if prod > 0 else -1)
+    return _slope_sign(*(cs.curves[0].homology.handle_part(1)
+                         for cs in t.systems()))
+
+
+def genus_one_name(ks, sign):
+    """The catalog diagram with parameters ``ks`` and slope-triangle sign
+    ``sign``, or None.
+
+    The parameters name every entry but CP2 and CP2R, which share
+    (0,0,0) and have opposite signs; every other entry has sign 0.  On a
+    genus-one diagram without torsion the parameters fix the sign: k = 1
+    on a pair makes its slopes equal and the sign 0, and (0,0,0) makes
+    every determinant +-1.  So a None here means the parameters match no
+    entry.
+    """
+    for name in ALL_NAMES:
+        if (GENUS_ONE_PARAMS[name] == tuple(ks)
+                and _slope_sign(*GENUS_ONE_SLOPES[name]) == sign):
+            return name
+    return None
 
 
 def match_genus_one(t, budget=None):
@@ -89,20 +109,8 @@ def match_genus_one(t, budget=None):
     if v.is_refuted:
         return None, v
     ks = params.ks
-    if ks == (1, 1, 1):
-        name = "S1xS3"
-    elif ks == (1, 0, 0):
-        name = "S4STAB1"
-    elif ks == (0, 1, 0):
-        name = "S4STAB2"
-    elif ks == (0, 0, 1):
-        name = "S4STAB3"
-    elif ks == (0, 0, 0):
-        sign = triangle_sign(t)
-        if sign == 0:
-            return None, unknown("degenerate slope triangle for (1;0,0,0)")
-        name = "CP2" if sign > 0 else "CP2R"
-    else:
+    name = genus_one_name(ks, triangle_sign(t))
+    if name is None:
         return None, refuted(
             "parameters %s match no genus-one diagram" % params,
             {"kind": "no-genus-one-match", "params": list(ks)})

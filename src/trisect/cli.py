@@ -340,6 +340,9 @@ def _cmd_replay(args):
         raise diagio.ParseError("report is not valid JSON: %s" % e, 1)
     _check_report_shape(doc)
     recorded = doc.get("inputs", [])
+    if not recorded:
+        raise _UsageError("report lists no input files, so no witness can "
+                          "be replayed against them")
     given = args.inputs
     if len(given) != len(recorded):
         raise _UsageError("report lists %d inputs, %d given"
@@ -366,6 +369,10 @@ def _cmd_replay(args):
     except reports.ReplayError as e:
         raise _ReplayFailure(str(e))
     except KeyError as e:
+        # replay_verdict raises KeyError only for a kind it has no checker
+        # for; a malformed field inside a check is a ReplayError
+        if vdict["witness"]["kind"] in reports.CHECKERS:
+            raise
         raise _UsageError("unsupported witness kind %s" % e)
     from .verdict import Verdict
     v = Verdict(vdict["status"], "replay confirms: %s" % vdict["reason"],

@@ -131,6 +131,26 @@ def curve_from_word(genus, word):
                       homology=abelianize(genus, w), template=None)
 
 
+def reembed(curve, genus, handle_map):
+    """``curve`` on the genus-``genus`` surface, handle h moved to
+    ``handle_map[h]``.
+
+    The map must be defined and injective on the curve's support, with
+    values in 1..genus.  A slope template keeps its slope on the new
+    handle; a word curve's letters x_h, y_h become x_h', y_h' for
+    h' = handle_map[h].
+    """
+    tpl = curve.template
+    if tpl is not None:
+        return curve_from_template(genus, handle_map[tpl.handle], tpl.p, tpl.q)
+    word = []
+    for v in curve.word:
+        h = (abs(v) + 1) // 2
+        step = 2 * (handle_map[h] - h)
+        word.append(v + step if v > 0 else v - step)
+    return curve_from_word(genus, tuple(word))
+
+
 def same_curve(c1, c2):
     """Equality as unoriented free-homotopy classes of the stored words."""
     return c1.genus == c2.genus and c1.key() == c2.key()

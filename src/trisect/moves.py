@@ -17,8 +17,8 @@ from . import words
 from .catalog import genus_one_diagram, match_genus_one
 from .diagram import (Curve, HeegaardDiagram, TrisectionDiagram,
                       commutator_word, curve_from_template, curve_from_word,
-                      geometric_intersection, moved_system, relabel_systems,
-                      trisection_params)
+                      geometric_intersection, moved_system, reembed,
+                      relabel_systems, trisection_params)
 from .verdict import refuted, unknown, verified, weakest
 
 _MEMBERSHIP_SLIDE_BUDGET = 3
@@ -53,25 +53,11 @@ def handleslide(cs, i, j, guide=(), sign=1):
 def connected_sum(t1, t2):
     """Concatenate the diagrams, re-indexing t2's handles above t1's."""
     g1, g = t1.genus, t1.genus + t2.genus
-
-    def carried(c):
-        if c.template is not None:
-            return curve_from_template(g, c.template.handle, c.template.p,
-                                       c.template.q)
-        return curve_from_word(g, c.word)
-
-    def shifted(c):
-        if c.template is not None:
-            return curve_from_template(g, c.template.handle + g1,
-                                       c.template.p, c.template.q)
-        w = tuple(v + 2 * g1 if v > 0 else v - 2 * g1 for v in c.word)
-        return curve_from_word(g, w)
-
-    systems = []
-    for cs1, cs2 in zip(t1.systems(), t2.systems()):
-        curves = tuple(carried(c) for c in cs1.curves)
-        curves += tuple(shifted(c) for c in cs2.curves)
-        systems.append(moved_system(g, curves))
+    same = {h: h for h in range(1, g1 + 1)}
+    above = {h: h + g1 for h in range(1, t2.genus + 1)}
+    systems = [moved_system(g, tuple(reembed(c, g, same) for c in cs1.curves)
+                            + tuple(reembed(c, g, above) for c in cs2.curves))
+               for cs1, cs2 in zip(t1.systems(), t2.systems())]
     declared = None
     if t1.declared_params is not None and t2.declared_params is not None:
         declared = tuple(a + b for a, b in
@@ -88,19 +74,12 @@ def i_stabilize(t, i):
 def heegaard_stabilize(d):
     """Add a trivially dual handle pair: alpha (1,0), beta (0,1)."""
     g = d.genus + 1
-
-    def lift(cs, p, q):
-        curves = []
-        for c in cs.curves:
-            if c.template is not None:
-                curves.append(curve_from_template(g, c.template.handle,
-                                                  c.template.p, c.template.q))
-            else:
-                curves.append(curve_from_word(g, c.word))
-        curves.append(curve_from_template(g, g, p, q))
-        return moved_system(g, tuple(curves))
-
-    return HeegaardDiagram(g, lift(d.alpha, 1, 0), lift(d.beta, 0, 1))
+    same = {h: h for h in range(1, g)}
+    alpha = moved_system(g, tuple(reembed(c, g, same) for c in d.alpha.curves)
+                         + (curve_from_template(g, g, 1, 0),))
+    beta = moved_system(g, tuple(reembed(c, g, same) for c in d.beta.curves)
+                        + (curve_from_template(g, g, 0, 1),))
+    return HeegaardDiagram(g, alpha, beta)
 
 
 # -- certificates -------------------------------------------------------------
@@ -264,8 +243,7 @@ def destabilize(t, cert):
     for c in piece_curves:
         if c.template is None:
             raise ValueError("summand curve on handle %d lacks a template" % h)
-        piece_systems.append(moved_system(1, (curve_from_template(
-            1, 1, c.template.p, c.template.q),)))
+        piece_systems.append(moved_system(1, (reembed(c, 1, {h: 1}),)))
     piece = TrisectionDiagram(1, *piece_systems)
     name, v = match_genus_one(piece)
     if name != "S4STAB%d" % cert.index:
@@ -273,19 +251,10 @@ def destabilize(t, cert):
                          "stabilization" % (name, cert.index))
 
     g = t.genus - 1
-
-    def drop(c):
-        if c.template is not None:
-            nh = c.template.handle - (1 if c.template.handle > h else 0)
-            return curve_from_template(g, nh, c.template.p, c.template.q)
-        w = tuple(v - 2 if v > 2 * h else v + 2 if v < -2 * h else v
-                  for v in c.word)
-        return curve_from_word(g, w)
-
-    systems = []
-    for cs in t.systems():
-        keep = [drop(c) for c in cs.curves if h not in c.support()]
-        systems.append(moved_system(g, tuple(keep)))
+    down = {k: k - (k > h) for k in range(1, t.genus + 1) if k != h}
+    systems = [moved_system(g, tuple(reembed(c, g, down) for c in cs.curves
+                                     if h not in c.support()))
+               for cs in t.systems()]
     declared = None
     if t.declared_params is not None:
         ks = list(t.declared_params)
@@ -347,27 +316,14 @@ def split_along(t, cert):
         side_set = set(side)
         remap = {h: i + 1 for i, h in enumerate(sorted(side))}
         g_side = len(side)
-
-        def moved(c):
-            if c.template is not None:
-                return curve_from_template(g_side, remap[c.template.handle],
-                                           c.template.p, c.template.q)
-            w = []
-            for v in c.word:
-                h = (abs(v) + 1) // 2
-                base = 2 * (remap[h] - 1)
-                letter = base + (1 if abs(v) % 2 == 1 else 2)
-                w.append(letter if v > 0 else -letter)
-            return curve_from_word(g_side, tuple(w))
-
         systems = []
         for cs in t.systems():
             picked = [c for c in cs.curves if c.support() <= side_set]
             if len(picked) != g_side:
                 raise ValueError("curve supports straddle the certificate "
                                  "partition")
-            systems.append(moved_system(g_side,
-                                        tuple(moved(c) for c in picked)))
+            systems.append(moved_system(
+                g_side, tuple(reembed(c, g_side, remap) for c in picked)))
         sides.append(TrisectionDiagram(g_side, *systems))
     return sides[0], sides[1]
 

@@ -5,6 +5,10 @@ what the verdict was, and the witness.  ``replay_verdict`` re-derives a
 Verified or Refuted verdict from the recorded witness and the original
 input alone, never re-running any search, so stored certificates stay
 checkable.
+
+``CHECKERS`` is the one table of witness kinds: it binds each kind to the
+status its witness certifies and to the check that re-derives it.  A new
+witness kind is added there, and nowhere else in replay.
 """
 
 from __future__ import annotations
@@ -15,16 +19,19 @@ from dataclasses import dataclass, field
 
 from . import __version__, words
 from .ac import ab_det, canonical_key, replay_ac_path, trivial_presentation
-from .catalog import triangle_sign
-from .diagram import (HeegaardDiagram, TrisectionDiagram, TrisectionParams,
-                      geometric_intersection, heegaard_h1,
-                      quotient_presentation)
+from .catalog import genus_one_name, triangle_sign
+from .diagio import format_any
+from .diagram import (_PAIRS, HeegaardDiagram, TrisectionDiagram,
+                      TrisectionParams, geometric_intersection, heegaard_h1,
+                      is_standard_pair, quotient_presentation, same_curve)
 from .homology import algebraic_intersection
-from .intmatrix import IntegerMatrix, invariant_factors
-from .kirby import (HeegaardKirbyDiagram, LinkingMatrix, _surgery_homology,
-                    complete_link_to_system, find_primitive_pairs)
-from .moves import (connected_sum, handleslide, heegaard_stabilize,
-                    i_stabilize, replay_decomposition, sum_name)
+from .kirby import (FramedComponent, HeegaardKirbyDiagram, LinkingMatrix,
+                    _beta_extension_check, _link_embedding_check,
+                    _surgery_homology, complete_link_to_system,
+                    find_primitive_pairs)
+from .moves import (check_classified_params, connected_sum, handleslide,
+                    heegaard_stabilize, i_stabilize, replay_decomposition,
+                    sum_name)
 from .presentations import replay_tietze
 
 ENGINE = "trisect %s" % __version__
@@ -89,38 +96,39 @@ def _need(cond, detail):
 
 
 def _pair_diagrams(t):
-    return (HeegaardDiagram(t.genus, t.alpha, t.beta),
-            HeegaardDiagram(t.genus, t.beta, t.gamma),
-            HeegaardDiagram(t.genus, t.gamma, t.alpha))
+    return [HeegaardDiagram(t.genus, t.system(a), t.system(b))
+            for a, b in _PAIRS]
 
 
-def _replay_detect(d, w):
+# Each check below is called as check(witness, *inputs).  It raises
+# ReplayError when the witness does not re-derive its claim; the checks of
+# kinds that certify either status return the status they re-derived.
+
+def _replay_detect(w, d):
+    _need(isinstance(d, HeegaardDiagram),
+          "detect-k witness needs a heegaard diagram")
     h1 = heegaard_h1(d)
     _need(h1.is_free and h1.free_rank == w["k"],
           "H1 is %s, witness claims free rank %d" % (h1, w["k"]))
-    try:
-        rank = replay_tietze(quotient_presentation(d.genus, [d.alpha, d.beta]),
-                             w["trace"])
-    except ValueError as e:
-        raise ReplayError("simplification trace does not apply: %s" % e)
+    rank = replay_tietze(quotient_presentation(d.genus, [d.alpha, d.beta]),
+                         w["trace"])
     _need(rank == w["k"],
           "trace ends at free rank %d, witness claims %d" % (rank, w["k"]))
 
 
-def _replay_params(t, w):
+def _replay_params(w, t):
     _need(isinstance(t, TrisectionDiagram), "params witness needs a trisection")
     ks = list(w["ks"])
-    pairs = w["pairs"]
-    _need(len(pairs) == 3, "params witness needs three pair certificates")
-    for d, pw, k in zip(_pair_diagrams(t), pairs, ks):
+    # strict: three pair certificates and three ranks, or a ValueError
+    for d, pw, k in zip(_pair_diagrams(t), w["pairs"], ks, strict=True):
         _need(pw["k"] == k, "pair certificate rank disagrees with ks")
-        _replay_detect(d, pw)
+        _replay_detect(pw, d)
     if t.declared_params is not None:
         _need(list(t.declared_params) == ks,
               "declared parameters disagree with the witness")
 
 
-def _replay_params_mismatch(t, w):
+def _replay_params_mismatch(w, t):
     computed = [heegaard_h1(d).free_rank for d in _pair_diagrams(t)]
     _need(computed == list(w["computed"]),
           "recomputed ranks %s, witness claims %s" % (computed, w["computed"]))
@@ -130,11 +138,11 @@ def _replay_params_mismatch(t, w):
     _need(computed != list(w["declared"]), "declared and computed agree")
 
 
-def _replay_torsion(obj, w):
+def _replay_torsion(w, obj):
     if isinstance(obj, HeegaardDiagram):
         candidates = [obj]
     elif isinstance(obj, TrisectionDiagram):
-        candidates = list(_pair_diagrams(obj))
+        candidates = _pair_diagrams(obj)
     elif isinstance(obj, HeegaardKirbyDiagram):
         candidates = [obj.background]
     else:
@@ -146,34 +154,36 @@ def _replay_torsion(obj, w):
     raise ReplayError("no boundary pair shows torsion %s" % (w["factors"],))
 
 
-def _replay_decomposition_witness(t, w):
-    try:
-        names = replay_decomposition(t, w)
-    except ValueError as e:
-        raise ReplayError(str(e))
-    if w["kind"] == "classification":
-        _need(sum_name(names) == w["name"],
-              "replayed summands name %r, witness claims %r"
-              % (sum_name(names), w["name"]))
+def _replay_decomposition(w, t):
+    replay_decomposition(t, w)
 
 
-def _replay_catalog_match(t, w):
+def _replay_classification(w, t):
+    name = sum_name(replay_decomposition(t, w))
+    _need(name == w["name"],
+          "replayed summands name %r, witness claims %r" % (name, w["name"]))
+
+
+def _replay_catalog_match(w, t):
     _need(t.genus == 1, "catalog witness needs a genus-one diagram")
-    _replay_params(t, w["pairs"])
-    ks = tuple(w["params"])
-    by_params = {(1, 1, 1): "S1xS3", (1, 0, 0): "S4STAB1",
-                 (0, 1, 0): "S4STAB2", (0, 0, 1): "S4STAB3"}
-    if ks == (0, 0, 0):
-        sign = triangle_sign(t)
-        _need(sign != 0, "degenerate slope triangle")
-        name = "CP2" if sign > 0 else "CP2R"
-    else:
-        name = by_params.get(ks)
+    _replay_params(w["pairs"], t)
+    ks = list(w["pairs"]["ks"])
+    _need(list(w["params"]) == ks, "parameters disagree with the pair "
+          "certificates")
+    name = genus_one_name(ks, triangle_sign(t))
     _need(name == w["name"],
           "parameters %s name %r, witness claims %r" % (ks, name, w["name"]))
 
 
-def _replay_standard_pair(d, w):
+def _replay_no_genus_one_match(w, t):
+    _need(t.genus == 1, "genus-one witness needs a genus-one diagram")
+    computed = [heegaard_h1(d).free_rank for d in _pair_diagrams(t)]
+    _need(computed == list(w["params"]), "recomputed parameters disagree")
+    _need(genus_one_name(computed, triangle_sign(t)) is None,
+          "parameters match a catalog diagram after all")
+
+
+def _replay_standard_pair(w, d):
     g = d.genus
     pairing = [j - 1 for j in w["pairing"]]
     _need(sorted(pairing) == list(range(g)), "pairing is not a permutation")
@@ -183,7 +193,6 @@ def _replay_standard_pair(d, w):
             count, exact = geometric_intersection(d.alpha.curves[i],
                                                   d.beta.curves[j2])
             if j2 == j:
-                from .diagram import same_curve
                 if same_curve(d.alpha.curves[i], d.beta.curves[j2]):
                     k += 1
                     continue
@@ -195,8 +204,7 @@ def _replay_standard_pair(d, w):
     _need(k == w["k"], "recounted k=%d, witness claims %d" % (k, w["k"]))
 
 
-def _replay_nonstandard(d, w):
-    g = d.genus
+def _replay_nonstandard(w, d):
     matrix = [[geometric_intersection(a, b) for b in d.beta.curves]
               for a in d.alpha.curves]
     _need(all(ex for row in matrix for (_, ex) in row),
@@ -204,68 +212,58 @@ def _replay_nonstandard(d, w):
     counts = [[c for (c, _) in row] for row in matrix]
     _need(counts == w["matrix"],
           "recomputed counts disagree with the witness")
-    from .diagram import is_standard_pair
     _need(is_standard_pair(d).is_refuted, "a standard pairing exists after all")
 
 
-def _replay_param_constraint(obj, w):
-    ks = tuple(w["ks"])
+def _replay_param_constraint(w, obj):
     if isinstance(obj, TrisectionDiagram):
-        genus = obj.genus
-    elif isinstance(obj, TrisectionParams):
-        genus = obj.genus
+        ks = [heegaard_h1(d).free_rank for d in _pair_diagrams(obj)]
     else:
-        raise ReplayError("param-constraint witness needs a trisection")
-    from .moves import check_classified_params
-    v = check_classified_params(TrisectionParams(genus, *ks))
+        _need(isinstance(obj, TrisectionParams),
+              "param-constraint witness needs a trisection")
+        ks = list(obj.ks)
+    _need(ks == list(w["ks"]),
+          "recomputed parameters %s, witness claims %s" % (ks, w["ks"]))
+    v = check_classified_params(TrisectionParams(obj.genus, *ks))
     _need(v.witness is not None and v.witness.get("case") == w["case"],
           "constraint case disagrees")
     return v.status
 
 
-def _replay_hk(H, w):
+def _replay_empty(w, d):
+    _need(d.genus == 0, "diagram is not empty")
+
+
+def _replay_hk(w, H):
     _need(isinstance(H, HeegaardKirbyDiagram),
           "surgery witness needs a heegaard-kirby diagram")
-    _replay_detect(H.background, w["background"])
+    _replay_detect(w["background"], H.background)
     _need(w["n"] == w["background"]["k"], "background rank disagrees")
     _need(w["c"] == H.c and w["m"] == H.m, "link size or target disagrees")
     _need(all(comp.is_surface_framed for comp in H.link),
           "a verified diagram cannot carry integer framings")
-    for i in range(H.c):
-        for j in range(i + 1, H.c):
-            count, exact = geometric_intersection(H.link[i].curve,
-                                                  H.link[j].curve)
-            _need(exact and count == 0,
-                  "link components %d and %d are not exactly disjoint"
-                  % (i + 1, j + 1))
-        _need(H.link[i].curve.template is not None,
-              "component %d has no exact slope model" % (i + 1))
-    if H.link:
-        cols = [list(c.coeffs) for c in H.background.beta.classes()]
-        cols += [list(comp.curve.homology.coeffs) for comp in H.link]
-        factors = invariant_factors(
-            IntegerMatrix.from_columns(cols, nrows=2 * H.genus))
-        _need(len(factors) == len(cols) and all(d == 1 for d in factors),
-              "link classes do not extend beta primitively")
+    _need(_link_embedding_check(H) == (None, 0),
+          "link components are not all exactly disjoint")
+    _need(all(comp.curve.template is not None for comp in H.link),
+          "a link component has no exact slope model")
+    _need(not H.link or _beta_extension_check(H) is None,
+          "link classes do not extend beta primitively")
     h1 = _surgery_homology(H)
     _need(h1.is_free and h1.free_rank == H.m,
           "surgered homology is %s, not Z^%d" % (h1, H.m))
     gamma = complete_link_to_system(H)
     _need(gamma is not None, "link completion is gone")
-    try:
-        rank = replay_tietze(
-            quotient_presentation(H.genus, [H.background.alpha, gamma]),
-            w["pi1"]["trace"])
-    except ValueError as e:
-        raise ReplayError("pi1 trace does not apply: %s" % e)
+    rank = replay_tietze(
+        quotient_presentation(H.genus, [H.background.alpha, gamma]),
+        w["pi1"]["trace"])
     _need(rank == H.m, "pi1 trace ends at rank %d, not %d" % (rank, H.m))
 
 
-def _replay_background(H, w):
-    _replay_torsion(H.background, w["inner"])
+def _replay_background(w, H):
+    _replay_torsion(w["inner"], H.background)
 
 
-def _replay_framing(H, w):
+def _replay_framing(w, H):
     integer_framed = [k + 1 for k, comp in enumerate(H.link)
                       if not comp.is_surface_framed]
     _need(integer_framed == list(w["components"]),
@@ -275,7 +273,7 @@ def _replay_framing(H, w):
           "background is not a #^n with n > 0")
 
 
-def _replay_link_crossing(H, w):
+def _replay_link_crossing(w, H):
     i, j = w["pair"]
     count, exact = geometric_intersection(H.link[i - 1].curve,
                                           H.link[j - 1].curve)
@@ -289,169 +287,120 @@ def _replay_link_crossing(H, w):
               "recomputed algebraic count disagrees")
 
 
-def _replay_link_extension(H, w):
-    cols = [list(c.coeffs) for c in H.background.beta.classes()]
-    cols += [list(comp.curve.homology.coeffs) for comp in H.link]
-    factors = invariant_factors(
-        IntegerMatrix.from_columns(cols, nrows=2 * H.genus))
-    _need(list(factors) == list(w["factors"]), "invariant factors disagree")
-    _need(len(factors) != len(cols) or any(d != 1 for d in factors),
-          "the family is primitive after all")
+def _replay_link_extension(w, H):
+    bad = _beta_extension_check(H)
+    _need(bad is not None, "the family is primitive after all")
+    _need(bad.witness["factors"] == list(w["factors"]),
+          "invariant factors disagree")
 
 
-def _replay_surgery_homology(H, w):
+def _replay_surgery_homology(w, H):
     h1 = _surgery_homology(H)
     _need(str(h1) == w["h1"], "recomputed homology %s disagrees" % h1)
     _need(not (h1.is_free and h1.free_rank == w["target_m"]),
           "homology matches the target after all")
 
 
-def _replay_primitive_pairs(t, w):
+def _replay_primitive_pairs(w, t):
     pairs, v = find_primitive_pairs(t)
     _need(v.is_verified, "intersection data is no longer exact")
     _need([list(p) for p in pairs] == w["pairs"], "pair list disagrees")
 
 
-def _replay_linking(m, w):
+def _replay_linking(w, m):
     _need(isinstance(m, LinkingMatrix), "linking witness needs a matrix")
     if "entry" in w:
         i, j = w["entry"]
         _need(m.rows[i - 1][j - 1] == w["value"] and w["value"] != 0,
               "entry (%d, %d) disagrees" % (i, j))
-    else:
-        _need(m.is_zero() and m.size == w["size"], "matrix is not zero")
+        return "refuted"
+    _need(m.is_zero() and m.size == w["size"], "matrix is not zero")
+    return "verified"
 
 
-def _replay_ab_det(p, w):
+def _replay_ab_det(w, p):
     d = ab_det(p)
     _need(d == w["det"], "recomputed determinant %d disagrees" % d)
     _need(abs(d) != 1, "determinant is a unit after all")
 
 
-def _replay_ac_path(p, w):
-    try:
-        final = replay_ac_path(p, [tuple(m) for m in w["moves"]])
-    except ValueError as e:
-        raise ReplayError("move path does not apply: %s" % e)
+def _replay_ac_path(w, p):
+    final = replay_ac_path(p, [tuple(m) for m in w["moves"]])
     _need(final.is_trivial_form(), "path does not end in trivial form")
     _need(canonical_key(final) == canonical_key(
         trivial_presentation(final.generators)),
           "final key is not the trivial key")
 
 
-def _replay_construction(objs, w):
+def _replay_construction(w, *objs):
     out = apply_construction(w["op"], w.get("args", {}), objs)
-    from .diagio import format_any
     digest = sha256_text(format_any(out))
     _need(digest == w["output_sha256"],
           "reconstructed output digest %s, witness claims %s"
           % (digest, w["output_sha256"]))
 
 
-# the status each witness kind certifies; None where the witness itself
-# tells which (a constraint case holds or fails, a linking matrix is zero
-# or has a nonzero entry) and its check compares the two
-CERTIFIED_STATUS = {
-    "params": "verified",
-    "params-mismatch": "refuted",
-    "torsion": "refuted",
-    "detect-k": "verified",
-    "decomposition": "verified",
-    "classification": "verified",
-    "catalog-match": "verified",
-    "no-genus-one-match": "refuted",
-    "standard-pair": "verified",
-    "nonstandard": "refuted",
-    "param-constraint": None,
-    "empty": "verified",
-    "heegaard-kirby": "verified",
-    "background": "refuted",
-    "framing": "refuted",
-    "link-crossing": "refuted",
-    "link-extension": "refuted",
-    "surgery-homology": "refuted",
-    "primitive-pairs": "verified",
-    "linking": None,
-    "ab-det": "refuted",
-    "ac-path": "verified",
-    "construction": "verified",
+# kind -> (the status its witness certifies, its check).  None marks the
+# kinds whose witness itself tells which status holds (a constraint case
+# holds or fails, a linking matrix is zero or has a nonzero entry); their
+# checks return it.
+CHECKERS = {
+    "params": ("verified", _replay_params),
+    "params-mismatch": ("refuted", _replay_params_mismatch),
+    "torsion": ("refuted", _replay_torsion),
+    "detect-k": ("verified", _replay_detect),
+    "decomposition": ("verified", _replay_decomposition),
+    "classification": ("verified", _replay_classification),
+    "catalog-match": ("verified", _replay_catalog_match),
+    "no-genus-one-match": ("refuted", _replay_no_genus_one_match),
+    "standard-pair": ("verified", _replay_standard_pair),
+    "nonstandard": ("refuted", _replay_nonstandard),
+    "param-constraint": (None, _replay_param_constraint),
+    "empty": ("verified", _replay_empty),
+    "heegaard-kirby": ("verified", _replay_hk),
+    "background": ("refuted", _replay_background),
+    "framing": ("refuted", _replay_framing),
+    "link-crossing": ("refuted", _replay_link_crossing),
+    "link-extension": ("refuted", _replay_link_extension),
+    "surgery-homology": ("refuted", _replay_surgery_homology),
+    "primitive-pairs": ("verified", _replay_primitive_pairs),
+    "linking": (None, _replay_linking),
+    "ab-det": ("refuted", _replay_ab_det),
+    "ac-path": ("verified", _replay_ac_path),
+    "construction": ("verified", _replay_construction),
 }
+
+# what a malformed witness field or an input of the wrong type raises
+# inside a check
+_MALFORMED = (KeyError, TypeError, ValueError, IndexError, AttributeError)
 
 
 def replay_verdict(objs, vdict):
     """Re-derive a recorded verdict from its witness and the parsed inputs.
 
     ``objs`` is the tuple of parsed input objects in command order.  Returns
-    None on success; raises ReplayError when the witness fails to reproduce
-    the recorded status, or certifies another status than the recorded
-    one, and KeyError for an unsupported witness kind.
+    None on success; raises KeyError for a witness kind that has no checker
+    (before any check runs), and ReplayError when the witness fails to
+    reproduce the recorded status, certifies another status than the
+    recorded one, or has malformed fields.
     """
     status = vdict["status"]
     if status == "unknown":
         raise ReplayError("unknown verdicts carry no witness to replay")
-    w = vdict["witness"]
+    w = vdict.get("witness")
     if w is None:
         raise ReplayError("verdict has no witness")
     kind = w["kind"]
-    certified = CERTIFIED_STATUS[kind]
-    _need(certified in (None, status),
-          "a %s witness certifies %s, not %s" % (kind, certified, status))
-    one = objs[0]
-    if kind == "params":
-        _replay_params(one, w)
-    elif kind == "params-mismatch":
-        _replay_params_mismatch(one, w)
-    elif kind == "torsion":
-        _replay_torsion(one, w)
-    elif kind == "detect-k":
-        _replay_detect(one, w)
-    elif kind in ("decomposition", "classification"):
-        _replay_decomposition_witness(one, w)
-    elif kind == "catalog-match":
-        _replay_catalog_match(one, w)
-    elif kind == "no-genus-one-match":
-        computed = [heegaard_h1(d).free_rank for d in _pair_diagrams(one)]
-        _need(computed == list(w["params"]), "recomputed parameters disagree")
-        _need(tuple(computed) not in
-              ((1, 1, 1), (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)),
-              "parameters match a catalog diagram after all")
-    elif kind == "standard-pair":
-        _replay_standard_pair(one, w)
-    elif kind == "nonstandard":
-        _replay_nonstandard(one, w)
-    elif kind == "param-constraint":
-        got = _replay_param_constraint(one, w)
-        _need(got == status, "constraint check returns %s, not %s"
-              % (got, status))
-    elif kind == "empty":
-        _need(one.genus == 0, "diagram is not empty")
-    elif kind == "heegaard-kirby":
-        _replay_hk(one, w)
-    elif kind == "background":
-        _replay_background(one, w)
-    elif kind == "framing":
-        _replay_framing(one, w)
-    elif kind == "link-crossing":
-        _replay_link_crossing(one, w)
-    elif kind == "link-extension":
-        _replay_link_extension(one, w)
-    elif kind == "surgery-homology":
-        _replay_surgery_homology(one, w)
-    elif kind == "primitive-pairs":
-        _replay_primitive_pairs(one, w)
-    elif kind == "linking":
-        _replay_linking(one, w)
-        got = "refuted" if "entry" in w else "verified"
-        _need(got == status, "linking witness certifies %s, not %s"
-              % (got, status))
-    elif kind == "ab-det":
-        _replay_ab_det(one, w)
-    elif kind == "ac-path":
-        _replay_ac_path(one, w)
-    elif kind == "construction":
-        _replay_construction(objs, w)
-    else:
-        raise KeyError(kind)
+    certified, check = CHECKERS[kind]
+    mismatch = "a %s witness certifies %s, not %s"
+    _need(certified in (None, status), mismatch % (kind, certified, status))
+    try:
+        got = check(w, *objs)
+    except _MALFORMED as e:
+        raise ReplayError("the %s witness does not replay: %s: %s"
+                          % (kind, type(e).__name__, e))
+    if certified is None:
+        _need(got == status, mismatch % (kind, got, status))
 
 
 # -- deterministic constructions ----------------------------------------------
@@ -522,13 +471,8 @@ def apply_construction(op, args, objs):
         if not isinstance(t, TrisectionDiagram):
             raise ValueError("tri-to-hk needs a trisection file")
         picks = [tuple(p) for p in args["picks"]]
-        from .diagram import HeegaardDiagram as HD
-        from .kirby import FramedComponent
-        H = HeegaardKirbyDiagram(
-            t.genus, HD(t.genus, t.alpha, t.beta),
+        return HeegaardKirbyDiagram(
+            t.genus, HeegaardDiagram(t.genus, t.alpha, t.beta),
             tuple(FramedComponent(t.gamma.curve(gi)) for gi, _ in picks),
             m=int(args["m"]))
-        return H
-    if op == "catalog":
-        raise ValueError("catalog output replays per diagram name")
     raise ValueError("unknown construction %r" % op)

@@ -6,7 +6,8 @@ import pytest
 
 from trisect.catalog import (ALL_NAMES, FIGURE_ONE, FIGURE_TWO,
                              GENUS_ONE_PARAMS, genus_one_diagram,
-                             genus_zero_diagram, match_genus_one,
+                             genus_one_name, genus_zero_diagram,
+                             match_genus_one,
                              stabilization_diagram, triangle_sign)
 from trisect.diagram import trisection_params
 
@@ -43,6 +44,16 @@ def test_match_genus_one_all():
     for name in ALL_NAMES:
         got, v = match_genus_one(genus_one_diagram(name))
         assert got == name and v.is_verified
+
+
+def test_genus_one_names():
+    for name in ALL_NAMES:
+        t = genus_one_diagram(name)
+        assert genus_one_name(GENUS_ONE_PARAMS[name], triangle_sign(t)) == name
+    # no genus-one diagram has these parameters, and (0,0,0) needs a sign
+    for ks in ((1, 1, 0), (1, 0, 1), (0, 1, 1)):
+        assert genus_one_name(ks, 0) is None
+    assert genus_one_name((0, 0, 0), 0) is None
 
 
 def test_figure_groups():

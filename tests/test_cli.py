@@ -326,6 +326,42 @@ def test_replay_rejects_tampered_witness(tmp_path, capsys):
     assert code == 4 and "FAILED" in err
 
 
+@pytest.mark.parametrize("tamper", [
+    lambda w: w.pop("ks"),
+    lambda w: w.update(ks=5),
+])
+def test_replay_of_a_malformed_witness_fails(tmp_path, capsys, tamper):
+    tri = tri_file(tmp_path, "c.tri", genus_one_diagram("CP2"))
+    _, doc, _ = _json_report(capsys, tmp_path, "r.json", "validate", tri)
+    assert doc["verdict"]["witness"]["kind"] == "params"
+    tamper(doc["verdict"]["witness"])
+    forged = write(tmp_path, "forged.json", json.dumps(doc))
+    code, out, err = run(capsys, "replay", forged, tri)
+    assert code == 4 and out == ""
+    assert "replay: FAILED: the params witness does not replay" in err
+
+
+def test_replay_of_an_unsupported_witness_kind_is_a_usage_error(tmp_path,
+                                                                capsys):
+    tri = tri_file(tmp_path, "c.tri", genus_one_diagram("CP2"))
+    _, doc, _ = _json_report(capsys, tmp_path, "r.json", "validate", tri)
+    doc["verdict"]["witness"]["kind"] = "no-such-kind"
+    forged = write(tmp_path, "forged.json", json.dumps(doc))
+    code, out, err = run(capsys, "replay", forged, tri)
+    assert code == 3 and out == ""
+    assert "usage error: unsupported witness kind 'no-such-kind'" in err
+
+
+def test_replay_of_a_report_without_inputs_is_a_usage_error(tmp_path,
+                                                             capsys):
+    code, doc, rep = _json_report(capsys, tmp_path, "c.json",
+                                  "catalog", "figure1")
+    assert code == 0 and doc["inputs"] == []
+    code, out, err = run(capsys, "replay", rep)
+    assert code == 3 and out == ""
+    assert "usage error: report lists no input files" in err
+
+
 def test_replay_on_unknown_verdict_exits_two(tmp_path, capsys):
     code, doc, rep = _json_report(capsys, tmp_path, "r.json",
                                   "ac-search", "--ak", "3",
@@ -423,7 +459,7 @@ def test_replay_rejects_refuted_witnesses_flipped_to_verified(tmp_path,
 
 def test_a_kind_never_replays_under_the_status_it_does_not_certify():
     one = (genus_one_diagram("CP2"),)
-    for kind, status in reports.CERTIFIED_STATUS.items():
+    for kind, (status, _) in reports.CHECKERS.items():
         if status is None:
             continue
         other = {"verified": "refuted", "refuted": "verified"}[status]

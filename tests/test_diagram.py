@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ from trisect.diagram import (Curve, CutSystem, HeegaardDiagram, SlopeTemplate,
                              curve_from_word, detect_k, euler_characteristic,
                              geometric_intersection, heegaard_h1,
                              is_standard_pair, pi1_presentation,
-                             quotient_presentation, relabel_systems,
+                             quotient_presentation, reembed, relabel_systems,
                              standard_heegaard, surface_relator,
                              system_from_templates, trisection_h1,
                              trisection_params)
@@ -55,6 +56,41 @@ def test_curve_builders_agree_with_the_checking_constructor(args):
     except ValueError:
         return  # (0, 0) or not primitive: SlopeTemplate still rejects it
     assert t == Curve(t.genus, t.word, t.homology, t.template)
+
+
+@st.composite
+def _reembeddings(draw):
+    """A word or template curve at genus g and an injective map of its
+    handles into a genus at least g."""
+    g = draw(st.integers(1, 4))
+    new_genus = draw(st.integers(g, 6))
+    targets = draw(st.permutations(range(1, new_genus + 1)))
+    handle_map = {h: targets[h - 1] for h in range(1, g + 1)}
+    if draw(st.booleans()):
+        h = draw(st.integers(1, g))
+        p, q = draw(st.tuples(st.integers(-9, 9), st.integers(-9, 9)).filter(
+            lambda s: gcd(*s) == 1))
+        curve = curve_from_template(g, h, p, q)
+    else:
+        curve = curve_from_word(g, draw(st.lists(
+            st.integers(1, 2 * g).flatmap(lambda v: st.sampled_from((v, -v))),
+            max_size=12)))
+    return curve, new_genus, handle_map
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(_reembeddings())
+def test_reembed_permutes_handles(args):
+    curve, new_genus, handle_map = args
+    moved = reembed(curve, new_genus, handle_map)
+    assert moved == Curve(moved.genus, moved.word, moved.homology,
+                          moved.template)
+    coeffs = [0] * (2 * new_genus)
+    for h, nh in handle_map.items():
+        coeffs[2 * nh - 2:2 * nh] = curve.homology.handle_part(h)
+    assert moved.homology.coeffs == tuple(coeffs)
+    inverse = {nh: h for h, nh in handle_map.items()}
+    assert reembed(moved, curve.genus, inverse) == curve
 
 
 def test_geometric_intersection_frozen():

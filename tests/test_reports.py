@@ -1,0 +1,102 @@
+import pytest
+
+from trisect import reports
+from trisect.ac import ak_presentation
+from trisect.catalog import genus_one_diagram, match_genus_one
+from trisect.diagram import (HeegaardDiagram, TrisectionDiagram,
+                             curve_from_template, detect_k, standard_heegaard)
+from trisect.kirby import FramedComponent, HeegaardKirbyDiagram, LinkingMatrix
+
+# the fields each kind's producer writes, besides "kind"
+_FIELDS = {
+    "params": ("ks", "pairs"),
+    "params-mismatch": ("declared", "computed"),
+    "torsion": ("h1", "factors"),
+    "detect-k": ("k", "h1", "trace"),
+    "decomposition": ("order", "names", "tree"),
+    "classification": ("name", "names", "tree"),
+    "catalog-match": ("name", "params", "pairs"),
+    "no-genus-one-match": ("params",),
+    "standard-pair": ("k", "pairing"),
+    "nonstandard": ("matrix",),
+    "param-constraint": ("case", "ks"),
+    "empty": (),
+    "heegaard-kirby": ("n", "c", "m", "background", "pi1"),
+    "background": ("inner",),
+    "framing": ("components", "n"),
+    "link-crossing": ("pair", "count"),
+    "link-extension": ("factors",),
+    "surgery-homology": ("h1", "target_m"),
+    "primitive-pairs": ("pairs",),
+    "linking": ("entry", "value", "size"),
+    "ab-det": ("det",),
+    "ac-path": ("moves", "depth"),
+    "construction": ("op", "args", "output_sha256"),
+}
+
+
+def _inputs():
+    hk = HeegaardKirbyDiagram(
+        1, standard_heegaard(1, 0),
+        (FramedComponent(curve_from_template(1, 1, 1, 0)),), m=1)
+    return (genus_one_diagram("CP2"), hk, LinkingMatrix.zero(2),
+            ak_presentation(1))
+
+
+def _malformed(kind):
+    fields = _FIELDS[kind]
+    yield {"kind": kind}
+    for f in fields:
+        yield {"kind": kind, f: 5}
+    yield dict({"kind": kind}, **{f: 5 for f in fields})
+
+
+def test_every_checked_kind_has_its_fields_listed():
+    assert set(_FIELDS) == set(reports.CHECKERS)
+
+
+@pytest.mark.parametrize("kind", sorted(reports.CHECKERS))
+def test_a_malformed_witness_is_a_replay_error(kind):
+    # a missing field, a field of the wrong type or an input of the wrong
+    # kind must fail the replay, never crash it and never confirm it
+    certified, _ = reports.CHECKERS[kind]
+    statuses = ("verified", "refuted") if certified is None else (certified,)
+    for obj in _inputs():
+        for w in _malformed(kind):
+            for status in statuses:
+                with pytest.raises(reports.ReplayError):
+                    reports.replay_verdict((obj,), {"status": status,
+                                                    "witness": w})
+
+
+def test_forged_fields_of_a_replayable_witness_fail():
+    s = genus_one_diagram("S1xS3")
+    t = TrisectionDiagram(1, s.alpha, s.beta, s.gamma)  # nothing declared
+    _, v = match_genus_one(t)
+    assert v.witness["kind"] == "catalog-match"
+    reports.replay_verdict((t,), {"status": "verified", "witness": v.witness})
+    forged = [
+        # a name read off parameters that the pair certificates do not prove
+        dict(v.witness, name="S4STAB1", params=[1, 0, 0]),
+        # a params witness whose ranks do not cover all three pairs
+        dict(v.witness["pairs"], ks=[]),
+        dict(v.witness["pairs"], ks=[1, 1]),
+    ]
+    for w in forged:
+        with pytest.raises(reports.ReplayError):
+            reports.replay_verdict((t,), {"status": "verified", "witness": w})
+
+
+def test_a_witness_binds_to_its_own_input():
+    t = genus_one_diagram("CP2")  # parameters (0,0,0)
+    # a constraint case on parameters that are not the diagram's
+    w = {"kind": "param-constraint", "case": "k1=g", "ks": [1, 0, 1]}
+    with pytest.raises(reports.ReplayError, match="recomputed parameters"):
+        reports.replay_verdict((t,), {"status": "refuted", "witness": w})
+    # a one-pair certificate offered for a whole trisection
+    _, v = detect_k(HeegaardDiagram(1, t.alpha, t.beta))
+    reports.replay_verdict((HeegaardDiagram(1, t.alpha, t.beta),),
+                           {"status": "verified", "witness": v.witness})
+    with pytest.raises(reports.ReplayError, match="heegaard diagram"):
+        reports.replay_verdict((t,), {"status": "verified",
+                                      "witness": v.witness})
