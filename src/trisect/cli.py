@@ -18,13 +18,12 @@ import time
 from . import diagio, reports
 from .ac import DEFAULT_MAX_STATES, ab_det, ac_search, ak_presentation
 from .catalog import FIGURE_ONE, FIGURE_TWO, genus_one_diagram
-from .diagram import (HeegaardDiagram, TrisectionDiagram, detect_k,
-                      euler_characteristic, heegaard_h1, trisection_h1,
-                      trisection_params)
-from .kirby import (HeegaardKirbyDiagram, LinkingMatrix,
-                    gprc_necessary_check, hk_to_trisection, surgery_h1,
+from .diagram import (detect_k, euler_characteristic, heegaard_h1,
+                      trisection_h1, trisection_params)
+from .kirby import (gprc_necessary_check, hk_to_trisection, surgery_h1,
                     trisection_to_hk, validate_hk)
 from .moves import classify_genus_one_sum
+from .verdict import Verdict, unknown, verified
 
 EXIT_USAGE = 3
 EXIT_IO = 4
@@ -46,41 +45,13 @@ def _read(path):
 
 
 def _load(path, want=None, label=None):
+    """Text and object of ``path``, which ``label`` needs of kind ``want``."""
     text = _read(path)
     obj = diagio.parse_any(text)
-    if want is not None and not isinstance(obj, want):
-        raise _UsageError("%s expects %s, got a %s file"
-                          % (label, _KIND_NAMES.get(want, "a diagram"),
-                             _kind_of(obj)))
+    if want is not None and diagio.kind_of(obj) != want:
+        raise _UsageError("%s expects a %s file, got a %s file"
+                          % (label, want, diagio.kind_of(obj)))
     return text, obj
-
-
-_KIND_NAMES = {
-    TrisectionDiagram: "a trisection file",
-    HeegaardKirbyDiagram: "a heegaard-kirby file",
-    LinkingMatrix: "a linking file",
-}
-
-
-def _kind_of(obj):
-    from .ac import BalancedPresentation
-    if isinstance(obj, TrisectionDiagram):
-        return "trisection"
-    if isinstance(obj, HeegaardKirbyDiagram):
-        return "heegaard-kirby"
-    if isinstance(obj, HeegaardDiagram):
-        return "heegaard"
-    if isinstance(obj, LinkingMatrix):
-        return "linking"
-    if isinstance(obj, BalancedPresentation):
-        return "presentation"
-    return "unknown"
-
-
-def _construction_verdict(op, args, output_text, reason):
-    from .verdict import verified
-    return verified(reason, {"kind": "construction", "op": op, "args": args,
-                             "output_sha256": reports.sha256_text(output_text)})
 
 
 # -- command handlers ----------------------------------------------------------
@@ -88,56 +59,48 @@ def _construction_verdict(op, args, output_text, reason):
 
 def _cmd_validate(args):
     text, obj = _load(args.file)
-    payload = [("kind", _kind_of(obj)), ("genus", obj.genus)] \
-        if not isinstance(obj, LinkingMatrix) else [("kind", "linking")]
-    if isinstance(obj, TrisectionDiagram):
-        params, v = trisection_params(obj)
-        payload.append(("params", str(params)))
-    elif isinstance(obj, HeegaardKirbyDiagram):
-        v = validate_hk(obj)
-        payload += [("components", obj.c), ("target-m", obj.m)]
-    elif isinstance(obj, HeegaardDiagram):
-        k, v = detect_k(obj)
-        payload.append(("k", k))
-    else:
-        raise _UsageError("validate expects a diagram file, got %s"
-                          % _kind_of(obj))
-    return [(args.file, text)], payload, v, None
+    return _diagram_report(args.file, text, obj, "validate")
 
 
 def _cmd_invariants(args):
     text, obj = _load(args.file)
-    if isinstance(obj, TrisectionDiagram):
-        params, v = trisection_params(obj)
-        payload = [("kind", "trisection"), ("genus", obj.genus),
-                   ("params", str(params)),
-                   ("chi", euler_characteristic(params)),
-                   ("h1", str(trisection_h1(obj)))]
-        return [(args.file, text)], payload, v, None
-    if isinstance(obj, HeegaardDiagram) and \
-            not isinstance(obj, HeegaardKirbyDiagram):
-        k, v = detect_k(obj)
-        payload = [("kind", "heegaard"), ("genus", obj.genus), ("k", k),
-                   ("h1", str(heegaard_h1(obj)))]
-        return [(args.file, text)], payload, v, None
-    if isinstance(obj, HeegaardKirbyDiagram):
-        v = validate_hk(obj)
-        payload = [("kind", "heegaard-kirby"), ("genus", obj.genus),
-                   ("components", obj.c), ("target-m", obj.m)]
-        return [(args.file, text)], payload, v, None
-    if isinstance(obj, LinkingMatrix):
-        payload = [("kind", "linking"), ("size", obj.size),
-                   ("framings", " ".join(str(f) for f in obj.framings())),
-                   ("surgery-h1", str(surgery_h1(obj)))]
+    kind = diagio.kind_of(obj)
+    if kind == "linking":
+        payload = [("kind", "linking")] + _linking_lines(obj)
         return [(args.file, text)], payload, None, None
-    payload = [("kind", "presentation"), ("generators", obj.generators),
-               ("total-length", obj.total_length()),
-               ("ab-det", ab_det(obj))]
-    return [(args.file, text)], payload, None, None
+    if kind == "presentation":
+        payload = [("kind", "presentation"), ("generators", obj.generators),
+                   ("total-length", obj.total_length()),
+                   ("ab-det", ab_det(obj))]
+        return [(args.file, text)], payload, None, None
+    return _diagram_report(args.file, text, obj, "invariants")
+
+
+def _diagram_report(path, text, obj, command):
+    """validate's report on a diagram; invariants adds chi and H1."""
+    kind = diagio.kind_of(obj)
+    if kind not in ("trisection", "heegaard", "heegaard-kirby"):
+        raise _UsageError("%s expects a diagram file, got %s" % (command, kind))
+    payload = [("kind", kind), ("genus", obj.genus)]
+    if kind == "trisection":
+        params, v = trisection_params(obj)
+        payload.append(("params", str(params)))
+        if command == "invariants":
+            payload += [("chi", euler_characteristic(params)),
+                        ("h1", str(trisection_h1(obj)))]
+    elif kind == "heegaard":
+        k, v = detect_k(obj)
+        payload.append(("k", k))
+        if command == "invariants":
+            payload.append(("h1", str(heegaard_h1(obj))))
+    else:
+        v = validate_hk(obj)
+        payload += [("components", obj.c), ("target-m", obj.m)]
+    return [(path, text)], payload, v, None
 
 
 def _cmd_classify(args):
-    text, obj = _load(args.file, TrisectionDiagram, "classify")
+    text, obj = _load(args.file, "trisection", "classify")
     name, v = classify_genus_one_sum(obj)
     payload = [("genus", obj.genus)]
     if name is not None:
@@ -145,55 +108,51 @@ def _cmd_classify(args):
     return [(args.file, text)], payload, v, None
 
 
-def _cmd_stabilize(args):
-    text, obj = _load(args.file)
+def _construct(op, cargs, paths, reason, payload, want=None):
+    """Handler of construction ``op``: its output and a verdict that
+    certifies it by digest; ``payload(objs, out)`` gives the report lines.
+    """
+    loaded = [(path,) + _load(path, want, op) for path in paths]
+    objs = tuple(obj for _, _, obj in loaded)
     try:
-        out = reports.apply_construction("stabilize", {"type": args.type},
-                                         (obj,))
+        out = reports.apply_construction(op, cargs, objs)
     except ValueError as e:
         raise _UsageError(str(e))
     out_text = diagio.format_any(out)
-    v = _construction_verdict("stabilize", {"type": args.type}, out_text,
-                              "stabilization of type %s constructed"
-                              % args.type)
-    payload = [("genus", obj.genus), ("result-genus", out.genus)]
-    return [(args.file, text)], payload, v, out_text
+    v = verified(reason, {"kind": "construction", "op": op, "args": cargs,
+                          "output_sha256": reports.sha256_text(out_text)})
+    return ([(path, text) for path, text, _ in loaded], payload(objs, out),
+            v, out_text)
+
+
+def _cmd_stabilize(args):
+    return _construct(
+        "stabilize", {"type": args.type}, [args.file],
+        "stabilization of type %s constructed" % args.type,
+        lambda objs, out: [("genus", objs[0].genus),
+                           ("result-genus", out.genus)])
 
 
 def _cmd_connect_sum(args):
-    text1, t1 = _load(args.a, TrisectionDiagram, "connect-sum")
-    text2, t2 = _load(args.b, TrisectionDiagram, "connect-sum")
-    try:
-        out = reports.apply_construction("connect-sum", {}, (t1, t2))
-    except ValueError as e:
-        raise _UsageError(str(e))
-    out_text = diagio.format_any(out)
-    v = _construction_verdict("connect-sum", {}, out_text,
-                              "connected sum constructed")
-    payload = [("genus", out.genus)]
-    return [(args.a, text1), (args.b, text2)], payload, v, out_text
+    return _construct("connect-sum", {}, [args.a, args.b],
+                      "connected sum constructed",
+                      lambda objs, out: [("genus", out.genus)],
+                      want="trisection")
 
 
 def _cmd_slide(args):
-    text, obj = _load(args.file)
-    sign = {"+": 1, "-": -1}[args.sign]
     cargs = {"system": args.system, "from": args.src, "over": args.over,
-             "guide": args.guide, "sign": sign}
-    try:
-        out = reports.apply_construction("slide", cargs, (obj,))
-    except ValueError as e:
-        raise _UsageError(str(e))
-    out_text = diagio.format_any(out)
-    v = _construction_verdict("slide", cargs, out_text,
-                              "handleslide of %s curve %d over %d applied"
-                              % (args.system, args.src, args.over))
-    payload = [("system", args.system), ("from", args.src),
-               ("over", args.over)]
-    return [(args.file, text)], payload, v, out_text
+             "guide": args.guide, "sign": {"+": 1, "-": -1}[args.sign]}
+    return _construct(
+        "slide", cargs, [args.file],
+        "handleslide of %s curve %d over %d applied"
+        % (args.system, args.src, args.over),
+        lambda objs, out: [("system", args.system), ("from", args.src),
+                           ("over", args.over)])
 
 
 def _cmd_hk_to_tri(args):
-    text, H = _load(args.file, HeegaardKirbyDiagram, "hk-to-tri")
+    text, H = _load(args.file, "heegaard-kirby", "hk-to-tri")
     t, v = hk_to_trisection(H)
     payload = [("genus", H.genus), ("components", H.c), ("target-m", H.m)]
     out_text = None
@@ -205,6 +164,7 @@ def _cmd_hk_to_tri(args):
 
 
 def _parse_picks(spec):
+    """The (gamma, beta) pairs of a '1:1,2:3' string, or a ValueError."""
     picks = []
     for part in spec.split(","):
         piece = part.strip()
@@ -212,24 +172,28 @@ def _parse_picks(spec):
             continue
         bits = piece.split(":")
         if len(bits) != 2:
-            raise _UsageError("picks must look like '1:1,2:3', got %r" % piece)
+            raise ValueError("picks must look like '1:1,2:3', got %r" % piece)
         try:
             picks.append((int(bits[0]), int(bits[1])))
         except ValueError:
-            raise _UsageError("picks must be integer pairs, got %r" % piece)
+            raise ValueError("picks must be integer pairs, got %r" % piece)
     if not picks:
-        raise _UsageError("at least one gamma:beta pick is required")
+        raise ValueError("at least one gamma:beta pick is required")
     return picks
 
 
+def _format_picks(picks):
+    return ",".join("%d:%d" % p for p in picks)
+
+
 def _cmd_tri_to_hk(args):
-    text, t = _load(args.file, TrisectionDiagram, "tri-to-hk")
-    picks = _parse_picks(args.picks)
+    text, t = _load(args.file, "trisection", "tri-to-hk")
     try:
+        picks = _parse_picks(args.picks)
         H, v = trisection_to_hk(t, picks)
     except ValueError as e:
         raise _UsageError(str(e))
-    payload = [("picks", ",".join("%d:%d" % p for p in picks))]
+    payload = [("picks", _format_picks(picks))]
     out_text = None
     if H is not None:
         payload += [("components", H.c), ("target-m", H.m)]
@@ -238,12 +202,14 @@ def _cmd_tri_to_hk(args):
 
 
 def _cmd_gprc_check(args):
-    text, m = _load(args.file, LinkingMatrix, "gprc-check")
-    v = gprc_necessary_check(m)
-    payload = [("size", m.size),
-               ("framings", " ".join(str(f) for f in m.framings())),
-               ("surgery-h1", str(surgery_h1(m)))]
-    return [(args.file, text)], payload, v, None
+    text, m = _load(args.file, "linking", "gprc-check")
+    return [(args.file, text)], _linking_lines(m), gprc_necessary_check(m), None
+
+
+def _linking_lines(m):
+    return [("size", m.size),
+            ("framings", " ".join(str(f) for f in m.framings())),
+            ("surgery-h1", str(surgery_h1(m)))]
 
 
 def _cmd_ac_search(args):
@@ -261,10 +227,9 @@ def _cmd_ac_search(args):
         inputs = [("ak-%d" % args.ak, diagio.format_presentation(p))]
     else:
         text, p = _load(args.file)
-        from .ac import BalancedPresentation
-        if not isinstance(p, BalancedPresentation):
+        if diagio.kind_of(p) != "presentation":
             raise _UsageError("ac-search expects a presentation file, got %s"
-                              % _kind_of(p))
+                              % diagio.kind_of(p))
         inputs = [(args.file, text)]
     res = ac_search(p, args.max_length, args.max_depth, stable=args.stable,
                     max_states=args.max_states)
@@ -285,8 +250,10 @@ def _cmd_catalog(args):
                       (name, diagio.format_diagram(genus_one_diagram(name))))
     out_text = "\n".join(blocks)
     payload = [("figure", args.figure), ("names", " ".join(names))]
-    v = _construction_verdict("catalog", {"figure": args.figure}, out_text,
-                              "catalog diagrams for %s emitted" % args.figure)
+    v = verified("catalog diagrams for %s emitted" % args.figure,
+                 {"kind": "construction", "op": "catalog",
+                  "args": {"figure": args.figure},
+                  "output_sha256": reports.sha256_text(out_text)})
     return [], payload, v, out_text
 
 
@@ -360,7 +327,6 @@ def _cmd_replay(args):
     payload = [("replayed-operation", doc.get("operation", "?")),
                ("recorded-status", vdict["status"])]
     if vdict["status"] == "unknown":
-        from .verdict import unknown
         v = unknown("unknown verdicts carry no witness to replay")
         return [(args.report, raw)], payload, v, None
     objs = _reconstruct_for_replay(doc, tuple(objs), vdict)
@@ -374,7 +340,6 @@ def _cmd_replay(args):
         if vdict["witness"]["kind"] in reports.CHECKERS:
             raise
         raise _UsageError("unsupported witness kind %s" % e)
-    from .verdict import Verdict
     v = Verdict(vdict["status"], "replay confirms: %s" % vdict["reason"],
                 vdict["witness"])
     return [(args.report, raw)], payload, v, None
@@ -397,13 +362,15 @@ def _reconstruct_for_replay(doc, objs, vdict):
                 + objs[1:]
         if op == "tri-to-hk" and kind in _HK_WITNESS_KINDS:
             payload = doc.get("payload", {})
-            picks = [[int(a), int(b)] for a, b in
-                     (piece.split(":") for piece in payload["picks"].split(","))]
+            picks = _parse_picks(payload["picks"])
+            if _format_picks(picks) != payload["picks"]:
+                raise ValueError("picks %r are not as tri-to-hk writes them"
+                                 % payload["picks"])
             H = reports.apply_construction(
                 "tri-to-hk", {"picks": picks, "m": int(payload["target-m"])},
                 objs)
             return (H,) + objs[1:]
-    except (ValueError, KeyError) as e:
+    except (ValueError, KeyError, TypeError, AttributeError) as e:
         raise _ReplayFailure("cannot rebuild the derived object: %s" % e)
     return objs
 

@@ -43,15 +43,25 @@ class ParseError(Exception):
         self.col = col
 
 
-_KINDS = ("trisection", "heegaard-kirby", "heegaard", "linking", "presentation")
+# file kind -> (the class it parses to, its header line)
+_KINDS = {
+    "trisection": (TrisectionDiagram, re.compile(
+        r"^trisection\s+genus=(\d+)(?:\s+params=\((\d+),(\d+),(\d+)\))?\s*$")),
+    "heegaard-kirby": (HeegaardKirbyDiagram,
+                       re.compile(r"^heegaard-kirby\s+genus=(\d+)\s*$")),
+    "heegaard": (HeegaardDiagram, re.compile(r"^heegaard\s+genus=(\d+)\s*$")),
+    "linking": (LinkingMatrix, re.compile(r"^linking\s+size=(\d+)\s*$")),
+    "presentation": (BalancedPresentation,
+                     re.compile(r"^presentation\s+generators=(\d+)\s*$")),
+}
+_KIND_OF = {cls: kind for kind, (cls, _) in _KINDS.items()}
 
-_HEADERS = {
-    "trisection": re.compile(
-        r"^trisection\s+genus=(\d+)(?:\s+params=\((\d+),(\d+),(\d+)\))?\s*$"),
-    "heegaard": re.compile(r"^heegaard\s+genus=(\d+)\s*$"),
-    "heegaard-kirby": re.compile(r"^heegaard-kirby\s+genus=(\d+)\s*$"),
-    "linking": re.compile(r"^linking\s+size=(\d+)\s*$"),
-    "presentation": re.compile(r"^presentation\s+generators=(\d+)\s*$"),
+# diagram kind -> (its cut-system sections, whether it also carries a
+# framed link section, which may be left out, and a 'target m=...' line)
+_DIAGRAM_SECTIONS = {
+    "trisection": (("alpha", "beta", "gamma"), False),
+    "heegaard": (("alpha", "beta"), False),
+    "heegaard-kirby": (("alpha", "beta"), True),
 }
 
 _TEMPLATE = re.compile(r"^@(\d+)\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)$")
@@ -78,21 +88,36 @@ def sniff_kind(text):
     return head if head in _KINDS else None
 
 
-def _parse_header(lines):
+def kind_of(obj):
+    """The file kind that parses to ``obj``'s class."""
+    return _KIND_OF[type(obj)]
+
+
+def _parse_header(text, kinds, what):
+    """Lines, kind, header line and header match of a ``what`` file."""
+    lines = _significant_lines(text)
     if not lines:
         raise ParseError("empty input, expected a header line", 1)
     number, line = lines[0]
     head = line.strip().split()[0]
     if head not in _KINDS:
         raise ParseError("unknown file kind %r" % head, number)
-    m = _HEADERS[head].match(line.strip())
+    m = _KINDS[head][1].match(line.strip())
     if m is None:
         raise ParseError("malformed %s header" % head, number)
-    return head, number, m
+    if head not in kinds:
+        raise ParseError("expected a %s file, got kind %r" % (what, head),
+                         number)
+    return lines, head, number, m
 
 
 def _chunks(payload, base_col):
-    """Semicolon-separated pieces of a section payload, with columns."""
+    """Semicolon-separated pieces of a section payload, with columns.
+
+    An empty payload has no pieces: a genus-0 system has no curves.
+    """
+    if not payload.strip():
+        return []
     out = []
     start = 0
     while True:
@@ -155,7 +180,7 @@ def _parse_link(genus, payload, line, base_col):
     return tuple(comps)
 
 
-def _sections(lines, allowed, line_hint):
+def _sections(lines, allowed):
     """Map section name -> (payload, line, col of payload start)."""
     seen = {}
     target = None
@@ -183,61 +208,41 @@ def _sections(lines, allowed, line_hint):
 
 def parse_diagram(text):
     """Parse a trisection, Heegaard, or Heegaard-Kirby diagram file."""
-    lines = _significant_lines(text)
-    kind, header_line, m = _parse_header(lines)
-    if kind not in ("trisection", "heegaard", "heegaard-kirby"):
-        raise ParseError("expected a diagram file, got kind %r" % kind,
-                         header_line)
+    lines, kind, header_line, m = _parse_header(text, _DIAGRAM_SECTIONS,
+                                                "diagram")
     genus = int(m.group(1))
-    body = lines[1:]
-    if kind == "trisection":
-        declared = None
-        if m.group(2) is not None:
-            declared = (int(m.group(2)), int(m.group(3)), int(m.group(4)))
-        secs, target = _sections(body, ("alpha", "beta", "gamma"), header_line)
-        if target is not None:
-            raise ParseError("target line only belongs in heegaard-kirby files",
-                             target[1])
-        for name in ("alpha", "beta", "gamma"):
-            if name not in secs:
-                raise ParseError("missing section %r" % name, header_line)
-        systems = {name: _parse_system(genus, *secs[name]) for name in secs}
-        try:
-            return TrisectionDiagram(genus, systems["alpha"], systems["beta"],
-                                     systems["gamma"], declared)
-        except ValueError as e:
-            raise ParseError(str(e), header_line)
-    if kind == "heegaard":
-        secs, target = _sections(body, ("alpha", "beta"), header_line)
-        if target is not None:
-            raise ParseError("target line only belongs in heegaard-kirby files",
-                             target[1])
-        for name in ("alpha", "beta"):
-            if name not in secs:
-                raise ParseError("missing section %r" % name, header_line)
-        return HeegaardDiagram(genus, _parse_system(genus, *secs["alpha"]),
-                               _parse_system(genus, *secs["beta"]))
-    secs, target = _sections(body, ("alpha", "beta", "link"), header_line)
-    for name in ("alpha", "beta"):
+    systems, has_link = _DIAGRAM_SECTIONS[kind]
+    secs, target = _sections(lines[1:],
+                             systems + (("link",) if has_link else ()))
+    if target is not None and not has_link:
+        raise ParseError("target line only belongs in heegaard-kirby files",
+                         target[1])
+    for name in systems:
         if name not in secs:
             raise ParseError("missing section %r" % name, header_line)
-    if target is None:
+    if has_link and target is None:
         raise ParseError("missing 'target m=...' line", header_line)
-    link = _parse_link(genus, *secs["link"]) if "link" in secs else ()
-    background = HeegaardDiagram(genus, _parse_system(genus, *secs["alpha"]),
-                                 _parse_system(genus, *secs["beta"]))
+    # sections are parsed in file order, so the first bad line is reported
+    parsed = {name: (_parse_link if name == "link" else _parse_system)(
+        genus, *secs[name]) for name in secs}
     try:
-        return HeegaardKirbyDiagram(genus, background, link, target[0])
+        if kind == "trisection":
+            declared = None
+            if m.group(2) is not None:
+                declared = (int(m.group(2)), int(m.group(3)), int(m.group(4)))
+            return TrisectionDiagram(genus, parsed["alpha"], parsed["beta"],
+                                     parsed["gamma"], declared)
+        background = HeegaardDiagram(genus, parsed["alpha"], parsed["beta"])
+        if kind == "heegaard":
+            return background
+        return HeegaardKirbyDiagram(genus, background, parsed.get("link", ()),
+                                    target[0])
     except ValueError as e:
         raise ParseError(str(e), header_line)
 
 
 def parse_linking(text):
-    lines = _significant_lines(text)
-    kind, header_line, m = _parse_header(lines)
-    if kind != "linking":
-        raise ParseError("expected a linking file, got kind %r" % kind,
-                         header_line)
+    lines, _, header_line, m = _parse_header(text, ("linking",), "linking")
     size = int(m.group(1))
     rows = []
     for number, line in lines[1:]:
@@ -263,11 +268,8 @@ def parse_linking(text):
 
 
 def parse_presentation(text):
-    lines = _significant_lines(text)
-    kind, header_line, m = _parse_header(lines)
-    if kind != "presentation":
-        raise ParseError("expected a presentation file, got kind %r" % kind,
-                         header_line)
+    lines, _, header_line, m = _parse_header(text, ("presentation",),
+                                             "presentation")
     n = int(m.group(1))
     relators = []
     for number, line in lines[1:]:
@@ -315,31 +317,23 @@ def _system_line(name, system):
 
 
 def format_diagram(obj):
-    if isinstance(obj, TrisectionDiagram):
-        header = "trisection genus=%d" % obj.genus
-        if obj.declared_params is not None:
-            header += " params=(%d,%d,%d)" % obj.declared_params
-        return "\n".join([header,
-                          _system_line("alpha", obj.alpha),
-                          _system_line("beta", obj.beta),
-                          _system_line("gamma", obj.gamma)]) + "\n"
-    if isinstance(obj, HeegaardKirbyDiagram):
-        out = ["heegaard-kirby genus=%d" % obj.genus,
-               _system_line("alpha", obj.background.alpha),
-               _system_line("beta", obj.background.beta)]
+    kind = _KIND_OF.get(type(obj))
+    if kind not in _DIAGRAM_SECTIONS:
+        raise TypeError("not a diagram: %r" % (obj,))
+    out = ["%s genus=%d" % (kind, obj.genus)]
+    if kind == "trisection" and obj.declared_params is not None:
+        out[0] += " params=(%d,%d,%d)" % obj.declared_params
+    systems, has_link = _DIAGRAM_SECTIONS[kind]
+    d = obj.background if has_link else obj
+    out += [_system_line(name, getattr(d, name)) for name in systems]
+    if has_link:
         if obj.link:
-            parts = []
-            for comp in obj.link:
-                framing = "surface" if comp.is_surface_framed else str(comp.framing)
-                parts.append("%s framing=%s" % (format_curve(comp.curve), framing))
-            out.append("link: %s" % " ; ".join(parts))
+            # the framing is the word 'surface' or an integer
+            out.append("link: %s" % " ; ".join(
+                "%s framing=%s" % (format_curve(comp.curve), comp.framing)
+                for comp in obj.link))
         out.append("target m=%d" % obj.m)
-        return "\n".join(out) + "\n"
-    if isinstance(obj, HeegaardDiagram):
-        return "\n".join(["heegaard genus=%d" % obj.genus,
-                          _system_line("alpha", obj.alpha),
-                          _system_line("beta", obj.beta)]) + "\n"
-    raise TypeError("not a diagram: %r" % (obj,))
+    return "\n".join(out) + "\n"
 
 
 def format_linking(m):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .diagram import (CutSystem, HeegaardDiagram, TrisectionDiagram,
-                      detect_k, geometric_intersection,
+                      detect_k, geometric_intersection, heegaard_h1,
                       quotient_presentation, trisection_params)
 from .homology import algebraic_intersection
 from .intmatrix import IntegerMatrix, cokernel, invariant_factors, kernel_basis
@@ -180,67 +180,86 @@ def validate_hk(H, budget=None):
     surgered first homology is Z^m; and pi1 of the surgered manifold is
     confirmed free of rank m when a completion is available.
     """
+    return _validate_hk(H, budget)[0]
+
+
+def _validate_hk(H, budget):
+    """validate_hk's verdict and the link completion, if it got that far."""
     n, nv = detect_k(H.background, budget=budget)
     if nv.is_refuted:
         return refuted("background: %s" % nv.reason,
-                       {"kind": "background", "inner": nv.witness})
+                       {"kind": "background", "inner": nv.witness}), None
     if nv.is_unknown:
-        return unknown("background #^n not confirmed: %s" % nv.reason)
+        return unknown("background #^n not confirmed: %s" % nv.reason), None
 
     integer_framed = [k + 1 for k, comp in enumerate(H.link)
                       if not comp.is_surface_framed]
     if integer_framed and n > 0:
         return refuted(
             "integer framings are not defined over a #^%d background" % n,
-            {"kind": "framing", "components": integer_framed, "n": n})
+            {"kind": "framing", "components": integer_framed, "n": n}), None
 
     bad, inexact_pairs = _link_embedding_check(H)
     if bad is not None:
-        return bad
+        return bad, None
     if integer_framed:
         return unknown(
             "components %s carry integer framings; surgery homology for "
             "those needs linking data beyond the surface model"
-            % integer_framed)
+            % integer_framed), None
     if H.link:
         bad = _beta_extension_check(H)
         if bad is not None:
-            return bad
+            return bad, None
 
     h1 = _surgery_homology(H)
     if not h1.is_free or h1.free_rank != H.m:
         return refuted(
             "surgered first homology is %s, but #^%d(S1xS2) needs Z^%d"
             % (h1, H.m, H.m),
-            {"kind": "surgery-homology", "h1": str(h1), "target_m": H.m})
+            {"kind": "surgery-homology", "h1": str(h1), "target_m": H.m}), None
 
     gamma = complete_link_to_system(H)
     if gamma is None:
         return unknown(
             "homology agrees with #^%d but no template completion of the "
-            "link was found, so pi1 is unconfirmed" % H.m)
+            "link was found, so pi1 is unconfirmed" % H.m), None
     pres = quotient_presentation(H.genus, [H.background.alpha, gamma])
     if budget is None:
         final, tv = tietze_simplify(pres)
     else:
         final, tv = tietze_simplify(pres, budget=budget)
-    if tv.is_verified:
-        if tv.witness["rank"] != H.m:
-            raise AssertionError("pi1 rank %d contradicts H1 rank %d"
-                                 % (tv.witness["rank"], H.m))
-        word_only = [k + 1 for k, comp in enumerate(H.link)
-                     if comp.curve.template is None]
-        if word_only or inexact_pairs:
-            return unknown(
-                "homology and pi1 agree with #^%d but components %s carry "
-                "no exact intersection data" % (H.m, word_only or "(pairs)"))
-        return verified(
-            "surgery data from #^%d to #^%d over a genus-%d surface "
-            "confirmed" % (n, H.m, H.genus),
-            {"kind": "heegaard-kirby", "n": n, "c": H.c, "m": H.m,
-             "background": nv.witness, "pi1": tv.witness})
-    return unknown("surgered homology is Z^%d but pi1 is unconfirmed: %s"
-                   % (H.m, tv.reason))
+    if not tv.is_verified:
+        return unknown("surgered homology is Z^%d but pi1 is unconfirmed: %s"
+                       % (H.m, tv.reason)), gamma
+    if tv.witness["rank"] != H.m:
+        raise AssertionError("pi1 rank %d contradicts H1 rank %d"
+                             % (tv.witness["rank"], H.m))
+    word_only = [k + 1 for k, comp in enumerate(H.link)
+                 if comp.curve.template is None]
+    if word_only or inexact_pairs:
+        return unknown(
+            "homology and pi1 agree with #^%d but components %s carry "
+            "no exact intersection data" % (H.m, word_only or "(pairs)")), gamma
+    return verified(
+        "surgery data from #^%d to #^%d over a genus-%d surface "
+        "confirmed" % (n, H.m, H.genus),
+        {"kind": "heegaard-kirby", "n": n, "c": H.c, "m": H.m,
+         "background": nv.witness, "pi1": tv.witness}), gamma
+
+
+def bridge_trisection(H, gamma=None):
+    """The background's alpha and beta with the link's completion
+    (``gamma``, if the caller has it) as third system, declaring (n, g-c, m)
+    with n the k of detect_k; None if there is no completion.  Search-free.
+    """
+    if gamma is None:
+        gamma = complete_link_to_system(H)
+        if gamma is None:
+            return None
+    n = heegaard_h1(H.background).free_rank
+    return TrisectionDiagram(H.genus, H.background.alpha, H.background.beta,
+                             gamma, declared_params=(n, H.genus - H.c, H.m))
 
 
 def hk_to_trisection(H, budget=None):
@@ -249,18 +268,14 @@ def hk_to_trisection(H, budget=None):
     The declared parameters are (n, g-c, m).  The verdict combines the
     link validation with the parameter check of the assembled diagram.
     """
-    v = validate_hk(H, budget=budget)
+    v, gamma = _validate_hk(H, budget)
     if v.is_refuted:
         return None, v
-    gamma = complete_link_to_system(H)
-    if gamma is None:
+    t = bridge_trisection(H, gamma)
+    if t is None:
         return None, unknown(
             "no beta-parallel completion of the link in the template "
             "model; cannot assemble the third system")
-    n, _ = detect_k(H.background, budget=budget)
-    t = TrisectionDiagram(H.genus, H.background.alpha, H.background.beta,
-                          gamma,
-                          declared_params=(n, H.genus - H.c, H.m))
     params, pv = trisection_params(t, budget=budget)
     return t, weakest([v, pv])
 
@@ -293,9 +308,8 @@ def trisection_to_hk(t, picks):
 
     Each picked gamma curve must meet its picked beta curve exactly once
     and the other picked beta curves exactly zero times (all counts
-    exact); violations raise with the failing pair.  The background is
-    (alpha, beta), the link is the picked gamma curves with surface
-    framing, and m is the diagram's third parameter.
+    exact); violations raise with the failing pair.  The diagram is
+    bridge_hk's, with m the trisection's third parameter.
     """
     g = t.genus
     gammas = [gi for gi, _ in picks]
@@ -318,11 +332,17 @@ def trisection_to_hk(t, picks):
     params, pv = trisection_params(t)
     if pv.is_refuted:
         return None, pv
-    H = HeegaardKirbyDiagram(
-        g, HeegaardDiagram(g, t.alpha, t.beta),
-        tuple(FramedComponent(t.gamma.curve(gi)) for gi in gammas),
-        m=params.k3)
+    H = bridge_hk(t, picks, params.k3)
     return H, validate_hk(H)
+
+
+def bridge_hk(t, picks, m):
+    """Background (alpha, beta), the picked gamma curves as a surface-
+    framed link, target ``m``.  Checks only the picks' range; search-free.
+    """
+    return HeegaardKirbyDiagram(
+        t.genus, HeegaardDiagram(t.genus, t.alpha, t.beta),
+        tuple(FramedComponent(t.gamma.curve(gi)) for gi, _ in picks), m=m)
 
 
 # -- linking-matrix calculus --------------------------------------------------

@@ -8,14 +8,17 @@ checkable.
 
 ``CHECKERS`` is the one table of witness kinds: it binds each kind to the
 status its witness certifies and to the check that re-derives it.  A new
-witness kind is added there, and nowhere else in replay.
+witness kind is added there, and nowhere else in replay.  ``CONSTRUCTIONS``
+is the one table of deterministic constructions (stabilize, slide,
+connect-sum and the two kirby bridges): the CLI builds its outputs with
+it, and a ``construction`` witness replays through it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import __version__, words
 from .ac import ab_det, canonical_key, replay_ac_path, trivial_presentation
@@ -25,10 +28,10 @@ from .diagram import (_PAIRS, HeegaardDiagram, TrisectionDiagram,
                       TrisectionParams, geometric_intersection, heegaard_h1,
                       is_standard_pair, quotient_presentation, same_curve)
 from .homology import algebraic_intersection
-from .kirby import (FramedComponent, HeegaardKirbyDiagram, LinkingMatrix,
+from .kirby import (HeegaardKirbyDiagram, LinkingMatrix,
                     _beta_extension_check, _link_embedding_check,
-                    _surgery_homology, complete_link_to_system,
-                    find_primitive_pairs)
+                    _surgery_homology, bridge_hk, bridge_trisection,
+                    complete_link_to_system, find_primitive_pairs)
 from .moves import (check_classified_params, connected_sum, handleslide,
                     heegaard_stabilize, i_stabilize, replay_decomposition,
                     sum_name)
@@ -273,16 +276,24 @@ def _replay_framing(w, H):
           "background is not a #^n with n > 0")
 
 
+def _entry(seq, i, what):
+    # witness indices are 1-based: 0 or -1 must not wrap around
+    _need(isinstance(i, int) and 1 <= i <= len(seq),
+          "%s %r is not in 1..%d" % (what, i, len(seq)))
+    return seq[i - 1]
+
+
 def _replay_link_crossing(w, H):
     i, j = w["pair"]
-    count, exact = geometric_intersection(H.link[i - 1].curve,
-                                          H.link[j - 1].curve)
+    _need(i != j, "a component does not cross itself")
+    a = _entry(H.link, i, "link component").curve
+    b = _entry(H.link, j, "link component").curve
+    count, exact = geometric_intersection(a, b)
     if exact:
         _need(count == w["count"] and count != 0,
               "recomputed crossing count disagrees")
     else:
-        alg = algebraic_intersection(H.link[i - 1].curve.homology,
-                                     H.link[j - 1].curve.homology)
+        alg = algebraic_intersection(a.homology, b.homology)
         _need(alg == w["count"] and alg != 0,
               "recomputed algebraic count disagrees")
 
@@ -311,7 +322,8 @@ def _replay_linking(w, m):
     _need(isinstance(m, LinkingMatrix), "linking witness needs a matrix")
     if "entry" in w:
         i, j = w["entry"]
-        _need(m.rows[i - 1][j - 1] == w["value"] and w["value"] != 0,
+        value = _entry(_entry(m.rows, i, "row"), j, "column")
+        _need(value == w["value"] and value != 0,
               "entry (%d, %d) disagrees" % (i, j))
         return "refuted"
     _need(m.is_zero() and m.size == w["size"], "matrix is not zero")
@@ -404,75 +416,79 @@ def replay_verdict(objs, vdict):
 
 
 # -- deterministic constructions ----------------------------------------------
+# build(args, objs) raises ValueError on inputs of the wrong kind.  Every
+# builder is search-free, so construction witnesses replay by digest.
+
+def _stabilize(args, objs):
+    kind = args["type"]
+    t = objs[0]
+    if kind == "heegaard":
+        if not isinstance(t, HeegaardDiagram):
+            raise ValueError("heegaard stabilization needs a heegaard file")
+        return heegaard_stabilize(t)
+    if not isinstance(t, TrisectionDiagram):
+        raise ValueError("stabilization type %s needs a trisection" % kind)
+    if kind == "balanced":
+        for i in (1, 2, 3):
+            t = i_stabilize(t, i)
+        return t
+    return i_stabilize(t, int(kind))
+
+
+def _slide(args, objs):
+    d = objs[0]
+    system = args["system"]
+    if isinstance(d, TrisectionDiagram):
+        if system not in ("alpha", "beta", "gamma"):
+            raise ValueError("system must be alpha, beta, or gamma")
+    elif isinstance(d, HeegaardDiagram):
+        if system not in ("alpha", "beta"):
+            raise ValueError("a heegaard diagram has alpha and beta only")
+    else:
+        raise ValueError("slide needs a diagram file")
+    guide = tuple(words.parse_surface_word(args.get("guide", "")))
+    cs = handleslide(getattr(d, system), int(args["from"]), int(args["over"]),
+                     guide=guide, sign=int(args.get("sign", 1)))
+    return replace(d, **{system: cs})
+
+
+def _connect_sum(args, objs):
+    t1, t2 = objs
+    if not (isinstance(t1, TrisectionDiagram)
+            and isinstance(t2, TrisectionDiagram)):
+        raise ValueError("connect-sum needs two trisection files")
+    return connected_sum(t1, t2)
+
+
+def _hk_to_tri(args, objs):
+    H = objs[0]
+    if not isinstance(H, HeegaardKirbyDiagram):
+        raise ValueError("hk-to-tri needs a heegaard-kirby file")
+    t = bridge_trisection(H)
+    if t is None:
+        raise ValueError("no template completion of the link")
+    return t
+
+
+def _tri_to_hk(args, objs):
+    t = objs[0]
+    if not isinstance(t, TrisectionDiagram):
+        raise ValueError("tri-to-hk needs a trisection file")
+    return bridge_hk(t, args["picks"], int(args["m"]))
+
+
+CONSTRUCTIONS = {
+    "stabilize": _stabilize,
+    "slide": _slide,
+    "connect-sum": _connect_sum,
+    "hk-to-tri": _hk_to_tri,
+    "tri-to-hk": _tri_to_hk,
+}
+
 
 def apply_construction(op, args, objs):
-    """Rebuild a constructive operation's output from inputs and arguments.
-
-    Every branch is deterministic and search-free, so construction
-    witnesses replay by digest comparison.
-    """
-    if op == "stabilize":
-        kind = args["type"]
-        t = objs[0]
-        if kind == "heegaard":
-            if not isinstance(t, HeegaardDiagram):
-                raise ValueError("heegaard stabilization needs a heegaard file")
-            return heegaard_stabilize(t)
-        if not isinstance(t, TrisectionDiagram):
-            raise ValueError("stabilization type %s needs a trisection" % kind)
-        if kind == "balanced":
-            out = t
-            for i in (1, 2, 3):
-                out = i_stabilize(out, i)
-            return out
-        return i_stabilize(t, int(kind))
-    if op == "slide":
-        d = objs[0]
-        system = args["system"]
-        if isinstance(d, TrisectionDiagram):
-            if system not in ("alpha", "beta", "gamma"):
-                raise ValueError("system must be alpha, beta, or gamma")
-        elif isinstance(d, HeegaardDiagram):
-            if system not in ("alpha", "beta"):
-                raise ValueError("a heegaard diagram has alpha and beta only")
-        else:
-            raise ValueError("slide needs a diagram file")
-        guide = tuple(words.parse_surface_word(args.get("guide", "")))
-        cs = handleslide(d.system(system) if isinstance(d, TrisectionDiagram)
-                         else getattr(d, system),
-                         int(args["from"]), int(args["over"]),
-                         guide=guide, sign=int(args.get("sign", 1)))
-        if isinstance(d, TrisectionDiagram):
-            parts = {"alpha": d.alpha, "beta": d.beta, "gamma": d.gamma,
-                     system: cs}
-            return TrisectionDiagram(d.genus, parts["alpha"], parts["beta"],
-                                     parts["gamma"], d.declared_params)
-        parts = {"alpha": d.alpha, "beta": d.beta, system: cs}
-        return HeegaardDiagram(d.genus, parts["alpha"], parts["beta"])
-    if op == "connect-sum":
-        t1, t2 = objs
-        if not (isinstance(t1, TrisectionDiagram)
-                and isinstance(t2, TrisectionDiagram)):
-            raise ValueError("connect-sum needs two trisection files")
-        return connected_sum(t1, t2)
-    if op == "hk-to-tri":
-        H = objs[0]
-        if not isinstance(H, HeegaardKirbyDiagram):
-            raise ValueError("hk-to-tri needs a heegaard-kirby file")
-        gamma = complete_link_to_system(H)
-        if gamma is None:
-            raise ValueError("no template completion of the link")
-        n = heegaard_h1(H.background).free_rank
-        return TrisectionDiagram(H.genus, H.background.alpha,
-                                 H.background.beta, gamma,
-                                 declared_params=(n, H.genus - H.c, H.m))
-    if op == "tri-to-hk":
-        t = objs[0]
-        if not isinstance(t, TrisectionDiagram):
-            raise ValueError("tri-to-hk needs a trisection file")
-        picks = [tuple(p) for p in args["picks"]]
-        return HeegaardKirbyDiagram(
-            t.genus, HeegaardDiagram(t.genus, t.alpha, t.beta),
-            tuple(FramedComponent(t.gamma.curve(gi)) for gi, _ in picks),
-            m=int(args["m"]))
-    raise ValueError("unknown construction %r" % op)
+    """Rebuild a constructive operation's output from inputs and arguments."""
+    build = CONSTRUCTIONS.get(op)
+    if build is None:
+        raise ValueError("unknown construction %r" % op)
+    return build(args, objs)

@@ -92,6 +92,10 @@ def test_usage_errors_exit_three(tmp_path, capsys):
     assert run(capsys, "tri-to-hk", path, "--picks", "nope")[0] == 3
     assert run(capsys, "classify", write(tmp_path, "m.lnk",
                                          "linking size=1\nrow: 0\n"))[0] == 3
+    # a presentation has no genus; validate used to crash on it (exit 5)
+    pres = write(tmp_path, "p.pres", "presentation generators=1\nrelator: x1\n")
+    code, _, err = run(capsys, "validate", pres)
+    assert code == 3 and "got presentation" in err
 
 
 @pytest.mark.parametrize("flag", ["--max-length", "--max-depth",
@@ -289,6 +293,19 @@ def test_replay_of_derived_object_reports(tmp_path, capsys):
     _, _, rep = _json_report(capsys, tmp_path, "r2.json", "tri-to-hk", tri,
                              "--picks", "1:1")
     assert run(capsys, "replay", rep, tri)[0] == 0
+
+
+@pytest.mark.parametrize("field, value", [
+    ("picks", "1:1,"), ("picks", " 1:1"), ("picks", "1:x"), ("picks", ""),
+    ("picks", 5), ("target-m", "x"), ("target-m", None)])
+def test_replay_rejects_tampered_picks(tmp_path, capsys, field, value):
+    tri = tri_file(tmp_path, "u.tri", genus_one_diagram("S4STAB3"))
+    _, doc, _ = _json_report(capsys, tmp_path, "r.json", "tri-to-hk", tri,
+                             "--picks", "1:1")
+    doc["payload"][field] = value
+    forged = write(tmp_path, "forged.json", json.dumps(doc))
+    code, _, err = run(capsys, "replay", forged, tri)
+    assert code == 4 and "cannot rebuild the derived object" in err
 
 
 def test_replay_of_search_and_construction_witnesses(tmp_path, capsys):

@@ -1,12 +1,19 @@
+import re
+from math import gcd
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from trisect import diagio
-from trisect.ac import ak_presentation
-from trisect.catalog import FIGURE_ONE, FIGURE_TWO, genus_one_diagram
+from trisect.ac import BalancedPresentation, ak_presentation
+from trisect.catalog import (FIGURE_ONE, FIGURE_TWO, genus_one_diagram,
+                             genus_zero_diagram)
 from trisect.diagram import (HeegaardDiagram, TrisectionDiagram,
                              curve_from_template, curve_from_word,
                              standard_heegaard, system_from_templates)
 from trisect.kirby import FramedComponent, HeegaardKirbyDiagram, LinkingMatrix
+from trisect.moves import handleslide
 
 
 def test_catalog_diagrams_round_trip_byte_stably():
@@ -224,3 +231,121 @@ def test_presentation_errors():
 def test_parse_error_string_carries_position():
     err = _error("linking size=1\nrow: x\n")
     assert str(err).startswith("line 2, col 1:")
+
+
+def test_genus_zero_diagrams_round_trip():
+    t = genus_zero_diagram()
+    text = diagio.format_diagram(t)
+    assert diagio.parse_diagram(text) == t
+    d = HeegaardDiagram(0, t.alpha, t.beta)
+    assert diagio.parse_diagram(diagio.format_diagram(d)) == d
+    H = HeegaardKirbyDiagram(0, d, (), 0)
+    assert diagio.parse_diagram(diagio.format_diagram(H)) == H
+
+
+def test_an_empty_system_above_genus_zero_is_a_positioned_error():
+    err = _error("heegaard genus=1\nalpha:\nbeta: @1(0,1)\n")
+    assert (err.line, err.col) == (2, 7)
+    assert "exactly 1" in err.message
+
+
+# -- property tests of the file grammar ---------------------------------------
+
+_SLOPES = [(p, q) for p in range(-4, 5) for q in range(-4, 5)
+           if gcd(p, q) == 1]
+
+
+@st.composite
+def _systems(draw, genus):
+    """A cut system of one slope per handle, in a drawn handle order,
+    with up to two slides that turn curves into word curves."""
+    handles = draw(st.permutations(range(1, genus + 1)))
+    cs = system_from_templates(genus, [(h,) + draw(st.sampled_from(_SLOPES))
+                                       for h in handles])
+    if genus >= 2:
+        for _ in range(draw(st.integers(0, 2))):
+            i, j = draw(st.lists(st.integers(1, genus), min_size=2,
+                                 max_size=2, unique=True))
+            cs = handleslide(cs, i, j, sign=draw(st.sampled_from((1, -1))))
+    return cs
+
+
+@st.composite
+def _trisections(draw):
+    g = draw(st.integers(0, 4))
+    declared = draw(st.none() | st.tuples(*[st.integers(0, g)] * 3))
+    return TrisectionDiagram(g, draw(_systems(g)), draw(_systems(g)),
+                             draw(_systems(g)), declared)
+
+
+@st.composite
+def _heegaard_kirby(draw):
+    t = draw(_trisections())
+    picks = draw(st.lists(st.integers(1, t.genus), unique=True,
+                          max_size=t.genus)) if t.genus else []
+    framings = st.just("surface") | st.integers(-9, 9)
+    link = tuple(FramedComponent(t.gamma.curve(i), draw(framings))
+                 for i in picks)
+    return HeegaardKirbyDiagram(t.genus, HeegaardDiagram(t.genus, t.alpha,
+                                                         t.beta),
+                                link, draw(st.integers(0, 9)))
+
+
+@st.composite
+def _linking(draw):
+    n = draw(st.integers(0, 4))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = draw(st.integers(-9, 9))
+    return LinkingMatrix.from_rows(rows)
+
+
+@st.composite
+def _presentations(draw):
+    n = draw(st.integers(0, 3))
+    letter = st.sampled_from([v for k in range(1, n + 1) for v in (k, -k)])
+    return BalancedPresentation(n, tuple(
+        tuple(draw(st.lists(letter, max_size=6))) if n else ()
+        for _ in range(n)))
+
+
+_FILES = st.one_of(
+    _trisections(),
+    _trisections().map(lambda t: HeegaardDiagram(t.genus, t.alpha, t.beta)),
+    _heegaard_kirby(), _linking(), _presentations())
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_FILES)
+def test_format_parse_format_is_stable(obj):
+    text = diagio.format_any(obj)
+    assert diagio.format_any(diagio.parse_any(text)) == text
+    assert diagio.kind_of(obj) == diagio.sniff_kind(text)
+
+
+_MUTATION_CHARS = "0123456789 -,;:=@()#\nxyXYabgklmprs"
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(_FILES, st.lists(st.tuples(st.sampled_from(("delete", "insert",
+                                                   "swap")),
+                                  st.integers(0, 10 ** 6),
+                                  st.sampled_from(_MUTATION_CHARS)),
+                        min_size=1, max_size=3))
+def test_a_mutated_file_raises_only_parse_errors(obj, mutations):
+    text = diagio.format_any(obj)
+    for op, pos, ch in mutations:
+        pos %= len(text) + 1
+        if op == "delete":
+            text = text[:pos] + text[pos + 1:]
+        elif op == "insert":
+            text = text[:pos] + ch + text[pos:]
+        elif pos + 1 < len(text):
+            text = text[:pos] + text[pos + 1] + text[pos] + text[pos + 2:]
+    # a genus or size in the thousands is legal but slow; keep them small
+    assume(all(int(n) <= 50 for n in re.findall(r"\d+", text)))
+    try:
+        diagio.parse_any(text)
+    except diagio.ParseError:
+        pass

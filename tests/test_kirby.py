@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from trisect import diagram, kirby
 from trisect.canonical import canonical_form
 from trisect.catalog import genus_one_diagram
 from trisect.diagram import (CutSystem, HeegaardDiagram, TrisectionDiagram,
@@ -162,6 +163,30 @@ def test_unlink_over_connected_sum_background():
     params, pv = trisection_params(t)
     assert pv.is_verified
     assert (params.k1, params.k2, params.k3) == (1, 1, 3)
+
+
+def test_hk_to_trisection_builds_each_bridge_fact_once(monkeypatch):
+    calls = {"detect_k": 0, "complete_link_to_system": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    # trisection_params reaches detect_k through the diagram module
+    counted(diagram, "detect_k")
+    counted(kirby, "detect_k")
+    counted(kirby, "complete_link_to_system")
+    H = HeegaardKirbyDiagram(
+        3, standard_heegaard(3, 1),
+        (FramedComponent(curve_from_template(3, 3, 1, 0)),), m=2)
+    t, v = hk_to_trisection(H)
+    assert v.is_verified and t.declared_params == (1, 2, 2)
+    # one detect_k on the background, one on each of the three pairs
+    assert calls == {"detect_k": 4, "complete_link_to_system": 1}
 
 
 def test_full_primitive_picks_on_induced_trisection():

@@ -100,3 +100,47 @@ def test_a_witness_binds_to_its_own_input():
     with pytest.raises(reports.ReplayError, match="heegaard diagram"):
         reports.replay_verdict((t,), {"status": "verified",
                                       "witness": v.witness})
+
+
+def test_witness_indices_are_one_based_and_in_range():
+    H = HeegaardKirbyDiagram(
+        2, standard_heegaard(2, 0),
+        (FramedComponent(curve_from_template(2, 1, 1, 0)),
+         FramedComponent(curve_from_template(2, 1, 1, 1))), m=2)
+    hopf = LinkingMatrix.from_rows([[0, 1], [1, 0]])
+    honest = [(H, {"kind": "link-crossing", "pair": [1, 2], "count": 1}),
+              (hopf, {"kind": "linking", "entry": [1, 2], "value": 1})]
+    for obj, w in honest:
+        reports.replay_verdict((obj,), {"status": "refuted", "witness": w})
+    # index 0 used to wrap around to the last component or row
+    forged = [(H, dict(honest[0][1], pair=[0, 1])),
+              (H, dict(honest[0][1], pair=[1, 3])),
+              (H, dict(honest[0][1], pair=[2, 2])),
+              (hopf, dict(honest[1][1], entry=[0, 1])),
+              (hopf, dict(honest[1][1], entry=[1, -1])),
+              (hopf, dict(honest[1][1], entry=[3, 1]))]
+    for obj, w in forged:
+        with pytest.raises(reports.ReplayError):
+            reports.replay_verdict((obj,), {"status": "refuted", "witness": w})
+
+
+def test_every_construction_is_in_the_table():
+    assert set(reports.CONSTRUCTIONS) == {"stabilize", "slide", "connect-sum",
+                                          "hk-to-tri", "tri-to-hk"}
+    with pytest.raises(ValueError, match="unknown construction 'catalog'"):
+        reports.apply_construction("catalog", {}, ())
+
+
+def test_a_slide_rebuilds_the_diagram_around_the_slid_system():
+    t = genus_one_diagram("CP2")
+    s = reports.apply_construction("stabilize", {"type": "1"}, (t,))
+    args = {"system": "gamma", "from": 1, "over": 2, "sign": -1}
+    out = reports.apply_construction("slide", args, (s,))
+    assert (out.alpha, out.beta) == (s.alpha, s.beta)
+    assert out.gamma != s.gamma
+    assert out.declared_params == s.declared_params
+    d = HeegaardDiagram(2, s.alpha, s.beta)
+    out = reports.apply_construction("slide", dict(args, system="beta"), (d,))
+    assert isinstance(out, HeegaardDiagram) and out.alpha == d.alpha
+    with pytest.raises(ValueError, match="alpha and beta only"):
+        reports.apply_construction("slide", args, (d,))
