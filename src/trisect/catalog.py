@@ -18,8 +18,8 @@ handle basis.
 
 from __future__ import annotations
 
-from .diagram import (CutSystem, TrisectionDiagram, system_from_templates,
-                      trisection_params)
+from .diagram import (_PAIRS, CutSystem, HeegaardDiagram, TrisectionDiagram,
+                      heegaard_h1, system_from_templates, trisection_params)
 from .verdict import refuted, verified
 
 GENUS_ONE_SLOPES = {
@@ -99,6 +99,28 @@ def genus_one_name(ks, sign):
                 and _slope_sign(*GENUS_ONE_SLOPES[name]) == sign):
             return name
     return None
+
+
+def name_by_homology(t):
+    """Name a genus-one diagram from homology alone, or None.
+
+    On the torus a curve is fixed up to isotopy by its class, so each pair
+    is S3 or S1xS2 as its H1 is 0 or Z, and that free rank is its k; the
+    triangle sign then tells CP2 from CP2R.  None when a pair has torsion
+    (no catalog entry has any) or the declared parameters disagree.  No
+    Tietze search runs, so this is the namer a replay uses.
+    """
+    if t.genus != 1:
+        raise ValueError("naming by homology needs a genus-one diagram")
+    ks = []
+    for a, b in _PAIRS:
+        h1 = heegaard_h1(HeegaardDiagram(1, t.system(a), t.system(b)))
+        if h1.torsion:
+            return None
+        ks.append(h1.free_rank)
+    if t.declared_params not in (None, tuple(ks)):
+        return None
+    return genus_one_name(ks, triangle_sign(t))
 
 
 def match_genus_one(t, budget=None):

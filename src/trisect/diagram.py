@@ -499,26 +499,21 @@ def standard_heegaard(g, k):
     return HeegaardDiagram(g, alpha, beta)
 
 
-_PAIR_KEY = {frozenset(("a", "b")): 0,
-             frozenset(("b", "c")): 1,
-             frozenset(("c", "a")): 2}
-
-
 def relabel_systems(t, order):
-    """Reorder the three systems; order is a permutation string like "bca".
+    """Rotate the three systems; order is "abc", "bca" or "cab".
 
-    Declared parameters are carried along: each k tracks its unordered
-    pair of systems.
+    A rotation keeps the cyclic order of ``_PAIRS``: pair i of the result
+    is pair i + r of ``t`` for the rotation r, so declared parameters
+    rotate along.  A reflection would swap two systems and reverse the
+    orientation (CP2 would read as CP2R), so it is refused.
     """
-    if sorted(order) != ["a", "b", "c"]:
-        raise ValueError("order must be a permutation of 'abc', got %r" % order)
-    by_letter = {"a": t.alpha, "b": t.beta, "c": t.gamma}
-    systems = tuple(by_letter[ch] for ch in order)
-    declared = None
-    if t.declared_params is not None:
-        old = t.declared_params
-        declared = tuple(
-            old[_PAIR_KEY[frozenset((order[i], order[(i + 1) % 3]))]]
-            for i in range(3))
-    return TrisectionDiagram(t.genus, systems[0], systems[1], systems[2],
+    if order not in ("abc", "bca", "cab"):
+        raise ValueError("order must be a rotation of 'abc', got %r"
+                         % (order,))
+    r = "abc".index(order[0])
+    systems = t.systems()
+    declared = t.declared_params
+    if declared is not None:
+        declared = declared[r:] + declared[:r]
+    return TrisectionDiagram(t.genus, *(systems[r:] + systems[:r]),
                              declared_params=declared)

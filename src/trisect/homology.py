@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intmatrix import cokernel
+from .intmatrix import IntegerMatrix, cokernel, invariant_factors
 from .verdict import refuted, verified
 
 
@@ -23,10 +23,6 @@ class HomologyClass:
         if self.genus < 0 or len(self.coeffs) != 2 * self.genus:
             raise ValueError("expected %d coefficients, got %d"
                              % (2 * self.genus, len(self.coeffs)))
-
-    @staticmethod
-    def zero(genus):
-        return HomologyClass(genus, (0,) * (2 * genus))
 
     @staticmethod
     def basis_a(genus, handle):
@@ -46,12 +42,6 @@ class HomologyClass:
         self._check(other)
         return HomologyClass(self.genus, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def neg(self):
-        return HomologyClass(self.genus, tuple(-a for a in self.coeffs))
-
-    def scale(self, k):
-        return HomologyClass(self.genus, tuple(k * a for a in self.coeffs))
-
     @property
     def is_zero(self):
         return all(a == 0 for a in self.coeffs)
@@ -59,11 +49,6 @@ class HomologyClass:
     def handle_part(self, handle):
         """(p, q) coefficients on one handle."""
         return (self.coeffs[2 * (handle - 1)], self.coeffs[2 * handle - 1])
-
-    def support(self):
-        """Handles with a nonzero coefficient."""
-        return {h for h in range(1, self.genus + 1)
-                if self.handle_part(h) != (0, 0)}
 
     def _check(self, other):
         if self.genus != other.genus:
@@ -121,7 +106,6 @@ def lagrangian_verdict(classes, genus):
 
 
 def _span_factors(classes, genus):
-    from .intmatrix import IntegerMatrix, invariant_factors
     if not classes:
         return ()
     m = IntegerMatrix.from_columns([c.coeffs for c in classes], nrows=2 * genus)

@@ -41,14 +41,6 @@ class IntegerMatrix:
             raise ValueError("ragged columns")
         return IntegerMatrix(tuple(tuple(c[i] for c in cols) for i in range(nrows)))
 
-    @staticmethod
-    def identity(n):
-        return IntegerMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @staticmethod
-    def zeros(nrows, ncols):
-        return IntegerMatrix(tuple((0,) * ncols for _ in range(nrows)))
-
     def transpose(self):
         return IntegerMatrix(tuple(zip(*self.rows)) if self.rows else ())
 
@@ -94,9 +86,6 @@ class IntegerMatrix:
                     a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
             prev = a[k][k]
         return sign * a[n - 1][n - 1]
-
-    def is_unimodular(self):
-        return self.nrows == self.ncols and abs(self.determinant()) == 1
 
 
 def _diagonalize(a, u=None, v=None):

@@ -184,7 +184,8 @@ def validate_hk(H, budget=None):
 
 
 def _validate_hk(H, budget):
-    """validate_hk's verdict and the link completion, if it got that far."""
+    """validate_hk's verdict and the link completion: None if it stopped
+    before looking for one, False if it looked and found none."""
     n, nv = detect_k(H.background, budget=budget)
     if nv.is_refuted:
         return refuted("background: %s" % nv.reason,
@@ -223,7 +224,7 @@ def _validate_hk(H, budget):
     if gamma is None:
         return unknown(
             "homology agrees with #^%d but no template completion of the "
-            "link was found, so pi1 is unconfirmed" % H.m), None
+            "link was found, so pi1 is unconfirmed" % H.m), False
     pres = quotient_presentation(H.genus, [H.background.alpha, gamma])
     if budget is None:
         final, tv = tietze_simplify(pres)
@@ -271,7 +272,7 @@ def hk_to_trisection(H, budget=None):
     v, gamma = _validate_hk(H, budget)
     if v.is_refuted:
         return None, v
-    t = bridge_trisection(H, gamma)
+    t = None if gamma is False else bridge_trisection(H, gamma)
     if t is None:
         return None, unknown(
             "no beta-parallel completion of the link in the template "

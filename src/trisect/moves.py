@@ -6,6 +6,15 @@ curves, destabilize certified genus-one pieces, and name what remains
 against the genus-one catalog.  Certificates are searched in a fixed
 deterministic order and every positive verdict carries a replayable
 script.
+
+Search (``standardize``, ``classify_genus_one_sum``) and its replay
+(``replay_decomposition``) share each step: ``relabel_systems`` and
+``_translate_name`` for the system rotation, ``_retemplated`` after the
+slides, ``split_along`` on a handle partition, ``_certify`` and
+``destabilize`` for a stabilization, and ``catalog.name_by_homology``
+for the piece a destabilization removes.  Only the search looks for
+slides and certificates, and only its genus-one leaf runs Tietze
+searches, through the catalog match; replay names a leaf by homology.
 """
 
 from __future__ import annotations
@@ -14,15 +23,13 @@ from collections import deque
 from dataclasses import dataclass
 
 from . import words
-from .catalog import genus_one_diagram, match_genus_one
-from .diagram import (Curve, HeegaardDiagram, TrisectionDiagram,
-                      commutator_word, curve_from_template, curve_from_word,
+from .catalog import genus_one_diagram, match_genus_one, name_by_homology
+from .diagram import (_PAIRS, Curve, HeegaardDiagram, TrisectionDiagram,
+                      curve_from_template, curve_from_word,
                       geometric_intersection, moved_system, reembed,
                       relabel_systems, trisection_params)
 from .verdict import refuted, unknown, verified, weakest
 
-_MEMBERSHIP_SLIDE_BUDGET = 3
-_MEMBERSHIP_STATE_CAP = 2000
 _DESCENT_PLATEAU_CAP = 64
 _DESCENT_STEP_CAP = 400
 
@@ -88,120 +95,71 @@ def heegaard_stabilize(d):
 class StabilizationCertificate:
     """Witness that the diagram splits off the index-i genus-one piece.
 
-    omega is (slide-reachably) a member of the two systems prescribed for
-    index i and meets exactly one curve of the third system exactly once.
+    omega is a member of the two systems whose pair detects k_i and meets
+    dual, and no other curve of the third system, exactly once.
     """
     index: int
     omega: Curve
     dual: Curve
-    evidence: dict
 
 
 @dataclass(frozen=True)
 class ReducingCertificate:
-    """A separating curve splitting the handle set into two closed groups."""
-    delta: Curve
+    """A handle partition with every curve supported on one side.
+
+    The separating curve is the boundary of the left handles' subsurface,
+    ``commutator_word(left_handles)``; nothing needs it built.
+    """
     left_handles: tuple
     right_handles: tuple
 
 
-_PAIR_FOR_INDEX = {1: ("alpha", "beta", "gamma"),
-                   2: ("beta", "gamma", "alpha"),
-                   3: ("gamma", "alpha", "beta")}
+def _names_for_index(index):
+    """Names of the pair of systems that detects k_index, then of the
+    third system."""
+    if index not in (1, 2, 3):
+        raise ValueError("stabilization index must be 1, 2, or 3")
+    first, second = _PAIRS[index - 1]
+    return first, second, _PAIRS[index % 3][1]
 
 
-def _slide_membership(cs, target, slide_budget, state_cap):
-    """Slides (trivial guide) turning some member of cs into target.
+def _certify(t, index, omega):
+    """The index-``index`` certificate for ``omega``, or None.
 
-    Returns the move list ([] for literal membership) or None.  Bounded
-    breadth-first search; deterministic order.
+    The dual is the unique third-system curve omega meets once; every
+    count must be exact and every other count zero.  Membership of omega
+    in the pair's systems is left to the caller (``destabilize`` checks
+    it).
     """
-    if cs.member(target):
-        return []
-    if slide_budget <= 0:
+    third = t.system(_names_for_index(index)[2])
+    counts = [geometric_intersection(omega, c) for c in third.curves]
+    if not all(exact for _, exact in counts) \
+            or sum(n for n, _ in counts) != 1:
         return None
-    start = tuple(c.word for c in cs.curves)
-    seen = {start}
-    queue = deque([(cs, [])])
-    states = 0
-    while queue:
-        cur, path = queue.popleft()
-        if len(path) >= slide_budget:
-            continue
-        for i in range(1, cur.genus + 1):
-            for j in range(1, cur.genus + 1):
-                if i == j:
-                    continue
-                for sign in (1, -1):
-                    try:
-                        nxt = handleslide(cur, i, j, sign=sign)
-                    except ValueError:
-                        continue
-                    key = tuple(c.word for c in nxt.curves)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    npath = path + [(i, j, sign)]
-                    if nxt.member(target):
-                        return npath
-                    states += 1
-                    if states >= state_cap:
-                        return None
-                    queue.append((nxt, npath))
-    return None
+    dual = next(c for c, (n, _) in zip(third.curves, counts) if n == 1)
+    return StabilizationCertificate(index, omega, dual)
 
 
-def find_stabilization_certificate(t, slide_budget=_MEMBERSHIP_SLIDE_BUDGET,
-                                   index=None):
+def find_stabilization_certificate(t, index=None):
     """First certificate in deterministic order, or None.
 
     For index i the curve omega must bound in the two handlebodies whose
-    pair detects k_i, witnessed by membership (or slide-reachable
-    membership) in both defining systems, and must meet exactly one curve
-    of the third system in exactly one point, all counts exact.  Absence
-    of a certificate proves nothing.  index, when given, restricts the
-    search to that single stabilization type.
+    pair detects k_i, witnessed by literal membership in both systems, and
+    must meet exactly one curve of the third system in exactly one point,
+    all counts exact.  Candidates are taken in key order.  Absence of a
+    certificate proves nothing.  index, when given, restricts the search
+    to that single stabilization type.
     """
-    if index is not None and index not in (1, 2, 3):
-        raise ValueError("stabilization index must be 1, 2, or 3")
-    for index in (1, 2, 3) if index is None else (index,):
-        first, second, third = (t.system(n) for n in _PAIR_FOR_INDEX[index])
-        candidates = []
-        seen_keys = set()
-        # literal members of both systems first, then one-sided members
-        for cs in (first, second):
-            for c in cs.curves:
-                k = c.key()
-                if k in seen_keys:
-                    continue
-                seen_keys.add(k)
-                candidates.append(c)
-        candidates.sort(key=lambda c: (not (first.member(c) and second.member(c)),
-                                       c.key()))
-        for omega in candidates:
-            mem1 = _slide_membership(first, omega, slide_budget,
-                                     _MEMBERSHIP_STATE_CAP)
-            if mem1 is None:
-                continue
-            mem2 = _slide_membership(second, omega, slide_budget,
-                                     _MEMBERSHIP_STATE_CAP)
-            if mem2 is None:
-                continue
-            counts = [geometric_intersection(omega, c) for c in third.curves]
-            if any(not exact for (_, exact) in counts):
-                continue
-            ones = [idx for idx, (n, _) in enumerate(counts) if n == 1]
-            rest_zero = all(n == 0 for idx, (n, _) in enumerate(counts)
-                            if idx not in ones)
-            if len(ones) == 1 and rest_zero:
-                dual = third.curves[ones[0]]
-                names = _PAIR_FOR_INDEX[index]
-                return StabilizationCertificate(
-                    index, omega, dual,
-                    {"pair": (names[0], names[1]),
-                     "dual_system": names[2],
-                     "dual_index": ones[0] + 1,
-                     "slides": {names[0]: mem1, names[1]: mem2}})
+    for i in (1, 2, 3) if index is None else (index,):
+        first, second, _ = (t.system(n) for n in _names_for_index(i))
+        candidates = {}
+        for c in first.curves:
+            if second.member(c):
+                candidates.setdefault(c.key(), c)
+        for key in sorted(candidates):
+            cert = _certify(t, i, candidates[key])
+            if cert is not None:
+                return cert
     return None
 
 
@@ -212,11 +170,9 @@ def destabilize(t, cert):
     prescribed systems, the dual the unique third-system curve on the
     same handle, and no other curve touching that handle.
     """
-    if cert.index not in (1, 2, 3):
-        raise ValueError("certificate index must be 1, 2, or 3")
-    names = _PAIR_FOR_INDEX[cert.index]
+    names = _names_for_index(cert.index)
     first, second, third = (t.system(n) for n in names)
-    for cs, label in ((first, names[0]), (second, names[1])):
+    for cs, label in zip((first, second), names):
         if not cs.member(cert.omega):
             raise ValueError("stale certificate: omega is not a member of "
                              "the %s system" % label)
@@ -245,7 +201,7 @@ def destabilize(t, cert):
             raise ValueError("summand curve on handle %d lacks a template" % h)
         piece_systems.append(moved_system(1, (reembed(c, 1, {h: 1}),)))
     piece = TrisectionDiagram(1, *piece_systems)
-    name, v = match_genus_one(piece)
+    name = name_by_homology(piece)
     if name != "S4STAB%d" % cert.index:
         raise ValueError("removed summand is %s, not the index-%d "
                          "stabilization" % (name, cert.index))
@@ -291,9 +247,7 @@ def find_reducing_certificate(t):
     """A separating curve splitting off the first support component.
 
     The witness partition has every curve of every system supported
-    entirely on one side; delta is the boundary word of the left
-    subsurface (a product of commutators, hence null-homologous).
-    Absence never implies irreducibility.
+    entirely on one side.  Absence never implies irreducibility.
     """
     if t.genus <= 1:
         return None
@@ -302,8 +256,7 @@ def find_reducing_certificate(t):
         return None
     left = tuple(comps[0])
     right = tuple(h for h in range(1, t.genus + 1) if h not in comps[0])
-    delta = curve_from_word(t.genus, commutator_word(left))
-    return ReducingCertificate(delta, left, right)
+    return ReducingCertificate(left, right)
 
 
 def split_along(t, cert):
@@ -464,21 +417,24 @@ def _retemplate_system(cs):
     return moved_system(cs.genus, tuple(out))
 
 
+def _retemplated(t, slid):
+    """``t`` with its systems replaced by the ``slid`` ones, retemplated."""
+    return TrisectionDiagram(t.genus, *map(_retemplate_system, slid),
+                             declared_params=t.declared_params)
+
+
 def unscramble(t):
     """Slide every system back to shortest words, then retemplate.
 
     Returns the cleaned diagram and the per-system slide scripts (the
     replayable part of any downstream certificate).
     """
-    systems = []
+    slid = []
     scripts = {}
     for cs, name in zip(t.systems(), ("alpha", "beta", "gamma")):
-        down, script = _descend_system(cs)
-        systems.append(_retemplate_system(down))
-        scripts[name] = script
-    cleaned = TrisectionDiagram(t.genus, systems[0], systems[1], systems[2],
-                                declared_params=t.declared_params)
-    return cleaned, scripts
+        down, scripts[name] = _descend_system(cs)
+        slid.append(down)
+    return _retemplated(t, slid), scripts
 
 
 # -- parameter constraints ----------------------------------------------------
@@ -490,48 +446,31 @@ def check_classified_params(params):
     |k2 - k3| <= 1.  Anything below g-1 is outside the classified range.
     """
     g = params.genus
-    ks = sorted(params.ks, reverse=True)
-    k1, k2, k3 = ks
+    k1, k2, k3 = sorted(params.ks, reverse=True)
     if k1 == g:
-        if k2 == k3:
-            return verified("parameters %s satisfy the k1=g constraint"
-                            % str(params),
-                            {"kind": "param-constraint", "case": "k1=g",
-                             "ks": list(params.ks)})
-        return refuted(
-            "a (g;g,k2,k3) triple needs k2 = k3, got %s" % str(params),
-            {"kind": "param-constraint", "case": "k1=g",
-             "ks": list(params.ks)})
-    if k1 == g - 1:
-        if abs(k2 - k3) <= 1:
-            return verified("parameters %s satisfy the k1=g-1 constraint"
-                            % str(params),
-                            {"kind": "param-constraint", "case": "k1=g-1",
-                             "ks": list(params.ks)})
-        return refuted(
-            "a (g;g-1,k2,k3) triple needs k3 within 1 of k2, got %s"
-            % str(params),
-            {"kind": "param-constraint", "case": "k1=g-1",
-             "ks": list(params.ks)})
-    return unknown("parameters %s are outside the classified range "
-                   "(max k < g-1)" % str(params))
+        case, holds = "k1=g", k2 == k3
+        need = "a (g;g,k2,k3) triple needs k2 = k3"
+    elif k1 == g - 1:
+        case, holds = "k1=g-1", abs(k2 - k3) <= 1
+        need = "a (g;g-1,k2,k3) triple needs k3 within 1 of k2"
+    else:
+        return unknown("parameters %s are outside the classified range "
+                       "(max k < g-1)" % str(params))
+    witness = {"kind": "param-constraint", "case": case,
+               "ks": list(params.ks)}
+    if holds:
+        return verified("parameters %s satisfy the %s constraint"
+                        % (params, case), witness)
+    return refuted("%s, got %s" % (need, params), witness)
 
 
 # -- standardization ----------------------------------------------------------
 
-_ORDER_FOR_MAX = {0: "abc", 1: "bca", 2: "cab"}
-
-# how stabilization names read in the original frame after relabeling
-_NAME_BACK = {
-    "abc": {1: 1, 2: 2, 3: 3},
-    "bca": {1: 2, 2: 3, 3: 1},
-    "cab": {1: 3, 2: 1, 3: 2},
-}
-
-
 def _translate_name(name, order):
+    """A summand name of the diagram relabeled by ``order``, read in the
+    original labeling: pair i of the rotation starts at system order[i-1]."""
     if name.startswith("S4STAB"):
-        return "S4STAB%d" % _NAME_BACK[order][int(name[-1])]
+        return "S4STAB%d" % ("abc".index(order[int(name[-1]) - 1]) + 1)
     return name
 
 
@@ -555,7 +494,7 @@ def _decompose(t, budget):
                         "left": list(cert.left_handles),
                         "left_tree": l_tree, "right_tree": r_tree}
         return l_names + r_names, weakest([l_v, r_v]), node
-    scert = find_stabilization_certificate(cleaned, slide_budget=0)
+    scert = find_stabilization_certificate(cleaned)
     if scert is not None and scert.omega.template is not None:
         try:
             rest = destabilize(cleaned, scert)
@@ -591,9 +530,10 @@ def standardize(t, budget=None):
     if max(ks) < params.genus - 1:
         raise ValueError("outside classified range: max(k) = %d < g-1 = %d"
                          % (max(ks), params.genus - 1))
-    order = _ORDER_FOR_MAX[ks.index(max(ks))]
+    first = ks.index(max(ks))
+    order = "abcabc"[first:first + 3]
     relabeled = relabel_systems(t, order)
-    # each order is a rotation, so the relabeled diagram has the same
+    # the order is a rotation, so the relabeled diagram has the same
     # ordered pairs: its parameters are params rotated, and the check
     # sorts them
     cv = check_classified_params(params)
@@ -667,54 +607,34 @@ def _replay_tree(t, node):
                              % t.genus)
         return []
     if op == "match":
-        name, v = match_genus_one(t)
-        if name != node["name"] or not v.is_verified:
+        name = name_by_homology(t)
+        if name is None or name != node["name"]:
             raise ValueError("genus-one piece does not match recorded %r"
                              % node["name"])
         return [name]
     if op == "unscramble":
-        systems = []
+        slid = []
         for cs, label in zip(t.systems(), ("alpha", "beta", "gamma")):
-            cur = cs
             for (i, j, sign, guide) in node["slides"].get(label, []):
-                cur = handleslide(cur, i, j, guide=guide, sign=sign)
-            systems.append(_retemplate_system(cur))
-        cleaned = TrisectionDiagram(t.genus, systems[0], systems[1],
-                                    systems[2],
-                                    declared_params=t.declared_params)
-        return _replay_tree(cleaned, node["next"])
+                cs = handleslide(cs, i, j, guide=guide, sign=sign)
+            slid.append(cs)
+        return _replay_tree(_retemplated(t, slid), node["next"])
     if op == "split":
         left = tuple(node["left"])
         right = tuple(h for h in range(1, t.genus + 1) if h not in left)
-        cert = ReducingCertificate(
-            curve_from_word(t.genus, commutator_word(left)), left, right)
-        lt, rt = split_along(t, cert)
+        lt, rt = split_along(t, ReducingCertificate(left, right))
         return (_replay_tree(lt, node["left_tree"])
                 + _replay_tree(rt, node["right_tree"]))
     if op == "destabilize":
-        cert = _rebuild_stab_certificate(t, node["handle"], node["index"])
+        index = node["index"]
+        first = t.system(_names_for_index(index)[0])
+        omega = next((c for c in first.curves if c.template is not None
+                      and c.template.handle == node["handle"]), None)
+        cert = None if omega is None else _certify(t, index, omega)
+        if cert is None:
+            raise ValueError("recorded certificate no longer validates")
         rest = destabilize(t, cert)
-        return ["S4STAB%d" % node["index"]] + _replay_tree(rest,
-                                                           node["next_tree"])
+        return ["S4STAB%d" % index] + _replay_tree(rest, node["next_tree"])
     if op == "stuck":
         raise ValueError("script records a stuck state: %s" % node["reason"])
     raise ValueError("unknown script op %r" % op)
-
-
-def _rebuild_stab_certificate(t, handle, index):
-    names = _PAIR_FOR_INDEX[index]
-    first, second, third = (t.system(n) for n in names)
-    omega = next((c for c in first.curves
-                  if c.template is not None and c.template.handle == handle),
-                 None)
-    if omega is None or not second.member(omega):
-        raise ValueError("recorded certificate no longer validates")
-    dual = next((c for c in third.curves
-                 if geometric_intersection(omega, c) == (1, True)), None)
-    if dual is None:
-        raise ValueError("recorded certificate has no dual curve")
-    return StabilizationCertificate(
-        index, omega, dual,
-        {"pair": (names[0], names[1]), "dual_system": names[2],
-         "dual_index": third.curves.index(dual) + 1,
-         "slides": {names[0]: [], names[1]: []}})

@@ -1,15 +1,17 @@
 from __future__ import annotations
 
 import time
+from math import gcd
 
 import pytest
 
 from trisect.catalog import (ALL_NAMES, FIGURE_ONE, FIGURE_TWO,
                              GENUS_ONE_PARAMS, genus_one_diagram,
                              genus_one_name, genus_zero_diagram,
-                             match_genus_one,
+                             match_genus_one, name_by_homology,
                              stabilization_diagram, triangle_sign)
-from trisect.diagram import trisection_params
+from trisect.diagram import (TrisectionDiagram, system_from_templates,
+                             trisection_params)
 
 
 def _det(u, v):
@@ -54,6 +56,29 @@ def test_genus_one_names():
     for ks in ((1, 1, 0), (1, 0, 1), (0, 1, 1)):
         assert genus_one_name(ks, 0) is None
     assert genus_one_name((0, 0, 0), 0) is None
+
+
+def test_naming_by_homology_agrees_with_the_catalog_match():
+    # every primitive slope triple with p in 0..2 and q in -2..2
+    slopes = [(0, 1)] + [(p, q) for p in (1, 2) for q in range(-2, 3)
+                         if gcd(p, q) == 1]
+    named = set()
+    for triple in ((a, b, c) for a in slopes for b in slopes for c in slopes):
+        t = TrisectionDiagram(1, *(system_from_templates(1, [(1, p, q)])
+                                   for p, q in triple))
+        name, v = match_genus_one(t)
+        assert name_by_homology(t) == name, triple
+        named.add(name)
+    assert named == set(ALL_NAMES) | {None}
+    # declared parameters must agree, as in the catalog match
+    s = genus_one_diagram("S4STAB1")
+    assert name_by_homology(s) == "S4STAB1"
+    wrong = TrisectionDiagram(1, s.alpha, s.beta, s.gamma,
+                              declared_params=(0, 1, 0))
+    assert name_by_homology(wrong) is None
+    assert match_genus_one(wrong)[0] is None
+    with pytest.raises(ValueError):
+        name_by_homology(genus_zero_diagram())
 
 
 def test_figure_groups():

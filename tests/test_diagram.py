@@ -294,5 +294,7 @@ def test_relabel_systems():
     params, v = trisection_params(rolled)
     assert params.ks == (0, 0, 1) and v.is_verified
     assert relabel_systems(stab1, "abc") == stab1
-    with pytest.raises(ValueError):
-        relabel_systems(stab1, "aab")
+    # only the rotations keep the orientation
+    for order in ("aab", "acb", "bac", "cba"):
+        with pytest.raises(ValueError):
+            relabel_systems(stab1, order)

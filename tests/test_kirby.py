@@ -165,7 +165,8 @@ def test_unlink_over_connected_sum_background():
     assert (params.k1, params.k2, params.k3) == (1, 1, 3)
 
 
-def test_hk_to_trisection_builds_each_bridge_fact_once(monkeypatch):
+def _count_bridge_calls(monkeypatch):
+    """Counts of detect_k and complete_link_to_system calls from now on."""
     calls = {"detect_k": 0, "complete_link_to_system": 0}
 
     def counted(module, name):
@@ -180,6 +181,11 @@ def test_hk_to_trisection_builds_each_bridge_fact_once(monkeypatch):
     counted(diagram, "detect_k")
     counted(kirby, "detect_k")
     counted(kirby, "complete_link_to_system")
+    return calls
+
+
+def test_hk_to_trisection_builds_each_bridge_fact_once(monkeypatch):
+    calls = _count_bridge_calls(monkeypatch)
     H = HeegaardKirbyDiagram(
         3, standard_heegaard(3, 1),
         (FramedComponent(curve_from_template(3, 3, 1, 0)),), m=2)
@@ -187,6 +193,16 @@ def test_hk_to_trisection_builds_each_bridge_fact_once(monkeypatch):
     assert v.is_verified and t.declared_params == (1, 2, 2)
     # one detect_k on the background, one on each of the three pairs
     assert calls == {"detect_k": 4, "complete_link_to_system": 1}
+
+
+def test_hk_to_trisection_looks_for_a_missing_completion_once(monkeypatch):
+    calls = _count_bridge_calls(monkeypatch)
+    H = HeegaardKirbyDiagram(
+        2, standard_heegaard(2, 0),
+        (FramedComponent(curve_from_word(2, (1, 3))),), m=1)
+    t, v = hk_to_trisection(H)
+    assert t is None and v.is_unknown
+    assert calls == {"detect_k": 1, "complete_link_to_system": 1}
 
 
 def test_full_primitive_picks_on_induced_trisection():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from trisect import diagram, moves
+from trisect import diagram, moves, presentations, reports
 from trisect.catalog import ALL_NAMES, genus_one_diagram, genus_zero_diagram
 from trisect.canonical import canonical_form
 from trisect.diagram import (Curve, HeegaardDiagram, TrisectionDiagram,
@@ -164,24 +164,8 @@ def test_stabilization_certificate_found_and_destabilized():
         assert cert is not None
         assert cert.index == i
         assert cert.omega.template.handle == 2
-        assert cert.evidence["slides"] == {cert.evidence["pair"][0]: [],
-                                           cert.evidence["pair"][1]: []}
         back = destabilize(t, cert)
         assert back == genus_one_diagram("CP2")
-
-
-def test_certificate_search_sees_through_bounded_slides():
-    t = i_stabilize(genus_one_diagram("S1xS3"), 2)
-    # hide the shared beta/gamma curve behind one slide in beta
-    beta = handleslide(t.beta, 2, 1)
-    hidden = TrisectionDiagram(2, t.alpha, beta, t.gamma,
-                               declared_params=t.declared_params)
-    cert = find_stabilization_certificate(hidden)
-    assert cert is not None
-    assert cert.index == 2
-    slides = cert.evidence["slides"]
-    assert slides["gamma"] == [] or slides["beta"] == []
-    assert any(len(v) == 1 for v in slides.values())
 
 
 def test_destabilize_rejects_a_stale_certificate():
@@ -208,7 +192,6 @@ def test_reducing_certificate_splits_a_sum():
     assert cert is not None
     assert cert.left_handles == (1,)
     assert cert.right_handles == (2,)
-    assert all(c == 0 for c in cert.delta.homology.coeffs)
     left, right = split_along(t, cert)
     p_left, _ = trisection_params(left)
     p_right, _ = trisection_params(right)
@@ -477,7 +460,7 @@ def _walk(t):
     for before, after in zip(t.systems(), cleaned.systems()):
         # slides and retemplating keep each system's Lagrangian
         assert span_equal(_classes(before), _classes(after), 2 * t.genus)
-    scert = find_stabilization_certificate(cleaned, slide_budget=0)
+    scert = find_stabilization_certificate(cleaned)
     if scert is not None and scert.omega.template is not None:
         try:
             rest = destabilize(cleaned, scert)
@@ -502,3 +485,89 @@ def test_moved_systems_pass_the_checking_constructors(t):
     _assert_checked(connected_sum(t, genus_one_diagram("CP2")))
     _assert_checked(heegaard_stabilize(HeegaardDiagram(t.genus, t.alpha,
                                                        t.beta)))
+
+
+# -- decomposition witnesses: replay runs no search and rejects tampering -----
+
+def test_decomposition_replay_runs_no_tietze_search(monkeypatch):
+    t = _scrambled(_sum(("S1xS3", "CP2", "S4STAB1")), random.Random(11))
+    names, v = standardize(t)
+    assert v.is_verified
+    calls = []
+    tietze_simplify = presentations.tietze_simplify
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return tietze_simplify(*args, **kwargs)
+
+    monkeypatch.setattr(presentations, "tietze_simplify", counted)
+    monkeypatch.setattr(diagram, "tietze_simplify", counted)
+    assert sorted(replay_decomposition(t, v.witness)) == sorted(names)
+    assert calls == []
+
+
+def _tree_nodes(node):
+    yield node
+    for key in ("next", "left_tree", "right_tree", "next_tree"):
+        if key in node:
+            yield from _tree_nodes(node[key])
+
+
+def _destabilizing(witness):
+    """The witness with each split that cuts off one S4STAB handle
+    rewritten as a destabilization of that handle, or None if it has no
+    such split.  The search never records one: a stabilization handle
+    that destabilizes is its own support component, so it splits first.
+    """
+    rewritten = json.loads(json.dumps(witness))
+    found = False
+    for node in _tree_nodes(rewritten["tree"]):
+        if node["op"] != "split" or len(node["left"]) != 1:
+            continue
+        leaf = node["left_tree"]
+        if leaf["op"] == "match" and leaf["name"].startswith("S4STAB"):
+            found = True
+            handle, rest = node["left"][0], node["right_tree"]
+            node.clear()
+            node.update(op="destabilize", handle=handle,
+                        index=int(leaf["name"][-1]), next_tree=rest)
+    return rewritten if found else None
+
+
+def _tampered(witness):
+    """Copies of a decomposition witness, each with one forged field."""
+    for order in ("acb", "bac", "cba"):
+        yield dict(witness, order=order)
+    for op, field, values in (("match", "name", ALL_NAMES),
+                              ("destabilize", "index", (1, 2, 3))):
+        forged = json.loads(json.dumps(witness))
+        node = next((n for n in _tree_nodes(forged["tree"])
+                     if n["op"] == op), None)
+        if node is not None:
+            node[field] = next(x for x in values if x != node[field])
+            yield forged
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from(ALL_NAMES), min_size=1, max_size=4),
+       st.integers(1, 6), st.integers(0, 2 ** 16))
+def test_decomposition_witnesses_replay_and_resist_tampering(names, steps,
+                                                            seed):
+    t = _scrambled(_sum(names), random.Random(seed), steps=steps)
+    verdicts = [classify_genus_one_sum(t)[1]]
+    try:
+        verdicts.append(standardize(t)[1])
+    except ValueError:  # outside the classified range
+        pass
+    witnesses = [v.witness for v in verdicts if v.is_verified]
+    rewritten = [w for w in map(_destabilizing, witnesses) if w is not None]
+    event("rewritten to destabilize" if rewritten else "as recorded only")
+    for w in witnesses + rewritten:
+        event(w["kind"])
+        honest = {"status": "verified", "witness": w}
+        reports.replay_verdict((t,), honest)
+        with pytest.raises(reports.ReplayError):
+            reports.replay_verdict((t,), dict(honest, status="refuted"))
+        for forged in _tampered(w):
+            with pytest.raises(reports.ReplayError):
+                reports.replay_verdict((t,), dict(honest, witness=forged))

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from trisect import reports
@@ -6,6 +8,7 @@ from trisect.catalog import genus_one_diagram, match_genus_one
 from trisect.diagram import (HeegaardDiagram, TrisectionDiagram,
                              curve_from_template, detect_k, standard_heegaard)
 from trisect.kirby import FramedComponent, HeegaardKirbyDiagram, LinkingMatrix
+from trisect.moves import classify_genus_one_sum, connected_sum, standardize
 
 # the fields each kind's producer writes, besides "kind"
 _FIELDS = {
@@ -144,3 +147,32 @@ def test_a_slide_rebuilds_the_diagram_around_the_slid_system():
     assert isinstance(out, HeegaardDiagram) and out.alpha == d.alpha
     with pytest.raises(ValueError, match="alpha and beta only"):
         reports.apply_construction("slide", args, (d,))
+
+
+def _reflected(witness):
+    """The witness with beta and gamma swapped and CP2 renamed CP2R."""
+    text = json.dumps(dict(witness, order="acb")).replace('"CP2"', '"CP2R"')
+    return json.loads(text)
+
+
+def _classified_cp2():
+    t = genus_one_diagram("CP2")
+    return t, classify_genus_one_sum(t)[1]
+
+
+def _standardized_cp2_sum():
+    t = connected_sum(genus_one_diagram("CP2"), genus_one_diagram("S1xS3"))
+    return t, standardize(t)[1]
+
+
+@pytest.mark.parametrize("verdict", [_classified_cp2, _standardized_cp2_sum])
+def test_a_reflected_order_does_not_replay_cp2_as_cp2r(verdict):
+    # swapping two systems reverses the orientation, so a witness may only
+    # rotate them
+    t, v = verdict()
+    honest = {"status": "verified", "witness": v.witness}
+    reports.replay_verdict((t,), honest)
+    forged = _reflected(v.witness)
+    assert "CP2R" in forged["names"]
+    with pytest.raises(reports.ReplayError):
+        reports.replay_verdict((t,), dict(honest, witness=forged))
