@@ -434,7 +434,7 @@ def ac_search(p, max_total_length, max_depth, stable=False,
             if ckey in side["parents"]:
                 continue
             if len(fwd["parents"]) + len(bwd["parents"]) >= max_states:
-                stats["aborted"] = "memory"
+                stats["aborted"] = "state-cap"
                 stats["stored"] = len(fwd["parents"]) + len(bwd["parents"])
                 return SearchResult(None, unknown(
                     "exhausted: state cap %d reached after %d states "

@@ -6,6 +6,28 @@ goes to ``-o`` files or follows the report after a blank line.  Exit
 codes encode the verdict: 0 verified or plain success, 1 refuted,
 2 unknown or exhausted, 3 usage error, 4 I/O or parse error, 5 internal
 error (a crash never exits with a verdict code).
+
+Each process compiles only the engine modules its command runs.  At
+their top level this module imports ``diagio``, ``reports`` and
+``verdict``, and those two import only the standard library and
+``words``.  Engine modules are imported at four boundaries: a command
+handler below, a file-kind parser in ``diagio``, a witness check in
+``reports.CHECKERS`` and a builder in ``reports.CONSTRUCTIONS``; never
+inside a per-state or per-step function (``canonical_key``, slide
+descent, Tietze moves).  Besides those five modules, a command loads:
+
+* ``ac-search`` (and ``invariants`` on a presentation): ``ac``,
+  ``intmatrix``;
+* ``validate`` and ``invariants`` on a trisection or Heegaard file:
+  ``diagram``, ``homology``, ``intmatrix``, ``presentations`` (the
+  diagram set);
+* on a surgery file or linking matrix, ``gprc-check``, ``hk-to-tri`` and
+  ``tri-to-hk``: ``kirby`` and the diagram set;
+* ``catalog``: ``catalog`` and the diagram set;
+* ``classify``, ``stabilize``, ``connect-sum`` and ``slide``: ``moves``,
+  ``catalog`` and the diagram set;
+* ``replay``: what the check or construction of the recorded witness
+  kind calls, which is the set of the command that wrote the report.
 """
 
 from __future__ import annotations
@@ -16,13 +38,6 @@ import sys
 import time
 
 from . import diagio, reports
-from .ac import DEFAULT_MAX_STATES, ab_det, ac_search, ak_presentation
-from .catalog import FIGURE_ONE, FIGURE_TWO, genus_one_diagram
-from .diagram import (detect_k, euler_characteristic, heegaard_h1,
-                      trisection_h1, trisection_params)
-from .kirby import (gprc_necessary_check, hk_to_trisection, surgery_h1,
-                    trisection_to_hk, validate_hk)
-from .moves import classify_genus_one_sum
 from .verdict import Verdict, unknown, verified
 
 EXIT_USAGE = 3
@@ -69,6 +84,7 @@ def _cmd_invariants(args):
         payload = [("kind", "linking")] + _linking_lines(obj)
         return [(args.file, text)], payload, None, None
     if kind == "presentation":
+        from .ac import ab_det
         payload = [("kind", "presentation"), ("generators", obj.generators),
                    ("total-length", obj.total_length()),
                    ("ab-det", ab_det(obj))]
@@ -83,23 +99,29 @@ def _diagram_report(path, text, obj, command):
         raise _UsageError("%s expects a diagram file, got %s" % (command, kind))
     payload = [("kind", kind), ("genus", obj.genus)]
     if kind == "trisection":
+        from .diagram import (euler_characteristic, trisection_h1,
+                              trisection_params)
         params, v = trisection_params(obj)
         payload.append(("params", str(params)))
         if command == "invariants":
             payload += [("chi", euler_characteristic(params)),
                         ("h1", str(trisection_h1(obj)))]
     elif kind == "heegaard":
+        from .diagram import detect_k, heegaard_h1
         k, v = detect_k(obj)
         payload.append(("k", k))
         if command == "invariants":
             payload.append(("h1", str(heegaard_h1(obj))))
     else:
+        from .kirby import validate_hk
         v = validate_hk(obj)
         payload += [("components", obj.c), ("target-m", obj.m)]
     return [(path, text)], payload, v, None
 
 
 def _cmd_classify(args):
+    from .moves import classify_genus_one_sum
+
     text, obj = _load(args.file, "trisection", "classify")
     name, v = classify_genus_one_sum(obj)
     payload = [("genus", obj.genus)]
@@ -152,6 +174,8 @@ def _cmd_slide(args):
 
 
 def _cmd_hk_to_tri(args):
+    from .kirby import hk_to_trisection
+
     text, H = _load(args.file, "heegaard-kirby", "hk-to-tri")
     t, v = hk_to_trisection(H)
     payload = [("genus", H.genus), ("components", H.c), ("target-m", H.m)]
@@ -187,6 +211,8 @@ def _format_picks(picks):
 
 
 def _cmd_tri_to_hk(args):
+    from .kirby import trisection_to_hk
+
     text, t = _load(args.file, "trisection", "tri-to-hk")
     try:
         picks = _parse_picks(args.picks)
@@ -202,22 +228,30 @@ def _cmd_tri_to_hk(args):
 
 
 def _cmd_gprc_check(args):
+    from .kirby import gprc_necessary_check
+
     text, m = _load(args.file, "linking", "gprc-check")
     return [(args.file, text)], _linking_lines(m), gprc_necessary_check(m), None
 
 
 def _linking_lines(m):
+    from .kirby import surgery_h1
+
     return [("size", m.size),
             ("framings", " ".join(str(f) for f in m.framings())),
             ("surgery-h1", str(surgery_h1(m)))]
 
 
 def _cmd_ac_search(args):
+    from .ac import DEFAULT_MAX_STATES, ac_search, ak_presentation
+
+    max_states = DEFAULT_MAX_STATES if args.max_states is None \
+        else args.max_states
     if (args.ak is None) == (args.file is None):
         raise _UsageError("give exactly one of --ak N or a presentation file")
     for flag, value in (("--max-length", args.max_length),
                         ("--max-depth", args.max_depth),
-                        ("--max-states", args.max_states)):
+                        ("--max-states", max_states)):
         if value < 1:
             raise _UsageError("%s needs a value >= 1, got %d" % (flag, value))
     if args.ak is not None:
@@ -232,7 +266,7 @@ def _cmd_ac_search(args):
                               % diagio.kind_of(p))
         inputs = [(args.file, text)]
     res = ac_search(p, args.max_length, args.max_depth, stable=args.stable,
-                    max_states=args.max_states)
+                    max_states=max_states)
     payload = [("generators", p.generators),
                ("total-length", p.total_length()),
                ("visited", res.stats.get("visited", 0)),
@@ -243,6 +277,8 @@ def _cmd_ac_search(args):
 
 
 def _cmd_catalog(args):
+    from .catalog import FIGURE_ONE, FIGURE_TWO, genus_one_diagram
+
     names = FIGURE_ONE if args.figure == "figure1" else FIGURE_TWO
     blocks = []
     for name in names:
@@ -448,8 +484,8 @@ def _build_parser():
                    help="use the standard two-generator family member N")
     p.add_argument("--max-length", type=int, default=32, dest="max_length")
     p.add_argument("--max-depth", type=int, default=20, dest="max_depth")
-    p.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES,
-                   dest="max_states")
+    # the default is ac.DEFAULT_MAX_STATES, read when the command runs
+    p.add_argument("--max-states", type=int, dest="max_states")
     p.add_argument("--stable", action="store_true",
                    help="allow adding and deleting trivial pairs")
 

@@ -29,10 +29,6 @@ from __future__ import annotations
 import re
 
 from . import words
-from .ac import BalancedPresentation
-from .diagram import (Curve, CutSystem, HeegaardDiagram, TrisectionDiagram,
-                      curve_from_template, curve_from_word)
-from .kirby import SURFACE, FramedComponent, HeegaardKirbyDiagram, LinkingMatrix
 
 
 class ParseError(Exception):
@@ -43,15 +39,20 @@ class ParseError(Exception):
         self.col = col
 
 
-# file kind -> (the class it parses to, its header line)
+# file kind -> (the qualified name of the class it parses to, its header
+# line).  Classes are named, not imported: a parser imports its kind's
+# module when it runs, so reading one kind of file loads no other kind's
+# engine modules.
 _KINDS = {
-    "trisection": (TrisectionDiagram, re.compile(
+    "trisection": ("trisect.diagram.TrisectionDiagram", re.compile(
         r"^trisection\s+genus=(\d+)(?:\s+params=\((\d+),(\d+),(\d+)\))?\s*$")),
-    "heegaard-kirby": (HeegaardKirbyDiagram,
+    "heegaard-kirby": ("trisect.kirby.HeegaardKirbyDiagram",
                        re.compile(r"^heegaard-kirby\s+genus=(\d+)\s*$")),
-    "heegaard": (HeegaardDiagram, re.compile(r"^heegaard\s+genus=(\d+)\s*$")),
-    "linking": (LinkingMatrix, re.compile(r"^linking\s+size=(\d+)\s*$")),
-    "presentation": (BalancedPresentation,
+    "heegaard": ("trisect.diagram.HeegaardDiagram",
+                 re.compile(r"^heegaard\s+genus=(\d+)\s*$")),
+    "linking": ("trisect.kirby.LinkingMatrix",
+                re.compile(r"^linking\s+size=(\d+)\s*$")),
+    "presentation": ("trisect.ac.BalancedPresentation",
                      re.compile(r"^presentation\s+generators=(\d+)\s*$")),
 }
 _KIND_OF = {cls: kind for kind, (cls, _) in _KINDS.items()}
@@ -89,8 +90,10 @@ def sniff_kind(text):
 
 
 def kind_of(obj):
-    """The file kind that parses to ``obj``'s class."""
-    return _KIND_OF[type(obj)]
+    """The file kind that parses to ``obj``'s class, or None when no file
+    kind does."""
+    cls = type(obj)
+    return _KIND_OF.get("%s.%s" % (cls.__module__, cls.__qualname__))
 
 
 def _parse_header(text, kinds, what):
@@ -131,6 +134,8 @@ def _chunks(payload, base_col):
 
 
 def _parse_curve(genus, text, line, col):
+    from .diagram import curve_from_template, curve_from_word
+
     if not text:
         raise ParseError("empty curve entry", line, col)
     if text.startswith("@"):
@@ -156,6 +161,8 @@ def _parse_curve(genus, text, line, col):
 
 
 def _parse_system(genus, payload, line, base_col):
+    from .diagram import CutSystem
+
     curves = []
     for text, col in _chunks(payload, base_col):
         curves.append(_parse_curve(genus, text, line, col))
@@ -166,6 +173,8 @@ def _parse_system(genus, payload, line, base_col):
 
 
 def _parse_link(genus, payload, line, base_col):
+    from .kirby import SURFACE, FramedComponent
+
     comps = []
     for text, col in _chunks(payload, base_col):
         m = _FRAMED.match(text)
@@ -208,6 +217,8 @@ def _sections(lines, allowed):
 
 def parse_diagram(text):
     """Parse a trisection, Heegaard, or Heegaard-Kirby diagram file."""
+    from .diagram import HeegaardDiagram, TrisectionDiagram
+
     lines, kind, header_line, m = _parse_header(text, _DIAGRAM_SECTIONS,
                                                 "diagram")
     genus = int(m.group(1))
@@ -235,6 +246,7 @@ def parse_diagram(text):
         background = HeegaardDiagram(genus, parsed["alpha"], parsed["beta"])
         if kind == "heegaard":
             return background
+        from .kirby import HeegaardKirbyDiagram
         return HeegaardKirbyDiagram(genus, background, parsed.get("link", ()),
                                     target[0])
     except ValueError as e:
@@ -242,6 +254,8 @@ def parse_diagram(text):
 
 
 def parse_linking(text):
+    from .kirby import LinkingMatrix
+
     lines, _, header_line, m = _parse_header(text, ("linking",), "linking")
     size = int(m.group(1))
     rows = []
@@ -268,6 +282,8 @@ def parse_linking(text):
 
 
 def parse_presentation(text):
+    from .ac import BalancedPresentation
+
     lines, _, header_line, m = _parse_header(text, ("presentation",),
                                              "presentation")
     n = int(m.group(1))
@@ -317,7 +333,7 @@ def _system_line(name, system):
 
 
 def format_diagram(obj):
-    kind = _KIND_OF.get(type(obj))
+    kind = kind_of(obj)
     if kind not in _DIAGRAM_SECTIONS:
         raise TypeError("not a diagram: %r" % (obj,))
     out = ["%s genus=%d" % (kind, obj.genus)]
@@ -351,8 +367,9 @@ def format_presentation(p):
 
 
 def format_any(obj):
-    if isinstance(obj, LinkingMatrix):
+    kind = kind_of(obj)
+    if kind == "linking":
         return format_linking(obj)
-    if isinstance(obj, BalancedPresentation):
+    if kind == "presentation":
         return format_presentation(obj)
     return format_diagram(obj)

@@ -2,19 +2,19 @@
 
 The pipeline direction is always: unscramble (greedy slide descent back to
 shortest words, then restore slope templates), split along reducing
-curves, destabilize certified genus-one pieces, and name what remains
-against the genus-one catalog.  Certificates are searched in a fixed
-deterministic order and every positive verdict carries a replayable
-script.
+curves down to genus one, and name each piece against the genus-one
+catalog.  Certificates are searched in a fixed deterministic order and
+every positive verdict carries a replayable script.
 
 Search (``standardize``, ``classify_genus_one_sum``) and its replay
 (``replay_decomposition``) share each step: ``relabel_systems`` and
 ``_translate_name`` for the system rotation, ``_retemplated`` after the
-slides, ``split_along`` on a handle partition, ``_certify`` and
-``destabilize`` for a stabilization, and ``catalog.name_by_homology``
-for the piece a destabilization removes.  Only the search looks for
-slides and certificates, and only its genus-one leaf runs Tietze
+slides, and ``split_along`` on a handle partition.  Only the search looks
+for slides and certificates, and only its genus-one leaf runs Tietze
 searches, through the catalog match; replay names a leaf by homology.
+Replay also accepts a ``destabilize`` step, which no search records but
+a hand-written script may: ``_certify`` and ``destabilize`` check it,
+and ``catalog.name_by_homology`` names the piece it removes.
 """
 
 from __future__ import annotations
@@ -475,7 +475,7 @@ def _translate_name(name, order):
 
 
 def _decompose(t, budget):
-    """Recursive split/destabilize walk; returns (names, verdict, tree)."""
+    """Recursive split walk; returns (names, verdict, tree)."""
     if t.genus == 0:
         return [], verified("empty diagram", {"kind": "empty"}), {"op": "empty"}
     if t.genus == 1:
@@ -494,22 +494,12 @@ def _decompose(t, budget):
                         "left": list(cert.left_handles),
                         "left_tree": l_tree, "right_tree": r_tree}
         return l_names + r_names, weakest([l_v, r_v]), node
-    scert = find_stabilization_certificate(cleaned)
-    if scert is not None and scert.omega.template is not None:
-        try:
-            rest = destabilize(cleaned, scert)
-        except ValueError:
-            rest = None
-        if rest is not None:
-            name = "S4STAB%d" % scert.index
-            r_names, r_v, r_tree = _decompose(rest, budget)
-            node["next"] = {"op": "destabilize",
-                            "handle": scert.omega.template.handle,
-                            "index": scert.index, "next_tree": r_tree}
-            return [name] + r_names, r_v, node
+    # no destabilization is tried: ``destabilize`` needs a handle that
+    # carries exactly one curve of each system, supported on it alone, and
+    # such a handle is its own support component, which the reducing
+    # certificate above has already split off at genus >= 2
     node["next"] = {"op": "stuck",
-                    "reason": "no reducing or stabilization certificate "
-                              "at genus %d" % t.genus}
+                    "reason": "no reducing certificate at genus %d" % t.genus}
     return [], unknown(node["next"]["reason"]), node
 
 
@@ -518,7 +508,7 @@ def standardize(t, budget=None):
 
     Requires verified parameters with max(k) >= g-1; the diagram is
     relabeled so the maximal k sits first, the parameter constraints are
-    checked, and the split/destabilize walk runs.  Names are reported in
+    checked, and the split walk runs.  Names are reported in
     the caller's original system labeling.
     """
     params, pv = trisection_params(t, budget=budget)

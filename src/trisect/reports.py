@@ -21,21 +21,6 @@ import json
 from dataclasses import dataclass, field, replace
 
 from . import __version__, words
-from .ac import ab_det, canonical_key, replay_ac_path, trivial_presentation
-from .catalog import genus_one_name, triangle_sign
-from .diagio import format_any
-from .diagram import (_PAIRS, HeegaardDiagram, TrisectionDiagram,
-                      TrisectionParams, geometric_intersection, heegaard_h1,
-                      is_standard_pair, quotient_presentation, same_curve)
-from .homology import algebraic_intersection
-from .kirby import (HeegaardKirbyDiagram, LinkingMatrix,
-                    _beta_extension_check, _link_embedding_check,
-                    _surgery_homology, bridge_hk, bridge_trisection,
-                    complete_link_to_system, find_primitive_pairs)
-from .moves import (check_classified_params, connected_sum, handleslide,
-                    heegaard_stabilize, i_stabilize, replay_decomposition,
-                    sum_name)
-from .presentations import replay_tietze
 
 ENGINE = "trisect %s" % __version__
 
@@ -99,6 +84,8 @@ def _need(cond, detail):
 
 
 def _pair_diagrams(t):
+    from .diagram import _PAIRS, HeegaardDiagram
+
     return [HeegaardDiagram(t.genus, t.system(a), t.system(b))
             for a, b in _PAIRS]
 
@@ -106,9 +93,16 @@ def _pair_diagrams(t):
 # Each check below is called as check(witness, *inputs).  It raises
 # ReplayError when the witness does not re-derive its claim; the checks of
 # kinds that certify either status return the status they re-derived.
+# A check imports the engine functions it calls, and tells its inputs
+# apart by diagio.kind_of, so a replay loads only the modules its witness
+# kind needs.
 
 def _replay_detect(w, d):
-    _need(isinstance(d, HeegaardDiagram),
+    from .diagio import kind_of
+    from .diagram import heegaard_h1, quotient_presentation
+    from .presentations import replay_tietze
+
+    _need(kind_of(d) == "heegaard",
           "detect-k witness needs a heegaard diagram")
     h1 = heegaard_h1(d)
     _need(h1.is_free and h1.free_rank == w["k"],
@@ -120,7 +114,9 @@ def _replay_detect(w, d):
 
 
 def _replay_params(w, t):
-    _need(isinstance(t, TrisectionDiagram), "params witness needs a trisection")
+    from .diagio import kind_of
+
+    _need(kind_of(t) == "trisection", "params witness needs a trisection")
     ks = list(w["ks"])
     # strict: three pair certificates and three ranks, or a ValueError
     for d, pw, k in zip(_pair_diagrams(t), w["pairs"], ks, strict=True):
@@ -132,6 +128,8 @@ def _replay_params(w, t):
 
 
 def _replay_params_mismatch(w, t):
+    from .diagram import heegaard_h1
+
     computed = [heegaard_h1(d).free_rank for d in _pair_diagrams(t)]
     _need(computed == list(w["computed"]),
           "recomputed ranks %s, witness claims %s" % (computed, w["computed"]))
@@ -142,11 +140,15 @@ def _replay_params_mismatch(w, t):
 
 
 def _replay_torsion(w, obj):
-    if isinstance(obj, HeegaardDiagram):
+    from .diagio import kind_of
+    from .diagram import heegaard_h1
+
+    kind = kind_of(obj)
+    if kind == "heegaard":
         candidates = [obj]
-    elif isinstance(obj, TrisectionDiagram):
+    elif kind == "trisection":
         candidates = _pair_diagrams(obj)
-    elif isinstance(obj, HeegaardKirbyDiagram):
+    elif kind == "heegaard-kirby":
         candidates = [obj.background]
     else:
         raise ReplayError("torsion witness needs a diagram")
@@ -158,16 +160,22 @@ def _replay_torsion(w, obj):
 
 
 def _replay_decomposition(w, t):
+    from .moves import replay_decomposition
+
     replay_decomposition(t, w)
 
 
 def _replay_classification(w, t):
+    from .moves import replay_decomposition, sum_name
+
     name = sum_name(replay_decomposition(t, w))
     _need(name == w["name"],
           "replayed summands name %r, witness claims %r" % (name, w["name"]))
 
 
 def _replay_catalog_match(w, t):
+    from .catalog import genus_one_name, triangle_sign
+
     _need(t.genus == 1, "catalog witness needs a genus-one diagram")
     _replay_params(w["pairs"], t)
     ks = list(w["pairs"]["ks"])
@@ -179,6 +187,9 @@ def _replay_catalog_match(w, t):
 
 
 def _replay_no_genus_one_match(w, t):
+    from .catalog import genus_one_name, triangle_sign
+    from .diagram import heegaard_h1
+
     _need(t.genus == 1, "genus-one witness needs a genus-one diagram")
     computed = [heegaard_h1(d).free_rank for d in _pair_diagrams(t)]
     _need(computed == list(w["params"]), "recomputed parameters disagree")
@@ -187,6 +198,8 @@ def _replay_no_genus_one_match(w, t):
 
 
 def _replay_standard_pair(w, d):
+    from .diagram import geometric_intersection, same_curve
+
     g = d.genus
     pairing = [j - 1 for j in w["pairing"]]
     _need(sorted(pairing) == list(range(g)), "pairing is not a permutation")
@@ -208,6 +221,8 @@ def _replay_standard_pair(w, d):
 
 
 def _replay_nonstandard(w, d):
+    from .diagram import geometric_intersection, is_standard_pair
+
     matrix = [[geometric_intersection(a, b) for b in d.beta.curves]
               for a in d.alpha.curves]
     _need(all(ex for row in matrix for (_, ex) in row),
@@ -219,7 +234,11 @@ def _replay_nonstandard(w, d):
 
 
 def _replay_param_constraint(w, obj):
-    if isinstance(obj, TrisectionDiagram):
+    from .diagio import kind_of
+    from .diagram import TrisectionParams, heegaard_h1
+    from .moves import check_classified_params
+
+    if kind_of(obj) == "trisection":
         ks = [heegaard_h1(d).free_rank for d in _pair_diagrams(obj)]
     else:
         _need(isinstance(obj, TrisectionParams),
@@ -238,7 +257,13 @@ def _replay_empty(w, d):
 
 
 def _replay_hk(w, H):
-    _need(isinstance(H, HeegaardKirbyDiagram),
+    from .diagio import kind_of
+    from .diagram import quotient_presentation
+    from .kirby import (_beta_extension_check, _link_embedding_check,
+                        _surgery_homology, complete_link_to_system)
+    from .presentations import replay_tietze
+
+    _need(kind_of(H) == "heegaard-kirby",
           "surgery witness needs a heegaard-kirby diagram")
     _replay_detect(w["background"], H.background)
     _need(w["n"] == w["background"]["k"], "background rank disagrees")
@@ -267,6 +292,8 @@ def _replay_background(w, H):
 
 
 def _replay_framing(w, H):
+    from .diagram import heegaard_h1
+
     integer_framed = [k + 1 for k, comp in enumerate(H.link)
                       if not comp.is_surface_framed]
     _need(integer_framed == list(w["components"]),
@@ -284,6 +311,9 @@ def _entry(seq, i, what):
 
 
 def _replay_link_crossing(w, H):
+    from .diagram import geometric_intersection
+    from .homology import algebraic_intersection
+
     i, j = w["pair"]
     _need(i != j, "a component does not cross itself")
     a = _entry(H.link, i, "link component").curve
@@ -299,6 +329,8 @@ def _replay_link_crossing(w, H):
 
 
 def _replay_link_extension(w, H):
+    from .kirby import _beta_extension_check
+
     bad = _beta_extension_check(H)
     _need(bad is not None, "the family is primitive after all")
     _need(bad.witness["factors"] == list(w["factors"]),
@@ -306,6 +338,8 @@ def _replay_link_extension(w, H):
 
 
 def _replay_surgery_homology(w, H):
+    from .kirby import _surgery_homology
+
     h1 = _surgery_homology(H)
     _need(str(h1) == w["h1"], "recomputed homology %s disagrees" % h1)
     _need(not (h1.is_free and h1.free_rank == w["target_m"]),
@@ -313,13 +347,17 @@ def _replay_surgery_homology(w, H):
 
 
 def _replay_primitive_pairs(w, t):
+    from .kirby import find_primitive_pairs
+
     pairs, v = find_primitive_pairs(t)
     _need(v.is_verified, "intersection data is no longer exact")
     _need([list(p) for p in pairs] == w["pairs"], "pair list disagrees")
 
 
 def _replay_linking(w, m):
-    _need(isinstance(m, LinkingMatrix), "linking witness needs a matrix")
+    from .diagio import kind_of
+
+    _need(kind_of(m) == "linking", "linking witness needs a matrix")
     if "entry" in w:
         i, j = w["entry"]
         value = _entry(_entry(m.rows, i, "row"), j, "column")
@@ -331,12 +369,16 @@ def _replay_linking(w, m):
 
 
 def _replay_ab_det(w, p):
+    from .ac import ab_det
+
     d = ab_det(p)
     _need(d == w["det"], "recomputed determinant %d disagrees" % d)
     _need(abs(d) != 1, "determinant is a unit after all")
 
 
 def _replay_ac_path(w, p):
+    from .ac import canonical_key, replay_ac_path, trivial_presentation
+
     final = replay_ac_path(p, [tuple(m) for m in w["moves"]])
     _need(final.is_trivial_form(), "path does not end in trivial form")
     _need(canonical_key(final) == canonical_key(
@@ -345,6 +387,8 @@ def _replay_ac_path(w, p):
 
 
 def _replay_construction(w, *objs):
+    from .diagio import format_any
+
     out = apply_construction(w["op"], w.get("args", {}), objs)
     digest = sha256_text(format_any(out))
     _need(digest == w["output_sha256"],
@@ -417,16 +461,20 @@ def replay_verdict(objs, vdict):
 
 # -- deterministic constructions ----------------------------------------------
 # build(args, objs) raises ValueError on inputs of the wrong kind.  Every
-# builder is search-free, so construction witnesses replay by digest.
+# builder is search-free, so construction witnesses replay by digest.  Like
+# the checks, a builder imports what it calls.
 
 def _stabilize(args, objs):
+    from .diagio import kind_of
+    from .moves import heegaard_stabilize, i_stabilize
+
     kind = args["type"]
     t = objs[0]
     if kind == "heegaard":
-        if not isinstance(t, HeegaardDiagram):
+        if kind_of(t) != "heegaard":
             raise ValueError("heegaard stabilization needs a heegaard file")
         return heegaard_stabilize(t)
-    if not isinstance(t, TrisectionDiagram):
+    if kind_of(t) != "trisection":
         raise ValueError("stabilization type %s needs a trisection" % kind)
     if kind == "balanced":
         for i in (1, 2, 3):
@@ -436,12 +484,16 @@ def _stabilize(args, objs):
 
 
 def _slide(args, objs):
+    from .diagio import kind_of
+    from .moves import handleslide
+
     d = objs[0]
     system = args["system"]
-    if isinstance(d, TrisectionDiagram):
+    kind = kind_of(d)
+    if kind == "trisection":
         if system not in ("alpha", "beta", "gamma"):
             raise ValueError("system must be alpha, beta, or gamma")
-    elif isinstance(d, HeegaardDiagram):
+    elif kind == "heegaard":
         if system not in ("alpha", "beta"):
             raise ValueError("a heegaard diagram has alpha and beta only")
     else:
@@ -453,16 +505,21 @@ def _slide(args, objs):
 
 
 def _connect_sum(args, objs):
+    from .diagio import kind_of
+    from .moves import connected_sum
+
     t1, t2 = objs
-    if not (isinstance(t1, TrisectionDiagram)
-            and isinstance(t2, TrisectionDiagram)):
+    if not (kind_of(t1) == kind_of(t2) == "trisection"):
         raise ValueError("connect-sum needs two trisection files")
     return connected_sum(t1, t2)
 
 
 def _hk_to_tri(args, objs):
+    from .diagio import kind_of
+    from .kirby import bridge_trisection
+
     H = objs[0]
-    if not isinstance(H, HeegaardKirbyDiagram):
+    if kind_of(H) != "heegaard-kirby":
         raise ValueError("hk-to-tri needs a heegaard-kirby file")
     t = bridge_trisection(H)
     if t is None:
@@ -471,8 +528,11 @@ def _hk_to_tri(args, objs):
 
 
 def _tri_to_hk(args, objs):
+    from .diagio import kind_of
+    from .kirby import bridge_hk
+
     t = objs[0]
-    if not isinstance(t, TrisectionDiagram):
+    if kind_of(t) != "trisection":
         raise ValueError("tri-to-hk needs a trisection file")
     return bridge_hk(t, args["picks"], int(args["m"]))
 

@@ -287,6 +287,13 @@ def test_search_exhausts_on_third_family_member():
     assert "exhausted" in res.verdict.reason
 
 
+def test_a_state_capped_search_names_the_state_cap():
+    res = ac_search(ak_presentation(3), 32, 20, max_states=500)
+    assert res.verdict.is_unknown
+    assert res.stats["aborted"] == "state-cap"
+    assert res.stats["stored"] == 500
+
+
 def test_search_refutes_bad_abelianization():
     p = BalancedPresentation(2, ((1, 1), (2,)))
     res = ac_search(p, 20, 10)

@@ -1,0 +1,110 @@
+"""Each trisect command loads only the engine modules its code path runs.
+
+Every case starts a fresh interpreter that calls
+``trisect.cli.run_command`` and lists the ``trisect.*`` modules loaded
+afterwards.  A command and the replay of its report must leave the
+modules named in the case unloaded, and the replay must exit with the
+code of the recorded status.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import trisect
+from trisect import diagio
+from trisect.ac import BalancedPresentation, ak_presentation
+from trisect.catalog import genus_one_diagram
+from trisect.diagram import curve_from_template, standard_heegaard
+from trisect.kirby import FramedComponent, HeegaardKirbyDiagram, LinkingMatrix
+from trisect.moves import connected_sum
+
+SRC = str(Path(trisect.__file__).resolve().parent.parent)
+EXIT_FOR_STATUS = {"verified": 0, "refuted": 1, "unknown": 2}
+
+# argv is a JSON list, or null to import trisect.cli and run nothing
+PROBE = """
+import contextlib, io, json, sys
+import trisect.cli
+argv = json.loads(sys.argv[1])
+out = io.StringIO()
+code = None
+if argv is not None:
+    with contextlib.redirect_stdout(out):
+        code = trisect.cli.run_command(argv)
+print(json.dumps({"code": code, "stdout": out.getvalue(),
+                  "modules": sorted(name.split(".", 1)[1]
+                                    for name in sys.modules
+                                    if name.startswith("trisect."))}))
+"""
+
+
+def _fresh(argv):
+    """Exit code, standard output and loaded engine modules of one run."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", PROBE, json.dumps(argv)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def _cp2_s1xs3():
+    return connected_sum(genus_one_diagram("CP2"), genus_one_diagram("S1xS3"))
+
+
+def _unknot_over_s1xs2():
+    link = (FramedComponent(curve_from_template(2, 2, 1, 0)),)
+    return HeegaardKirbyDiagram(2, standard_heegaard(2, 1), link, 2)
+
+
+TRI_ONLY = {"ac", "catalog", "kirby", "moves"}
+BRIDGE = {"ac", "catalog", "moves"}
+AC_ONLY = {"catalog", "diagram", "homology", "kirby", "moves",
+           "presentations"}
+
+# (command, input file name, input object, status it answers, modules
+# that neither the command nor its replay may load)
+CASES = [
+    ("ac-search", "ak1.pres", ak_presentation(1), "verified", AC_ONLY),
+    ("ac-search", "det2.pres", BalancedPresentation(2, ((1, 1), (2,))),
+     "refuted", AC_ONLY),
+    ("validate", "sum.tri", _cp2_s1xs3(), "verified", TRI_ONLY),
+    ("invariants", "sum.tri", _cp2_s1xs3(), "verified", TRI_ONLY),
+    ("classify", "sum.tri", _cp2_s1xs3(), "verified", {"ac", "kirby"}),
+    ("gprc-check", "zero.lnk", LinkingMatrix.zero(2), "verified", BRIDGE),
+    ("gprc-check", "hopf.lnk", LinkingMatrix.from_rows([[0, 1], [1, 0]]),
+     "refuted", BRIDGE),
+    ("hk-to-tri", "unknot.hkt", _unknot_over_s1xs2(), "verified", BRIDGE),
+]
+
+
+def test_importing_the_cli_loads_no_engine_module():
+    got = _fresh(None)
+    assert got["code"] is None
+    assert set(got["modules"]) == {"cli", "diagio", "reports", "verdict",
+                                   "words"}
+
+
+@pytest.mark.parametrize(
+    "command,name,obj,status,unloaded", CASES,
+    ids=["%s-%s" % (case[0], case[1]) for case in CASES])
+def test_a_command_and_its_replay_load_only_their_modules(
+        tmp_path, command, name, obj, status, unloaded):
+    path = tmp_path / name
+    path.write_text(diagio.format_any(obj))
+    made = _fresh([command, str(path), "--json"])
+    doc = json.loads(made["stdout"])
+    assert doc["verdict"]["status"] == status
+    assert made["code"] == EXIT_FOR_STATUS[status]
+    assert unloaded.isdisjoint(made["modules"]), made["modules"]
+
+    report = tmp_path / (name + ".json")
+    report.write_text(made["stdout"])
+    replayed = _fresh(["replay", str(report), str(path)])
+    assert replayed["code"] == EXIT_FOR_STATUS[status]
+    assert unloaded.isdisjoint(replayed["modules"]), replayed["modules"]
