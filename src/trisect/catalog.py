@@ -14,13 +14,16 @@ CP2R is CP2 with the opposite orientation; the two are told apart by the
 sign of det(a,b)*det(b,c)*det(c,a) over the slope triple, which is
 invariant under slope sign flips and common SL(2,Z) changes of the
 handle basis.
+
+``match_genus_one`` is the one genus-one namer: the decomposition walk,
+its replay and ``destabilize`` all name a piece with it, from homology
+alone, so naming a piece runs no search.
 """
 
 from __future__ import annotations
 
-from .diagram import (_PAIRS, CutSystem, HeegaardDiagram, TrisectionDiagram,
-                      heegaard_h1, system_from_templates, trisection_params)
-from .verdict import refuted, verified
+from .diagram import (CutSystem, TrisectionDiagram, pair_homology,
+                      system_from_templates)
 
 GENUS_ONE_SLOPES = {
     "CP2": ((1, 0), (0, 1), (1, 1)),
@@ -101,44 +104,19 @@ def genus_one_name(ks, sign):
     return None
 
 
-def name_by_homology(t):
+def match_genus_one(t):
     """Name a genus-one diagram from homology alone, or None.
 
     On the torus a curve is fixed up to isotopy by its class, so each pair
-    is S3 or S1xS2 as its H1 is 0 or Z, and that free rank is its k; the
-    triangle sign then tells CP2 from CP2R.  None when a pair has torsion
-    (no catalog entry has any) or the declared parameters disagree.  No
-    Tietze search runs, so this is the namer a replay uses.
+    is S3, S1xS2 or a lens space, with cyclic pi1 read off its H1: the
+    free rank is its k, and no Tietze search is needed.  The triangle sign
+    then tells CP2 from CP2R.  None when ``pair_homology`` refutes (a
+    torsion pair, which no catalog entry has, or declared parameters that
+    disagree); otherwise the parameters always name an entry.
     """
     if t.genus != 1:
-        raise ValueError("naming by homology needs a genus-one diagram")
-    ks = []
-    for a, b in _PAIRS:
-        h1 = heegaard_h1(HeegaardDiagram(1, t.system(a), t.system(b)))
-        if h1.torsion:
-            return None
-        ks.append(h1.free_rank)
-    if t.declared_params not in (None, tuple(ks)):
+        raise ValueError("match_genus_one needs a genus-one diagram")
+    _, ks, bad = pair_homology(t)
+    if bad is not None:
         return None
     return genus_one_name(ks, triangle_sign(t))
-
-
-def match_genus_one(t, budget=None):
-    """Name a genus-one diagram by parameters plus the triangle sign."""
-    if t.genus != 1:
-        raise ValueError("match_genus_one needs a genus-one diagram")
-    params, v = trisection_params(t, budget=budget)
-    if v.is_refuted:
-        return None, v
-    ks = params.ks
-    name = genus_one_name(ks, triangle_sign(t))
-    if name is None:
-        return None, refuted(
-            "parameters %s match no genus-one diagram" % params,
-            {"kind": "no-genus-one-match", "params": list(ks)})
-    if v.is_verified:
-        return name, verified(
-            "matched catalog diagram %s" % name,
-            {"kind": "catalog-match", "name": name, "params": list(ks),
-             "pairs": v.witness})
-    return name, v

@@ -10,6 +10,12 @@ Index conventions shared across the package:
   Heegaard pairs in the fixed order (alpha, beta), (beta, gamma),
   (gamma, alpha).
 
+``pair_homology`` is the one home of what homology says of those three
+pairs: their H1, the ranks, and the refutation (a declared-parameter
+mismatch, then a torsion pair).  It runs no search; ``trisection_params``
+adds the Tietze confirmations on top, reusing its H1s, and the genus-one
+namer and witness replay use it alone.
+
 Geometric intersection numbers are exact only between slope-template
 curves; for word curves the engine reports the algebraic count as an
 honest lower bound instead of guessing minimal position.
@@ -344,21 +350,25 @@ def quotient_presentation(genus, systems):
     return presentation(2 * genus, relators)
 
 
-def detect_k(d, budget=None):
+def _torsion_refutation(h1):
+    return refuted(
+        "H1 has torsion, so the diagram presents no #^k(S1xS2)",
+        {"kind": "torsion", "h1": str(h1), "factors": list(h1.torsion)})
+
+
+def detect_k(d, h1=None):
     """Which #^k(S1xS2) does this Heegaard diagram present, if any?
 
     Homology pins the candidate k (Refuted on torsion or when no free
     candidate exists); a Tietze run on pi1 confirms freeness of rank k.
+    ``h1`` is the diagram's H1, when the caller has it.
     """
-    h1 = heegaard_h1(d)
+    if h1 is None:
+        h1 = heegaard_h1(d)
     if not h1.is_free:
-        return h1.free_rank, refuted(
-            "H1 has torsion, so the diagram presents no #^k(S1xS2)",
-            {"kind": "torsion", "h1": str(h1), "factors": list(h1.torsion)})
+        return h1.free_rank, _torsion_refutation(h1)
     k = h1.free_rank
-    p = quotient_presentation(d.genus, [d.alpha, d.beta])
-    kwargs = {} if budget is None else {"budget": budget}
-    simplified, v = tietze_simplify(p, **kwargs)
+    _, v = tietze_simplify(quotient_presentation(d.genus, [d.alpha, d.beta]))
     if v.is_verified:
         if v.witness["rank"] != k:
             raise AssertionError("pi1 rank %d contradicts H1 rank %d"
@@ -447,27 +457,44 @@ def is_standard_pair(d):
 _PAIRS = (("alpha", "beta"), ("beta", "gamma"), ("gamma", "alpha"))
 
 
-def trisection_params(t, budget=None):
+def pair_diagrams(t):
+    """The three boundary Heegaard pairs of ``t``, in ``_PAIRS`` order."""
+    return [HeegaardDiagram(t.genus, t.system(a), t.system(b))
+            for a, b in _PAIRS]
+
+
+def pair_homology(t):
+    """(h1s, ks, refutation): what homology alone says of the three pairs.
+
+    ``h1s`` are the pairs' first homology groups in ``_PAIRS`` order and
+    ``ks`` their free ranks.  ``refutation`` is None or the first of: a
+    params-mismatch when declared parameters differ from ``ks``, then a
+    torsion refutation of the first pair with torsion.  No search runs.
+    """
+    h1s = [heegaard_h1(d) for d in pair_diagrams(t)]
+    ks = tuple(h1.free_rank for h1 in h1s)
+    if t.declared_params is not None and ks != t.declared_params:
+        return h1s, ks, refuted(
+            "declared parameters %r do not match computed %s"
+            % (t.declared_params, TrisectionParams(t.genus, *ks)),
+            {"kind": "params-mismatch",
+             "declared": list(t.declared_params), "computed": list(ks)})
+    torsion = next((h1 for h1 in h1s if not h1.is_free), None)
+    return h1s, ks, None if torsion is None else _torsion_refutation(torsion)
+
+
+def trisection_params(t):
     """(k1, k2, k3) from the three boundary Heegaard pairs.
 
     k1 comes from (alpha, beta), k2 from (beta, gamma), k3 from
-    (gamma, alpha); the overall verdict is the weakest of the three
-    detections, and declared parameters are cross-checked.
+    (gamma, alpha).  ``pair_homology`` refutes first; otherwise a Tietze
+    run confirms each pair, and the verdict is the weakest of the three.
     """
-    ks = []
-    verdicts = []
-    for (a, b) in _PAIRS:
-        k, v = detect_k(HeegaardDiagram(t.genus, t.system(a), t.system(b)),
-                        budget=budget)
-        ks.append(k)
-        verdicts.append(v)
+    h1s, ks, bad = pair_homology(t)
     params = TrisectionParams(t.genus, *ks)
-    if t.declared_params is not None and tuple(ks) != t.declared_params:
-        return params, refuted(
-            "declared parameters %r do not match computed %s"
-            % (t.declared_params, params),
-            {"kind": "params-mismatch",
-             "declared": list(t.declared_params), "computed": list(ks)})
+    if bad is not None:
+        return params, bad
+    verdicts = [detect_k(d, h1)[1] for d, h1 in zip(pair_diagrams(t), h1s)]
     v = weakest(verdicts)
     if v.is_verified:
         return params, verified(

@@ -171,7 +171,7 @@ def complete_link_to_system(H):
         return None
 
 
-def validate_hk(H, budget=None):
+def validate_hk(H):
     """Does the diagram present surgery data from #^n to #^m?
 
     Checks, in order: the background is a confirmed #^n diagram; integer
@@ -180,13 +180,13 @@ def validate_hk(H, budget=None):
     surgered first homology is Z^m; and pi1 of the surgered manifold is
     confirmed free of rank m when a completion is available.
     """
-    return _validate_hk(H, budget)[0]
+    return _validate_hk(H)[0]
 
 
-def _validate_hk(H, budget):
+def _validate_hk(H):
     """validate_hk's verdict and the link completion: None if it stopped
     before looking for one, False if it looked and found none."""
-    n, nv = detect_k(H.background, budget=budget)
+    n, nv = detect_k(H.background)
     if nv.is_refuted:
         return refuted("background: %s" % nv.reason,
                        {"kind": "background", "inner": nv.witness}), None
@@ -225,11 +225,8 @@ def _validate_hk(H, budget):
         return unknown(
             "homology agrees with #^%d but no template completion of the "
             "link was found, so pi1 is unconfirmed" % H.m), False
-    pres = quotient_presentation(H.genus, [H.background.alpha, gamma])
-    if budget is None:
-        final, tv = tietze_simplify(pres)
-    else:
-        final, tv = tietze_simplify(pres, budget=budget)
+    _, tv = tietze_simplify(
+        quotient_presentation(H.genus, [H.background.alpha, gamma]))
     if not tv.is_verified:
         return unknown("surgered homology is Z^%d but pi1 is unconfirmed: %s"
                        % (H.m, tv.reason)), gamma
@@ -263,13 +260,13 @@ def bridge_trisection(H, gamma=None):
                              gamma, declared_params=(n, H.genus - H.c, H.m))
 
 
-def hk_to_trisection(H, budget=None):
+def hk_to_trisection(H):
     """Trisection with the link (completed) as the third system.
 
     The declared parameters are (n, g-c, m).  The verdict combines the
     link validation with the parameter check of the assembled diagram.
     """
-    v, gamma = _validate_hk(H, budget)
+    v, gamma = _validate_hk(H)
     if v.is_refuted:
         return None, v
     t = None if gamma is False else bridge_trisection(H, gamma)
@@ -277,8 +274,7 @@ def hk_to_trisection(H, budget=None):
         return None, unknown(
             "no beta-parallel completion of the link in the template "
             "model; cannot assemble the third system")
-    params, pv = trisection_params(t, budget=budget)
-    return t, weakest([v, pv])
+    return t, weakest([v, trisection_params(t)[1]])
 
 
 def find_primitive_pairs(t):

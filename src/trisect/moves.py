@@ -9,12 +9,14 @@ every positive verdict carries a replayable script.
 Search (``standardize``, ``classify_genus_one_sum``) and its replay
 (``replay_decomposition``) share each step: ``relabel_systems`` and
 ``_translate_name`` for the system rotation, ``_retemplated`` after the
-slides, and ``split_along`` on a handle partition.  Only the search looks
-for slides and certificates, and only its genus-one leaf runs Tietze
-searches, through the catalog match; replay names a leaf by homology.
-Replay also accepts a ``destabilize`` step, which no search records but
-a hand-written script may: ``_certify`` and ``destabilize`` check it,
-and ``catalog.name_by_homology`` names the piece it removes.
+slides, ``split_along`` on a handle partition, and
+``catalog.match_genus_one``, which names a genus-one leaf from homology.
+Only the search looks for slides and certificates; the walk runs no
+Tietze search and never refutes, because a homological refutation comes
+from the input's ``pair_homology`` before the walk starts.  Replay also
+accepts a ``destabilize`` step, which no search records but a
+hand-written script may: ``_certify`` and ``destabilize`` check it, and
+``match_genus_one`` names the piece it removes.
 """
 
 from __future__ import annotations
@@ -23,12 +25,12 @@ from collections import deque
 from dataclasses import dataclass
 
 from . import words
-from .catalog import genus_one_diagram, match_genus_one, name_by_homology
+from .catalog import genus_one_diagram, match_genus_one
 from .diagram import (_PAIRS, Curve, HeegaardDiagram, TrisectionDiagram,
                       curve_from_template, curve_from_word,
                       geometric_intersection, moved_system, reembed,
-                      relabel_systems, trisection_params)
-from .verdict import refuted, unknown, verified, weakest
+                      pair_homology, relabel_systems, trisection_params)
+from .verdict import refuted, unknown, verified
 
 _DESCENT_PLATEAU_CAP = 64
 _DESCENT_STEP_CAP = 400
@@ -201,7 +203,7 @@ def destabilize(t, cert):
             raise ValueError("summand curve on handle %d lacks a template" % h)
         piece_systems.append(moved_system(1, (reembed(c, 1, {h: 1}),)))
     piece = TrisectionDiagram(1, *piece_systems)
-    name = name_by_homology(piece)
+    name = match_genus_one(piece)
     if name != "S4STAB%d" % cert.index:
         raise ValueError("removed summand is %s, not the index-%d "
                          "stabilization" % (name, cert.index))
@@ -303,28 +305,24 @@ def _rot_candidates(wi, base):
     return tuple(sorted(rs))
 
 
-def _raw_moves(state):
-    g = len(state)
-    for i in range(g):
-        for j in range(g):
+def _raw_slides(state):
+    """Each candidate slide of a word tuple as (move, slid state).
+
+    A move (i, j, sign, r) appends rotation r of word j, inverted when
+    the sign is -1, to word i; slides that would empty word i are
+    skipped.  Each word is inverted once per state.
+    """
+    bases = [(w, words.inverse(w)) for w in state]
+    for i, wi in enumerate(state):
+        for j, pair in enumerate(bases):
             if i == j:
                 continue
-            for sign in (1, -1):
-                base = state[j] if sign > 0 else words.inverse(state[j])
-                for r in _rot_candidates(state[i], base):
-                    yield (i, j, sign, r)
-
-
-def _raw_slide(state, move):
-    i, j, sign, r = move
-    base = state[j] if sign > 0 else words.inverse(state[j])
-    rot = base[r:] + base[:r]
-    new = words.cyclic_reduce(state[i] + rot)
-    if not new:
-        return None
-    out = list(state)
-    out[i] = new
-    return tuple(out)
+            for sign, base in zip((1, -1), pair):
+                for r in _rot_candidates(wi, base):
+                    new = words.cyclic_reduce(wi + base[r:] + base[:r])
+                    if new:
+                        slid = state[:i] + (new,) + state[i + 1:]
+                        yield (i, j, sign, r), slid
 
 
 def _descend_words(state):
@@ -341,10 +339,7 @@ def _descend_words(state):
         base_len = sum(map(len, cur))
         best = None
         best_len = base_len
-        for move in _raw_moves(cur):
-            cand = _raw_slide(cur, move)
-            if cand is None:
-                continue
+        for move, cand in _raw_slides(cur):
             clen = sum(map(len, cand))
             if clen < best_len:
                 best = (cand, move)
@@ -361,10 +356,7 @@ def _descend_words(state):
             node, path = queue.popleft()
             if len(path) >= 3:
                 continue
-            for move in _raw_moves(node):
-                cand = _raw_slide(node, move)
-                if cand is None:
-                    continue
+            for move, cand in _raw_slides(node):
                 clen = sum(map(len, cand))
                 if clen < base_len:
                     found = (cand, path + [move])
@@ -474,36 +466,44 @@ def _translate_name(name, order):
     return name
 
 
-def _decompose(t, budget):
-    """Recursive split walk; returns (names, verdict, tree)."""
+def _decompose(t):
+    """Recursive split walk; returns (names, tree, stuck).
+
+    ``stuck`` is None when every leaf was named, else the reason of the
+    first stuck node.  The walk never refutes: callers refute from the
+    input's ``pair_homology`` first, and a split is a connected sum, so
+    each pair's H1 is the direct sum of the pieces' and no piece shows
+    torsion the input does not.
+    """
     if t.genus == 0:
-        return [], verified("empty diagram", {"kind": "empty"}), {"op": "empty"}
+        return [], {"op": "empty"}, None
     if t.genus == 1:
-        name, v = match_genus_one(t, budget=budget)
+        name = match_genus_one(t)
         if name is None:
-            return [], v, {"op": "stuck", "reason": v.reason}
-        return [name], v, {"op": "match", "name": name}
+            raise AssertionError("a genus-one piece without torsion has "
+                                 "no catalog name")
+        return [name], {"op": "match", "name": name}, None
     cleaned, scripts = unscramble(t)
     node = {"op": "unscramble", "slides": scripts}
     cert = find_reducing_certificate(cleaned)
     if cert is not None:
         left_t, right_t = split_along(cleaned, cert)
-        l_names, l_v, l_tree = _decompose(left_t, budget)
-        r_names, r_v, r_tree = _decompose(right_t, budget)
+        l_names, l_tree, l_stuck = _decompose(left_t)
+        r_names, r_tree, r_stuck = _decompose(right_t)
         node["next"] = {"op": "split",
                         "left": list(cert.left_handles),
                         "left_tree": l_tree, "right_tree": r_tree}
-        return l_names + r_names, weakest([l_v, r_v]), node
+        return l_names + r_names, node, l_stuck or r_stuck
     # no destabilization is tried: ``destabilize`` needs a handle that
     # carries exactly one curve of each system, supported on it alone, and
     # such a handle is its own support component, which the reducing
     # certificate above has already split off at genus >= 2
-    node["next"] = {"op": "stuck",
-                    "reason": "no reducing certificate at genus %d" % t.genus}
-    return [], unknown(node["next"]["reason"]), node
+    reason = "no reducing certificate at genus %d" % t.genus
+    node["next"] = {"op": "stuck", "reason": reason}
+    return [], node, reason
 
 
-def standardize(t, budget=None):
+def standardize(t):
     """Decompose into genus-one summand names (classified range only).
 
     Requires verified parameters with max(k) >= g-1; the diagram is
@@ -511,7 +511,7 @@ def standardize(t, budget=None):
     checked, and the split walk runs.  Names are reported in
     the caller's original system labeling.
     """
-    params, pv = trisection_params(t, budget=budget)
+    params, pv = trisection_params(t)
     if pv.is_refuted:
         return [], pv
     if pv.is_unknown:
@@ -529,25 +529,29 @@ def standardize(t, budget=None):
     cv = check_classified_params(params)
     if cv.is_refuted:
         return [], cv
-    names, v, tree = _decompose(relabeled, budget)
+    names, tree, stuck = _decompose(relabeled)
     names = [_translate_name(n, order) for n in names]
-    if v.is_verified:
-        return names, verified(
-            "decomposed into %s" % " # ".join(sorted(names)),
-            {"kind": "decomposition", "order": order, "names": list(names),
-             "tree": tree})
-    return names, v
+    if stuck is not None:
+        return names, unknown(stuck)
+    return names, verified(
+        "decomposed into %s" % " # ".join(sorted(names)),
+        {"kind": "decomposition", "order": order, "names": list(names),
+         "tree": tree})
 
 
-def classify_genus_one_sum(t, budget=None):
+def classify_genus_one_sum(t):
     """Name the diagram as a connected sum of genus-one pieces.
 
-    Unlike standardize this applies no parameter precondition; it just
-    tries to split and match, returning Unknown when the walk stalls.
+    Unlike standardize this applies no parameter precondition and runs no
+    Tietze search: it refutes from the input's pair homology, then tries
+    to split and match, returning Unknown when the walk stalls.
     """
-    names, v, tree = _decompose(t, budget)
-    if not v.is_verified:
-        return None, v
+    bad = pair_homology(t)[2]
+    if bad is not None:
+        return None, bad
+    names, tree, stuck = _decompose(t)
+    if stuck is not None:
+        return None, unknown(stuck)
     name = sum_name(names)
     return name, verified(
         "diagram is %s" % name,
@@ -597,7 +601,7 @@ def _replay_tree(t, node):
                              % t.genus)
         return []
     if op == "match":
-        name = name_by_homology(t)
+        name = match_genus_one(t)
         if name is None or name != node["name"]:
             raise ValueError("genus-one piece does not match recorded %r"
                              % node["name"])

@@ -206,14 +206,14 @@ def _plateau_products(relators):
     return out
 
 
-def _greedy(gens, relators, max_len, budget, trace):
+def _greedy(gens, relators, budget, trace):
     """Run deterministic simplification to a fixed point, in place."""
     while True:
         relators = _reduce_all(relators, trace)
         relators = _drop_duplicates(relators, trace)
         if not relators or not budget.spend():
             return gens, relators
-        cand = _find_elimination(relators, max_len)
+        cand = _find_elimination(relators, DEFAULT_MAX_RELATOR_LEN)
         if cand is not None:
             ri, g, expr, _ = cand
             gens, relators = _apply_elimination(gens, relators, ri, g, expr, trace)
@@ -227,15 +227,16 @@ def _greedy(gens, relators, max_len, budget, trace):
         return gens, relators
 
 
-def tietze_simplify(p, budget=DEFAULT_BUDGET, max_relator_len=DEFAULT_MAX_RELATOR_LEN):
+def tietze_simplify(p):
     """Simplify; Verified(rank) carries a replayable trace, else Unknown.
 
-    Deterministic for a fixed budget.  The budget counts elementary steps
-    (each candidate product examined, each pass started).
+    Deterministic.  ``DEFAULT_BUDGET`` counts elementary steps (each
+    candidate product examined, each pass started), and no substitution
+    may grow a relator past ``DEFAULT_MAX_RELATOR_LEN`` letters.
     """
-    b = _Budget(budget)
+    b = _Budget(DEFAULT_BUDGET)
     trace = []
-    gens, relators = _greedy(p.num_generators, list(p.relators), max_relator_len, b, trace)
+    gens, relators = _greedy(p.num_generators, list(p.relators), b, trace)
 
     if relators and b.left > 0:
         # plateau: breadth-first over length-preserving products until some
@@ -253,7 +254,7 @@ def tietze_simplify(p, budget=DEFAULT_BUDGET, max_relator_len=DEFAULT_MAX_RELATO
                     continue
                 seen.add(key)
                 t2 = cur_trace + [["multiply", i, j, s, rot]]
-                g2, r2, = _greedy(cur_gens, list(nxt), max_relator_len, b, t2)
+                g2, r2 = _greedy(cur_gens, list(nxt), b, t2)
                 if not r2:
                     gens, relators, trace = g2, r2, t2
                     queue.clear()

@@ -83,13 +83,6 @@ def _need(cond, detail):
         raise ReplayError(detail)
 
 
-def _pair_diagrams(t):
-    from .diagram import _PAIRS, HeegaardDiagram
-
-    return [HeegaardDiagram(t.genus, t.system(a), t.system(b))
-            for a, b in _PAIRS]
-
-
 # Each check below is called as check(witness, *inputs).  It raises
 # ReplayError when the witness does not re-derive its claim; the checks of
 # kinds that certify either status return the status they re-derived.
@@ -115,11 +108,12 @@ def _replay_detect(w, d):
 
 def _replay_params(w, t):
     from .diagio import kind_of
+    from .diagram import pair_diagrams
 
     _need(kind_of(t) == "trisection", "params witness needs a trisection")
     ks = list(w["ks"])
     # strict: three pair certificates and three ranks, or a ValueError
-    for d, pw, k in zip(_pair_diagrams(t), w["pairs"], ks, strict=True):
+    for d, pw, k in zip(pair_diagrams(t), w["pairs"], ks, strict=True):
         _need(pw["k"] == k, "pair certificate rank disagrees with ks")
         _replay_detect(pw, d)
     if t.declared_params is not None:
@@ -128,9 +122,9 @@ def _replay_params(w, t):
 
 
 def _replay_params_mismatch(w, t):
-    from .diagram import heegaard_h1
+    from .diagram import pair_homology
 
-    computed = [heegaard_h1(d).free_rank for d in _pair_diagrams(t)]
+    computed = list(pair_homology(t)[1])
     _need(computed == list(w["computed"]),
           "recomputed ranks %s, witness claims %s" % (computed, w["computed"]))
     _need(t.declared_params is not None and
@@ -141,19 +135,18 @@ def _replay_params_mismatch(w, t):
 
 def _replay_torsion(w, obj):
     from .diagio import kind_of
-    from .diagram import heegaard_h1
+    from .diagram import heegaard_h1, pair_homology
 
     kind = kind_of(obj)
     if kind == "heegaard":
-        candidates = [obj]
+        h1s = [heegaard_h1(obj)]
     elif kind == "trisection":
-        candidates = _pair_diagrams(obj)
+        h1s = pair_homology(obj)[0]
     elif kind == "heegaard-kirby":
-        candidates = [obj.background]
+        h1s = [heegaard_h1(obj.background)]
     else:
         raise ReplayError("torsion witness needs a diagram")
-    for d in candidates:
-        h1 = heegaard_h1(d)
+    for h1 in h1s:
         if not h1.is_free and list(h1.torsion) == list(w["factors"]):
             return
     raise ReplayError("no boundary pair shows torsion %s" % (w["factors"],))
@@ -171,30 +164,6 @@ def _replay_classification(w, t):
     name = sum_name(replay_decomposition(t, w))
     _need(name == w["name"],
           "replayed summands name %r, witness claims %r" % (name, w["name"]))
-
-
-def _replay_catalog_match(w, t):
-    from .catalog import genus_one_name, triangle_sign
-
-    _need(t.genus == 1, "catalog witness needs a genus-one diagram")
-    _replay_params(w["pairs"], t)
-    ks = list(w["pairs"]["ks"])
-    _need(list(w["params"]) == ks, "parameters disagree with the pair "
-          "certificates")
-    name = genus_one_name(ks, triangle_sign(t))
-    _need(name == w["name"],
-          "parameters %s name %r, witness claims %r" % (ks, name, w["name"]))
-
-
-def _replay_no_genus_one_match(w, t):
-    from .catalog import genus_one_name, triangle_sign
-    from .diagram import heegaard_h1
-
-    _need(t.genus == 1, "genus-one witness needs a genus-one diagram")
-    computed = [heegaard_h1(d).free_rank for d in _pair_diagrams(t)]
-    _need(computed == list(w["params"]), "recomputed parameters disagree")
-    _need(genus_one_name(computed, triangle_sign(t)) is None,
-          "parameters match a catalog diagram after all")
 
 
 def _replay_standard_pair(w, d):
@@ -235,11 +204,11 @@ def _replay_nonstandard(w, d):
 
 def _replay_param_constraint(w, obj):
     from .diagio import kind_of
-    from .diagram import TrisectionParams, heegaard_h1
+    from .diagram import TrisectionParams, pair_homology
     from .moves import check_classified_params
 
     if kind_of(obj) == "trisection":
-        ks = [heegaard_h1(d).free_rank for d in _pair_diagrams(obj)]
+        ks = list(pair_homology(obj)[1])
     else:
         _need(isinstance(obj, TrisectionParams),
               "param-constraint witness needs a trisection")
@@ -407,8 +376,6 @@ CHECKERS = {
     "detect-k": ("verified", _replay_detect),
     "decomposition": ("verified", _replay_decomposition),
     "classification": ("verified", _replay_classification),
-    "catalog-match": ("verified", _replay_catalog_match),
-    "no-genus-one-match": ("refuted", _replay_no_genus_one_match),
     "standard-pair": ("verified", _replay_standard_pair),
     "nonstandard": ("refuted", _replay_nonstandard),
     "param-constraint": (None, _replay_param_constraint),

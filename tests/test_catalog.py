@@ -8,8 +8,8 @@ import pytest
 from trisect.catalog import (ALL_NAMES, FIGURE_ONE, FIGURE_TWO,
                              GENUS_ONE_PARAMS, genus_one_diagram,
                              genus_one_name, genus_zero_diagram,
-                             match_genus_one, name_by_homology,
-                             stabilization_diagram, triangle_sign)
+                             match_genus_one, stabilization_diagram,
+                             triangle_sign)
 from trisect.diagram import (TrisectionDiagram, system_from_templates,
                              trisection_params)
 
@@ -44,8 +44,7 @@ def test_triangle_signs():
 
 def test_match_genus_one_all():
     for name in ALL_NAMES:
-        got, v = match_genus_one(genus_one_diagram(name))
-        assert got == name and v.is_verified
+        assert match_genus_one(genus_one_diagram(name)) == name
 
 
 def test_genus_one_names():
@@ -58,6 +57,14 @@ def test_genus_one_names():
     assert genus_one_name((0, 0, 0), 0) is None
 
 
+def _tietze_match(t):
+    # the oracle: parameters confirmed by Tietze searches on pi1, None on
+    # a refutation, then the name table
+    params, v = trisection_params(t)
+    return None if v.is_refuted else genus_one_name(params.ks,
+                                                    triangle_sign(t))
+
+
 def test_naming_by_homology_agrees_with_the_catalog_match():
     # every primitive slope triple with p in 0..2 and q in -2..2
     slopes = [(0, 1)] + [(p, q) for p in (1, 2) for q in range(-2, 3)
@@ -66,19 +73,19 @@ def test_naming_by_homology_agrees_with_the_catalog_match():
     for triple in ((a, b, c) for a in slopes for b in slopes for c in slopes):
         t = TrisectionDiagram(1, *(system_from_templates(1, [(1, p, q)])
                                    for p, q in triple))
-        name, v = match_genus_one(t)
-        assert name_by_homology(t) == name, triple
+        name = _tietze_match(t)
+        assert match_genus_one(t) == name, triple
         named.add(name)
     assert named == set(ALL_NAMES) | {None}
-    # declared parameters must agree, as in the catalog match
+    # declared parameters must agree, as in the Tietze match
     s = genus_one_diagram("S4STAB1")
-    assert name_by_homology(s) == "S4STAB1"
+    assert match_genus_one(s) == "S4STAB1"
     wrong = TrisectionDiagram(1, s.alpha, s.beta, s.gamma,
                               declared_params=(0, 1, 0))
-    assert name_by_homology(wrong) is None
-    assert match_genus_one(wrong)[0] is None
+    assert match_genus_one(wrong) is None
+    assert _tietze_match(wrong) is None
     with pytest.raises(ValueError):
-        name_by_homology(genus_zero_diagram())
+        match_genus_one(genus_zero_diagram())
 
 
 def test_figure_groups():

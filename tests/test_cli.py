@@ -282,6 +282,35 @@ def test_replay_confirms_verified_and_refuted(tmp_path, capsys):
     assert code == 1 and "replay confirms" in out
 
 
+def test_classify_refutes_from_the_input_pairs_and_replays(tmp_path, capsys):
+    # (alpha, beta) is L(2,1) # L(3,1): its H1 is Z/6, while each
+    # genus-one piece shows only Z/2 or Z/3
+    tri = write(tmp_path, "t.tri",
+                "trisection genus=2\nalpha: @1(1,0) ; @2(1,0)\n"
+                "beta: @1(1,2) ; @2(1,3)\ngamma: @1(0,1) ; @2(0,1)\n")
+    code, doc, rep = _json_report(capsys, tmp_path, "r.json", "classify", tri)
+    assert code == 1
+    assert doc["verdict"]["witness"]["kind"] == "torsion"
+    assert doc["verdict"]["witness"]["factors"] == [6]
+    code, out, _ = run(capsys, "replay", rep, tri)
+    assert code == 1 and "replay confirms" in out
+
+
+def test_classify_refutes_wrong_declared_params_at_any_genus(tmp_path,
+                                                            capsys):
+    t = connected_sum(genus_one_diagram("CP2"), genus_one_diagram("CP2R"))
+    text = diagio.format_diagram(t)
+    tri = write(tmp_path, "t.tri",
+                text.replace("params=(0,0,0)", "params=(2,2,2)"))
+    code, doc, rep = _json_report(capsys, tmp_path, "r.json", "classify", tri)
+    assert code == 1
+    assert doc["verdict"]["witness"] == {
+        "kind": "params-mismatch", "declared": [2, 2, 2],
+        "computed": [0, 0, 0]}
+    code, out, _ = run(capsys, "replay", rep, tri)
+    assert code == 1 and "replay confirms" in out
+
+
 def test_replay_of_derived_object_reports(tmp_path, capsys):
     hkt = write(tmp_path, "u.hkt",
                 "heegaard-kirby genus=1\nalpha: @1(1,0)\nbeta: @1(0,1)\n"

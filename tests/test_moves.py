@@ -1,13 +1,15 @@
 import hashlib
 import json
 import random
+from math import gcd
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from trisect import diagram, moves, presentations, reports
-from trisect.catalog import ALL_NAMES, genus_one_diagram, genus_zero_diagram
+from trisect.catalog import (ALL_NAMES, genus_one_diagram, genus_one_name,
+                             genus_zero_diagram, triangle_sign)
 from trisect.canonical import canonical_form
 from trisect.diagram import (Curve, HeegaardDiagram, TrisectionDiagram,
                              CutSystem, curve_from_word, detect_k,
@@ -571,3 +573,65 @@ def test_decomposition_witnesses_replay_and_resist_tampering(names, steps,
         for forged in _tampered(w):
             with pytest.raises(reports.ReplayError):
                 reports.replay_verdict((t,), dict(honest, witness=forged))
+
+
+# -- classify on sums of arbitrary genus-one slope triples --------------------
+
+# lens-space pairs (|det| > 1) appear in this range, and so do S1xS2 pairs
+# whose pi1 no Tietze search here simplifies, such as slopes (2,3), (2,3);
+# half the pieces are drawn from the torsion-free triples, so that sums
+# without torsion are common
+_SLOPES = [(0, 1)] + [(p, q) for p in (1, 2, 3) for q in range(-3, 4)
+                      if gcd(p, q) == 1]
+
+
+def _det(u, v):
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def _has_torsion(triple):
+    a, b, c = triple
+    return any(abs(_det(u, v)) > 1 for u, v in ((a, b), (b, c), (c, a)))
+
+
+_FREE_TRIPLES = [(a, b, c) for a in _SLOPES for b in _SLOPES for c in _SLOPES
+                 if not _has_torsion((a, b, c))]
+
+
+def _slope_piece(triple):
+    return TrisectionDiagram(1, *(system_from_templates(1, [(1, p, q)])
+                                  for p, q in triple))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.lists(st.tuples(*[st.sampled_from(_SLOPES)] * 3)
+                | st.sampled_from(_FREE_TRIPLES), min_size=1, max_size=3),
+       st.booleans(), st.integers(0, 2), st.integers(0, 2 ** 16))
+@example([((2, 3), (2, 3), (2, 3)), ((3, -2), (3, -2), (1, -1))],
+         False, 0, 5)
+@example([((1, 0), (1, 2), (0, 1)), ((1, 0), (1, 3), (0, 1))], False, 0, 5)
+def test_classify_decides_sums_of_slope_triples(triples, wrong, index, seed):
+    pieces = [_slope_piece(triple) for triple in triples]
+    t = pieces[0]
+    for piece in pieces[1:]:
+        t = connected_sum(t, piece)
+    ks = [sum(k) for k in zip(*(trisection_params(piece)[0].ks
+                                for piece in pieces))]
+    if wrong:
+        ks[index] += 1 if ks[index] < t.genus else -1
+    t = _scrambled(TrisectionDiagram(t.genus, *t.systems(),
+                                     declared_params=tuple(ks)),
+                   random.Random(seed))
+    torsion = any(map(_has_torsion, triples))
+    name, v = classify_genus_one_sum(t)
+    event("torsion" if torsion else "wrong" if wrong else v.status)
+    if not v.is_unknown:
+        reports.replay_verdict((t,), v.to_dict())
+    if wrong or torsion:
+        assert v.is_refuted
+        return
+    assert not v.is_refuted
+    if v.is_verified:
+        oracle = [genus_one_name(trisection_params(piece)[0].ks,
+                                 triangle_sign(piece)) for piece in pieces]
+        assert None not in oracle and name == moves.sum_name(oracle)

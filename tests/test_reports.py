@@ -4,9 +4,10 @@ import pytest
 
 from trisect import reports
 from trisect.ac import ak_presentation
-from trisect.catalog import genus_one_diagram, match_genus_one
+from trisect.catalog import genus_one_diagram
 from trisect.diagram import (HeegaardDiagram, TrisectionDiagram,
-                             curve_from_template, detect_k, standard_heegaard)
+                             curve_from_template, detect_k, standard_heegaard,
+                             trisection_params)
 from trisect.kirby import FramedComponent, HeegaardKirbyDiagram, LinkingMatrix
 from trisect.moves import classify_genus_one_sum, connected_sum, standardize
 
@@ -18,8 +19,6 @@ _FIELDS = {
     "detect-k": ("k", "h1", "trace"),
     "decomposition": ("order", "names", "tree"),
     "classification": ("name", "names", "tree"),
-    "catalog-match": ("name", "params", "pairs"),
-    "no-genus-one-match": ("params",),
     "standard-pair": ("k", "pairing"),
     "nonstandard": ("matrix",),
     "param-constraint": ("case", "ks"),
@@ -75,15 +74,13 @@ def test_a_malformed_witness_is_a_replay_error(kind):
 def test_forged_fields_of_a_replayable_witness_fail():
     s = genus_one_diagram("S1xS3")
     t = TrisectionDiagram(1, s.alpha, s.beta, s.gamma)  # nothing declared
-    _, v = match_genus_one(t)
-    assert v.witness["kind"] == "catalog-match"
+    _, v = trisection_params(t)
+    assert v.witness["kind"] == "params"
     reports.replay_verdict((t,), {"status": "verified", "witness": v.witness})
     forged = [
-        # a name read off parameters that the pair certificates do not prove
-        dict(v.witness, name="S4STAB1", params=[1, 0, 0]),
         # a params witness whose ranks do not cover all three pairs
-        dict(v.witness["pairs"], ks=[]),
-        dict(v.witness["pairs"], ks=[1, 1]),
+        dict(v.witness, ks=[]),
+        dict(v.witness, ks=[1, 1]),
     ]
     for w in forged:
         with pytest.raises(reports.ReplayError):
