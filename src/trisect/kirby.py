@@ -6,18 +6,18 @@ curves parallel to the beta side; conversely a trisection with a full
 set of primitive gamma/beta pairs hands back the framed link.  The
 linking-matrix calculus at the bottom tracks the homological shadow of
 framed-link handleslides and stabilizations.
+
+That calculus needs only ``intmatrix`` and ``verdict``, so the modules
+the bridge runs (``diagram``, ``homology``, ``presentations``) are
+imported inside the functions that call them, and a linking-matrix
+command loads none of the three.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import (CutSystem, HeegaardDiagram, TrisectionDiagram,
-                      detect_k, geometric_intersection, heegaard_h1,
-                      quotient_presentation, trisection_params)
-from .homology import algebraic_intersection
 from .intmatrix import IntegerMatrix, cokernel, invariant_factors, kernel_basis
-from .presentations import tietze_simplify
 from .verdict import refuted, unknown, verified, weakest
 
 SURFACE = "surface"
@@ -75,6 +75,9 @@ def _link_embedding_check(H):
 
     Returns (refutation | None, number of pairs without exact counts).
     """
+    from .diagram import geometric_intersection
+    from .homology import algebraic_intersection
+
     inexact = 0
     comps = H.link
     for i in range(len(comps)):
@@ -116,6 +119,8 @@ def _beta_extension_check(H):
 
 def _surviving_beta_classes(H):
     """Integer combinations of beta classes pairing to zero with the link."""
+    from .homology import algebraic_intersection
+
     beta = H.background.beta.classes()
     if not H.link:
         return [list(c.coeffs) for c in beta]
@@ -147,6 +152,8 @@ def complete_link_to_system(H):
     data only) and to keep the class family primitive.  Returns None
     when no full completion is found this way.
     """
+    from .diagram import CutSystem, geometric_intersection
+
     g = H.genus
     curves = [comp.curve for comp in H.link]
     cols = [list(c.homology.coeffs) for c in curves]
@@ -186,6 +193,9 @@ def validate_hk(H):
 def _validate_hk(H):
     """validate_hk's verdict and the link completion: None if it stopped
     before looking for one, False if it looked and found none."""
+    from .diagram import detect_k, quotient_presentation
+    from .presentations import tietze_simplify
+
     n, nv = detect_k(H.background)
     if nv.is_refuted:
         return refuted("background: %s" % nv.reason,
@@ -251,6 +261,8 @@ def bridge_trisection(H, gamma=None):
     (``gamma``, if the caller has it) as third system, declaring (n, g-c, m)
     with n the k of detect_k; None if there is no completion.  Search-free.
     """
+    from .diagram import TrisectionDiagram, heegaard_h1
+
     if gamma is None:
         gamma = complete_link_to_system(H)
         if gamma is None:
@@ -266,6 +278,8 @@ def hk_to_trisection(H):
     The declared parameters are (n, g-c, m).  The verdict combines the
     link validation with the parameter check of the assembled diagram.
     """
+    from .diagram import trisection_params
+
     v, gamma = _validate_hk(H)
     if v.is_refuted:
         return None, v
@@ -283,6 +297,8 @@ def find_primitive_pairs(t):
     The verdict is Verified when every pair had exact intersection data,
     Unknown otherwise (word curves cannot certify counts).
     """
+    from .diagram import geometric_intersection
+
     pairs = []
     inexact = 0
     for i, gc in enumerate(t.gamma.curves, 1):
@@ -308,6 +324,8 @@ def trisection_to_hk(t, picks):
     exact); violations raise with the failing pair.  The diagram is
     bridge_hk's, with m the trisection's third parameter.
     """
+    from .diagram import geometric_intersection, trisection_params
+
     g = t.genus
     gammas = [gi for gi, _ in picks]
     betas = [bi for _, bi in picks]
@@ -337,6 +355,8 @@ def bridge_hk(t, picks, m):
     """Background (alpha, beta), the picked gamma curves as a surface-
     framed link, target ``m``.  Checks only the picks' range; search-free.
     """
+    from .diagram import HeegaardDiagram
+
     return HeegaardKirbyDiagram(
         t.genus, HeegaardDiagram(t.genus, t.alpha, t.beta),
         tuple(FramedComponent(t.gamma.curve(gi)) for gi, _ in picks), m=m)

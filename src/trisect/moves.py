@@ -285,44 +285,32 @@ def split_along(t, cert):
 
 # -- unscrambling -------------------------------------------------------------
 
-def _rot_candidates(wi, base):
-    """Rotations of the slid-over word that cancel against w_i.
-
-    Sliding with guide g = inverse(base[:r]) appends the r-th rotation of
-    base to w_i; only rotations cancelling at the seam or the cyclic wrap
-    can shorten or preserve the total length, so the rest are skipped.
-    """
-    if not wi or not base:
-        return (0,)
-    rs = set()
-    n = len(base)
-    seam, wrap = -wi[-1], -wi[0]
-    for p, v in enumerate(base):
-        if v == seam:
-            rs.add(p)
-        if v == wrap:
-            rs.add((p + 1) % n)
-    return tuple(sorted(rs))
-
-
 def _raw_slides(state):
-    """Each candidate slide of a word tuple as (move, slid state).
+    """Each candidate slide of a word tuple as (move, slid state, change
+    in total length).
 
     A move (i, j, sign, r) appends rotation r of word j, inverted when
-    the sign is -1, to word i; slides that would empty word i are
-    skipped.  Each word is inverted once per state.
+    the sign is -1, to word i, as sliding with guide inverse(base[:r])
+    does.  Only rotations that cancel against w_i can shorten or keep the
+    total length (``words.cancelling_rotations``), so only those are
+    built, and a pair is skipped outright when neither end letter of w_i
+    occurs in w_j up to sign.  Slides that would empty word i are
+    skipped.  The words are nonempty cut-system words; each is inverted
+    and its letters collected once per state.
     """
     bases = [(w, words.inverse(w)) for w in state]
+    letters = [set(map(abs, w)) for w in state]
     for i, wi in enumerate(state):
+        ends = {abs(wi[0]), abs(wi[-1])}
         for j, pair in enumerate(bases):
-            if i == j:
+            if i == j or ends.isdisjoint(letters[j]):
                 continue
             for sign, base in zip((1, -1), pair):
-                for r in _rot_candidates(wi, base):
-                    new = words.cyclic_reduce(wi + base[r:] + base[:r])
+                for r in words.cancelling_rotations(wi, base):
+                    new = words.rotation_product(wi, base, r)
                     if new:
                         slid = state[:i] + (new,) + state[i + 1:]
-                        yield (i, j, sign, r), slid
+                        yield (i, j, sign, r), slid, len(new) - len(wi)
 
 
 def _descend_words(state):
@@ -336,14 +324,12 @@ def _descend_words(state):
     cur = state
     script = []
     for _ in range(_DESCENT_STEP_CAP):
-        base_len = sum(map(len, cur))
         best = None
-        best_len = base_len
-        for move, cand in _raw_slides(cur):
-            clen = sum(map(len, cand))
-            if clen < best_len:
+        best_change = 0
+        for move, cand, change in _raw_slides(cur):
+            if change < best_change:
                 best = (cand, move)
-                best_len = clen
+                best_change = change
         if best is not None:
             cur = best[0]
             script.append(best[1])
@@ -356,12 +342,11 @@ def _descend_words(state):
             node, path = queue.popleft()
             if len(path) >= 3:
                 continue
-            for move, cand in _raw_slides(node):
-                clen = sum(map(len, cand))
-                if clen < base_len:
+            for move, cand, change in _raw_slides(node):
+                if change < 0:
                     found = (cand, path + [move])
                     break
-                if clen == base_len and cand not in seen \
+                if change == 0 and cand not in seen \
                         and len(seen) < _DESCENT_PLATEAU_CAP:
                     seen.add(cand)
                     queue.append((cand, path + [move]))

@@ -15,7 +15,9 @@ Moves used (each preserves the group up to isomorphism):
   generator whose relator is the single letter);
 * replacing r_i by r_i * c(r_j)^+-1 for a cyclic rotation c, kept only if
   strictly shorter, with a bounded plateau search over length-preserving
-  products when the greedy loop stalls.
+  products when the greedy loop stalls.  Only the rotations that cancel
+  against r_i (``words.cancelling_rotations``) are built, since any other
+  lengthens r_i; every rotation still counts one step against the budget.
 
 Every Verified verdict carries a move trace that replay_tietze can re-run.
 """
@@ -172,7 +174,15 @@ def _apply_elimination(gens, relators, ri, g, expr, trace):
 
 
 def _best_shortening(relators, budget):
-    """Best strictly-shortening product r_i <- r_i * rot(r_j)^s, or None."""
+    """Best strictly-shortening product r_i <- r_i * rot(r_j)^s, or None.
+
+    Every rotation examined spends one budget step, but only the rotations
+    that cancel against r_i (``words.cancelling_rotations``) are built:
+    any other lengthens r_i by len(r_j).  Each (i, j, s) spends its
+    rotations at once.  When the budget runs out inside one, only the
+    rotations below the cut-off are examined, one step more is spent (the
+    step a per-rotation count refuses), and ``best`` returns.
+    """
     best = None
     for i, ri in enumerate(relators):
         for j, rj in enumerate(relators):
@@ -180,13 +190,18 @@ def _best_shortening(relators, budget):
                 continue
             for s in (1, -1):
                 base = rj if s == 1 else words.inverse(rj)
-                for b in range(len(base)):
-                    if not budget.spend():
-                        return best
-                    w = words.cyclic_reduce(ri + base[b:] + base[:b])
+                n = len(base)
+                cut = min(n, max(budget.left, 0))
+                budget.spend(cut + (cut < n))
+                for b in words.cancelling_rotations(ri, base):
+                    if b >= cut:
+                        break
+                    w = words.rotation_product(ri, base, b)
                     gain = len(ri) - len(w)
                     if gain > 0 and (best is None or gain > best[0]):
                         best = (gain, i, j, s, b, w)
+                if cut < n:
+                    return best
     return best
 
 
@@ -199,8 +214,8 @@ def _plateau_products(relators):
                 continue
             for s in (1, -1):
                 base = rj if s == 1 else words.inverse(rj)
-                for b in range(len(base)):
-                    w = words.cyclic_reduce(ri + base[b:] + base[:b])
+                for b in words.cancelling_rotations(ri, base):
+                    w = words.rotation_product(ri, base, b)
                     if len(w) == len(ri) and w:
                         out.append((i, j, s, b, w))
     return out

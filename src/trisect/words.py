@@ -43,11 +43,44 @@ def cyclic_reduce(word):
     return tuple(w)
 
 
-def rotations(word):
-    """All cyclic rotations of a word (the word itself if empty)."""
-    if not word:
-        return [()]
-    return [word[i:] + word[:i] for i in range(len(word))]
+def cancelling_rotations(u, base):
+    """Rotations r of ``base`` whose product with ``u`` can cancel, ascending.
+
+    For nonempty cyclically reduced ``u`` and ``base``,
+    ``u + base[r:] + base[:r]`` cancels only when the rotation starts with
+    the inverse of ``u``'s last letter (the seam) or ends with the inverse
+    of its first letter (the wrap).  Every other rotation reduces to
+    exactly ``len(u) + len(base)`` letters, so it can neither shorten
+    ``u`` nor keep its length.
+    """
+    n = len(base)
+    rs = set()
+    for v, shift in ((-u[-1], 0), (-u[0], 1)):
+        p = -1
+        for _ in range(base.count(v)):
+            p = base.index(v, p + 1)
+            rs.add((p + shift) % n)
+    return sorted(rs)
+
+
+def rotation_product(u, base, r):
+    """``cyclic_reduce(u + base[r:] + base[:r])`` by seam arithmetic.
+
+    ``u`` must be freely reduced and ``base`` cyclically reduced, so the
+    rotation is freely reduced too.  Letters then cancel only at the seam,
+    the last k letters of ``u`` against the first k of the rotation, and
+    afterwards at the wrap between the two ends of what is left.
+    """
+    c = base[r:] + base[:r]
+    k, top = 0, min(len(u), len(c))
+    while k < top and u[-1 - k] == -c[k]:
+        k += 1
+    w = u[:len(u) - k] + c[k:]
+    lo, hi = 0, len(w)
+    while hi - lo > 1 and w[lo] == -w[hi - 1]:
+        lo += 1
+        hi -= 1
+    return w[lo:hi]
 
 
 def cyclic_min(word):

@@ -1,14 +1,20 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import random
+from collections import Counter
 
 import pytest
 
 from trisect.intmatrix import IntegerMatrix, invariant_factors
-from trisect.presentations import (GroupPresentation, _find_elimination,
-                                   presentation, replay_tietze,
-                                   tietze_simplify)
-from trisect.words import free_reduce, inverse
+from trisect.presentations import (GroupPresentation, _best_shortening,
+                                   _Budget, _find_elimination, presentation,
+                                   replay_tietze, tietze_simplify)
+from trisect.words import cyclic_reduce, free_reduce, inverse
+
+TIETZE_CORPUS_SHA256 = (
+    "d81f33e39921b5687aa86301b5d7e0bec3e2c9ea375cca80bfda90eef6d8bec0")
 
 
 def _abelianization_free_rank(p: GroupPresentation):
@@ -214,3 +220,82 @@ def test_find_elimination_matches_the_per_candidate_count():
         assert _find_elimination(relators, max_len) == expected
     # the draws reach the cases where the two scans could part ways
     assert min(ties, over_length, repeated) > 100
+
+
+def _per_rotation_best_shortening(relators, budget):
+    """The shortening scan that builds and spends every rotation."""
+    best = None
+    for i, ri in enumerate(relators):
+        for j, rj in enumerate(relators):
+            if i == j:
+                continue
+            for s in (1, -1):
+                base = rj if s == 1 else inverse(rj)
+                for b in range(len(base)):
+                    if not budget.spend():
+                        return best
+                    w = cyclic_reduce(ri + base[b:] + base[:b])
+                    gain = len(ri) - len(w)
+                    if gain > 0 and (best is None or gain > best[0]):
+                        best = (gain, i, j, s, b, w)
+    return best
+
+
+def _cyclic_relators(rng, gens, count, max_len):
+    out = []
+    while len(out) < count:
+        w = cyclic_reduce(tuple(rng.choice((1, -1)) * rng.randint(1, gens)
+                                for _ in range(rng.randint(1, max_len))))
+        if w:
+            out.append(w)
+    return out
+
+
+def test_best_shortening_spends_the_budget_rotation_by_rotation():
+    rng = random.Random(11)
+    cut_short = 0
+    for _ in range(40):
+        relators = _cyclic_relators(rng, rng.randint(1, 3),
+                                    rng.randint(2, 4), 8)
+        total = 2 * (len(relators) - 1) * sum(map(len, relators))
+        for steps in range(total + 2):
+            want_budget, got_budget = _Budget(steps), _Budget(steps)
+            want = _per_rotation_best_shortening(relators, want_budget)
+            got = _best_shortening(relators, got_budget)
+            assert (got, got_budget.left) == (want, want_budget.left)
+            cut_short += want is not None and steps < total
+    # some scans find a shortening before the budget cuts them off
+    assert cut_short > 100
+
+
+def _tietze_corpus():
+    """Scrambled free presentations, then relator lists in which no
+    generator occurs exactly once, so that no elimination applies and
+    the products, the plateau and the budget do the work."""
+    rng = random.Random(20261018)
+    corpus = [_scrambled_free_presentation(rng)[0] for _ in range(60)]
+    for _ in range(100):
+        gens, count = rng.randint(2, 4), rng.randint(3, 8)
+        relators = []
+        while len(relators) < count:
+            w = _cyclic_relators(rng, gens, 1, 10)[0]
+            if len(w) >= 4 and 1 not in Counter(map(abs, w)).values():
+                relators.append(w)
+        corpus.append(presentation(gens, relators))
+    return corpus
+
+
+def test_tietze_outcomes_on_a_seeded_corpus_are_pinned():
+    # a change in any final presentation, reason or trace shows here
+    digest = hashlib.sha256()
+    reasons = Counter()
+    for p in _tietze_corpus():
+        q, v = tietze_simplify(p)
+        reasons[v.reason.split(";")[0].split(" of rank")[0]] += 1
+        trace = v.witness["trace"] if v.is_verified else None
+        digest.update(json.dumps([q.num_generators, q.relators, v.status,
+                                  v.reason, trace]).encode())
+    # the corpus reaches every way out, the budget's included
+    assert reasons == {"free": 92, "no simplifying move found": 65,
+                       "budget exhausted": 3}
+    assert digest.hexdigest() == TIETZE_CORPUS_SHA256

@@ -9,6 +9,14 @@ from trisect import words
 
 _WORDS = st.lists(st.sampled_from((1, -1, 2, -2, 3, -3)),
                   max_size=14).map(tuple)
+_CORES = _WORDS.map(words.cyclic_reduce)
+
+
+def _rotations(word):
+    """All cyclic rotations of a word (the word itself if empty)."""
+    if not word:
+        return [()]
+    return [word[i:] + word[:i] for i in range(len(word))]
 
 
 def test_free_reduce():
@@ -42,7 +50,7 @@ def test_cyclic_min_is_rotation_and_inversion_invariant():
         if not w:
             continue
         key = words.cyclic_min(w)
-        for rot in words.rotations(w):
+        for rot in _rotations(w):
             assert words.cyclic_min(rot) == key
         assert words.cyclic_min(words.inverse(w)) == key
 
@@ -50,10 +58,30 @@ def test_cyclic_min_is_rotation_and_inversion_invariant():
 @settings(derandomize=True, database=None, max_examples=300)
 @given(_WORDS)
 def test_least_rotation_and_cyclic_min_against_all_rotations(w):
-    assert words.least_rotation(w) == min(words.rotations(w))
+    assert words.least_rotation(w) == min(_rotations(w))
     core = words.cyclic_reduce(w)
-    want = min(words.rotations(core) + words.rotations(words.inverse(core)))
+    want = min(_rotations(core) + _rotations(words.inverse(core)))
     assert words.cyclic_min(w) == want
+
+
+@settings(derandomize=True, database=None, max_examples=400)
+@given(_CORES, _CORES)
+def test_rotation_product_is_the_cyclically_reduced_product(u, base):
+    for r in range(max(len(base), 1)):
+        assert (words.rotation_product(u, base, r)
+                == words.cyclic_reduce(u + base[r:] + base[:r]))
+
+
+@settings(derandomize=True, database=None, max_examples=400)
+@given(_CORES.filter(bool), _CORES.filter(bool))
+def test_exactly_the_cancelling_rotations_shorten_the_product(u, base):
+    # any other rotation gives len(u) + len(base) letters, so it can
+    # neither shorten u nor keep its length
+    cancelling = words.cancelling_rotations(u, base)
+    assert cancelling == sorted(set(cancelling))
+    for r, rot in enumerate(_rotations(base)):
+        product = words.cyclic_reduce(u + rot)
+        assert (r in cancelling) == (len(product) < len(u) + len(base))
 
 
 def test_substitute():
