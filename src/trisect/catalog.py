@@ -15,7 +15,7 @@ sign of det(a,b)*det(b,c)*det(c,a) over the slope triple, which is
 invariant under slope sign flips and common SL(2,Z) changes of the
 handle basis.
 
-``match_genus_one`` is the one genus-one namer: the decomposition walk,
+``match_genus_one`` is the one genus-one namer: the classifier's walk,
 its replay and ``destabilize`` all name a piece with it, from homology
 alone, so naming a piece runs no search.
 """

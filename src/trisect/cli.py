@@ -120,13 +120,13 @@ def _diagram_report(path, text, obj, command):
 
 
 def _cmd_classify(args):
-    from .moves import classify_genus_one_sum
+    from .moves import standardize
 
     text, obj = _load(args.file, "trisection", "classify")
-    name, v = classify_genus_one_sum(obj)
+    v = standardize(obj)[1]
     payload = [("genus", obj.genus)]
-    if name is not None:
-        payload.append(("name", name))
+    if v.is_verified:
+        payload.append(("name", v.witness["name"]))
     return [(args.file, text)], payload, v, None
 
 

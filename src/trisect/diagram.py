@@ -13,8 +13,10 @@ Index conventions shared across the package:
 ``pair_homology`` is the one home of what homology says of those three
 pairs: their H1, the ranks, and the refutation (a declared-parameter
 mismatch, then a torsion pair).  It runs no search; ``trisection_params``
-adds the Tietze confirmations on top, reusing its H1s, and the genus-one
-namer and witness replay use it alone.
+adds the Tietze confirmations on top, reusing its H1s, and the classifier,
+the genus-one namer and witness replay use it alone.  At genus <= 1 the
+surface relator makes pi1 of a pair abelian, so ``detect_k`` reads k from
+H1 there and runs no Tietze search either.
 
 Geometric intersection numbers are exact only between slope-template
 curves; for word curves the engine reports the algebraic count as an
@@ -361,6 +363,7 @@ def detect_k(d, h1=None):
 
     Homology pins the candidate k (Refuted on torsion or when no free
     candidate exists); a Tietze run on pi1 confirms freeness of rank k.
+    At genus <= 1 pi1 is abelian, hence H1, and the witness has no trace.
     ``h1`` is the diagram's H1, when the caller has it.
     """
     if h1 is None:
@@ -368,6 +371,10 @@ def detect_k(d, h1=None):
     if not h1.is_free:
         return h1.free_rank, _torsion_refutation(h1)
     k = h1.free_rank
+    if d.genus <= 1:
+        return k, verified("pi1 is abelian at genus %d, so it is H1 = Z^%d"
+                           % (d.genus, k),
+                           {"kind": "detect-k", "k": k, "h1": str(h1)})
     _, v = tietze_simplify(quotient_presentation(d.genus, [d.alpha, d.beta]))
     if v.is_verified:
         if v.witness["rank"] != k:
@@ -525,22 +532,3 @@ def standard_heegaard(g, k):
         g, [(h, 1, 0) if h <= k else (h, 0, 1) for h in range(1, g + 1)])
     return HeegaardDiagram(g, alpha, beta)
 
-
-def relabel_systems(t, order):
-    """Rotate the three systems; order is "abc", "bca" or "cab".
-
-    A rotation keeps the cyclic order of ``_PAIRS``: pair i of the result
-    is pair i + r of ``t`` for the rotation r, so declared parameters
-    rotate along.  A reflection would swap two systems and reverse the
-    orientation (CP2 would read as CP2R), so it is refused.
-    """
-    if order not in ("abc", "bca", "cab"):
-        raise ValueError("order must be a rotation of 'abc', got %r"
-                         % (order,))
-    r = "abc".index(order[0])
-    systems = t.systems()
-    declared = t.declared_params
-    if declared is not None:
-        declared = declared[r:] + declared[:r]
-    return TrisectionDiagram(t.genus, *(systems[r:] + systems[:r]),
-                             declared_params=declared)

@@ -1,22 +1,19 @@
-"""Moves on diagrams and the standardization pipeline.
+"""Moves on diagrams and the one classifier, ``standardize``.
 
-The pipeline direction is always: unscramble (greedy slide descent back to
-shortest words, then restore slope templates), split along reducing
-curves down to genus one, and name each piece against the genus-one
-catalog.  Certificates are searched in a fixed deterministic order and
-every positive verdict carries a replayable script.
+The classifier refutes from the input's ``pair_homology``, then walks:
+unscramble (greedy slide descent back to shortest words, then restore
+slope templates), split along reducing curves down to genus one, and
+name each piece against the genus-one catalog.  The walk runs on the
+diagram as given, with no Tietze search and no parameter precondition,
+and never refutes.  Certificates are searched in a fixed deterministic
+order and every positive verdict carries a replayable script.
 
-Search (``standardize``, ``classify_genus_one_sum``) and its replay
-(``replay_decomposition``) share each step: ``relabel_systems`` and
-``_translate_name`` for the system rotation, ``_retemplated`` after the
-slides, ``split_along`` on a handle partition, and
-``catalog.match_genus_one``, which names a genus-one leaf from homology.
-Only the search looks for slides and certificates; the walk runs no
-Tietze search and never refutes, because a homological refutation comes
-from the input's ``pair_homology`` before the walk starts.  Replay also
-accepts a ``destabilize`` step, which no search records but a
-hand-written script may: ``_certify`` and ``destabilize`` check it, and
-``match_genus_one`` names the piece it removes.
+Search (``standardize``) and its replay (``replay_decomposition``) share
+each step: ``_retemplated`` after the slides, ``split_along`` on a
+handle partition, and ``catalog.match_genus_one``, which names a
+genus-one leaf from homology.  Only the search looks for slides and
+certificates.  ``find_stabilization_certificate`` and ``destabilize``
+are library moves that the walk does not use (``_decompose`` says why).
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ from .catalog import genus_one_diagram, match_genus_one
 from .diagram import (_PAIRS, Curve, HeegaardDiagram, TrisectionDiagram,
                       curve_from_template, curve_from_word,
                       geometric_intersection, moved_system, reembed,
-                      pair_homology, relabel_systems, trisection_params)
+                      pair_homology)
 from .verdict import refuted, unknown, verified
 
 _DESCENT_PLATEAU_CAP = 64
@@ -125,23 +122,6 @@ def _names_for_index(index):
     return first, second, _PAIRS[index % 3][1]
 
 
-def _certify(t, index, omega):
-    """The index-``index`` certificate for ``omega``, or None.
-
-    The dual is the unique third-system curve omega meets once; every
-    count must be exact and every other count zero.  Membership of omega
-    in the pair's systems is left to the caller (``destabilize`` checks
-    it).
-    """
-    third = t.system(_names_for_index(index)[2])
-    counts = [geometric_intersection(omega, c) for c in third.curves]
-    if not all(exact for _, exact in counts) \
-            or sum(n for n, _ in counts) != 1:
-        return None
-    dual = next(c for c, (n, _) in zip(third.curves, counts) if n == 1)
-    return StabilizationCertificate(index, omega, dual)
-
-
 def find_stabilization_certificate(t, index=None):
     """First certificate in deterministic order, or None.
 
@@ -153,15 +133,19 @@ def find_stabilization_certificate(t, index=None):
     to that single stabilization type.
     """
     for i in (1, 2, 3) if index is None else (index,):
-        first, second, _ = (t.system(n) for n in _names_for_index(i))
+        first, second, third = (t.system(n) for n in _names_for_index(i))
         candidates = {}
         for c in first.curves:
             if second.member(c):
                 candidates.setdefault(c.key(), c)
         for key in sorted(candidates):
-            cert = _certify(t, i, candidates[key])
-            if cert is not None:
-                return cert
+            omega = candidates[key]
+            counts = [geometric_intersection(omega, c) for c in third.curves]
+            if all(exact for _, exact in counts) \
+                    and sum(n for n, _ in counts) == 1:
+                dual = next(c for c, (n, _) in zip(third.curves, counts)
+                            if n == 1)
+                return StabilizationCertificate(i, omega, dual)
     return None
 
 
@@ -443,14 +427,6 @@ def check_classified_params(params):
 
 # -- standardization ----------------------------------------------------------
 
-def _translate_name(name, order):
-    """A summand name of the diagram relabeled by ``order``, read in the
-    original labeling: pair i of the rotation starts at system order[i-1]."""
-    if name.startswith("S4STAB"):
-        return "S4STAB%d" % ("abc".index(order[int(name[-1]) - 1]) + 1)
-    return name
-
-
 def _decompose(t):
     """Recursive split walk; returns (names, tree, stuck).
 
@@ -489,56 +465,23 @@ def _decompose(t):
 
 
 def standardize(t):
-    """Decompose into genus-one summand names (classified range only).
-
-    Requires verified parameters with max(k) >= g-1; the diagram is
-    relabeled so the maximal k sits first, the parameter constraints are
-    checked, and the split walk runs.  Names are reported in
-    the caller's original system labeling.
-    """
-    params, pv = trisection_params(t)
-    if pv.is_refuted:
-        return [], pv
-    if pv.is_unknown:
-        return [], unknown("parameters not verified: %s" % pv.reason)
-    ks = params.ks
-    if max(ks) < params.genus - 1:
-        raise ValueError("outside classified range: max(k) = %d < g-1 = %d"
-                         % (max(ks), params.genus - 1))
-    first = ks.index(max(ks))
-    order = "abcabc"[first:first + 3]
-    relabeled = relabel_systems(t, order)
-    # the order is a rotation, so the relabeled diagram has the same
-    # ordered pairs: its parameters are params rotated, and the check
-    # sorts them
-    cv = check_classified_params(params)
-    if cv.is_refuted:
-        return [], cv
-    names, tree, stuck = _decompose(relabeled)
-    names = [_translate_name(n, order) for n in names]
-    if stuck is not None:
-        return names, unknown(stuck)
-    return names, verified(
-        "decomposed into %s" % " # ".join(sorted(names)),
-        {"kind": "decomposition", "order": order, "names": list(names),
-         "tree": tree})
-
-
-def classify_genus_one_sum(t):
     """Name the diagram as a connected sum of genus-one pieces.
 
-    Unlike standardize this applies no parameter precondition and runs no
-    Tietze search: it refutes from the input's pair homology, then tries
-    to split and match, returning Unknown when the walk stalls.
+    Refutes from the input's pair homology, then runs the split walk on
+    ``t`` as given: verified with a ``classification`` witness when every
+    leaf is named, unknown with the first stuck reason (and the names of
+    the leaves reached) otherwise.  No Tietze search runs and no
+    parameter range is required; the paper's theorem promises a sum of
+    genus-one pieces only when ``max(k) >= g-1``.
     """
     bad = pair_homology(t)[2]
     if bad is not None:
-        return None, bad
+        return [], bad
     names, tree, stuck = _decompose(t)
     if stuck is not None:
-        return None, unknown(stuck)
+        return names, unknown(stuck)
     name = sum_name(names)
-    return name, verified(
+    return names, verified(
         "diagram is %s" % name,
         {"kind": "classification", "name": name, "names": list(names),
          "tree": tree})
@@ -562,16 +505,14 @@ def sum_name(names):
 # -- witness replay -----------------------------------------------------------
 
 def replay_decomposition(t, witness):
-    """Re-derive a decomposition verdict from its script, without search.
+    """Re-derive a classification's summand names from its script,
+    without search.
 
-    Walks the recorded tree, re-applying recorded slides and re-checking
-    each split partition and destabilization certificate.  Raises
+    Walks the recorded tree, re-applying recorded slides, re-checking
+    each split partition and re-naming each genus-one leaf.  Raises
     ValueError when the script does not validate against the diagram.
     """
-    order = witness.get("order", "abc")
-    current = relabel_systems(t, order)
-    names = _replay_tree(current, witness["tree"])
-    names = [_translate_name(n, order) for n in names]
+    names = _replay_tree(t, witness["tree"])
     if sorted(names) != sorted(witness["names"]):
         raise ValueError("replayed names %r do not match recorded %r"
                          % (names, witness["names"]))
@@ -604,16 +545,6 @@ def _replay_tree(t, node):
         lt, rt = split_along(t, ReducingCertificate(left, right))
         return (_replay_tree(lt, node["left_tree"])
                 + _replay_tree(rt, node["right_tree"]))
-    if op == "destabilize":
-        index = node["index"]
-        first = t.system(_names_for_index(index)[0])
-        omega = next((c for c in first.curves if c.template is not None
-                      and c.template.handle == node["handle"]), None)
-        cert = None if omega is None else _certify(t, index, omega)
-        if cert is None:
-            raise ValueError("recorded certificate no longer validates")
-        rest = destabilize(t, cert)
-        return ["S4STAB%d" % index] + _replay_tree(rest, node["next_tree"])
     if op == "stuck":
         raise ValueError("script records a stuck state: %s" % node["reason"])
     raise ValueError("unknown script op %r" % op)

@@ -296,6 +296,21 @@ def test_classify_refutes_from_the_input_pairs_and_replays(tmp_path, capsys):
     assert code == 1 and "replay confirms" in out
 
 
+def test_classify_verifies_a_sum_outside_the_classified_range(tmp_path,
+                                                            capsys):
+    # (3;1,1,1): max(k) < g-1, but the sum splits into its pieces
+    t = connected_sum(connected_sum(genus_one_diagram("CP2"),
+                                    genus_one_diagram("CP2R")),
+                      genus_one_diagram("S1xS3"))
+    tri = tri_file(tmp_path, "t.tri", t)
+    code, doc, rep = _json_report(capsys, tmp_path, "r.json", "classify", tri)
+    assert code == 0
+    assert doc["payload"]["name"] == "S1xS3 # CP2 # CP2R"
+    assert doc["verdict"]["witness"]["kind"] == "classification"
+    code, out, _ = run(capsys, "replay", rep, tri)
+    assert code == 0 and "replay confirms" in out
+
+
 def test_classify_refutes_wrong_declared_params_at_any_genus(tmp_path,
                                                             capsys):
     t = connected_sum(genus_one_diagram("CP2"), genus_one_diagram("CP2R"))

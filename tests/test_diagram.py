@@ -13,10 +13,11 @@ from trisect.diagram import (Curve, CutSystem, HeegaardDiagram, SlopeTemplate,
                              curve_from_word, detect_k, euler_characteristic,
                              geometric_intersection, heegaard_h1,
                              is_standard_pair, pi1_presentation,
-                             quotient_presentation, reembed, relabel_systems,
+                             quotient_presentation, reembed,
                              standard_heegaard, surface_relator,
                              system_from_templates, trisection_h1,
                              trisection_params)
+from trisect import reports
 from trisect.homology import algebraic_intersection
 from trisect.intmatrix import AbelianGroup
 from trisect.presentations import tietze_simplify
@@ -282,19 +283,19 @@ def test_trisection_h1():
     assert trisection_h1(cp2).is_trivial
 
 
-def test_relabel_systems():
-    stab1 = TrisectionDiagram(
-        1,
-        system_from_templates(1, [(1, 1, 0)]),
-        system_from_templates(1, [(1, 1, 0)]),
-        system_from_templates(1, [(1, 0, 1)]),
-        declared_params=(1, 0, 0))
-    rolled = relabel_systems(stab1, "bca")
-    assert rolled.declared_params == (0, 0, 1)
-    params, v = trisection_params(rolled)
-    assert params.ks == (0, 0, 1) and v.is_verified
-    assert relabel_systems(stab1, "abc") == stab1
-    # only the rotations keep the orientation
-    for order in ("aab", "acb", "bac", "cba"):
-        with pytest.raises(ValueError):
-            relabel_systems(stab1, order)
+def test_detect_k_needs_a_trace_only_above_genus_one():
+    # slopes (2,3), (2,3) present S1xS2, whose pi1 no Tietze search here
+    # simplifies; at genus one pi1 is abelian, so H1 = Z decides it
+    one = HeegaardDiagram(1, system_from_templates(1, [(1, 2, 3)]),
+                          system_from_templates(1, [(1, 2, 3)]))
+    two = standard_heegaard(2, 1)
+    for d in (one, two):
+        k, v = detect_k(d)
+        assert k == 1 and v.is_verified
+        assert ("trace" in v.witness) == (d.genus > 1)
+        reports.replay_verdict((d,), v.to_dict())
+    traceless = {key: value for key, value in v.witness.items()
+                 if key != "trace"}
+    with pytest.raises(reports.ReplayError):
+        reports.replay_verdict((two,), {"status": "verified",
+                                        "witness": traceless})

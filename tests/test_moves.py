@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 from math import gcd
@@ -7,17 +8,19 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from trisect import diagram, moves, presentations, reports
+from trisect import diagram, presentations, reports
 from trisect.catalog import (ALL_NAMES, genus_one_diagram, genus_one_name,
                              genus_zero_diagram, triangle_sign)
 from trisect.canonical import canonical_form
 from trisect.diagram import (Curve, HeegaardDiagram, TrisectionDiagram,
-                             CutSystem, curve_from_word, detect_k,
-                             euler_characteristic, system_from_templates,
-                             trisection_params)
+                             TrisectionParams, CutSystem, curve_from_word,
+                             detect_k, euler_characteristic, pair_homology,
+                             system_from_templates, trisection_params)
+from trisect.homology import (HomologyClass, abelianize,
+                              algebraic_intersection)
 from trisect.intmatrix import span_equal
-from trisect.moves import (check_classified_params, classify_genus_one_sum,
-                           connected_sum, destabilize,
+from trisect.moves import (check_classified_params, connected_sum,
+                           destabilize,
                            find_reducing_certificate,
                            find_stabilization_certificate, handleslide,
                            heegaard_stabilize, i_stabilize,
@@ -27,7 +30,12 @@ from trisect.moves import (check_classified_params, classify_genus_one_sum,
 PAIR_TRACES_SHA256 = (
     "bbc8a1bca0e7dad51703026d80dbd6a6bda18729dd872c955f473dd12fd41d8d")
 STANDARDIZE_SHA256 = (
-    "243459f503f261d3dd6d63ffc7ec9f08fbcd041d4c4422400254c927f855bb9e")
+    "769bd0136d7a772023acbc95f616f1a0d3e53260c57b69659ccb72720b1540fb")
+# sorted summand names and status only, measured when standardize still
+# confirmed the parameters by Tietze search and rotated the systems so
+# the largest k came first; dropping both must not move a single answer
+STANDARDIZE_NAMES_SHA256 = (
+    "11f13a8d9b2c1a9225ee94d71f8bb1eb1396930523a6c074e14d08e317a8650a")
 
 
 def _scrambled(t, rng, steps=5, guided=False):
@@ -235,7 +243,6 @@ def test_unscramble_recovers_a_scrambled_sum():
 
 
 def test_check_classified_params_cases():
-    from trisect.diagram import TrisectionParams
     assert check_classified_params(TrisectionParams(2, 2, 1, 1)).is_verified
     assert check_classified_params(TrisectionParams(2, 2, 1, 0)).is_refuted
     assert check_classified_params(TrisectionParams(3, 2, 2, 1)).is_verified
@@ -254,10 +261,13 @@ def test_standardize_names_a_clean_sum():
     names, v = standardize(t)
     assert v.is_verified
     assert sorted(names) == ["CP2", "S1xS3"]
-    assert v.witness["kind"] == "decomposition"
+    assert v.witness["kind"] == "classification"
+    assert v.witness["name"] == "S1xS3 # CP2"
 
 
-def test_standardize_relabels_and_reports_original_names():
+def test_standardize_names_stabilizations_in_the_input_labeling():
+    # the walk runs on the systems as given, so the index of each
+    # stabilization is read in the input's own pair order
     t = connected_sum(genus_one_diagram("S4STAB2"),
                       genus_one_diagram("S4STAB2"))
     params, _ = trisection_params(t)
@@ -265,7 +275,7 @@ def test_standardize_relabels_and_reports_original_names():
     names, v = standardize(t)
     assert v.is_verified
     assert names == ["S4STAB2", "S4STAB2"]
-    assert v.witness["order"] == "bca"
+    assert v.witness["name"] == "S4" and "order" not in v.witness
 
 
 def test_standardize_handles_a_scrambled_sum():
@@ -279,14 +289,18 @@ def test_standardize_handles_a_scrambled_sum():
     assert sorted(replayed) == ["CP2R", "S1xS3"]
 
 
-def test_standardize_rejects_out_of_range_parameters():
+def test_standardize_walks_outside_the_classified_range():
+    # max(k) = 1 < g-1 = 2: no theorem promises a way down, but this sum
+    # splits all the same
     t = connected_sum(connected_sum(genus_one_diagram("CP2"),
                                     genus_one_diagram("CP2R")),
                       genus_one_diagram("S1xS3"))
     params, _ = trisection_params(t)
     assert params.ks == (1, 1, 1)
-    with pytest.raises(ValueError, match="classified range"):
-        standardize(t)
+    names, v = standardize(t)
+    assert v.is_verified and sorted(names) == ["CP2", "CP2R", "S1xS3"]
+    assert v.witness["name"] == "S1xS3 # CP2 # CP2R"
+    reports.replay_verdict((t,), v.to_dict())
 
 
 def test_standardize_passes_through_refuted_parameters():
@@ -300,18 +314,18 @@ def test_standardize_passes_through_refuted_parameters():
 
 def test_classify_names_catalog_sums():
     one = genus_one_diagram("CP2")
-    name, v = classify_genus_one_sum(one)
-    assert (name, v.is_verified) == ("CP2", True)
+    v = standardize(one)[1]
+    assert (v.witness["name"], v.is_verified) == ("CP2", True)
     t = connected_sum(connected_sum(genus_one_diagram("S1xS3"),
                                     genus_one_diagram("S1xS3")),
                       genus_one_diagram("CP2"))
-    name, v = classify_genus_one_sum(t)
-    assert name == "#2(S1xS3) # CP2"
+    v = standardize(t)[1]
+    assert v.witness["name"] == "#2(S1xS3) # CP2"
     assert v.is_verified
     s4 = connected_sum(genus_one_diagram("S4STAB1"),
                        genus_one_diagram("S4STAB3"))
-    name, v = classify_genus_one_sum(s4)
-    assert (name, v.is_verified) == ("S4", True)
+    v = standardize(s4)[1]
+    assert (v.witness["name"], v.is_verified) == ("S4", True)
 
 
 def _twisted_product_diagram():
@@ -328,14 +342,9 @@ def test_classify_reports_unknown_when_stuck():
     params, v = trisection_params(t)
     assert params.ks == (0, 0, 0)
     assert v.is_verified
-    name, cv = classify_genus_one_sum(t)
-    assert name is None
+    names, cv = standardize(t)
+    assert names == []
     assert cv.is_unknown
-
-
-def test_standardize_range_check_uses_computed_params():
-    with pytest.raises(ValueError, match="classified range"):
-        standardize(_twisted_product_diagram())
 
 
 def test_replay_rejects_tampered_witnesses():
@@ -381,10 +390,12 @@ def test_detect_k_traces_on_catalog_sums_are_pinned():
 
 
 def _standardize_outcomes():
-    """standardize's names, status, reason and witness on unguided and
-    guided slide-scrambles of catalog sums at g = 2..10 whose first
-    parameter is at least g-1, and the tally of statuses."""
+    """Two digests of standardize on unguided and guided slide-scrambles
+    of catalog sums at g = 2..10 whose first parameter is at least g-1:
+    one of names, status, reason and witness, one of sorted names and
+    status alone; and the tally of statuses."""
     digest = hashlib.sha256()
+    names_digest = hashlib.sha256()
     statuses = {}
     for guided in (False, True):
         for g in range(2, 11):
@@ -402,33 +413,37 @@ def _standardize_outcomes():
                 digest.update(json.dumps([found, v.status, v.reason,
                                           v.witness], sort_keys=True)
                               .encode())
-    return digest.hexdigest(), statuses
+                names_digest.update(json.dumps([sorted(found), v.status])
+                                    .encode())
+    return digest.hexdigest(), names_digest.hexdigest(), statuses
 
 
 def test_standardize_outcomes_on_seeded_scrambles_are_pinned():
-    # a change in any slide the descent picks, any Tietze trace behind
-    # the parameters, or any name or reason shows here
+    # a change in any slide the descent picks, or any name or reason,
+    # shows in the first digest; the second holds the answers themselves
     assert _standardize_outcomes() == (STANDARDIZE_SHA256,
+                                       STANDARDIZE_NAMES_SHA256,
                                        {"verified": 37, "unknown": 35})
+
+
+def _refuse_tietze(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("a Tietze search ran")
+
+    monkeypatch.setattr(presentations, "tietze_simplify", refused)
+    monkeypatch.setattr(diagram, "tietze_simplify", refused)
 
 
 @pytest.mark.parametrize("names", [("S1xS3", "S1xS3", "CP2"),
                                    ("S4STAB2", "S4STAB2")])
-def test_standardize_computes_the_parameters_once(monkeypatch, names):
+def test_standardize_runs_no_tietze_search(monkeypatch, names):
     t = genus_one_diagram(names[0])
     for name in names[1:]:
         t = connected_sum(t, genus_one_diagram(name))
     t = _scrambled(t, random.Random(7))
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return trisection_params(*args, **kwargs)
-
-    monkeypatch.setattr(moves, "trisection_params", counted)
+    _refuse_tietze(monkeypatch)
     found, v = standardize(t)
     assert v.is_verified and sorted(found) == sorted(names)
-    assert calls == [t]
 
 
 # -- the trust boundary: moves build systems without re-checking them ---------
@@ -537,59 +552,27 @@ def test_decomposition_replay_runs_no_tietze_search(monkeypatch):
     t = _scrambled(_sum(("S1xS3", "CP2", "S4STAB1")), random.Random(11))
     names, v = standardize(t)
     assert v.is_verified
-    calls = []
-    tietze_simplify = presentations.tietze_simplify
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return tietze_simplify(*args, **kwargs)
-
-    monkeypatch.setattr(presentations, "tietze_simplify", counted)
-    monkeypatch.setattr(diagram, "tietze_simplify", counted)
+    _refuse_tietze(monkeypatch)
     assert sorted(replay_decomposition(t, v.witness)) == sorted(names)
-    assert calls == []
 
 
 def _tree_nodes(node):
     yield node
-    for key in ("next", "left_tree", "right_tree", "next_tree"):
+    for key in ("next", "left_tree", "right_tree"):
         if key in node:
             yield from _tree_nodes(node[key])
 
 
-def _destabilizing(witness):
-    """The witness with each split that cuts off one S4STAB handle
-    rewritten as a destabilization of that handle, or None if it has no
-    such split.  The search never records one: a stabilization handle
-    that destabilizes is its own support component, so it splits first.
-    """
-    rewritten = json.loads(json.dumps(witness))
-    found = False
-    for node in _tree_nodes(rewritten["tree"]):
-        if node["op"] != "split" or len(node["left"]) != 1:
-            continue
-        leaf = node["left_tree"]
-        if leaf["op"] == "match" and leaf["name"].startswith("S4STAB"):
-            found = True
-            handle, rest = node["left"][0], node["right_tree"]
-            node.clear()
-            node.update(op="destabilize", handle=handle,
-                        index=int(leaf["name"][-1]), next_tree=rest)
-    return rewritten if found else None
-
-
 def _tampered(witness):
-    """Copies of a decomposition witness, each with one forged field."""
-    for order in ("acb", "bac", "cba"):
-        yield dict(witness, order=order)
-    for op, field, values in (("match", "name", ALL_NAMES),
-                              ("destabilize", "index", (1, 2, 3))):
-        forged = json.loads(json.dumps(witness))
-        node = next((n for n in _tree_nodes(forged["tree"])
-                     if n["op"] == op), None)
-        if node is not None:
-            node[field] = next(x for x in values if x != node[field])
-            yield forged
+    """Copies of a classification witness, each with one forged field."""
+    for field, values in (("name", ("S4", "CP2 # CP2R")),
+                          ("names", (["CP2"], ["CP2", "CP2"]))):
+        yield dict(witness, **{field: next(x for x in values
+                                           if x != witness[field])})
+    forged = json.loads(json.dumps(witness))
+    node = next(n for n in _tree_nodes(forged["tree"]) if n["op"] == "match")
+    node["name"] = next(x for x in ALL_NAMES if x != node["name"])
+    yield forged
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
@@ -598,23 +581,17 @@ def _tampered(witness):
 def test_decomposition_witnesses_replay_and_resist_tampering(names, steps,
                                                             seed):
     t = _scrambled(_sum(names), random.Random(seed), steps=steps)
-    verdicts = [classify_genus_one_sum(t)[1]]
-    try:
-        verdicts.append(standardize(t)[1])
-    except ValueError:  # outside the classified range
-        pass
-    witnesses = [v.witness for v in verdicts if v.is_verified]
-    rewritten = [w for w in map(_destabilizing, witnesses) if w is not None]
-    event("rewritten to destabilize" if rewritten else "as recorded only")
-    for w in witnesses + rewritten:
-        event(w["kind"])
-        honest = {"status": "verified", "witness": w}
-        reports.replay_verdict((t,), honest)
+    v = standardize(t)[1]
+    event(v.status)
+    if not v.is_verified:
+        return
+    honest = {"status": "verified", "witness": v.witness}
+    reports.replay_verdict((t,), honest)
+    with pytest.raises(reports.ReplayError):
+        reports.replay_verdict((t,), dict(honest, status="refuted"))
+    for forged in _tampered(v.witness):
         with pytest.raises(reports.ReplayError):
-            reports.replay_verdict((t,), dict(honest, status="refuted"))
-        for forged in _tampered(w):
-            with pytest.raises(reports.ReplayError):
-                reports.replay_verdict((t,), dict(honest, witness=forged))
+            reports.replay_verdict((t,), dict(honest, witness=forged))
 
 
 # -- classify on sums of arbitrary genus-one slope triples --------------------
@@ -665,7 +642,7 @@ def test_classify_decides_sums_of_slope_triples(triples, wrong, index, seed):
                                      declared_params=tuple(ks)),
                    random.Random(seed))
     torsion = any(map(_has_torsion, triples))
-    name, v = classify_genus_one_sum(t)
+    v = standardize(t)[1]
     event("torsion" if torsion else "wrong" if wrong else v.status)
     if not v.is_unknown:
         reports.replay_verdict((t,), v.to_dict())
@@ -676,4 +653,66 @@ def test_classify_decides_sums_of_slope_triples(triples, wrong, index, seed):
     if v.is_verified:
         oracle = [genus_one_name(trisection_params(piece)[0].ks,
                                  triangle_sign(piece)) for piece in pieces]
-        assert None not in oracle and name == moves.sum_name(oracle)
+        assert None not in oracle and v.witness["name"] == sum_name(oracle)
+
+
+def test_params_classifier_and_constraints_agree_on_genus_one_triples():
+    # pi1 of a genus-one pair is H1, so neither answer waits on a search,
+    # and the classified constraints never refute the ranks homology gives
+    for triple in itertools.product(_SLOPES, repeat=3):
+        t = _slope_piece(triple)
+        params, pv = trisection_params(t)
+        v = standardize(t)[1]
+        assert pv.status == v.status != "unknown", (triple, pv, v)
+        assert not check_classified_params(params).is_refuted, triple
+        for verdict in (pv, v):
+            reports.replay_verdict((t,), verdict.to_dict())
+
+
+# -- the classified constraints never refute homology ranks -------------------
+
+def _transvected(classes, v, sign):
+    """Images under the symplectic transvection x -> x + sign <x, v> v."""
+    return [HomologyClass(x.genus, tuple(
+        a + sign * algebraic_intersection(x, v) * b
+        for a, b in zip(x.coeffs, v.coeffs))) for x in classes]
+
+
+def _word_of(c):
+    """A surface word abelianizing to class ``c``: letter i+1 taken
+    coeffs[i] times."""
+    return tuple(letter for i, a in enumerate(c.coeffs)
+                 for letter in [(i + 1) if a > 0 else -(i + 1)] * abs(a))
+
+
+def _random_lagrangian_triple(rng, g):
+    """Three images of the standard a-classes under short products of
+    random transvections, realized as word-curve cut systems.  Few
+    transvections keep the pairwise intersections large, so the
+    classified cases k1 = g and k1 = g-1 come up often."""
+    standard = [abelianize(g, (2 * h - 1,)) for h in range(1, g + 1)]
+    systems = []
+    for _ in range(3):
+        classes = standard
+        for _ in range(rng.randrange(0, 3)):
+            v = abelianize(g, tuple(rng.choice((1, -1))
+                                    * rng.randrange(1, 2 * g + 1)
+                                    for _ in range(rng.randrange(1, 4))))
+            classes = _transvected(classes, v, rng.choice((1, -1)))
+        systems.append(CutSystem(g, tuple(curve_from_word(g, _word_of(c))
+                                          for c in classes)))
+    return TrisectionDiagram(g, *systems)
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_constraints_hold_for_random_lagrangian_triples(g):
+    rng = random.Random("lagrangian:%d" % g)
+    cases = {}
+    for _ in range(300):
+        params = TrisectionParams(g, *pair_homology(
+            _random_lagrangian_triple(rng, g))[1])
+        v = check_classified_params(params)
+        assert not v.is_refuted, params
+        if not v.is_unknown:
+            cases[v.witness["case"]] = cases.get(v.witness["case"], 0) + 1
+    assert cases.get("k1=g", 0) > 10 and cases.get("k1=g-1", 0) > 10, cases

@@ -9,7 +9,7 @@ from trisect.diagram import (HeegaardDiagram, TrisectionDiagram,
                              curve_from_template, detect_k, standard_heegaard,
                              trisection_params)
 from trisect.kirby import FramedComponent, HeegaardKirbyDiagram, LinkingMatrix
-from trisect.moves import classify_genus_one_sum, connected_sum, standardize
+from trisect.moves import connected_sum, standardize
 
 # the fields each kind's producer writes, besides "kind"
 _FIELDS = {
@@ -17,7 +17,6 @@ _FIELDS = {
     "params-mismatch": ("declared", "computed"),
     "torsion": ("h1", "factors"),
     "detect-k": ("k", "h1", "trace"),
-    "decomposition": ("order", "names", "tree"),
     "classification": ("name", "names", "tree"),
     "standard-pair": ("k", "pairing"),
     "nonstandard": ("matrix",),
@@ -154,7 +153,7 @@ def _reflected(witness):
 
 def _classified_cp2():
     t = genus_one_diagram("CP2")
-    return t, classify_genus_one_sum(t)[1]
+    return t, standardize(t)[1]
 
 
 def _standardized_cp2_sum():
@@ -164,8 +163,8 @@ def _standardized_cp2_sum():
 
 @pytest.mark.parametrize("verdict", [_classified_cp2, _standardized_cp2_sum])
 def test_a_reflected_order_does_not_replay_cp2_as_cp2r(verdict):
-    # swapping two systems reverses the orientation, so a witness may only
-    # rotate them
+    # swapping two systems reverses the orientation; replay reads no
+    # system order from a witness, so one claiming a reflection fails
     t, v = verdict()
     honest = {"status": "verified", "witness": v.witness}
     reports.replay_verdict((t,), honest)
