@@ -5,9 +5,14 @@ by another, conjugate a relator by a single generator, and (in the stable
 variant) add or delete a trivial generator-relator pair.  The search works
 on canonical keys, so two presentations differing by relator order, cyclic
 rotation, relator inversion, or a signed relabeling of the generators are
-one node.  A search computes the images of each distinct relator under
-all signed relabelings once, and builds every key that relator appears
-in from those images.
+one node.  A search computes the images under all signed relabelings
+once per relator class (up to rotation and inversion), and builds every
+key a relator of that class appears in from those images.
+
+Inside the search an edge is a small descriptor, expanded into primitive
+moves only for the path that is returned, and children are built without
+the validating constructor.  Replay (``apply_ac_move``,
+``replay_ac_path``) always validates, so it checks a path independently.
 """
 
 from __future__ import annotations
@@ -157,6 +162,32 @@ def _relabelings(n):
     return tables
 
 
+def _class_images(word, tables):
+    """The least rotation of ``word`` or its inverse under each relabeling.
+
+    ``word`` is cyclically reduced, and so is each image ``x``.  The least
+    rotation of ``x`` starts with ``min(x)`` and that of its inverse with
+    ``-max(x)``, so only the side with the smaller first letter is built,
+    and both only on a tie.
+    """
+    if not word:
+        return ((),) * len(tables)
+    least = words.least_rotation
+    inv = words.inverse(word)
+    images = []
+    for t in tables:
+        x = tuple(map(t.__getitem__, word))
+        lo, hi = min(x), -max(x)
+        if lo < hi:
+            images.append(least(x))
+        elif lo > hi:
+            images.append(least(tuple(map(t.__getitem__, inv))))
+        else:
+            images.append(min(least(x),
+                              least(tuple(map(t.__getitem__, inv)))))
+    return tuple(images)
+
+
 def canonical_key(p, _memo=None):
     """Stable byte string naming the presentation up to symmetry.
 
@@ -166,10 +197,11 @@ def canonical_key(p, _memo=None):
 
     ``_memo`` is a dict owned by one search.  It holds each generator
     count's relabeling tables and, per ``(generators, relator)``, the
-    relator's minimized image under every relabeling, so the images of a
-    relator are computed once per search however many states share it.
-    A relabeling only renames letters, so the image of a cyclically
-    reduced word is cyclically reduced and needs no further reduction.
+    relator's minimized image under every relabeling.  The images depend
+    only on the relator's class up to rotation and inversion, so they are
+    computed once per class, stored under ``(generators, cyclic_min)`` as
+    well, and shared by every relator of the class and every state that
+    holds one.
     """
     n = p.generators
     memo = _memo if _memo is not None else {}
@@ -177,15 +209,13 @@ def canonical_key(p, _memo=None):
     for w in p.relators:
         images = memo.get((n, w))
         if images is None:
-            tables = memo.get(n)
-            if tables is None:
-                tables = memo[n] = _relabelings(n)
-            core = words.cyclic_reduce(w)
-            inv = words.inverse(core)
-            images = tuple(
-                min(words.least_rotation(tuple(map(t.__getitem__, core))),
-                    words.least_rotation(tuple(map(t.__getitem__, inv))))
-                for t in tables)
+            c = words.cyclic_min(w)
+            images = memo.get((n, c))
+            if images is None:
+                tables = memo.get(n)
+                if tables is None:
+                    tables = memo[n] = _relabelings(n)
+                images = memo[(n, c)] = _class_images(c, tables)
             memo[(n, w)] = images
         columns.append(images)
     best = min(map(sorted, zip(*columns)), default=())
@@ -209,6 +239,15 @@ class SearchResult:
         return self.path is not None
 
 
+def _trusted(n, relators):
+    """A presentation whose relators are known to be freely reduced words
+    in n generators, built without the validating constructor."""
+    p = object.__new__(BalancedPresentation)
+    object.__setattr__(p, "generators", n)
+    object.__setattr__(p, "relators", relators)
+    return p
+
+
 def _rotation_moves(i, prefix, undo=False):
     """Conjugations turning r_i into its rotation past ``prefix`` (or back)."""
     if undo:
@@ -217,21 +256,25 @@ def _rotation_moves(i, prefix, undo=False):
     return [("conjugate", i, abs(v), -1 if v > 0 else 1) for v in prefix]
 
 
-def _peel_moves(i, w):
-    """Cyclic reduction of relator i as conjugations; returns (core, moves)."""
-    moves = []
-    w = tuple(w)
-    while len(w) > 1 and w[0] == -w[-1]:
-        a = w[0]
-        moves.append(("conjugate", i, abs(a), -1 if a > 0 else 1))
-        w = w[1:-1]
-    return w, moves
+def _wrap_length(w):
+    """How many letters a freely reduced word cancels around its wrap; the
+    conjugations peeling them are ``_rotation_moves(i, w[:t])``."""
+    t = 0
+    while len(w) > 2 * t + 1 and w[t] == -w[-1 - t]:
+        t += 1
+    return t
 
 
-def _aligned_products(p):
+def _aligned_products(p, max_total_length):
     """Children obtained by multiplying a rotation of one relator by a
-    rotation of another or of its inverse, then cyclically reducing, with
-    the primitive moves realizing each.
+    rotation of another or of its inverse, then cyclically reducing.
+
+    Each distinct child comes with its descriptor ``(i, j, m, e, k)``:
+    r_i rotated by m letters times r_j^e rotated by k letters replaces r_i.
+    ``_product_moves`` expands a descriptor into primitive moves.  A child
+    whose total length exceeds ``max_total_length`` comes as None and is
+    never built; the others skip the validating constructor, since their
+    relators are freely reduced already.
 
     Bare conjugations and inversions never change the canonical key, so
     they only appear inside these composites: both rotations are
@@ -242,46 +285,55 @@ def _aligned_products(p):
     """
     rs = p.relators
     n = p.generators
-    out = []
-    produced = set()
+    total = p.total_length()
     for i in range(1, n + 1):
+        left = rs[i - 1]
+        room = max_total_length - total + len(left)
+        produced = set()
         for j in range(1, n + 1):
             if i == j or not rs[j - 1]:
                 continue
-            left = rs[i - 1]
             for m in range(max(1, len(left))):
                 rot_left = left[m:] + left[:m]
                 for e in (1, -1):
                     base = rs[j - 1] if e == 1 else words.inverse(rs[j - 1])
                     for k in range(len(base)):
                         new = words.free_reduce(rot_left + base[k:] + base[:k])
-                        core, peel = _peel_moves(i, new)
-                        if (i, core) in produced:
+                        t = _wrap_length(new)
+                        core = new[t:len(new) - t]
+                        if core in produced:
                             continue
-                        produced.add((i, core))
-                        moves = _rotation_moves(i, left[:m])
-                        if e == -1:
-                            moves.append(("invert", j))
-                        moves.extend(_rotation_moves(j, base[:k]))
-                        moves.append(("multiply", i, j))
-                        moves.extend(peel)
-                        moves.extend(_rotation_moves(j, base[:k], undo=True))
-                        if e == -1:
-                            moves.append(("invert", j))
-                        child = list(rs)
-                        child[i - 1] = core
-                        out.append((tuple(moves),
-                                    BalancedPresentation(n, tuple(child))))
-    return out
+                        produced.add(core)
+                        yield (i, j, m, e, k), (
+                            None if len(core) > room else
+                            _trusted(n, rs[:i - 1] + (core,) + rs[i:]))
 
 
-def _stable_edges(p, gen_cap):
-    out = []
-    capped = False
+def _product_moves(p, desc):
+    """The primitive moves of the aligned product ``desc`` on ``p``."""
+    i, j, m, e, k = desc
+    left = p.relators[i - 1]
+    base = p.relators[j - 1] if e == 1 else words.inverse(p.relators[j - 1])
+    new = words.free_reduce(left[m:] + left[:m] + base[k:] + base[:k])
+    moves = _rotation_moves(i, left[:m])
+    if e == -1:
+        moves.append(("invert", j))
+    moves.extend(_rotation_moves(j, base[:k]))
+    moves.append(("multiply", i, j))
+    moves.extend(_rotation_moves(i, new[:_wrap_length(new)]))
+    moves.extend(_rotation_moves(j, base[:k], undo=True))
+    if e == -1:
+        moves.append(("invert", j))
+    return moves
+
+
+def _stable_edges(p, gen_cap, max_total_length):
+    """Add or delete a trivial generator-relator pair; each descriptor is
+    its one move."""
     if p.generators < gen_cap:
-        out.append(((("stabilize",),), apply_ac_move(p, ("stabilize",))))
-    else:
-        capped = True
+        move = ("stabilize",)
+        yield move, (apply_ac_move(p, move)
+                     if p.total_length() < max_total_length else None)
     for i, r in enumerate(p.relators, 1):
         if len(r) != 1:
             continue
@@ -289,9 +341,19 @@ def _stable_edges(p, gen_cap):
         if any(any(abs(v) == g for v in other)
                for k, other in enumerate(p.relators) if k != i - 1):
             continue
-        out.append(((("destabilize", i),),
-                    apply_ac_move(p, ("destabilize", i))))
-    return out, capped
+        yield ("destabilize", i), apply_ac_move(p, ("destabilize", i))
+
+
+def _edges(state, stable, gen_cap, max_total_length):
+    """(descriptor, child) pairs; None for a child over the length cap."""
+    yield from _aligned_products(state, max_total_length)
+    if stable:
+        yield from _stable_edges(state, gen_cap, max_total_length)
+
+
+def _expand(p, desc):
+    """The primitive moves of one search edge out of ``p``."""
+    return [desc] if isinstance(desc[0], str) else _product_moves(p, desc)
 
 
 def _normalize_start(p):
@@ -299,20 +361,10 @@ def _normalize_start(p):
     rs = list(p.relators)
     moves = []
     for i, w in enumerate(rs, 1):
-        core, peel = _peel_moves(i, w)
-        rs[i - 1] = core
-        moves.extend(peel)
+        t = _wrap_length(w)
+        rs[i - 1] = w[t:len(w) - t]
+        moves.extend(_rotation_moves(i, w[:t]))
     return BalancedPresentation(p.generators, tuple(rs)), moves
-
-
-def _edges(state, stable, gen_cap, stats):
-    edges = _aligned_products(state)
-    if stable:
-        more, capped = _stable_edges(state, gen_cap)
-        edges.extend(more)
-        if capped:
-            stats["pruned_generator_cap"] += 1
-    return edges
 
 
 def ac_search(p, max_total_length, max_depth, stable=False,
@@ -320,12 +372,13 @@ def ac_search(p, max_total_length, max_depth, stable=False,
     """Breadth-first search for a move path to the trivial presentation.
 
     Nodes are canonical keys; edges are aligned products (plus add/delete
-    of trivial pairs when stable), each carrying the primitive moves that
-    realize it, so a found path replays with apply_ac_move alone.  Depth
-    counts edges, not primitive moves.  States whose total relator length
-    exceeds max_total_length are pruned; stable search adds at most two
-    generators.  A presentation whose exponent matrix has determinant of
-    absolute value other than 1 is refuted outright.
+    of trivial pairs when stable).  The search stores each edge as a
+    small descriptor and expands descriptors into primitive moves only
+    for the path it returns, so a found path replays with apply_ac_move
+    alone.  Depth counts edges, not primitive moves.  States whose total
+    relator length exceeds max_total_length are pruned; stable search
+    adds at most two generators.  A presentation whose exponent matrix
+    has determinant of absolute value other than 1 is refuted outright.
 
     The edge family is closed under inverses, so reachability between
     canonical keys is symmetric; the search runs from both ends (the input
@@ -361,56 +414,41 @@ def ac_search(p, max_total_length, max_depth, stable=False,
     start_key = canonical_key(p0, memo)
     goal_key = canonical_key(goal, memo)
 
-    # parents[key] = (parent_key, edge_moves, depth); None marks the root
-    fwd = {"parents": {start_key: (None, (), 0)},
+    # parents[key] = (parent_key, edge_descriptor, depth); None marks the root
+    fwd = {"parents": {start_key: (None, None, 0)},
            "frontier": deque([(p0, start_key, 0)])}
-    bwd = {"parents": {goal_key: (None, (), 0)},
+    bwd = {"parents": {goal_key: (None, None, 0)},
            "frontier": deque([(goal, goal_key, 0)])}
 
-    def _chain(side, key):
-        """Edge move lists from the side's root out to ``key``."""
-        out = []
-        while True:
-            pkey, moves, _ = side["parents"][key]
-            if pkey is None:
-                break
-            out.append(moves)
-            key = pkey
-        out.reverse()
-        return out
-
-    def _splice(state, key):
-        """Forward moves from the meet onward, guided by backward keys."""
-        keys = []
+    def _path(key):
+        """Primitive moves from the input through ``key`` to the trivial
+        form: the forward chain replayed from p0 through apply_ac_move,
+        then one edge at a time toward each backward parent key."""
+        chain = []
         k = key
-        while True:
-            pkey, _, _ = bwd["parents"][k]
-            if pkey is None:
-                break
-            keys.append(pkey)
-            k = pkey
-        moves_out = []
-        cur = state
-        for target in keys:
-            for moves, child in _edges(cur, stable, gen_cap, stats):
-                if canonical_key(child, memo) == target:
-                    moves_out.extend(moves)
+        while fwd["parents"][k][0] is not None:
+            k, desc, _ = fwd["parents"][k]
+            chain.append(desc)
+        moves = list(prefix)
+        cur = p0
+        for desc in reversed(chain):
+            step = _expand(cur, desc)
+            moves.extend(step)
+            for m in step:
+                cur = apply_ac_move(cur, m)
+        target = bwd["parents"][key][0]
+        while target is not None:
+            for desc, child in _edges(cur, stable, gen_cap, max_total_length):
+                if child is not None and canonical_key(child, memo) == target:
+                    moves.extend(_expand(cur, desc))
                     cur = child
                     break
             else:
                 raise AssertionError("guided replay lost the key trail")
+            target = bwd["parents"][target][0]
         if not cur.is_trivial_form():
             raise AssertionError("guided replay missed the trivial form")
-        return moves_out
-
-    def _result(flat, depth):
-        path = tuple(prefix) + tuple(flat)
-        stats["stored"] = len(fwd["parents"]) + len(bwd["parents"])
-        return SearchResult(path, verified(
-            "trivialized in %d primitive moves (%d search edges)"
-            % (len(path), depth),
-            {"kind": "ac-path", "moves": [list(m) for m in path],
-             "depth": depth}), stats)
+        return tuple(moves)
 
     while fwd["frontier"] or bwd["frontier"]:
         if not bwd["frontier"]:
@@ -426,8 +464,10 @@ def ac_search(p, max_total_length, max_depth, stable=False,
         if depth >= max_depth:
             stats["pruned_depth"] += 1
             continue
-        for moves, child in _edges(state, stable, gen_cap, stats):
-            if child.total_length() > max_total_length:
+        if stable and state.generators >= gen_cap:
+            stats["pruned_generator_cap"] += 1
+        for desc, child in _edges(state, stable, gen_cap, max_total_length):
+            if child is None:
                 stats["pruned_length"] += 1
                 continue
             ckey = canonical_key(child, memo)
@@ -439,26 +479,18 @@ def ac_search(p, max_total_length, max_depth, stable=False,
                 return SearchResult(None, unknown(
                     "exhausted: state cap %d reached after %d states "
                     "visited" % (max_states, stats["visited"])), stats)
-            side["parents"][ckey] = (key, moves, depth + 1)
-            if side is fwd and child.is_trivial_form():
-                flat = [m for edge in _chain(fwd, ckey) for m in edge]
-                return _result(flat, depth + 1)
+            side["parents"][ckey] = (key, desc, depth + 1)
+            # a forward child in trivial form meets the backward root
             hit = other["parents"].get(ckey)
             if hit is not None and depth + 1 + hit[2] <= max_depth:
-                if side is fwd:
-                    flat = [m for edge in _chain(fwd, ckey) for m in edge]
-                    flat.extend(_splice(child, ckey))
-                    return _result(flat, depth + 1 + hit[2])
-                # the meet came from the backward side: the forward chain
-                # ends at ckey, which fwd reached as a concrete state only
-                # if stored; rebuild it by guided replay from the start
-                fchain = _chain(fwd, ckey)
-                flat = [m for edge in fchain for m in edge]
-                cur = p0
-                for m in flat:
-                    cur = apply_ac_move(cur, m)
-                flat.extend(_splice(cur, ckey))
-                return _result(flat, depth + 1 + hit[2])
+                path = _path(ckey)
+                depth += 1 + hit[2]
+                stats["stored"] = len(fwd["parents"]) + len(bwd["parents"])
+                return SearchResult(path, verified(
+                    "trivialized in %d primitive moves (%d search edges)"
+                    % (len(path), depth),
+                    {"kind": "ac-path", "moves": [list(m) for m in path],
+                     "depth": depth}), stats)
             side["frontier"].append((child, ckey, depth + 1))
     stats["stored"] = len(fwd["parents"]) + len(bwd["parents"])
     return SearchResult(None, unknown(

@@ -8,7 +8,7 @@ import pytest
 from trisect.ac import (BalancedPresentation, ab_det, ac_search,
                         ak_presentation, apply_ac_move, canonical_key,
                         replay_ac_path, trivial_presentation,
-                        _aligned_products)
+                        _aligned_products, _product_moves)
 from trisect.words import cyclic_reduce, inverse, map_letters
 
 
@@ -230,6 +230,27 @@ def test_canonical_key_matches_the_relabeling_oracle():
     assert canonical_key(BalancedPresentation(0, ()), shared) == b"0:"
 
 
+def test_a_memo_fed_rotations_and_inverses_keys_by_relator_class():
+    """Images are memoized per relator class, so a class first met as a
+    rotation or an inverse must still key the original word correctly."""
+    rng = random.Random(20261019)
+    for _ in range(60):
+        n = rng.randrange(1, 4)
+        p = _random_presentation(rng, n, 8)
+        twisted = []
+        for w in p.relators:
+            r = rng.randrange(len(w)) if w else 0
+            w = w[r:] + w[:r]
+            twisted.append(inverse(w) if rng.random() < 0.5 else w)
+        q = BalancedPresentation(n, tuple(twisted))
+        memo = {}
+        want = _oracle_key(p)
+        assert canonical_key(q, memo) == want
+        assert canonical_key(p, memo) == want
+        assert canonical_key(apply_ac_move(p, ("stabilize",)), memo) == \
+            _oracle_key(apply_ac_move(p, ("stabilize",)))
+
+
 # budgets 32/20; the counts and path digests pin each search tree
 @pytest.mark.parametrize("n, stable, cap, status, visited, stored, pruned, "
                          "moves, digest", [
@@ -245,6 +266,9 @@ def test_search_trees_are_pinned(n, stable, cap, status, visited, stored,
     assert res.verdict.status == status
     assert (res.stats["visited"], res.stats["stored"],
             res.stats["pruned_length"]) == (visited, stored, pruned)
+    # stable AK(2) visits 3 states at the generator cap; writing the path
+    # out must not add to that count
+    assert res.stats["pruned_generator_cap"] == (3 if stable else 0)
     if moves is None:
         assert res.path is None
     else:
@@ -253,12 +277,76 @@ def test_search_trees_are_pinned(n, stable, cap, status, visited, stored,
         assert hashlib.sha256(text).hexdigest()[:16] == digest
 
 
+# a stabilization lengthens by one letter, so at these caps it is pruned
+@pytest.mark.parametrize("max_length, visited, stored, pruned", [
+    (9, 4, 15, 90),
+    (10, 4, 15, 50),
+])
+def test_stable_search_prunes_over_the_length_cap(max_length, visited,
+                                                  stored, pruned):
+    res = ac_search(ak_presentation(1), max_length, 20, stable=True)
+    assert res.verdict.is_verified
+    assert (res.stats["visited"], res.stats["stored"],
+            res.stats["pruned_length"]) == (visited, stored, pruned)
+
+
+def _scramble3(seed):
+    """A seeded AC scramble of the trivial presentation on 3 generators,
+    total length at least 10."""
+    rng = random.Random(seed)
+    p = trivial_presentation(3)
+    while p.total_length() < 10 or p.is_trivial_form():
+        i, j = rng.sample(range(1, 4), 2)
+        if rng.random() < 0.5:
+            p = apply_ac_move(p, ("invert", j))
+        p = apply_ac_move(p, ("conjugate", i, rng.randrange(1, 4),
+                                  rng.choice((1, -1))))
+        p = apply_ac_move(p, ("multiply", i, j))
+    return p
+
+
+# budgets 16/20/3000; 48 signed relabelings per relator class at n = 3
+@pytest.mark.parametrize("seed, visited, stored, pruned, moves, digest", [
+    (2, 9, 130, 238, 15, "b4ef72451dd50eeb"),
+    (3, 15, 225, 110, 16, "2866e70385813eeb"),
+    (5, 65, 827, 8989, 22, "843afbfb13ec5859"),
+])
+def test_three_generator_scramble_trees_are_pinned(seed, visited, stored,
+                                                   pruned, moves, digest):
+    p = _scramble3(seed)
+    res = ac_search(p, 16, 20, max_states=3000)
+    assert res.verdict.is_verified
+    assert (res.stats["visited"], res.stats["stored"],
+            res.stats["pruned_length"]) == (visited, stored, pruned)
+    assert len(res.path) == moves
+    text = json.dumps(res.verdict.witness["moves"]).encode()
+    assert hashlib.sha256(text).hexdigest()[:16] == digest
+    assert replay_ac_path(p, res.path).is_trivial_form()
+
+
 def test_aligned_products_replay_to_their_children():
     rng = random.Random(3)
+    built = pruned = 0
     for _ in range(30):
         p = _random_presentation(rng, rng.randrange(2, 4), 5)
-        for moves, child in _aligned_products(p):
-            assert replay_ac_path(p, moves) == child
+        cap = p.total_length() + 2
+        for desc, child in _aligned_products(p, cap):
+            moves = _product_moves(p, desc)
+            assert moves.count(("multiply", desc[0], desc[1])) == 1
+            end = p
+            for m in moves:
+                end = apply_ac_move(end, m)
+            if child is None:
+                assert end.total_length() > cap
+                pruned += 1
+                continue
+            assert end == child
+            assert child.total_length() <= cap
+            # built without the validating constructor, yet equal to
+            # what it would have produced
+            assert BalancedPresentation(p.generators, child.relators) == child
+            built += 1
+    assert built and pruned
 
 
 def test_search_on_trivial_presentation():
