@@ -413,97 +413,108 @@ def _reconstruct_for_replay(doc, objs, vdict):
 
 # -- parser and dispatch -------------------------------------------------------
 
-def _build_parser():
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+def _commands():
+    """name -> (handler, help, arguments besides --json), in --help order.
+
+    Built per call, so each handler is read when the parser is built.
+    """
+    output = _arg("-o", "--output")
+    return {
+        "validate": (
+            _cmd_validate, "check a diagram file's verdict", [_arg("file")]),
+        "invariants": (
+            _cmd_invariants, "parameters, chi, and homology of a diagram",
+            [_arg("file")]),
+        "classify": (
+            _cmd_classify, "name a trisection as a sum of genus-one pieces",
+            [_arg("file")]),
+        "stabilize": (_cmd_stabilize, "stabilize a diagram", [
+            _arg("file"),
+            _arg("--type", required=True,
+                 choices=["1", "2", "3", "heegaard", "balanced"]),
+            output]),
+        "connect-sum": (
+            _cmd_connect_sum, "connected sum of two trisections",
+            [_arg("a"), _arg("b"), output]),
+        "slide": (_cmd_slide, "handleslide one curve over another", [
+            _arg("file"),
+            _arg("--system", required=True,
+                 choices=["alpha", "beta", "gamma"]),
+            _arg("--from", dest="src", required=True, type=int, metavar="I",
+                 help="1-based index of the curve to slide"),
+            _arg("--over", required=True, type=int, metavar="J",
+                 help="1-based index of the curve slid over"),
+            _arg("--guide", default="", metavar="WORD",
+                 help="guide word, e.g. 'x1 Y2'"),
+            _arg("--sign", default="+", choices=["+", "-"]),
+            output]),
+        "hk-to-tri": (
+            _cmd_hk_to_tri,
+            "assemble a trisection from a heegaard-kirby diagram",
+            [_arg("file"), output]),
+        "tri-to-hk": (
+            _cmd_tri_to_hk,
+            "extract a heegaard-kirby diagram along gamma:beta picks", [
+                _arg("file"),
+                _arg("--picks", required=True,
+                     help="comma list of gamma:beta index pairs, "
+                          "e.g. '1:1,2:3'"),
+                output]),
+        "gprc-check": (
+            _cmd_gprc_check, "necessary zero-matrix check on a linking matrix",
+            [_arg("file")]),
+        "ac-search": (
+            _cmd_ac_search,
+            "bounded trivialization search on a balanced presentation", [
+                _arg("file", nargs="?"),
+                _arg("--ak", type=int, metavar="N",
+                     help="use the standard two-generator family member N"),
+                _arg("--max-length", type=int, default=32,
+                     dest="max_length"),
+                _arg("--max-depth", type=int, default=20, dest="max_depth"),
+                # the default is ac.DEFAULT_MAX_STATES, read when the
+                # command runs
+                _arg("--max-states", type=int, dest="max_states"),
+                _arg("--stable", action="store_true",
+                     help="allow adding and deleting trivial pairs")]),
+        "catalog": (
+            _cmd_catalog, "emit the built-in genus-one diagrams",
+            [_arg("figure", choices=["figure1", "figure2"]), output]),
+        "replay": (
+            _cmd_replay, "re-derive a recorded verdict from its witness", [
+                _arg("report", help="a JSON report produced with --json"),
+                _arg("inputs", nargs="*",
+                     help="the original input files, in command order")]),
+    }
+
+
+def _build_parser(command=None):
+    """The trisect parser.  When ``command`` names a command, only its
+    subparser is built: parsing that command, its errors and its --help
+    read the same, and only --help, a missing command or an unknown one
+    need the whole list."""
     parser = _Parser(prog="trisect",
                      description="calculus on trisection, Heegaard, and "
                                  "Heegaard-Kirby diagrams")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text):
+    table = _commands()
+    for name in [command] if command in table else table:
+        func, help_text, arguments = table[name]
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
         p.add_argument("--json", action="store_true",
                        help="emit the report as JSON")
-        return p
-
-    p = add("validate", _cmd_validate, "check a diagram file's verdict")
-    p.add_argument("file")
-
-    p = add("invariants", _cmd_invariants,
-            "parameters, chi, and homology of a diagram")
-    p.add_argument("file")
-
-    p = add("classify", _cmd_classify,
-            "name a trisection as a sum of genus-one pieces")
-    p.add_argument("file")
-
-    p = add("stabilize", _cmd_stabilize, "stabilize a diagram")
-    p.add_argument("file")
-    p.add_argument("--type", required=True,
-                   choices=["1", "2", "3", "heegaard", "balanced"])
-    p.add_argument("-o", "--output")
-
-    p = add("connect-sum", _cmd_connect_sum, "connected sum of two trisections")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("-o", "--output")
-
-    p = add("slide", _cmd_slide, "handleslide one curve over another")
-    p.add_argument("file")
-    p.add_argument("--system", required=True,
-                   choices=["alpha", "beta", "gamma"])
-    p.add_argument("--from", dest="src", required=True, type=int,
-                   metavar="I", help="1-based index of the curve to slide")
-    p.add_argument("--over", required=True, type=int, metavar="J",
-                   help="1-based index of the curve slid over")
-    p.add_argument("--guide", default="", metavar="WORD",
-                   help="guide word, e.g. 'x1 Y2'")
-    p.add_argument("--sign", default="+", choices=["+", "-"])
-    p.add_argument("-o", "--output")
-
-    p = add("hk-to-tri", _cmd_hk_to_tri,
-            "assemble a trisection from a heegaard-kirby diagram")
-    p.add_argument("file")
-    p.add_argument("-o", "--output")
-
-    p = add("tri-to-hk", _cmd_tri_to_hk,
-            "extract a heegaard-kirby diagram along gamma:beta picks")
-    p.add_argument("file")
-    p.add_argument("--picks", required=True,
-                   help="comma list of gamma:beta index pairs, e.g. '1:1,2:3'")
-    p.add_argument("-o", "--output")
-
-    p = add("gprc-check", _cmd_gprc_check,
-            "necessary zero-matrix check on a linking matrix")
-    p.add_argument("file")
-
-    p = add("ac-search", _cmd_ac_search,
-            "bounded trivialization search on a balanced presentation")
-    p.add_argument("file", nargs="?")
-    p.add_argument("--ak", type=int, metavar="N",
-                   help="use the standard two-generator family member N")
-    p.add_argument("--max-length", type=int, default=32, dest="max_length")
-    p.add_argument("--max-depth", type=int, default=20, dest="max_depth")
-    # the default is ac.DEFAULT_MAX_STATES, read when the command runs
-    p.add_argument("--max-states", type=int, dest="max_states")
-    p.add_argument("--stable", action="store_true",
-                   help="allow adding and deleting trivial pairs")
-
-    p = add("catalog", _cmd_catalog, "emit the built-in genus-one diagrams")
-    p.add_argument("figure", choices=["figure1", "figure2"])
-    p.add_argument("-o", "--output")
-
-    p = add("replay", _cmd_replay,
-            "re-derive a recorded verdict from its witness")
-    p.add_argument("report", help="a JSON report produced with --json")
-    p.add_argument("inputs", nargs="*",
-                   help="the original input files, in command order")
-
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
     return parser
 
 
 def run_command(argv):
-    parser = _build_parser()
+    parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except _UsageError as e:

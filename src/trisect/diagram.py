@@ -24,16 +24,17 @@ honest lower bound instead of guessing minimal position.
 
 Which constructors check: ``SlopeTemplate``, ``Curve`` and ``CutSystem``
 check their data, and parsed files and link completions go through them.
-``curve_from_word`` and ``curve_from_template`` compute a curve's word
-and class themselves, so they skip the Curve checks; ``moved_system``
-skips the Lagrangian check for the systems moves build out of checked
-ones (its docstring gives the invariant).
+``curve_from_word``, ``curve_from_template`` and ``reembed`` compute a
+curve's word and class themselves, so they skip the Curve checks;
+``moved_system`` skips the Lagrangian check for the systems moves build
+out of checked ones (its docstring gives the invariant).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 
 from . import words
 from .homology import (HomologyClass, abelianize, algebraic_intersection,
@@ -78,7 +79,7 @@ class SlopeTemplate:
         coeffs = [0] * (2 * genus)
         coeffs[2 * (self.handle - 1)] = self.p
         coeffs[2 * self.handle - 1] = self.q
-        return HomologyClass(genus, tuple(coeffs))
+        return _unchecked(HomologyClass, genus=genus, coeffs=tuple(coeffs))
 
 
 @dataclass(frozen=True)
@@ -144,13 +145,24 @@ def reembed(curve, genus, handle_map):
     ``handle_map[h]``.
 
     The map must be defined and injective on the curve's support, with
-    values in 1..genus.  A slope template keeps its slope on the new
-    handle; a word curve's letters x_h, y_h become x_h', y_h' for
-    h' = handle_map[h].
+    values in 1..genus.  A word curve's letters x_h, y_h become x_h',
+    y_h' for h' = handle_map[h].  A slope template keeps its slope on the
+    new handle: only ``curve_from_template`` makes template curves, so the
+    renumbered word is the new template's word, and the result equals
+    ``curve_from_template(genus, h', p, q)``.
     """
     tpl = curve.template
     if tpl is not None:
-        return curve_from_template(genus, handle_map[tpl.handle], tpl.p, tpl.q)
+        handle = handle_map[tpl.handle]
+        if not 1 <= handle <= genus:
+            raise ValueError("handle %d out of range 1..%d" % (handle, genus))
+        word = curve.word
+        if handle != tpl.handle:
+            step = 2 * (handle - tpl.handle)
+            word = tuple([v + step if v > 0 else v - step for v in word])
+            tpl = _unchecked(SlopeTemplate, handle=handle, p=tpl.p, q=tpl.q)
+        return _unchecked(Curve, genus=genus, word=word,
+                          homology=tpl.homology(genus), template=tpl)
     word = []
     for v in curve.word:
         h = (abs(v) + 1) // 2
@@ -315,9 +327,26 @@ def euler_characteristic(params):
 # -- Heegaard pair invariants -------------------------------------------------
 
 def heegaard_h1(d):
-    """H1 of the split 3-manifold: Z^{2g} modulo both systems' classes."""
-    cols = [list(c.coeffs) for c in d.alpha.classes() + d.beta.classes()]
-    return cokernel(cols, 2 * d.genus)
+    """H1 of the split 3-manifold: the cokernel of the g x g matrix
+    M[i][j] = <alpha_i, beta_j>.
+
+    H1 is Z^{2g} modulo both systems' classes.  The alpha classes span a
+    Lagrangian direct summand L (``CutSystem`` checks it and
+    ``moved_system`` keeps it).  The intersection pairing is unimodular
+    and L is a summand, so x -> (<alpha_i, x>)_i maps Z^{2g} onto Z^g; its
+    kernel is the orthogonal complement of L, which is L itself.  So
+    Z^{2g}/L is Z^g, and H1 is Z^g modulo the images of the beta classes,
+    the columns of M.  Each dot product is taken against the beta class's
+    symplectic dual, (b1, -a1, ..., bg, -ag).
+    """
+    rows = [c.coeffs for c in d.alpha.classes()]
+    cols = []
+    for c in d.beta.classes():
+        dual = [0] * (2 * d.genus)
+        dual[0::2] = c.coeffs[1::2]
+        dual[1::2] = [-x for x in c.coeffs[0::2]]
+        cols.append([sum(map(mul, row, dual)) for row in rows])
+    return cokernel(cols, d.genus)
 
 
 def commutator_word(handles):

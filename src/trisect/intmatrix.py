@@ -88,13 +88,31 @@ class IntegerMatrix:
         return sign * a[n - 1][n - 1]
 
 
+def _pivot(a, t, nr, nc):
+    """(i, j) of the first smallest-magnitude nonzero entry of the block
+    a[t:nr][t:nc] in row-major order, or None when the block is zero."""
+    pivot, best = None, 0
+    for i in range(t, nr):
+        row = a[i]
+        for j in range(t, nc):
+            x = abs(row[j])
+            if x and (pivot is None or x < best):
+                if x == 1:
+                    return i, j
+                pivot, best = (i, j), x
+    return pivot
+
+
 def _diagonalize(a, u=None, v=None):
     """Reduce the row lists a to Smith form in place.
 
     Row operations are mirrored on u and column operations on v when they
-    are given.  The pivot is always the smallest-magnitude nonzero entry of
-    the remaining block, which keeps growth moderate; correctness does not
-    depend on the choice, and the transforms never steer it.
+    are given.  The pivot is the first smallest-magnitude nonzero entry of
+    the remaining block in row-major order, which keeps growth moderate;
+    correctness does not depend on the choice, and the transforms never
+    steer it.  No entry is smaller than 1, so the scan stops at the first
+    unit, the entry a full scan would keep.  A unit pivot divides the whole
+    block, so it skips the divisibility scan.
     """
     nr = len(a)
     nc = len(a[0]) if a else 0
@@ -130,12 +148,7 @@ def _diagonalize(a, u=None, v=None):
 
     t = 0
     while t < nr and t < nc:
-        # locate smallest nonzero entry in the remaining block
-        pivot = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if a[i][j] != 0 and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
+        pivot = _pivot(a, t, nr, nc)
         if pivot is None:
             break
         row_swap(t, pivot[0])
@@ -161,6 +174,8 @@ def _diagonalize(a, u=None, v=None):
                         dirty = True
             if dirty:
                 continue
+            if a[t][t] in (1, -1):
+                break
             # pivot must divide the rest of the block
             offender = None
             for i in range(t + 1, nr):
@@ -258,11 +273,17 @@ class AbelianGroup:
 
 
 def cokernel(columns, ambient_rank):
-    """Z^ambient_rank modulo the span of the given column vectors."""
-    if not columns:
-        return AbelianGroup(ambient_rank, ())
-    m = IntegerMatrix.from_columns(columns, nrows=ambient_rank)
-    factors = invariant_factors(m)
+    """Z^ambient_rank modulo the span of the given column vectors.
+
+    The transpose has the same invariant factors, so the columns are
+    reduced as the rows of plain lists.
+    """
+    rows = [list(c) for c in columns]
+    if any(len(r) != ambient_rank for r in rows):
+        raise ValueError("ragged columns")
+    _diagonalize(rows)
+    rank = min(len(rows), ambient_rank)
+    factors = [rows[i][i] for i in range(rank) if rows[i][i] != 0]
     torsion = tuple(d for d in factors if d > 1)
     return AbelianGroup(ambient_rank - len(factors), torsion)
 

@@ -146,7 +146,6 @@ def test_ab_det_is_move_invariant():
         for _ in range(5):
             p = apply_ac_move(p, _random_move(rng, p))
             assert abs(ab_det(p)) == want
-        assert p.total_length() <= 20 or True  # lengths unrestricted here
 
 
 def test_canonical_key_is_symmetry_invariant():

@@ -132,6 +132,53 @@ def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
 
 
+# every command with all of its flags set, then one usage error of it
+_COMMAND_ARGVS = {
+    "validate": (["f.tri", "--json"], ["f.tri", "g.tri"]),
+    "invariants": (["f.tri", "--json"], []),
+    "classify": (["f.tri", "--json"], ["--bogus", "f.tri"]),
+    "stabilize": (["f.tri", "--type", "heegaard", "-o", "out.tri", "--json"],
+                  ["f.tri", "--type", "4"]),
+    "connect-sum": (["a.tri", "b.tri", "--output", "out.tri", "--json"],
+                    ["a.tri"]),
+    "slide": (["f.tri", "--system", "beta", "--from", "2", "--over", "1",
+               "--guide", "x1 Y2", "--sign", "-", "-o", "out.tri", "--json"],
+              ["f.tri", "--system", "beta", "--from", "two", "--over", "1"]),
+    "hk-to-tri": (["f.hk", "-o", "out.tri", "--json"], ["--output"]),
+    "tri-to-hk": (["f.tri", "--picks", "1:1,2:3", "-o", "out.hk", "--json"],
+                  ["f.tri"]),
+    "gprc-check": (["f.lnk", "--json"], []),
+    "ac-search": (["p.pres", "--ak", "2", "--max-length", "16",
+                   "--max-depth", "9", "--max-states", "500", "--stable",
+                   "--json"], ["--max-depth", "deep"]),
+    "catalog": (["figure2", "-o", "out.txt", "--json"], ["figure3"]),
+    "replay": (["r.json", "a.tri", "b.tri", "--json"], []),
+}
+
+
+def test_each_command_builds_only_its_own_subparser():
+    assert set(_COMMAND_ARGVS) == set(cli._commands())
+    for name, (argv, _) in _COMMAND_ARGVS.items():
+        whole = cli._build_parser().parse_args([name] + argv)
+        alone = cli._build_parser(name)
+        assert alone.parse_args([name] + argv) == whole
+        sub = next(a for a in alone._actions if a.dest == "command")
+        assert list(sub.choices) == [name]
+    for argv in (None, "--help", "no-such-command"):
+        sub = next(a for a in cli._build_parser(argv)._actions
+                   if a.dest == "command")
+        assert list(sub.choices) == list(cli._commands())
+
+
+@pytest.mark.parametrize("name", sorted(_COMMAND_ARGVS))
+def test_usage_errors_of_each_command_exit_three(capsys, name):
+    code, out, err = run(capsys, name, *_COMMAND_ARGVS[name][1])
+    assert code == 3 and out == ""
+    assert err.startswith("usage error: ")
+    code, out, _ = run(capsys, name, "--help")
+    assert code == 0 and out.startswith("usage: trisect %s " % name)
+
+
 # -- constructive commands -----------------------------------------------------
 
 def test_catalog_bundle_classifies_back_to_its_names(tmp_path, capsys):

@@ -12,14 +12,17 @@ from trisect.diagram import (Curve, CutSystem, HeegaardDiagram, SlopeTemplate,
                              curve_from_template,
                              curve_from_word, detect_k, euler_characteristic,
                              geometric_intersection, heegaard_h1,
-                             is_standard_pair, pi1_presentation,
+                             is_standard_pair, pair_diagrams,
+                             pi1_presentation,
                              quotient_presentation, reembed,
                              standard_heegaard, surface_relator,
                              system_from_templates, trisection_h1,
                              trisection_params)
 from trisect import reports
-from trisect.homology import algebraic_intersection
-from trisect.intmatrix import AbelianGroup
+from trisect.catalog import ALL_NAMES, genus_one_diagram
+from trisect.homology import HomologyClass, algebraic_intersection
+from trisect.intmatrix import AbelianGroup, IntegerMatrix, invariant_factors
+from trisect.moves import connected_sum, handleslide
 from trisect.presentations import tietze_simplify
 
 
@@ -94,6 +97,18 @@ def test_reembed_permutes_handles(args):
     assert reembed(moved, curve.genus, inverse) == curve
 
 
+@settings(derandomize=True, database=None, max_examples=300)
+@given(_reembeddings().filter(lambda args: args[0].template is not None))
+def test_reembed_of_a_template_curve_is_the_template_curve(args):
+    curve, new_genus, handle_map = args
+    tpl = curve.template
+    moved = reembed(curve, new_genus, handle_map)
+    assert moved == curve_from_template(new_genus, handle_map[tpl.handle],
+                                        tpl.p, tpl.q)
+    if handle_map[tpl.handle] == tpl.handle:
+        assert moved.template is tpl
+
+
 def test_geometric_intersection_frozen():
     a = curve_from_template(2, 1, 1, 0)
     b = curve_from_template(2, 1, 0, 1)
@@ -158,6 +173,79 @@ def test_heegaard_h1_examples():
                          system_from_templates(1, [(1, 1, 0)]),
                          system_from_templates(1, [(1, 1, 2)]))
     assert heegaard_h1(d4) == AbelianGroup(0, (2,))
+
+
+def _h1_from_both_systems(d):
+    """The 2g x 2g cokernel of both systems' classes: the reference for
+    ``heegaard_h1``'s g x g intersection matrix."""
+    cols = [c.coeffs for c in d.alpha.classes() + d.beta.classes()]
+    if not cols:
+        return AbelianGroup(2 * d.genus, ())
+    factors = invariant_factors(IntegerMatrix.from_columns(cols, 2 * d.genus))
+    return AbelianGroup(2 * d.genus - len(factors),
+                        tuple(f for f in factors if f > 1))
+
+
+def test_heegaard_h1_matches_the_full_cokernel_on_scrambled_sums():
+    rng = random.Random(16)
+    seen = set()
+    for g in range(1, 9):
+        for _ in range(6):
+            t = genus_one_diagram(rng.choice(ALL_NAMES))
+            for _ in range(g - 1):
+                t = connected_sum(t, genus_one_diagram(rng.choice(ALL_NAMES)))
+            systems = list(t.systems())
+            for _ in range(3 * g if g > 1 else 0):
+                k = rng.randrange(3)
+                i, j = rng.sample(range(1, g + 1), 2)
+                guide = tuple(rng.choice((1, -1)) * rng.randint(1, 2 * g)
+                              for _ in range(rng.randrange(3)))
+                systems[k] = handleslide(systems[k], i, j, guide,
+                                         rng.choice((1, -1)))
+            t = TrisectionDiagram(g, *systems)
+            for d in pair_diagrams(t):
+                h1 = heegaard_h1(d)
+                assert h1 == _h1_from_both_systems(d)
+                seen.add((g, h1.free_rank))
+    assert len({k for (g, k) in seen if g == 8}) >= 3
+
+
+def _transvect(genus, v, x):
+    """x + <x, v> v: the image of x under a symplectic automorphism."""
+    c = algebraic_intersection(HomologyClass(genus, tuple(x)),
+                               HomologyClass(genus, tuple(v)))
+    return [a + c * b for a, b in zip(x, v)]
+
+
+@st.composite
+def _lagrangian_pairs(draw):
+    """Two cut systems whose classes are symplectic images of the
+    standard Lagrangian (one of a_h, b_h per handle), as word curves."""
+    g = draw(st.integers(1, 4))
+    systems = []
+    for _ in range(2):
+        vecs = []
+        for h in range(g):
+            x = [0] * (2 * g)
+            x[2 * h + draw(st.integers(0, 1))] = 1
+            vecs.append(x)
+        for _ in range(draw(st.integers(0, 3))):
+            v = draw(st.lists(st.integers(-1, 1), min_size=2 * g,
+                              max_size=2 * g))
+            vecs = [_transvect(g, v, x) for x in vecs]
+        curves = []
+        for x in vecs:
+            word = [(i + 1) * (1 if c > 0 else -1)
+                    for i, c in enumerate(x) for _ in range(abs(c))]
+            curves.append(curve_from_word(g, word))
+        systems.append(CutSystem(g, tuple(curves)))
+    return HeegaardDiagram(g, *systems)
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(_lagrangian_pairs())
+def test_heegaard_h1_matches_the_full_cokernel_on_lagrangian_pairs(d):
+    assert heegaard_h1(d) == _h1_from_both_systems(d)
 
 
 def test_detect_k_standard():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import ZZ
@@ -167,3 +168,123 @@ def test_invariant_factors_match_the_smith_diagonal_and_sympy(rows):
     if rows and rows[0]:
         oracle = sympy_invariant_factors(SympyMatrix(rows), domain=ZZ)
         assert factors == tuple(abs(int(d)) for d in oracle if d != 0)
+
+
+def _full_scan_smith_form(rows):
+    """(s, u, v) rows of the reduction that scans the whole block for its
+    pivot and always runs the divisibility scan: the reference for the
+    early stops in ``intmatrix._diagonalize``."""
+    a = [list(r) for r in rows]
+    nr, nc = len(a), len(a[0]) if a else 0
+    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
+    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
+
+    def row_add(dst, src, k):
+        a[dst] = [x + k * y for x, y in zip(a[dst], a[src])]
+        u[dst] = [x + k * y for x, y in zip(u[dst], u[src])]
+
+    def col_add(dst, src, k):
+        for m in (a, v):
+            for row in m:
+                row[dst] += k * row[src]
+
+    def row_swap(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def col_swap(i, j):
+        for m in (a, v):
+            for row in m:
+                row[i], row[j] = row[j], row[i]
+
+    t = 0
+    while t < nr and t < nc:
+        pivot = None
+        for i in range(t, nr):
+            for j in range(t, nc):
+                if a[i][j] != 0 and (pivot is None or abs(a[i][j])
+                                     < abs(a[pivot[0]][pivot[1]])):
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        row_swap(t, pivot[0])
+        col_swap(t, pivot[1])
+        while True:
+            dirty = False
+            for i in range(t + 1, nr):
+                if a[i][t] != 0:
+                    row_add(i, t, -(a[i][t] // a[t][t]))
+                    if a[i][t] != 0:
+                        row_swap(t, i)
+                        dirty = True
+            if dirty:
+                continue
+            for j in range(t + 1, nc):
+                if a[t][j] != 0:
+                    col_add(j, t, -(a[t][j] // a[t][t]))
+                    if a[t][j] != 0:
+                        col_swap(t, j)
+                        dirty = True
+            if dirty:
+                continue
+            offender = next((i for i in range(t + 1, nr)
+                             for j in range(t + 1, nc)
+                             if a[i][j] % a[t][t] != 0), None)
+            if offender is None:
+                break
+            row_add(t, offender, 1)
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
+        t += 1
+    return a, u, v
+
+
+def _seeded_matrices(seed):
+    """Matrices with many +-1 entries, with zero rows, and with no entry
+    of magnitude below 2."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(300):
+        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+        kind = rng.choice(("units", "zero-rows", "no-units"))
+        if kind == "units":
+            rows = [[rng.choice((-1, 1, -1, 1, 0, 2, -3)) for _ in range(nc)]
+                    for _ in range(nr)]
+        elif kind == "zero-rows":
+            rows = _random_matrix(rng, nr, nc)
+            for i in rng.sample(range(nr), rng.randint(1, nr)):
+                rows[i] = [0] * nc
+        else:
+            rows = [[rng.choice((-1, 1)) * rng.randint(2, 12)
+                     for _ in range(nc)] for _ in range(nr)]
+        out.append((kind, rows))
+    return out
+
+
+def test_smith_form_transforms_match_the_full_pivot_scan():
+    kinds = set()
+    for kind, rows in _seeded_matrices(20261018):
+        kinds.add(kind)
+        m = IntegerMatrix.from_rows(rows)
+        s, u, v = smith_normal_form(m)
+        ref = _full_scan_smith_form(rows)
+        assert (list(map(list, s.rows)), list(map(list, u.rows)),
+                list(map(list, v.rows))) == ref, (kind, rows)
+        assert invariant_factors(m) == tuple(
+            ref[0][i][i] for i in range(min(m.nrows, m.ncols))
+            if ref[0][i][i] != 0)
+    assert kinds == {"units", "zero-rows", "no-units"}
+
+
+def test_cokernel_reduces_the_transpose_and_rejects_ragged_columns():
+    rng = random.Random(7)
+    for _ in range(200):
+        n, k = rng.randint(0, 5), rng.randint(0, 5)
+        cols = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(k)]
+        factors = (invariant_factors(IntegerMatrix.from_columns(cols, n))
+                   if cols else ())
+        assert cokernel(cols, n) == AbelianGroup(
+            n - len(factors), tuple(d for d in factors if d > 1))
+    with pytest.raises(ValueError, match="ragged columns"):
+        cokernel([(1, 0), (1,)], 2)
