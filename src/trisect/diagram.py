@@ -114,7 +114,14 @@ class Curve:
         return words.cyclic_min(self.word)
 
     def support(self):
-        return {(abs(v) + 1) // 2 for v in self.word}
+        """The frozenset of handles the word runs over, built once per
+        curve; the cache is no dataclass field, so equality, hashing and
+        repr are unchanged."""
+        supp = getattr(self, "_support", None)
+        if supp is None:
+            supp = frozenset([(abs(v) + 1) // 2 for v in self.word])
+            object.__setattr__(self, "_support", supp)
+        return supp
 
 
 def _unchecked(cls, **fields):

@@ -269,9 +269,31 @@ def split_along(t, cert):
 
 # -- unscrambling -------------------------------------------------------------
 
-def _raw_slides(state):
-    """Each candidate slide of a word tuple as (move, slid state, change
-    in total length).
+def _word_facts(w, memo):
+    """``w``'s inverse, absolute letters and end letters, once per memo."""
+    facts = memo.get(w)
+    if facts is None:
+        facts = memo[w] = (words.inverse(w), set(map(abs, w)),
+                           {abs(w[0]), abs(w[-1])})
+    return facts
+
+
+def _pair_slides(wi, wj, inv_j):
+    """The slides of ``wi`` over ``wj`` that do not lengthen it, as
+    ``(sign, rotation, product)`` in ascending (sign 1 first, rotation)
+    order; a product that would be empty is left out."""
+    out = []
+    for sign, base in ((1, wj), (-1, inv_j)):
+        for r in words.cancelling_rotations(wi, base):
+            new = words.rotation_product(wi, base, r)
+            if new and len(new) <= len(wi):
+                out.append((sign, r, new))
+    return tuple(out)
+
+
+def _raw_slides(state, memo):
+    """Each slide of a word tuple that does not lengthen the slid word, as
+    (move, slid state, change in total length).
 
     A move (i, j, sign, r) appends rotation r of word j, inverted when
     the sign is -1, to word i, as sliding with guide inverse(base[:r])
@@ -279,22 +301,30 @@ def _raw_slides(state):
     total length (``words.cancelling_rotations``), so only those are
     built, and a pair is skipped outright when neither end letter of w_i
     occurs in w_j up to sign.  Slides that would empty word i are
-    skipped.  The words are nonempty cut-system words; each is inverted
-    and its letters collected once per state.
+    skipped.  The words are nonempty cut-system words.
+
+    ``memo`` is one descent's dict.  It keys each word's inverse and
+    letter sets on the word, and each pair's ``_pair_slides`` on
+    ``(w_i, w_j)``: the candidates depend on those two words alone (a
+    rule that read more of the system would need a larger key), and a
+    slide changes one word, so most pairs of a state recur in the next.
+    A product longer than w_i is left out, and that is exact: the
+    steepest step takes only a strict drop and the plateau search only a
+    strict drop or an equal-length step, so neither ever uses one.  The
+    rest come in (i, j, sign, r) order, which fixes how ties break.
     """
-    bases = [(w, words.inverse(w)) for w in state]
-    letters = [set(map(abs, w)) for w in state]
+    facts = [_word_facts(w, memo) for w in state]
     for i, wi in enumerate(state):
-        ends = {abs(wi[0]), abs(wi[-1])}
-        for j, pair in enumerate(bases):
-            if i == j or ends.isdisjoint(letters[j]):
+        ends = facts[i][2]
+        for j, wj in enumerate(state):
+            if i == j or ends.isdisjoint(facts[j][1]):
                 continue
-            for sign, base in zip((1, -1), pair):
-                for r in words.cancelling_rotations(wi, base):
-                    new = words.rotation_product(wi, base, r)
-                    if new:
-                        slid = state[:i] + (new,) + state[i + 1:]
-                        yield (i, j, sign, r), slid, len(new) - len(wi)
+            slides = memo.get((wi, wj))
+            if slides is None:
+                slides = memo[wi, wj] = _pair_slides(wi, wj, facts[j][0])
+            for sign, r, new in slides:
+                yield ((i, j, sign, r), state[:i] + (new,) + state[i + 1:],
+                       len(new) - len(wi))
 
 
 def _descend_words(state):
@@ -303,14 +333,17 @@ def _descend_words(state):
     Steepest strictly improving slide first; when stuck, a small
     breadth-first search over equal-length states looks for an escape.
     Returns the final state and the move script (0-based, with the
-    rotation of the slid-over word).
+    rotation of the slid-over word).  One memo (see ``_raw_slides``)
+    serves every state of this descent and is dropped when it returns,
+    so each word pair's slides are built once per descent.
     """
+    memo = {}
     cur = state
     script = []
     for _ in range(_DESCENT_STEP_CAP):
         best = None
         best_change = 0
-        for move, cand, change in _raw_slides(cur):
+        for move, cand, change in _raw_slides(cur, memo):
             if change < best_change:
                 best = (cand, move)
                 best_change = change
@@ -326,7 +359,7 @@ def _descend_words(state):
             node, path = queue.popleft()
             if len(path) >= 3:
                 continue
-            for move, cand, change in _raw_slides(node):
+            for move, cand, change in _raw_slides(node, memo):
                 if change < 0:
                     found = (cand, path + [move])
                     break

@@ -45,6 +45,17 @@ def test_curve_from_template_words():
     assert c2.support() == {2}
 
 
+def test_support_is_built_once_and_stays_out_of_equality():
+    c = curve_from_word(3, (1, 4, -1, 5))
+    fresh = Curve(c.genus, c.word, c.homology)
+    before = (repr(c), hash(c))
+    supp = c.support()
+    assert isinstance(supp, frozenset) and supp == {1, 2, 3}
+    assert c.support() is supp
+    assert (repr(c), hash(c)) == before
+    assert c == fresh and (repr(c), hash(c)) == (repr(fresh), hash(fresh))
+
+
 @settings(derandomize=True, database=None, max_examples=300)
 @given(st.integers(1, 4).flatmap(lambda g: st.tuples(
     st.just(g), st.integers(1, g), st.integers(-40, 40), st.integers(-40, 40),

@@ -3,12 +3,13 @@ import itertools
 import json
 import random
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from trisect import diagram, presentations, reports
+from trisect import diagram, moves, presentations, reports, words
 from trisect.catalog import (ALL_NAMES, genus_one_diagram, genus_one_name,
                              genus_zero_diagram, triangle_sign)
 from trisect.canonical import canonical_form
@@ -544,6 +545,58 @@ def test_moved_systems_pass_the_checking_constructors(t):
     _assert_checked(connected_sum(t, genus_one_diagram("CP2")))
     _assert_checked(heegaard_stabilize(HeegaardDiagram(t.genus, t.alpha,
                                                        t.beta)))
+
+
+# -- slide descent: the per-descent memo against the plain enumeration -------
+
+def _reference_slides(state, memo=None):
+    """Every slide of a word tuple, straight from the definition: each
+    rotation of w_j^sign appended to w_i and cyclically reduced, empty
+    products left out, in (i, j, sign, rotation) order.  No prefilter, no
+    seam kernel and no memo; the slides that lengthen w_i come too."""
+    for i, wi in enumerate(state):
+        for j, wj in enumerate(state):
+            if i == j:
+                continue
+            for sign, base in ((1, wj), (-1, words.inverse(wj))):
+                for r in range(len(base)):
+                    new = words.cyclic_reduce(wi + base[r:] + base[:r])
+                    if new:
+                        yield ((i, j, sign, r),
+                               state[:i] + (new,) + state[i + 1:],
+                               len(new) - len(wi))
+
+
+@st.composite
+def _descent_states(draw):
+    """g nonempty cyclically reduced surface words at genus 2..6: drawn
+    letter by letter, or the words of one system of a slid catalog sum
+    (guided slides included)."""
+    if draw(st.booleans()):
+        cs = draw(st.sampled_from(draw(_slid_sums()).systems()))
+        return tuple(c.word for c in cs.curves)
+    g = draw(st.integers(2, 6))
+    letter = st.builds(lambda v, s: v * s, st.integers(1, 2 * g),
+                       st.sampled_from((1, -1)))
+    word = st.lists(letter, min_size=1, max_size=7).map(
+        words.cyclic_reduce).filter(bool)
+    return tuple(draw(st.lists(word, min_size=g, max_size=g)))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_descent_states())
+def test_slide_descent_memo_matches_the_plain_enumeration(state):
+    # the memo keeps only slides that do not lengthen w_i; both consumers
+    # ignore the others, so candidates, final state and script must agree
+    want = [s for s in _reference_slides(state) if s[2] <= 0]
+    memo = {}
+    assert list(moves._raw_slides(state, memo)) == want  # cold memo
+    assert list(moves._raw_slides(state, memo)) == want  # warm memo
+    got = moves._descend_words(state)
+    if got[1]:
+        event("descent slides")
+    with mock.patch.object(moves, "_raw_slides", _reference_slides):
+        assert moves._descend_words(state) == got
 
 
 # -- decomposition witnesses: replay runs no search and rejects tampering -----
