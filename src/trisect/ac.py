@@ -7,7 +7,11 @@ on canonical keys, so two presentations differing by relator order, cyclic
 rotation, relator inversion, or a signed relabeling of the generators are
 one node.  A search computes the images under all signed relabelings
 once per relator class (up to rotation and inversion), and builds every
-key a relator of that class appears in from those images.
+key a relator of that class appears in from those images.  Images are
+byte words relabeled with ``bytes.translate`` (letter v is byte 128 + v,
+so byte order is letter order), and each class keeps its least image and
+the relabelings that reach it: a key sorts only those relabelings'
+columns, since no other can start with the least image of any relator.
 
 Inside the search an edge is a small descriptor, expanded into primitive
 moves only for the path that is returned, and children are built without
@@ -20,6 +24,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import permutations, product
+from math import factorial
 
 from . import words
 from .intmatrix import IntegerMatrix
@@ -148,44 +153,105 @@ def ab_det(p):
     return IntegerMatrix.from_rows(rows).determinant()
 
 
+# a letter v is the byte _BASE + v in the byte words that key images are
+# kept as, so byte order is letter order and negation is 2 * _BASE - byte
+_BASE = 128
+_NEGATE = bytes((2 * _BASE - b) % 256 for b in range(256))
+
+
 def _relabelings(n):
-    """Every signed relabeling of n generators, in permutation-major order,
-    as a map from each letter (negative ones too) to its image letter."""
+    """The signed relabelings of n >= 1 generators, one entry per pair of a
+    relabeling t (generator 1 kept positive) and its negation -t, in
+    permutation-major order.
+
+    An entry is three ``bytes.translate`` tables on byte words: ``image``
+    maps each letter to its image under t, ``inverse`` to the inverse of
+    that image, and ``preimage`` takes an image letter back.  Since -t maps
+    each letter to the inverse of its image under t, the tables of -t are
+    ``inverse`` and ``image``.
+    """
+    letters = bytes([_BASE + g for g in range(1, n + 1)]
+                    + [_BASE - g for g in range(1, n + 1)])
     tables = []
     for perm in permutations(range(1, n + 1)):
-        for signs in product((1, -1), repeat=n):
-            table = {}
-            for g, (s, h) in enumerate(zip(signs, perm), 1):
-                table[g] = s * h
-                table[-g] = -s * h
-            tables.append(table)
+        for signs in product((1, -1), repeat=n - 1):
+            pos = [_BASE + s * h for s, h in zip((1,) + signs, perm)]
+            images = bytes(pos + [2 * _BASE - b for b in pos])
+            image = bytes.maketrans(letters, images)
+            tables.append((image, image.translate(_NEGATE),
+                           bytes.maketrans(images, letters)))
     return tables
 
 
-def _class_images(word, tables):
-    """The least rotation of ``word`` or its inverse under each relabeling.
+def _least_start(rotations, table):
+    """The least of ``rotations`` after relabeling through ``table``."""
+    if len(rotations) == 1:
+        return rotations[0].translate(table)
+    return min([r.translate(table) for r in rotations])
 
-    ``word`` is cyclically reduced, and so is each image ``x``.  The least
-    rotation of ``x`` starts with ``min(x)`` and that of its inverse with
-    ``-max(x)``, so only the side with the smaller first letter is built,
-    and both only on a tie.
+
+def _byte_class(w):
+    """The byte word naming the class of relator ``w`` up to rotation and
+    inversion: the least rotation of its cyclic reduction or its inverse."""
+    t = _wrap_length(w)
+    x = bytes([_BASE + v for v in w[t:len(w) - t]])
+    if not x:
+        return x
+    least = words.least_rotation
+    lo, hi = min(x), 2 * _BASE - max(x)
+    if lo < hi:
+        return least(x)
+    inv = x[::-1].translate(_NEGATE)
+    return least(inv) if lo > hi else min(least(x), least(inv))
+
+
+def _class_images(word, tables):
+    """A relator class's images: ``(images, least, winners)``.
+
+    ``word`` is a cyclically reduced byte word.  ``images`` holds
+    the least rotation of its image or its inverse's under each
+    relabeling: entry 2k under the k-th of ``tables``, 2k + 1 under its
+    negation.  ``least`` is the least of them, and ``winners`` lists the
+    relabelings that reach it.
+
+    A least rotation starts at the least letter, so only the rotations of
+    ``word`` and of its reversal that start at a letter relabeled to it
+    are compared.  Under t, the image x of ``word`` has least letter
+    ``lo = min(x)`` and the image of its inverse has ``hi``, the negation
+    of ``max(x)``; only the side with the smaller one is built, and both
+    only on a tie.  Under -t the two sides swap their least letters (the
+    image of ``word`` is x with every letter inverted, that of its inverse
+    is x reversed), so one translation of ``word`` decides both
+    relabelings of a pair.
     """
     if not word:
-        return ((),) * len(tables)
-    least = words.least_rotation
-    inv = words.inverse(word)
+        return (b"",) * (2 * len(tables)), b"", tuple(range(2 * len(tables)))
+    size = len(word)
+    back = word[::-1]
+    ww, bb = word + word, back + back
+    fwd, bwd = {}, {}
+    for i in range(size):
+        fwd.setdefault(word[i], []).append(ww[i:i + size])
+        bwd.setdefault(back[i], []).append(bb[i:i + size])
     images = []
-    for t in tables:
-        x = tuple(map(t.__getitem__, word))
-        lo, hi = min(x), -max(x)
-        if lo < hi:
-            images.append(least(x))
-        elif lo > hi:
-            images.append(least(tuple(map(t.__getitem__, inv))))
-        else:
-            images.append(min(least(x),
-                              least(tuple(map(t.__getitem__, inv)))))
-    return tuple(images)
+    for image, inverse, preimage in tables:
+        x = word.translate(image)
+        lo, top = min(x), max(x)
+        hi = 2 * _BASE - top
+        if lo <= hi:
+            v = preimage[lo]
+            a = _least_start(fwd[v], image)
+            b = _least_start(bwd[v], image)
+        if lo >= hi:
+            v = preimage[top]
+            a2 = _least_start(bwd[v], inverse)
+            b2 = _least_start(fwd[v], inverse)
+            a, b = (a2, b2) if lo > hi else (min(a, a2), min(b, b2))
+        images.append(a)
+        images.append(b)
+    least = min(images)
+    winners = tuple(s for s, x in enumerate(images) if x == least)
+    return tuple(images), least, winners
 
 
 def canonical_key(p, _memo=None):
@@ -195,32 +261,46 @@ def canonical_key(p, _memo=None):
     inversion, the list is sorted, and the whole is minimized over signed
     relabelings of the generators.
 
-    ``_memo`` is a dict owned by one search.  It holds each generator
-    count's relabeling tables and, per ``(generators, relator)``, the
-    relator's minimized image under every relabeling.  The images depend
-    only on the relator's class up to rotation and inversion, so they are
-    computed once per class, stored under ``(generators, cyclic_min)`` as
-    well, and shared by every relator of the class and every state that
-    holds one.
+    ``_memo`` is a dict owned by one search.  Per generator count it holds
+    the relabeling tables, the images of each relator class, and each
+    image's text.  A class's images are byte words (letter v is byte
+    128 + v, so byte order is letter order), computed once per class up to
+    rotation and inversion: stored under the class's byte word
+    (``_byte_class``) and under every relator met in it, and shared by
+    every state that holds one.  The least sorted column starts with the
+    least image of any relator, so only the columns of the relabelings
+    that reach that image are sorted.
     """
     n = p.generators
+    if not n:
+        return b"0:"
     memo = _memo if _memo is not None else {}
-    columns = []
+    slot = memo.get(n)
+    if slot is None:
+        slot = memo[n] = (_relabelings(n), {}, {})
+    tables, classes, texts = slot
+    entries = []
     for w in p.relators:
-        images = memo.get((n, w))
-        if images is None:
-            c = words.cyclic_min(w)
-            images = memo.get((n, c))
-            if images is None:
-                tables = memo.get(n)
-                if tables is None:
-                    tables = memo[n] = _relabelings(n)
-                images = memo[(n, c)] = _class_images(c, tables)
-            memo[(n, w)] = images
-        columns.append(images)
-    best = min(map(sorted, zip(*columns)), default=())
-    body = "|".join(",".join(str(v) for v in r) for r in best)
-    return ("%d:%s" % (n, body)).encode("ascii")
+        entry = classes.get(w)
+        if entry is None:
+            c = _byte_class(w)
+            entry = classes.get(c)
+            if entry is None:
+                entry = classes[c] = _class_images(c, tables)
+            classes[w] = entry
+        entries.append(entry)
+    least = min([e[1] for e in entries])
+    winners = [e[2] for e in entries if e[1] == least]
+    columns = [e[0] for e in entries]
+    best = min([sorted([col[s] for col in columns])
+                for s in set().union(*winners)])
+    parts = []
+    for x in best:
+        text = texts.get(x)
+        if text is None:
+            text = texts[x] = ",".join([str(b - _BASE) for b in x])
+        parts.append(text)
+    return ("%d:%s" % (n, "|".join(parts))).encode("ascii")
 
 
 @dataclass(frozen=True)
@@ -269,6 +349,11 @@ def _aligned_products(p, max_total_length):
     """Children obtained by multiplying a rotation of one relator by a
     rotation of another or of its inverse, then cyclically reducing.
 
+    Every relator of ``p`` must be cyclically reduced, as every search
+    state's is (``_normalize_start``, and each child below): then a rotation
+    is freely reduced, and ``words.rotation_product`` builds each child
+    core from the seam and the wrap alone.
+
     Each distinct child comes with its descriptor ``(i, j, m, e, k)``:
     r_i rotated by m letters times r_j^e rotated by k letters replaces r_i.
     ``_product_moves`` expands a descriptor into primitive moves.  A child
@@ -298,9 +383,7 @@ def _aligned_products(p, max_total_length):
                 for e in (1, -1):
                     base = rs[j - 1] if e == 1 else words.inverse(rs[j - 1])
                     for k in range(len(base)):
-                        new = words.free_reduce(rot_left + base[k:] + base[:k])
-                        t = _wrap_length(new)
-                        core = new[t:len(new) - t]
+                        core = words.rotation_product(rot_left, base, k)
                         if core in produced:
                             continue
                         produced.add(core)
@@ -379,6 +462,9 @@ def ac_search(p, max_total_length, max_depth, stable=False,
     relator length exceeds max_total_length are pruned; stable search
     adds at most two generators.  A presentation whose exponent matrix
     has determinant of absolute value other than 1 is refuted outright.
+    A key on g generators is minimized over 2^g g! signed relabelings;
+    when that count, at the most generators the search can reach, exceeds
+    max_states, the search answers unknown before it builds any key.
 
     The edge family is closed under inverses, so reachability between
     canonical keys is symmetric; the search runs from both ends (the input
@@ -408,8 +494,17 @@ def ac_search(p, max_total_length, max_depth, stable=False,
             "exhausted: the presentation itself exceeds total length %d"
             % max_total_length), stats)
 
-    memo = {}
     gen_cap = p.generators + 2
+    reach = gen_cap if stable else p.generators
+    relabelings = 2 ** reach * factorial(reach)
+    if relabelings > max_states:
+        stats["aborted"] = "relabelings"
+        return SearchResult(None, unknown(
+            "exhausted: keys on %d generators compare %d signed "
+            "relabelings, more than the state cap %d"
+            % (reach, relabelings, max_states)), stats)
+
+    memo = {}
     goal = trivial_presentation(p.generators)
     start_key = canonical_key(p0, memo)
     goal_key = canonical_key(goal, memo)

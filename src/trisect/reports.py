@@ -341,13 +341,10 @@ def _replay_ab_det(w, p):
 
 
 def _replay_ac_path(w, p):
-    from .ac import canonical_key, replay_ac_path, trivial_presentation
+    from .ac import replay_ac_path
 
     final = replay_ac_path(p, [tuple(m) for m in w["moves"]])
     _need(final.is_trivial_form(), "path does not end in trivial form")
-    _need(canonical_key(final) == canonical_key(
-        trivial_presentation(final.generators)),
-          "final key is not the trivial key")
 
 
 def _replay_construction(w, *objs):

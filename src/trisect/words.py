@@ -97,7 +97,8 @@ def least_rotation(word):
     """Lexicographically least cyclic rotation of ``word`` (``()`` if empty).
 
     Only rotations that start at the word's least letter can win, so only
-    those are compared.
+    those are compared.  Byte words work too; ``ac`` names relator classes
+    by them.
     """
     if not word:
         return ()

@@ -4,11 +4,15 @@ import random
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from trisect import ac
 from trisect.ac import (BalancedPresentation, ab_det, ac_search,
                         ak_presentation, apply_ac_move, canonical_key,
                         replay_ac_path, trivial_presentation,
-                        _aligned_products, _product_moves)
+                        _aligned_products, _edges, _normalize_start,
+                        _product_moves)
 from trisect.words import cyclic_reduce, inverse, map_letters
 
 
@@ -250,6 +254,50 @@ def test_a_memo_fed_rotations_and_inverses_keys_by_relator_class():
             _oracle_key(apply_ac_move(p, ("stabilize",)))
 
 
+@st.composite
+def _keyed_presentations(draw):
+    """Presentations on up to 4 generators (the stable search reaches 4
+    from AK(2)), with empty relators, relators of one class and relators
+    whose classes tie for the least image."""
+    n = draw(st.integers(0, 4))
+    letters = [v for g in range(1, n + 1) for v in (g, -g)]
+    rels = []
+    for i in range(n):
+        how = draw(st.sampled_from(("free", "same class", "tie"))) \
+            if i else "free"
+        if how == "free":
+            w = tuple(draw(st.lists(st.sampled_from(letters), max_size=6)))
+        else:
+            w = rels[draw(st.integers(0, i - 1))]
+            if how == "tie":
+                # a signed relabeling keeps the least image of the class
+                perm = draw(st.permutations(range(1, n + 1)))
+                table = {g: (perm[g - 1] * draw(st.sampled_from((1, -1))),)
+                         for g in range(1, n + 1)}
+                w = map_letters(w, table)
+            r = draw(st.integers(0, max(len(w) - 1, 0)))
+            w = w[r:] + w[:r]
+            if draw(st.booleans()):
+                w = inverse(w)
+        rels.append(w)
+    return BalancedPresentation(n, tuple(rels))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_keyed_presentations())
+def test_canonical_key_equals_the_oracle(p):
+    want = _oracle_key(p)
+    assert canonical_key(p) == want
+    # one memo across generator counts, as a stable search keeps it: the
+    # same relators must not get their images under the other count
+    memo = {}
+    q = apply_ac_move(p, ("stabilize",)) if p.generators < 4 else p
+    want_q = _oracle_key(q)
+    assert canonical_key(q, memo) == want_q
+    assert canonical_key(p, memo) == want
+    assert canonical_key(q, memo) == want_q
+
+
 # budgets 32/20; the counts and path digests pin each search tree
 @pytest.mark.parametrize("n, stable, cap, status, visited, stored, pruned, "
                          "moves, digest", [
@@ -324,10 +372,14 @@ def test_three_generator_scramble_trees_are_pinned(seed, visited, stored,
 
 
 def test_aligned_products_replay_to_their_children():
+    # children are built by seam arithmetic, which is exact on cyclically
+    # reduced relators only; every search state has them, so the states
+    # here come through the search's own start normalization
     rng = random.Random(3)
     built = pruned = 0
     for _ in range(30):
-        p = _random_presentation(rng, rng.randrange(2, 4), 5)
+        p = _normalize_start(
+            _random_presentation(rng, rng.randrange(2, 4), 5))[0]
         cap = p.total_length() + 2
         for desc, child in _aligned_products(p, cap):
             moves = _product_moves(p, desc)
@@ -346,6 +398,51 @@ def test_aligned_products_replay_to_their_children():
             assert BalancedPresentation(p.generators, child.relators) == child
             built += 1
     assert built and pruned
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(
+    st.lists(st.integers(1, n).flatmap(lambda g: st.sampled_from((g, -g))),
+             max_size=6),
+    min_size=n, max_size=n)))
+def test_children_of_a_cyclically_reduced_state_are_cyclically_reduced(rels):
+    # the precondition of the seam kernel that builds every child core
+    state = _normalize_start(BalancedPresentation(len(rels),
+                                                  tuple(map(tuple, rels))))[0]
+    assert all(cyclic_reduce(r) == r for r in state.relators)
+    built = 0
+    for _, child in _edges(state, True, state.generators + 2,
+                           state.total_length() + 2):
+        if child is not None:
+            assert all(cyclic_reduce(r) == r for r in child.relators)
+            built += 1
+    assert built
+
+
+def test_a_search_whose_keys_outgrow_the_state_cap_answers_unknown(
+        monkeypatch):
+    def no_relabelings(n):
+        raise AssertionError("built the relabelings of %d generators" % n)
+
+    monkeypatch.setattr(ac, "_relabelings", no_relabelings)
+    # x1, ..., x8 and x9 x1: a key would compare 2^9 9! = 185,794,560
+    # signed relabelings
+    p = BalancedPresentation(9, tuple((g,) for g in range(1, 9)) + ((9, 1),))
+    assert abs(ab_det(p)) == 1
+    res = ac_search(p, 32, 20)
+    assert res.verdict.is_unknown and not res.found
+    assert "exhausted" in res.verdict.reason
+    assert res.stats["aborted"] == "relabelings"
+    assert res.stats["visited"] == 0
+
+
+@pytest.mark.parametrize("cap, aborted", [(383, "relabelings"),
+                                          (384, "state-cap")])
+def test_the_relabeling_bound_counts_the_stable_generators(cap, aborted):
+    # stable AK(2) reaches 4 generators: 2^4 4! = 384 relabelings
+    res = ac_search(ak_presentation(2), 32, 20, stable=True, max_states=cap)
+    assert res.verdict.is_unknown
+    assert res.stats["aborted"] == aborted
 
 
 def test_search_on_trivial_presentation():

@@ -76,6 +76,23 @@ def test_exhausted_search_exits_two(capsys):
     assert "exhausted" in out
 
 
+def test_a_search_whose_keys_outgrow_the_state_cap_exits_two(
+        tmp_path, capsys, monkeypatch):
+    from trisect import ac
+
+    def no_relabelings(n):
+        raise AssertionError("built the relabelings of %d generators" % n)
+
+    monkeypatch.setattr(ac, "_relabelings", no_relabelings)
+    # x1, ..., x8 and x9 x1: 2^9 9! signed relabelings per key
+    text = "presentation generators=9\n" + "".join(
+        "relator: x%d\n" % g for g in range(1, 9)) + "relator: x9 x1\n"
+    code, out, _ = run(capsys, "ac-search", write(tmp_path, "p9.pres", text))
+    assert code == 2
+    assert "verdict: unknown" in out
+    assert "exhausted" in out and "relabelings" in out
+
+
 def test_found_search_exits_zero(capsys):
     code, out, _ = run(capsys, "ac-search", "--ak", "1",
                        "--max-length", "32", "--max-depth", "20")

@@ -172,3 +172,22 @@ def test_a_reflected_order_does_not_replay_cp2_as_cp2r(verdict):
     assert "CP2R" in forged["names"]
     with pytest.raises(reports.ReplayError):
         reports.replay_verdict((t,), dict(honest, witness=forged))
+
+
+def test_an_ac_path_one_move_short_of_trivial_form_fails(monkeypatch):
+    from trisect import ac
+
+    def no_relabelings(n):
+        raise AssertionError("built the relabelings of %d generators" % n)
+
+    p = ak_presentation(1)
+    witness = ac.ac_search(p, 32, 20).verdict.witness
+    # replay checks the trivial form itself and builds no key
+    monkeypatch.setattr(ac, "_relabelings", no_relabelings)
+    reports.replay_verdict((p,), {"status": "verified", "witness": witness})
+    short = dict(witness, moves=witness["moves"][:-1])
+    assert not ac.replay_ac_path(
+        p, [tuple(m) for m in short["moves"]]).is_trivial_form()
+    with pytest.raises(reports.ReplayError, match="trivial form"):
+        reports.replay_verdict((p,), {"status": "verified",
+                                      "witness": short})
