@@ -193,8 +193,7 @@ def _least_start(rotations, table):
 def _byte_class(w):
     """The byte word naming the class of relator ``w`` up to rotation and
     inversion: the least rotation of its cyclic reduction or its inverse."""
-    t = _wrap_length(w)
-    x = bytes([_BASE + v for v in w[t:len(w) - t]])
+    x = bytes([_BASE + v for v in words.strip_wrap(w)])
     if not x:
         return x
     least = words.least_rotation
@@ -339,10 +338,7 @@ def _rotation_moves(i, prefix, undo=False):
 def _wrap_length(w):
     """How many letters a freely reduced word cancels around its wrap; the
     conjugations peeling them are ``_rotation_moves(i, w[:t])``."""
-    t = 0
-    while len(w) > 2 * t + 1 and w[t] == -w[-1 - t]:
-        t += 1
-    return t
+    return (len(w) - len(words.strip_wrap(w))) // 2
 
 
 def _aligned_products(p, max_total_length):

@@ -156,7 +156,3 @@ def canonical_form(t):
         return _word_form(t)
     units = sorted(reduce_triple(triple) for triple in layout)
     return "t:%d:%r" % (t.genus, units)
-
-
-def is_isomorphic(t1, t2):
-    return canonical_form(t1) == canonical_form(t2)

@@ -15,7 +15,7 @@ sign of det(a,b)*det(b,c)*det(c,a) over the slope triple, which is
 invariant under slope sign flips and common SL(2,Z) changes of the
 handle basis.
 
-``match_genus_one`` is the one genus-one namer: the classifier's walk,
+``match_genus_one`` is the one genus-one namer: the classifier's pass,
 its replay and ``destabilize`` all name a piece with it, from homology
 alone, so naming a piece runs no search.
 """
@@ -63,13 +63,6 @@ def genus_one_diagram(name):
 def genus_zero_diagram():
     empty = CutSystem(0, ())
     return TrisectionDiagram(0, empty, empty, empty, declared_params=(0, 0, 0))
-
-
-def stabilization_diagram(i):
-    """The i-th genus-one S4 diagram, i in {1, 2, 3}."""
-    if i not in (1, 2, 3):
-        raise ValueError("stabilization index must be 1, 2, or 3")
-    return genus_one_diagram("S4STAB%d" % i)
 
 
 def _slope_sign(a, b, c):

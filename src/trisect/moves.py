@@ -1,19 +1,20 @@
 """Moves on diagrams and the one classifier, ``standardize``.
 
-The classifier refutes from the input's ``pair_homology``, then walks:
-unscramble (greedy slide descent back to shortest words, then restore
-slope templates), split along reducing curves down to genus one, and
-name each piece against the genus-one catalog.  The walk runs on the
+The classifier refutes from the input's ``pair_homology``, then makes
+one pass: unscramble once (greedy slide descent back to shortest words,
+then restore slope templates), cut the cleaned diagram into all its
+support components at once (``split_components``), and name each
+genus-one piece against the genus-one catalog.  The pass runs on the
 diagram as given, with no Tietze search and no parameter precondition,
-and never refutes.  Certificates are searched in a fixed deterministic
-order and every positive verdict carries a replayable script.
+and never refutes.  Slides are searched in a fixed deterministic order
+and every positive verdict carries them as a replayable script.
 
 Search (``standardize``) and its replay (``replay_decomposition``) share
-each step: ``_retemplated`` after the slides, ``split_along`` on a
-handle partition, and ``catalog.match_genus_one``, which names a
-genus-one leaf from homology.  Only the search looks for slides and
-certificates.  ``find_stabilization_certificate`` and ``destabilize``
-are library moves that the walk does not use (``_decompose`` says why).
+each step after the slides: ``_retemplated``, ``split_components`` and
+``catalog.match_genus_one``, which names a genus-one piece from
+homology.  Only the search looks for slides.
+``find_stabilization_certificate`` and ``destabilize`` are library
+moves that the pass does not use (``standardize`` says why).
 """
 
 from __future__ import annotations
@@ -100,17 +101,6 @@ class StabilizationCertificate:
     index: int
     omega: Curve
     dual: Curve
-
-
-@dataclass(frozen=True)
-class ReducingCertificate:
-    """A handle partition with every curve supported on one side.
-
-    The separating curve is the boundary of the left handles' subsurface,
-    ``commutator_word(left_handles)``; nothing needs it built.
-    """
-    left_handles: tuple
-    right_handles: tuple
 
 
 def _names_for_index(index):
@@ -229,42 +219,29 @@ def _handle_components(t):
     return sorted(comps.values())
 
 
-def find_reducing_certificate(t):
-    """A separating curve splitting off the first support component.
+def split_components(t):
+    """Cut the diagram into its support components, in handle order.
 
-    The witness partition has every curve of every system supported
-    entirely on one side.  Absence never implies irreducibility.
+    Each piece keeps the curves supported on one ``_handle_components``
+    component, with its handles renumbered from 1 in order; the cut
+    curves are the boundaries of the components' subsurfaces, and no
+    curve crosses them.  Raises ValueError when a system has other than
+    one curve per handle on some component.
     """
-    if t.genus <= 1:
-        return None
-    comps = _handle_components(t)
-    if len(comps) <= 1:
-        return None
-    left = tuple(comps[0])
-    right = tuple(h for h in range(1, t.genus + 1) if h not in comps[0])
-    return ReducingCertificate(left, right)
-
-
-def split_along(t, cert):
-    """Cut the diagram into the two sides of a reducing certificate."""
-    left, right = tuple(cert.left_handles), tuple(cert.right_handles)
-    if sorted(left + right) != list(range(1, t.genus + 1)):
-        raise ValueError("certificate handles do not partition 1..g")
-    sides = []
-    for side in (left, right):
-        side_set = set(side)
-        remap = {h: i + 1 for i, h in enumerate(sorted(side))}
-        g_side = len(side)
+    pieces = []
+    for comp in _handle_components(t):
+        g = len(comp)
+        remap = {h: i + 1 for i, h in enumerate(comp)}
         systems = []
         for cs in t.systems():
-            picked = [c for c in cs.curves if c.support() <= side_set]
-            if len(picked) != g_side:
-                raise ValueError("curve supports straddle the certificate "
-                                 "partition")
+            picked = [c for c in cs.curves if c.support() <= remap.keys()]
+            if len(picked) != g:
+                raise ValueError("a system has %d curves on a genus-%d "
+                                 "support component" % (len(picked), g))
             systems.append(moved_system(
-                g_side, tuple(reembed(c, g_side, remap) for c in picked)))
-        sides.append(TrisectionDiagram(g_side, *systems))
-    return sides[0], sides[1]
+                g, tuple(reembed(c, g, remap) for c in picked)))
+        pieces.append(TrisectionDiagram(g, *systems))
+    return pieces
 
 
 # -- unscrambling -------------------------------------------------------------
@@ -460,64 +437,41 @@ def check_classified_params(params):
 
 # -- standardization ----------------------------------------------------------
 
-def _decompose(t):
-    """Recursive split walk; returns (names, tree, stuck).
-
-    ``stuck`` is None when every leaf was named, else the reason of the
-    first stuck node.  The walk never refutes: callers refute from the
-    input's ``pair_homology`` first, and a split is a connected sum, so
-    each pair's H1 is the direct sum of the pieces' and no piece shows
-    torsion the input does not.
-    """
-    if t.genus == 0:
-        return [], {"op": "empty"}, None
-    if t.genus == 1:
-        name = match_genus_one(t)
-        if name is None:
-            raise AssertionError("a genus-one piece without torsion has "
-                                 "no catalog name")
-        return [name], {"op": "match", "name": name}, None
-    cleaned, scripts = unscramble(t)
-    node = {"op": "unscramble", "slides": scripts}
-    cert = find_reducing_certificate(cleaned)
-    if cert is not None:
-        left_t, right_t = split_along(cleaned, cert)
-        l_names, l_tree, l_stuck = _decompose(left_t)
-        r_names, r_tree, r_stuck = _decompose(right_t)
-        node["next"] = {"op": "split",
-                        "left": list(cert.left_handles),
-                        "left_tree": l_tree, "right_tree": r_tree}
-        return l_names + r_names, node, l_stuck or r_stuck
-    # no destabilization is tried: ``destabilize`` needs a handle that
-    # carries exactly one curve of each system, supported on it alone, and
-    # such a handle is its own support component, which the reducing
-    # certificate above has already split off at genus >= 2
-    reason = "no reducing certificate at genus %d" % t.genus
-    node["next"] = {"op": "stuck", "reason": reason}
-    return [], node, reason
-
-
 def standardize(t):
     """Name the diagram as a connected sum of genus-one pieces.
 
-    Refutes from the input's pair homology, then runs the split walk on
-    ``t`` as given: verified with a ``classification`` witness when every
-    leaf is named, unknown with the first stuck reason (and the names of
-    the leaves reached) otherwise.  No Tietze search runs and no
-    parameter range is required; the paper's theorem promises a sum of
-    genus-one pieces only when ``max(k) >= g-1``.
+    Refutes from the input's pair homology, then makes one pass on ``t``
+    as given: unscramble, cut into support components, and name every
+    genus-one piece.  Verified with a ``classification`` witness when
+    every piece is named, unknown with the first piece of genus >= 2
+    (and the names of the genus-one pieces) otherwise.  The pass never
+    refutes: a cut is a connected sum, so each pair's H1 is the direct
+    sum of the pieces' and no piece shows torsion the input does not.
+    No destabilization is tried: ``destabilize`` needs a handle that
+    carries exactly one curve of each system, supported on it alone, and
+    such a handle is its own support component, already cut off.  No
+    Tietze search runs and no parameter range is required; the paper's
+    theorem promises a sum of genus-one pieces only when
+    ``max(k) >= g-1``.
     """
     bad = pair_homology(t)[2]
     if bad is not None:
         return [], bad
-    names, tree, stuck = _decompose(t)
+    cleaned, scripts = unscramble(t)
+    pieces = split_components(cleaned)
+    names = [match_genus_one(p) for p in pieces if p.genus == 1]
+    if None in names:
+        raise AssertionError("a genus-one piece without torsion has no "
+                             "catalog name")
+    stuck = next((p for p in pieces if p.genus > 1), None)
     if stuck is not None:
-        return names, unknown(stuck)
+        return names, unknown("no reducing certificate at genus %d"
+                              % stuck.genus)
     name = sum_name(names)
     return names, verified(
         "diagram is %s" % name,
         {"kind": "classification", "name": name, "names": list(names),
-         "tree": tree})
+         "tree": {"op": "unscramble", "slides": scripts}})
 
 
 def sum_name(names):
@@ -541,43 +495,30 @@ def replay_decomposition(t, witness):
     """Re-derive a classification's summand names from its script,
     without search.
 
-    Walks the recorded tree, re-applying recorded slides, re-checking
-    each split partition and re-naming each genus-one leaf.  Raises
-    ValueError when the script does not validate against the diagram.
+    Re-applies the recorded slides through ``handleslide``, retemplates,
+    recomputes the cut into support components and re-names each piece.
+    Raises ValueError when the script does not validate against the
+    diagram: a piece of genus other than one, or other names.
     """
-    names = _replay_tree(t, witness["tree"])
+    node = witness["tree"]
+    if node["op"] != "unscramble":
+        raise ValueError("unknown script op %r" % node["op"])
+    slid = []
+    for cs, label in zip(t.systems(), ("alpha", "beta", "gamma")):
+        for (i, j, sign, guide) in node["slides"].get(label, []):
+            cs = handleslide(cs, i, j, guide=guide, sign=sign)
+        slid.append(cs)
+    names = []
+    for piece in split_components(_retemplated(t, slid)):
+        if piece.genus != 1:
+            raise ValueError("replayed slides leave a piece of genus %d"
+                             % piece.genus)
+        name = match_genus_one(piece)
+        if name is None:
+            raise ValueError("a replayed genus-one piece has no catalog "
+                             "name")
+        names.append(name)
     if sorted(names) != sorted(witness["names"]):
         raise ValueError("replayed names %r do not match recorded %r"
                          % (names, witness["names"]))
     return names
-
-
-def _replay_tree(t, node):
-    op = node["op"]
-    if op == "empty":
-        if t.genus != 0:
-            raise ValueError("script claims an empty diagram at genus %d"
-                             % t.genus)
-        return []
-    if op == "match":
-        name = match_genus_one(t)
-        if name is None or name != node["name"]:
-            raise ValueError("genus-one piece does not match recorded %r"
-                             % node["name"])
-        return [name]
-    if op == "unscramble":
-        slid = []
-        for cs, label in zip(t.systems(), ("alpha", "beta", "gamma")):
-            for (i, j, sign, guide) in node["slides"].get(label, []):
-                cs = handleslide(cs, i, j, guide=guide, sign=sign)
-            slid.append(cs)
-        return _replay_tree(_retemplated(t, slid), node["next"])
-    if op == "split":
-        left = tuple(node["left"])
-        right = tuple(h for h in range(1, t.genus + 1) if h not in left)
-        lt, rt = split_along(t, ReducingCertificate(left, right))
-        return (_replay_tree(lt, node["left_tree"])
-                + _replay_tree(rt, node["right_tree"]))
-    if op == "stuck":
-        raise ValueError("script records a stuck state: %s" % node["reason"])
-    raise ValueError("unknown script op %r" % op)

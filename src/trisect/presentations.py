@@ -161,16 +161,6 @@ def _find_elimination(relators, max_len):
     return ri, g, _elimination_expr(relators[ri], g), cost
 
 
-def _strip_wrap(w):
-    """Cyclic reduction of a freely reduced word: only the inverse pairs
-    around its wrap are left to cancel."""
-    lo, hi = 0, len(w)
-    while hi - lo > 1 and w[lo] == -w[hi - 1]:
-        lo += 1
-        hi -= 1
-    return w[lo:hi]
-
-
 def _apply_elimination(gens, relators, ri, g, expr, trace):
     out = []
     for rj, other in enumerate(relators):
@@ -178,7 +168,7 @@ def _apply_elimination(gens, relators, ri, g, expr, trace):
             continue
         # substitute ends in free_reduce; replay_tietze still runs the full
         # cyclic_reduce as its independent check
-        w = _strip_wrap(words.substitute(other, g, expr))
+        w = words.strip_wrap(words.substitute(other, g, expr))
         if w:
             out.append(_shift_down(w, g))
     trace.append(["eliminate", ri, g, list(expr)])

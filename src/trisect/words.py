@@ -35,12 +35,19 @@ def free_reduce(letters):
     return tuple(out)
 
 
+def strip_wrap(w):
+    """Cyclic reduction of a freely reduced word: only the inverse pairs
+    around its wrap are left to cancel."""
+    lo, hi = 0, len(w)
+    while hi - lo > 1 and w[lo] == -w[hi - 1]:
+        lo += 1
+        hi -= 1
+    return w[lo:hi]
+
+
 def cyclic_reduce(word):
     """Freely reduce, then strip inverse pairs wrapping around the ends."""
-    w = list(free_reduce(word))
-    while len(w) > 1 and w[0] == -w[-1]:
-        w = w[1:-1]
-    return tuple(w)
+    return strip_wrap(free_reduce(word))
 
 
 def cancelling_rotations(u, base):

@@ -8,8 +8,7 @@ import pytest
 from trisect.catalog import (ALL_NAMES, FIGURE_ONE, FIGURE_TWO,
                              GENUS_ONE_PARAMS, genus_one_diagram,
                              genus_one_name, genus_zero_diagram,
-                             match_genus_one, stabilization_diagram,
-                             triangle_sign)
+                             match_genus_one, triangle_sign)
 from trisect.diagram import (TrisectionDiagram, system_from_templates,
                              trisection_params)
 
@@ -92,7 +91,7 @@ def test_figure_groups():
     assert set(FIGURE_ONE) == {"CP2", "CP2R", "S1xS3"}
     assert set(FIGURE_TWO) == {"S4STAB1", "S4STAB2", "S4STAB3"}
     for i in (1, 2, 3):
-        t = stabilization_diagram(i)
+        t = genus_one_diagram("S4STAB%d" % i)
         expected = [0, 0, 0]
         expected[i - 1] = 1
         assert t.declared_params == tuple(expected)

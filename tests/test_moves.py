@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 
 from trisect import diagram, moves, presentations, reports, words
 from trisect.catalog import (ALL_NAMES, genus_one_diagram, genus_one_name,
-                             genus_zero_diagram, triangle_sign)
+                             genus_zero_diagram, match_genus_one,
+                             triangle_sign)
 from trisect.canonical import canonical_form
 from trisect.diagram import (Curve, HeegaardDiagram, TrisectionDiagram,
                              TrisectionParams, CutSystem, curve_from_word,
@@ -21,17 +23,17 @@ from trisect.homology import (HomologyClass, abelianize,
                               algebraic_intersection)
 from trisect.intmatrix import span_equal
 from trisect.moves import (check_classified_params, connected_sum,
-                           destabilize,
-                           find_reducing_certificate,
-                           find_stabilization_certificate, handleslide,
-                           heegaard_stabilize, i_stabilize,
-                           replay_decomposition, split_along, standardize,
-                           sum_name, unscramble)
+                           destabilize, find_stabilization_certificate,
+                           handleslide, heegaard_stabilize, i_stabilize,
+                           replay_decomposition, split_components,
+                           standardize, sum_name, unscramble)
 
 PAIR_TRACES_SHA256 = (
     "bbc8a1bca0e7dad51703026d80dbd6a6bda18729dd872c955f473dd12fd41d8d")
+# names, status, reason and witness; re-pinned when the classification
+# witness became one unscramble node (the names digest did not move)
 STANDARDIZE_SHA256 = (
-    "769bd0136d7a772023acbc95f616f1a0d3e53260c57b69659ccb72720b1540fb")
+    "24ea6c0b135eb3962e6b321a262150b2fee82c5401bebbc46957b9e9b599560f")
 # sorted summand names and status only, measured when standardize still
 # confirmed the parameters by Tietze search and rotated the systems so
 # the largest k came first; dropping both must not move a single answer
@@ -207,27 +209,38 @@ def test_destabilize_requires_literal_membership():
         destabilize(moved, cert)
 
 
-def test_reducing_certificate_splits_a_sum():
+def test_split_components_cuts_a_sum_into_its_pieces():
     t = connected_sum(genus_one_diagram("CP2"), genus_one_diagram("CP2R"))
-    cert = find_reducing_certificate(t)
-    assert cert is not None
-    assert cert.left_handles == (1,)
-    assert cert.right_handles == (2,)
-    left, right = split_along(t, cert)
+    left, right = split_components(t)
     p_left, _ = trisection_params(left)
     p_right, _ = trisection_params(right)
     assert (p_left.ks, p_right.ks) == ((0, 0, 0), (0, 0, 0))
     assert canonical_form(left) == canonical_form(genus_one_diagram("CP2"))
     assert canonical_form(right) == canonical_form(genus_one_diagram("CP2R"))
+    assert [match_genus_one(p) for p in (left, right)] == ["CP2", "CP2R"]
 
 
-def test_no_reducing_certificate_when_supports_merge():
+def test_split_components_keeps_merged_supports_whole():
     t = connected_sum(genus_one_diagram("CP2"), genus_one_diagram("CP2R"))
     alpha = handleslide(t.alpha, 1, 2)
     merged = TrisectionDiagram(2, alpha, t.beta, t.gamma,
                                declared_params=t.declared_params)
-    assert find_reducing_certificate(merged) is None
-    assert find_reducing_certificate(genus_one_diagram("CP2")) is None
+    (piece,) = split_components(merged)
+    assert piece.systems() == merged.systems()
+    one = genus_one_diagram("CP2")
+    assert [p.systems() for p in split_components(one)] == [one.systems()]
+    assert split_components(genus_zero_diagram()) == []
+
+
+def test_split_components_rejects_an_uneven_system():
+    # two alpha curves on handle 1 and none on handle 2; no checked system
+    # is that uneven (its classes on a genus-h component have rank h), so
+    # only an unchecked one reaches the guard
+    t = connected_sum(genus_one_diagram("CP2"), genus_one_diagram("CP2R"))
+    alpha = diagram.moved_system(2, (t.alpha.curve(1),
+                                     curve_from_word(2, (1, 2))))
+    with pytest.raises(ValueError, match="2 curves on a genus-1 support"):
+        split_components(TrisectionDiagram(2, alpha, t.beta, t.gamma))
 
 
 def test_unscramble_recovers_a_scrambled_sum():
@@ -267,7 +280,7 @@ def test_standardize_names_a_clean_sum():
 
 
 def test_standardize_names_stabilizations_in_the_input_labeling():
-    # the walk runs on the systems as given, so the index of each
+    # the pass runs on the systems as given, so the index of each
     # stabilization is read in the input's own pair order
     t = connected_sum(genus_one_diagram("S4STAB2"),
                       genus_one_diagram("S4STAB2"))
@@ -510,11 +523,9 @@ def _slid_sums(draw):
 
 
 def _walk(t):
-    """Unscramble, then destabilize and split wherever a certificate
-    exists, checking every diagram the moves build."""
+    """Unscramble, destabilize where a certificate exists, and cut into
+    support components, checking every diagram the moves build."""
     _assert_checked(t)
-    if t.genus < 2:
-        return
     cleaned, _ = unscramble(t)
     _assert_checked(cleaned)
     for before, after in zip(t.systems(), cleaned.systems()):
@@ -529,13 +540,14 @@ def _walk(t):
         if rest is not None:
             event("destabilize")
             _assert_checked(rest)
-    cert = find_reducing_certificate(cleaned)
-    if cert is not None:
+    pieces = split_components(cleaned)
+    if len(pieces) > 1:
         event("split")
-        left, right = split_along(cleaned, cert)
-        _assert_checked(connected_sum(left, right))
-        _walk(left)
-        _walk(right)
+    assert sum(piece.genus for piece in pieces) == t.genus
+    for piece in pieces:
+        _assert_checked(piece)
+    _assert_checked(functools.reduce(connected_sum, pieces,
+                                     genus_zero_diagram()))
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
@@ -601,31 +613,68 @@ def test_slide_descent_memo_matches_the_plain_enumeration(state):
 
 # -- decomposition witnesses: replay runs no search and rejects tampering -----
 
+@pytest.mark.parametrize("g", [2, 3, 4, 5, 6])
+def test_standardize_unscrambles_once(monkeypatch, g):
+    rng = random.Random(g)
+    t = _scrambled(_sum([rng.choice(ALL_NAMES) for _ in range(g)]), rng)
+    calls = []
+    once = moves.unscramble
+
+    def counted(d):
+        calls.append(d.genus)
+        return once(d)
+
+    monkeypatch.setattr(moves, "unscramble", counted)
+    names, v = standardize(t)
+    assert v.is_verified and len(names) == g
+    assert calls == [g]
+
+
 def test_decomposition_replay_runs_no_tietze_search(monkeypatch):
     t = _scrambled(_sum(("S1xS3", "CP2", "S4STAB1")), random.Random(11))
     names, v = standardize(t)
-    assert v.is_verified
+    assert v.is_verified and any(v.witness["tree"]["slides"].values())
+
+    def refused(*args):
+        raise AssertionError("a slide descent ran")
+
+    monkeypatch.setattr(moves, "_descend_words", refused)
     _refuse_tietze(monkeypatch)
     assert sorted(replay_decomposition(t, v.witness)) == sorted(names)
 
 
-def _tree_nodes(node):
-    yield node
-    for key in ("next", "left_tree", "right_tree"):
-        if key in node:
-            yield from _tree_nodes(node[key])
+def test_replay_rejects_forged_and_dropped_slides():
+    t = _scrambled(_sum(("S1xS3", "CP2", "S4STAB1")), random.Random(11))
+    v = standardize(t)[1]
+    assert [piece.genus for piece in split_components(t)] == [3]
+    forged = list(_tampered(t, v.witness))[-2:]
+    assert forged[1]["tree"]["slides"] == {"alpha": [], "beta": [],
+                                           "gamma": []}
+    for witness in forged:
+        with pytest.raises(ValueError, match="a piece of genus"):
+            replay_decomposition(t, witness)
 
 
-def _tampered(witness):
-    """Copies of a classification witness, each with one forged field."""
+def _tampered(t, witness):
+    """Copies of a classification witness on ``t``, each with one forged
+    field: a name, the names, the sign of the first slide, and, when the
+    input does not already cut into genus-one pieces, no slides at all."""
     for field, values in (("name", ("S4", "CP2 # CP2R")),
                           ("names", (["CP2"], ["CP2", "CP2"]))):
         yield dict(witness, **{field: next(x for x in values
                                            if x != witness[field])})
+    slides = witness["tree"]["slides"]
+    label = next((label for label in ("alpha", "beta", "gamma")
+                  if slides[label]), None)
+    if label is None:
+        return
     forged = json.loads(json.dumps(witness))
-    node = next(n for n in _tree_nodes(forged["tree"]) if n["op"] == "match")
-    node["name"] = next(x for x in ALL_NAMES if x != node["name"])
+    forged["tree"]["slides"][label][0][2] *= -1
     yield forged
+    if any(piece.genus > 1 for piece in split_components(t)):
+        yield dict(witness, tree={"op": "unscramble",
+                                  "slides": {"alpha": [], "beta": [],
+                                             "gamma": []}})
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
@@ -642,7 +691,9 @@ def test_decomposition_witnesses_replay_and_resist_tampering(names, steps,
     reports.replay_verdict((t,), honest)
     with pytest.raises(reports.ReplayError):
         reports.replay_verdict((t,), dict(honest, status="refuted"))
-    for forged in _tampered(v.witness):
+    forgeries = list(_tampered(t, v.witness))
+    event("%d forgeries" % len(forgeries))
+    for forged in forgeries:
         with pytest.raises(reports.ReplayError):
             reports.replay_verdict((t,), dict(honest, witness=forged))
 
