@@ -15,15 +15,14 @@ sign of det(a,b)*det(b,c)*det(c,a) over the slope triple, which is
 invariant under slope sign flips and common SL(2,Z) changes of the
 handle basis.
 
-``match_genus_one`` is the one genus-one namer: the classifier's pass,
-its replay and ``destabilize`` all name a piece with it, from homology
-alone, so naming a piece runs no search.
+``name_slopes`` is the one genus-one namer, from the three slopes alone
+(a pair's H1 is Z/|det|): the classifier's pass, its replay and
+``destabilize`` name a piece with it, with no search and no diagram.
 """
 
 from __future__ import annotations
 
-from .diagram import (CutSystem, TrisectionDiagram, pair_homology,
-                      system_from_templates)
+from .diagram import CutSystem, TrisectionDiagram, system_from_templates
 
 GENUS_ONE_SLOPES = {
     "CP2": ((1, 0), (0, 1), (1, 1)),
@@ -97,19 +96,28 @@ def genus_one_name(ks, sign):
     return None
 
 
-def match_genus_one(t):
-    """Name a genus-one diagram from homology alone, or None.
+def name_slopes(a, b, c):
+    """Name a genus-one piece from its alpha, beta and gamma slopes, or
+    None on torsion.
 
-    On the torus a curve is fixed up to isotopy by its class, so each pair
-    is S3, S1xS2 or a lens space, with cyclic pi1 read off its H1: the
-    free rank is its k, and no Tietze search is needed.  The triangle sign
-    then tells CP2 from CP2R.  None when ``pair_homology`` refutes (a
-    torsion pair, which no catalog entry has, or declared parameters that
-    disagree); otherwise the parameters always name an entry.
+    The pair of slopes u, v is S3, S1xS2 or a lens space with
+    H1 = Z/|det(u, v)|, so |det| > 1 is torsion and otherwise
+    k = 1 - |det|; the triangle sign tells CP2 from CP2R.
     """
+    dets = [abs(p1 * q2 - q1 * p2)
+            for (p1, q1), (p2, q2) in ((a, b), (b, c), (c, a))]
+    if max(dets) > 1:
+        return None
+    return genus_one_name([1 - d for d in dets], _slope_sign(a, b, c))
+
+
+def match_genus_one(t):
+    """``name_slopes`` of a genus-one diagram; None also when its declared
+    parameters are not the named entry's, as ``pair_homology`` refutes."""
     if t.genus != 1:
         raise ValueError("match_genus_one needs a genus-one diagram")
-    _, ks, bad = pair_homology(t)
-    if bad is not None:
-        return None
-    return genus_one_name(ks, triangle_sign(t))
+    name = name_slopes(*(cs.curves[0].homology.handle_part(1)
+                         for cs in t.systems()))
+    if t.declared_params in (None, GENUS_ONE_PARAMS.get(name)):
+        return name
+    return None

@@ -13,10 +13,10 @@ Index conventions shared across the package:
 ``pair_homology`` is the one home of what homology says of those three
 pairs: their H1, the ranks, and the refutation (a declared-parameter
 mismatch, then a torsion pair).  It runs no search; ``trisection_params``
-adds the Tietze confirmations on top, reusing its H1s, and the classifier,
-the genus-one namer and witness replay use it alone.  At genus <= 1 the
-surface relator makes pi1 of a pair abelian, so ``detect_k`` reads k from
-H1 there and runs no Tietze search either.
+adds the Tietze confirmations on top, reusing its H1s, and the classifier
+and witness replay use it alone, on the input (never on a piece).  At
+genus <= 1 the surface relator makes pi1 of a pair abelian, so
+``detect_k`` reads k from H1 there and runs no Tietze search either.
 
 Geometric intersection numbers are exact only between slope-template
 curves; for word curves the engine reports the algebraic count as an
@@ -254,10 +254,9 @@ def moved_system(genus, curves):
       which at most flips the sign of its class;
     * a connected sum joins checked systems on disjoint handle sets, and
       a Heegaard stabilization adds (1,0) or (0,1) on a new handle;
-    * a split or destabilization keeps the curves on one side of a
+    * a destabilization keeps the curves on one side of a
       support-disjoint sum, and a direct summand of a Lagrangian summand
-      is one on its own handles; the genus-one piece it removes is one
-      primitive slope.
+      is one on its own handles.
     """
     return _unchecked(CutSystem, genus=genus, curves=curves)
 

@@ -2,17 +2,17 @@
 
 The classifier refutes from the input's ``pair_homology``, then makes
 one pass: unscramble once (greedy slide descent back to shortest words,
-then restore slope templates), cut the cleaned diagram into all its
-support components at once (``split_components``), and name each
-genus-one piece against the genus-one catalog.  The pass runs on the
+then restore slope templates), group the cleaned diagram's curves by
+support component at once (``name_components``), and name each
+genus-one component from its three slopes.  The pass runs on the
 diagram as given, with no Tietze search and no parameter precondition,
 and never refutes.  Slides are searched in a fixed deterministic order
 and every positive verdict carries them as a replayable script.
 
 Search (``standardize``) and its replay (``replay_decomposition``) share
-each step after the slides: ``_retemplated``, ``split_components`` and
-``catalog.match_genus_one``, which names a genus-one piece from
-homology.  Only the search looks for slides.
+each step after the slides: ``_retemplated`` and ``name_components``,
+which names each genus-one component from its slopes, building no piece
+diagram.  Only the search looks for slides.
 ``find_stabilization_certificate`` and ``destabilize`` are library
 moves that the pass does not use (``standardize`` says why).
 """
@@ -23,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from . import words
-from .catalog import genus_one_diagram, match_genus_one
+from .catalog import genus_one_diagram, name_slopes
 from .diagram import (_PAIRS, Curve, HeegaardDiagram, TrisectionDiagram,
                       curve_from_template, curve_from_word,
                       geometric_intersection, moved_system, reembed,
@@ -171,13 +171,9 @@ def destabilize(t, cert):
         piece_curves.append(on_handle[0])
 
     # the removed piece must be the matching stabilization diagram
-    piece_systems = []
-    for c in piece_curves:
-        if c.template is None:
-            raise ValueError("summand curve on handle %d lacks a template" % h)
-        piece_systems.append(moved_system(1, (reembed(c, 1, {h: 1}),)))
-    piece = TrisectionDiagram(1, *piece_systems)
-    name = match_genus_one(piece)
+    if any(c.template is None for c in piece_curves):
+        raise ValueError("summand curve on handle %d lacks a template" % h)
+    name = name_slopes(*(c.homology.handle_part(h) for c in piece_curves))
     if name != "S4STAB%d" % cert.index:
         raise ValueError("removed summand is %s, not the index-%d "
                          "stabilization" % (name, cert.index))
@@ -198,8 +194,15 @@ def destabilize(t, cert):
                              declared_params=declared)
 
 
-def _handle_components(t):
-    """Connected components of handles under shared curve support."""
+def name_components(t):
+    """``(genus, name)`` of each support component, in handle order.
+
+    Handles are joined when a curve runs over both, then each system's
+    curves are grouped by component in one pass.  A genus-one component
+    is named from its slopes with ``name_slopes`` (None on torsion), a
+    larger one gets None; no piece diagram is built.  Raises ValueError
+    when a system has other than one curve per handle on some component.
+    """
     parent = list(range(t.genus + 1))
 
     def find(x):
@@ -213,35 +216,25 @@ def _handle_components(t):
             supp = sorted(c.support())
             for h in supp[1:]:
                 parent[find(h)] = find(supp[0])
-    comps = {}
+    roots = {}
     for h in range(1, t.genus + 1):
-        comps.setdefault(find(h), []).append(h)
-    return sorted(comps.values())
-
-
-def split_components(t):
-    """Cut the diagram into its support components, in handle order.
-
-    Each piece keeps the curves supported on one ``_handle_components``
-    component, with its handles renumbered from 1 in order; the cut
-    curves are the boundaries of the components' subsurfaces, and no
-    curve crosses them.  Raises ValueError when a system has other than
-    one curve per handle on some component.
-    """
-    pieces = []
-    for comp in _handle_components(t):
+        roots.setdefault(find(h), []).append(h)
+    comps = sorted(roots.values())
+    where = {h: n for n, comp in enumerate(comps) for h in comp}
+    grouped = [[[] for _ in comps] for _ in range(3)]
+    for on, cs in zip(grouped, t.systems()):
+        for c in cs.curves:
+            on[where[next(iter(c.support()))]].append(c)
+    out = []
+    for n, comp in enumerate(comps):
         g = len(comp)
-        remap = {h: i + 1 for i, h in enumerate(comp)}
-        systems = []
-        for cs in t.systems():
-            picked = [c for c in cs.curves if c.support() <= remap.keys()]
-            if len(picked) != g:
+        for on in grouped:
+            if len(on[n]) != g:
                 raise ValueError("a system has %d curves on a genus-%d "
-                                 "support component" % (len(picked), g))
-            systems.append(moved_system(
-                g, tuple(reembed(c, g, remap) for c in picked)))
-        pieces.append(TrisectionDiagram(g, *systems))
-    return pieces
+                                 "support component" % (len(on[n]), g))
+        out.append((g, None if g > 1 else name_slopes(
+            *(on[n][0].homology.handle_part(comp[0]) for on in grouped))))
+    return out
 
 
 # -- unscrambling -------------------------------------------------------------
@@ -458,15 +451,14 @@ def standardize(t):
     if bad is not None:
         return [], bad
     cleaned, scripts = unscramble(t)
-    pieces = split_components(cleaned)
-    names = [match_genus_one(p) for p in pieces if p.genus == 1]
+    comps = name_components(cleaned)
+    names = [name for g, name in comps if g == 1]
     if None in names:
         raise AssertionError("a genus-one piece without torsion has no "
                              "catalog name")
-    stuck = next((p for p in pieces if p.genus > 1), None)
+    stuck = next((g for g, _ in comps if g > 1), None)
     if stuck is not None:
-        return names, unknown("no reducing certificate at genus %d"
-                              % stuck.genus)
+        return names, unknown("no reducing certificate at genus %d" % stuck)
     name = sum_name(names)
     return names, verified(
         "diagram is %s" % name,
@@ -496,7 +488,7 @@ def replay_decomposition(t, witness):
     without search.
 
     Re-applies the recorded slides through ``handleslide``, retemplates,
-    recomputes the cut into support components and re-names each piece.
+    and re-names each support component with ``name_components``.
     Raises ValueError when the script does not validate against the
     diagram: a piece of genus other than one, or other names.
     """
@@ -509,11 +501,9 @@ def replay_decomposition(t, witness):
             cs = handleslide(cs, i, j, guide=guide, sign=sign)
         slid.append(cs)
     names = []
-    for piece in split_components(_retemplated(t, slid)):
-        if piece.genus != 1:
-            raise ValueError("replayed slides leave a piece of genus %d"
-                             % piece.genus)
-        name = match_genus_one(piece)
+    for g, name in name_components(_retemplated(t, slid)):
+        if g != 1:
+            raise ValueError("replayed slides leave a piece of genus %d" % g)
         if name is None:
             raise ValueError("a replayed genus-one piece has no catalog "
                              "name")

@@ -36,7 +36,7 @@ class Report:
     inputs: tuple          # ((label, sha256), ...)
     payload: tuple         # ((key, value), ...) in print order
     verdict: object = None
-    elapsed_ms: int = 0
+    elapsed_ms: float = 0.0
     engine: str = field(default=ENGINE)
 
     def exit_code(self):
@@ -49,7 +49,7 @@ def format_report(r):
     lines = ["operation: %s" % r.operation, "engine: %s" % r.engine]
     for label, digest in r.inputs:
         lines.append("input: %s sha256=%s" % (label, digest))
-    lines.append("elapsed-ms: %d" % r.elapsed_ms)
+    lines.append("elapsed-ms: %.3f" % r.elapsed_ms)
     for key, value in r.payload:
         lines.append("%s: %s" % (key, value))
     if r.verdict is not None:

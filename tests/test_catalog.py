@@ -8,7 +8,7 @@ import pytest
 from trisect.catalog import (ALL_NAMES, FIGURE_ONE, FIGURE_TWO,
                              GENUS_ONE_PARAMS, genus_one_diagram,
                              genus_one_name, genus_zero_diagram,
-                             match_genus_one, triangle_sign)
+                             match_genus_one, name_slopes, triangle_sign)
 from trisect.diagram import (TrisectionDiagram, system_from_templates,
                              trisection_params)
 
@@ -73,6 +73,7 @@ def test_naming_by_homology_agrees_with_the_catalog_match():
         t = TrisectionDiagram(1, *(system_from_templates(1, [(1, p, q)])
                                    for p, q in triple))
         name = _tietze_match(t)
+        assert name_slopes(*triple) == name, triple
         assert match_genus_one(t) == name, triple
         named.add(name)
     assert named == set(ALL_NAMES) | {None}

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -332,6 +333,15 @@ def test_json_report_shape(tmp_path, capsys):
     assert doc["inputs"][0]["sha256"] == \
         reports.sha256_text((tmp_path / "c.tri").read_text())
     assert doc["payload"]["name"] == "CP2"
+
+
+def test_reports_time_runs_below_one_millisecond(capsys):
+    code, out, _ = run(capsys, "catalog", "figure1", "--json")
+    assert code == 0
+    elapsed = json.loads(out)["elapsed_ms"]
+    assert isinstance(elapsed, float) and elapsed > 0
+    _, out, _ = run(capsys, "catalog", "figure1")
+    assert re.search(r"^elapsed-ms: \d+\.\d{3}$", out, re.M)
 
 
 def test_replay_confirms_verified_and_refuted(tmp_path, capsys):

@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import itertools
 import json
@@ -12,8 +11,7 @@ from hypothesis import strategies as st
 
 from trisect import diagram, moves, presentations, reports, words
 from trisect.catalog import (ALL_NAMES, genus_one_diagram, genus_one_name,
-                             genus_zero_diagram, match_genus_one,
-                             triangle_sign)
+                             genus_zero_diagram, triangle_sign)
 from trisect.canonical import canonical_form
 from trisect.diagram import (Curve, HeegaardDiagram, TrisectionDiagram,
                              TrisectionParams, CutSystem, curve_from_word,
@@ -25,7 +23,7 @@ from trisect.intmatrix import span_equal
 from trisect.moves import (check_classified_params, connected_sum,
                            destabilize, find_stabilization_certificate,
                            handleslide, heegaard_stabilize, i_stabilize,
-                           replay_decomposition, split_components,
+                           name_components, replay_decomposition,
                            standardize, sum_name, unscramble)
 
 PAIR_TRACES_SHA256 = (
@@ -209,30 +207,22 @@ def test_destabilize_requires_literal_membership():
         destabilize(moved, cert)
 
 
-def test_split_components_cuts_a_sum_into_its_pieces():
+def test_name_components_names_the_pieces_of_a_sum():
     t = connected_sum(genus_one_diagram("CP2"), genus_one_diagram("CP2R"))
-    left, right = split_components(t)
-    p_left, _ = trisection_params(left)
-    p_right, _ = trisection_params(right)
-    assert (p_left.ks, p_right.ks) == ((0, 0, 0), (0, 0, 0))
-    assert canonical_form(left) == canonical_form(genus_one_diagram("CP2"))
-    assert canonical_form(right) == canonical_form(genus_one_diagram("CP2R"))
-    assert [match_genus_one(p) for p in (left, right)] == ["CP2", "CP2R"]
+    assert name_components(t) == [(1, "CP2"), (1, "CP2R")]
 
 
-def test_split_components_keeps_merged_supports_whole():
+def test_name_components_keeps_merged_supports_whole():
     t = connected_sum(genus_one_diagram("CP2"), genus_one_diagram("CP2R"))
     alpha = handleslide(t.alpha, 1, 2)
     merged = TrisectionDiagram(2, alpha, t.beta, t.gamma,
                                declared_params=t.declared_params)
-    (piece,) = split_components(merged)
-    assert piece.systems() == merged.systems()
-    one = genus_one_diagram("CP2")
-    assert [p.systems() for p in split_components(one)] == [one.systems()]
-    assert split_components(genus_zero_diagram()) == []
+    assert name_components(merged) == [(2, None)]
+    assert name_components(genus_one_diagram("CP2")) == [(1, "CP2")]
+    assert name_components(genus_zero_diagram()) == []
 
 
-def test_split_components_rejects_an_uneven_system():
+def test_name_components_rejects_an_uneven_system():
     # two alpha curves on handle 1 and none on handle 2; no checked system
     # is that uneven (its classes on a genus-h component have rank h), so
     # only an unchecked one reaches the guard
@@ -240,7 +230,7 @@ def test_split_components_rejects_an_uneven_system():
     alpha = diagram.moved_system(2, (t.alpha.curve(1),
                                      curve_from_word(2, (1, 2))))
     with pytest.raises(ValueError, match="2 curves on a genus-1 support"):
-        split_components(TrisectionDiagram(2, alpha, t.beta, t.gamma))
+        name_components(TrisectionDiagram(2, alpha, t.beta, t.gamma))
 
 
 def test_unscramble_recovers_a_scrambled_sum():
@@ -523,7 +513,7 @@ def _slid_sums(draw):
 
 
 def _walk(t):
-    """Unscramble, destabilize where a certificate exists, and cut into
+    """Unscramble, destabilize where a certificate exists, and group into
     support components, checking every diagram the moves build."""
     _assert_checked(t)
     cleaned, _ = unscramble(t)
@@ -540,14 +530,10 @@ def _walk(t):
         if rest is not None:
             event("destabilize")
             _assert_checked(rest)
-    pieces = split_components(cleaned)
-    if len(pieces) > 1:
+    comps = name_components(cleaned)
+    if len(comps) > 1:
         event("split")
-    assert sum(piece.genus for piece in pieces) == t.genus
-    for piece in pieces:
-        _assert_checked(piece)
-    _assert_checked(functools.reduce(connected_sum, pieces,
-                                     genus_zero_diagram()))
+    assert sum(g for g, _ in comps) == t.genus
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
@@ -630,6 +616,26 @@ def test_standardize_unscrambles_once(monkeypatch, g):
     assert calls == [g]
 
 
+def test_only_the_input_pairs_take_a_homology_cokernel(monkeypatch):
+    # a genus-one component is named from its three slopes, so standardize
+    # computes H1 for the input's three pairs only and replay for none
+    rng = random.Random(6)
+    t = _scrambled(_sum([rng.choice(ALL_NAMES) for _ in range(6)]), rng)
+    calls = []
+    h1 = diagram.heegaard_h1
+
+    def counted(d):
+        calls.append(d.genus)
+        return h1(d)
+
+    monkeypatch.setattr(diagram, "heegaard_h1", counted)
+    names, v = standardize(t)
+    assert v.is_verified and len(names) == 6
+    assert calls == [6, 6, 6]
+    assert sorted(replay_decomposition(t, v.witness)) == sorted(names)
+    assert calls == [6, 6, 6]
+
+
 def test_decomposition_replay_runs_no_tietze_search(monkeypatch):
     t = _scrambled(_sum(("S1xS3", "CP2", "S4STAB1")), random.Random(11))
     names, v = standardize(t)
@@ -646,7 +652,7 @@ def test_decomposition_replay_runs_no_tietze_search(monkeypatch):
 def test_replay_rejects_forged_and_dropped_slides():
     t = _scrambled(_sum(("S1xS3", "CP2", "S4STAB1")), random.Random(11))
     v = standardize(t)[1]
-    assert [piece.genus for piece in split_components(t)] == [3]
+    assert name_components(t) == [(3, None)]
     forged = list(_tampered(t, v.witness))[-2:]
     assert forged[1]["tree"]["slides"] == {"alpha": [], "beta": [],
                                            "gamma": []}
@@ -671,7 +677,7 @@ def _tampered(t, witness):
     forged = json.loads(json.dumps(witness))
     forged["tree"]["slides"][label][0][2] *= -1
     yield forged
-    if any(piece.genus > 1 for piece in split_components(t)):
+    if any(g > 1 for g, _ in name_components(t)):
         yield dict(witness, tree={"op": "unscramble",
                                   "slides": {"alpha": [], "beta": [],
                                              "gamma": []}})
