@@ -238,9 +238,6 @@ class CutSystem:
     def member(self, curve):
         return any(same_curve(c, curve) for c in self.curves)
 
-    def all_templated(self):
-        return all(c.template is not None for c in self.curves)
-
 
 def moved_system(genus, curves):
     """A cut system built by a move from checked ones, without re-checking.
@@ -250,8 +247,6 @@ def moved_system(genus, curves):
     of the classes of systems that were already checked.
 
     * a handleslide maps h_i to h_i +- h_j (a guide only conjugates);
-    * retemplating replaces a curve by the template of its own slope,
-      which at most flips the sign of its class;
     * a connected sum joins checked systems on disjoint handle sets, and
       a Heegaard stabilization adds (1,0) or (0,1) on a new handle;
     * a destabilization keeps the curves on one side of a

@@ -1,20 +1,20 @@
 """Moves on diagrams and the one classifier, ``standardize``.
 
 The classifier refutes from the input's ``pair_homology``, then makes
-one pass: unscramble once (greedy slide descent back to shortest words,
-then restore slope templates), group the cleaned diagram's curves by
-support component at once (``name_components``), and name each
-genus-one component from its three slopes.  The pass runs on the
-diagram as given, with no Tietze search and no parameter precondition,
-and never refutes.  Slides are searched in a fixed deterministic order
-and every positive verdict carries them as a replayable script.
+one pass: unscramble once (greedy slide descent back to shortest words),
+group the slid diagram's curves by support component at once
+(``name_components``), and name each genus-one component from its three
+slopes.  The pass runs on the diagram as given, with no Tietze search
+and no parameter precondition, and never refutes.  Slides are searched
+in a fixed deterministic order and every positive verdict carries them
+as a replayable script.
 
 Search (``standardize``) and its replay (``replay_decomposition``) share
-each step after the slides: ``_retemplated`` and ``name_components``,
-which names each genus-one component from its slopes, building no piece
-diagram.  Only the search looks for slides.
-``find_stabilization_certificate`` and ``destabilize`` are library
-moves that the pass does not use (``standardize`` says why).
+the one step after the slides: ``name_components``, which names each
+genus-one component from its slopes, building no piece diagram.  Only
+the search looks for slides.  ``find_stabilization_certificate`` and
+``destabilize`` are library moves that the pass does not use
+(``standardize`` says why).
 """
 
 from __future__ import annotations
@@ -362,43 +362,21 @@ def _descend_system(cs):
     return cur, script
 
 
-def _retemplate_system(cs):
-    """Restore slope templates on single-handle shortest-word curves."""
-    out = []
-    for c in cs.curves:
-        if c.template is None:
-            supp = c.support()
-            if len(supp) == 1:
-                (h,) = supp
-                p, q = c.homology.handle_part(h)
-                if (p, q) != (0, 0) and len(c.word) == abs(p) + abs(q):
-                    try:
-                        out.append(curve_from_template(cs.genus, h, p, q))
-                        continue
-                    except ValueError:
-                        pass
-        out.append(c)
-    return moved_system(cs.genus, tuple(out))
-
-
-def _retemplated(t, slid):
-    """``t`` with its systems replaced by the ``slid`` ones, retemplated."""
-    return TrisectionDiagram(t.genus, *map(_retemplate_system, slid),
-                             declared_params=t.declared_params)
-
-
 def unscramble(t):
-    """Slide every system back to shortest words, then retemplate.
+    """Slide every system back to shortest words.
 
-    Returns the cleaned diagram and the per-system slide scripts (the
-    replayable part of any downstream certificate).
+    Returns the diagram of the slid systems and the per-system slide
+    scripts (the replayable part of any downstream certificate).  The
+    slid curves are word curves, which is all naming needs: it reads
+    only their supports and classes.
     """
     slid = []
     scripts = {}
     for cs, name in zip(t.systems(), ("alpha", "beta", "gamma")):
         down, scripts[name] = _descend_system(cs)
         slid.append(down)
-    return _retemplated(t, slid), scripts
+    return TrisectionDiagram(t.genus, *slid,
+                             declared_params=t.declared_params), scripts
 
 
 # -- parameter constraints ----------------------------------------------------
@@ -487,8 +465,8 @@ def replay_decomposition(t, witness):
     """Re-derive a classification's summand names from its script,
     without search.
 
-    Re-applies the recorded slides through ``handleslide``, retemplates,
-    and re-names each support component with ``name_components``.
+    Re-applies the recorded slides through ``handleslide`` and re-names
+    each support component of the slid diagram with ``name_components``.
     Raises ValueError when the script does not validate against the
     diagram: a piece of genus other than one, or other names.
     """
@@ -501,7 +479,7 @@ def replay_decomposition(t, witness):
             cs = handleslide(cs, i, j, guide=guide, sign=sign)
         slid.append(cs)
     names = []
-    for g, name in name_components(_retemplated(t, slid)):
+    for g, name in name_components(TrisectionDiagram(t.genus, *slid)):
         if g != 1:
             raise ValueError("replayed slides leave a piece of genus %d" % g)
         if name is None:

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from trisect import diagram, moves, presentations, reports, words
 from trisect.catalog import (ALL_NAMES, genus_one_diagram, genus_one_name,
                              genus_zero_diagram, triangle_sign)
-from trisect.canonical import canonical_form
 from trisect.diagram import (Curve, HeegaardDiagram, TrisectionDiagram,
                              TrisectionParams, CutSystem, curve_from_word,
                              detect_k, euler_characteristic, pair_homology,
@@ -133,8 +132,10 @@ def test_connected_sum_identity_and_associativity():
 def test_connected_sum_commutes_up_to_isomorphism():
     a = genus_one_diagram("CP2")
     b = genus_one_diagram("S1xS3")
-    assert canonical_form(connected_sum(a, b)) \
-        == canonical_form(connected_sum(b, a))
+    assert name_components(connected_sum(a, b)) == [(1, "CP2"),
+                                                    (1, "S1xS3")]
+    assert name_components(connected_sum(b, a)) == [(1, "S1xS3"),
+                                                    (1, "CP2")]
     assert connected_sum(a, b) != connected_sum(b, a)
 
 
@@ -165,7 +166,10 @@ def test_stabilizations_commute_up_to_isomorphism():
     base = genus_one_diagram("CP2")
     t12 = i_stabilize(i_stabilize(base, 1), 2)
     t21 = i_stabilize(i_stabilize(base, 2), 1)
-    assert canonical_form(t12) == canonical_form(t21)
+    assert name_components(t12) == [(1, "CP2"), (1, "S4STAB1"),
+                                    (1, "S4STAB2")]
+    assert name_components(t21) == [(1, "CP2"), (1, "S4STAB2"),
+                                    (1, "S4STAB1")]
 
 
 def test_heegaard_stabilize_preserves_first_homology():
@@ -239,10 +243,18 @@ def test_unscramble_recovers_a_scrambled_sum():
                                     genus_one_diagram("S1xS3")),
                       genus_one_diagram("S4STAB1"))
     scrambled = _scrambled(t, rng, steps=5)
-    assert not all(cs.all_templated() for cs in scrambled.systems())
+    assert any(c.template is None
+               for cs in scrambled.systems() for c in cs.curves)
     cleaned, scripts = unscramble(scrambled)
-    assert canonical_form(cleaned) == canonical_form(t)
-    assert all(cs.all_templated() for cs in cleaned.systems())
+    assert name_components(cleaned) == [(1, "CP2"), (1, "S1xS3"),
+                                        (1, "S4STAB1")]
+    # every cleaned curve is a shortest word on one handle: its length
+    # is |p| + |q| for its class (p, q) there
+    for cs in cleaned.systems():
+        for c in cs.curves:
+            (h,) = c.support()
+            p, q = c.homology.handle_part(h)
+            assert len(c.word) == abs(p) + abs(q)
     assert any(scripts.values())
 
 
@@ -513,23 +525,28 @@ def _slid_sums(draw):
 
 
 def _walk(t):
-    """Unscramble, destabilize where a certificate exists, and group into
-    support components, checking every diagram the moves build."""
+    """Unscramble, stabilize the cleaned diagram and destabilize the new
+    handle, and group into support components, checking every diagram
+    the moves build."""
     _assert_checked(t)
     cleaned, _ = unscramble(t)
     _assert_checked(cleaned)
     for before, after in zip(t.systems(), cleaned.systems()):
-        # slides and retemplating keep each system's Lagrangian
+        # slides keep each system's Lagrangian
         assert span_equal(_classes(before), _classes(after), 2 * t.genus)
-    scert = find_stabilization_certificate(cleaned)
-    if scert is not None and scert.omega.template is not None:
-        try:
-            rest = destabilize(cleaned, scert)
-        except ValueError:
-            rest = None
-        if rest is not None:
-            event("destabilize")
-            _assert_checked(rest)
+    # slid curves carry no template, so a certificate comes from the
+    # template handle that a stabilization adds; destabilizing it must
+    # give back the cleaned diagram, word curves and all
+    for i in (1, 2, 3):
+        stab = i_stabilize(cleaned, i)
+        first, _, third = (stab.system(n)
+                           for n in moves._names_for_index(i))
+        cert = moves.StabilizationCertificate(
+            i, first.curve(stab.genus), third.curve(stab.genus))
+        rest = destabilize(stab, cert)
+        _assert_checked(rest)
+        assert rest == cleaned
+    event("destabilize")
     comps = name_components(cleaned)
     if len(comps) > 1:
         event("split")
