@@ -22,22 +22,24 @@ the validating constructor.  Replay (``apply_ac_move``,
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from itertools import permutations, product
 from math import factorial
 
 from . import words
 from .intmatrix import IntegerMatrix
-from .verdict import refuted, unknown, verified
+from .verdict import Frozen, refuted, unknown, verified
 
 DEFAULT_MAX_STATES = 20000
 
 
-@dataclass(frozen=True)
-class BalancedPresentation:
+class BalancedPresentation(Frozen):
     """n generators and exactly n freely reduced relator words."""
-    generators: int
-    relators: tuple
+    _fields = ("generators", "relators")
+
+    def __init__(self, generators, relators):
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "relators", relators)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.generators < 0:
@@ -302,16 +304,19 @@ def canonical_key(p, _memo=None):
     return ("%d:%s" % (n, "|".join(parts))).encode("ascii")
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(Frozen):
     """Outcome of a bounded trivialization search.
 
     ``path`` is a replayable tuple of primitive moves when found, else
-    None.  ``stats`` counts visited states and what cut the frontier.
+    None.  ``stats`` counts visited states and what cut the frontier; it
+    defaults to a fresh dict.
     """
-    path: tuple | None
-    verdict: object
-    stats: dict = field(default_factory=dict)
+    _fields = ("path", "verdict", "stats")
+
+    def __init__(self, path, verdict, stats=None):
+        object.__setattr__(self, "path", path)
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "stats", {} if stats is None else stats)
 
     @property
     def found(self):

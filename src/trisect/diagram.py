@@ -32,7 +32,6 @@ out of checked ones (its docstring gives the invariant).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from operator import mul
 
@@ -41,19 +40,22 @@ from .homology import (HomologyClass, abelianize, algebraic_intersection,
                        lagrangian_verdict)
 from .intmatrix import cokernel
 from .presentations import presentation, tietze_simplify
-from .verdict import refuted, unknown, verified, weakest
+from .verdict import Frozen, refuted, unknown, verified, weakest
 
 
-@dataclass(frozen=True)
-class SlopeTemplate:
+class SlopeTemplate(Frozen):
     """The (p, q) curve supported in handle ``handle``.
 
     Stored sign-normalized (p > 0, or p == 0 and q > 0) since a slope and
     its negative are the same unoriented curve.
     """
-    handle: int
-    p: int
-    q: int
+    _fields = ("handle", "p", "q")
+
+    def __init__(self, handle, p, q):
+        object.__setattr__(self, "handle", handle)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.handle < 1:
@@ -82,18 +84,21 @@ class SlopeTemplate:
         return _unchecked(HomologyClass, genus=genus, coeffs=tuple(coeffs))
 
 
-@dataclass(frozen=True)
-class Curve:
+class Curve(Frozen):
     """A curve on the genus-g model surface.
 
     The word is the free-homotopy representative (cyclically reduced), the
     homology class is its abelianization, and the template, when present,
     pins the curve to an exact slope model in one handle.
     """
-    genus: int
-    word: tuple
-    homology: HomologyClass
-    template: SlopeTemplate | None = None
+    _fields = ("genus", "word", "homology", "template")
+
+    def __init__(self, genus, word, homology, template=None):
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "homology", homology)
+        object.__setattr__(self, "template", template)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.homology.genus != self.genus:
@@ -115,8 +120,8 @@ class Curve:
 
     def support(self):
         """The frozenset of handles the word runs over, built once per
-        curve; the cache is no dataclass field, so equality, hashing and
-        repr are unchanged."""
+        curve; the cache is no field, so equality, hashing and repr are
+        unchanged."""
         supp = getattr(self, "_support", None)
         if supp is None:
             supp = frozenset([(abs(v) + 1) // 2 for v in self.word])
@@ -200,8 +205,7 @@ def geometric_intersection(c1, c2):
     return (abs(algebraic_intersection(c1.homology, c2.homology)), False)
 
 
-@dataclass(frozen=True)
-class CutSystem:
+class CutSystem(Frozen):
     """g disjoint curves cutting the genus-g handlebody to a ball.
 
     ``CutSystem(genus, curves)`` enforces the homological necessary
@@ -212,8 +216,12 @@ class CutSystem:
     split or destabilization would only repeat a fact already checked.
     Embeddedness and disjointness of word curves are declared input data.
     """
-    genus: int
-    curves: tuple
+    _fields = ("genus", "curves")
+
+    def __init__(self, genus, curves):
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "curves", curves)
+        self.__post_init__()
 
     def __post_init__(self):
         if len(self.curves) != self.genus:
@@ -262,24 +270,30 @@ def system_from_templates(genus, slopes):
                                   for (h, p, q) in slopes))
 
 
-@dataclass(frozen=True)
-class HeegaardDiagram:
-    genus: int
-    alpha: CutSystem
-    beta: CutSystem
+class HeegaardDiagram(Frozen):
+    _fields = ("genus", "alpha", "beta")
+
+    def __init__(self, genus, alpha, beta):
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.alpha.genus != self.genus or self.beta.genus != self.genus:
             raise ValueError("cut system genus mismatch")
 
 
-@dataclass(frozen=True)
-class TrisectionDiagram:
-    genus: int
-    alpha: CutSystem
-    beta: CutSystem
-    gamma: CutSystem
-    declared_params: tuple | None = None
+class TrisectionDiagram(Frozen):
+    _fields = ("genus", "alpha", "beta", "gamma", "declared_params")
+
+    def __init__(self, genus, alpha, beta, gamma, declared_params=None):
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "declared_params", declared_params)
+        self.__post_init__()
 
     def __post_init__(self):
         for cs in (self.alpha, self.beta, self.gamma):
@@ -299,12 +313,15 @@ class TrisectionDiagram:
         return {"alpha": self.alpha, "beta": self.beta, "gamma": self.gamma}[name]
 
 
-@dataclass(frozen=True)
-class TrisectionParams:
-    genus: int
-    k1: int
-    k2: int
-    k3: int
+class TrisectionParams(Frozen):
+    _fields = ("genus", "k1", "k2", "k3")
+
+    def __init__(self, genus, k1, k2, k3):
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "k1", k1)
+        object.__setattr__(self, "k2", k2)
+        object.__setattr__(self, "k3", k3)
+        self.__post_init__()
 
     def __post_init__(self):
         for k in (self.k1, self.k2, self.k3):

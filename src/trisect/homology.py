@@ -8,16 +8,18 @@ letter x_h = 2h-1 abelianizes to a_h, letter y_h = 2h to b_h.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .intmatrix import IntegerMatrix, cokernel, invariant_factors
-from .verdict import refuted, verified
+from .verdict import Frozen, refuted, verified
 
 
-@dataclass(frozen=True)
-class HomologyClass:
-    genus: int
-    coeffs: tuple  # length 2 * genus, ordered (a1, b1, ..., ag, bg)
+class HomologyClass(Frozen):
+    """``coeffs`` has length 2 * genus, ordered (a1, b1, ..., ag, bg)."""
+    _fields = ("genus", "coeffs")
+
+    def __init__(self, genus, coeffs):
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "coeffs", coeffs)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.genus < 0 or len(self.coeffs) != 2 * self.genus:

@@ -7,12 +7,16 @@ arithmetic is used anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .verdict import Frozen
 
 
-@dataclass(frozen=True)
-class IntegerMatrix:
-    rows: tuple  # tuple of row tuples
+class IntegerMatrix(Frozen):
+    """``rows`` is a tuple of row tuples."""
+    _fields = ("rows",)
+
+    def __init__(self, rows):
+        object.__setattr__(self, "rows", rows)
+        self.__post_init__()
 
     def __post_init__(self):
         if any(len(r) != self.ncols for r in self.rows):
@@ -248,11 +252,14 @@ def solve(m, b):
     return tuple(sum(v.entry(i, k) * y[k] for k in range(m.ncols)) for i in range(m.ncols))
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
-    """Finitely generated abelian group as free rank plus torsion factors."""
-    free_rank: int
-    torsion: tuple  # invariant factors > 1, in divisibility order
+class AbelianGroup(Frozen):
+    """Finitely generated abelian group as free rank plus torsion factors
+    (the invariant factors > 1, in divisibility order)."""
+    _fields = ("free_rank", "torsion")
+
+    def __init__(self, free_rank, torsion):
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion", torsion)
 
     def __str__(self):
         parts = []

@@ -15,24 +15,25 @@ command loads none of the three.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .intmatrix import IntegerMatrix, cokernel, invariant_factors, kernel_basis
-from .verdict import refuted, unknown, verified, weakest
+from .verdict import Frozen, refuted, unknown, verified, weakest
 
 SURFACE = "surface"
 
 
-@dataclass(frozen=True)
-class FramedComponent:
+class FramedComponent(Frozen):
     """A link component on the surface: a curve plus its framing.
 
     The framing is either the surface framing induced by the Heegaard
     surface or an integer; integer framings only make sense over an S3
     background (n = 0), which validate_hk enforces.
     """
-    curve: object
-    framing: object = SURFACE
+    _fields = ("curve", "framing")
+
+    def __init__(self, curve, framing=SURFACE):
+        object.__setattr__(self, "curve", curve)
+        object.__setattr__(self, "framing", framing)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.framing != SURFACE and not isinstance(self.framing, int):
@@ -43,13 +44,17 @@ class FramedComponent:
         return self.framing == SURFACE
 
 
-@dataclass(frozen=True)
-class HeegaardKirbyDiagram:
-    """A framed link over a Heegaard diagram, with a declared target m."""
-    genus: int
-    background: HeegaardDiagram
-    link: tuple  # FramedComponent entries
-    m: int
+class HeegaardKirbyDiagram(Frozen):
+    """A framed link (a tuple of FramedComponent) over a Heegaard
+    diagram, with a declared target m."""
+    _fields = ("genus", "background", "link", "m")
+
+    def __init__(self, genus, background, link, m):
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "background", background)
+        object.__setattr__(self, "link", link)
+        object.__setattr__(self, "m", m)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.background.genus != self.genus:
@@ -364,10 +369,13 @@ def bridge_hk(t, picks, m):
 
 # -- linking-matrix calculus --------------------------------------------------
 
-@dataclass(frozen=True)
-class LinkingMatrix:
+class LinkingMatrix(Frozen):
     """Symmetric integer matrix of linkings; diagonal holds framings."""
-    rows: tuple
+    _fields = ("rows",)
+
+    def __init__(self, rows):
+        object.__setattr__(self, "rows", rows)
+        self.__post_init__()
 
     def __post_init__(self):
         n = len(self.rows)

@@ -20,15 +20,14 @@ the search looks for slides.  ``find_stabilization_certificate`` and
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from . import words
 from .catalog import genus_one_diagram, name_slopes
-from .diagram import (_PAIRS, Curve, HeegaardDiagram, TrisectionDiagram,
+from .diagram import (_PAIRS, HeegaardDiagram, TrisectionDiagram,
                       curve_from_template, curve_from_word,
                       geometric_intersection, moved_system, reembed,
                       pair_homology)
-from .verdict import refuted, unknown, verified
+from .verdict import Frozen, refuted, unknown, verified
 
 _DESCENT_PLATEAU_CAP = 64
 _DESCENT_STEP_CAP = 400
@@ -91,16 +90,18 @@ def heegaard_stabilize(d):
 
 # -- certificates -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StabilizationCertificate:
+class StabilizationCertificate(Frozen):
     """Witness that the diagram splits off the index-i genus-one piece.
 
     omega is a member of the two systems whose pair detects k_i and meets
     dual, and no other curve of the third system, exactly once.
     """
-    index: int
-    omega: Curve
-    dual: Curve
+    _fields = ("index", "omega", "dual")
+
+    def __init__(self, index, omega, dual):
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "dual", dual)
 
 
 def _names_for_index(index):

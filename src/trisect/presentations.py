@@ -25,20 +25,23 @@ Every Verified verdict carries a move trace that replay_tietze can re-run.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
 
 from . import words
-from .verdict import unknown, verified
+from .verdict import Frozen, unknown, verified
 
 DEFAULT_BUDGET = 10_000
 DEFAULT_MAX_RELATOR_LEN = 64
 _PLATEAU_CAP = 240
 
 
-@dataclass(frozen=True)
-class GroupPresentation:
-    num_generators: int
-    relators: tuple  # freely reduced, nonempty words over letters 1..n
+class GroupPresentation(Frozen):
+    """``relators`` are freely reduced, nonempty words over letters 1..n."""
+    _fields = ("num_generators", "relators")
+
+    def __init__(self, num_generators, relators):
+        object.__setattr__(self, "num_generators", num_generators)
+        object.__setattr__(self, "relators", relators)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.num_generators < 0:
@@ -82,8 +85,16 @@ class _Budget:
         return self.left >= 0
 
 
-def _state_key(gens, relators):
-    return gens, tuple(sorted(words.cyclic_min(r) for r in relators))
+def _cyclic_min(word, mins):
+    """``words.cyclic_min(word)``, computed once per word in ``mins``."""
+    key = mins.get(word)
+    if key is None:
+        key = mins[word] = words.cyclic_min(word)
+    return key
+
+
+def _state_key(gens, relators, mins):
+    return gens, tuple(sorted([_cyclic_min(r, mins) for r in relators]))
 
 
 def _reduce_all(relators, trace):
@@ -100,11 +111,11 @@ def _reduce_all(relators, trace):
     return out
 
 
-def _drop_duplicates(relators, trace):
+def _drop_duplicates(relators, trace, mins):
     seen = set()
     out = []
     for r in relators:
-        key = words.cyclic_min(r)
+        key = _cyclic_min(r, mins)
         if key in seen:
             trace.append(["drop-duplicate", len(out)])
         else:
@@ -223,11 +234,14 @@ def _plateau_products(relators):
     return out
 
 
-def _greedy(gens, relators, budget, trace):
-    """Run deterministic simplification to a fixed point, in place."""
+def _greedy(gens, relators, budget, trace, mins):
+    """Run deterministic simplification to a fixed point, in place.
+
+    ``mins`` maps each relator word seen so far to its ``cyclic_min``.
+    """
     while True:
         relators = _reduce_all(relators, trace)
-        relators = _drop_duplicates(relators, trace)
+        relators = _drop_duplicates(relators, trace, mins)
         if not relators or not budget.spend():
             return gens, relators
         cand = _find_elimination(relators, DEFAULT_MAX_RELATOR_LEN)
@@ -253,12 +267,14 @@ def tietze_simplify(p):
     """
     b = _Budget(DEFAULT_BUDGET)
     trace = []
-    gens, relators = _greedy(p.num_generators, list(p.relators), b, trace)
+    mins = {}  # one cyclic_min per relator word, for duplicates and states
+    gens, relators = _greedy(p.num_generators, list(p.relators), b, trace,
+                             mins)
 
     if relators and b.left > 0:
         # plateau: breadth-first over length-preserving products until some
         # state lets the greedy loop make progress again
-        seen = {_state_key(gens, relators)}
+        seen = {_state_key(gens, relators, mins)}
         queue = deque([(gens, relators, trace)])
         while queue and b.left > 0 and len(seen) < _PLATEAU_CAP:
             cur_gens, cur_rel, cur_trace = queue.popleft()
@@ -266,12 +282,12 @@ def tietze_simplify(p):
                 if not b.spend():
                     break
                 nxt = [w if k == i else r for k, r in enumerate(cur_rel)]
-                key = _state_key(cur_gens, nxt)
+                key = _state_key(cur_gens, nxt, mins)
                 if key in seen:
                     continue
                 seen.add(key)
                 t2 = cur_trace + [["multiply", i, j, s, rot]]
-                g2, r2 = _greedy(cur_gens, list(nxt), b, t2)
+                g2, r2 = _greedy(cur_gens, list(nxt), b, t2, mins)
                 if not r2:
                     gens, relators, trace = g2, r2, t2
                     queue.clear()

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
 
 from . import __version__, words
+from .verdict import Frozen
 
 ENGINE = "trisect %s" % __version__
 
@@ -29,15 +29,23 @@ def sha256_text(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
-class Report:
-    """One operation run, ready to print or serialize."""
-    operation: str
-    inputs: tuple          # ((label, sha256), ...)
-    payload: tuple         # ((key, value), ...) in print order
-    verdict: object = None
-    elapsed_ms: float = 0.0
-    engine: str = field(default=ENGINE)
+class Report(Frozen):
+    """One operation run, ready to print or serialize.
+
+    ``inputs`` holds (label, sha256) pairs and ``payload`` (key, value)
+    pairs in print order.
+    """
+    _fields = ("operation", "inputs", "payload", "verdict", "elapsed_ms",
+               "engine")
+
+    def __init__(self, operation, inputs, payload, verdict=None,
+                 elapsed_ms=0.0, engine=ENGINE):
+        object.__setattr__(self, "operation", operation)
+        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "payload", payload)
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "elapsed_ms", elapsed_ms)
+        object.__setattr__(self, "engine", engine)
 
     def exit_code(self):
         if self.verdict is None:
@@ -459,7 +467,9 @@ def _slide(args, objs):
     guide = tuple(words.parse_surface_word(args.get("guide", "")))
     cs = handleslide(getattr(d, system), int(args["from"]), int(args["over"]),
                      guide=guide, sign=int(args.get("sign", 1)))
-    return replace(d, **{system: cs})
+    fields = {name: getattr(d, name) for name in d._fields}
+    fields[system] = cs
+    return type(d)(**fields)
 
 
 def _connect_sum(args, objs):

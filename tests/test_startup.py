@@ -4,7 +4,10 @@ Every case starts a fresh interpreter that calls
 ``trisect.cli.run_command`` and lists the ``trisect.*`` modules loaded
 afterwards.  A command and the replay of its report must leave the
 modules named in the case unloaded, and the replay must exit with the
-code of the recorded status.  Importing ``trisect.cli`` alone may load
+code of the recorded status.  Neither may load ``dataclasses`` or
+``inspect``: the engine's value classes are built on ``verdict.Frozen``,
+and those two modules alone would cost every process several
+milliseconds of start-up.  Importing ``trisect.cli`` alone may load
 nothing beyond six ``trisect`` modules and the standard modules of the
 benchmark's process probe.
 """
@@ -38,12 +41,15 @@ with contextlib.redirect_stdout(out):
 print(json.dumps({"code": code, "stdout": out.getvalue(),
                   "modules": sorted(name.split(".", 1)[1]
                                     for name in sys.modules
-                                    if name.startswith("trisect."))}))
+                                    if name.startswith("trisect.")),
+                  "heavy": sorted(set(sys.modules) & {"dataclasses",
+                                                      "inspect"})}))
 """
 
 
 def _fresh(argv):
-    """Exit code, standard output and loaded engine modules of one run."""
+    """Exit code, standard output, loaded engine modules and loaded heavy
+    standard modules of one run."""
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-c", PROBE, json.dumps(argv)],
                           env=env, capture_output=True, text=True,
@@ -117,9 +123,11 @@ def test_a_command_and_its_replay_load_only_their_modules(
     assert doc["verdict"]["status"] == status
     assert made["code"] == EXIT_FOR_STATUS[status]
     assert unloaded.isdisjoint(made["modules"]), made["modules"]
+    assert made["heavy"] == []
 
     report = tmp_path / (name + ".json")
     report.write_text(made["stdout"])
     replayed = _fresh(["replay", str(report), str(path)])
     assert replayed["code"] == EXIT_FOR_STATUS[status]
     assert unloaded.isdisjoint(replayed["modules"]), replayed["modules"]
+    assert replayed["heavy"] == []

@@ -1,0 +1,176 @@
+"""The contract of the engine's frozen value classes.
+
+Every value class is built on ``verdict.Frozen``: equal fields give
+equal objects with equal hashes, instances of different classes never
+compare equal, the repr is ``Name(field=value, ...)``, fields cannot be
+assigned or deleted, and the constructor validates while the trusted
+builders (``diagram._unchecked``, ``ac._trusted``) do not.
+"""
+
+import pytest
+
+from trisect import ac
+from trisect.ac import BalancedPresentation, SearchResult
+from trisect.diagram import (Curve, CutSystem, HeegaardDiagram, SlopeTemplate,
+                             TrisectionDiagram, TrisectionParams, _unchecked,
+                             curve_from_template)
+from trisect.homology import HomologyClass
+from trisect.intmatrix import AbelianGroup, IntegerMatrix
+from trisect.kirby import FramedComponent, HeegaardKirbyDiagram, LinkingMatrix
+from trisect.moves import StabilizationCertificate
+from trisect.presentations import GroupPresentation
+from trisect.reports import Report
+from trisect.verdict import Frozen, Verdict, unknown
+
+C = curve_from_template(1, 1, 1, 0)
+E = CutSystem(0, ())
+H = HomologyClass(1, (1, 0))
+C_REPR = ("Curve(genus=1, word=(1,), homology=HomologyClass(genus=1, "
+          "coeffs=(1, 0)), template=SlopeTemplate(handle=1, p=1, q=0))")
+E_REPR = "CutSystem(genus=0, curves=())"
+
+# (class, arguments of one instance, its repr as the dataclass printed
+# it, arguments the constructor rejects or None)
+CASES = [
+    (Verdict, ("verified", "ok", ("kind", "x")),
+     "Verdict(status='verified', reason='ok', witness=('kind', 'x'))",
+     ("verified", "x")),
+    (Report, ("validate", (("in.tri", "ab"),), (("genus", 1),), None, 1.5,
+              "trisect 0"),
+     "Report(operation='validate', inputs=(('in.tri', 'ab'),), "
+     "payload=(('genus', 1),), verdict=None, elapsed_ms=1.5, "
+     "engine='trisect 0')", None),
+    (SlopeTemplate, (1, -2, 3), "SlopeTemplate(handle=1, p=2, q=-3)",
+     (1, 2, 4)),
+    (HomologyClass, (1, (1, 0)), "HomologyClass(genus=1, coeffs=(1, 0))",
+     (1, (1, 0, 0))),
+    (Curve, (1, (1,), H),
+     "Curve(genus=1, word=(1,), homology=HomologyClass(genus=1, "
+     "coeffs=(1, 0)), template=None)", (1, (1, -1), H)),
+    (CutSystem, (1, (C,)), "CutSystem(genus=1, curves=(%s,))" % C_REPR,
+     (1, (C, C))),
+    (HeegaardDiagram, (0, E, E),
+     "HeegaardDiagram(genus=0, alpha=%s, beta=%s)" % (E_REPR, E_REPR),
+     (1, E, E)),
+    (TrisectionDiagram, (0, E, E, E, [0, 0, 0]),
+     "TrisectionDiagram(genus=0, alpha=%s, beta=%s, gamma=%s, "
+     "declared_params=(0, 0, 0))" % (E_REPR, E_REPR, E_REPR),
+     (0, E, E, E, (0, 0, 1))),
+    (TrisectionParams, (2, 1, 0, 0),
+     "TrisectionParams(genus=2, k1=1, k2=0, k3=0)", (2, 3, 0, 0)),
+    (IntegerMatrix, (((1, 2), (3, 4)),), "IntegerMatrix(rows=((1, 2), (3, 4)))",
+     (((1, 2), (3,)),)),
+    (AbelianGroup, (1, (2,)), "AbelianGroup(free_rank=1, torsion=(2,))",
+     None),
+    (GroupPresentation, (2, ((1, 2, -1),)),
+     "GroupPresentation(num_generators=2, relators=((1, 2, -1),))",
+     (2, ((1, -1),))),
+    (FramedComponent, (C, -1),
+     "FramedComponent(curve=%s, framing=-1)" % C_REPR, (C, 1.5)),
+    (HeegaardKirbyDiagram, (0, HeegaardDiagram(0, E, E), (), 0),
+     "HeegaardKirbyDiagram(genus=0, background=HeegaardDiagram(genus=0, "
+     "alpha=%s, beta=%s), link=(), m=0)" % (E_REPR, E_REPR),
+     (0, HeegaardDiagram(0, E, E), (), -1)),
+    (LinkingMatrix, (((0, 1), (1, 0)),), "LinkingMatrix(rows=((0, 1), (1, 0)))",
+     (((0, 1), (2, 0)),)),
+    (StabilizationCertificate, (1, C, C),
+     "StabilizationCertificate(index=1, omega=%s, dual=%s)"
+     % (C_REPR, C_REPR), None),
+    (BalancedPresentation, (1, ((1, 2, -2),)),
+     "BalancedPresentation(generators=1, relators=((1,),))", (1, ((2,),))),
+    (SearchResult, (None, unknown("state cap"), {}),
+     "SearchResult(path=None, verdict=Verdict(status='unknown', "
+     "reason='state cap', witness=None), stats={})", None),
+]
+
+
+def _values(obj):
+    return tuple(getattr(obj, name) for name in obj._fields)
+
+
+def _twin(obj):
+    """An instance of another Frozen class with the same field values."""
+    twin_cls = type("Twin", (Frozen,), {"_fields": obj._fields})
+    twin = object.__new__(twin_cls)
+    for name in obj._fields:
+        object.__setattr__(twin, name, getattr(obj, name))
+    return twin
+
+
+@pytest.mark.parametrize("cls,args,text,bad", CASES,
+                         ids=[case[0].__name__ for case in CASES])
+def test_value_class_contract(cls, args, text, bad):
+    a, b = cls(*args), cls(*args)
+    assert isinstance(a, Frozen)
+    assert a == b and not a != b
+    assert a.__eq__(object()) is NotImplemented
+    if cls is SearchResult:
+        # its stats dict is a field, so it is unhashable, as before
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b) == hash(_values(a))
+
+    twin = _twin(a)
+    assert _values(twin) == _values(a)
+    assert a != twin and twin != a
+
+    assert repr(a) == text
+
+    name = cls._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(a, name, getattr(a, name))
+    with pytest.raises(AttributeError):
+        delattr(a, name)
+    with pytest.raises(AttributeError):
+        a.not_a_field = 1
+    assert a == b
+
+    if bad is not None:
+        with pytest.raises(ValueError):
+            cls(*bad)
+
+
+def test_equality_and_hash_read_the_declared_fields_only():
+    a, b = curve_from_template(1, 1, 1, 0), curve_from_template(1, 1, 1, 0)
+    a.support()
+    assert "_support" in vars(a) and "_support" not in vars(b)
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert not hasattr(Curve, "__slots__")
+
+
+def test_keyword_arguments_and_defaults():
+    assert Curve(genus=1, word=(1,), homology=H) == Curve(1, (1,), H, None)
+    assert FramedComponent(C).framing == "surface"
+    assert TrisectionDiagram(0, E, E, E).declared_params is None
+    assert Verdict("unknown", "cap").witness is None
+    r = Report("op", (), ())
+    assert (r.verdict, r.elapsed_ms) == (None, 0.0)
+    assert r.engine.startswith("trisect ")
+    s1, s2 = SearchResult(None, unknown("cap")), SearchResult(None, unknown("cap"))
+    assert s1.stats == {} and s1.stats is not s2.stats
+
+
+def test_trusted_builders_skip_validation():
+    tpl = _unchecked(SlopeTemplate, handle=0, p=0, q=0)
+    assert (tpl.handle, tpl.p, tpl.q) == (0, 0, 0)
+    cs = _unchecked(CutSystem, genus=2, curves=(C,))
+    assert cs.curves == (C,)
+    p = ac._trusted(1, ((5,),))
+    assert p == _unchecked(BalancedPresentation, generators=1,
+                           relators=((5,),))
+    with pytest.raises(ValueError):
+        BalancedPresentation(1, ((5,),))
+
+
+def test_post_init_is_looked_up_at_call_time(monkeypatch):
+    calls = []
+    original = BalancedPresentation.__post_init__
+
+    def counted(obj):
+        calls.append(obj.generators)
+        original(obj)
+
+    monkeypatch.setattr(BalancedPresentation, "__post_init__", counted)
+    ac.trivial_presentation(2)
+    assert calls == [2]
