@@ -6,12 +6,16 @@ variant) add or delete a trivial generator-relator pair.  The search works
 on canonical keys, so two presentations differing by relator order, cyclic
 rotation, relator inversion, or a signed relabeling of the generators are
 one node.  A search computes the images under all signed relabelings
-once per relator class (up to rotation and inversion), and builds every
-key a relator of that class appears in from those images.  Images are
-byte words relabeled with ``bytes.translate`` (letter v is byte 128 + v,
-so byte order is letter order), and each class keeps its least image and
-the relabelings that reach it: a key sorts only those relabelings'
-columns, since no other can start with the least image of any relator.
+once per relabeling orbit of relator classes (a class is a relator up to
+rotation and inversion), and builds every key a relator of that orbit
+appears in from those images.  Images are byte words relabeled with
+``bytes.translate`` (letter v is byte 128 + v, so byte order is letter
+order).  The first class met in an orbit has its images computed; every
+other class of the orbit is one of those images, and its own images are
+the same tuple permuted by right composition with the relabeling that
+reaches it.  Each class keeps its least image and the relabelings that
+reach it: a key sorts only those relabelings' columns, since no other can
+start with the least image of any relator.
 
 Inside the search an edge is a small descriptor, expanded into primitive
 moves only for the path that is returned, and children are built without
@@ -24,6 +28,7 @@ from __future__ import annotations
 from collections import deque
 from itertools import permutations, product
 from math import factorial
+from operator import itemgetter
 
 from . import words
 from .intmatrix import IntegerMatrix
@@ -171,6 +176,13 @@ def _relabelings(n):
     that image, and ``preimage`` takes an image letter back.  Since -t maps
     each letter to the inverse of its image under t, the tables of -t are
     ``inverse`` and ``image``.
+
+    The relabeling (pi, e) maps generator g to e(g) pi(g).  In a class's
+    images (``_class_images``) it has index P(pi) 2^n + f(e): P(pi) is the
+    rank of pi in ``itertools.permutations`` order, and f(e) = 2m + [e(1) =
+    -1], where m is the rank of the sign vector e(1) e in
+    ``itertools.product((1, -1), repeat=n)`` order.  ``_composer`` relies
+    on this layout.
     """
     letters = bytes([_BASE + g for g in range(1, n + 1)]
                     + [_BASE - g for g in range(1, n + 1)])
@@ -183,6 +195,32 @@ def _relabelings(n):
             tables.append((image, image.translate(_NEGATE),
                            bytes.maketrans(images, letters)))
     return tables
+
+
+def _composer(n):
+    """``indices(s)`` for n >= 1 generators: the list whose entry r is the
+    index of the relabeling sigma_r o sigma_s, in the layout that
+    ``_relabelings`` documents.
+
+    With sigma_s = (pi_s, e_s), sigma_r o sigma_s = (pi o pi_s,
+    e_s (e o pi_s)): every permutation block moves as a whole, and every
+    sign vector moves alike in each block, so one list costs n! + 2^n small
+    steps and one pass over the 2^n n! entries.
+    """
+    perms = list(permutations(range(n)))
+    block = {pi: k << n for k, pi in enumerate(perms)}
+    signs = []
+    for rest in product((1, -1), repeat=n - 1):
+        signs += [(1,) + rest, (-1,) + tuple([-e for e in rest])]
+    offset = {e: f for f, e in enumerate(signs)}
+
+    def indices(s):
+        pi_s, e_s = perms[s >> n], signs[s & ((1 << n) - 1)]
+        blocks = [block[tuple([pi[h] for h in pi_s])] for pi in perms]
+        offsets = [offset[tuple([e_s[g] * e[h] for g, h in enumerate(pi_s)])]
+                   for e in signs]
+        return [b + f for b in blocks for f in offsets]
+    return indices
 
 
 def _least_start(rotations, table):
@@ -255,6 +293,17 @@ def _class_images(word, tables):
     return tuple(images), least, winners
 
 
+def _orbit_images(base, indices):
+    """The images of the class that is image s of the class whose
+    ``_class_images`` are ``base``, given ``indices`` = ``indices(s)`` of
+    ``_composer``: image r of it is image sigma_r o sigma_s of the base
+    class.  The least image is the base's."""
+    images = itemgetter(*indices)(base[0])
+    least = base[1]
+    return images, least, tuple([r for r, x in enumerate(images)
+                                 if x == least])
+
+
 def canonical_key(p, _memo=None):
     """Stable byte string naming the presentation up to symmetry.
 
@@ -263,14 +312,18 @@ def canonical_key(p, _memo=None):
     relabelings of the generators.
 
     ``_memo`` is a dict owned by one search.  Per generator count it holds
-    the relabeling tables, the images of each relator class, and each
-    image's text.  A class's images are byte words (letter v is byte
-    128 + v, so byte order is letter order), computed once per class up to
-    rotation and inversion: stored under the class's byte word
-    (``_byte_class``) and under every relator met in it, and shared by
-    every state that holds one.  The least sorted column starts with the
-    least image of any relator, so only the columns of the relabelings
-    that reach that image are sorted.
+    a slot: the relabeling tables, their ``_composer``, the images of each
+    relator class, the orbit dict, each image's text, and the counts of
+    classes whose images were computed and relabeled.  A class's images
+    are byte words (letter v is byte 128 + v, so byte order is letter
+    order), stored under the class's byte word (``_byte_class``) and under
+    every relator met in it, and shared by every state that holds one.
+    The orbit dict maps every image of a class whose images were computed
+    to that class's entry, so a later class of the same orbit takes its
+    images by permuting the shared tuple (``_orbit_images``).  The least
+    sorted column starts with the least image of any relator, so only the
+    columns of the relabelings that reach that image are sorted, gathered
+    with ``operator.itemgetter``.
     """
     n = p.generators
     if not n:
@@ -278,8 +331,8 @@ def canonical_key(p, _memo=None):
     memo = _memo if _memo is not None else {}
     slot = memo.get(n)
     if slot is None:
-        slot = memo[n] = (_relabelings(n), {}, {})
-    tables, classes, texts = slot
+        slot = memo[n] = (_relabelings(n), _composer(n), {}, {}, {}, [0, 0])
+    tables, compose, classes, orbits, texts, counts = slot
     entries = []
     for w in p.relators:
         entry = classes.get(w)
@@ -287,14 +340,25 @@ def canonical_key(p, _memo=None):
             c = _byte_class(w)
             entry = classes.get(c)
             if entry is None:
-                entry = classes[c] = _class_images(c, tables)
+                base = orbits.get(c)
+                if base is None:
+                    entry = _class_images(c, tables)
+                    orbits.update(dict.fromkeys(entry[0], entry))
+                    counts[0] += 1
+                else:
+                    entry = _orbit_images(base, compose(base[0].index(c)))
+                    counts[1] += 1
+                classes[c] = entry
             classes[w] = entry
         entries.append(entry)
     least = min([e[1] for e in entries])
-    winners = [e[2] for e in entries if e[1] == least]
-    columns = [e[0] for e in entries]
-    best = min([sorted([col[s] for col in columns])
-                for s in set().union(*winners)])
+    cand = set().union(*[e[2] for e in entries if e[1] == least])
+    if len(cand) == 1:
+        (s,) = cand
+        best = sorted([e[0][s] for e in entries])
+    else:
+        pick = itemgetter(*cand)
+        best = min(map(sorted, zip(*[pick(e[0]) for e in entries])))
     parts = []
     for x in best:
         text = texts.get(x)
@@ -308,8 +372,10 @@ class SearchResult(Frozen):
     """Outcome of a bounded trivialization search.
 
     ``path`` is a replayable tuple of primitive moves when found, else
-    None.  ``stats`` counts visited states and what cut the frontier; it
-    defaults to a fresh dict.
+    None.  ``stats`` counts visited states and what cut the frontier, and,
+    once keys are built, the relator classes whose images were computed
+    (``class_images``) or relabeled from their orbit (``orbit_images``);
+    it defaults to a fresh dict.  Stats never enter the witness.
     """
     _fields = ("path", "verdict", "stats")
 
@@ -483,7 +549,8 @@ def ac_search(p, max_total_length, max_depth, stable=False,
             {"kind": "ab-det", "det": d}), {"visited": 0})
 
     stats = {"visited": 0, "stored": 0, "pruned_length": 0,
-             "pruned_depth": 0, "pruned_generator_cap": 0, "aborted": None}
+             "pruned_depth": 0, "pruned_generator_cap": 0, "aborted": None,
+             "class_images": 0, "orbit_images": 0}
     p0, prefix = _normalize_start(p)
     if p0.is_trivial_form():
         return SearchResult(tuple(prefix), verified(
@@ -515,6 +582,13 @@ def ac_search(p, max_total_length, max_depth, stable=False,
            "frontier": deque([(p0, start_key, 0)])}
     bwd = {"parents": {goal_key: (None, None, 0)},
            "frontier": deque([(goal, goal_key, 0)])}
+
+    def _result(path, verdict):
+        stats["stored"] = len(fwd["parents"]) + len(bwd["parents"])
+        for slot in memo.values():
+            stats["class_images"] += slot[-1][0]
+            stats["orbit_images"] += slot[-1][1]
+        return SearchResult(path, verdict, stats)
 
     def _path(key):
         """Primitive moves from the input through ``key`` to the trivial
@@ -571,28 +645,25 @@ def ac_search(p, max_total_length, max_depth, stable=False,
                 continue
             if len(fwd["parents"]) + len(bwd["parents"]) >= max_states:
                 stats["aborted"] = "state-cap"
-                stats["stored"] = len(fwd["parents"]) + len(bwd["parents"])
-                return SearchResult(None, unknown(
+                return _result(None, unknown(
                     "exhausted: state cap %d reached after %d states "
-                    "visited" % (max_states, stats["visited"])), stats)
+                    "visited" % (max_states, stats["visited"])))
             side["parents"][ckey] = (key, desc, depth + 1)
             # a forward child in trivial form meets the backward root
             hit = other["parents"].get(ckey)
             if hit is not None and depth + 1 + hit[2] <= max_depth:
                 path = _path(ckey)
                 depth += 1 + hit[2]
-                stats["stored"] = len(fwd["parents"]) + len(bwd["parents"])
-                return SearchResult(path, verified(
+                return _result(path, verified(
                     "trivialized in %d primitive moves (%d search edges)"
                     % (len(path), depth),
                     {"kind": "ac-path", "moves": [list(m) for m in path],
-                     "depth": depth}), stats)
+                     "depth": depth}))
             side["frontier"].append((child, ckey, depth + 1))
-    stats["stored"] = len(fwd["parents"]) + len(bwd["parents"])
-    return SearchResult(None, unknown(
+    return _result(None, unknown(
         "exhausted: no trivialization within total length %d and depth %d "
         "(%d states visited)"
-        % (max_total_length, max_depth, stats["visited"])), stats)
+        % (max_total_length, max_depth, stats["visited"])))
 
 
 def replay_ac_path(p, moves):

@@ -281,7 +281,9 @@ def _cmd_ac_search(args):
     payload = [("generators", p.generators),
                ("total-length", p.total_length()),
                ("visited", res.stats.get("visited", 0)),
-               ("stored", res.stats.get("stored", 0))]
+               ("stored", res.stats.get("stored", 0)),
+               ("class-images", res.stats.get("class_images", 0)),
+               ("orbit-images", res.stats.get("orbit_images", 0))]
     if res.found:
         payload.append(("path-moves", len(res.path)))
     return inputs, payload, res.verdict, None

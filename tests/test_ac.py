@@ -298,6 +298,101 @@ def test_canonical_key_equals_the_oracle(p):
     assert canonical_key(q, memo) == want_q
 
 
+def _letter_maps(n):
+    """Each signed relabeling of n generators as a map of byte letters, in
+    image order: entry 2k is the k-th of ``_relabelings(n)``, 2k + 1 its
+    negation."""
+    letters = [ac._BASE + g for g in range(1, n + 1)] + \
+        [ac._BASE - g for g in range(1, n + 1)]
+    maps = []
+    for image, inverse_, _ in ac._relabelings(n):
+        for table in (image, inverse_):
+            maps.append(tuple(table[b] for b in letters))
+    return letters, maps
+
+
+@pytest.mark.parametrize("n, samples", [(1, None), (2, None), (3, None),
+                                        (4, 12), (5, 4)])
+def test_composer_indices_compose_the_signed_relabelings(n, samples):
+    letters, maps = _letter_maps(n)
+    assert len(maps) == 2 ** n * len(list(permutations(range(n))))
+    where = {m: r for r, m in enumerate(maps)}
+    assert len(where) == len(maps)
+    position = {b: i for i, b in enumerate(letters)}
+    indices = ac._composer(n)
+    rng = random.Random(n)
+    ss = range(len(maps)) if samples is None else \
+        rng.sample(range(len(maps)), samples)
+    for s in ss:
+        got = indices(s)
+        for r, m in enumerate(maps):
+            # sigma_r o sigma_s: apply sigma_s first, then sigma_r
+            composed = tuple(m[position[b]] for b in maps[s])
+            assert got[r] == where[composed], (n, r, s)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_orbit_images_equal_the_images_computed_directly(n):
+    rng = random.Random(20261019 + n)
+    tables = ac._relabelings(n)
+    indices = ac._composer(n)
+    for _ in range(6 if n < 4 else 2):
+        w = tuple(rng.choice((1, -1)) * rng.randrange(1, n + 1)
+                  for _ in range(rng.randrange(1, 8)))
+        c = ac._byte_class(w)
+        base = ac._class_images(c, tables)
+        for s in range(len(base[0])):
+            assert ac._orbit_images(base, indices(s)) == \
+                ac._class_images(base[0][s], tables), (w, s)
+
+
+@pytest.fixture
+def image_calls(monkeypatch):
+    """The class words that ``_class_images`` computes images for."""
+    calls = []
+    direct = ac._class_images
+
+    def counted(word, tables):
+        calls.append(word)
+        return direct(word, tables)
+
+    monkeypatch.setattr(ac, "_class_images", counted)
+    return calls
+
+
+def test_a_relabeled_class_takes_its_images_from_the_orbit(image_calls):
+    p = trivial_presentation(3)
+    memo = {}
+    assert canonical_key(p, memo) == _oracle_key(p)
+    # x1, x2 and x3 are one orbit: its images are computed for x1 alone
+    assert len(image_calls) == 1
+    assert memo[3][-1] == [1, 2]
+
+
+@pytest.mark.parametrize("relators", [
+    ((1, 2), (2, 3, -1), (3, 4), (4, 5, 5), (5, -1)),
+    ((1,), (2, -3), (3, 2), (4, 1, -4), (5, 2, 5, -3)),
+])
+def test_five_generator_keys_equal_the_oracle(relators):
+    p = BalancedPresentation(5, relators)
+    memo = {}
+    assert canonical_key(p, memo) == _oracle_key(p)
+    # two of the relators are one orbit, so one class took the orbit path
+    assert memo[5][-1][1] >= 1
+
+
+def test_search_stats_count_class_and_orbit_images(image_calls):
+    res = ac_search(ak_presentation(2), 32, 20, stable=True)
+    assert res.verdict.is_verified
+    assert res.stats["class_images"] == len(image_calls)
+    # deterministic work counters; the images of 229 classes were
+    # relabeled from an orbit instead of computed
+    assert (res.stats["class_images"], res.stats["orbit_images"]) == \
+        (550, 229)
+    # stats stay out of the witness
+    assert set(res.verdict.witness) == {"kind", "moves", "depth"}
+
+
 # budgets 32/20; the counts and path digests pin each search tree
 @pytest.mark.parametrize("n, stable, cap, status, visited, stored, pruned, "
                          "moves, digest", [

@@ -102,6 +102,16 @@ def test_found_search_exits_zero(capsys):
     assert "ac-path" in out
 
 
+def test_search_report_counts_class_and_orbit_images(capsys):
+    code, out, _ = run(capsys, "ac-search", "--ak", "1", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    # AK(1) at the default budgets: 21 classes computed, 14 relabeled
+    assert (doc["payload"]["class-images"],
+            doc["payload"]["orbit-images"]) == (21, 14)
+    assert set(doc["verdict"]["witness"]) == {"kind", "moves", "depth"}
+
+
 def test_usage_errors_exit_three(tmp_path, capsys):
     assert run(capsys, "no-such-command")[0] == 3
     assert run(capsys, "ac-search", "--max-length", "8")[0] == 3
