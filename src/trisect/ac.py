@@ -5,22 +5,21 @@ by another, conjugate a relator by a single generator, and (in the stable
 variant) add or delete a trivial generator-relator pair.  The search works
 on canonical keys, so two presentations differing by relator order, cyclic
 rotation, relator inversion, or a signed relabeling of the generators are
-one node.  A search computes the images under all signed relabelings
-once per relabeling orbit of relator classes (a class is a relator up to
-rotation and inversion), and builds every key a relator of that orbit
-appears in from those images.  Images are byte words relabeled with
-``bytes.translate`` (letter v is byte 128 + v, so byte order is letter
-order).  The first class met in an orbit has its images computed; every
-other class of the orbit is one of those images, and its own images are
-the same tuple permuted by right composition with the relabeling that
-reaches it.  Each class keeps its least image and the relabelings that
-reach it: a key sorts only those relabelings' columns, since no other can
-start with the least image of any relator.
+one node.  The images of a relator class (a relator up to rotation and
+inversion) under all signed relabelings are computed once per relabeling
+orbit of classes, and a key sorts only the columns of the relabelings
+that reach the least image of any relator.
 
-Inside the search an edge is a small descriptor, expanded into primitive
-moves only for the path that is returned, and children are built without
-the validating constructor.  Replay (``apply_ac_move``,
-``replay_ac_path``) always validates, so it checks a path independently.
+Inside the search a key is the tuple that ``canonical_key`` formats, and
+an edge is a small descriptor, expanded into primitive moves only for the
+returned path.  A child replaces one relator of the expanded state by a
+new core, so it is keyed from the state's class entries and the core's,
+and built (without the validating constructor) only when its key is new.
+A core of the class of an earlier core replacing the same relator is
+skipped: the two children differ by a rotation or inversion of that
+relator, so they share a key, which the earlier one left stored.  Replay
+(``apply_ac_move``, ``replay_ac_path``) always validates, so it checks a
+path independently.
 """
 
 from __future__ import annotations
@@ -155,8 +154,6 @@ def ab_det(p):
         for v in r:
             row[abs(v) - 1] += 1 if v > 0 else -1
         rows.append(row)
-    if not rows:
-        return 1
     return IntegerMatrix.from_rows(rows).determinant()
 
 
@@ -247,11 +244,10 @@ def _byte_class(w):
 def _class_images(word, tables):
     """A relator class's images: ``(images, least, winners)``.
 
-    ``word`` is a cyclically reduced byte word.  ``images`` holds
-    the least rotation of its image or its inverse's under each
-    relabeling: entry 2k under the k-th of ``tables``, 2k + 1 under its
-    negation.  ``least`` is the least of them, and ``winners`` lists the
-    relabelings that reach it.
+    ``word`` is a cyclically reduced byte word.  ``images`` holds the least
+    rotation of its image or its inverse's under each relabeling: entry 2k
+    under the k-th of ``tables``, 2k + 1 under its negation.  ``least`` is
+    the least of them, and ``winners`` lists the relabelings reaching it.
 
     A least rotation starts at the least letter, so only the rotations of
     ``word`` and of its reversal that start at a letter relabeled to it
@@ -304,78 +300,83 @@ def _orbit_images(base, indices):
                                  if x == least])
 
 
+def _entry(slot, w):
+    """The class entry ``(images, least, winners)`` of relator ``w``."""
+    entry = slot[2].get(w)
+    if entry is None:
+        tables, compose, classes, orbits, counts = slot
+        c = _byte_class(w)
+        entry = classes.get(c)
+        if entry is None:
+            base = orbits.get(c)
+            if base is None:
+                entry = _class_images(c, tables)
+                orbits.update(dict.fromkeys(entry[0], entry))
+                counts[0] += 1
+            else:
+                entry = _orbit_images(base, compose(base[0].index(c)))
+                counts[1] += 1
+            classes[c] = entry
+        classes[w] = entry
+    return entry
+
+
+def _least(entries):
+    """The least image of the ``entries`` and the relabelings reaching it."""
+    least = min([e[1] for e in entries])
+    return least, set().union(*[e[2] for e in entries if e[1] == least])
+
+
+def _column(entries, cand):
+    """The least sorted column of the entries' images: only the columns
+    of ``cand``, the relabelings reaching the least image, can be it."""
+    if len(cand) == 1:
+        return tuple(sorted([e[0][s] for s in cand for e in entries]))
+    pick = itemgetter(*cand)
+    return tuple(min(map(sorted, zip(*[pick(e[0]) for e in entries]))))
+
+
+def _key(p, memo):
+    """The tuple key ``(n, column)`` that ``canonical_key`` formats."""
+    n = p.generators
+    if not n:
+        return 0, ()
+    slot = memo.get(n)
+    if slot is None:
+        slot = memo[n] = (_relabelings(n), _composer(n), {}, {}, [0, 0])
+    entries = [_entry(slot, w) for w in p.relators]
+    return n, _column(entries, _least(entries)[1])
+
+
 def canonical_key(p, _memo=None):
     """Stable byte string naming the presentation up to symmetry.
 
     Relators are cyclically reduced and minimized over rotation and
     inversion, the list is sorted, and the whole is minimized over signed
-    relabelings of the generators.
+    relabelings of the generators: the text of the tuple key ``_key``.
 
     ``_memo`` is a dict owned by one search.  Per generator count it holds
-    a slot: the relabeling tables, their ``_composer``, the images of each
-    relator class, the orbit dict, each image's text, and the counts of
-    classes whose images were computed and relabeled.  A class's images
-    are byte words (letter v is byte 128 + v, so byte order is letter
-    order), stored under the class's byte word (``_byte_class``) and under
-    every relator met in it, and shared by every state that holds one.
-    The orbit dict maps every image of a class whose images were computed
-    to that class's entry, so a later class of the same orbit takes its
-    images by permuting the shared tuple (``_orbit_images``).  The least
-    sorted column starts with the least image of any relator, so only the
-    columns of the relabelings that reach that image are sorted, gathered
-    with ``operator.itemgetter``.
+    a slot: the relabeling tables, their ``_composer``, the entry of each
+    relator class (under its byte word and every relator met in it), the
+    orbit dict, and the counts of classes whose images were computed and
+    relabeled.  The orbit dict maps every image of a class whose images
+    were computed to its entry, so a later class of the orbit permutes
+    that shared tuple (``_orbit_images``).
     """
-    n = p.generators
-    if not n:
-        return b"0:"
-    memo = _memo if _memo is not None else {}
-    slot = memo.get(n)
-    if slot is None:
-        slot = memo[n] = (_relabelings(n), _composer(n), {}, {}, {}, [0, 0])
-    tables, compose, classes, orbits, texts, counts = slot
-    entries = []
-    for w in p.relators:
-        entry = classes.get(w)
-        if entry is None:
-            c = _byte_class(w)
-            entry = classes.get(c)
-            if entry is None:
-                base = orbits.get(c)
-                if base is None:
-                    entry = _class_images(c, tables)
-                    orbits.update(dict.fromkeys(entry[0], entry))
-                    counts[0] += 1
-                else:
-                    entry = _orbit_images(base, compose(base[0].index(c)))
-                    counts[1] += 1
-                classes[c] = entry
-            classes[w] = entry
-        entries.append(entry)
-    least = min([e[1] for e in entries])
-    cand = set().union(*[e[2] for e in entries if e[1] == least])
-    if len(cand) == 1:
-        (s,) = cand
-        best = sorted([e[0][s] for e in entries])
-    else:
-        pick = itemgetter(*cand)
-        best = min(map(sorted, zip(*[pick(e[0]) for e in entries])))
-    parts = []
-    for x in best:
-        text = texts.get(x)
-        if text is None:
-            text = texts[x] = ",".join([str(b - _BASE) for b in x])
-        parts.append(text)
-    return ("%d:%s" % (n, "|".join(parts))).encode("ascii")
+    n, column = _key(p, {} if _memo is None else _memo)
+    return ("%d:%s" % (n, "|".join([",".join([str(b - _BASE) for b in x])
+                                    for x in column]))).encode("ascii")
 
 
 class SearchResult(Frozen):
     """Outcome of a bounded trivialization search.
 
     ``path`` is a replayable tuple of primitive moves when found, else
-    None.  ``stats`` counts visited states and what cut the frontier, and,
-    once keys are built, the relator classes whose images were computed
-    (``class_images``) or relabeled from their orbit (``orbit_images``);
-    it defaults to a fresh dict.  Stats never enter the witness.
+    None.  ``stats`` (a fresh dict by default) counts visited states, what
+    cut the frontier, the classes whose images were computed or relabeled
+    (``class_images``, ``orbit_images``) and the children keyed or skipped
+    for a sibling's class (``child_keys``, ``sibling_skips``).  Stats
+    never enter the witness.
     """
     _fields = ("path", "verdict", "stats")
 
@@ -413,20 +414,18 @@ def _wrap_length(w):
 
 
 def _aligned_products(p, max_total_length):
-    """Children obtained by multiplying a rotation of one relator by a
-    rotation of another or of its inverse, then cyclically reducing.
+    """The cores of the children obtained by multiplying a rotation of one
+    relator by a rotation of another or of its inverse, then cyclically
+    reducing, each distinct core with its descriptor ``(i, j, m, e, k)``:
+    r_i rotated by m letters times r_j^e rotated by k letters is the core,
+    and it replaces r_i.  ``_product_moves`` expands a descriptor into
+    primitive moves.  A core that takes the child's total length over
+    ``max_total_length`` comes as None.
 
     Every relator of ``p`` must be cyclically reduced, as every search
-    state's is (``_normalize_start``, and each child below): then a rotation
-    is freely reduced, and ``words.rotation_product`` builds each child
-    core from the seam and the wrap alone.
-
-    Each distinct child comes with its descriptor ``(i, j, m, e, k)``:
-    r_i rotated by m letters times r_j^e rotated by k letters replaces r_i.
-    ``_product_moves`` expands a descriptor into primitive moves.  A child
-    whose total length exceeds ``max_total_length`` comes as None and is
-    never built; the others skip the validating constructor, since their
-    relators are freely reduced already.
+    state's is: then a rotation is freely reduced, and
+    ``words.rotation_product`` builds each core from the seam and the
+    wrap alone.
 
     Bare conjugations and inversions never change the canonical key, so
     they only appear inside these composites: both rotations are
@@ -455,12 +454,13 @@ def _aligned_products(p, max_total_length):
                             continue
                         produced.add(core)
                         yield (i, j, m, e, k), (
-                            None if len(core) > room else
-                            _trusted(n, rs[:i - 1] + (core,) + rs[i:]))
+                            None if len(core) > room else core)
 
 
 def _product_moves(p, desc):
-    """The primitive moves of the aligned product ``desc`` on ``p``."""
+    """The primitive moves of the search edge ``desc`` out of ``p``."""
+    if isinstance(desc[0], str):
+        return [desc]
     i, j, m, e, k = desc
     left = p.relators[i - 1]
     base = p.relators[j - 1] if e == 1 else words.inverse(p.relators[j - 1])
@@ -478,8 +478,7 @@ def _product_moves(p, desc):
 
 
 def _stable_edges(p, gen_cap, max_total_length):
-    """Add or delete a trivial generator-relator pair; each descriptor is
-    its one move."""
+    """Edges adding or deleting a trivial pair; a descriptor is its move."""
     if p.generators < gen_cap:
         move = ("stabilize",)
         yield move, (apply_ac_move(p, move)
@@ -496,14 +495,12 @@ def _stable_edges(p, gen_cap, max_total_length):
 
 def _edges(state, stable, gen_cap, max_total_length):
     """(descriptor, child) pairs; None for a child over the length cap."""
-    yield from _aligned_products(state, max_total_length)
+    n, rs = state.generators, state.relators
+    for desc, core in _aligned_products(state, max_total_length):
+        yield desc, None if core is None else _trusted(
+            n, rs[:desc[0] - 1] + (core,) + rs[desc[0]:])
     if stable:
         yield from _stable_edges(state, gen_cap, max_total_length)
-
-
-def _expand(p, desc):
-    """The primitive moves of one search edge out of ``p``."""
-    return [desc] if isinstance(desc[0], str) else _product_moves(p, desc)
 
 
 def _normalize_start(p):
@@ -517,20 +514,56 @@ def _normalize_start(p):
     return BalancedPresentation(p.generators, tuple(rs)), moves
 
 
+def _children(state, parents, memo, stats, stable, gen_cap,
+              max_total_length):
+    """(descriptor, key, child) per edge out of ``state``, keyed with
+    ``memo``, to a key not in ``parents``; ``stats`` counts children."""
+    n, rs = state.generators, state.relators
+    slot, seen = memo.get(n), set()
+    entries = [_entry(slot, w) for w in rs]
+    rests = [entries[:i] + entries[i + 1:] for i in range(n)]
+    leasts = [_least(rest) for rest in rests] if n > 1 else []
+    for desc, core in _aligned_products(state, max_total_length):
+        if core is None:
+            stats["pruned_length"] += 1
+            continue
+        i, entry = desc[0] - 1, _entry(slot, core)
+        if (i, entry[0][0]) in seen:  # images[0] is the class's word
+            stats["sibling_skips"] += 1
+            continue
+        seen.add((i, entry[0][0]))
+        stats["child_keys"] += 1
+        (lo, win), (_, x, won) = leasts[i], entry
+        cand = win if x > lo else won if x < lo else win.union(won)
+        ckey = n, _column(rests[i] + [entry], cand)
+        if ckey not in parents:
+            yield desc, ckey, _trusted(n, rs[:i] + (core,) + rs[i + 1:])
+    for desc, child in (_stable_edges(state, gen_cap, max_total_length)
+                        if stable else ()):
+        if child is None:
+            stats["pruned_length"] += 1
+            continue
+        stats["child_keys"] += 1
+        ckey = _key(child, memo)
+        if ckey not in parents:
+            yield desc, ckey, child
+
+
 def ac_search(p, max_total_length, max_depth, stable=False,
               max_states=DEFAULT_MAX_STATES):
     """Breadth-first search for a move path to the trivial presentation.
 
-    Nodes are canonical keys; edges are aligned products (plus add/delete
-    of trivial pairs when stable).  The search stores each edge as a
-    small descriptor and expands descriptors into primitive moves only
-    for the path it returns, so a found path replays with apply_ac_move
-    alone.  Depth counts edges, not primitive moves.  States whose total
-    relator length exceeds max_total_length are pruned; stable search
-    adds at most two generators.  A presentation whose exponent matrix
-    has determinant of absolute value other than 1 is refuted outright.
-    A key on g generators is minimized over 2^g g! signed relabelings;
-    when that count, at the most generators the search can reach, exceeds
+    Nodes are canonical keys, and each child's is built from its parent's
+    class entries (see the module docstring); edges are aligned products
+    (plus add/delete of trivial pairs when stable), stored as small
+    descriptors expanded into primitive moves only for the path returned,
+    so a found path replays with apply_ac_move alone.  Depth counts edges,
+    not primitive moves.  States whose total relator length exceeds
+    max_total_length are pruned; stable search adds at most two
+    generators.  A presentation whose exponent matrix has determinant of
+    absolute value other than 1 is refuted outright.  A key on g
+    generators is minimized over 2^g g! signed relabelings; when that
+    count, at the most generators the search can reach, exceeds
     max_states, the search answers unknown before it builds any key.
 
     The edge family is closed under inverses, so reachability between
@@ -541,16 +574,17 @@ def ac_search(p, max_total_length, max_depth, stable=False,
     """
     if max_total_length < 1 or max_depth < 1 or max_states < 1:
         raise ValueError("budgets must be positive")
+    stats = {"visited": 0, "stored": 0, "pruned_length": 0,
+             "pruned_depth": 0, "pruned_generator_cap": 0, "aborted": None,
+             "class_images": 0, "orbit_images": 0, "child_keys": 0,
+             "sibling_skips": 0}
     d = ab_det(p)
     if abs(d) != 1:
         return SearchResult(None, refuted(
             "exponent matrix determinant is %d, so the group abelianizes "
             "to a nontrivial group" % d,
-            {"kind": "ab-det", "det": d}), {"visited": 0})
+            {"kind": "ab-det", "det": d}), stats)
 
-    stats = {"visited": 0, "stored": 0, "pruned_length": 0,
-             "pruned_depth": 0, "pruned_generator_cap": 0, "aborted": None,
-             "class_images": 0, "orbit_images": 0}
     p0, prefix = _normalize_start(p)
     if p0.is_trivial_form():
         return SearchResult(tuple(prefix), verified(
@@ -574,8 +608,7 @@ def ac_search(p, max_total_length, max_depth, stable=False,
 
     memo = {}
     goal = trivial_presentation(p.generators)
-    start_key = canonical_key(p0, memo)
-    goal_key = canonical_key(goal, memo)
+    start_key, goal_key = _key(p0, memo), _key(goal, memo)
 
     # parents[key] = (parent_key, edge_descriptor, depth); None marks the root
     fwd = {"parents": {start_key: (None, None, 0)},
@@ -594,23 +627,21 @@ def ac_search(p, max_total_length, max_depth, stable=False,
         """Primitive moves from the input through ``key`` to the trivial
         form: the forward chain replayed from p0 through apply_ac_move,
         then one edge at a time toward each backward parent key."""
-        chain = []
-        k = key
+        chain, k = [], key
         while fwd["parents"][k][0] is not None:
             k, desc, _ = fwd["parents"][k]
             chain.append(desc)
-        moves = list(prefix)
-        cur = p0
+        moves, cur = list(prefix), p0
         for desc in reversed(chain):
-            step = _expand(cur, desc)
+            step = _product_moves(cur, desc)
             moves.extend(step)
             for m in step:
                 cur = apply_ac_move(cur, m)
         target = bwd["parents"][key][0]
         while target is not None:
             for desc, child in _edges(cur, stable, gen_cap, max_total_length):
-                if child is not None and canonical_key(child, memo) == target:
-                    moves.extend(_expand(cur, desc))
+                if child is not None and _key(child, memo) == target:
+                    moves.extend(_product_moves(cur, desc))
                     cur = child
                     break
             else:
@@ -621,14 +652,8 @@ def ac_search(p, max_total_length, max_depth, stable=False,
         return tuple(moves)
 
     while fwd["frontier"] or bwd["frontier"]:
-        if not bwd["frontier"]:
-            side, other = fwd, bwd
-        elif not fwd["frontier"]:
-            side, other = bwd, fwd
-        elif len(fwd["frontier"]) <= len(bwd["frontier"]):
-            side, other = fwd, bwd
-        else:
-            side, other = bwd, fwd
+        f, b = len(fwd["frontier"]), len(bwd["frontier"])
+        side, other = (fwd, bwd) if f and (f <= b or not b) else (bwd, fwd)
         state, key, depth = side["frontier"].popleft()
         stats["visited"] += 1
         if depth >= max_depth:
@@ -636,13 +661,8 @@ def ac_search(p, max_total_length, max_depth, stable=False,
             continue
         if stable and state.generators >= gen_cap:
             stats["pruned_generator_cap"] += 1
-        for desc, child in _edges(state, stable, gen_cap, max_total_length):
-            if child is None:
-                stats["pruned_length"] += 1
-                continue
-            ckey = canonical_key(child, memo)
-            if ckey in side["parents"]:
-                continue
+        for desc, ckey, child in _children(state, side["parents"], memo, stats,
+                                           stable, gen_cap, max_total_length):
             if len(fwd["parents"]) + len(bwd["parents"]) >= max_states:
                 stats["aborted"] = "state-cap"
                 return _result(None, unknown(

@@ -14,7 +14,8 @@ and ``reports`` those and ``verdict``.  Engine modules are imported at
 four boundaries: a command handler below, a file-kind parser in
 ``diagio``, a witness check in ``reports.CHECKERS`` and a builder in
 ``reports.CONSTRUCTIONS``; never inside a per-state or per-step function
-(``canonical_key``, slide descent, Tietze moves).
+(``canonical_key``, the search's child keys in ``ac._children``, slide
+descent, Tietze moves).
 
 No engine module imports the standard dataclass module.  The value
 classes are plain classes on the frozen base ``verdict.Frozen``, each
@@ -279,11 +280,10 @@ def _cmd_ac_search(args):
     res = ac_search(p, args.max_length, args.max_depth, stable=args.stable,
                     max_states=max_states)
     payload = [("generators", p.generators),
-               ("total-length", p.total_length()),
-               ("visited", res.stats.get("visited", 0)),
-               ("stored", res.stats.get("stored", 0)),
-               ("class-images", res.stats.get("class_images", 0)),
-               ("orbit-images", res.stats.get("orbit_images", 0))]
+               ("total-length", p.total_length())]
+    payload += [(key.replace("_", "-"), res.stats[key])
+                for key in ("visited", "stored", "class_images",
+                            "orbit_images", "child_keys", "sibling_skips")]
     if res.found:
         payload.append(("path-moves", len(res.path)))
     return inputs, payload, res.verdict, None

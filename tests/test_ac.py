@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 from itertools import permutations, product
 
 import pytest
@@ -298,6 +299,46 @@ def test_canonical_key_equals_the_oracle(p):
     assert canonical_key(q, memo) == want_q
 
 
+def _text(key):
+    """The text ``canonical_key`` writes for a tuple key."""
+    n, column = key
+    body = "|".join(",".join(str(b - ac._BASE) for b in x) for x in column)
+    return ("%d:%s" % (n, body)).encode("ascii")
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(_keyed_presentations(), st.integers(0, 4))
+def test_child_keys_equal_the_keys_of_the_built_children(p, slack):
+    state = _normalize_start(p)[0]
+    n, cap = state.generators, state.total_length() + slack
+    memo, stats = {}, Counter()
+    ac._key(state, memo)
+    got = list(ac._children(state, {}, memo, stats, False, n, cap))
+    keys = {desc: key for desc, key, _ in got}
+    for k, (desc, key, child) in enumerate(got):
+        assert key == ac._key(child, {})
+        assert _text(key) == canonical_key(child)
+        # the oracle tries every relabeling: every 8th child from n = 3 on
+        if n < 3 or not k % 8:
+            assert _text(key) == _oracle_key(child)
+    # every other child is a sibling of one keyed earlier: the same relator
+    # replaced by a core of the same class, so the same key
+    earlier = {}
+    skipped = 0
+    for desc, child in _edges(state, False, n, cap):
+        if child is None:
+            continue
+        key = ac._key(child, {})
+        if desc in keys:
+            assert keys[desc] == key
+            earlier.setdefault(desc[0], set()).add(key)
+        else:
+            assert key in earlier.get(desc[0], ())
+            skipped += 1
+    assert (stats["child_keys"], stats["sibling_skips"]) == \
+        (len(got), skipped)
+
+
 def _letter_maps(n):
     """Each signed relabeling of n generators as a map of byte letters, in
     image order: entry 2k is the k-th of ``_relabelings(n)``, 2k + 1 its
@@ -389,6 +430,10 @@ def test_search_stats_count_class_and_orbit_images(image_calls):
     # relabeled from an orbit instead of computed
     assert (res.stats["class_images"], res.stats["orbit_images"]) == \
         (550, 229)
+    # 3,358 children met a key; 1,211 of them were skipped for an earlier
+    # sibling's relator class instead of keyed
+    assert (res.stats["child_keys"], res.stats["sibling_skips"]) == \
+        (2147, 1211)
     # stats stay out of the witness
     assert set(res.verdict.witness) == {"kind", "moves", "depth"}
 
@@ -476,17 +521,21 @@ def test_aligned_products_replay_to_their_children():
         p = _normalize_start(
             _random_presentation(rng, rng.randrange(2, 4), 5))[0]
         cap = p.total_length() + 2
-        for desc, child in _aligned_products(p, cap):
+        # _aligned_products yields the cores, _edges the children of them
+        edges = _edges(p, False, p.generators, cap)
+        for (desc, core), (_, child) in zip(_aligned_products(p, cap), edges):
             moves = _product_moves(p, desc)
             assert moves.count(("multiply", desc[0], desc[1])) == 1
             end = p
             for m in moves:
                 end = apply_ac_move(end, m)
+            assert (core is None) == (child is None)
             if child is None:
                 assert end.total_length() > cap
                 pruned += 1
                 continue
             assert end == child
+            assert child.relators[desc[0] - 1] == core
             assert child.total_length() <= cap
             # built without the validating constructor, yet equal to
             # what it would have produced
@@ -579,6 +628,13 @@ def test_search_refutes_bad_abelianization():
     assert not res.found
     assert res.verdict.is_refuted
     assert res.verdict.witness == {"kind": "ab-det", "det": 2}
+    # the refutation carries the same stats as a search that ran
+    found = ac_search(ak_presentation(1), 32, 20)
+    assert found.found
+    assert set(res.stats) == set(found.stats)
+    assert res.stats["visited"] == res.stats["child_keys"] == 0
+    assert (found.stats["child_keys"], found.stats["sibling_skips"]) == \
+        (52, 27)
 
 
 def test_search_handles_unreduced_start():

@@ -109,6 +109,9 @@ def test_search_report_counts_class_and_orbit_images(capsys):
     # AK(1) at the default budgets: 21 classes computed, 14 relabeled
     assert (doc["payload"]["class-images"],
             doc["payload"]["orbit-images"]) == (21, 14)
+    # 52 children keyed, 27 skipped for an earlier sibling's relator class
+    assert (doc["payload"]["child-keys"],
+            doc["payload"]["sibling-skips"]) == (52, 27)
     assert set(doc["verdict"]["witness"]) == {"kind", "moves", "depth"}
 
 
@@ -321,6 +324,9 @@ def test_ac_search_from_file(tmp_path, capsys):
     code, out, _ = run(capsys, "ac-search", bad, "--max-length", "8",
                        "--max-depth", "4")
     assert code == 1 and "ab-det" in out
+    # the refutation reports the counters of a search that built no key
+    for line in ("stored: 0", "child-keys: 0", "sibling-skips: 0"):
+        assert line in out
 
 
 # -- reports and replay ----------------------------------------------------------
