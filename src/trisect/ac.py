@@ -7,8 +7,9 @@ on canonical keys, so two presentations differing by relator order, cyclic
 rotation, relator inversion, or a signed relabeling of the generators are
 one node.  The images of a relator class (a relator up to rotation and
 inversion) under all signed relabelings are computed once per relabeling
-orbit of classes, and a key sorts only the columns of the relabelings
-that reach the least image of any relator.
+orbit of classes and process, in one shared symmetry table per generator
+count (``_symmetry``), and a key sorts only the columns of the
+relabelings that reach the least image of any relator.
 
 Inside the search a key is the tuple that ``canonical_key`` formats, and
 an edge is a small descriptor, expanded into primitive moves only for the
@@ -300,22 +301,79 @@ def _orbit_images(base, indices):
                                  if x == least])
 
 
+# The most images and composer indices one generator count's symmetry
+# table stores: a computed class adds its 2^n n! images, a composer index
+# list as many indices.  Each costs about 80 bytes, so a full table holds
+# about 10 MB; the 139 searches of the ac-ak benchmark at 10 s store about
+# 46,000 in their four tables.
+_SYMMETRY_CAP = 1 << 17
+
+# generator count -> its symmetry table (``_symmetry``), shared by every
+# search of the process
+_SYMMETRY = {}
+
+
+def _symmetry(n):
+    """The symmetry table of n >= 1 generators, ``[tables, compose,
+    orbits, indices, size]``: the ``_relabelings(n)`` tables, the
+    ``_composer(n)`` function, the orbit index mapping every image of a
+    class whose images were computed to that class's entry, the index
+    lists of ``compose`` by ``s``, and how many images and indices those
+    two hold.  Every value in it depends on n and its key alone, so one
+    table serves every search of the process, and emptying it (see
+    ``_SYMMETRY_CAP``) changes no answer, only work."""
+    table = _SYMMETRY.get(n)
+    if table is None:
+        table = _SYMMETRY[n] = [_relabelings(n), _composer(n), {}, {}, 0]
+    return table
+
+
+def _store(table, size):
+    """Make room for ``size`` more images or indices in the table,
+    emptying it first when they would take it over ``_SYMMETRY_CAP``."""
+    if table[4] + size > _SYMMETRY_CAP:
+        table[2].clear()
+        table[3].clear()
+        table[4] = 0
+    table[4] += size
+
+
+def _shared_entry(table, c):
+    """The entry ``(images, least, winners)`` of class word ``c``: the
+    computed entry of its orbit, relabeled unless ``c`` is that class."""
+    tables, compose, orbits, lists, _ = table
+    base = orbits.get(c)
+    if base is None:
+        base = _class_images(c, tables)
+        _store(table, len(base[0]))
+        orbits.update(dict.fromkeys(base[0], base))
+        return base
+    s = base[0].index(c)
+    if not s:
+        return base
+    indices = lists.get(s)
+    if indices is None:
+        indices = compose(s)
+        _store(table, len(indices))
+        lists[s] = indices
+    return _orbit_images(base, indices)
+
+
 def _entry(slot, w):
     """The class entry ``(images, least, winners)`` of relator ``w``."""
-    entry = slot[2].get(w)
+    entry = slot[1].get(w)
     if entry is None:
-        tables, compose, classes, orbits, counts = slot
+        table, classes, met, counts = slot
         c = _byte_class(w)
         entry = classes.get(c)
         if entry is None:
-            base = orbits.get(c)
-            if base is None:
-                entry = _class_images(c, tables)
-                orbits.update(dict.fromkeys(entry[0], entry))
-                counts[0] += 1
-            else:
-                entry = _orbit_images(base, compose(base[0].index(c)))
+            entry = _shared_entry(table, c)
+            # the least image names the orbit
+            if entry[1] in met:
                 counts[1] += 1
+            else:
+                met.add(entry[1])
+                counts[0] += 1
             classes[c] = entry
         classes[w] = entry
     return entry
@@ -343,7 +401,7 @@ def _key(p, memo):
         return 0, ()
     slot = memo.get(n)
     if slot is None:
-        slot = memo[n] = (_relabelings(n), _composer(n), {}, {}, [0, 0])
+        slot = memo[n] = (_symmetry(n), {}, set(), [0, 0])
     entries = [_entry(slot, w) for w in p.relators]
     return n, _column(entries, _least(entries)[1])
 
@@ -356,12 +414,14 @@ def canonical_key(p, _memo=None):
     relabelings of the generators: the text of the tuple key ``_key``.
 
     ``_memo`` is a dict owned by one search.  Per generator count it holds
-    a slot: the relabeling tables, their ``_composer``, the entry of each
+    a slot: the shared symmetry table (``_symmetry``), the entry of each
     relator class (under its byte word and every relator met in it), the
-    orbit dict, and the counts of classes whose images were computed and
-    relabeled.  The orbit dict maps every image of a class whose images
-    were computed to its entry, so a later class of the orbit permutes
-    that shared tuple (``_orbit_images``).
+    set of orbits met (by least image, which names an orbit), and the
+    counts of classes met first and later in their orbit.  The symmetry
+    table is the process's, not the search's: its orbit index maps every
+    image of a class whose images were computed to its entry, so any later
+    class of the orbit, in any search, permutes that shared tuple
+    (``_orbit_images``) through index lists the table also keeps.
     """
     n, column = _key(p, {} if _memo is None else _memo)
     return ("%d:%s" % (n, "|".join([",".join([str(b - _BASE) for b in x])
@@ -373,10 +433,12 @@ class SearchResult(Frozen):
 
     ``path`` is a replayable tuple of primitive moves when found, else
     None.  ``stats`` (a fresh dict by default) counts visited states, what
-    cut the frontier, the classes whose images were computed or relabeled
-    (``class_images``, ``orbit_images``) and the children keyed or skipped
-    for a sibling's class (``child_keys``, ``sibling_skips``).  Stats
-    never enter the witness.
+    cut the frontier, the relabeling orbits of relator classes the search
+    met (``class_images``: the classes whose images it would compute on an
+    empty symmetry table) and the other classes it met in them
+    (``orbit_images``: relabeled from their orbit), and the children
+    keyed or skipped for a sibling's class (``child_keys``,
+    ``sibling_skips``).  Stats never enter the witness.
     """
     _fields = ("path", "verdict", "stats")
 
@@ -571,6 +633,14 @@ def ac_search(p, max_total_length, max_depth, stable=False,
     and the trivial form) and splices the halves where they meet, always
     expanding the smaller frontier.  Results are deterministic for fixed
     budgets.
+
+    Relator class images come from the process's symmetry tables
+    (``_symmetry``), which earlier searches may have filled.  Every value
+    there is a pure function of the generator count and the class, and the
+    counters are kept per search, so what ran before changes no answer,
+    path or counter, only the work done.  The engine is single-threaded;
+    a race between threads on the tables could only repeat work or
+    misjudge a table's size, never change a value.
     """
     if max_total_length < 1 or max_depth < 1 or max_states < 1:
         raise ValueError("budgets must be positive")

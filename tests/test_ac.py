@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from collections import Counter
+from contextlib import contextmanager
 from itertools import permutations, product
 
 import pytest
@@ -284,11 +285,24 @@ def _keyed_presentations(draw):
     return BalancedPresentation(n, tuple(rels))
 
 
+@contextmanager
+def _cold_tables():
+    """Empty symmetry tables for the block; the process's come back after."""
+    saved, ac._SYMMETRY = ac._SYMMETRY, {}
+    try:
+        yield
+    finally:
+        ac._SYMMETRY = saved
+
+
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(_keyed_presentations())
 def test_canonical_key_equals_the_oracle(p):
     want = _oracle_key(p)
+    # the process's tables, warmed by the earlier examples and tests
     assert canonical_key(p) == want
+    with _cold_tables():
+        assert canonical_key(p) == want
     # one memo across generator counts, as a stable search keeps it: the
     # same relators must not get their images under the other count
     memo = {}
@@ -388,8 +402,16 @@ def test_orbit_images_equal_the_images_computed_directly(n):
 
 
 @pytest.fixture
-def image_calls(monkeypatch):
-    """The class words that ``_class_images`` computes images for."""
+def cold_tables():
+    """Empty symmetry tables for the test."""
+    with _cold_tables():
+        yield
+
+
+@pytest.fixture
+def image_calls(monkeypatch, cold_tables):
+    """The class words that ``_class_images`` computes images for, from
+    empty symmetry tables."""
     calls = []
     direct = ac._class_images
 
@@ -436,6 +458,12 @@ def test_search_stats_count_class_and_orbit_images(image_calls):
         (2147, 1211)
     # stats stay out of the witness
     assert set(res.verdict.witness) == {"kind", "moves", "depth"}
+    # the same search again takes every class's images from the tables the
+    # first one filled, and counts alike
+    image_calls.clear()
+    again = ac_search(ak_presentation(2), 32, 20, stable=True)
+    assert image_calls == []
+    assert (again.path, again.stats) == (res.path, res.stats)
 
 
 # budgets 32/20; the counts and path digests pin each search tree
@@ -462,6 +490,78 @@ def test_search_trees_are_pinned(n, stable, cap, status, visited, stored,
         assert len(res.path) == moves
         text = json.dumps(res.verdict.witness["moves"]).encode()
         assert hashlib.sha256(text).hexdigest()[:16] == digest
+
+
+def _outcome(res):
+    return res.verdict.status, res.verdict.witness, res.stats
+
+
+def test_searches_answer_alike_whatever_filled_the_tables(image_calls):
+    # the pinned trees: AK(1), AK(2), stable AK(2), capped AK(3) and three
+    # three-generator scrambles
+    cases = [(ak_presentation(n), 32, stable, cap) for n, stable, cap in
+             ((1, False, 20000), (2, False, 20000), (2, True, 20000),
+              (3, False, 5000))]
+    cases += [(_scramble3(seed), 16, False, 3000) for seed in (2, 3, 5)]
+
+    def search(case):
+        p, length, stable, cap = case
+        return _outcome(ac_search(p, length, 20, stable=stable,
+                                  max_states=cap))
+
+    cold = []
+    for case in cases:
+        with _cold_tables():
+            cold.append(search(case))
+    # each search on the tables the ones before it filled, then again on
+    # tables that already hold every class they meet
+    assert [search(case) for case in cases] == cold
+    image_calls.clear()
+    assert [search(case) for case in cases] == cold
+    assert image_calls == []
+    ac._SYMMETRY.clear()
+    assert [search(case) for case in reversed(cases)] == cold[::-1]
+
+
+def _stored(table):
+    """The images and composer indices a symmetry table holds, counted
+    from its orbit index and index lists."""
+    bases = {id(entry): entry for entry in table[2].values()}
+    return sum(len(entry[0]) for entry in bases.values()) + \
+        sum(map(len, table[3].values()))
+
+
+def test_a_capped_symmetry_table_empties_and_answers_alike(monkeypatch,
+                                                          cold_tables):
+    p = ak_presentation(2)
+
+    def keys(res):
+        """The canonical key of every presentation along the path."""
+        cur, got = p, [canonical_key(p)]
+        for move in res.path:
+            cur = apply_ac_move(cur, move)
+            got.append(canonical_key(cur))
+        return got
+
+    want = ac_search(p, 32, 20, stable=True)
+    want_keys = keys(want)
+    # 1,000 holds two classes' images on 4 generators (384 each)
+    ac._SYMMETRY.clear()
+    monkeypatch.setattr(ac, "_SYMMETRY_CAP", 1000)
+    emptied = []
+    direct = ac._store
+
+    def watched(table, size):
+        held = _stored(table)
+        assert held == table[4] <= 1000
+        direct(table, size)
+        emptied.append(table[4] < held + size)
+    monkeypatch.setattr(ac, "_store", watched)
+    res = ac_search(p, 32, 20, stable=True)
+    assert all(_stored(table) <= 1000 for table in ac._SYMMETRY.values())
+    assert any(emptied)
+    assert (res.path, _outcome(res)) == (want.path, _outcome(want))
+    assert keys(res) == want_keys
 
 
 # a stabilization lengthens by one letter, so at these caps it is pruned
