@@ -11,21 +11,21 @@ orbit of classes and process, in one shared symmetry table per generator
 count (``_symmetry``), and a key sorts only the columns of the
 relabelings that reach the least image of any relator.
 
-Inside the search a key is the tuple that ``canonical_key`` formats, and
-an edge is a small descriptor, expanded into primitive moves only for the
-returned path.  A child replaces one relator of the expanded state by a
-new core, so it is keyed from the state's class entries and the core's,
-and built (without the validating constructor) only when its key is new.
-A core of the class of an earlier core replacing the same relator is
+Inside the search a state is a tuple of byte relators (the encoding of
+the class images), a key is the column of images that ``canonical_key``
+formats, and an edge is a small descriptor, expanded into primitive moves
+only for the returned path.  A child replaces one relator of the expanded
+state by a new core, so it is keyed from the state's class entries and the
+core's, and stored as (state, relator index, core) only when its key is
+new.  A core of the class of an earlier core replacing the same relator is
 skipped: the two children differ by a rotation or inversion of that
-relator, so they share a key, which the earlier one left stored.  Replay
-(``apply_ac_move``, ``replay_ac_path``) always validates, so it checks a
-path independently.
+relator, so they share a key, which the earlier one left stored.  The path
+is replayed with ``apply_ac_move``, which validates every step.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from itertools import permutations, product
 from math import factorial
 from operator import itemgetter
@@ -158,9 +158,8 @@ def ab_det(p):
     return IntegerMatrix.from_rows(rows).determinant()
 
 
-# a letter v is the byte _BASE + v in the byte words that key images are
-# kept as, so byte order is letter order and negation is 2 * _BASE - byte
-_BASE = 128
+# letter v is the byte _BASE + v in byte words, so negation is 2 * _BASE - byte
+_BASE = words.BYTE_BASE
 _NEGATE = bytes((2 * _BASE - b) % 256 for b in range(256))
 
 
@@ -229,9 +228,10 @@ def _least_start(rotations, table):
 
 
 def _byte_class(w):
-    """The byte word naming the class of relator ``w`` up to rotation and
-    inversion: the least rotation of its cyclic reduction or its inverse."""
-    x = bytes([_BASE + v for v in words.strip_wrap(w)])
+    """The byte word naming the class of byte relator ``w`` up to rotation
+    and inversion: the least rotation of its cyclic reduction or its
+    inverse."""
+    x = words.strip_wrap(w)
     if not x:
         return x
     least = words.least_rotation
@@ -360,7 +360,7 @@ def _shared_entry(table, c):
 
 
 def _entry(slot, w):
-    """The class entry ``(images, least, winners)`` of relator ``w``."""
+    """The class entry ``(images, least, winners)`` of byte relator ``w``."""
     entry = slot[1].get(w)
     if entry is None:
         table, classes, met, counts = slot
@@ -394,16 +394,22 @@ def _column(entries, cand):
     return tuple(min(map(sorted, zip(*[pick(e[0]) for e in entries]))))
 
 
-def _key(p, memo):
-    """The tuple key ``(n, column)`` that ``canonical_key`` formats."""
-    n = p.generators
+def _state(p):
+    """The search state of presentation ``p``: its relators as byte words."""
+    return tuple(map(words.byte_word, p.relators))
+
+
+def _key(state, memo):
+    """The key of a state: the column of images that ``canonical_key``
+    formats, one per relator."""
+    n = len(state)
     if not n:
-        return 0, ()
+        return ()
     slot = memo.get(n)
     if slot is None:
         slot = memo[n] = (_symmetry(n), {}, set(), [0, 0])
-    entries = [_entry(slot, w) for w in p.relators]
-    return n, _column(entries, _least(entries)[1])
+    entries = [_entry(slot, w) for w in state]
+    return _column(entries, _least(entries)[1])
 
 
 def canonical_key(p, _memo=None):
@@ -411,21 +417,22 @@ def canonical_key(p, _memo=None):
 
     Relators are cyclically reduced and minimized over rotation and
     inversion, the list is sorted, and the whole is minimized over signed
-    relabelings of the generators: the text of the tuple key ``_key``.
+    relabelings of the generators: the text of the search's key ``_key``.
 
     ``_memo`` is a dict owned by one search.  Per generator count it holds
     a slot: the shared symmetry table (``_symmetry``), the entry of each
-    relator class (under its byte word and every relator met in it), the
-    set of orbits met (by least image, which names an orbit), and the
+    relator class (under its byte word and every byte relator met in it),
+    the set of orbits met (by least image, which names an orbit), and the
     counts of classes met first and later in their orbit.  The symmetry
     table is the process's, not the search's: its orbit index maps every
     image of a class whose images were computed to its entry, so any later
     class of the orbit, in any search, permutes that shared tuple
     (``_orbit_images``) through index lists the table also keeps.
     """
-    n, column = _key(p, {} if _memo is None else _memo)
-    return ("%d:%s" % (n, "|".join([",".join([str(b - _BASE) for b in x])
-                                    for x in column]))).encode("ascii")
+    column = _key(_state(p), {} if _memo is None else _memo)
+    return ("%d:%s" % (len(column), "|".join(
+        [",".join(map(str, words.int_word(x))) for x in column]))
+            ).encode("ascii")
 
 
 class SearchResult(Frozen):
@@ -452,15 +459,6 @@ class SearchResult(Frozen):
         return self.path is not None
 
 
-def _trusted(n, relators):
-    """A presentation whose relators are known to be freely reduced words
-    in n generators, built without the validating constructor."""
-    p = object.__new__(BalancedPresentation)
-    object.__setattr__(p, "generators", n)
-    object.__setattr__(p, "relators", relators)
-    return p
-
-
 def _rotation_moves(i, prefix, undo=False):
     """Conjugations turning r_i into its rotation past ``prefix`` (or back)."""
     if undo:
@@ -475,16 +473,17 @@ def _wrap_length(w):
     return (len(w) - len(words.strip_wrap(w))) // 2
 
 
-def _aligned_products(p, max_total_length):
+def _aligned_products(state, max_total_length):
     """The cores of the children obtained by multiplying a rotation of one
-    relator by a rotation of another or of its inverse, then cyclically
-    reducing, each distinct core with its descriptor ``(i, j, m, e, k)``:
-    r_i rotated by m letters times r_j^e rotated by k letters is the core,
-    and it replaces r_i.  ``_product_moves`` expands a descriptor into
-    primitive moves.  A core that takes the child's total length over
-    ``max_total_length`` comes as None.
+    relator of ``state`` (a tuple of byte words) by a rotation of another
+    or of its inverse, then cyclically reducing, each distinct core with
+    its descriptor ``(i, j, m, e, k)``: r_i rotated by m letters times
+    r_j^e rotated by k letters is the core, and it replaces r_i.
+    ``_product_moves`` expands a descriptor into primitive moves.  A core
+    that takes the child's total length over ``max_total_length`` comes as
+    None.
 
-    Every relator of ``p`` must be cyclically reduced, as every search
+    Every relator of ``state`` must be cyclically reduced, as every search
     state's is: then a rotation is freely reduced, and
     ``words.rotation_product`` builds each core from the seam and the
     wrap alone.
@@ -496,20 +495,20 @@ def _aligned_products(p, max_total_length):
     symmetries the key quotients out; that makes key-level dedup sound
     and the key graph undirected (every edge has an in-family inverse).
     """
-    rs = p.relators
-    n = p.generators
-    total = p.total_length()
+    n = len(state)
+    total = sum(map(len, state))
+    inverses = [w[::-1].translate(_NEGATE) for w in state]
     for i in range(1, n + 1):
-        left = rs[i - 1]
+        left = state[i - 1]
         room = max_total_length - total + len(left)
         produced = set()
         for j in range(1, n + 1):
-            if i == j or not rs[j - 1]:
+            if i == j or not state[j - 1]:
                 continue
+            factors = ((1, state[j - 1]), (-1, inverses[j - 1]))
             for m in range(max(1, len(left))):
                 rot_left = left[m:] + left[:m]
-                for e in (1, -1):
-                    base = rs[j - 1] if e == 1 else words.inverse(rs[j - 1])
+                for e, base in factors:
                     for k in range(len(base)):
                         core = words.rotation_product(rot_left, base, k)
                         if core in produced:
@@ -539,30 +538,29 @@ def _product_moves(p, desc):
     return moves
 
 
-def _stable_edges(p, gen_cap, max_total_length):
-    """Edges adding or deleting a trivial pair; a descriptor is its move."""
-    if p.generators < gen_cap:
-        move = ("stabilize",)
-        yield move, (apply_ac_move(p, move)
-                     if p.total_length() < max_total_length else None)
-    for i, r in enumerate(p.relators, 1):
+def _stable_edges(state, gen_cap, max_total_length):
+    """Edges adding or deleting a trivial pair, each with the child state
+    that ``apply_ac_move`` would build (None over the length cap); a
+    descriptor is its move."""
+    n = len(state)
+    if n < gen_cap:
+        yield ("stabilize",), (state + (bytes([_BASE + n + 1]),)
+                               if sum(map(len, state)) < max_total_length
+                               else None)
+    for i, r in enumerate(state, 1):
         if len(r) != 1:
             continue
-        g = abs(r[0])
-        if any(any(abs(v) == g for v in other)
-               for k, other in enumerate(p.relators) if k != i - 1):
+        g = abs(r[0] - _BASE)
+        if any(_BASE + g in w or _BASE - g in w
+               for k, w in enumerate(state) if k != i - 1):
             continue
-        yield ("destabilize", i), apply_ac_move(p, ("destabilize", i))
-
-
-def _edges(state, stable, gen_cap, max_total_length):
-    """(descriptor, child) pairs; None for a child over the length cap."""
-    n, rs = state.generators, state.relators
-    for desc, core in _aligned_products(state, max_total_length):
-        yield desc, None if core is None else _trusted(
-            n, rs[:desc[0] - 1] + (core,) + rs[desc[0]:])
-    if stable:
-        yield from _stable_edges(state, gen_cap, max_total_length)
+        # the generators above g move down by one
+        up = bytes(range(_BASE + g + 1, _BASE + n + 1)) + \
+            bytes(range(_BASE - n, _BASE - g))
+        table = bytes.maketrans(up, bytes([b - 1 if b > _BASE else b + 1
+                                           for b in up]))
+        yield ("destabilize", i), tuple(
+            [w.translate(table) for w in state[:i - 1] + state[i:]])
 
 
 def _normalize_start(p):
@@ -578,11 +576,13 @@ def _normalize_start(p):
 
 def _children(state, parents, memo, stats, stable, gen_cap,
               max_total_length):
-    """(descriptor, key, child) per edge out of ``state``, keyed with
-    ``memo``, to a key not in ``parents``; ``stats`` counts children."""
-    n, rs = state.generators, state.relators
+    """``(descriptor, key, base, i, core)`` per edge out of ``state``,
+    keyed with ``memo``, to a key not in ``parents``; ``stats`` counts
+    children.  The child is ``base`` with relator i replaced by ``core``, or
+    ``base`` itself when i is None."""
+    n = len(state)
     slot, seen = memo.get(n), set()
-    entries = [_entry(slot, w) for w in rs]
+    entries = [_entry(slot, w) for w in state]
     rests = [entries[:i] + entries[i + 1:] for i in range(n)]
     leasts = [_least(rest) for rest in rests] if n > 1 else []
     for desc, core in _aligned_products(state, max_total_length):
@@ -597,9 +597,9 @@ def _children(state, parents, memo, stats, stable, gen_cap,
         stats["child_keys"] += 1
         (lo, win), (_, x, won) = leasts[i], entry
         cand = win if x > lo else won if x < lo else win.union(won)
-        ckey = n, _column(rests[i] + [entry], cand)
+        ckey = _column(rests[i] + [entry], cand)
         if ckey not in parents:
-            yield desc, ckey, _trusted(n, rs[:i] + (core,) + rs[i + 1:])
+            yield desc, ckey, state, i, core
     for desc, child in (_stable_edges(state, gen_cap, max_total_length)
                         if stable else ()):
         if child is None:
@@ -608,7 +608,7 @@ def _children(state, parents, memo, stats, stable, gen_cap,
         stats["child_keys"] += 1
         ckey = _key(child, memo)
         if ckey not in parents:
-            yield desc, ckey, child
+            yield desc, ckey, child, None, None
 
 
 def ac_search(p, max_total_length, max_depth, stable=False,
@@ -677,14 +677,16 @@ def ac_search(p, max_total_length, max_depth, stable=False,
             % (reach, relabelings, max_states)), stats)
 
     memo = {}
-    goal = trivial_presentation(p.generators)
-    start_key, goal_key = _key(p0, memo), _key(goal, memo)
+    start, goal = _state(p0), _state(trivial_presentation(p.generators))
+    start_key, goal_key = _key(start, memo), _key(goal, memo)
 
-    # parents[key] = (parent_key, edge_descriptor, depth); None marks the root
+    # parents[key] = (parent_key, edge_descriptor, depth); None marks the
+    # root.  A frontier entry (base, i, core, key, depth) is a child as
+    # ``_children`` yields it, built only when it is expanded.
     fwd = {"parents": {start_key: (None, None, 0)},
-           "frontier": deque([(p0, start_key, 0)])}
+           "frontier": deque([(start, None, None, start_key, 0)])}
     bwd = {"parents": {goal_key: (None, None, 0)},
-           "frontier": deque([(goal, goal_key, 0)])}
+           "frontier": deque([(goal, None, None, goal_key, 0)])}
 
     def _result(path, verdict):
         stats["stored"] = len(fwd["parents"]) + len(bwd["parents"])
@@ -695,28 +697,29 @@ def ac_search(p, max_total_length, max_depth, stable=False,
 
     def _path(key):
         """Primitive moves from the input through ``key`` to the trivial
-        form: the forward chain replayed from p0 through apply_ac_move,
-        then one edge at a time toward each backward parent key."""
+        form, replayed from p0 through apply_ac_move: the forward chain,
+        then toward each backward parent key the first child keyed to it
+        (a skipped sibling has an earlier sibling's key)."""
         chain, k = [], key
         while fwd["parents"][k][0] is not None:
             k, desc, _ = fwd["parents"][k]
             chain.append(desc)
         moves, cur = list(prefix), p0
-        for desc in reversed(chain):
-            step = _product_moves(cur, desc)
-            moves.extend(step)
-            for m in step:
-                cur = apply_ac_move(cur, m)
         target = bwd["parents"][key][0]
-        while target is not None:
-            for desc, child in _edges(cur, stable, gen_cap, max_total_length):
-                if child is not None and _key(child, memo) == target:
-                    moves.extend(_product_moves(cur, desc))
-                    cur = child
-                    break
+        while chain or target is not None:
+            if chain:
+                desc = chain.pop()
             else:
-                raise AssertionError("guided replay lost the key trail")
-            target = bwd["parents"][target][0]
+                desc = next((d for d, ckey, *_ in _children(
+                    _state(cur), {}, memo, Counter(), stable, gen_cap,
+                    max_total_length) if ckey == target), None)
+                if desc is None:
+                    raise AssertionError("guided replay lost the key trail")
+                target = bwd["parents"][target][0]
+            edge = _product_moves(cur, desc)
+            moves.extend(edge)
+            for m in edge:
+                cur = apply_ac_move(cur, m)
         if not cur.is_trivial_form():
             raise AssertionError("guided replay missed the trivial form")
         return tuple(moves)
@@ -724,15 +727,17 @@ def ac_search(p, max_total_length, max_depth, stable=False,
     while fwd["frontier"] or bwd["frontier"]:
         f, b = len(fwd["frontier"]), len(bwd["frontier"])
         side, other = (fwd, bwd) if f and (f <= b or not b) else (bwd, fwd)
-        state, key, depth = side["frontier"].popleft()
+        base, i, core, key, depth = side["frontier"].popleft()
         stats["visited"] += 1
         if depth >= max_depth:
             stats["pruned_depth"] += 1
             continue
-        if stable and state.generators >= gen_cap:
+        state = base if i is None else base[:i] + (core,) + base[i + 1:]
+        if stable and len(state) >= gen_cap:
             stats["pruned_generator_cap"] += 1
-        for desc, ckey, child in _children(state, side["parents"], memo, stats,
-                                           stable, gen_cap, max_total_length):
+        for desc, ckey, base, i, core in _children(
+                state, side["parents"], memo, stats, stable, gen_cap,
+                max_total_length):
             if len(fwd["parents"]) + len(bwd["parents"]) >= max_states:
                 stats["aborted"] = "state-cap"
                 return _result(None, unknown(
@@ -749,7 +754,7 @@ def ac_search(p, max_total_length, max_depth, stable=False,
                     % (len(path), depth),
                     {"kind": "ac-path", "moves": [list(m) for m in path],
                      "depth": depth}))
-            side["frontier"].append((child, ckey, depth + 1))
+            side["frontier"].append((base, i, core, ckey, depth + 1))
     return _result(None, unknown(
         "exhausted: no trivialization within total length %d and depth %d "
         "(%d states visited)"

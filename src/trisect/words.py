@@ -8,6 +8,11 @@ Conventions shared by every module:
   x_h = 2h-1 and y_h = 2h.  Text form ``x2 Y1`` (capital letter = inverse).
 * Presentation words over n generators use letters 1..n with tokens
   ``x1 .. xn`` (``X3`` = inverse of generator 3).
+* A byte word spells letter v (|v| < 128) as the byte ``BYTE_BASE + v``
+  (``byte_word``, ``int_word``), so byte order is letter order and a letter
+  and its inverse sum to ``2 * BYTE_BASE``.  The Andrews-Curtis search keeps
+  its relators so; ``strip_wrap``, ``rotation_product`` and
+  ``least_rotation`` take either encoding and answer in it.
 
 Everything here is pure and allocation-cheap; words stay small tuples.
 """
@@ -15,6 +20,8 @@ Everything here is pure and allocation-cheap; words stay small tuples.
 from __future__ import annotations
 
 from math import gcd
+
+BYTE_BASE = 128
 
 
 def inverse(word):
@@ -35,11 +42,23 @@ def free_reduce(letters):
     return tuple(out)
 
 
+def byte_word(word):
+    """The byte word of an int word."""
+    return bytes([BYTE_BASE + v for v in word])
+
+
+def int_word(word):
+    """The int word of a byte word."""
+    return tuple([b - BYTE_BASE for b in word])
+
+
 def strip_wrap(w):
     """Cyclic reduction of a freely reduced word: only the inverse pairs
     around its wrap are left to cancel."""
+    # inverse letters sum to 0, or to 2 * BYTE_BASE in a byte word
+    zero = 2 * BYTE_BASE if isinstance(w, bytes) else 0
     lo, hi = 0, len(w)
-    while hi - lo > 1 and w[lo] == -w[hi - 1]:
+    while hi - lo > 1 and w[lo] + w[hi - 1] == zero:
         lo += 1
         hi -= 1
     return w[lo:hi]
@@ -76,15 +95,17 @@ def rotation_product(u, base, r):
     ``u`` must be freely reduced and ``base`` cyclically reduced, so the
     rotation is freely reduced too.  Letters then cancel only at the seam,
     the last k letters of ``u`` against the first k of the rotation, and
-    afterwards at the wrap between the two ends of what is left.
+    afterwards at the wrap between the two ends of what is left.  Both
+    words are int words or both byte words.
     """
+    zero = 2 * BYTE_BASE if isinstance(u, bytes) else 0
     c = base[r:] + base[:r]
     k, top = 0, min(len(u), len(c))
-    while k < top and u[-1 - k] == -c[k]:
+    while k < top and u[-1 - k] + c[k] == zero:
         k += 1
     w = u[:len(u) - k] + c[k:]
     lo, hi = 0, len(w)
-    while hi - lo > 1 and w[lo] == -w[hi - 1]:
+    while hi - lo > 1 and w[lo] + w[hi - 1] == zero:
         lo += 1
         hi -= 1
     return w[lo:hi]
@@ -108,7 +129,7 @@ def least_rotation(word):
     by them.
     """
     if not word:
-        return ()
+        return word[:0]
     least = min(word)
     i = word.index(least)
     best = word[i:] + word[:i]

@@ -1,7 +1,7 @@
 import hashlib
 import json
 import random
-from collections import Counter
+from collections import Counter, deque
 from contextlib import contextmanager
 from itertools import permutations, product
 
@@ -13,9 +13,10 @@ from trisect import ac
 from trisect.ac import (BalancedPresentation, ab_det, ac_search,
                         ak_presentation, apply_ac_move, canonical_key,
                         replay_ac_path, trivial_presentation,
-                        _aligned_products, _edges, _normalize_start,
-                        _product_moves)
-from trisect.words import cyclic_reduce, inverse, map_letters
+                        _aligned_products, _normalize_start, _product_moves,
+                        _stable_edges, _state)
+from trisect.words import (byte_word, cyclic_reduce, int_word, inverse,
+                           map_letters)
 
 
 def test_ak_presentation_family():
@@ -314,27 +315,51 @@ def test_canonical_key_equals_the_oracle(p):
 
 
 def _text(key):
-    """The text ``canonical_key`` writes for a tuple key."""
-    n, column = key
-    body = "|".join(",".join(str(b - ac._BASE) for b in x) for x in column)
-    return ("%d:%s" % (n, body)).encode("ascii")
+    """The text ``canonical_key`` writes for a search key."""
+    body = "|".join(",".join(str(b - ac._BASE) for b in x) for x in key)
+    return ("%d:%s" % (len(key), body)).encode("ascii")
+
+
+def _presentation(state):
+    """The presentation a search state (a tuple of byte relators) spells,
+    through the validating constructor, which must keep every relator."""
+    p = BalancedPresentation(len(state), tuple(map(int_word, state)))
+    assert _state(p) == state
+    return p
+
+
+def _edges(state, stable, gen_cap, cap):
+    """Every edge out of a search state with its child built whole (None
+    over the length cap): the aligned products, then, when stable, the
+    trivial-pair edges."""
+    for desc, core in _aligned_products(state, cap):
+        i = desc[0] - 1
+        yield desc, (None if core is None
+                     else state[:i] + (core,) + state[i + 1:])
+    if stable:
+        yield from _stable_edges(state, gen_cap, cap)
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(_keyed_presentations(), st.integers(0, 4))
 def test_child_keys_equal_the_keys_of_the_built_children(p, slack):
-    state = _normalize_start(p)[0]
-    n, cap = state.generators, state.total_length() + slack
+    state = _state(_normalize_start(p)[0])
+    n, cap = len(state), sum(map(len, state)) + slack
     memo, stats = {}, Counter()
     ac._key(state, memo)
     got = list(ac._children(state, {}, memo, stats, False, n, cap))
-    keys = {desc: key for desc, key, _ in got}
-    for k, (desc, key, child) in enumerate(got):
+    keys = {}
+    for k, (desc, key, base, i, core) in enumerate(got):
+        # a child is named by the expanded state, the replaced relator and
+        # the core, and built only from them
+        assert (base, i) == (state, desc[0] - 1)
+        child = base[:i] + (core,) + base[i + 1:]
+        keys[desc] = key
         assert key == ac._key(child, {})
-        assert _text(key) == canonical_key(child)
+        assert _text(key) == canonical_key(_presentation(child))
         # the oracle tries every relabeling: every 8th child from n = 3 on
         if n < 3 or not k % 8:
-            assert _text(key) == _oracle_key(child)
+            assert _text(key) == _oracle_key(_presentation(child))
     # every other child is a sibling of one keyed earlier: the same relator
     # replaced by a core of the same class, so the same key
     earlier = {}
@@ -394,7 +419,7 @@ def test_orbit_images_equal_the_images_computed_directly(n):
     for _ in range(6 if n < 4 else 2):
         w = tuple(rng.choice((1, -1)) * rng.randrange(1, n + 1)
                   for _ in range(rng.randrange(1, 8)))
-        c = ac._byte_class(w)
+        c = ac._byte_class(byte_word(w))
         base = ac._class_images(c, tables)
         for s in range(len(base[0])):
             assert ac._orbit_images(base, indices(s)) == \
@@ -617,31 +642,36 @@ def test_aligned_products_replay_to_their_children():
     # here come through the search's own start normalization
     rng = random.Random(3)
     built = pruned = 0
-    for _ in range(30):
-        p = _normalize_start(
-            _random_presentation(rng, rng.randrange(2, 4), 5))[0]
+    trivial_pairs = Counter()
+    presentations = [_normalize_start(
+        _random_presentation(rng, rng.randrange(2, 4), 5))[0]
+        for _ in range(30)]
+    # this one destabilizes x2, renaming x3 to x2
+    presentations.append(BalancedPresentation(3, ((2,), (1, 3), (3, -1))))
+    for p in presentations:
+        state = _state(p)
         cap = p.total_length() + 2
-        # _aligned_products yields the cores, _edges the children of them
-        edges = _edges(p, False, p.generators, cap)
-        for (desc, core), (_, child) in zip(_aligned_products(p, cap), edges):
+        for desc, child in _edges(state, True, p.generators + 1, cap):
             moves = _product_moves(p, desc)
-            assert moves.count(("multiply", desc[0], desc[1])) == 1
-            end = p
-            for m in moves:
-                end = apply_ac_move(end, m)
-            assert (core is None) == (child is None)
+            if not isinstance(desc[0], str):
+                assert moves.count(("multiply", desc[0], desc[1])) == 1
+            end = replay_ac_path(p, moves)
             if child is None:
                 assert end.total_length() > cap
                 pruned += 1
                 continue
-            assert end == child
-            assert child.relators[desc[0] - 1] == core
-            assert child.total_length() <= cap
-            # built without the validating constructor, yet equal to
-            # what it would have produced
-            assert BalancedPresentation(p.generators, child.relators) == child
+            # the byte words of what the validating replay builds
+            assert _presentation(child) == end
+            assert end.total_length() <= cap
+            if isinstance(desc[0], str):
+                trivial_pairs[desc[0]] += 1
+                continue
+            # the core replaces relator i in place
+            i = desc[0] - 1
+            assert child[:i] + child[i + 1:] == state[:i] + state[i + 1:]
             built += 1
     assert built and pruned
+    assert trivial_pairs["stabilize"] and trivial_pairs["destabilize"]
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -651,16 +681,58 @@ def test_aligned_products_replay_to_their_children():
     min_size=n, max_size=n)))
 def test_children_of_a_cyclically_reduced_state_are_cyclically_reduced(rels):
     # the precondition of the seam kernel that builds every child core
-    state = _normalize_start(BalancedPresentation(len(rels),
-                                                  tuple(map(tuple, rels))))[0]
-    assert all(cyclic_reduce(r) == r for r in state.relators)
+    state = _state(_normalize_start(
+        BalancedPresentation(len(rels), tuple(map(tuple, rels))))[0])
+    assert all(cyclic_reduce(int_word(r)) == int_word(r) for r in state)
     built = 0
-    for _, child in _edges(state, True, state.generators + 2,
-                           state.total_length() + 2):
+    for _, child in _edges(state, True, len(state) + 2,
+                           sum(map(len, state)) + 2):
         if child is not None:
-            assert all(cyclic_reduce(r) == r for r in child.relators)
+            assert all(cyclic_reduce(int_word(r)) == int_word(r)
+                       for r in child)
+            assert all(isinstance(r, bytes) for r in child)
             built += 1
     assert built
+
+
+def _component(p, cap, memo):
+    """The ``canonical_key`` texts of every state a plain breadth-first
+    search over ``_edges`` reaches from ``p`` within total length cap."""
+    seen = {canonical_key(p, memo)}
+    queue = deque([_state(p)])
+    while queue:
+        state = queue.popleft()
+        for _, child in _edges(state, False, len(state), cap):
+            if child is None:
+                continue
+            text = canonical_key(_presentation(child), memo)
+            if text not in seen:
+                seen.add(text)
+                queue.append(child)
+    return seen
+
+
+def test_ak3_has_no_trivialization_within_total_length_13():
+    # an exhaustive bound: with depth unbounded, no path of the search's
+    # edges through cyclically reduced states of total length at most 13
+    # joins AK(3) to the trivial presentation
+    p = ak_presentation(3)
+    res = ac_search(p, 13, 10 ** 6, max_states=10 ** 7)
+    assert res.verdict.status == "unknown"
+    assert res.stats["stored"] == res.stats["visited"] == 3365
+    assert (res.stats["pruned_depth"], res.stats["aborted"]) == (0, None)
+    # a plain search from both ends finds as many keys: AK(3) alone (every
+    # product of its relators is longer than the one it replaces) and the
+    # 3,364 of the trivial form's component; the key set is pinned, so it
+    # may depend on no hash order
+    memo = {}
+    start = _component(_normalize_start(p)[0], 13, memo)
+    goal = _component(trivial_presentation(2), 13, memo)
+    assert (len(start), len(goal)) == (1, 3364)
+    assert not start & goal
+    text = b"\n".join(sorted(start | goal))
+    assert hashlib.sha256(text).hexdigest() == \
+        "1d41b71f6ff1a4a12d0dbd06aa078d47f17f24bf970ab06e1a9ba065307fbc3f"
 
 
 def test_a_search_whose_keys_outgrow_the_state_cap_answers_unknown(

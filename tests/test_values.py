@@ -4,7 +4,8 @@ Every value class is built on ``verdict.Frozen``: equal fields give
 equal objects with equal hashes, instances of different classes never
 compare equal, the repr is ``Name(field=value, ...)``, fields cannot be
 assigned or deleted, and the constructor validates while the trusted
-builders (``diagram._unchecked``, ``ac._trusted``) do not.
+builder ``diagram._unchecked`` does not.  The AC search builds no value
+objects for its states: they are tuples of byte words.
 """
 
 import pytest
@@ -156,11 +157,29 @@ def test_trusted_builders_skip_validation():
     assert (tpl.handle, tpl.p, tpl.q) == (0, 0, 0)
     cs = _unchecked(CutSystem, genus=2, curves=(C,))
     assert cs.curves == (C,)
-    p = ac._trusted(1, ((5,),))
-    assert p == _unchecked(BalancedPresentation, generators=1,
-                           relators=((5,),))
+    p = _unchecked(BalancedPresentation, generators=1, relators=((5,),))
+    assert (p.generators, p.relators) == (1, ((5,),))
     with pytest.raises(ValueError):
         BalancedPresentation(1, ((5,),))
+
+
+def test_search_states_skip_validation(monkeypatch):
+    # the AC search keeps its states as tuples of byte words: the only
+    # presentations it builds, validated, are its start and goal and the
+    # one per primitive move of the path it replays
+    calls = []
+    original = BalancedPresentation.__post_init__
+
+    def counted(obj):
+        calls.append(obj.generators)
+        original(obj)
+
+    monkeypatch.setattr(BalancedPresentation, "__post_init__", counted)
+    p = ac.ak_presentation(2)
+    calls.clear()
+    res = ac.ac_search(p, 32, 20)
+    assert res.found and res.stats["stored"] == 1026
+    assert len(calls) == 2 + len(res.path)
 
 
 def test_post_init_is_looked_up_at_call_time(monkeypatch):

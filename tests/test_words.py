@@ -73,6 +73,34 @@ def test_rotation_product_is_the_cyclically_reduced_product(u, base):
 
 
 @settings(derandomize=True, database=None, max_examples=400)
+@given(_WORDS.map(words.free_reduce), _CORES)
+def test_the_seam_routine_answers_alike_on_int_and_byte_words(u, base):
+    # one rotation_product and one strip_wrap serve both encodings
+    bu, bbase = words.byte_word(u), words.byte_word(base)
+    assert words.int_word(words.strip_wrap(bu)) == words.strip_wrap(u)
+    assert words.int_word(words.least_rotation(bbase)) == \
+        words.least_rotation(base)
+    for r in range(max(len(base), 1)):
+        got = words.rotation_product(bu, bbase, r)
+        assert isinstance(got, bytes)
+        assert words.int_word(got) == words.rotation_product(u, base, r)
+
+
+@settings(derandomize=True, database=None, max_examples=200)
+@given(st.lists(st.integers(1, 127).flatmap(
+    lambda g: st.sampled_from((g, -g)))).map(tuple))
+def test_byte_words_round_trip_in_letter_order(w):
+    b = words.byte_word(w)
+    assert isinstance(b, bytes) and len(b) == len(w)
+    assert words.int_word(b) == w
+    assert words.byte_word(words.int_word(b)) == b
+    # byte order is letter order, and inverse letters sum to 2 * BYTE_BASE
+    assert sorted(b) == [words.BYTE_BASE + v for v in sorted(w)]
+    assert words.byte_word(words.inverse(w)) == \
+        bytes(2 * words.BYTE_BASE - x for x in reversed(b))
+
+
+@settings(derandomize=True, database=None, max_examples=400)
 @given(_CORES.filter(bool), _CORES.filter(bool))
 def test_exactly_the_cancelling_rotations_shorten_the_product(u, base):
     # any other rotation gives len(u) + len(base) letters, so it can
