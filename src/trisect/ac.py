@@ -41,11 +41,6 @@ class BalancedPresentation(Frozen):
     """n generators and exactly n freely reduced relator words."""
     _fields = ("generators", "relators")
 
-    def __init__(self, generators, relators):
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "relators", relators)
-        self.__post_init__()
-
     def __post_init__(self):
         if self.generators < 0:
             raise ValueError("generator count must be nonnegative")
@@ -448,11 +443,11 @@ class SearchResult(Frozen):
     ``sibling_skips``).  Stats never enter the witness.
     """
     _fields = ("path", "verdict", "stats")
+    _defaults = {"stats": None}
 
-    def __init__(self, path, verdict, stats=None):
-        object.__setattr__(self, "path", path)
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "stats", {} if stats is None else stats)
+    def __post_init__(self):
+        if self.stats is None:
+            object.__setattr__(self, "stats", {})
 
     @property
     def found(self):

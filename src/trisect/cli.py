@@ -18,8 +18,8 @@ four boundaries: a command handler below, a file-kind parser in
 descent, Tietze moves).
 
 No engine module imports the standard dataclass module.  The value
-classes are plain classes on the frozen base ``verdict.Frozen``, each
-with its own ``__init__``.  That spares every process about 10-13 ms of
+classes are plain classes on the frozen base ``verdict.Frozen``, which
+builds each ``__init__`` from the fields a class declares.  That spares every process about 10-13 ms of
 importing that module (with ``inspect``, ``dis`` and ``tokenize``) and
 about 1 ms per class of generated methods: some 25-30 ms for
 ``validate`` or ``classify``, paid again by each replay (2-vCPU Linux VM,

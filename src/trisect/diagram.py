@@ -51,12 +51,6 @@ class SlopeTemplate(Frozen):
     """
     _fields = ("handle", "p", "q")
 
-    def __init__(self, handle, p, q):
-        object.__setattr__(self, "handle", handle)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        self.__post_init__()
-
     def __post_init__(self):
         if self.handle < 1:
             raise ValueError("handle index %d out of range" % self.handle)
@@ -92,13 +86,7 @@ class Curve(Frozen):
     pins the curve to an exact slope model in one handle.
     """
     _fields = ("genus", "word", "homology", "template")
-
-    def __init__(self, genus, word, homology, template=None):
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "word", word)
-        object.__setattr__(self, "homology", homology)
-        object.__setattr__(self, "template", template)
-        self.__post_init__()
+    _defaults = {"template": None}
 
     def __post_init__(self):
         if self.homology.genus != self.genus:
@@ -218,11 +206,6 @@ class CutSystem(Frozen):
     """
     _fields = ("genus", "curves")
 
-    def __init__(self, genus, curves):
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "curves", curves)
-        self.__post_init__()
-
     def __post_init__(self):
         if len(self.curves) != self.genus:
             raise ValueError("cut system needs exactly %d curves, got %d"
@@ -273,12 +256,6 @@ def system_from_templates(genus, slopes):
 class HeegaardDiagram(Frozen):
     _fields = ("genus", "alpha", "beta")
 
-    def __init__(self, genus, alpha, beta):
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-        self.__post_init__()
-
     def __post_init__(self):
         if self.alpha.genus != self.genus or self.beta.genus != self.genus:
             raise ValueError("cut system genus mismatch")
@@ -286,14 +263,7 @@ class HeegaardDiagram(Frozen):
 
 class TrisectionDiagram(Frozen):
     _fields = ("genus", "alpha", "beta", "gamma", "declared_params")
-
-    def __init__(self, genus, alpha, beta, gamma, declared_params=None):
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "declared_params", declared_params)
-        self.__post_init__()
+    _defaults = {"declared_params": None}
 
     def __post_init__(self):
         for cs in (self.alpha, self.beta, self.gamma):
@@ -315,13 +285,6 @@ class TrisectionDiagram(Frozen):
 
 class TrisectionParams(Frozen):
     _fields = ("genus", "k1", "k2", "k3")
-
-    def __init__(self, genus, k1, k2, k3):
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "k1", k1)
-        object.__setattr__(self, "k2", k2)
-        object.__setattr__(self, "k3", k3)
-        self.__post_init__()
 
     def __post_init__(self):
         for k in (self.k1, self.k2, self.k3):

@@ -16,11 +16,6 @@ class HomologyClass(Frozen):
     """``coeffs`` has length 2 * genus, ordered (a1, b1, ..., ag, bg)."""
     _fields = ("genus", "coeffs")
 
-    def __init__(self, genus, coeffs):
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "coeffs", coeffs)
-        self.__post_init__()
-
     def __post_init__(self):
         if self.genus < 0 or len(self.coeffs) != 2 * self.genus:
             raise ValueError("expected %d coefficients, got %d"

@@ -14,10 +14,6 @@ class IntegerMatrix(Frozen):
     """``rows`` is a tuple of row tuples."""
     _fields = ("rows",)
 
-    def __init__(self, rows):
-        object.__setattr__(self, "rows", rows)
-        self.__post_init__()
-
     def __post_init__(self):
         if any(len(r) != self.ncols for r in self.rows):
             raise ValueError("ragged matrix")
@@ -256,10 +252,6 @@ class AbelianGroup(Frozen):
     """Finitely generated abelian group as free rank plus torsion factors
     (the invariant factors > 1, in divisibility order)."""
     _fields = ("free_rank", "torsion")
-
-    def __init__(self, free_rank, torsion):
-        object.__setattr__(self, "free_rank", free_rank)
-        object.__setattr__(self, "torsion", torsion)
 
     def __str__(self):
         parts = []

@@ -29,11 +29,7 @@ class FramedComponent(Frozen):
     background (n = 0), which validate_hk enforces.
     """
     _fields = ("curve", "framing")
-
-    def __init__(self, curve, framing=SURFACE):
-        object.__setattr__(self, "curve", curve)
-        object.__setattr__(self, "framing", framing)
-        self.__post_init__()
+    _defaults = {"framing": SURFACE}
 
     def __post_init__(self):
         if self.framing != SURFACE and not isinstance(self.framing, int):
@@ -48,13 +44,6 @@ class HeegaardKirbyDiagram(Frozen):
     """A framed link (a tuple of FramedComponent) over a Heegaard
     diagram, with a declared target m."""
     _fields = ("genus", "background", "link", "m")
-
-    def __init__(self, genus, background, link, m):
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "background", background)
-        object.__setattr__(self, "link", link)
-        object.__setattr__(self, "m", m)
-        self.__post_init__()
 
     def __post_init__(self):
         if self.background.genus != self.genus:
@@ -372,10 +361,6 @@ def bridge_hk(t, picks, m):
 class LinkingMatrix(Frozen):
     """Symmetric integer matrix of linkings; diagonal holds framings."""
     _fields = ("rows",)
-
-    def __init__(self, rows):
-        object.__setattr__(self, "rows", rows)
-        self.__post_init__()
 
     def __post_init__(self):
         n = len(self.rows)

@@ -98,11 +98,6 @@ class StabilizationCertificate(Frozen):
     """
     _fields = ("index", "omega", "dual")
 
-    def __init__(self, index, omega, dual):
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "dual", dual)
-
 
 def _names_for_index(index):
     """Names of the pair of systems that detects k_index, then of the

@@ -38,11 +38,6 @@ class GroupPresentation(Frozen):
     """``relators`` are freely reduced, nonempty words over letters 1..n."""
     _fields = ("num_generators", "relators")
 
-    def __init__(self, num_generators, relators):
-        object.__setattr__(self, "num_generators", num_generators)
-        object.__setattr__(self, "relators", relators)
-        self.__post_init__()
-
     def __post_init__(self):
         if self.num_generators < 0:
             raise ValueError("negative generator count")

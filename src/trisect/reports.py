@@ -37,15 +37,7 @@ class Report(Frozen):
     """
     _fields = ("operation", "inputs", "payload", "verdict", "elapsed_ms",
                "engine")
-
-    def __init__(self, operation, inputs, payload, verdict=None,
-                 elapsed_ms=0.0, engine=ENGINE):
-        object.__setattr__(self, "operation", operation)
-        object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "payload", payload)
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "elapsed_ms", elapsed_ms)
-        object.__setattr__(self, "engine", engine)
+    _defaults = {"verdict": None, "elapsed_ms": 0.0, "engine": ENGINE}
 
     def exit_code(self):
         if self.verdict is None:
@@ -224,10 +216,6 @@ def _replay_param_constraint(w, obj):
     return v.status
 
 
-def _replay_empty(w, d):
-    _need(d.genus == 0, "diagram is not empty")
-
-
 def _replay_hk(w, H):
     from .diagio import kind_of
     from .diagram import quotient_presentation
@@ -378,7 +366,6 @@ CHECKERS = {
     "standard-pair": ("verified", _replay_standard_pair),
     "nonstandard": ("refuted", _replay_nonstandard),
     "param-constraint": (None, _replay_param_constraint),
-    "empty": ("verified", _replay_empty),
     "heegaard-kirby": ("verified", _replay_hk),
     "background": ("refuted", _replay_background),
     "framing": ("refuted", _replay_framing),

@@ -617,9 +617,11 @@ def test_a_kind_never_replays_under_the_status_it_does_not_certify():
         with pytest.raises(reports.ReplayError, match="certifies"):
             reports.replay_verdict(one, {"status": other, "reason": "r",
                                          "witness": {"kind": kind}})
-    with pytest.raises(KeyError):
-        reports.replay_verdict(one, {"status": "verified", "reason": "r",
-                                     "witness": {"kind": "no-such-kind"}})
+    # no verdict carries an "empty" witness, so it has no checker either
+    for kind in ("no-such-kind", "empty"):
+        with pytest.raises(KeyError):
+            reports.replay_verdict(one, {"status": "verified", "reason": "r",
+                                         "witness": {"kind": kind}})
 
 
 def test_report_format_is_line_oriented(tmp_path, capsys):

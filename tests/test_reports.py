@@ -21,7 +21,6 @@ _FIELDS = {
     "standard-pair": ("k", "pairing"),
     "nonstandard": ("matrix",),
     "param-constraint": ("case", "ks"),
-    "empty": (),
     "heegaard-kirby": ("n", "c", "m", "background", "pi1"),
     "background": ("inner",),
     "framing": ("components", "n"),

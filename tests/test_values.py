@@ -4,12 +4,19 @@ Every value class is built on ``verdict.Frozen``: equal fields give
 equal objects with equal hashes, instances of different classes never
 compare equal, the repr is ``Name(field=value, ...)``, fields cannot be
 assigned or deleted, and the constructor validates while the trusted
-builder ``diagram._unchecked`` does not.  The AC search builds no value
-objects for its states: they are tuples of byte words.
+builder ``diagram._unchecked`` does not.  Each class declares its fields
+once: ``Frozen`` builds the constructor from ``_fields`` and
+``_defaults``.  The AC search builds no value objects for its states:
+they are tuples of byte words.
 """
+
+import importlib
+import inspect
+import pkgutil
 
 import pytest
 
+import trisect
 from trisect import ac
 from trisect.ac import BalancedPresentation, SearchResult
 from trisect.diagram import (Curve, CutSystem, HeegaardDiagram, SlopeTemplate,
@@ -83,6 +90,30 @@ CASES = [
      "SearchResult(path=None, verdict=Verdict(status='unknown', "
      "reason='state cap', witness=None), stats={})", None),
 ]
+
+# each class's constructor signature: callers rely on its positional
+# order and its defaults
+SIGNATURES = {
+    Verdict: "(status, reason, witness=None)",
+    Report: "(operation, inputs, payload, verdict=None, elapsed_ms=0.0, "
+            "engine='trisect 0.1.0')",
+    SlopeTemplate: "(handle, p, q)",
+    HomologyClass: "(genus, coeffs)",
+    Curve: "(genus, word, homology, template=None)",
+    CutSystem: "(genus, curves)",
+    HeegaardDiagram: "(genus, alpha, beta)",
+    TrisectionDiagram: "(genus, alpha, beta, gamma, declared_params=None)",
+    TrisectionParams: "(genus, k1, k2, k3)",
+    IntegerMatrix: "(rows)",
+    AbelianGroup: "(free_rank, torsion)",
+    GroupPresentation: "(num_generators, relators)",
+    FramedComponent: "(curve, framing='surface')",
+    HeegaardKirbyDiagram: "(genus, background, link, m)",
+    LinkingMatrix: "(rows)",
+    StabilizationCertificate: "(index, omega, dual)",
+    BalancedPresentation: "(generators, relators)",
+    SearchResult: "(path, verdict, stats=None)",
+}
 
 
 def _values(obj):
@@ -193,3 +224,63 @@ def test_post_init_is_looked_up_at_call_time(monkeypatch):
     monkeypatch.setattr(BalancedPresentation, "__post_init__", counted)
     ac.trivial_presentation(2)
     assert calls == [2]
+
+
+def _engine_value_classes():
+    for info in pkgutil.iter_modules(trisect.__path__):
+        importlib.import_module("trisect." + info.name)
+    found, todo = set(), [Frozen]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("trisect."):
+                found.add(sub)
+    return found
+
+
+def test_cases_cover_every_engine_value_class():
+    classes = _engine_value_classes()
+    assert classes == {case[0] for case in CASES} == set(SIGNATURES)
+    assert len(classes) == 18
+
+
+@pytest.mark.parametrize("cls", list(SIGNATURES),
+                         ids=[cls.__name__ for cls in SIGNATURES])
+def test_constructor_signatures_are_pinned(cls):
+    assert str(inspect.signature(cls)) == SIGNATURES[cls]
+    assert cls.__init__.__qualname__ == cls.__qualname__ + ".__init__"
+
+
+def test_frozen_builds_the_constructor_from_the_declared_fields():
+    calls = []
+
+    class Pair(Frozen):
+        _fields = ("first", "second")
+        _defaults = {"second": 2}
+
+        def __post_init__(self):
+            calls.append((self.first, self.second))
+
+    assert Pair(1) == Pair(first=1, second=2) != Pair(1, 3)
+    assert calls == [(1, 2), (1, 2), (1, 3)]
+    with pytest.raises(TypeError):
+        Pair()
+    with pytest.raises(TypeError):
+        Pair(1, 2, 3)
+
+
+def test_frozen_rejects_what_it_cannot_build():
+    with pytest.raises(TypeError, match="builds __init__"):
+        class OwnInit(Frozen):
+            _fields = ("a",)
+
+            def __init__(self, a):
+                object.__setattr__(self, "a", a)
+    for bad in ("a b", "a=0):\n    pass\ndef f(", "1a", "", 1, "self",
+                "object"):
+        with pytest.raises(TypeError, match="bad field name"):
+            type("Bad", (Frozen,), {"_fields": ("x", bad)})
+    for defaults in ({"a": 0}, {"a": 0, "c": 0}, {"d": 0}):
+        with pytest.raises(TypeError, match="not on trailing fields"):
+            type("Gap", (Frozen,), {"_fields": ("a", "b", "c"),
+                                    "_defaults": defaults})
