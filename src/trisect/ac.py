@@ -168,13 +168,6 @@ def _relabelings(n):
     that image, and ``preimage`` takes an image letter back.  Since -t maps
     each letter to the inverse of its image under t, the tables of -t are
     ``inverse`` and ``image``.
-
-    The relabeling (pi, e) maps generator g to e(g) pi(g).  In a class's
-    images (``_class_images``) it has index P(pi) 2^n + f(e): P(pi) is the
-    rank of pi in ``itertools.permutations`` order, and f(e) = 2m + [e(1) =
-    -1], where m is the rank of the sign vector e(1) e in
-    ``itertools.product((1, -1), repeat=n)`` order.  ``_composer`` relies
-    on this layout.
     """
     letters = bytes([_BASE + g for g in range(1, n + 1)]
                     + [_BASE - g for g in range(1, n + 1)])
@@ -189,29 +182,22 @@ def _relabelings(n):
     return tables
 
 
-def _composer(n):
+def _composer(n, tables):
     """``indices(s)`` for n >= 1 generators: the list whose entry r is the
-    index of the relabeling sigma_r o sigma_s, in the layout that
-    ``_relabelings`` documents.
+    index of the relabeling sigma_r o sigma_s, where sigma_2k is the k-th
+    of ``tables`` (the ``_relabelings(n)``) and sigma_2k+1 its negation,
+    as in ``_class_images``.
 
-    With sigma_s = (pi_s, e_s), sigma_r o sigma_s = (pi o pi_s,
-    e_s (e o pi_s)): every permutation block moves as a whole, and every
-    sign vector moves alike in each block, so one list costs n! + 2^n small
-    steps and one pass over the 2^n n! entries.
+    A relabeling is known by the images of the n generators, so one list
+    costs a translation and a lookup per entry.
     """
-    perms = list(permutations(range(n)))
-    block = {pi: k << n for k, pi in enumerate(perms)}
-    signs = []
-    for rest in product((1, -1), repeat=n - 1):
-        signs += [(1,) + rest, (-1,) + tuple([-e for e in rest])]
-    offset = {e: f for f, e in enumerate(signs)}
+    gens = bytes(range(_BASE + 1, _BASE + n + 1))
+    maps = [t for image, inverse, _ in tables for t in (image, inverse)]
+    where = {gens.translate(t): r for r, t in enumerate(maps)}
 
     def indices(s):
-        pi_s, e_s = perms[s >> n], signs[s & ((1 << n) - 1)]
-        blocks = [block[tuple([pi[h] for h in pi_s])] for pi in perms]
-        offsets = [offset[tuple([e_s[g] * e[h] for g, h in enumerate(pi_s)])]
-                   for e in signs]
-        return [b + f for b in blocks for f in offsets]
+        first = gens.translate(maps[s])
+        return [where[first.translate(t)] for t in maps]
     return indices
 
 
@@ -311,7 +297,7 @@ _SYMMETRY = {}
 def _symmetry(n):
     """The symmetry table of n >= 1 generators, ``[tables, compose,
     orbits, indices, size]``: the ``_relabelings(n)`` tables, the
-    ``_composer(n)`` function, the orbit index mapping every image of a
+    ``_composer`` function, the orbit index mapping every image of a
     class whose images were computed to that class's entry, the index
     lists of ``compose`` by ``s``, and how many images and indices those
     two hold.  Every value in it depends on n and its key alone, so one
@@ -319,7 +305,8 @@ def _symmetry(n):
     ``_SYMMETRY_CAP``) changes no answer, only work."""
     table = _SYMMETRY.get(n)
     if table is None:
-        table = _SYMMETRY[n] = [_relabelings(n), _composer(n), {}, {}, 0]
+        tables = _relabelings(n)
+        table = _SYMMETRY[n] = [tables, _composer(n, tables), {}, {}, 0]
     return table
 
 

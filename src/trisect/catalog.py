@@ -33,14 +33,25 @@ GENUS_ONE_SLOPES = {
     "S4STAB3": ((1, 0), (0, 1), (1, 0)),
 }
 
-GENUS_ONE_PARAMS = {
-    "CP2": (0, 0, 0),
-    "CP2R": (0, 0, 0),
-    "S1xS3": (1, 1, 1),
-    "S4STAB1": (1, 0, 0),
-    "S4STAB2": (0, 1, 0),
-    "S4STAB3": (0, 0, 1),
-}
+
+def _slope_key(a, b, c):
+    """``(ks, sign)`` of three slopes.  ``ks`` holds k = 1 - |det| of the
+    pairs (a, b), (b, c) and (c, a), or is None when some |det| > 1 (see
+    ``name_slopes``); ``sign`` is the sign of the three determinants'
+    product."""
+    dets = [p1 * q2 - q1 * p2
+            for (p1, q1), (p2, q2) in ((a, b), (b, c), (c, a))]
+    ks = tuple(1 - abs(d) for d in dets)
+    prod = dets[0] * dets[1] * dets[2]
+    return (ks if min(ks) >= 0 else None), (prod > 0) - (prod < 0)
+
+
+GENUS_ONE_PARAMS = {name: _slope_key(*slopes)[0]
+                    for name, slopes in GENUS_ONE_SLOPES.items()}
+
+# (parameters, slope-triangle sign) -> catalog name
+_NAMES = {_slope_key(*slopes): name
+          for name, slopes in GENUS_ONE_SLOPES.items()}
 
 # display groups: the three balanced diagrams and the three stabilizations
 FIGURE_ONE = ("CP2", "CP2R", "S1xS3")
@@ -64,18 +75,10 @@ def genus_zero_diagram():
     return TrisectionDiagram(0, empty, empty, empty, declared_params=(0, 0, 0))
 
 
-def _slope_sign(a, b, c):
-    """Sign of det(a, b) * det(b, c) * det(c, a) over three slopes."""
-    prod = 1
-    for (p1, q1), (p2, q2) in ((a, b), (b, c), (c, a)):
-        prod *= p1 * q2 - q1 * p2
-    return (prod > 0) - (prod < 0)
-
-
 def triangle_sign(t):
     """Orientation sign of a genus-one diagram's slope triangle."""
-    return _slope_sign(*(cs.curves[0].homology.handle_part(1)
-                         for cs in t.systems()))
+    return _slope_key(*(cs.curves[0].homology.handle_part(1)
+                        for cs in t.systems()))[1]
 
 
 def genus_one_name(ks, sign):
@@ -89,11 +92,7 @@ def genus_one_name(ks, sign):
     every determinant +-1.  So a None here means the parameters match no
     entry.
     """
-    for name in ALL_NAMES:
-        if (GENUS_ONE_PARAMS[name] == tuple(ks)
-                and _slope_sign(*GENUS_ONE_SLOPES[name]) == sign):
-            return name
-    return None
+    return _NAMES.get((tuple(ks), sign))
 
 
 def name_slopes(a, b, c):
@@ -104,11 +103,7 @@ def name_slopes(a, b, c):
     H1 = Z/|det(u, v)|, so |det| > 1 is torsion and otherwise
     k = 1 - |det|; the triangle sign tells CP2 from CP2R.
     """
-    dets = [abs(p1 * q2 - q1 * p2)
-            for (p1, q1), (p2, q2) in ((a, b), (b, c), (c, a))]
-    if max(dets) > 1:
-        return None
-    return genus_one_name([1 - d for d in dets], _slope_sign(a, b, c))
+    return _NAMES.get(_slope_key(a, b, c))
 
 
 def match_genus_one(t):

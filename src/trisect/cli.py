@@ -10,9 +10,9 @@ error (a crash never exits with a verdict code).
 Each process compiles only the engine modules its command runs.  At
 their top level this module imports ``diagio``, ``reports`` and
 ``verdict``; ``diagio`` imports only the standard library and ``words``,
-and ``reports`` those and ``verdict``.  Engine modules are imported at
-four boundaries: a command handler below, a file-kind parser in
-``diagio``, a witness check in ``reports.CHECKERS`` and a builder in
+and ``reports`` those, ``diagio`` and ``verdict``.  Engine modules are
+imported at four boundaries: a command handler below, a file-kind parser
+in ``diagio``, a witness check in ``reports.CHECKERS`` and a builder in
 ``reports.CONSTRUCTIONS``; never inside a per-state or per-step function
 (``canonical_key``, the search's child keys in ``ac._children``, slide
 descent, Tietze moves).
@@ -142,11 +142,11 @@ def _cmd_classify(args):
     return [(args.file, text)], payload, v, None
 
 
-def _construct(op, cargs, paths, reason, payload, want=None):
+def _construct(op, cargs, paths, reason, payload):
     """Handler of construction ``op``: its output and a verdict that
     certifies it by digest; ``payload(objs, out)`` gives the report lines.
     """
-    loaded = [(path,) + _load(path, want, op) for path in paths]
+    loaded = [(path,) + _load(path) for path in paths]
     objs = tuple(obj for _, _, obj in loaded)
     try:
         out = reports.apply_construction(op, cargs, objs)
@@ -170,8 +170,7 @@ def _cmd_stabilize(args):
 def _cmd_connect_sum(args):
     return _construct("connect-sum", {}, [args.a, args.b],
                       "connected sum constructed",
-                      lambda objs, out: [("genus", out.genus)],
-                      want="trisection")
+                      lambda objs, out: [("genus", out.genus)])
 
 
 def _cmd_slide(args):
@@ -306,11 +305,6 @@ def _cmd_catalog(args):
     return [], payload, v, out_text
 
 
-_HK_WITNESS_KINDS = frozenset(["heegaard-kirby", "background", "framing",
-                               "link-crossing", "link-extension",
-                               "surgery-homology"])
-
-
 def _check_report_shape(doc):
     """Raise a ParseError unless ``doc`` has the fields replay reads.
 
@@ -378,38 +372,27 @@ def _cmd_replay(args):
     if vdict["status"] == "unknown":
         v = unknown("unknown verdicts carry no witness to replay")
         return [(args.report, raw)], payload, v, None
-    objs = _reconstruct_for_replay(doc, tuple(objs), vdict)
-    try:
-        reports.replay_verdict(objs, vdict)
-    except reports.ReplayError as e:
-        raise _ReplayFailure(str(e))
-    except KeyError as e:
-        # replay_verdict raises KeyError only for a kind it has no checker
-        # for; a malformed field inside a check is a ReplayError
-        if vdict["witness"]["kind"] in reports.CHECKERS:
-            raise
-        raise _UsageError("unsupported witness kind %s" % e)
+    w = vdict.get("witness")
+    if w is not None and w["kind"] not in reports.CHECKERS:
+        raise _UsageError("unsupported witness kind %r" % w["kind"])
+    objs = _reconstruct_for_replay(doc, tuple(objs), w and w["kind"])
+    reports.replay_verdict(objs, vdict)
     v = Verdict(vdict["status"], "replay confirms: %s" % vdict["reason"],
                 vdict["witness"])
     return [(args.report, raw)], payload, v, None
 
 
-class _ReplayFailure(Exception):
-    pass
-
-
-def _reconstruct_for_replay(doc, objs, vdict):
-    """Rebuild the object a verdict actually talks about, when the command
-    derived it from the input file (hk-to-tri, tri-to-hk)."""
+def _reconstruct_for_replay(doc, objs, kind):
+    """Rebuild the object a witness of ``kind`` talks about, when the command
+    derived it from the input file (hk-to-tri, tri-to-hk): a check that
+    reads a heegaard-kirby diagram reads that diagram, a construction the
+    recorded inputs, and any other check the trisection."""
     op = doc.get("operation")
-    w = vdict.get("witness") or {}
-    kind = w.get("kind")
+    on_hk = kind is not None and reports.CHECKERS[kind][1] == "heegaard-kirby"
     try:
-        if op == "hk-to-tri" and kind not in _HK_WITNESS_KINDS \
-                and kind != "construction":
-            return (reports.apply_construction("hk-to-tri", {}, objs),) \
-                + objs[1:]
-        if op == "tri-to-hk" and kind in _HK_WITNESS_KINDS:
+        if op == "hk-to-tri" and not on_hk and kind != "construction":
+            return (reports.apply_construction("hk-to-tri", {}, objs),)
+        if op == "tri-to-hk" and on_hk:
             payload = doc.get("payload", {})
             picks = _parse_picks(payload["picks"])
             if _format_picks(picks) != payload["picks"]:
@@ -418,9 +401,9 @@ def _reconstruct_for_replay(doc, objs, vdict):
             H = reports.apply_construction(
                 "tri-to-hk", {"picks": picks, "m": int(payload["target-m"])},
                 objs)
-            return (H,) + objs[1:]
+            return (H,)
     except (ValueError, KeyError, TypeError, AttributeError) as e:
-        raise _ReplayFailure("cannot rebuild the derived object: %s" % e)
+        raise reports.ReplayError("cannot rebuild the derived object: %s" % e)
     return objs
 
 
@@ -540,7 +523,7 @@ def run_command(argv):
     except _UsageError as e:
         print("usage error: %s" % e, file=sys.stderr)
         return EXIT_USAGE
-    except _ReplayFailure as e:
+    except reports.ReplayError as e:
         print("replay: FAILED: %s" % e, file=sys.stderr)
         return EXIT_IO
     except diagio.ParseError as e:

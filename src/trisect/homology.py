@@ -8,7 +8,7 @@ letter x_h = 2h-1 abelianizes to a_h, letter y_h = 2h to b_h.
 
 from __future__ import annotations
 
-from .intmatrix import IntegerMatrix, cokernel, invariant_factors
+from .intmatrix import IntegerMatrix, invariant_factors
 from .verdict import Frozen, refuted, verified
 
 
@@ -93,17 +93,12 @@ def lagrangian_verdict(classes, genus):
                 return refuted(
                     "classes %d and %d pair to %d, not 0" % (i, j, pairing),
                     {"kind": "pairing", "i": i, "j": j, "value": pairing})
-    group = cokernel([c.coeffs for c in classes], 2 * genus)
-    if group.free_rank != genus or group.torsion:
-        factors = _span_factors(classes, genus)
+    # a matrix and its transpose have the same invariant factors, so the
+    # classes are reduced as rows
+    factors = list(invariant_factors(
+        IntegerMatrix.from_rows([c.coeffs for c in classes])))
+    if factors != [1] * genus:
         return refuted("span is not a primitive rank-%d summand" % genus,
-                       {"kind": "imprimitive", "snf_factors": list(factors)})
+                       {"kind": "imprimitive", "snf_factors": factors})
     return verified("rank-%d Lagrangian primitive summand" % genus,
-                    {"kind": "lagrangian", "snf_factors": [1] * genus})
-
-
-def _span_factors(classes, genus):
-    if not classes:
-        return ()
-    m = IntegerMatrix.from_columns([c.coeffs for c in classes], nrows=2 * genus)
-    return invariant_factors(m)
+                    {"kind": "lagrangian", "snf_factors": factors})

@@ -6,12 +6,13 @@ Verified or Refuted verdict from the recorded witness and the original
 input alone, never re-running any search, so stored certificates stay
 checkable.
 
-``CHECKERS`` is the one table of witness kinds: it binds each kind to the
-status its witness certifies and to the check that re-derives it.  A new
-witness kind is added there, and nowhere else in replay.  ``CONSTRUCTIONS``
-is the one table of deterministic constructions (stabilize, slide,
-connect-sum and the two kirby bridges): the CLI builds its outputs with
-it, and a ``construction`` witness replays through it.
+``CHECKERS`` binds each witness kind to the status it certifies, the file
+kind its check reads and the check that re-derives it; ``CONSTRUCTIONS``
+binds each deterministic construction (stabilize, slide, connect-sum and
+the two kirby bridges) to the file kinds it reads and its builder.  A new
+kind is one line there: ``replay_verdict`` and ``apply_construction``
+check the inputs against the tables, the CLI reads them, and a
+``construction`` witness replays through ``CONSTRUCTIONS``.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import hashlib
 import json
 
 from . import __version__, words
+from .diagio import format_any, kind_of
 from .verdict import Frozen
 
 ENGINE = "trisect %s" % __version__
@@ -83,20 +85,17 @@ def _need(cond, detail):
         raise ReplayError(detail)
 
 
-# Each check below is called as check(witness, *inputs).  It raises
-# ReplayError when the witness does not re-derive its claim; the checks of
-# kinds that certify either status return the status they re-derived.
-# A check imports the engine functions it calls, and tells its inputs
-# apart by diagio.kind_of, so a replay loads only the modules its witness
-# kind needs.
+# Each check below is called as check(witness, *inputs), once
+# replay_verdict has checked the inputs against the file kind the check
+# reads (CHECKERS).  It raises ReplayError when the witness does not
+# re-derive its claim; the checks of kinds that certify either status
+# return the status they re-derived.  A check imports the engine functions
+# it calls, so a replay loads only the modules its witness kind needs.
 
 def _replay_detect(w, d):
-    from .diagio import kind_of
     from .diagram import heegaard_h1, quotient_presentation
     from .presentations import replay_tietze
 
-    _need(kind_of(d) == "heegaard",
-          "detect-k witness needs a heegaard diagram")
     h1 = heegaard_h1(d)
     _need(h1.is_free and h1.free_rank == w["k"],
           "H1 is %s, witness claims free rank %d" % (h1, w["k"]))
@@ -108,10 +107,8 @@ def _replay_detect(w, d):
 
 
 def _replay_params(w, t):
-    from .diagio import kind_of
     from .diagram import pair_diagrams
 
-    _need(kind_of(t) == "trisection", "params witness needs a trisection")
     ks = list(w["ks"])
     # strict: three pair certificates and three ranks, or a ValueError
     for d, pw, k in zip(pair_diagrams(t), w["pairs"], ks, strict=True):
@@ -135,7 +132,6 @@ def _replay_params_mismatch(w, t):
 
 
 def _replay_torsion(w, obj):
-    from .diagio import kind_of
     from .diagram import heegaard_h1, pair_homology
 
     kind = kind_of(obj)
@@ -198,7 +194,6 @@ def _replay_nonstandard(w, d):
 
 
 def _replay_param_constraint(w, obj):
-    from .diagio import kind_of
     from .diagram import TrisectionParams, pair_homology
     from .moves import check_classified_params
 
@@ -217,14 +212,11 @@ def _replay_param_constraint(w, obj):
 
 
 def _replay_hk(w, H):
-    from .diagio import kind_of
     from .diagram import quotient_presentation
     from .kirby import (_beta_extension_check, _link_embedding_check,
                         _surgery_homology, complete_link_to_system)
     from .presentations import replay_tietze
 
-    _need(kind_of(H) == "heegaard-kirby",
-          "surgery witness needs a heegaard-kirby diagram")
     _replay_detect(w["background"], H.background)
     _need(w["n"] == w["background"]["k"], "background rank disagrees")
     _need(w["c"] == H.c and w["m"] == H.m, "link size or target disagrees")
@@ -315,9 +307,6 @@ def _replay_primitive_pairs(w, t):
 
 
 def _replay_linking(w, m):
-    from .diagio import kind_of
-
-    _need(kind_of(m) == "linking", "linking witness needs a matrix")
     if "entry" in w:
         i, j = w["entry"]
         value = _entry(_entry(m.rows, i, "row"), j, "column")
@@ -344,8 +333,6 @@ def _replay_ac_path(w, p):
 
 
 def _replay_construction(w, *objs):
-    from .diagio import format_any
-
     out = apply_construction(w["op"], w.get("args", {}), objs)
     digest = sha256_text(format_any(out))
     _need(digest == w["output_sha256"],
@@ -353,30 +340,33 @@ def _replay_construction(w, *objs):
           % (digest, w["output_sha256"]))
 
 
-# kind -> (the status its witness certifies, its check).  None marks the
-# kinds whose witness itself tells which status holds (a constraint case
-# holds or fails, a linking matrix is zero or has a nonzero entry); their
-# checks return it.
+# kind -> (the status its witness certifies, the file kind of the one
+# input its check reads, its check).  A None status marks the kinds whose
+# witness itself tells which status holds (a constraint case holds or
+# fails, a linking matrix is zero or has a nonzero entry); their checks
+# return it.  A None file kind marks the checks that take several kinds of
+# input and tell them apart themselves.
 CHECKERS = {
-    "params": ("verified", _replay_params),
-    "params-mismatch": ("refuted", _replay_params_mismatch),
-    "torsion": ("refuted", _replay_torsion),
-    "detect-k": ("verified", _replay_detect),
-    "classification": ("verified", _replay_classification),
-    "standard-pair": ("verified", _replay_standard_pair),
-    "nonstandard": ("refuted", _replay_nonstandard),
-    "param-constraint": (None, _replay_param_constraint),
-    "heegaard-kirby": ("verified", _replay_hk),
-    "background": ("refuted", _replay_background),
-    "framing": ("refuted", _replay_framing),
-    "link-crossing": ("refuted", _replay_link_crossing),
-    "link-extension": ("refuted", _replay_link_extension),
-    "surgery-homology": ("refuted", _replay_surgery_homology),
-    "primitive-pairs": ("verified", _replay_primitive_pairs),
-    "linking": (None, _replay_linking),
-    "ab-det": ("refuted", _replay_ab_det),
-    "ac-path": ("verified", _replay_ac_path),
-    "construction": ("verified", _replay_construction),
+    "params": ("verified", "trisection", _replay_params),
+    "params-mismatch": ("refuted", "trisection", _replay_params_mismatch),
+    "torsion": ("refuted", None, _replay_torsion),
+    "detect-k": ("verified", "heegaard", _replay_detect),
+    "classification": ("verified", "trisection", _replay_classification),
+    "standard-pair": ("verified", "heegaard", _replay_standard_pair),
+    "nonstandard": ("refuted", "heegaard", _replay_nonstandard),
+    "param-constraint": (None, None, _replay_param_constraint),
+    "heegaard-kirby": ("verified", "heegaard-kirby", _replay_hk),
+    "background": ("refuted", "heegaard-kirby", _replay_background),
+    "framing": ("refuted", "heegaard-kirby", _replay_framing),
+    "link-crossing": ("refuted", "heegaard-kirby", _replay_link_crossing),
+    "link-extension": ("refuted", "heegaard-kirby", _replay_link_extension),
+    "surgery-homology": ("refuted", "heegaard-kirby",
+                         _replay_surgery_homology),
+    "primitive-pairs": ("verified", "trisection", _replay_primitive_pairs),
+    "linking": (None, "linking", _replay_linking),
+    "ab-det": ("refuted", "presentation", _replay_ab_det),
+    "ac-path": ("verified", "presentation", _replay_ac_path),
+    "construction": ("verified", None, _replay_construction),
 }
 
 # what a malformed witness field or an input of the wrong type raises
@@ -391,7 +381,8 @@ def replay_verdict(objs, vdict):
     None on success; raises KeyError for a witness kind that has no checker
     (before any check runs), and ReplayError when the witness fails to
     reproduce the recorded status, certifies another status than the
-    recorded one, or has malformed fields.
+    recorded one, is given inputs of another kind than its check reads, or
+    has malformed fields.
     """
     status = vdict["status"]
     if status == "unknown":
@@ -400,9 +391,11 @@ def replay_verdict(objs, vdict):
     if w is None:
         raise ReplayError("verdict has no witness")
     kind = w["kind"]
-    certified, check = CHECKERS[kind]
+    certified, reads, check = CHECKERS[kind]
     mismatch = "a %s witness certifies %s, not %s"
     _need(certified in (None, status), mismatch % (kind, certified, status))
+    _need(reads is None or len(objs) == 1 and kind_of(objs[0]) == reads,
+          "a %s witness needs one %s input" % (kind, reads))
     try:
         got = check(w, *objs)
     except _MALFORMED as e:
@@ -413,12 +406,11 @@ def replay_verdict(objs, vdict):
 
 
 # -- deterministic constructions ----------------------------------------------
-# build(args, objs) raises ValueError on inputs of the wrong kind.  Every
-# builder is search-free, so construction witnesses replay by digest.  Like
-# the checks, a builder imports what it calls.
+# build(args, objs) raises ValueError on inputs it cannot build from.
+# Every builder is search-free, so construction witnesses replay by
+# digest.  Like the checks, a builder imports what it calls.
 
 def _stabilize(args, objs):
-    from .diagio import kind_of
     from .moves import heegaard_stabilize, i_stabilize
 
     kind = args["type"]
@@ -437,7 +429,6 @@ def _stabilize(args, objs):
 
 
 def _slide(args, objs):
-    from .diagio import kind_of
     from .moves import handleslide
 
     d = objs[0]
@@ -460,50 +451,44 @@ def _slide(args, objs):
 
 
 def _connect_sum(args, objs):
-    from .diagio import kind_of
     from .moves import connected_sum
 
-    t1, t2 = objs
-    if not (kind_of(t1) == kind_of(t2) == "trisection"):
-        raise ValueError("connect-sum needs two trisection files")
-    return connected_sum(t1, t2)
+    return connected_sum(*objs)
 
 
 def _hk_to_tri(args, objs):
-    from .diagio import kind_of
     from .kirby import bridge_trisection
 
-    H = objs[0]
-    if kind_of(H) != "heegaard-kirby":
-        raise ValueError("hk-to-tri needs a heegaard-kirby file")
-    t = bridge_trisection(H)
+    t = bridge_trisection(objs[0])
     if t is None:
         raise ValueError("no template completion of the link")
     return t
 
 
 def _tri_to_hk(args, objs):
-    from .diagio import kind_of
     from .kirby import bridge_hk
 
-    t = objs[0]
-    if kind_of(t) != "trisection":
-        raise ValueError("tri-to-hk needs a trisection file")
-    return bridge_hk(t, args["picks"], int(args["m"]))
+    return bridge_hk(objs[0], args["picks"], int(args["m"]))
 
 
+# op -> (the file kinds of its inputs, in order, its builder).  None marks
+# the builders that take several kinds and tell them apart themselves.
 CONSTRUCTIONS = {
-    "stabilize": _stabilize,
-    "slide": _slide,
-    "connect-sum": _connect_sum,
-    "hk-to-tri": _hk_to_tri,
-    "tri-to-hk": _tri_to_hk,
+    "stabilize": (None, _stabilize),
+    "slide": (None, _slide),
+    "connect-sum": (("trisection", "trisection"), _connect_sum),
+    "hk-to-tri": (("heegaard-kirby",), _hk_to_tri),
+    "tri-to-hk": (("trisection",), _tri_to_hk),
 }
 
 
 def apply_construction(op, args, objs):
-    """Rebuild a constructive operation's output from inputs and arguments."""
-    build = CONSTRUCTIONS.get(op)
-    if build is None:
+    """Rebuild a constructive operation's output from inputs and arguments;
+    raise ValueError when it cannot."""
+    if op not in CONSTRUCTIONS:
         raise ValueError("unknown construction %r" % op)
+    reads, build = CONSTRUCTIONS[op]
+    if reads is not None and tuple(map(kind_of, objs)) != reads:
+        raise ValueError("%s needs %s" % (
+            op, " and ".join("a %s file" % k for k in reads)))
     return build(args, objs)

@@ -399,7 +399,7 @@ def test_composer_indices_compose_the_signed_relabelings(n, samples):
     where = {m: r for r, m in enumerate(maps)}
     assert len(where) == len(maps)
     position = {b: i for i, b in enumerate(letters)}
-    indices = ac._composer(n)
+    indices = ac._composer(n, ac._relabelings(n))
     rng = random.Random(n)
     ss = range(len(maps)) if samples is None else \
         rng.sample(range(len(maps)), samples)
@@ -415,7 +415,7 @@ def test_composer_indices_compose_the_signed_relabelings(n, samples):
 def test_orbit_images_equal_the_images_computed_directly(n):
     rng = random.Random(20261019 + n)
     tables = ac._relabelings(n)
-    indices = ac._composer(n)
+    indices = ac._composer(n, tables)
     for _ in range(6 if n < 4 else 2):
         w = tuple(rng.choice((1, -1)) * rng.randrange(1, n + 1)
                   for _ in range(rng.randrange(1, 8)))

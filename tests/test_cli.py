@@ -503,6 +503,24 @@ def test_replay_of_an_unsupported_witness_kind_is_a_usage_error(tmp_path,
     assert "usage error: unsupported witness kind 'no-such-kind'" in err
 
 
+def test_an_unknown_kind_is_refused_before_the_bridge_rebuilds(tmp_path,
+                                                               capsys):
+    # this link has no template completion, so rebuilding the trisection
+    # fails; the kind is refused first, as for every other operation
+    hkt = write(tmp_path, "u.hkt",
+                "heegaard-kirby genus=2\nalpha: @1(1,0) ; @2(1,0)\n"
+                "beta: @1(0,1) ; @2(0,1)\nlink: x1 framing=surface\n"
+                "target m=0\n")
+    code, doc, _ = _json_report(capsys, tmp_path, "r.json", "hk-to-tri", hkt)
+    assert code == 1
+    assert doc["verdict"]["witness"]["kind"] == "surgery-homology"
+    doc["verdict"]["witness"]["kind"] = "bogus"
+    forged = write(tmp_path, "forged.json", json.dumps(doc))
+    code, out, err = run(capsys, "replay", forged, hkt)
+    assert code == 3 and out == ""
+    assert "usage error: unsupported witness kind 'bogus'" in err
+
+
 def test_replay_of_a_report_without_inputs_is_a_usage_error(tmp_path,
                                                              capsys):
     code, doc, rep = _json_report(capsys, tmp_path, "c.json",
@@ -610,7 +628,7 @@ def test_replay_rejects_refuted_witnesses_flipped_to_verified(tmp_path,
 
 def test_a_kind_never_replays_under_the_status_it_does_not_certify():
     one = (genus_one_diagram("CP2"),)
-    for kind, (status, _) in reports.CHECKERS.items():
+    for kind, (status, _, _) in reports.CHECKERS.items():
         if status is None:
             continue
         other = {"verified": "refuted", "refuted": "verified"}[status]

@@ -1,8 +1,10 @@
 import json
+import pathlib
+import re
 
 import pytest
 
-from trisect import reports
+from trisect import diagio, reports
 from trisect.ac import ak_presentation
 from trisect.catalog import genus_one_diagram
 from trisect.diagram import (HeegaardDiagram, TrisectionDiagram,
@@ -59,7 +61,7 @@ def test_every_checked_kind_has_its_fields_listed():
 def test_a_malformed_witness_is_a_replay_error(kind):
     # a missing field, a field of the wrong type or an input of the wrong
     # kind must fail the replay, never crash it and never confirm it
-    certified, _ = reports.CHECKERS[kind]
+    certified, _, _ = reports.CHECKERS[kind]
     statuses = ("verified", "refuted") if certified is None else (certified,)
     for obj in _inputs():
         for w in _malformed(kind):
@@ -95,9 +97,43 @@ def test_a_witness_binds_to_its_own_input():
     _, v = detect_k(HeegaardDiagram(1, t.alpha, t.beta))
     reports.replay_verdict((HeegaardDiagram(1, t.alpha, t.beta),),
                            {"status": "verified", "witness": v.witness})
-    with pytest.raises(reports.ReplayError, match="heegaard diagram"):
+    with pytest.raises(reports.ReplayError,
+                       match="a detect-k witness needs one heegaard input"):
         reports.replay_verdict((t,), {"status": "verified",
                                       "witness": v.witness})
+
+
+def test_a_witness_replayed_against_another_file_kind_names_its_input():
+    t = genus_one_diagram("CP2")
+    v = standardize(t)[1]
+    d = HeegaardDiagram(1, t.alpha, t.beta)
+    with pytest.raises(reports.ReplayError,
+                       match="a classification witness needs one "
+                             "trisection input"):
+        reports.replay_verdict((d,), {"status": "verified",
+                                      "witness": v.witness})
+
+
+# witness kinds that engine modules write inside their own verdicts and
+# that no report carries at the top, so they have no checker
+_INTERNAL_KINDS = {"count", "pairing", "imprimitive", "lagrangian", "tietze"}
+
+
+def test_the_kind_tables_agree_with_the_engine():
+    produced = set()
+    for path in pathlib.Path(reports.__file__).parent.glob("*.py"):
+        if path.name != "reports.py":
+            produced |= set(re.findall(r'"kind": "([a-z0-9-]+)"',
+                                       path.read_text(encoding="utf-8")))
+    # a checked kind nothing writes is dead; a written kind nothing checks
+    # would not replay
+    assert set(reports.CHECKERS) <= produced
+    assert produced <= set(reports.CHECKERS) | _INTERNAL_KINDS
+    file_kinds = set(diagio._KINDS)
+    for _, reads, _ in reports.CHECKERS.values():
+        assert reads is None or reads in file_kinds
+    for reads, _ in reports.CONSTRUCTIONS.values():
+        assert reads is None or set(reads) <= file_kinds
 
 
 def test_witness_indices_are_one_based_and_in_range():
