@@ -19,8 +19,15 @@ state by a new core, so it is keyed from the state's class entries and the
 core's, and stored as (state, relator index, core) only when its key is
 new.  A core of the class of an earlier core replacing the same relator is
 skipped: the two children differ by a rotation or inversion of that
-relator, so they share a key, which the earlier one left stored.  The path
-is replayed with ``apply_ac_move``, which validates every step.
+relator, so they share a key, which the earlier one left stored.
+
+Expanding a state streams records (``_expansion``): per keyed child, its
+class lookups, counter increments and the child.  They depend on the state
+and the bounds alone, and every backward side grows from the trivial
+presentation, so the process keeps the records of a repeated backward
+expansion for later searches (``_records``).  The path is replayed with
+``apply_ac_move``, which validates every step; each backward move is the
+first child keyed to the next key, found by an orbit test (``_rows``).
 """
 
 from __future__ import annotations
@@ -282,11 +289,13 @@ def _orbit_images(base, indices):
                                  if x == least])
 
 
-# The most images and composer indices one generator count's symmetry
-# table stores: a computed class adds its 2^n n! images, a composer index
-# list as many indices.  Each costs about 80 bytes, so a full table holds
-# about 10 MB; the 139 searches of the ac-ak benchmark at 10 s store about
-# 46,000 in their four tables.
+# The most units one generator count's symmetry table stores: a computed
+# class adds its 2^n n! images, a composer index list as many indices, a
+# kept expansion one per record and per class lookup in it, and a mark one
+# until records replace it.  An image costs about 80 bytes and a record
+# unit about 200, so a full table holds 10-25 MB; the 139 searches of the
+# ac-ak benchmark at 10 s store about 49,000 units (2,800 of them in
+# records) in their four tables.
 _SYMMETRY_CAP = 1 << 17
 
 # generator count -> its symmetry table (``_symmetry``), shared by every
@@ -296,26 +305,28 @@ _SYMMETRY = {}
 
 def _symmetry(n):
     """The symmetry table of n >= 1 generators, ``[tables, compose,
-    orbits, indices, size]``: the ``_relabelings(n)`` tables, the
+    orbits, indices, size, records]``: the ``_relabelings(n)`` tables, the
     ``_composer`` function, the orbit index mapping every image of a
     class whose images were computed to that class's entry, the index
-    lists of ``compose`` by ``s``, and how many images and indices those
-    two hold.  Every value in it depends on n and its key alone, so one
-    table serves every search of the process, and emptying it (see
-    ``_SYMMETRY_CAP``) changes no answer, only work."""
+    lists of ``compose`` by ``s``, how many units the dicts hold, and the
+    kept expansions of states with n relators (``_records``).  Every value
+    in it depends on n and its key alone, so one table serves every search
+    of the process, and emptying it (see ``_SYMMETRY_CAP``) changes no
+    answer, only work."""
     table = _SYMMETRY.get(n)
     if table is None:
         tables = _relabelings(n)
-        table = _SYMMETRY[n] = [tables, _composer(n, tables), {}, {}, 0]
+        table = _SYMMETRY[n] = [tables, _composer(n, tables), {}, {}, 0, {}]
     return table
 
 
 def _store(table, size):
-    """Make room for ``size`` more images or indices in the table,
-    emptying it first when they would take it over ``_SYMMETRY_CAP``."""
+    """Make room for ``size`` more units in the table, emptying it first
+    when they would take it over ``_SYMMETRY_CAP``."""
     if table[4] + size > _SYMMETRY_CAP:
         table[2].clear()
         table[3].clear()
+        table[5].clear()
         table[4] = 0
     table[4] += size
 
@@ -323,7 +334,7 @@ def _store(table, size):
 def _shared_entry(table, c):
     """The entry ``(images, least, winners)`` of class word ``c``: the
     computed entry of its orbit, relabeled unless ``c`` is that class."""
-    tables, compose, orbits, lists, _ = table
+    tables, compose, orbits, lists, _, _ = table
     base = orbits.get(c)
     if base is None:
         base = _class_images(c, tables)
@@ -341,24 +352,35 @@ def _shared_entry(table, c):
     return _orbit_images(base, indices)
 
 
-def _entry(slot, w):
-    """The class entry ``(images, least, winners)`` of byte relator ``w``."""
+def _slot(memo, n):
+    """The slot of n >= 1 generators in a search's memo, made when missing:
+    the shared symmetry table, the entry of each relator class met (under
+    its class word and every byte relator met in it), the orbits met (by
+    least image), and the counts of classes met first and later in one."""
+    return memo.get(n) or memo.setdefault(n, (_symmetry(n), {}, set(), [0, 0]))
+
+
+def _lookup(slot, w):
+    """The class entry ``(images, least, winners)`` of byte relator ``w``,
+    from the slot's classes or the shared table, entering nothing."""
     entry = slot[1].get(w)
     if entry is None:
-        table, classes, met, counts = slot
         c = _byte_class(w)
-        entry = classes.get(c)
-        if entry is None:
-            entry = _shared_entry(table, c)
-            # the least image names the orbit
-            if entry[1] in met:
-                counts[1] += 1
-            else:
-                met.add(entry[1])
-                counts[0] += 1
-            classes[c] = entry
-        classes[w] = entry
+        entry = slot[1].get(c) or _shared_entry(slot[0], c)
     return entry
+
+
+def _enter(memo, looked):
+    """Enter the class lookups ``(n, w, entry)`` in the search's memo, in
+    order, counting each new class as the first or a later of its orbit."""
+    for n, w, entry in looked:
+        _, classes, met, counts = memo.get(n) or _slot(memo, n)
+        c = entry[0][0]  # images[0] is the class's word
+        if c not in classes:
+            counts[entry[1] in met] += 1  # later in its orbit, or first
+            met.add(entry[1])
+            classes[c] = entry
+        classes.setdefault(w, entry)
 
 
 def _least(entries):
@@ -381,16 +403,20 @@ def _state(p):
     return tuple(map(words.byte_word, p.relators))
 
 
-def _key(state, memo):
+def _key(state, memo, looked=None):
     """The key of a state: the column of images that ``canonical_key``
-    formats, one per relator."""
+    formats, one per relator.  Its class lookups are appended to
+    ``looked``, or entered in ``memo`` when it is None."""
     n = len(state)
     if not n:
         return ()
-    slot = memo.get(n)
-    if slot is None:
-        slot = memo[n] = (_symmetry(n), {}, set(), [0, 0])
-    entries = [_entry(slot, w) for w in state]
+    slot = _slot(memo, n)
+    entries = [_lookup(slot, w) for w in state]
+    found = [(n, w, e) for w, e in zip(state, entries)]
+    if looked is None:
+        _enter(memo, found)
+    else:
+        looked.extend(found)
     return _column(entries, _least(entries)[1])
 
 
@@ -401,15 +427,10 @@ def canonical_key(p, _memo=None):
     inversion, the list is sorted, and the whole is minimized over signed
     relabelings of the generators: the text of the search's key ``_key``.
 
-    ``_memo`` is a dict owned by one search.  Per generator count it holds
-    a slot: the shared symmetry table (``_symmetry``), the entry of each
-    relator class (under its byte word and every byte relator met in it),
-    the set of orbits met (by least image, which names an orbit), and the
-    counts of classes met first and later in their orbit.  The symmetry
-    table is the process's, not the search's: its orbit index maps every
-    image of a class whose images were computed to its entry, so any later
-    class of the orbit, in any search, permutes that shared tuple
-    (``_orbit_images``) through index lists the table also keeps.
+    ``_memo`` is a dict owned by one search, a slot per generator count
+    (``_slot``).  The symmetry table in a slot is the process's: any class
+    of an orbit whose images were computed, in any search, permutes that
+    shared tuple (``_orbit_images``).
     """
     column = _key(_state(p), {} if _memo is None else _memo)
     return ("%d:%s" % (len(column), "|".join(
@@ -427,7 +448,9 @@ class SearchResult(Frozen):
     empty symmetry table) and the other classes it met in them
     (``orbit_images``: relabeled from their orbit), and the children
     keyed or skipped for a sibling's class (``child_keys``,
-    ``sibling_skips``).  Stats never enter the witness.
+    ``sibling_skips``), all in the search's expansions (writing out the
+    path counts nothing), and ``complete``: unknown because both frontiers
+    emptied with only the length cap cutting.  Stats never enter witnesses.
     """
     _fields = ("path", "verdict", "stats")
     _defaults = {"stats": None}
@@ -455,7 +478,7 @@ def _wrap_length(w):
     return (len(w) - len(words.strip_wrap(w))) // 2
 
 
-def _aligned_products(state, max_total_length):
+def _aligned_products(state, max_total_length, rows=None):
     """The cores of the children obtained by multiplying a rotation of one
     relator of ``state`` (a tuple of byte words) by a rotation of another
     or of its inverse, then cyclically reducing, each distinct core with
@@ -466,9 +489,8 @@ def _aligned_products(state, max_total_length):
     None.
 
     Every relator of ``state`` must be cyclically reduced, as every search
-    state's is: then a rotation is freely reduced, and
-    ``words.rotation_product`` builds each core from the seam and the
-    wrap alone.
+    state's is: then ``words.rotation_product`` builds each core from the
+    seam and the wrap alone.
 
     Bare conjugations and inversions never change the canonical key, so
     they only appear inside these composites: both rotations are
@@ -476,11 +498,15 @@ def _aligned_products(state, max_total_length):
     Rotating the first factor too keeps the edge set closed under the
     symmetries the key quotients out; that makes key-level dedup sound
     and the key graph undirected (every edge has an in-family inverse).
+    Given ``rows``, only the relators whose 0-based index is in it are
+    replaced.
     """
     n = len(state)
     total = sum(map(len, state))
     inverses = [w[::-1].translate(_NEGATE) for w in state]
     for i in range(1, n + 1):
+        if rows is not None and i - 1 not in rows:
+            continue
         left = state[i - 1]
         room = max_total_length - total + len(left)
         produced = set()
@@ -556,53 +582,116 @@ def _normalize_start(p):
     return BalancedPresentation(p.generators, tuple(rs)), moves
 
 
-def _children(state, parents, memo, stats, stable, gen_cap,
-              max_total_length):
-    """``(descriptor, key, base, i, core)`` per edge out of ``state``,
-    keyed with ``memo``, to a key not in ``parents``; ``stats`` counts
-    children.  The child is ``base`` with relator i replaced by ``core``, or
-    ``base`` itself when i is None."""
+def _rows(entries, target):
+    """Per relator i of a state with class ``entries`` that a child keyed
+    to ``target`` can replace, the least image of the new relator's orbit:
+    a key's words have its relators' orbits, so the target's less those of
+    the relators kept must leave one (read from the symmetry table)."""
+    if len(target) != len(entries):
+        return {}
+    table = _symmetry(len(target))
+    want = Counter([(table[2].get(x) or _shared_entry(table, x))[1]
+                    for x in target])
+    have = Counter([e[1] for e in entries])
+    lefts = [list((want - (have - Counter([e[1]]))).elements())
+             for e in entries]
+    return {i: left[0] for i, left in enumerate(lefts) if len(left) == 1}
+
+
+def _expansion(state, memo, stable, gen_cap, max_total_length, target=None):
+    """The records of the edges out of ``state``, streamed: per keyed
+    child ``(looked, pruned, skips, child)``, then a tail record whose
+    child is None.  Since the record before, ``looked`` lists the class
+    lookups ``(n, w, entry)``, and ``pruned`` and ``skips`` count children
+    over the length cap or skipped for a sibling's class.  ``child`` is
+    ``(descriptor, key, base, i, core)``: ``base`` with relator i replaced
+    by ``core``, or ``base`` when i is None.  ``memo`` is only a cache, so
+    records depend on the state and bounds alone.  A ``target`` key drops
+    the rows and cores that cannot reach it."""
     n = len(state)
-    slot, seen = memo.get(n), set()
-    entries = [_entry(slot, w) for w in state]
+    slot = _slot(memo, n) if n else None
+    entries = [_lookup(slot, w) for w in state]
+    looked, pruned, skips, seen = [
+        (n, w, e) for w, e in zip(state, entries)], 0, 0, set()
     rests = [entries[:i] + entries[i + 1:] for i in range(n)]
     leasts = [_least(rest) for rest in rests] if n > 1 else []
-    for desc, core in _aligned_products(state, max_total_length):
+    need = None if target is None else _rows(entries, target)
+    for desc, core in _aligned_products(state, max_total_length, need):
         if core is None:
-            stats["pruned_length"] += 1
+            pruned += 1
             continue
-        i, entry = desc[0] - 1, _entry(slot, core)
+        i = desc[0] - 1
+        if need is not None and len(core) != len(need[i]):
+            continue
+        entry = _lookup(slot, core)
+        looked.append((n, core, entry))
+        if need is not None and entry[1] != need[i]:
+            continue
         if (i, entry[0][0]) in seen:  # images[0] is the class's word
-            stats["sibling_skips"] += 1
+            skips += 1
             continue
         seen.add((i, entry[0][0]))
-        stats["child_keys"] += 1
         (lo, win), (_, x, won) = leasts[i], entry
         cand = win if x > lo else won if x < lo else win.union(won)
         ckey = _column(rests[i] + [entry], cand)
-        if ckey not in parents:
-            yield desc, ckey, state, i, core
+        yield looked, pruned, skips, (desc, ckey, state, i, core)
+        looked, pruned, skips = [], 0, 0
     for desc, child in (_stable_edges(state, gen_cap, max_total_length)
                         if stable else ()):
         if child is None:
-            stats["pruned_length"] += 1
+            pruned += 1
             continue
-        stats["child_keys"] += 1
-        ckey = _key(child, memo)
-        if ckey not in parents:
-            yield desc, ckey, child, None, None
+        ckey = _key(child, memo, looked)
+        yield looked, pruned, skips, (desc, ckey, child, None, None)
+        looked, pruned, skips = [], 0, 0
+    yield looked, pruned, skips, None
+
+
+def _records(state, backward, memo, stable, gen_cap, max_total_length):
+    """The records of expanding ``state`` under the bounds: the process's
+    if it keeps them, else streamed (``_expansion``) and kept by the second
+    backward expansion to stream them to the end.  The first only marks the
+    state, so a one-off expansion keeps none; ``_SYMMETRY_CAP`` counts."""
+    records = _expansion(state, memo, stable, gen_cap, max_total_length)
+    table = _symmetry(max(len(state), 1))  # the empty state's: that of 1
+    rkey = (state, stable, gen_cap, max_total_length)
+    kept = table[5].get(rkey)
+    if kept != () or not backward:  # not a marked state's second expansion
+        if kept is None and backward:
+            _store(table, 1)
+            table[5][rkey] = ()
+        yield from kept or records
+        return
+    kept = []
+    for record in records:
+        kept.append(record)
+        yield record
+    table[4] -= table[5].pop(rkey, None) is not None  # its mark's unit
+    _store(table, sum([1 + len(record[0]) for record in kept]))
+    table[5][rkey] = kept
+
+
+def _children(records, parents, memo, stats):
+    """One search's step: the children of ``records`` whose keys are not in
+    ``parents``, after entering each record's lookups and counts."""
+    for looked, pruned, skips, child in records:
+        _enter(memo, looked)
+        stats["pruned_length"] += pruned
+        stats["sibling_skips"] += skips
+        stats["child_keys"] += child is not None
+        if child is not None and child[1] not in parents:
+            yield child
 
 
 def ac_search(p, max_total_length, max_depth, stable=False,
               max_states=DEFAULT_MAX_STATES):
     """Breadth-first search for a move path to the trivial presentation.
 
-    Nodes are canonical keys, and each child's is built from its parent's
-    class entries (see the module docstring); edges are aligned products
-    (plus add/delete of trivial pairs when stable), stored as small
-    descriptors expanded into primitive moves only for the path returned,
-    so a found path replays with apply_ac_move alone.  Depth counts edges,
-    not primitive moves.  States whose total relator length exceeds
+    Nodes are canonical keys; edges are aligned products (plus add/delete
+    of trivial pairs when stable), kept as descriptors and expanded into
+    primitive moves only for the path returned, so a found path replays
+    with apply_ac_move alone (see the module docstring).  Depth counts
+    edges, not primitive moves.  States whose total relator length exceeds
     max_total_length are pruned; stable search adds at most two
     generators.  A presentation whose exponent matrix has determinant of
     absolute value other than 1 is refuted outright.  A key on g
@@ -610,15 +699,13 @@ def ac_search(p, max_total_length, max_depth, stable=False,
     count, at the most generators the search can reach, exceeds
     max_states, the search answers unknown before it builds any key.
 
-    The edge family is closed under inverses, so reachability between
-    canonical keys is symmetric; the search runs from both ends (the input
-    and the trivial form) and splices the halves where they meet, always
-    expanding the smaller frontier.  Results are deterministic for fixed
-    budgets.
-
-    Relator class images come from the process's symmetry tables
+    The edge family is closed under inverses, so the search runs from both
+    ends (the input and the trivial form), always expanding the smaller
+    frontier, and splices the halves where they meet; results are
+    deterministic for fixed budgets.  Class images and the records of
+    repeated backward expansions come from the process's symmetry tables
     (``_symmetry``), which earlier searches may have filled.  Every value
-    there is a pure function of the generator count and the class, and the
+    there is a pure function of the generator count and its key, and
     counters are kept per search, so what ran before changes no answer,
     path or counter, only the work done.  The engine is single-threaded;
     a race between threads on the tables could only repeat work or
@@ -629,7 +716,7 @@ def ac_search(p, max_total_length, max_depth, stable=False,
     stats = {"visited": 0, "stored": 0, "pruned_length": 0,
              "pruned_depth": 0, "pruned_generator_cap": 0, "aborted": None,
              "class_images": 0, "orbit_images": 0, "child_keys": 0,
-             "sibling_skips": 0}
+             "sibling_skips": 0, "complete": False}
     d = ab_det(p)
     if abs(d) != 1:
         return SearchResult(None, refuted(
@@ -692,9 +779,9 @@ def ac_search(p, max_total_length, max_depth, stable=False,
             if chain:
                 desc = chain.pop()
             else:
-                desc = next((d for d, ckey, *_ in _children(
-                    _state(cur), {}, memo, Counter(), stable, gen_cap,
-                    max_total_length) if ckey == target), None)
+                desc = next((child[0] for *_, child in _expansion(
+                    _state(cur), memo, stable, gen_cap, max_total_length,
+                    target) if child and child[1] == target), None)
                 if desc is None:
                     raise AssertionError("guided replay lost the key trail")
                 target = bwd["parents"][target][0]
@@ -717,9 +804,9 @@ def ac_search(p, max_total_length, max_depth, stable=False,
         state = base if i is None else base[:i] + (core,) + base[i + 1:]
         if stable and len(state) >= gen_cap:
             stats["pruned_generator_cap"] += 1
-        for desc, ckey, base, i, core in _children(
-                state, side["parents"], memo, stats, stable, gen_cap,
-                max_total_length):
+        for desc, ckey, base, i, core in _children(_records(
+                state, side is bwd, memo, stable, gen_cap, max_total_length),
+                side["parents"], memo, stats):
             if len(fwd["parents"]) + len(bwd["parents"]) >= max_states:
                 stats["aborted"] = "state-cap"
                 return _result(None, unknown(
@@ -737,6 +824,8 @@ def ac_search(p, max_total_length, max_depth, stable=False,
                     {"kind": "ac-path", "moves": [list(m) for m in path],
                      "depth": depth}))
             side["frontier"].append((base, i, core, ckey, depth + 1))
+    stats["complete"] = not (stats["pruned_depth"]
+                             or stats["pruned_generator_cap"])
     return _result(None, unknown(
         "exhausted: no trivialization within total length %d and depth %d "
         "(%d states visited)"

@@ -281,8 +281,10 @@ def _cmd_ac_search(args):
     payload = [("generators", p.generators),
                ("total-length", p.total_length())]
     payload += [(key.replace("_", "-"), res.stats[key])
-                for key in ("visited", "stored", "class_images",
-                            "orbit_images", "child_keys", "sibling_skips")]
+                for key in ("visited", "stored", "complete", "pruned_length",
+                            "pruned_depth", "pruned_generator_cap", "aborted",
+                            "class_images", "orbit_images", "child_keys",
+                            "sibling_skips")]
     if res.found:
         payload.append(("path-moves", len(res.path)))
     return inputs, payload, res.verdict, None

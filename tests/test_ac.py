@@ -3,7 +3,7 @@ import json
 import random
 from collections import Counter, deque
 from contextlib import contextmanager
-from itertools import permutations, product
+from itertools import islice, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -347,7 +347,8 @@ def test_child_keys_equal_the_keys_of_the_built_children(p, slack):
     n, cap = len(state), sum(map(len, state)) + slack
     memo, stats = {}, Counter()
     ac._key(state, memo)
-    got = list(ac._children(state, {}, memo, stats, False, n, cap))
+    got = list(ac._children(ac._expansion(state, memo, False, n, cap), {},
+                            memo, stats))
     keys = {}
     for k, (desc, key, base, i, core) in enumerate(got):
         # a child is named by the expanded state, the replaced relator and
@@ -473,10 +474,11 @@ def test_search_stats_count_class_and_orbit_images(image_calls):
     res = ac_search(ak_presentation(2), 32, 20, stable=True)
     assert res.verdict.is_verified
     assert res.stats["class_images"] == len(image_calls)
-    # deterministic work counters; the images of 229 classes were
-    # relabeled from an orbit instead of computed
+    # deterministic work counters of the search's expansions (writing the
+    # path out counts no class); the images of 205 classes were relabeled
+    # from an orbit instead of computed
     assert (res.stats["class_images"], res.stats["orbit_images"]) == \
-        (550, 229)
+        (527, 205)
     # 3,358 children met a key; 1,211 of them were skipped for an earlier
     # sibling's relator class instead of keyed
     assert (res.stats["child_keys"], res.stats["sibling_skips"]) == \
@@ -521,13 +523,36 @@ def _outcome(res):
     return res.verdict.status, res.verdict.witness, res.stats
 
 
-def test_searches_answer_alike_whatever_filled_the_tables(image_calls):
+def _streamed(monkeypatch):
+    """The states whose expansions the child producer streams for a search
+    from now on, in order (the writing out of a path left out): a search
+    replays its other expansions from kept records."""
+    states = []
+    direct = ac._expansion
+
+    def counted(state, memo, stable, gen_cap, cap, target=None):
+        if target is None:  # when first iterated, as the producer runs
+            states.append(state)
+        yield from direct(state, memo, stable, gen_cap, cap, target)
+    monkeypatch.setattr(ac, "_expansion", counted)
+    return states
+
+
+def _expansions(outcomes):
+    """How many states the searches expanded."""
+    return sum(stats["visited"] - stats["pruned_depth"]
+               for _, _, stats in outcomes)
+
+
+def test_searches_answer_alike_whatever_filled_the_tables(image_calls,
+                                                          monkeypatch):
     # the pinned trees: AK(1), AK(2), stable AK(2), capped AK(3) and three
     # three-generator scrambles
     cases = [(ak_presentation(n), 32, stable, cap) for n, stable, cap in
              ((1, False, 20000), (2, False, 20000), (2, True, 20000),
               (3, False, 5000))]
     cases += [(_scramble3(seed), 16, False, 3000) for seed in (2, 3, 5)]
+    streamed = _streamed(monkeypatch)
 
     def search(case):
         p, length, stable, cap = case
@@ -538,22 +563,37 @@ def test_searches_answer_alike_whatever_filled_the_tables(image_calls):
     for case in cases:
         with _cold_tables():
             cold.append(search(case))
+    # alone, a search expands no state twice, so it keeps no records and
+    # streams every expansion
+    assert len(streamed) == _expansions(cold)
     # each search on the tables the ones before it filled, then again on
-    # tables that already hold every class they meet
+    # tables that already hold every class they meet and every backward
+    # expansion they repeat
     assert [search(case) for case in cases] == cold
     image_calls.clear()
+    streamed.clear()
     assert [search(case) for case in cases] == cold
     assert image_calls == []
+    replayed = _expansions(cold) - len(streamed)
     ac._SYMMETRY.clear()
+    streamed.clear()
     assert [search(case) for case in reversed(cases)] == cold[::-1]
+    # of the 294 expansions, the second pass replays the 97 that the first
+    # pass kept (a backward expansion is kept the second time the process
+    # streams it), and the reversed pass on emptied tables 11 of its own
+    assert (_expansions(cold), replayed,
+            _expansions(cold) - len(streamed)) == (294, 97, 11)
 
 
 def _stored(table):
-    """The images and composer indices a symmetry table holds, counted
-    from its orbit index and index lists."""
+    """The units a symmetry table holds, counted from its orbit index,
+    index lists and kept expansions: an image, a composer index, a record,
+    a class lookup in one and a mark are one each."""
     bases = {id(entry): entry for entry in table[2].values()}
     return sum(len(entry[0]) for entry in bases.values()) + \
-        sum(map(len, table[3].values()))
+        sum(map(len, table[3].values())) + \
+        sum(sum(1 + len(record[0]) for record in kept) if kept else 1
+            for kept in table[5].values())
 
 
 def test_a_capped_symmetry_table_empties_and_answers_alike(monkeypatch,
@@ -587,6 +627,31 @@ def test_a_capped_symmetry_table_empties_and_answers_alike(monkeypatch,
     assert any(emptied)
     assert (res.path, _outcome(res)) == (want.path, _outcome(want))
     assert keys(res) == want_keys
+    # kept expansions go with the rest: at 4,000 units a search's marks on
+    # 2 generators outlive it, so the next ones keep records, and a table
+    # that empties in the middle of a search drops them there
+    ac._SYMMETRY.clear()
+    monkeypatch.setattr(ac, "_SYMMETRY_CAP", 4000)
+    dropped = []
+
+    def dropping(table, size):
+        held = _stored(table)
+        assert held == table[4] <= 4000
+        kept = sum(1 for records in table[5].values() if records)
+        direct(table, size)
+        if table[4] < held + size:
+            dropped.append(kept)
+    monkeypatch.setattr(ac, "_store", dropping)
+    for _ in range(3):
+        dropped.append(None)  # a search starts
+        res = ac_search(p, 32, 20, stable=True)
+        assert (res.path, _outcome(res)) == (want.path, _outcome(want))
+        assert keys(res) == want_keys
+    assert all(_stored(table) <= 4000 for table in ac._SYMMETRY.values())
+    # records were dropped, and kept again, within one search
+    assert any(kept for kept in dropped[dropped.index(None, 1):])
+    assert any(kept for table in ac._SYMMETRY.values()
+               for kept in table[5].values())
 
 
 # a stabilization lengthens by one letter, so at these caps it is pruned
@@ -634,6 +699,128 @@ def test_three_generator_scramble_trees_are_pinned(seed, visited, stored,
     text = json.dumps(res.verdict.witness["moves"]).encode()
     assert hashlib.sha256(text).hexdigest()[:16] == digest
     assert replay_ac_path(p, res.path).is_trivial_form()
+
+
+def _memo_contents(memo):
+    """What a search's class memo holds per generator count: the entry of
+    every word met, the orbits met and the counts of classes met first and
+    later in theirs."""
+    return {n: (slot[1], slot[2], slot[3]) for n, slot in memo.items()}
+
+
+# the trivial root and AK(2) on 2 generators with stable edges (their
+# lookups reach 1 and 3 generators), and a three-generator scramble
+@pytest.mark.parametrize("p, cap, stable", [
+    (trivial_presentation(2), 32, True),
+    (ak_presentation(2), 32, True),
+    (_scramble3(5), 16, False),
+], ids=["trivial2-stable", "ak2-stable", "scramble3-5"])
+def test_replayed_records_answer_as_the_streamed_expansion(cold_tables, p,
+                                                           cap, stable):
+    state = _state(_normalize_start(p)[0])
+    gen_cap = len(state) + 2
+    records = list(ac._expansion(state, {}, stable, gen_cap, cap))
+    children = [record[3] for record in records if record[3] is not None]
+    assert records[-1][3] is None and len(children) > 3
+    # a side whose parents hold every third child's key
+    parents = {child[1] for child in children[::3]}
+
+    def step(source, k):
+        """The first k children a search step takes from ``source``, with
+        the counts and memo it leaves, from a memo that met the state and
+        the trivial presentation (the search meets both first)."""
+        memo, stats = {}, Counter()
+        ac._key(state, memo)
+        ac._key(_state(trivial_presentation(len(state))), memo)
+        taken = islice(ac._children(source(memo), parents, memo, stats), k)
+        return ([child[:2] for child in taken], dict(stats),
+                _memo_contents(memo))
+
+    # the meet and the state cap stop a search after any child
+    for k in (1, 2, len(children) // 2, None):
+        streamed = step(lambda memo: ac._expansion(
+            state, memo, stable, gen_cap, cap), k)
+        assert step(lambda memo: iter(records), k) == streamed
+    # through the process's table: marked the first time, kept the second,
+    # replayed from then on
+    for _ in range(2):
+        assert list(ac._records(state, True, {}, stable, gen_cap,
+                                cap)) == records
+    kept = ac._symmetry(len(state))[5][(state, stable, gen_cap, cap)]
+    assert kept == records
+    for backward in (True, False):
+        replayed = list(ac._records(state, backward, {}, stable, gen_cap,
+                                    cap))
+        assert len(replayed) == len(kept)
+        assert all(a is b for a, b in zip(replayed, kept))
+    # a forward expansion streams what is not kept, and marks nothing
+    assert list(ac._records(state, False, {}, stable, gen_cap,
+                            cap + 1)) == list(ac._expansion(
+                                state, {}, stable, gen_cap, cap + 1))
+    assert (state, stable, gen_cap, cap + 1) not in \
+        ac._symmetry(len(state))[5]
+
+
+def _first_child_keyed_to(state, target, stable, gen_cap, cap):
+    """The unfiltered rule for a backward step of a path: the first child
+    of the whole expansion, keyed with a fresh memo, whose key is the
+    target."""
+    return next(desc for desc, key, *_ in ac._children(
+        ac._expansion(state, {}, stable, gen_cap, cap), {}, {}, Counter())
+        if key == target)
+
+
+@pytest.mark.parametrize("p, cap, stable, states", [
+    (ak_presentation(1), 32, False, 20000),
+    (ak_presentation(2), 32, False, 20000),
+    (ak_presentation(2), 32, True, 20000),
+    (ak_presentation(1), 9, True, 20000),
+    (ak_presentation(1), 10, True, 20000),
+] + [(_scramble3(seed), 16, False, 3000) for seed in (2, 3, 5)],
+    ids=["ak1", "ak2", "ak2-stable", "ak1-stable-9", "ak1-stable-10",
+         "scramble3-2", "scramble3-3", "scramble3-5"])
+def test_the_path_takes_the_move_the_unfiltered_rule_takes(monkeypatch, p,
+                                                           cap, stable,
+                                                           states):
+    steps = []
+    direct = ac._expansion
+
+    def checked(state, memo, stable, gen_cap, cap, target=None):
+        if target is None:
+            return direct(state, memo, stable, gen_cap, cap)
+        records = list(direct(state, memo, stable, gen_cap, cap, target))
+        got = next(child[0] for *_, child in records
+                   if child and child[1] == target)
+        steps.append((got, _first_child_keyed_to(state, target, stable,
+                                                 gen_cap, cap)))
+        return iter(records)
+    monkeypatch.setattr(ac, "_expansion", checked)
+    res = ac_search(p, cap, 20, stable=stable, max_states=states)
+    assert res.verdict.is_verified
+    assert replay_ac_path(p, res.path).is_trivial_form()
+    assert steps
+    assert [got for got, _ in steps] == [want for _, want in steps]
+
+
+def test_only_an_exhausted_uncut_search_is_complete():
+    # AK(2) within total length 11: both frontiers empty, and only the
+    # length cap cut anything
+    bound = ac_search(ak_presentation(2), 11, 10 ** 6, max_states=10 ** 6)
+    assert bound.verdict.is_unknown and bound.stats["complete"] is True
+    assert bound.stats["pruned_length"] > 0
+    # the state cap and the depth cap cut a search; a found path bounds
+    # nothing
+    capped = ac_search(ak_presentation(3), 32, 20, max_states=5000)
+    assert capped.stats["aborted"] == "state-cap"
+    shallow = ac_search(ak_presentation(2), 32, 1)
+    assert shallow.verdict.is_unknown and shallow.stats["pruned_depth"]
+    found = [ac_search(ak_presentation(n), 32, 20, stable=stable)
+             for n, stable in ((1, False), (2, False), (2, True))]
+    found += [ac_search(_scramble3(seed), 16, 20, max_states=3000)
+              for seed in (2, 3, 5)]
+    assert all(res.verdict.is_verified for res in found)
+    assert not any(res.stats["complete"] for res in [capped, shallow] + found)
+    assert all("complete" not in res.verdict.witness for res in found)
 
 
 def test_aligned_products_replay_to_their_children():
@@ -721,6 +908,8 @@ def test_ak3_has_no_trivialization_within_total_length_13():
     assert res.verdict.status == "unknown"
     assert res.stats["stored"] == res.stats["visited"] == 3365
     assert (res.stats["pruned_depth"], res.stats["aborted"]) == (0, None)
+    # nothing but the length cap cut it, and the stats say so
+    assert res.stats["complete"] is True
     # a plain search from both ends finds as many keys: AK(3) alone (every
     # product of its relators is longer than the one it replaces) and the
     # 3,364 of the trivial form's component; the key set is pinned, so it

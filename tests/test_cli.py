@@ -106,13 +106,33 @@ def test_search_report_counts_class_and_orbit_images(capsys):
     code, out, _ = run(capsys, "ac-search", "--ak", "1", "--json")
     assert code == 0
     doc = json.loads(out)
-    # AK(1) at the default budgets: 21 classes computed, 14 relabeled
+    # AK(1) at the default budgets: 17 classes computed, 12 relabeled, by
+    # the search's expansions (writing the path out counts none)
     assert (doc["payload"]["class-images"],
-            doc["payload"]["orbit-images"]) == (21, 14)
+            doc["payload"]["orbit-images"]) == (17, 12)
     # 52 children keyed, 27 skipped for an earlier sibling's relator class
     assert (doc["payload"]["child-keys"],
             doc["payload"]["sibling-skips"]) == (52, 27)
     assert set(doc["verdict"]["witness"]) == {"kind", "moves", "depth"}
+
+
+def test_search_report_says_whether_its_bound_is_complete(capsys):
+    # AK(2) within total length 11: both frontiers emptied, and only the
+    # length cap cut anything, so "no trivialization" is a bound
+    code, out, _ = run(capsys, "ac-search", "--ak", "2", "--max-length", "11",
+                       "--max-depth", "1000000", "--json")
+    assert code == 2
+    doc = json.loads(out)
+    payload = doc["payload"]
+    assert (payload["complete"], payload["pruned-depth"],
+            payload["pruned-generator-cap"], payload["aborted"]) == \
+        (True, 0, 0, None)
+    assert payload["pruned-length"] > 0
+    assert doc["verdict"]["witness"] is None
+    # the state cap cut this one
+    code, out, _ = run(capsys, "ac-search", "--ak", "3", "--max-states", "500")
+    assert code == 2
+    assert "complete: False" in out and "aborted: state-cap" in out
 
 
 def test_usage_errors_exit_three(tmp_path, capsys):
