@@ -420,19 +420,16 @@ def _key(state, memo, looked=None):
     return _column(entries, _least(entries)[1])
 
 
-def canonical_key(p, _memo=None):
+def canonical_key(p):
     """Stable byte string naming the presentation up to symmetry.
 
     Relators are cyclically reduced and minimized over rotation and
     inversion, the list is sorted, and the whole is minimized over signed
     relabelings of the generators: the text of the search's key ``_key``.
-
-    ``_memo`` is a dict owned by one search, a slot per generator count
-    (``_slot``).  The symmetry table in a slot is the process's: any class
-    of an orbit whose images were computed, in any search, permutes that
-    shared tuple (``_orbit_images``).
+    Each call keys on a fresh memo; its symmetry table is still the
+    process's (``_slot``), shared with every search.
     """
-    column = _key(_state(p), {} if _memo is None else _memo)
+    column = _key(_state(p), {})
     return ("%d:%s" % (len(column), "|".join(
         [",".join(map(str, words.int_word(x))) for x in column]))
             ).encode("ascii")

@@ -271,10 +271,7 @@ def _cmd_ac_search(args):
         p = ak_presentation(args.ak)
         inputs = [("ak-%d" % args.ak, diagio.format_presentation(p))]
     else:
-        text, p = _load(args.file)
-        if diagio.kind_of(p) != "presentation":
-            raise _UsageError("ac-search expects a presentation file, got %s"
-                              % diagio.kind_of(p))
+        text, p = _load(args.file, "presentation", "ac-search")
         inputs = [(args.file, text)]
     res = ac_search(p, args.max_length, args.max_depth, stable=args.stable,
                     max_states=max_states)
@@ -514,14 +511,10 @@ def _build_parser(command=None):
 def run_command(argv):
     parser = _build_parser(argv[0] if argv else None)
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as e:
-        print("usage error: %s" % e, file=sys.stderr)
-        return EXIT_USAGE
+        return _run(parser.parse_args(argv))
     except SystemExit as e:
+        # argparse exits after printing --help
         return 0 if not e.code else int(e.code)
-    try:
-        return _run(args)
     except _UsageError as e:
         print("usage error: %s" % e, file=sys.stderr)
         return EXIT_USAGE

@@ -114,6 +114,40 @@ def _parse_header(text, kinds, what):
     return lines, head, number, m
 
 
+def _at(line, col, make, *args):
+    """``make(*args)``, its ValueError raised as a ParseError at (line,
+    col)."""
+    try:
+        return make(*args)
+    except ValueError as e:
+        raise ParseError(str(e), line, col)
+
+
+def _letters(text, line, col, parse, limit, bound):
+    """The letters ``parse`` reads from the tokens of a word at ``col``.  A
+    token it rejects, or a letter above ``limit`` (``bound`` names it), is
+    a ParseError at the token's column."""
+    letters = []
+    for tok in re.finditer(r"\S+", text):
+        v = _at(line, col + tok.start(), parse, tok.group())
+        if abs(v) > limit:
+            raise ParseError("letter %s exceeds %s" % (tok.group(), bound),
+                             line, col + tok.start())
+        letters.append(v)
+    return tuple(letters)
+
+
+def _payloads(lines, name):
+    """(line, payload, payload column) of each line, which must be a
+    ``name: payload`` line."""
+    for number, line in lines:
+        sm = _SECTION.match(line.strip())
+        if sm is None or sm.group(1) != name:
+            raise ParseError("expected a '%s: ...' line" % name, number)
+        indent = len(line) - len(line.strip())
+        yield number, sm.group(2), indent + len(name) + 2
+
+
 def _chunks(payload, base_col):
     """Semicolon-separated pieces of a section payload, with columns.
 
@@ -143,33 +177,18 @@ def _parse_curve(genus, text, line, col):
         if m is None:
             raise ParseError("malformed slope template %r" % text, line, col)
         h, p, q = (int(m.group(i)) for i in (1, 2, 3))
-        try:
-            return curve_from_template(genus, h, p, q)
-        except ValueError as e:
-            raise ParseError(str(e), line, col)
-    letters = []
-    for tok in re.finditer(r"\S+", text):
-        try:
-            v = words.parse_surface_letter(tok.group())
-        except ValueError as e:
-            raise ParseError(str(e), line, col + tok.start())
-        if abs(v) > 2 * genus:
-            raise ParseError("letter %s exceeds genus %d" % (tok.group(), genus),
-                             line, col + tok.start())
-        letters.append(v)
-    return curve_from_word(genus, tuple(letters))
+        return _at(line, col, curve_from_template, genus, h, p, q)
+    return curve_from_word(genus, _letters(
+        text, line, col, words.parse_surface_letter, 2 * genus,
+        "genus %d" % genus))
 
 
 def _parse_system(genus, payload, line, base_col):
     from .diagram import CutSystem
 
-    curves = []
-    for text, col in _chunks(payload, base_col):
-        curves.append(_parse_curve(genus, text, line, col))
-    try:
-        return CutSystem(genus, tuple(curves))
-    except ValueError as e:
-        raise ParseError(str(e), line, base_col)
+    curves = tuple(_parse_curve(genus, text, line, col)
+                   for text, col in _chunks(payload, base_col))
+    return _at(line, base_col, CutSystem, genus, curves)
 
 
 def _parse_link(genus, payload, line, base_col):
@@ -182,10 +201,7 @@ def _parse_link(genus, payload, line, base_col):
             raise ParseError("link component needs a framing=... suffix", line, col)
         curve = _parse_curve(genus, m.group(1), line, col)
         framing = SURFACE if m.group(2) == "surface" else int(m.group(2))
-        try:
-            comps.append(FramedComponent(curve, framing))
-        except ValueError as e:
-            raise ParseError(str(e), line, col)
+        comps.append(_at(line, col, FramedComponent, curve, framing))
     return tuple(comps)
 
 
@@ -259,13 +275,9 @@ def parse_linking(text):
     lines, _, header_line, m = _parse_header(text, ("linking",), "linking")
     size = int(m.group(1))
     rows = []
-    for number, line in lines[1:]:
-        sm = _SECTION.match(line.strip())
-        if sm is None or sm.group(1) != "row":
-            raise ParseError("expected a 'row: ...' line", number)
-        toks = sm.group(2).split()
+    for number, payload, _ in _payloads(lines[1:], "row"):
         try:
-            row = [int(t) for t in toks]
+            row = [int(t) for t in payload.split()]
         except ValueError:
             raise ParseError("rows must be integers", number)
         if len(row) != size:
@@ -275,10 +287,7 @@ def parse_linking(text):
     if len(rows) != size:
         raise ParseError("got %d rows, expected %d" % (len(rows), size),
                          header_line)
-    try:
-        return LinkingMatrix.from_rows(rows)
-    except ValueError as e:
-        raise ParseError(str(e), header_line)
+    return _at(header_line, 1, LinkingMatrix.from_rows, rows)
 
 
 def parse_presentation(text):
@@ -287,27 +296,11 @@ def parse_presentation(text):
     lines, _, header_line, m = _parse_header(text, ("presentation",),
                                              "presentation")
     n = int(m.group(1))
-    relators = []
-    for number, line in lines[1:]:
-        sm = _SECTION.match(line.strip())
-        if sm is None or sm.group(1) != "relator":
-            raise ParseError("expected a 'relator: ...' line", number)
-        letters = []
-        base = (len(line) - len(line.strip())) + len("relator:") + 1
-        for tok in re.finditer(r"\S+", sm.group(2)):
-            try:
-                v = words.parse_generator_letter(tok.group())
-            except ValueError as e:
-                raise ParseError(str(e), number, base + tok.start())
-            if abs(v) > n:
-                raise ParseError("letter %s exceeds generator count %d"
-                                 % (tok.group(), n), number, base + tok.start())
-            letters.append(v)
-        relators.append(tuple(letters))
-    try:
-        return BalancedPresentation(n, tuple(relators))
-    except ValueError as e:
-        raise ParseError(str(e), header_line)
+    relators = tuple(
+        _letters(payload, number, col, words.parse_generator_letter, n,
+                 "generator count %d" % n)
+        for number, payload, col in _payloads(lines[1:], "relator"))
+    return _at(header_line, 1, BalancedPresentation, n, relators)
 
 
 def parse_any(text):

@@ -8,7 +8,7 @@ letter x_h = 2h-1 abelianizes to a_h, letter y_h = 2h to b_h.
 
 from __future__ import annotations
 
-from .intmatrix import IntegerMatrix, invariant_factors
+from .intmatrix import invariant_factors
 from .verdict import Frozen, refuted, verified
 
 
@@ -93,10 +93,7 @@ def lagrangian_verdict(classes, genus):
                 return refuted(
                     "classes %d and %d pair to %d, not 0" % (i, j, pairing),
                     {"kind": "pairing", "i": i, "j": j, "value": pairing})
-    # a matrix and its transpose have the same invariant factors, so the
-    # classes are reduced as rows
-    factors = list(invariant_factors(
-        IntegerMatrix.from_rows([c.coeffs for c in classes])))
+    factors = list(invariant_factors([c.coeffs for c in classes]))
     if factors != [1] * genus:
         return refuted("span is not a primitive rank-%d summand" % genus,
                        {"kind": "imprimitive", "snf_factors": factors})

@@ -208,14 +208,17 @@ def smith_normal_form(m):
     return s, IntegerMatrix.from_rows(u), IntegerMatrix.from_rows(v)
 
 
-def invariant_factors(m):
-    """Nonzero diagonal entries of the Smith form, in divisibility order.
+def invariant_factors(vectors):
+    """Nonzero diagonal entries of the Smith form of the matrix whose rows
+    (or columns: a matrix and its transpose share them) are ``vectors``,
+    in divisibility order.
 
     Runs the same reduction as smith_normal_form without the transforms.
     """
-    a = [list(r) for r in m.rows]
+    a = [list(v) for v in vectors]
     _diagonalize(a)
-    return tuple(a[i][i] for i in range(min(m.nrows, m.ncols)) if a[i][i] != 0)
+    return tuple(a[i][i] for i in range(min(len(a), len(a[0]) if a else 0))
+                 if a[i][i] != 0)
 
 
 def kernel_basis(m):
@@ -272,19 +275,12 @@ class AbelianGroup(Frozen):
 
 
 def cokernel(columns, ambient_rank):
-    """Z^ambient_rank modulo the span of the given column vectors.
-
-    The transpose has the same invariant factors, so the columns are
-    reduced as the rows of plain lists.
-    """
-    rows = [list(c) for c in columns]
-    if any(len(r) != ambient_rank for r in rows):
+    """Z^ambient_rank modulo the span of the given column vectors."""
+    if any(len(c) != ambient_rank for c in columns):
         raise ValueError("ragged columns")
-    _diagonalize(rows)
-    rank = min(len(rows), ambient_rank)
-    factors = [rows[i][i] for i in range(rank) if rows[i][i] != 0]
-    torsion = tuple(d for d in factors if d > 1)
-    return AbelianGroup(ambient_rank - len(factors), torsion)
+    factors = invariant_factors(columns)
+    return AbelianGroup(ambient_rank - len(factors),
+                        tuple(d for d in factors if d > 1))
 
 
 def span_equal(cols_a, cols_b, ambient_rank):

@@ -99,10 +99,9 @@ def _link_embedding_check(H):
 
 def _beta_extension_check(H):
     """The link classes must extend the beta classes to a primitive set."""
-    cols = [list(c.coeffs) for c in H.background.beta.classes()]
-    cols += [list(comp.curve.homology.coeffs) for comp in H.link]
-    m = IntegerMatrix.from_columns(cols, nrows=2 * H.genus)
-    factors = invariant_factors(m)
+    cols = [c.coeffs for c in H.background.beta.classes()]
+    cols += [comp.curve.homology.coeffs for comp in H.link]
+    factors = invariant_factors(cols)
     if len(factors) != len(cols) or any(d != 1 for d in factors):
         return refuted(
             "link classes do not extend the beta system to a primitive "
@@ -132,8 +131,8 @@ def _surviving_beta_classes(H):
 
 
 def _surgery_homology(H):
-    cols = [list(c.coeffs) for c in H.background.alpha.classes()]
-    cols += [list(comp.curve.homology.coeffs) for comp in H.link]
+    cols = [c.coeffs for c in H.background.alpha.classes()]
+    cols += [comp.curve.homology.coeffs for comp in H.link]
     cols += _surviving_beta_classes(H)
     return cokernel(cols, 2 * H.genus)
 
@@ -150,16 +149,15 @@ def complete_link_to_system(H):
 
     g = H.genus
     curves = [comp.curve for comp in H.link]
-    cols = [list(c.homology.coeffs) for c in curves]
+    cols = [c.homology.coeffs for c in curves]
     for bc in H.background.beta.curves:
         if len(curves) == g:
             break
         if any(geometric_intersection(bc, comp.curve) != (0, True)
                for comp in H.link):
             continue
-        trial = cols + [list(bc.homology.coeffs)]
-        factors = invariant_factors(
-            IntegerMatrix.from_columns(trial, nrows=2 * g))
+        trial = cols + [bc.homology.coeffs]
+        factors = invariant_factors(trial)
         if len(factors) != len(trial) or any(d != 1 for d in factors):
             continue
         curves.append(bc)
@@ -391,9 +389,9 @@ class LinkingMatrix(Frozen):
 
 
 def surgery_h1(m):
-    """H1 after integral surgery in S3: the cokernel of the matrix."""
-    return cokernel([list(col) for col in zip(*m.rows)] if m.rows else [],
-                    m.size)
+    """H1 after integral surgery in S3: the cokernel of the matrix, whose
+    rows are its columns."""
+    return cokernel(m.rows, m.size)
 
 
 def gprc_necessary_check(m):

@@ -12,7 +12,10 @@ as a replayable script.
 Search (``standardize``) and its replay (``replay_decomposition``) share
 the one step after the slides: ``name_components``, which names each
 genus-one component from its slopes, building no piece diagram.  Only
-the search looks for slides.  ``find_stabilization_certificate`` and
+the search looks for slides.  Its descent works on raw words and writes
+each slide with the guide ``handleslide`` takes, so each slid curve is
+built once; ``handleslide`` runs only in replay and the ``slide``
+command.  ``find_stabilization_certificate`` and
 ``destabilize`` are library moves that the pass does not use
 (``standardize`` says why).
 """
@@ -293,13 +296,22 @@ def _raw_slides(state, memo):
                        len(new) - len(wi))
 
 
+def _guided(state, move):
+    """The slide ``(i, j, sign, guide)`` that ``handleslide`` takes, 1-based,
+    for a raw move on ``state``: with guide = inverse(base[:r]), the slid
+    word reduces to w_i followed by rotation r of the base."""
+    i, j, sign, r = move
+    base = state[j] if sign > 0 else words.inverse(state[j])
+    return (i + 1, j + 1, sign, words.inverse(base[:r]))
+
+
 def _descend_words(state):
     """Greedy slide descent on raw word tuples, minimizing total length.
 
     Steepest strictly improving slide first; when stuck, a small
     breadth-first search over equal-length states looks for an escape.
-    Returns the final state and the move script (0-based, with the
-    rotation of the slid-over word).  One memo (see ``_raw_slides``)
+    Returns the final state and the script of guided slides (``_guided``)
+    that ``handleslide`` replays to it.  One memo (see ``_raw_slides``)
     serves every state of this descent and is dropped when it returns,
     so each word pair's slides are built once per descent.
     """
@@ -314,8 +326,8 @@ def _descend_words(state):
                 best = (cand, move)
                 best_change = change
         if best is not None:
+            script.append(_guided(cur, best[1]))
             cur = best[0]
-            script.append(best[1])
             continue
         # plateau: equal-length states, looking for a strict drop
         seen = {cur}
@@ -327,34 +339,16 @@ def _descend_words(state):
                 continue
             for move, cand, change in _raw_slides(node, memo):
                 if change < 0:
-                    found = (cand, path + [move])
+                    found = (cand, path + [_guided(node, move)])
                     break
                 if change == 0 and cand not in seen \
                         and len(seen) < _DESCENT_PLATEAU_CAP:
                     seen.add(cand)
-                    queue.append((cand, path + [move]))
+                    queue.append((cand, path + [_guided(node, move)]))
         if found is None:
             break
         cur = found[0]
         script.extend(found[1])
-    return cur, script
-
-
-def _descend_system(cs):
-    """Run the raw descent, then replay it through handleslide.
-
-    The replay turns each (i, j, sign, rotation) into a guided slide on
-    the live system, so the returned script validates move by move.
-    """
-    _, raw_script = _descend_words(tuple(c.word for c in cs.curves))
-    cur = cs
-    script = []
-    for (i, j, sign, r) in raw_script:
-        wj = cur.curve(j + 1).word
-        base = wj if sign > 0 else words.inverse(wj)
-        guide = words.inverse(base[:r])
-        cur = handleslide(cur, i + 1, j + 1, guide=guide, sign=sign)
-        script.append((i + 1, j + 1, sign, guide))
     return cur, script
 
 
@@ -363,14 +357,20 @@ def unscramble(t):
 
     Returns the diagram of the slid systems and the per-system slide
     scripts (the replayable part of any downstream certificate).  The
-    slid curves are word curves, which is all naming needs: it reads
-    only their supports and classes.
+    descent computes each slid word, so a slid curve is built once, as a
+    word curve, which is all naming needs: it reads only supports and
+    classes.  A curve that no slide moved keeps its object and template.
     """
     slid = []
     scripts = {}
     for cs, name in zip(t.systems(), ("alpha", "beta", "gamma")):
-        down, scripts[name] = _descend_system(cs)
-        slid.append(down)
+        state, scripts[name] = _descend_words(tuple(c.word for c in cs.curves))
+        moved = {i for i, _, _, _ in scripts[name]}
+        if moved:
+            cs = moved_system(t.genus, tuple(
+                curve_from_word(t.genus, w) if n in moved else c
+                for n, (c, w) in enumerate(zip(cs.curves, state), start=1)))
+        slid.append(cs)
     return TrisectionDiagram(t.genus, *slid,
                              declared_params=t.declared_params), scripts
 

@@ -232,8 +232,8 @@ def test_canonical_key_matches_the_relabeling_oracle():
         for pres in (p, q, p):
             want = _oracle_key(pres)
             assert canonical_key(pres) == want
-            assert canonical_key(pres, shared) == want
-    assert canonical_key(BalancedPresentation(0, ()), shared) == b"0:"
+            assert _memo_key(pres, shared) == want
+    assert _memo_key(BalancedPresentation(0, ()), shared) == b"0:"
 
 
 def test_a_memo_fed_rotations_and_inverses_keys_by_relator_class():
@@ -251,9 +251,9 @@ def test_a_memo_fed_rotations_and_inverses_keys_by_relator_class():
         q = BalancedPresentation(n, tuple(twisted))
         memo = {}
         want = _oracle_key(p)
-        assert canonical_key(q, memo) == want
-        assert canonical_key(p, memo) == want
-        assert canonical_key(apply_ac_move(p, ("stabilize",)), memo) == \
+        assert _memo_key(q, memo) == want
+        assert _memo_key(p, memo) == want
+        assert _memo_key(apply_ac_move(p, ("stabilize",)), memo) == \
             _oracle_key(apply_ac_move(p, ("stabilize",)))
 
 
@@ -309,15 +309,21 @@ def test_canonical_key_equals_the_oracle(p):
     memo = {}
     q = apply_ac_move(p, ("stabilize",)) if p.generators < 4 else p
     want_q = _oracle_key(q)
-    assert canonical_key(q, memo) == want_q
-    assert canonical_key(p, memo) == want
-    assert canonical_key(q, memo) == want_q
+    assert _memo_key(q, memo) == want_q
+    assert _memo_key(p, memo) == want
+    assert _memo_key(q, memo) == want_q
 
 
 def _text(key):
     """The text ``canonical_key`` writes for a search key."""
     body = "|".join(",".join(str(b - ac._BASE) for b in x) for x in key)
     return ("%d:%s" % (len(key), body)).encode("ascii")
+
+
+def _memo_key(p, memo):
+    """``canonical_key(p)``, keyed on a memo shared across calls as one
+    search shares its memo."""
+    return _text(ac._key(_state(p), memo))
 
 
 def _presentation(state):
@@ -452,7 +458,7 @@ def image_calls(monkeypatch, cold_tables):
 def test_a_relabeled_class_takes_its_images_from_the_orbit(image_calls):
     p = trivial_presentation(3)
     memo = {}
-    assert canonical_key(p, memo) == _oracle_key(p)
+    assert _memo_key(p, memo) == _oracle_key(p)
     # x1, x2 and x3 are one orbit: its images are computed for x1 alone
     assert len(image_calls) == 1
     assert memo[3][-1] == [1, 2]
@@ -465,7 +471,7 @@ def test_a_relabeled_class_takes_its_images_from_the_orbit(image_calls):
 def test_five_generator_keys_equal_the_oracle(relators):
     p = BalancedPresentation(5, relators)
     memo = {}
-    assert canonical_key(p, memo) == _oracle_key(p)
+    assert _memo_key(p, memo) == _oracle_key(p)
     # two of the relators are one orbit, so one class took the orbit path
     assert memo[5][-1][1] >= 1
 
@@ -885,14 +891,14 @@ def test_children_of_a_cyclically_reduced_state_are_cyclically_reduced(rels):
 def _component(p, cap, memo):
     """The ``canonical_key`` texts of every state a plain breadth-first
     search over ``_edges`` reaches from ``p`` within total length cap."""
-    seen = {canonical_key(p, memo)}
+    seen = {_memo_key(p, memo)}
     queue = deque([_state(p)])
     while queue:
         state = queue.popleft()
         for _, child in _edges(state, False, len(state), cap):
             if child is None:
                 continue
-            text = canonical_key(_presentation(child), memo)
+            text = _memo_key(_presentation(child), memo)
             if text not in seen:
                 seen.add(text)
                 queue.append(child)

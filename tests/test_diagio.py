@@ -228,6 +228,22 @@ def test_presentation_errors():
     assert "balanced" in err.message
 
 
+@pytest.mark.parametrize("text, want", [
+    # an unknown relator token, on an indented line
+    ("presentation generators=2\n  relator: x1 q2\nrelator: x2\n",
+     (2, 15, "bad generator letter 'q2'")),
+    ("presentation generators=2\nrelator: x1\nrelator: x2  X3\n",
+     (3, 14, "letter X3 exceeds generator count 2")),
+    ("linking size=2\nrow: 0 1\nrow: 1 y\n",
+     (3, 1, "rows must be integers")),
+    ("linking size=1\n  rows: 0\n",
+     (2, 1, "expected a 'row: ...' line")),
+])
+def test_token_and_line_errors_keep_their_positions(text, want):
+    err = _error(text)
+    assert (err.line, err.col, err.message) == want
+
+
 def test_parse_error_string_carries_position():
     err = _error("linking size=1\nrow: x\n")
     assert str(err).startswith("line 2, col 1:")

@@ -21,7 +21,7 @@ from trisect.diagram import (Curve, CutSystem, HeegaardDiagram, SlopeTemplate,
 from trisect import reports
 from trisect.catalog import ALL_NAMES, genus_one_diagram
 from trisect.homology import HomologyClass, algebraic_intersection
-from trisect.intmatrix import AbelianGroup, IntegerMatrix, invariant_factors
+from trisect.intmatrix import AbelianGroup, invariant_factors
 from trisect.moves import connected_sum, handleslide
 from trisect.presentations import tietze_simplify
 
@@ -192,7 +192,7 @@ def _h1_from_both_systems(d):
     cols = [c.coeffs for c in d.alpha.classes() + d.beta.classes()]
     if not cols:
         return AbelianGroup(2 * d.genus, ())
-    factors = invariant_factors(IntegerMatrix.from_columns(cols, 2 * d.genus))
+    factors = invariant_factors(cols)
     return AbelianGroup(2 * d.genus - len(factors),
                         tuple(f for f in factors if f > 1))
 

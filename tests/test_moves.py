@@ -614,6 +614,23 @@ def test_slide_descent_memo_matches_the_plain_enumeration(state):
         assert moves._descend_words(state) == got
 
 
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(_slid_sums())
+def test_unscramble_scripts_replay_to_the_returned_systems(t):
+    # unscramble builds each slid curve from the descent's word; replaying
+    # the script through handleslide must build the same curves, and an
+    # unslid curve must keep its template
+    cleaned, scripts = unscramble(t)
+    for cs, down, label in zip(t.systems(), cleaned.systems(),
+                               ("alpha", "beta", "gamma")):
+        for i, j, sign, guide in scripts[label]:
+            if guide:
+                event("guided slide")
+            cs = handleslide(cs, i, j, guide=guide, sign=sign)
+        assert [(c.word, c.homology, c.template) for c in cs.curves] == \
+            [(c.word, c.homology, c.template) for c in down.curves]
+
+
 # -- decomposition witnesses: replay runs no search and rejects tampering -----
 
 @pytest.mark.parametrize("g", [2, 3, 4, 5, 6])

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from trisect.intmatrix import IntegerMatrix, invariant_factors
+from trisect.intmatrix import invariant_factors
 from trisect.presentations import (GroupPresentation, _best_shortening,
                                    _Budget, _find_elimination, presentation,
                                    replay_tietze, tietze_simplify)
@@ -28,8 +28,7 @@ def _abelianization_free_rank(p: GroupPresentation):
         cols.append(col)
     if not cols:
         return n
-    m = IntegerMatrix.from_columns(cols)
-    factors = invariant_factors(m)
+    factors = invariant_factors(cols)
     if any(f not in (0, 1) for f in factors):
         return None
     rank = sum(1 for f in factors if f != 0)
