@@ -160,6 +160,17 @@ def ab_det(p):
     return IntegerMatrix.from_rows(rows).determinant()
 
 
+def ab_det_refutation(p):
+    """The refutation an exponent matrix of determinant other than +-1
+    gives ``p``, or None.  Search-free."""
+    d = ab_det(p)
+    if abs(d) == 1:
+        return None
+    return refuted(
+        "exponent matrix determinant is %d, so the group abelianizes "
+        "to a nontrivial group" % d, {"kind": "ab-det", "det": d})
+
+
 # letter v is the byte _BASE + v in byte words, so negation is 2 * _BASE - byte
 _BASE = words.BYTE_BASE
 _NEGATE = bytes((2 * _BASE - b) % 256 for b in range(256))
@@ -714,12 +725,9 @@ def ac_search(p, max_total_length, max_depth, stable=False,
              "pruned_depth": 0, "pruned_generator_cap": 0, "aborted": None,
              "class_images": 0, "orbit_images": 0, "child_keys": 0,
              "sibling_skips": 0, "complete": False}
-    d = ab_det(p)
-    if abs(d) != 1:
-        return SearchResult(None, refuted(
-            "exponent matrix determinant is %d, so the group abelianizes "
-            "to a nontrivial group" % d,
-            {"kind": "ab-det", "det": d}), stats)
+    bad = ab_det_refutation(p)
+    if bad is not None:
+        return SearchResult(None, bad, stats)
 
     p0, prefix = _normalize_start(p)
     if p0.is_trivial_form():

@@ -362,7 +362,11 @@ def quotient_presentation(genus, systems):
     return presentation(2 * genus, relators)
 
 
-def _torsion_refutation(h1):
+def torsion_refutation(h1):
+    """The refutation a Heegaard pair with first homology ``h1`` gets from
+    its torsion, or None when ``h1`` is free."""
+    if h1.is_free:
+        return None
     return refuted(
         "H1 has torsion, so the diagram presents no #^k(S1xS2)",
         {"kind": "torsion", "h1": str(h1), "factors": list(h1.torsion)})
@@ -378,9 +382,10 @@ def detect_k(d, h1=None):
     """
     if h1 is None:
         h1 = heegaard_h1(d)
-    if not h1.is_free:
-        return h1.free_rank, _torsion_refutation(h1)
     k = h1.free_rank
+    bad = torsion_refutation(h1)
+    if bad is not None:
+        return k, bad
     if d.genus <= 1:
         return k, verified("pi1 is abelian at genus %d, so it is H1 = Z^%d"
                            % (d.genus, k),
@@ -497,7 +502,7 @@ def pair_homology(t):
             {"kind": "params-mismatch",
              "declared": list(t.declared_params), "computed": list(ks)})
     torsion = next((h1 for h1 in h1s if not h1.is_free), None)
-    return h1s, ks, None if torsion is None else _torsion_refutation(torsion)
+    return h1s, ks, None if torsion is None else torsion_refutation(torsion)
 
 
 def trisection_params(t):

@@ -182,45 +182,64 @@ def validate_hk(H):
     return _validate_hk(H)[0]
 
 
-def _validate_hk(H):
-    """validate_hk's verdict and the link completion: None if it stopped
-    before looking for one, False if it looked and found none."""
-    from .diagram import detect_k, quotient_presentation
-    from .presentations import tietze_simplify
+def surgery_data_check(H, h1):
+    """The search-free steps of validate_hk, over a background whose
+    first homology is ``h1``: its torsion, the framings, the embedding,
+    the primitive extension of beta and the surgered homology, in order.
 
-    n, nv = detect_k(H.background)
-    if nv.is_refuted:
-        return refuted("background: %s" % nv.reason,
-                       {"kind": "background", "inner": nv.witness}), None
-    if nv.is_unknown:
-        return unknown("background #^n not confirmed: %s" % nv.reason), None
+    Returns (verdict, the number of link pairs without exact counts, 0
+    when it stops before the embedding): the first step's refutation,
+    unknown when integer framings leave the homology undecided, or None
+    when every step passes.
+    """
+    from .diagram import torsion_refutation
 
+    bad = torsion_refutation(h1)
+    if bad is not None:
+        return refuted("background: %s" % bad.reason,
+                       {"kind": "background", "inner": bad.witness}), 0
+    n = h1.free_rank
     integer_framed = [k + 1 for k, comp in enumerate(H.link)
                       if not comp.is_surface_framed]
     if integer_framed and n > 0:
         return refuted(
             "integer framings are not defined over a #^%d background" % n,
-            {"kind": "framing", "components": integer_framed, "n": n}), None
+            {"kind": "framing", "components": integer_framed, "n": n}), 0
 
     bad, inexact_pairs = _link_embedding_check(H)
-    if bad is not None:
-        return bad, None
-    if integer_framed:
-        return unknown(
+    if bad is None and integer_framed:
+        bad = unknown(
             "components %s carry integer framings; surgery homology for "
             "those needs linking data beyond the surface model"
-            % integer_framed), None
-    if H.link:
+            % integer_framed)
+    if bad is None and H.link:
         bad = _beta_extension_check(H)
-        if bad is not None:
-            return bad, None
+    if bad is not None:
+        return bad, inexact_pairs
 
-    h1 = _surgery_homology(H)
-    if not h1.is_free or h1.free_rank != H.m:
-        return refuted(
-            "surgered first homology is %s, but #^%d(S1xS2) needs Z^%d"
-            % (h1, H.m, H.m),
-            {"kind": "surgery-homology", "h1": str(h1), "target_m": H.m}), None
+    surgered = _surgery_homology(H)
+    if surgered.is_free and surgered.free_rank == H.m:
+        return None, inexact_pairs
+    return refuted(
+        "surgered first homology is %s, but #^%d(S1xS2) needs Z^%d"
+        % (surgered, H.m, H.m),
+        {"kind": "surgery-homology", "h1": str(surgered),
+         "target_m": H.m}), inexact_pairs
+
+
+def _validate_hk(H):
+    """validate_hk's verdict and the link completion: None if it stopped
+    before looking for one, False if it looked and found none."""
+    from .diagram import detect_k, heegaard_h1, quotient_presentation
+    from .presentations import tietze_simplify
+
+    h1 = heegaard_h1(H.background)
+    n, nv = detect_k(H.background, h1)
+    if nv.is_unknown:
+        return unknown("background #^n not confirmed: %s" % nv.reason), None
+    bad, inexact_pairs = surgery_data_check(H, h1)
+    if bad is not None:
+        return bad, None
 
     gamma = complete_link_to_system(H)
     if gamma is None:

@@ -4,7 +4,13 @@ A Report wraps one operation run: what ran, on which inputs (by digest),
 what the verdict was, and the witness.  ``replay_verdict`` re-derives a
 Verified or Refuted verdict from the recorded witness and the original
 input alone, never re-running any search, so stored certificates stay
-checkable.
+checkable.  One rule covers every witness kind whose producer runs no
+search: replay runs that producer on the input again and requires the
+whole witness, field for field, so no forged field can replay, and a
+sound witness other than the one the engine writes does not replay
+either.  A kind that comes from a search replays what it recorded: a
+Tietze trace, a slide script, a pairing, an AC path, or the digest of a
+construction's output.
 
 ``CHECKERS`` binds each witness kind to the status it certifies, the file
 kind its check reads and the check that re-derives it; ``CONSTRUCTIONS``
@@ -85,18 +91,80 @@ def _need(cond, detail):
         raise ReplayError(detail)
 
 
-# Each check below is called as check(witness, *inputs), once
-# replay_verdict has checked the inputs against the file kind the check
-# reads (CHECKERS).  It raises ReplayError when the witness does not
-# re-derive its claim; the checks of kinds that certify either status
-# return the status they re-derived.  A check imports the engine functions
-# it calls, so a replay loads only the modules its witness kind needs.
+# Each check is called as check(witness, *inputs), once replay_verdict has
+# checked the inputs against the file kind the check reads (CHECKERS).  It
+# raises ReplayError when the witness does not re-derive its claim; the
+# checks of kinds that certify either status return the status they
+# re-derived.  ``_recomputed`` makes the check of a search-free kind from
+# its producer, called as producer(*inputs), which returns the verdict the
+# engine gives that input (or None).  A producer or check imports the
+# engine functions it calls, so a replay loads only the modules its
+# witness kind needs.
+
+def _recomputed(producer):
+    def check(w, *objs):
+        v = producer(*objs)
+        got = json.dumps(v and v.witness, sort_keys=True)
+        _need(got == json.dumps(w, sort_keys=True),
+              "the recomputed witness is %s" % got)
+        return v.status
+    return check
+
+
+def _pair_refutation(obj):
+    from .diagram import heegaard_h1, pair_homology, torsion_refutation
+
+    if kind_of(obj) == "heegaard":
+        return torsion_refutation(heegaard_h1(obj))
+    return pair_homology(obj)[2]
+
+
+def _standard_pair(d):
+    from .diagram import is_standard_pair
+
+    return is_standard_pair(d)
+
+
+def _classified_params(t):
+    from .diagram import TrisectionParams, pair_homology
+    from .moves import check_classified_params
+
+    return check_classified_params(
+        TrisectionParams(t.genus, *pair_homology(t)[1]))
+
+
+def _surgery_data(H):
+    from .diagram import heegaard_h1
+    from .kirby import surgery_data_check
+
+    return surgery_data_check(H, heegaard_h1(H.background))[0]
+
+
+def _primitive_pairs(t):
+    from .kirby import find_primitive_pairs
+
+    return find_primitive_pairs(t)[1]
+
+
+def _linking(m):
+    from .kirby import gprc_necessary_check
+
+    return gprc_necessary_check(m)
+
+
+def _ab_det(p):
+    from .ac import ab_det_refutation
+
+    return ab_det_refutation(p)
+
 
 def _replay_detect(w, d):
     from .diagram import heegaard_h1, quotient_presentation
     from .presentations import replay_tietze
 
+    _need(w["kind"] == "detect-k", "a %r witness is no detect-k" % w["kind"])
     h1 = heegaard_h1(d)
+    _need(w["h1"] == str(h1), "H1 is %s, witness claims %s" % (h1, w["h1"]))
     _need(h1.is_free and h1.free_rank == w["k"],
           "H1 is %s, witness claims free rank %d" % (h1, w["k"]))
     if d.genus > 1 or "trace" in w:  # pi1 is H1 at genus <= 1
@@ -117,36 +185,6 @@ def _replay_params(w, t):
     if t.declared_params is not None:
         _need(list(t.declared_params) == ks,
               "declared parameters disagree with the witness")
-
-
-def _replay_params_mismatch(w, t):
-    from .diagram import pair_homology
-
-    computed = list(pair_homology(t)[1])
-    _need(computed == list(w["computed"]),
-          "recomputed ranks %s, witness claims %s" % (computed, w["computed"]))
-    _need(t.declared_params is not None and
-          list(t.declared_params) == list(w["declared"]),
-          "declared parameters disagree with the witness")
-    _need(computed != list(w["declared"]), "declared and computed agree")
-
-
-def _replay_torsion(w, obj):
-    from .diagram import heegaard_h1, pair_homology
-
-    kind = kind_of(obj)
-    if kind == "heegaard":
-        h1s = [heegaard_h1(obj)]
-    elif kind == "trisection":
-        h1s = pair_homology(obj)[0]
-    elif kind == "heegaard-kirby":
-        h1s = [heegaard_h1(obj.background)]
-    else:
-        raise ReplayError("torsion witness needs a diagram")
-    for h1 in h1s:
-        if not h1.is_free and list(h1.torsion) == list(w["factors"]):
-            return
-    raise ReplayError("no boundary pair shows torsion %s" % (w["factors"],))
 
 
 def _replay_classification(w, t):
@@ -180,149 +218,29 @@ def _replay_standard_pair(w, d):
     _need(k == w["k"], "recounted k=%d, witness claims %d" % (k, w["k"]))
 
 
-def _replay_nonstandard(w, d):
-    from .diagram import geometric_intersection, is_standard_pair
-
-    matrix = [[geometric_intersection(a, b) for b in d.beta.curves]
-              for a in d.alpha.curves]
-    _need(all(ex for row in matrix for (_, ex) in row),
-          "intersection data is not exact")
-    counts = [[c for (c, _) in row] for row in matrix]
-    _need(counts == w["matrix"],
-          "recomputed counts disagree with the witness")
-    _need(is_standard_pair(d).is_refuted, "a standard pairing exists after all")
-
-
-def _replay_param_constraint(w, obj):
-    from .diagram import TrisectionParams, pair_homology
-    from .moves import check_classified_params
-
-    if kind_of(obj) == "trisection":
-        ks = list(pair_homology(obj)[1])
-    else:
-        _need(isinstance(obj, TrisectionParams),
-              "param-constraint witness needs a trisection")
-        ks = list(obj.ks)
-    _need(ks == list(w["ks"]),
-          "recomputed parameters %s, witness claims %s" % (ks, w["ks"]))
-    v = check_classified_params(TrisectionParams(obj.genus, *ks))
-    _need(v.witness is not None and v.witness.get("case") == w["case"],
-          "constraint case disagrees")
-    return v.status
-
-
 def _replay_hk(w, H):
-    from .diagram import quotient_presentation
-    from .kirby import (_beta_extension_check, _link_embedding_check,
-                        _surgery_homology, complete_link_to_system)
+    from .diagram import heegaard_h1, quotient_presentation
+    from .kirby import complete_link_to_system, surgery_data_check
     from .presentations import replay_tietze
 
     _replay_detect(w["background"], H.background)
-    _need(w["n"] == w["background"]["k"], "background rank disagrees")
+    h1 = heegaard_h1(H.background)
+    _need(w["n"] == h1.free_rank, "background rank disagrees")
     _need(w["c"] == H.c and w["m"] == H.m, "link size or target disagrees")
-    _need(all(comp.is_surface_framed for comp in H.link),
-          "a verified diagram cannot carry integer framings")
-    _need(_link_embedding_check(H) == (None, 0),
-          "link components are not all exactly disjoint")
-    _need(all(comp.curve.template is not None for comp in H.link),
+    bad, inexact_pairs = surgery_data_check(H, h1)
+    _need(bad is None, "surgery data fails: %s" % (bad and bad.reason))
+    _need(inexact_pairs == 0 and
+          all(comp.curve.template is not None for comp in H.link),
           "a link component has no exact slope model")
-    _need(not H.link or _beta_extension_check(H) is None,
-          "link classes do not extend beta primitively")
-    h1 = _surgery_homology(H)
-    _need(h1.is_free and h1.free_rank == H.m,
-          "surgered homology is %s, not Z^%d" % (h1, H.m))
     gamma = complete_link_to_system(H)
     _need(gamma is not None, "link completion is gone")
+    pi1 = w["pi1"]
+    _need(pi1["kind"] == "tietze" and pi1["rank"] == H.m,
+          "pi1 witness claims rank %r, not %d" % (pi1["rank"], H.m))
     rank = replay_tietze(
         quotient_presentation(H.genus, [H.background.alpha, gamma]),
-        w["pi1"]["trace"])
+        pi1["trace"])
     _need(rank == H.m, "pi1 trace ends at rank %d, not %d" % (rank, H.m))
-
-
-def _replay_background(w, H):
-    _replay_torsion(w["inner"], H.background)
-
-
-def _replay_framing(w, H):
-    from .diagram import heegaard_h1
-
-    integer_framed = [k + 1 for k, comp in enumerate(H.link)
-                      if not comp.is_surface_framed]
-    _need(integer_framed == list(w["components"]),
-          "integer-framed components disagree")
-    h1 = heegaard_h1(H.background)
-    _need(h1.is_free and h1.free_rank == w["n"] and w["n"] > 0,
-          "background is not a #^n with n > 0")
-
-
-def _entry(seq, i, what):
-    # witness indices are 1-based: 0 or -1 must not wrap around
-    _need(isinstance(i, int) and 1 <= i <= len(seq),
-          "%s %r is not in 1..%d" % (what, i, len(seq)))
-    return seq[i - 1]
-
-
-def _replay_link_crossing(w, H):
-    from .diagram import geometric_intersection
-    from .homology import algebraic_intersection
-
-    i, j = w["pair"]
-    _need(i != j, "a component does not cross itself")
-    a = _entry(H.link, i, "link component").curve
-    b = _entry(H.link, j, "link component").curve
-    count, exact = geometric_intersection(a, b)
-    if exact:
-        _need(count == w["count"] and count != 0,
-              "recomputed crossing count disagrees")
-    else:
-        alg = algebraic_intersection(a.homology, b.homology)
-        _need(alg == w["count"] and alg != 0,
-              "recomputed algebraic count disagrees")
-
-
-def _replay_link_extension(w, H):
-    from .kirby import _beta_extension_check
-
-    bad = _beta_extension_check(H)
-    _need(bad is not None, "the family is primitive after all")
-    _need(bad.witness["factors"] == list(w["factors"]),
-          "invariant factors disagree")
-
-
-def _replay_surgery_homology(w, H):
-    from .kirby import _surgery_homology
-
-    h1 = _surgery_homology(H)
-    _need(str(h1) == w["h1"], "recomputed homology %s disagrees" % h1)
-    _need(not (h1.is_free and h1.free_rank == w["target_m"]),
-          "homology matches the target after all")
-
-
-def _replay_primitive_pairs(w, t):
-    from .kirby import find_primitive_pairs
-
-    pairs, v = find_primitive_pairs(t)
-    _need(v.is_verified, "intersection data is no longer exact")
-    _need([list(p) for p in pairs] == w["pairs"], "pair list disagrees")
-
-
-def _replay_linking(w, m):
-    if "entry" in w:
-        i, j = w["entry"]
-        value = _entry(_entry(m.rows, i, "row"), j, "column")
-        _need(value == w["value"] and value != 0,
-              "entry (%d, %d) disagrees" % (i, j))
-        return "refuted"
-    _need(m.is_zero() and m.size == w["size"], "matrix is not zero")
-    return "verified"
-
-
-def _replay_ab_det(w, p):
-    from .ac import ab_det
-
-    d = ab_det(p)
-    _need(d == w["det"], "recomputed determinant %d disagrees" % d)
-    _need(abs(d) != 1, "determinant is a unit after all")
 
 
 def _replay_ac_path(w, p):
@@ -343,28 +261,31 @@ def _replay_construction(w, *objs):
 # kind -> (the status its witness certifies, the file kind of the one
 # input its check reads, its check).  A None status marks the kinds whose
 # witness itself tells which status holds (a constraint case holds or
-# fails, a linking matrix is zero or has a nonzero entry); their checks
-# return it.  A None file kind marks the checks that take several kinds of
-# input and tell them apart themselves.
+# fails, a linking matrix is zero or has a nonzero entry).  A None file
+# kind marks the checks that take several kinds of input and tell them
+# apart themselves.
+_SURGERY_DATA = _recomputed(_surgery_data)
 CHECKERS = {
     "params": ("verified", "trisection", _replay_params),
-    "params-mismatch": ("refuted", "trisection", _replay_params_mismatch),
-    "torsion": ("refuted", None, _replay_torsion),
+    "params-mismatch": ("refuted", "trisection",
+                        _recomputed(_pair_refutation)),
+    "torsion": ("refuted", None, _recomputed(_pair_refutation)),
     "detect-k": ("verified", "heegaard", _replay_detect),
     "classification": ("verified", "trisection", _replay_classification),
     "standard-pair": ("verified", "heegaard", _replay_standard_pair),
-    "nonstandard": ("refuted", "heegaard", _replay_nonstandard),
-    "param-constraint": (None, None, _replay_param_constraint),
+    "nonstandard": ("refuted", "heegaard", _recomputed(_standard_pair)),
+    "param-constraint": (None, "trisection",
+                         _recomputed(_classified_params)),
     "heegaard-kirby": ("verified", "heegaard-kirby", _replay_hk),
-    "background": ("refuted", "heegaard-kirby", _replay_background),
-    "framing": ("refuted", "heegaard-kirby", _replay_framing),
-    "link-crossing": ("refuted", "heegaard-kirby", _replay_link_crossing),
-    "link-extension": ("refuted", "heegaard-kirby", _replay_link_extension),
-    "surgery-homology": ("refuted", "heegaard-kirby",
-                         _replay_surgery_homology),
-    "primitive-pairs": ("verified", "trisection", _replay_primitive_pairs),
-    "linking": (None, "linking", _replay_linking),
-    "ab-det": ("refuted", "presentation", _replay_ab_det),
+    "background": ("refuted", "heegaard-kirby", _SURGERY_DATA),
+    "framing": ("refuted", "heegaard-kirby", _SURGERY_DATA),
+    "link-crossing": ("refuted", "heegaard-kirby", _SURGERY_DATA),
+    "link-extension": ("refuted", "heegaard-kirby", _SURGERY_DATA),
+    "surgery-homology": ("refuted", "heegaard-kirby", _SURGERY_DATA),
+    "primitive-pairs": ("verified", "trisection",
+                        _recomputed(_primitive_pairs)),
+    "linking": (None, "linking", _recomputed(_linking)),
+    "ab-det": ("refuted", "presentation", _recomputed(_ab_det)),
     "ac-path": ("verified", "presentation", _replay_ac_path),
     "construction": ("verified", None, _replay_construction),
 }

@@ -497,6 +497,37 @@ def test_replay_rejects_tampered_witness(tmp_path, capsys):
     assert code == 4 and "FAILED" in err
 
 
+_S1XS2_HKT = ("heegaard-kirby genus=1\nalpha: @1(1,0)\nbeta: @1(1,0)\n"
+              "target m=1\n")
+_LENS_HEEG = "heegaard genus=1\nalpha: @1(1,0)\nbeta: @1(1,2)\n"
+_S1XS2_HEEG = "heegaard genus=1\nalpha: @1(1,0)\nbeta: @1(1,0)\n"
+
+
+def _refuted_by_forged_surgery_homology(verdict):
+    # the file verifies, yet a refutation claiming another target replayed
+    verdict.update(status="refuted", witness={
+        "kind": "surgery-homology", "h1": "Z", "target_m": 2})
+
+
+@pytest.mark.parametrize("text, tamper", [
+    (_S1XS2_HKT, _refuted_by_forged_surgery_homology),
+    (_S1XS2_HKT, lambda v: v["witness"]["pi1"].update(rank=9)),
+    (_S1XS2_HKT, lambda v: v["witness"]["background"].update(h1="Z/7 + Z^9")),
+    (_LENS_HEEG, lambda v: v["witness"].update(h1="Z/7 + Z^9")),
+    (_S1XS2_HEEG, lambda v: v["witness"].update(h1="Z/7 + Z^9")),
+], ids=["surgery-homology-target", "pi1-rank", "background-h1", "torsion-h1",
+        "detect-k-h1"])
+def test_replay_rejects_a_forged_witness_field(tmp_path, capsys, text,
+                                               tamper):
+    path = write(tmp_path, "in.txt", text)
+    _, doc, _ = _json_report(capsys, tmp_path, "r.json", "validate", path)
+    tamper(doc["verdict"])
+    forged = write(tmp_path, "forged.json", json.dumps(doc))
+    code, out, err = run(capsys, "replay", forged, path)
+    assert code == 4 and out == ""
+    assert "replay: FAILED" in err
+
+
 @pytest.mark.parametrize("tamper", [
     lambda w: w.pop("ks"),
     lambda w: w.update(ks=5),

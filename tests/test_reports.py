@@ -5,13 +5,18 @@ import re
 import pytest
 
 from trisect import diagio, reports
-from trisect.ac import ak_presentation
+from trisect.ac import (BalancedPresentation, ab_det_refutation, ac_search,
+                        ak_presentation)
 from trisect.catalog import genus_one_diagram
 from trisect.diagram import (HeegaardDiagram, TrisectionDiagram,
-                             curve_from_template, detect_k, standard_heegaard,
+                             curve_from_template, detect_k, is_standard_pair,
+                             standard_heegaard, system_from_templates,
                              trisection_params)
-from trisect.kirby import FramedComponent, HeegaardKirbyDiagram, LinkingMatrix
-from trisect.moves import connected_sum, standardize
+from trisect.kirby import (FramedComponent, HeegaardKirbyDiagram,
+                           LinkingMatrix, find_primitive_pairs,
+                           gprc_necessary_check, validate_hk)
+from trisect.moves import check_classified_params, connected_sum, standardize
+from trisect.verdict import verified
 
 # the fields each kind's producer writes, besides "kind"
 _FIELDS = {
@@ -91,7 +96,7 @@ def test_a_witness_binds_to_its_own_input():
     t = genus_one_diagram("CP2")  # parameters (0,0,0)
     # a constraint case on parameters that are not the diagram's
     w = {"kind": "param-constraint", "case": "k1=g", "ks": [1, 0, 1]}
-    with pytest.raises(reports.ReplayError, match="recomputed parameters"):
+    with pytest.raises(reports.ReplayError, match="recomputed witness"):
         reports.replay_verdict((t,), {"status": "refuted", "witness": w})
     # a one-pair certificate offered for a whole trisection
     _, v = detect_k(HeegaardDiagram(1, t.alpha, t.beta))
@@ -226,3 +231,131 @@ def test_an_ac_path_one_move_short_of_trivial_form_fails(monkeypatch):
     with pytest.raises(reports.ReplayError, match="trivial form"):
         reports.replay_verdict((p,), {"status": "verified",
                                       "witness": short})
+
+
+def _lens(p, q):
+    """The genus-one Heegaard diagram with beta of slope (p, q)."""
+    return HeegaardDiagram(1, system_from_templates(1, [(1, 1, 0)]),
+                           system_from_templates(1, [(1, p, q)]))
+
+
+def _hk(background, slopes, m, framing="surface"):
+    g = background.genus
+    return HeegaardKirbyDiagram(g, background, tuple(
+        FramedComponent(curve_from_template(g, *s), framing)
+        for s in slopes), m)
+
+
+def _construction(op, args, objs):
+    out = reports.apply_construction(op, args, objs)
+    return reports.sha256_text(diagio.format_any(out))
+
+
+def _engine_witnesses():
+    """(input, verdict) pairs: one verdict the engine writes for each
+    witness kind, with the input it was written for."""
+    cp2 = genus_one_diagram("CP2")
+    cp2_sum = connected_sum(cp2, genus_one_diagram("S1xS3"))
+    misdeclared = TrisectionDiagram(1, cp2.alpha, cp2.beta, cp2.gamma,
+                                    declared_params=(1, 1, 1))
+    s1xs2 = standard_heegaard(2, 1)
+    det2 = BalancedPresentation(2, ((1, 1), (2,)))
+    hopf = LinkingMatrix.from_rows([[0, 1], [1, 0]])
+    construction = {"kind": "construction", "op": "stabilize",
+                    "args": {"type": "1"},
+                    "output_sha256": _construction("stabilize",
+                                                   {"type": "1"}, (cp2,))}
+    return [
+        (cp2_sum, trisection_params(cp2_sum)[1]),
+        (misdeclared, trisection_params(misdeclared)[1]),
+        (_lens(1, 2), detect_k(_lens(1, 2))[1]),
+        (s1xs2, detect_k(s1xs2)[1]),
+        (cp2_sum, standardize(cp2_sum)[1]),
+        (s1xs2, is_standard_pair(s1xs2)),
+        (_lens(1, 2), is_standard_pair(_lens(1, 2))),
+        (cp2, check_classified_params(trisection_params(cp2)[0])),
+        (_hk(s1xs2, [(2, 1, 0)], 2),
+         validate_hk(_hk(s1xs2, [(2, 1, 0)], 2))),
+        (_hk(_lens(1, 2), [], 0), validate_hk(_hk(_lens(1, 2), [], 0))),
+        (_hk(_lens(1, 0), [(1, 0, 1)], 1, framing=0),
+         validate_hk(_hk(_lens(1, 0), [(1, 0, 1)], 1, framing=0))),
+        (_hk(standard_heegaard(2, 0), [(1, 1, 0), (1, 1, 1)], 2),
+         validate_hk(_hk(standard_heegaard(2, 0), [(1, 1, 0), (1, 1, 1)],
+                         2))),
+        (_hk(_lens(0, 1), [(1, 0, 1)], 1),
+         validate_hk(_hk(_lens(0, 1), [(1, 0, 1)], 1))),
+        (_hk(_lens(1, 0), [], 2), validate_hk(_hk(_lens(1, 0), [], 2))),
+        (cp2, find_primitive_pairs(cp2)[1]),
+        (hopf, gprc_necessary_check(hopf)),
+        (det2, ab_det_refutation(det2)),
+        (ak_presentation(1), ac_search(ak_presentation(1), 32, 20).verdict),
+        (cp2, verified("stabilized", construction)),
+    ]
+
+
+# fields that replay cannot check, each with the reason
+_UNCHECKED = {("ac-path", "depth"): "it counts search edges, which only "
+                                     "the search knows"}
+
+
+def _tampered(value):
+    """A different value of the same type as ``value``."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, str):
+        return value + "x"
+    if isinstance(value, list):
+        return [_tampered(value[0])] + value[1:] if value else [0]
+    key = min(value)
+    return dict(value, **{key: _tampered(value[key])})
+
+
+def _nested_paths(value, path):
+    """The paths to the h1 and rank fields nested in ``value``."""
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        if key in ("h1", "rank"):
+            yield path + (key,)
+        yield from _nested_paths(item, path + (key,))
+
+
+def _tamper_at(witness, path):
+    out = json.loads(json.dumps(witness))
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = _tampered(node[path[-1]])
+    return out
+
+
+def test_the_engine_witnesses_cover_every_checked_kind():
+    kinds = [v.witness["kind"] for _, v in _engine_witnesses()]
+    assert sorted(kinds) == sorted(reports.CHECKERS)
+
+
+@pytest.mark.parametrize("kind", sorted(reports.CHECKERS))
+def test_every_tampered_field_of_an_engine_witness_fails(kind):
+    obj, v = next((obj, v) for obj, v in _engine_witnesses()
+                  if v.witness["kind"] == kind)
+    witness = json.loads(json.dumps(v.witness))
+    honest = {"status": v.status, "witness": witness}
+    reports.replay_verdict((obj,), honest)
+    paths = [(key,) for key in witness if key != "kind"]
+    for key, value in witness.items():
+        paths += [p for p in _nested_paths(value, (key,)) if len(p) > 1]
+    assert paths
+    replayed = []
+    for path in paths:
+        if (kind, path[0]) in _UNCHECKED:
+            continue
+        forged = _tamper_at(witness, path)
+        assert forged != witness
+        try:
+            reports.replay_verdict((obj,), dict(honest, witness=forged))
+        except reports.ReplayError:
+            continue
+        replayed.append("/".join(map(str, path)))
+    assert replayed == [], kind

@@ -24,7 +24,8 @@ import trisect
 from trisect import diagio
 from trisect.ac import BalancedPresentation, ak_presentation
 from trisect.catalog import genus_one_diagram
-from trisect.diagram import curve_from_template, standard_heegaard
+from trisect.diagram import (HeegaardDiagram, curve_from_template,
+                             standard_heegaard, system_from_templates)
 from trisect.kirby import FramedComponent, HeegaardKirbyDiagram, LinkingMatrix
 from trisect.moves import connected_sum
 
@@ -67,6 +68,17 @@ def _unknot_over_s1xs2():
     return HeegaardKirbyDiagram(2, standard_heegaard(2, 1), link, 2)
 
 
+def _crossing_link():
+    link = tuple(FramedComponent(curve_from_template(2, 1, p, q))
+                 for p, q in ((1, 0), (1, 1)))
+    return HeegaardKirbyDiagram(2, standard_heegaard(2, 0), link, 2)
+
+
+def _lens_space():
+    d = standard_heegaard(1, 0)
+    return HeegaardDiagram(1, d.alpha, system_from_templates(1, [(1, 1, 2)]))
+
+
 TRI_ONLY = {"ac", "catalog", "kirby", "moves"}
 BRIDGE = {"ac", "catalog", "moves"}
 LINKING = BRIDGE | {"diagram", "homology", "presentations"}
@@ -86,6 +98,8 @@ CASES = [
     ("gprc-check", "hopf.lnk", LinkingMatrix.from_rows([[0, 1], [1, 0]]),
      "refuted", LINKING),
     ("hk-to-tri", "unknot.hkt", _unknot_over_s1xs2(), "verified", BRIDGE),
+    ("validate", "cross.hkt", _crossing_link(), "refuted", BRIDGE),
+    ("validate", "lens.heeg", _lens_space(), "refuted", TRI_ONLY),
 ]
 
 
