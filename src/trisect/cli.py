@@ -297,11 +297,7 @@ def _cmd_catalog(args):
                       (name, diagio.format_diagram(genus_one_diagram(name))))
     out_text = "\n".join(blocks)
     payload = [("figure", args.figure), ("names", " ".join(names))]
-    v = verified("catalog diagrams for %s emitted" % args.figure,
-                 {"kind": "construction", "op": "catalog",
-                  "args": {"figure": args.figure},
-                  "output_sha256": reports.sha256_text(out_text)})
-    return [], payload, v, out_text
+    return [], payload, None, out_text
 
 
 def _check_report_shape(doc):

@@ -315,15 +315,15 @@ def replay_tietze(p, trace):
     for op in trace:
         kind = op[0]
         if kind == "cyclic":
-            idx = op[1]
+            _, idx = op
             relators[idx] = words.cyclic_reduce(relators[idx])
         elif kind == "drop":
-            idx = op[1]
+            _, idx = op
             if words.cyclic_reduce(relators[idx]):
                 raise ValueError("drop of a non-trivial relator")
             del relators[idx]
         elif kind == "drop-duplicate":
-            idx = op[1]
+            _, idx = op
             key = words.cyclic_min(relators[idx])
             if not any(words.cyclic_min(r) == key
                        for k, r in enumerate(relators) if k != idx):

@@ -3,14 +3,18 @@
 A Report wraps one operation run: what ran, on which inputs (by digest),
 what the verdict was, and the witness.  ``replay_verdict`` re-derives a
 Verified or Refuted verdict from the recorded witness and the original
-input alone, never re-running any search, so stored certificates stay
-checkable.  One rule covers every witness kind whose producer runs no
-search: replay runs that producer on the input again and requires the
-whole witness, field for field, so no forged field can replay, and a
-sound witness other than the one the engine writes does not replay
-either.  A kind that comes from a search replays what it recorded: a
-Tietze trace, a slide script, a pairing, an AC path, or the digest of a
-construction's output.
+input alone, so stored certificates stay checkable.  One rule covers
+every witness kind: its check re-derives the verdict, and replay
+requires the recorded status and the whole recorded witness, so no
+forged or added field replays.  A kind whose producer runs no search is
+re-derived by running that producer on the input again, so a sound
+witness other than the one the engine writes does not replay either;
+for ``standard-pair`` and ``nonstandard`` that reruns the pairing
+backtracking of ``is_standard_pair``.  A kind that comes from a search
+re-derives every field from the input except what the search found,
+which it takes from the witness once it replays: a Tietze trace, a
+slide script, an AC path and its search depth, or a construction's
+operation and arguments, whose output digest it recomputes.
 
 ``CHECKERS`` binds each witness kind to the status it certifies, the file
 kind its check reads and the check that re-derives it; ``CONSTRUCTIONS``
@@ -28,7 +32,7 @@ import json
 
 from . import __version__, words
 from .diagio import format_any, kind_of
-from .verdict import Frozen
+from .verdict import Frozen, verified
 
 ENGINE = "trisect %s" % __version__
 
@@ -92,23 +96,17 @@ def _need(cond, detail):
 
 
 # Each check is called as check(witness, *inputs), once replay_verdict has
-# checked the inputs against the file kind the check reads (CHECKERS).  It
-# raises ReplayError when the witness does not re-derive its claim; the
-# checks of kinds that certify either status return the status they
-# re-derived.  ``_recomputed`` makes the check of a search-free kind from
-# its producer, called as producer(*inputs), which returns the verdict the
-# engine gives that input (or None).  A producer or check imports the
-# engine functions it calls, so a replay loads only the modules its
-# witness kind needs.
+# checked the inputs against the file kind the check reads (CHECKERS), and
+# returns the verdict it re-derives (or None, as a producer may):
+# replay_verdict requires its status and its whole witness.
+# ``_recomputed`` makes the check of a search-free kind from its producer,
+# called as producer(*inputs).  The check of a search kind raises
+# ReplayError when what the search found does not replay.  A producer or
+# check imports the engine functions it calls, so a replay loads only the
+# modules its witness kind needs.
 
 def _recomputed(producer):
-    def check(w, *objs):
-        v = producer(*objs)
-        got = json.dumps(v and v.witness, sort_keys=True)
-        _need(got == json.dumps(w, sort_keys=True),
-              "the recomputed witness is %s" % got)
-        return v.status
-    return check
+    return lambda w, *objs: producer(*objs)
 
 
 def _pair_refutation(obj):
@@ -158,75 +156,65 @@ def _ab_det(p):
     return ab_det_refutation(p)
 
 
-def _replay_detect(w, d):
-    from .diagram import heegaard_h1, quotient_presentation
+def _tietze(trace, rank, genus, systems):
+    """The Tietze witness that pi1 of the genus-``genus`` surface modulo
+    ``systems`` is free of ``rank``, once ``trace`` replays to that rank."""
+    from .diagram import quotient_presentation
     from .presentations import replay_tietze
 
-    _need(w["kind"] == "detect-k", "a %r witness is no detect-k" % w["kind"])
-    h1 = heegaard_h1(d)
-    _need(w["h1"] == str(h1), "H1 is %s, witness claims %s" % (h1, w["h1"]))
-    _need(h1.is_free and h1.free_rank == w["k"],
-          "H1 is %s, witness claims free rank %d" % (h1, w["k"]))
-    if d.genus > 1 or "trace" in w:  # pi1 is H1 at genus <= 1
-        rank = replay_tietze(
-            quotient_presentation(d.genus, [d.alpha, d.beta]), w["trace"])
-        _need(rank == w["k"],
-              "trace ends at free rank %d, witness claims %d" % (rank, w["k"]))
+    got = replay_tietze(quotient_presentation(genus, systems), trace)
+    _need(got == rank, "the Tietze trace ends at free rank %d, not %d"
+          % (got, rank))
+    return {"kind": "tietze", "rank": rank, "trace": trace}
+
+
+def _replay_detect(w, d, h1=None):
+    from .diagram import heegaard_h1
+
+    if h1 is None:
+        h1 = heegaard_h1(d)
+    _need(h1.is_free, "H1 is %s, which has torsion" % h1)
+    got = {"kind": "detect-k", "k": h1.free_rank, "h1": str(h1)}
+    if d.genus > 1:  # pi1 is H1 at genus <= 1
+        got["trace"] = _tietze(w["trace"], h1.free_rank, d.genus,
+                               [d.alpha, d.beta])["trace"]
+    return verified("replayed", got)
 
 
 def _replay_params(w, t):
-    from .diagram import pair_diagrams
+    from .diagram import pair_diagrams, pair_homology
 
-    ks = list(w["ks"])
-    # strict: three pair certificates and three ranks, or a ValueError
-    for d, pw, k in zip(pair_diagrams(t), w["pairs"], ks, strict=True):
-        _need(pw["k"] == k, "pair certificate rank disagrees with ks")
-        _replay_detect(pw, d)
-    if t.declared_params is not None:
-        _need(list(t.declared_params) == ks,
-              "declared parameters disagree with the witness")
+    h1s, ks, bad = pair_homology(t)
+    if bad is not None:
+        return bad
+    # strict: three pair certificates, or a ValueError
+    pairs = [_replay_detect(pw, d, h1).witness for pw, d, h1
+             in zip(w["pairs"], pair_diagrams(t), h1s, strict=True)]
+    return verified("replayed",
+                    {"kind": "params", "ks": list(ks), "pairs": pairs})
 
 
 def _replay_classification(w, t):
+    from .diagram import pair_homology
     from .moves import replay_decomposition, sum_name
 
-    name = sum_name(replay_decomposition(t, w))
-    _need(name == w["name"],
-          "replayed summands name %r, witness claims %r" % (name, w["name"]))
-
-
-def _replay_standard_pair(w, d):
-    from .diagram import geometric_intersection, same_curve
-
-    g = d.genus
-    pairing = [j - 1 for j in w["pairing"]]
-    _need(sorted(pairing) == list(range(g)), "pairing is not a permutation")
-    k = 0
-    for i, j in enumerate(pairing):
-        for j2 in range(g):
-            count, exact = geometric_intersection(d.alpha.curves[i],
-                                                  d.beta.curves[j2])
-            if j2 == j:
-                if same_curve(d.alpha.curves[i], d.beta.curves[j2]):
-                    k += 1
-                    continue
-                _need(exact and count == 1,
-                      "matched pair (%d, %d) does not meet once" % (i + 1, j + 1))
-            else:
-                _need(exact and count == 0,
-                      "unmatched pair (%d, %d) is not disjoint" % (i + 1, j2 + 1))
-    _need(k == w["k"], "recounted k=%d, witness claims %d" % (k, w["k"]))
+    bad = pair_homology(t)[2]  # as standardize refutes first
+    if bad is not None:
+        return bad
+    names = replay_decomposition(t, w)
+    slides = w["tree"]["slides"]
+    return verified("replayed", {
+        "kind": "classification", "name": sum_name(names), "names": names,
+        "tree": {"op": "unscramble",
+                 "slides": {s: slides[s] for s in ("alpha", "beta", "gamma")}}})
 
 
 def _replay_hk(w, H):
-    from .diagram import heegaard_h1, quotient_presentation
+    from .diagram import heegaard_h1
     from .kirby import complete_link_to_system, surgery_data_check
-    from .presentations import replay_tietze
 
-    _replay_detect(w["background"], H.background)
     h1 = heegaard_h1(H.background)
-    _need(w["n"] == h1.free_rank, "background rank disagrees")
-    _need(w["c"] == H.c and w["m"] == H.m, "link size or target disagrees")
+    background = _replay_detect(w["background"], H.background, h1).witness
     bad, inexact_pairs = surgery_data_check(H, h1)
     _need(bad is None, "surgery data fails: %s" % (bad and bad.reason))
     _need(inexact_pairs == 0 and
@@ -234,13 +222,11 @@ def _replay_hk(w, H):
           "a link component has no exact slope model")
     gamma = complete_link_to_system(H)
     _need(gamma is not None, "link completion is gone")
-    pi1 = w["pi1"]
-    _need(pi1["kind"] == "tietze" and pi1["rank"] == H.m,
-          "pi1 witness claims rank %r, not %d" % (pi1["rank"], H.m))
-    rank = replay_tietze(
-        quotient_presentation(H.genus, [H.background.alpha, gamma]),
-        pi1["trace"])
-    _need(rank == H.m, "pi1 trace ends at rank %d, not %d" % (rank, H.m))
+    return verified("replayed", {
+        "kind": "heegaard-kirby", "n": background["k"], "c": H.c, "m": H.m,
+        "background": background,
+        "pi1": _tietze(w["pi1"]["trace"], H.m, H.genus,
+                       [H.background.alpha, gamma])})
 
 
 def _replay_ac_path(w, p):
@@ -248,14 +234,15 @@ def _replay_ac_path(w, p):
 
     final = replay_ac_path(p, [tuple(m) for m in w["moves"]])
     _need(final.is_trivial_form(), "path does not end in trivial form")
+    return verified("replayed", {"kind": "ac-path", "moves": w["moves"],
+                                 "depth": w["depth"]})
 
 
 def _replay_construction(w, *objs):
-    out = apply_construction(w["op"], w.get("args", {}), objs)
-    digest = sha256_text(format_any(out))
-    _need(digest == w["output_sha256"],
-          "reconstructed output digest %s, witness claims %s"
-          % (digest, w["output_sha256"]))
+    out = apply_construction(w["op"], w["args"], objs)
+    return verified("replayed", {
+        "kind": "construction", "op": w["op"], "args": w["args"],
+        "output_sha256": sha256_text(format_any(out))})
 
 
 # kind -> (the status its witness certifies, the file kind of the one
@@ -265,6 +252,7 @@ def _replay_construction(w, *objs):
 # kind marks the checks that take several kinds of input and tell them
 # apart themselves.
 _SURGERY_DATA = _recomputed(_surgery_data)
+_STANDARD_PAIR = _recomputed(_standard_pair)
 CHECKERS = {
     "params": ("verified", "trisection", _replay_params),
     "params-mismatch": ("refuted", "trisection",
@@ -272,8 +260,8 @@ CHECKERS = {
     "torsion": ("refuted", None, _recomputed(_pair_refutation)),
     "detect-k": ("verified", "heegaard", _replay_detect),
     "classification": ("verified", "trisection", _replay_classification),
-    "standard-pair": ("verified", "heegaard", _replay_standard_pair),
-    "nonstandard": ("refuted", "heegaard", _recomputed(_standard_pair)),
+    "standard-pair": ("verified", "heegaard", _STANDARD_PAIR),
+    "nonstandard": ("refuted", "heegaard", _STANDARD_PAIR),
     "param-constraint": (None, "trisection",
                          _recomputed(_classified_params)),
     "heegaard-kirby": ("verified", "heegaard-kirby", _replay_hk),
@@ -300,10 +288,11 @@ def replay_verdict(objs, vdict):
 
     ``objs`` is the tuple of parsed input objects in command order.  Returns
     None on success; raises KeyError for a witness kind that has no checker
-    (before any check runs), and ReplayError when the witness fails to
-    reproduce the recorded status, certifies another status than the
-    recorded one, is given inputs of another kind than its check reads, or
-    has malformed fields.
+    (before any check runs), and ReplayError when the witness certifies
+    another status than the recorded one, is given inputs of another kind
+    than its check reads, has malformed fields, or differs, as sorted-key
+    JSON, from the witness its check re-derives, or when that check
+    re-derives another status.
     """
     status = vdict["status"]
     if status == "unknown":
@@ -322,8 +311,11 @@ def replay_verdict(objs, vdict):
     except _MALFORMED as e:
         raise ReplayError("the %s witness does not replay: %s: %s"
                           % (kind, type(e).__name__, e))
-    if certified is None:
-        _need(got == status, mismatch % (kind, got, status))
+    recomputed = json.dumps(got and got.witness, sort_keys=True)
+    _need(recomputed == json.dumps(w, sort_keys=True),
+          "the %s witness does not replay: the recomputed witness is %s"
+          % (kind, recomputed))
+    _need(got.status == status, mismatch % (kind, got.status, status))
 
 
 # -- deterministic constructions ----------------------------------------------

@@ -385,6 +385,45 @@ def test_child_keys_equal_the_keys_of_the_built_children(p, slack):
         (len(got), skipped)
 
 
+@st.composite
+def _states_of_one_key(draw):
+    """A cyclically reduced search state on 2 or 3 generators and an image
+    of it with the generators relabeled with signs, every relator rotated
+    and perhaps inverted, and the relators reordered."""
+    n = draw(st.integers(2, 3))
+    letters = [v for g in range(1, n + 1) for v in (g, -g)]
+    p = _normalize_start(BalancedPresentation(n, tuple(
+        tuple(draw(st.lists(st.sampled_from(letters), max_size=5)))
+        for _ in range(n))))[0]
+    perm = draw(st.permutations(range(1, n + 1)))
+    table = {g: (perm[g - 1] * draw(st.sampled_from((1, -1))),)
+             for g in range(1, n + 1)}
+    image = []
+    for w in p.relators:
+        w = map_letters(w, table)
+        r = draw(st.integers(0, max(len(w) - 1, 0)))
+        w = w[r:] + w[:r]
+        image.append(inverse(w) if draw(st.booleans()) else w)
+    image = draw(st.permutations(image))
+    return _state(p), _state(BalancedPresentation(n, tuple(image)))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(_states_of_one_key(), st.booleans(), st.integers(0, 3))
+def test_child_keys_depend_on_the_key_alone(states, stable, slack):
+    # the fact a closure bound over keys rests on: states of one key have
+    # the same set of child keys, stable or not
+    a, b = states
+    assert ac._key(a, {}) == ac._key(b, {})
+    cap = sum(map(len, a)) + slack
+
+    def child_keys(state):
+        return {child[1] for *_, child in ac._expansion(
+            state, {}, stable, len(state) + 2, cap) if child is not None}
+
+    assert child_keys(a) == child_keys(b)
+
+
 def _letter_maps(n):
     """Each signed relabeling of n generators as a map of byte letters, in
     image order: entry 2k is the k-th of ``_relabelings(n)``, 2k + 1 its

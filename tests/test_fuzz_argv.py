@@ -14,8 +14,8 @@ or none), an output path that may not be writable, and a dropped or
 stray argument.  Every command line runs through ``cli.run_command`` in
 process.  Exit code 5 (internal error) must never occur.  A report that
 exits 0-2 must replay to the same exit code, from the files it names; a
-``catalog`` report names none, so replay refuses it and the figure is
-emitted again instead.
+``catalog`` report names none and carries no verdict, so replay refuses
+it and the figure is emitted again instead, to the same output digest.
 
 A ``replay`` example takes the report of one of a fixed set of commands
 (verified, refuted and unknown; one input and two) and replays it with an
@@ -289,12 +289,15 @@ def test_other_command_lines_never_crash_and_their_reports_replay(
     inputs = [entry["name"] for entry in doc["inputs"]]
     replay_code, _, replay_err = _run(["replay", "report.json"] + inputs)
     if argv[0] == "catalog":
-        # a catalog report names no input, so replay refuses it (exit 3);
-        # its figure is checked by emitting it again
-        assert (code, inputs, replay_code) == (0, [], 3), (argv, replay_err)
-        figure = doc["verdict"]["witness"]["args"]["figure"]
+        # a catalog report names no input and carries no verdict, so
+        # replay refuses it (exit 3); its figure is checked by emitting it
+        # again
+        assert (code, inputs, replay_code, doc["verdict"]) == \
+            (0, [], 3, None), (argv, replay_err)
+        figure = doc["payload"]["figure"]
         again = json.loads(_run(["catalog", figure, "--json"])[1])
-        assert again["verdict"]["witness"] == doc["verdict"]["witness"]
+        assert again["payload"] == doc["payload"]
+        assert "output-sha256" in again["payload"]
     else:
         assert replay_code == code, (argv, replay_err)
 

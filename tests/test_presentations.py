@@ -90,6 +90,18 @@ def test_replay_rejects_forged_trace():
         replay_tietze(p, trace)
 
 
+def test_replay_rejects_a_trace_step_with_an_added_element():
+    p = presentation(2, [(2, 1, -2), (1,)])
+    trace = tietze_simplify(p)[1].witness["trace"]
+    assert replay_tietze(p, trace) == 1
+    assert {op[0] for op in trace} == {"cyclic", "drop-duplicate",
+                                       "eliminate"}
+    for k in range(len(trace)):
+        forged = [op + [0] if j == k else op for j, op in enumerate(trace)]
+        with pytest.raises(ValueError):
+            replay_tietze(p, forged)
+
+
 def test_replay_rejects_nonfree_endpoint():
     # a trace that leaves a nonempty relator must not certify
     p = presentation(1, [(1, 1)])

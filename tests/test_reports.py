@@ -296,6 +296,11 @@ def _engine_witnesses():
 # fields that replay cannot check, each with the reason
 _UNCHECKED = {("ac-path", "depth"): "it counts search edges, which only "
                                      "the search knows"}
+# objects that replay copies whole into the witness it re-derives, so a
+# key added inside them replays, each with the reason
+_OPEN = {("construction", "args"): "args are the construction's input, and "
+                                   "a key no builder reads changes no "
+                                   "output"}
 
 
 def _tampered(value):
@@ -336,13 +341,21 @@ def test_the_engine_witnesses_cover_every_checked_kind():
     assert sorted(kinds) == sorted(reports.CHECKERS)
 
 
-@pytest.mark.parametrize("kind", sorted(reports.CHECKERS))
-def test_every_tampered_field_of_an_engine_witness_fails(kind):
+def _engine_witness(kind):
+    """The input and the replayed report of the engine witness of
+    ``kind``, as a JSON document holds it."""
     obj, v = next((obj, v) for obj, v in _engine_witnesses()
                   if v.witness["kind"] == kind)
-    witness = json.loads(json.dumps(v.witness))
-    honest = {"status": v.status, "witness": witness}
+    honest = {"status": v.status,
+              "witness": json.loads(json.dumps(v.witness))}
     reports.replay_verdict((obj,), honest)
+    return obj, honest
+
+
+@pytest.mark.parametrize("kind", sorted(reports.CHECKERS))
+def test_every_tampered_field_of_an_engine_witness_fails(kind):
+    obj, honest = _engine_witness(kind)
+    witness = honest["witness"]
     paths = [(key,) for key in witness if key != "kind"]
     for key, value in witness.items():
         paths += [p for p in _nested_paths(value, (key,)) if len(p) > 1]
@@ -359,3 +372,62 @@ def test_every_tampered_field_of_an_engine_witness_fails(kind):
             continue
         replayed.append("/".join(map(str, path)))
     assert replayed == [], kind
+
+
+def _object_paths(value, path):
+    """The paths to ``value``, if it is an object, and to every object
+    nested in it."""
+    if isinstance(value, dict):
+        yield path
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield from _object_paths(item, path + (key,))
+
+
+@pytest.mark.parametrize("kind", sorted(reports.CHECKERS))
+def test_a_field_added_to_an_engine_witness_fails(kind):
+    obj, honest = _engine_witness(kind)
+    replayed = []
+    for path in _object_paths(honest["witness"], ()):
+        if (kind,) + path[:1] in _OPEN:
+            continue
+        forged = json.loads(json.dumps(honest["witness"]))
+        node = forged
+        for key in path:
+            node = node[key]
+        node["added"] = 0
+        try:
+            reports.replay_verdict((obj,), dict(honest, witness=forged))
+        except reports.ReplayError:
+            continue
+        replayed.append("/".join(map(str, path)) or "(top)")
+    assert replayed == [], kind
+
+
+def test_a_witness_replays_only_in_the_form_the_engine_writes():
+    from trisect.diagram import quotient_presentation
+    from trisect.presentations import tietze_simplify
+
+    d = standard_heegaard(1, 1)
+    v = detect_k(d)[1]
+    # a genus-one pair is decided by its H1, so its witness has no trace
+    trace = tietze_simplify(quotient_presentation(
+        1, [d.alpha, d.beta]))[1].witness["trace"]
+    t = connected_sum(genus_one_diagram("CP2"), genus_one_diagram("S1xS3"))
+    c = standardize(t)[1].witness
+    slides = {s: c["tree"]["slides"][s] for s in ("alpha", "beta")}
+    # classify refutes a file that declares the wrong parameters
+    cp2 = genus_one_diagram("CP2")
+    misdeclared = TrisectionDiagram(1, cp2.alpha, cp2.beta, cp2.gamma,
+                                    declared_params=(1, 1, 1))
+    # each of these replayed while replay compared the recorded fields
+    # one at a time
+    forged = [(d, dict(v.witness, trace=trace)),
+              (t, dict(c, names=c["names"][::-1])),
+              (t, dict(c, tree=dict(c["tree"], slides=slides))),
+              (misdeclared, standardize(cp2)[1].witness)]
+    for obj, w in forged:
+        with pytest.raises(reports.ReplayError):
+            reports.replay_verdict((obj,), {"status": "verified",
+                                            "witness": w})
