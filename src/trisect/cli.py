@@ -50,7 +50,7 @@ import sys
 import time
 
 from . import diagio, reports
-from .verdict import Verdict, unknown, verified
+from .verdict import Verdict, unknown
 
 EXIT_USAGE = 3
 EXIT_IO = 4
@@ -149,12 +149,9 @@ def _construct(op, cargs, paths, reason, payload):
     loaded = [(path,) + _load(path) for path in paths]
     objs = tuple(obj for _, _, obj in loaded)
     try:
-        out = reports.apply_construction(op, cargs, objs)
+        out, out_text, v = reports.construct(op, cargs, objs, reason)
     except ValueError as e:
         raise _UsageError(str(e))
-    out_text = diagio.format_any(out)
-    v = verified(reason, {"kind": "construction", "op": op, "args": cargs,
-                          "output_sha256": reports.sha256_text(out_text)})
     return ([(path, text) for path, text, _ in loaded], payload(objs, out),
             v, out_text)
 

@@ -372,13 +372,15 @@ def torsion_refutation(h1):
         {"kind": "torsion", "h1": str(h1), "factors": list(h1.torsion)})
 
 
-def detect_k(d, h1=None):
+def detect_k(d, h1=None, recorded=None):
     """Which #^k(S1xS2) does this Heegaard diagram present, if any?
 
     Homology pins the candidate k (Refuted on torsion or when no free
     candidate exists); a Tietze run on pi1 confirms freeness of rank k.
     At genus <= 1 pi1 is abelian, hence H1, and the witness has no trace.
-    ``h1`` is the diagram's H1, when the caller has it.
+    ``h1`` is the diagram's H1, when the caller has it.  Given a
+    ``recorded`` detect-k witness, the Tietze run replays its trace
+    instead of searching.
     """
     if h1 is None:
         h1 = heegaard_h1(d)
@@ -386,21 +388,20 @@ def detect_k(d, h1=None):
     bad = torsion_refutation(h1)
     if bad is not None:
         return k, bad
+    witness = {"kind": "detect-k", "k": k, "h1": str(h1)}
     if d.genus <= 1:
         return k, verified("pi1 is abelian at genus %d, so it is H1 = Z^%d"
-                           % (d.genus, k),
-                           {"kind": "detect-k", "k": k, "h1": str(h1)})
-    _, v = tietze_simplify(quotient_presentation(d.genus, [d.alpha, d.beta]))
-    if v.is_verified:
-        if v.witness["rank"] != k:
-            raise AssertionError("pi1 rank %d contradicts H1 rank %d"
-                                 % (v.witness["rank"], k))
-        return k, verified(
-            "pi1 is free of rank %d, matching H1" % k,
-            {"kind": "detect-k", "k": k, "h1": str(h1),
-             "trace": v.witness["trace"]})
-    return k, unknown("H1 is Z^%d but pi1 freeness unconfirmed: %s"
-                      % (k, v.reason))
+                           % (d.genus, k), witness)
+    _, v = tietze_simplify(quotient_presentation(d.genus, [d.alpha, d.beta]),
+                           None if recorded is None else recorded["trace"])
+    if not v.is_verified:
+        return k, unknown("H1 is Z^%d but pi1 freeness unconfirmed: %s"
+                          % (k, v.reason))
+    if v.witness["rank"] != k:
+        raise AssertionError("pi1 rank %d contradicts H1 rank %d"
+                             % (v.witness["rank"], k))
+    witness["trace"] = v.witness["trace"]
+    return k, verified("pi1 is free of rank %d, matching H1" % k, witness)
 
 
 def is_standard_pair(d):
@@ -505,18 +506,22 @@ def pair_homology(t):
     return h1s, ks, None if torsion is None else torsion_refutation(torsion)
 
 
-def trisection_params(t):
+def trisection_params(t, recorded=None):
     """(k1, k2, k3) from the three boundary Heegaard pairs.
 
     k1 comes from (alpha, beta), k2 from (beta, gamma), k3 from
     (gamma, alpha).  ``pair_homology`` refutes first; otherwise a Tietze
     run confirms each pair, and the verdict is the weakest of the three.
+    Given a ``recorded`` params witness, each pair replays its recorded
+    pair witness (``detect_k``); anything but three is a ValueError.
     """
     h1s, ks, bad = pair_homology(t)
     params = TrisectionParams(t.genus, *ks)
     if bad is not None:
         return params, bad
-    verdicts = [detect_k(d, h1)[1] for d, h1 in zip(pair_diagrams(t), h1s)]
+    pairs = [None] * 3 if recorded is None else recorded["pairs"]
+    verdicts = [detect_k(d, h1, pw)[1] for d, h1, pw
+                in zip(pair_diagrams(t), h1s, pairs, strict=True)]
     v = weakest(verdicts)
     if v.is_verified:
         return params, verified(

@@ -170,16 +170,18 @@ def complete_link_to_system(H):
         return None
 
 
-def validate_hk(H):
+def validate_hk(H, recorded=None):
     """Does the diagram present surgery data from #^n to #^m?
 
     Checks, in order: the background is a confirmed #^n diagram; integer
     framings only appear over S3; the link is embeddable as far as exact
     data goes; the link classes extend the beta system primitively; the
     surgered first homology is Z^m; and pi1 of the surgered manifold is
-    confirmed free of rank m when a completion is available.
+    confirmed free of rank m when a completion is available.  Given a
+    ``recorded`` heegaard-kirby witness, the two Tietze runs replay its
+    background's and its pi1's traces instead of searching.
     """
-    return _validate_hk(H)[0]
+    return _validate_hk(H, recorded)[0]
 
 
 def surgery_data_check(H, h1):
@@ -227,14 +229,15 @@ def surgery_data_check(H, h1):
          "target_m": H.m}), inexact_pairs
 
 
-def _validate_hk(H):
+def _validate_hk(H, recorded=None):
     """validate_hk's verdict and the link completion: None if it stopped
     before looking for one, False if it looked and found none."""
     from .diagram import detect_k, heegaard_h1, quotient_presentation
     from .presentations import tietze_simplify
 
     h1 = heegaard_h1(H.background)
-    n, nv = detect_k(H.background, h1)
+    n, nv = detect_k(H.background, h1,
+                     None if recorded is None else recorded["background"])
     if nv.is_unknown:
         return unknown("background #^n not confirmed: %s" % nv.reason), None
     bad, inexact_pairs = surgery_data_check(H, h1)
@@ -247,7 +250,8 @@ def _validate_hk(H):
             "homology agrees with #^%d but no template completion of the "
             "link was found, so pi1 is unconfirmed" % H.m), False
     _, tv = tietze_simplify(
-        quotient_presentation(H.genus, [H.background.alpha, gamma]))
+        quotient_presentation(H.genus, [H.background.alpha, gamma]),
+        None if recorded is None else recorded["pi1"]["trace"])
     if not tv.is_verified:
         return unknown("surgered homology is Z^%d but pi1 is unconfirmed: %s"
                        % (H.m, tv.reason)), gamma

@@ -9,15 +9,15 @@ and no parameter precondition, and never refutes.  Slides are searched
 in a fixed deterministic order and every positive verdict carries them
 as a replayable script.
 
-Search (``standardize``) and its replay (``replay_decomposition``) share
-the one step after the slides: ``name_components``, which names each
-genus-one component from its slopes, building no piece diagram.  Only
-the search looks for slides.  Its descent works on raw words and writes
-each slide with the guide ``handleslide`` takes, so each slid curve is
-built once; ``handleslide`` runs only in replay and the ``slide``
-command.  ``find_stabilization_certificate`` and
-``destabilize`` are library moves that the pass does not use
-(``standardize`` says why).
+Replay is the same pass: given a recorded witness, ``standardize``
+takes the slides from its tree (``replay_decomposition``) instead of
+searching, then names the components (``name_components``, which builds
+no piece diagram) and writes the witness on the one code path.  The
+search's descent works on raw words and writes each slide with the
+guide ``handleslide`` takes, so each slid curve is built once;
+``handleslide`` runs only in replay and the ``slide`` command.
+``find_stabilization_certificate`` and ``destabilize`` are library
+moves that the pass does not use (``standardize`` says why).
 """
 
 from __future__ import annotations
@@ -404,7 +404,7 @@ def check_classified_params(params):
 
 # -- standardization ----------------------------------------------------------
 
-def standardize(t):
+def standardize(t, recorded=None):
     """Name the diagram as a connected sum of genus-one pieces.
 
     Refutes from the input's pair homology, then makes one pass on ``t``
@@ -419,12 +419,14 @@ def standardize(t):
     such a handle is its own support component, already cut off.  No
     Tietze search runs and no parameter range is required; the paper's
     theorem promises a sum of genus-one pieces only when
-    ``max(k) >= g-1``.
+    ``max(k) >= g-1``.  Given a ``recorded`` classification witness, the
+    slides come from its tree (``replay_decomposition``), not a descent.
     """
     bad = pair_homology(t)[2]
     if bad is not None:
         return [], bad
-    cleaned, scripts = unscramble(t)
+    cleaned, scripts = unscramble(t) if recorded is None else \
+        replay_decomposition(t, recorded["tree"])
     comps = name_components(cleaned)
     names = [name for g, name in comps if g == 1]
     if None in names:
@@ -457,32 +459,22 @@ def sum_name(names):
 
 # -- witness replay -----------------------------------------------------------
 
-def replay_decomposition(t, witness):
-    """Re-derive a classification's summand names from its script,
-    without search.
+def replay_decomposition(t, tree):
+    """The slid diagram and per-system slide scripts of a classification's
+    recorded ``tree``, found without search: what ``unscramble`` returns.
 
-    Re-applies the recorded slides through ``handleslide`` and re-names
-    each support component of the slid diagram with ``name_components``.
-    Raises ValueError when the script does not validate against the
-    diagram: a piece of genus other than one, or other names.
+    Re-applies each system's recorded slides through ``handleslide``.
+    Raises ValueError on an op other than ``unscramble`` or a slide that
+    does not apply, and KeyError when a system's slide list is missing.
     """
-    node = witness["tree"]
-    if node["op"] != "unscramble":
-        raise ValueError("unknown script op %r" % node["op"])
+    if tree["op"] != "unscramble":
+        raise ValueError("unknown script op %r" % tree["op"])
     slid = []
+    scripts = {}
     for cs, label in zip(t.systems(), ("alpha", "beta", "gamma")):
-        for (i, j, sign, guide) in node["slides"].get(label, []):
+        scripts[label] = tree["slides"][label]
+        for (i, j, sign, guide) in scripts[label]:
             cs = handleslide(cs, i, j, guide=guide, sign=sign)
         slid.append(cs)
-    names = []
-    for g, name in name_components(TrisectionDiagram(t.genus, *slid)):
-        if g != 1:
-            raise ValueError("replayed slides leave a piece of genus %d" % g)
-        if name is None:
-            raise ValueError("a replayed genus-one piece has no catalog "
-                             "name")
-        names.append(name)
-    if sorted(names) != sorted(witness["names"]):
-        raise ValueError("replayed names %r do not match recorded %r"
-                         % (names, witness["names"]))
-    return names
+    return TrisectionDiagram(t.genus, *slid,
+                             declared_params=t.declared_params), scripts

@@ -253,13 +253,32 @@ def _greedy(gens, relators, budget, trace, mins):
         return gens, relators
 
 
-def tietze_simplify(p):
+def tietze_simplify(p, trace=None):
     """Simplify; Verified(rank) carries a replayable trace, else Unknown.
 
     Deterministic.  ``DEFAULT_BUDGET`` counts elementary steps (each
     candidate product examined, each pass started), and no substitution
-    may grow a relator past ``DEFAULT_MAX_RELATOR_LEN`` letters.
+    may grow a relator past ``DEFAULT_MAX_RELATOR_LEN`` letters.  Given a
+    recorded ``trace``, no search runs: the trace is replayed
+    (``replay_tietze``, which raises ValueError on a move that does not
+    apply) and the verdict is the one the search that found it gave.
     """
+    if trace is None:
+        gens, relators, trace, left = _search(p)
+    else:
+        gens, relators, left = replay_tietze(p, trace), [], 0
+    final = GroupPresentation(gens, tuple(relators))
+    if not relators:
+        return final, verified("free of rank %d" % gens,
+                               {"kind": "tietze", "rank": gens, "trace": trace})
+    reason = "budget exhausted" if left <= 0 else "no simplifying move found"
+    return final, unknown("%s; %d relators of total length %d remain"
+                          % (reason, len(relators), final.total_length()))
+
+
+def _search(p):
+    """The greedy loop, then its plateau search: the final generator count,
+    relators and trace, and the budget left."""
     b = _Budget(DEFAULT_BUDGET)
     trace = []
     mins = {}  # one cyclic_min per relator word, for duplicates and states
@@ -293,14 +312,7 @@ def tietze_simplify(p):
                     queue.append((g2, r2, t2))
                     break
                 queue.append((g2, r2, t2))
-
-    final = GroupPresentation(gens, tuple(relators))
-    if not relators:
-        return final, verified("free of rank %d" % gens,
-                               {"kind": "tietze", "rank": gens, "trace": trace})
-    reason = "budget exhausted" if b.left <= 0 else "no simplifying move found"
-    return final, unknown("%s; %d relators of total length %d remain"
-                          % (reason, len(relators), final.total_length()))
+    return gens, relators, trace, b.left
 
 
 def replay_tietze(p, trace):

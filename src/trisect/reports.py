@@ -4,25 +4,30 @@ A Report wraps one operation run: what ran, on which inputs (by digest),
 what the verdict was, and the witness.  ``replay_verdict`` re-derives a
 Verified or Refuted verdict from the recorded witness and the original
 input alone, so stored certificates stay checkable.  One rule covers
-every witness kind: its check re-derives the verdict, and replay
-requires the recorded status and the whole recorded witness, so no
-forged or added field replays.  A kind whose producer runs no search is
-re-derived by running that producer on the input again, so a sound
-witness other than the one the engine writes does not replay either;
-for ``standard-pair`` and ``nonstandard`` that reruns the pairing
-backtracking of ``is_standard_pair``.  A kind that comes from a search
-re-derives every field from the input except what the search found,
-which it takes from the witness once it replays: a Tietze trace, a
-slide script, an AC path and its search depth, or a construction's
-operation and arguments, whose output digest it recomputes.
+every witness kind: its check is the producer that wrote it, run again
+on the input, and replay requires the recorded status and the whole
+recorded witness.  So no forged or added field replays, and neither
+does a sound witness other than the one the engine writes.  A producer
+that runs no search simply reruns; for ``standard-pair`` and
+``nonstandard`` that reruns the pairing backtracking of
+``is_standard_pair``.  A producer that searches is given the recorded
+witness and, at its one search step, replays what the search found
+instead of searching: each Tietze trace (``tietze_simplify``) of a
+``detect-k``, ``params`` or ``heegaard-kirby`` witness, and the slides
+of a ``classification`` (``standardize``).  It derives every other field
+from the input as the search run does, so each of those witnesses is
+written in one place.  An ``ac-path`` is replayed move by move, with
+its depth checked for type and range, and a ``construction`` is rebuilt
+by ``construct``, which also writes it for the CLI.
 
 ``CHECKERS`` binds each witness kind to the status it certifies, the file
 kind its check reads and the check that re-derives it; ``CONSTRUCTIONS``
 binds each deterministic construction (stabilize, slide, connect-sum and
-the two kirby bridges) to the file kinds it reads and its builder.  A new
-kind is one line there: ``replay_verdict`` and ``apply_construction``
-check the inputs against the tables, the CLI reads them, and a
-``construction`` witness replays through ``CONSTRUCTIONS``.
+the two kirby bridges) to the file kinds it reads, the argument keys its
+builder reads with their types, and its builder.  A new kind is one line
+there: ``replay_verdict`` and ``apply_construction`` check the inputs
+against the tables, the CLI reads them, and a ``construction`` witness
+replays through ``CONSTRUCTIONS``.
 """
 
 from __future__ import annotations
@@ -97,13 +102,14 @@ def _need(cond, detail):
 
 # Each check is called as check(witness, *inputs), once replay_verdict has
 # checked the inputs against the file kind the check reads (CHECKERS), and
-# returns the verdict it re-derives (or None, as a producer may):
+# returns its producer's verdict (or None, as a producer may):
 # replay_verdict requires its status and its whole witness.
 # ``_recomputed`` makes the check of a search-free kind from its producer,
-# called as producer(*inputs).  The check of a search kind raises
-# ReplayError when what the search found does not replay.  A producer or
-# check imports the engine functions it calls, so a replay loads only the
-# modules its witness kind needs.
+# called as producer(*inputs).  The check of a search kind calls its
+# producer with the recorded witness, which raises one of _MALFORMED when
+# what the search found does not apply.  A check imports the engine
+# functions it calls, so a replay loads only the modules its witness kind
+# needs.
 
 def _recomputed(producer):
     return lambda w, *objs: producer(*objs)
@@ -156,77 +162,28 @@ def _ab_det(p):
     return ab_det_refutation(p)
 
 
-def _tietze(trace, rank, genus, systems):
-    """The Tietze witness that pi1 of the genus-``genus`` surface modulo
-    ``systems`` is free of ``rank``, once ``trace`` replays to that rank."""
-    from .diagram import quotient_presentation
-    from .presentations import replay_tietze
+def _detect_k(w, d):
+    from .diagram import detect_k
 
-    got = replay_tietze(quotient_presentation(genus, systems), trace)
-    _need(got == rank, "the Tietze trace ends at free rank %d, not %d"
-          % (got, rank))
-    return {"kind": "tietze", "rank": rank, "trace": trace}
+    return detect_k(d, recorded=w)[1]
 
 
-def _replay_detect(w, d, h1=None):
-    from .diagram import heegaard_h1
+def _params(w, t):
+    from .diagram import trisection_params
 
-    if h1 is None:
-        h1 = heegaard_h1(d)
-    _need(h1.is_free, "H1 is %s, which has torsion" % h1)
-    got = {"kind": "detect-k", "k": h1.free_rank, "h1": str(h1)}
-    if d.genus > 1:  # pi1 is H1 at genus <= 1
-        got["trace"] = _tietze(w["trace"], h1.free_rank, d.genus,
-                               [d.alpha, d.beta])["trace"]
-    return verified("replayed", got)
+    return trisection_params(t, w)[1]
 
 
-def _replay_params(w, t):
-    from .diagram import pair_diagrams, pair_homology
+def _classification(w, t):
+    from .moves import standardize
 
-    h1s, ks, bad = pair_homology(t)
-    if bad is not None:
-        return bad
-    # strict: three pair certificates, or a ValueError
-    pairs = [_replay_detect(pw, d, h1).witness for pw, d, h1
-             in zip(w["pairs"], pair_diagrams(t), h1s, strict=True)]
-    return verified("replayed",
-                    {"kind": "params", "ks": list(ks), "pairs": pairs})
+    return standardize(t, w)[1]
 
 
-def _replay_classification(w, t):
-    from .diagram import pair_homology
-    from .moves import replay_decomposition, sum_name
+def _hk(w, H):
+    from .kirby import validate_hk
 
-    bad = pair_homology(t)[2]  # as standardize refutes first
-    if bad is not None:
-        return bad
-    names = replay_decomposition(t, w)
-    slides = w["tree"]["slides"]
-    return verified("replayed", {
-        "kind": "classification", "name": sum_name(names), "names": names,
-        "tree": {"op": "unscramble",
-                 "slides": {s: slides[s] for s in ("alpha", "beta", "gamma")}}})
-
-
-def _replay_hk(w, H):
-    from .diagram import heegaard_h1
-    from .kirby import complete_link_to_system, surgery_data_check
-
-    h1 = heegaard_h1(H.background)
-    background = _replay_detect(w["background"], H.background, h1).witness
-    bad, inexact_pairs = surgery_data_check(H, h1)
-    _need(bad is None, "surgery data fails: %s" % (bad and bad.reason))
-    _need(inexact_pairs == 0 and
-          all(comp.curve.template is not None for comp in H.link),
-          "a link component has no exact slope model")
-    gamma = complete_link_to_system(H)
-    _need(gamma is not None, "link completion is gone")
-    return verified("replayed", {
-        "kind": "heegaard-kirby", "n": background["k"], "c": H.c, "m": H.m,
-        "background": background,
-        "pi1": _tietze(w["pi1"]["trace"], H.m, H.genus,
-                       [H.background.alpha, gamma])})
+    return validate_hk(H, w)
 
 
 def _replay_ac_path(w, p):
@@ -234,15 +191,14 @@ def _replay_ac_path(w, p):
 
     final = replay_ac_path(p, [tuple(m) for m in w["moves"]])
     _need(final.is_trivial_form(), "path does not end in trivial form")
+    # each search edge is one move or more, and a start in trivial form
+    # has depth 0
+    depth = w["depth"]
+    _need(type(depth) is int and 0 <= depth <= len(w["moves"]),
+          "depth %r is not a count from 0 to the %d moves"
+          % (depth, len(w["moves"])))
     return verified("replayed", {"kind": "ac-path", "moves": w["moves"],
-                                 "depth": w["depth"]})
-
-
-def _replay_construction(w, *objs):
-    out = apply_construction(w["op"], w["args"], objs)
-    return verified("replayed", {
-        "kind": "construction", "op": w["op"], "args": w["args"],
-        "output_sha256": sha256_text(format_any(out))})
+                                 "depth": depth})
 
 
 # kind -> (the status its witness certifies, the file kind of the one
@@ -254,17 +210,17 @@ def _replay_construction(w, *objs):
 _SURGERY_DATA = _recomputed(_surgery_data)
 _STANDARD_PAIR = _recomputed(_standard_pair)
 CHECKERS = {
-    "params": ("verified", "trisection", _replay_params),
+    "params": ("verified", "trisection", _params),
     "params-mismatch": ("refuted", "trisection",
                         _recomputed(_pair_refutation)),
     "torsion": ("refuted", None, _recomputed(_pair_refutation)),
-    "detect-k": ("verified", "heegaard", _replay_detect),
-    "classification": ("verified", "trisection", _replay_classification),
+    "detect-k": ("verified", "heegaard", _detect_k),
+    "classification": ("verified", "trisection", _classification),
     "standard-pair": ("verified", "heegaard", _STANDARD_PAIR),
     "nonstandard": ("refuted", "heegaard", _STANDARD_PAIR),
     "param-constraint": (None, "trisection",
                          _recomputed(_classified_params)),
-    "heegaard-kirby": ("verified", "heegaard-kirby", _replay_hk),
+    "heegaard-kirby": ("verified", "heegaard-kirby", _hk),
     "background": ("refuted", "heegaard-kirby", _SURGERY_DATA),
     "framing": ("refuted", "heegaard-kirby", _SURGERY_DATA),
     "link-crossing": ("refuted", "heegaard-kirby", _SURGERY_DATA),
@@ -275,7 +231,8 @@ CHECKERS = {
     "linking": (None, "linking", _recomputed(_linking)),
     "ab-det": ("refuted", "presentation", _recomputed(_ab_det)),
     "ac-path": ("verified", "presentation", _replay_ac_path),
-    "construction": ("verified", None, _replay_construction),
+    "construction": ("verified", None,
+                     lambda w, *objs: construct(w["op"], w["args"], objs)[2]),
 }
 
 # what a malformed witness field or an input of the wrong type raises
@@ -356,8 +313,8 @@ def _slide(args, objs):
     else:
         raise ValueError("slide needs a diagram file")
     guide = tuple(words.parse_surface_word(args.get("guide", "")))
-    cs = handleslide(getattr(d, system), int(args["from"]), int(args["over"]),
-                     guide=guide, sign=int(args.get("sign", 1)))
+    cs = handleslide(getattr(d, system), args["from"], args["over"],
+                     guide=guide, sign=args.get("sign", 1))
     fields = {name: getattr(d, name) for name in d._fields}
     fields[system] = cs
     return type(d)(**fields)
@@ -381,27 +338,48 @@ def _hk_to_tri(args, objs):
 def _tri_to_hk(args, objs):
     from .kirby import bridge_hk
 
-    return bridge_hk(objs[0], args["picks"], int(args["m"]))
+    return bridge_hk(objs[0], args["picks"], args["m"])
 
 
-# op -> (the file kinds of its inputs, in order, its builder).  None marks
-# the builders that take several kinds and tell them apart themselves.
+# op -> (the file kinds of its inputs, in order, the argument keys its
+# builder reads with their types, as the CLI writes them, its builder).
+# A None file kind marks the builders that take several kinds and tell
+# them apart themselves.
 CONSTRUCTIONS = {
-    "stabilize": (None, _stabilize),
-    "slide": (None, _slide),
-    "connect-sum": (("trisection", "trisection"), _connect_sum),
-    "hk-to-tri": (("heegaard-kirby",), _hk_to_tri),
-    "tri-to-hk": (("trisection",), _tri_to_hk),
+    "stabilize": (None, {"type": str}, _stabilize),
+    "slide": (None, {"system": str, "from": int, "over": int, "guide": str,
+                     "sign": int}, _slide),
+    "connect-sum": (("trisection", "trisection"), {}, _connect_sum),
+    "hk-to-tri": (("heegaard-kirby",), {}, _hk_to_tri),
+    "tri-to-hk": (("trisection",), {"picks": list, "m": int}, _tri_to_hk),
 }
 
 
 def apply_construction(op, args, objs):
     """Rebuild a constructive operation's output from inputs and arguments;
-    raise ValueError when it cannot."""
+    raise ValueError when it cannot, or when an argument is one its
+    builder does not read or of another type."""
     if op not in CONSTRUCTIONS:
         raise ValueError("unknown construction %r" % op)
-    reads, build = CONSTRUCTIONS[op]
+    reads, takes, build = CONSTRUCTIONS[op]
     if reads is not None and tuple(map(kind_of, objs)) != reads:
         raise ValueError("%s needs %s" % (
             op, " and ".join("a %s file" % k for k in reads)))
+    for key, value in args.items():
+        if type(value) is not takes.get(key):
+            raise ValueError("%s takes %s, not %s=%r" % (
+                op, ", ".join("%s (%s)" % (k, t.__name__)
+                              for k, t in takes.items()) or "no arguments",
+                key, value))
     return build(args, objs)
+
+
+def construct(op, args, objs, reason="replayed"):
+    """The output of construction ``op``, its text, and the verdict that
+    certifies the output by its digest; raises ValueError as
+    ``apply_construction`` does."""
+    out = apply_construction(op, args, objs)
+    text = format_any(out)
+    return out, text, verified(reason, {
+        "kind": "construction", "op": op, "args": args,
+        "output_sha256": sha256_text(text)})

@@ -301,8 +301,7 @@ def test_standardize_handles_a_scrambled_sum():
     names, v = standardize(scrambled)
     assert v.is_verified
     assert sorted(names) == ["CP2R", "S1xS3"]
-    replayed = replay_decomposition(scrambled, v.witness)
-    assert sorted(replayed) == ["CP2R", "S1xS3"]
+    assert standardize(scrambled, v.witness) == (names, v)
 
 
 def test_standardize_walks_outside_the_classified_range():
@@ -368,8 +367,7 @@ def test_replay_rejects_tampered_witnesses():
     names, v = standardize(t)
     forged = dict(v.witness)
     forged["names"] = ["CP2", "CP2"]
-    with pytest.raises(ValueError):
-        replay_decomposition(t, forged)
+    assert standardize(t, forged)[1].witness != forged
 
 
 def test_sum_name_formatting():
@@ -666,7 +664,8 @@ def test_only_the_input_pairs_take_a_homology_cokernel(monkeypatch):
     names, v = standardize(t)
     assert v.is_verified and len(names) == 6
     assert calls == [6, 6, 6]
-    assert sorted(replay_decomposition(t, v.witness)) == sorted(names)
+    slid, _ = replay_decomposition(t, v.witness["tree"])
+    assert sorted(name for _, name in name_components(slid)) == sorted(names)
     assert calls == [6, 6, 6]
 
 
@@ -680,7 +679,7 @@ def test_decomposition_replay_runs_no_tietze_search(monkeypatch):
 
     monkeypatch.setattr(moves, "_descend_words", refused)
     _refuse_tietze(monkeypatch)
-    assert sorted(replay_decomposition(t, v.witness)) == sorted(names)
+    assert standardize(t, v.witness) == (names, v)
 
 
 def test_replay_rejects_forged_and_dropped_slides():
@@ -691,8 +690,9 @@ def test_replay_rejects_forged_and_dropped_slides():
     assert forged[1]["tree"]["slides"] == {"alpha": [], "beta": [],
                                            "gamma": []}
     for witness in forged:
-        with pytest.raises(ValueError, match="a piece of genus"):
-            replay_decomposition(t, witness)
+        got = standardize(t, witness)[1]
+        assert got.is_unknown
+        assert got.reason.startswith("no reducing certificate at genus")
 
 
 def _tampered(t, witness):

@@ -1,3 +1,4 @@
+import inspect
 import json
 import pathlib
 import re
@@ -125,11 +126,13 @@ _INTERNAL_KINDS = {"count", "pairing", "imprimitive", "lagrangian", "tietze"}
 
 
 def test_the_kind_tables_agree_with_the_engine():
-    produced = set()
+    written = re.compile(r'"kind": "([a-z0-9-]+)"')
+    # of reports.py, only construct writes a witness; its checks restate
+    # the kinds they check
+    produced = set(written.findall(inspect.getsource(reports.construct)))
     for path in pathlib.Path(reports.__file__).parent.glob("*.py"):
         if path.name != "reports.py":
-            produced |= set(re.findall(r'"kind": "([a-z0-9-]+)"',
-                                       path.read_text(encoding="utf-8")))
+            produced |= set(written.findall(path.read_text(encoding="utf-8")))
     # a checked kind nothing writes is dead; a written kind nothing checks
     # would not replay
     assert set(reports.CHECKERS) <= produced
@@ -137,7 +140,7 @@ def test_the_kind_tables_agree_with_the_engine():
     file_kinds = set(diagio._KINDS)
     for _, reads, _ in reports.CHECKERS.values():
         assert reads is None or reads in file_kinds
-    for reads, _ in reports.CONSTRUCTIONS.values():
+    for reads, _, _ in reports.CONSTRUCTIONS.values():
         assert reads is None or set(reads) <= file_kinds
 
 
@@ -168,6 +171,39 @@ def test_every_construction_is_in_the_table():
                                           "hk-to-tri", "tri-to-hk"}
     with pytest.raises(ValueError, match="unknown construction 'catalog'"):
         reports.apply_construction("catalog", {}, ())
+
+
+def test_a_construction_takes_only_the_arguments_its_builder_reads():
+    cp2 = genus_one_diagram("CP2")
+    honest = {"kind": "construction", "op": "stabilize", "args": {"type": "1"},
+              "output_sha256": _construction("stabilize", {"type": "1"},
+                                             (cp2,))}
+    reports.replay_verdict((cp2,), {"status": "verified", "witness": honest})
+    for args in ({"type": "1", "note": "S4"}, {"type": 1}):
+        with pytest.raises(ValueError, match="stabilize takes type"):
+            reports.apply_construction("stabilize", args, (cp2,))
+        with pytest.raises(reports.ReplayError):
+            reports.replay_verdict((cp2,), {"status": "verified", "witness":
+                                            dict(honest, args=args)})
+    for args in ({"system": "alpha", "from": True, "over": 1},
+                 {"system": "alpha", "from": 1, "over": 1, "sign": "+"}):
+        with pytest.raises(ValueError, match="slide takes system"):
+            reports.apply_construction("slide", args, (cp2,))
+    with pytest.raises(ValueError, match="connect-sum takes no arguments"):
+        reports.apply_construction("connect-sum", {"added": 0}, (cp2, cp2))
+
+
+def test_an_ac_path_depth_is_a_count_of_at_most_its_moves():
+    p = ak_presentation(1)
+    honest = {"status": "verified",
+              "witness": ac_search(p, 32, 20).verdict.witness}
+    assert (len(honest["witness"]["moves"]), honest["witness"]["depth"]) \
+        == (12, 4)
+    reports.replay_verdict((p,), honest)
+    for depth in (-5, "x", [1], True, 10 ** 6):
+        forged = dict(honest["witness"], depth=depth)
+        with pytest.raises(reports.ReplayError, match="depth"):
+            reports.replay_verdict((p,), dict(honest, witness=forged))
 
 
 def test_a_slide_rebuilds_the_diagram_around_the_slid_system():
@@ -295,12 +331,9 @@ def _engine_witnesses():
 
 # fields that replay cannot check, each with the reason
 _UNCHECKED = {("ac-path", "depth"): "it counts search edges, which only "
-                                     "the search knows"}
-# objects that replay copies whole into the witness it re-derives, so a
-# key added inside them replays, each with the reason
-_OPEN = {("construction", "args"): "args are the construction's input, and "
-                                   "a key no builder reads changes no "
-                                   "output"}
+                                     "the search knows; depth + 1 is still "
+                                     "in range, so only its type and range "
+                                     "are checked"}
 
 
 def _tampered(value):
@@ -390,8 +423,6 @@ def test_a_field_added_to_an_engine_witness_fails(kind):
     obj, honest = _engine_witness(kind)
     replayed = []
     for path in _object_paths(honest["witness"], ()):
-        if (kind,) + path[:1] in _OPEN:
-            continue
         forged = json.loads(json.dumps(honest["witness"]))
         node = forged
         for key in path:
@@ -431,3 +462,18 @@ def test_a_witness_replays_only_in_the_form_the_engine_writes():
         with pytest.raises(reports.ReplayError):
             reports.replay_verdict((obj,), {"status": "verified",
                                             "witness": w})
+
+
+def test_replaying_a_search_kind_runs_no_search(monkeypatch):
+    from trisect import ac, moves, presentations
+
+    witnesses = _engine_witnesses()
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a search ran during replay")
+
+    for module, name in ((presentations, "_greedy"),
+                         (moves, "_descend_words"), (ac, "ac_search")):
+        monkeypatch.setattr(module, name, refused)
+    for obj, v in witnesses:
+        reports.replay_verdict((obj,), json.loads(json.dumps(v.to_dict())))
