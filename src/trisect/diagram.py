@@ -40,7 +40,8 @@ from .homology import (HomologyClass, abelianize, algebraic_intersection,
                        lagrangian_verdict)
 from .intmatrix import cokernel
 from .presentations import presentation, tietze_simplify
-from .verdict import Frozen, refuted, unknown, verified, weakest
+from .verdict import (Frozen, recorded_finding, refuted, unknown, verified,
+                      weakest)
 
 
 class SlopeTemplate(Frozen):
@@ -87,6 +88,7 @@ class Curve(Frozen):
     """
     _fields = ("genus", "word", "homology", "template")
     _defaults = {"template": None}
+    __slots__ = ("_support",)
 
     def __post_init__(self):
         if self.homology.genus != self.genus:
@@ -108,8 +110,8 @@ class Curve(Frozen):
 
     def support(self):
         """The frozenset of handles the word runs over, built once per
-        curve; the cache is no field, so equality, hashing and repr are
-        unchanged."""
+        curve and kept in the slot ``_support``, which is no field, so
+        equality, hashing and repr are unchanged."""
         supp = getattr(self, "_support", None)
         if supp is None:
             supp = frozenset([(abs(v) + 1) // 2 for v in self.word])
@@ -118,7 +120,10 @@ class Curve(Frozen):
 
 
 def _unchecked(cls, **fields):
-    """A frozen ``cls`` with ``fields`` set and its __post_init__ skipped."""
+    """A frozen ``cls`` with ``fields`` set and its __post_init__ skipped.
+
+    Each field fills its slot; a name that is no slot of ``cls`` raises
+    ``AttributeError``."""
     obj = object.__new__(cls)
     for name, value in fields.items():
         object.__setattr__(obj, name, value)
@@ -380,7 +385,7 @@ def detect_k(d, h1=None, recorded=None):
     At genus <= 1 pi1 is abelian, hence H1, and the witness has no trace.
     ``h1`` is the diagram's H1, when the caller has it.  Given a
     ``recorded`` detect-k witness, the Tietze run replays its trace
-    instead of searching.
+    instead of searching; a null trace is a ValueError.
     """
     if h1 is None:
         h1 = heegaard_h1(d)
@@ -393,7 +398,8 @@ def detect_k(d, h1=None, recorded=None):
         return k, verified("pi1 is abelian at genus %d, so it is H1 = Z^%d"
                            % (d.genus, k), witness)
     _, v = tietze_simplify(quotient_presentation(d.genus, [d.alpha, d.beta]),
-                           None if recorded is None else recorded["trace"])
+                           None if recorded is None
+                           else recorded_finding(recorded["trace"], "trace"))
     if not v.is_verified:
         return k, unknown("H1 is Z^%d but pi1 freeness unconfirmed: %s"
                           % (k, v.reason))
@@ -513,13 +519,15 @@ def trisection_params(t, recorded=None):
     (gamma, alpha).  ``pair_homology`` refutes first; otherwise a Tietze
     run confirms each pair, and the verdict is the weakest of the three.
     Given a ``recorded`` params witness, each pair replays its recorded
-    pair witness (``detect_k``); anything but three is a ValueError.
+    pair witness (``detect_k``); anything but three, or a null one, is a
+    ValueError.
     """
     h1s, ks, bad = pair_homology(t)
     params = TrisectionParams(t.genus, *ks)
     if bad is not None:
         return params, bad
-    pairs = [None] * 3 if recorded is None else recorded["pairs"]
+    pairs = [None] * 3 if recorded is None else \
+        [recorded_finding(pw, "pair witness") for pw in recorded["pairs"]]
     verdicts = [detect_k(d, h1, pw)[1] for d, h1, pw
                 in zip(pair_diagrams(t), h1s, pairs, strict=True)]
     v = weakest(verdicts)

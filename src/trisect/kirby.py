@@ -16,7 +16,8 @@ command loads none of the three.
 from __future__ import annotations
 
 from .intmatrix import IntegerMatrix, cokernel, invariant_factors, kernel_basis
-from .verdict import Frozen, refuted, unknown, verified, weakest
+from .verdict import (Frozen, recorded_finding, refuted, unknown, verified,
+                      weakest)
 
 SURFACE = "surface"
 
@@ -179,7 +180,8 @@ def validate_hk(H, recorded=None):
     surgered first homology is Z^m; and pi1 of the surgered manifold is
     confirmed free of rank m when a completion is available.  Given a
     ``recorded`` heegaard-kirby witness, the two Tietze runs replay its
-    background's and its pi1's traces instead of searching.
+    background's and its pi1's traces instead of searching; a null
+    background witness or trace is a ValueError.
     """
     return _validate_hk(H, recorded)[0]
 
@@ -236,8 +238,8 @@ def _validate_hk(H, recorded=None):
     from .presentations import tietze_simplify
 
     h1 = heegaard_h1(H.background)
-    n, nv = detect_k(H.background, h1,
-                     None if recorded is None else recorded["background"])
+    n, nv = detect_k(H.background, h1, None if recorded is None else
+                     recorded_finding(recorded["background"], "background"))
     if nv.is_unknown:
         return unknown("background #^n not confirmed: %s" % nv.reason), None
     bad, inexact_pairs = surgery_data_check(H, h1)
@@ -251,7 +253,8 @@ def _validate_hk(H, recorded=None):
             "link was found, so pi1 is unconfirmed" % H.m), False
     _, tv = tietze_simplify(
         quotient_presentation(H.genus, [H.background.alpha, gamma]),
-        None if recorded is None else recorded["pi1"]["trace"])
+        None if recorded is None
+        else recorded_finding(recorded["pi1"]["trace"], "pi1 trace"))
     if not tv.is_verified:
         return unknown("surgered homology is Z^%d but pi1 is unconfirmed: %s"
                        % (H.m, tv.reason)), gamma

@@ -477,3 +477,37 @@ def test_replaying_a_search_kind_runs_no_search(monkeypatch):
         monkeypatch.setattr(module, name, refused)
     for obj, v in witnesses:
         reports.replay_verdict((obj,), json.loads(json.dumps(v.to_dict())))
+
+
+def test_a_null_finding_is_refused_before_any_search(monkeypatch):
+    # a producer reads None as "search", so each of these nulls ran one
+    # Tietze search before its replay failed
+    from trisect import presentations
+
+    cp2_sum = connected_sum(genus_one_diagram("CP2"),
+                            genus_one_diagram("S1xS3"))
+    s1xs2 = standard_heegaard(2, 1)
+    hk = _hk(s1xs2, [(2, 1, 0)], 2)
+    cases = [(cp2_sum, trisection_params(cp2_sum)[1], ("pairs", 0)),
+             (s1xs2, detect_k(s1xs2)[1], ("trace",)),
+             (hk, validate_hk(hk), ("background",)),
+             (hk, validate_hk(hk), ("pi1", "trace"))]
+    calls = []
+    search = presentations._search
+
+    def counted(p):
+        calls.append(p)
+        return search(p)
+
+    monkeypatch.setattr(presentations, "_search", counted)
+    for obj, v, path in cases:
+        honest = json.loads(json.dumps(v.to_dict()))
+        reports.replay_verdict((obj,), honest)
+        forged = json.loads(json.dumps(honest["witness"]))
+        node = forged
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = None
+        with pytest.raises(reports.ReplayError, match="is null"):
+            reports.replay_verdict((obj,), dict(honest, witness=forged))
+    assert calls == []

@@ -6,7 +6,8 @@ compare equal, the repr is ``Name(field=value, ...)``, fields cannot be
 assigned or deleted, and the constructor validates while the trusted
 builder ``diagram._unchecked`` does not.  Each class declares its fields
 once: ``Frozen`` builds the constructor from ``_fields`` and
-``_defaults``.  The AC search builds no value objects for its states:
+``_defaults`` and keeps the fields in slots, so no instance has a
+``__dict__``.  The AC search builds no value objects for its states:
 they are tuples of byte words.
 """
 
@@ -166,9 +167,31 @@ def test_value_class_contract(cls, args, text, bad):
 def test_equality_and_hash_read_the_declared_fields_only():
     a, b = curve_from_template(1, 1, 1, 0), curve_from_template(1, 1, 1, 0)
     a.support()
-    assert "_support" in vars(a) and "_support" not in vars(b)
+    assert getattr(a, "_support") == frozenset([1])
+    assert getattr(b, "_support", None) is None
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
-    assert not hasattr(Curve, "__slots__")
+
+
+def test_every_engine_value_class_is_slotted():
+    for cls in _engine_value_classes():
+        assert not hasattr(object.__new__(cls), "__dict__"), cls
+        # a slot that is no field is a declared cache
+        assert set(cls.__slots__) - set(cls._fields) == (
+            {"_support"} if cls is Curve else set()), cls
+        assert set(cls._fields) <= set(cls.__slots__), cls
+    assert Frozen.__slots__ == ()
+
+
+def test_a_misspelt_field_is_no_attribute():
+    with pytest.raises(AttributeError):
+        _unchecked(Curve, wrod=(1,))
+    with pytest.raises(AttributeError):
+        object.__setattr__(curve_from_template(1, 1, 1, 0), "_cache", 1)
+
+
+def test_a_class_built_by_a_type_call_belongs_to_its_caller():
+    # as with any class type() builds, so _engine_value_classes skips it
+    assert type("T", (Frozen,), {"_fields": ("a",)}).__module__ == __name__
 
 
 def test_keyword_arguments_and_defaults():
