@@ -18,9 +18,17 @@ handle basis.
 ``name_slopes`` is the one genus-one namer, from the three slopes alone
 (a pair's H1 is Z/|det|): the classifier's pass, its replay and
 ``destabilize`` name a piece with it, with no search and no diagram.
+
+``genus_one_diagram`` and ``genus_zero_diagram`` build and check each
+diagram once per process and return that object after: a diagram is
+``Frozen``, so a sum or stabilization that starts from a shared piece
+cannot change it, and its curves are the shared template curves of
+``diagram.curve_from_template``.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 from .diagram import CutSystem, TrisectionDiagram, system_from_templates
 
@@ -60,7 +68,10 @@ FIGURE_TWO = ("S4STAB1", "S4STAB2", "S4STAB3")
 ALL_NAMES = FIGURE_ONE + FIGURE_TWO
 
 
+@cache
 def genus_one_diagram(name):
+    """The catalog piece ``name``, built and checked on its first call and
+    shared after; an unknown name raises on every call."""
     slopes = GENUS_ONE_SLOPES.get(name)
     if slopes is None:
         raise ValueError("unknown catalog name %r (try one of %s)"
@@ -70,6 +81,7 @@ def genus_one_diagram(name):
                              declared_params=GENUS_ONE_PARAMS[name])
 
 
+@cache
 def genus_zero_diagram():
     empty = CutSystem(0, ())
     return TrisectionDiagram(0, empty, empty, empty, declared_params=(0, 0, 0))

@@ -28,12 +28,19 @@ check their data, and parsed files and link completions go through them.
 curve's word and class themselves, so they skip the Curve checks;
 ``moved_system`` skips the Lagrangian check for the systems moves build
 out of checked ones (its docstring gives the invariant).
+``curve_from_template`` returns one shared curve per (genus, handle,
+sign-normalized slope), and one shared ``SlopeTemplate`` per (handle,
+slope), so ``reembed``, sums, stabilizations and parsed ``@h(p,q)``
+curves build no copies.  Sharing is safe because every value is
+``Frozen``: equal by its fields, never changed after it is built (the
+``_support`` cache is no field), and no engine code compares curves by
+identity.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from operator import mul
+from operator import index, mul
 
 from . import words
 from .homology import (HomologyClass, abelianize, algebraic_intersection,
@@ -48,7 +55,8 @@ class SlopeTemplate(Frozen):
     """The (p, q) curve supported in handle ``handle``.
 
     Stored sign-normalized (p > 0, or p == 0 and q > 0) since a slope and
-    its negative are the same unoriented curve.
+    its negative are the same unoriented curve, and as exact ints (True
+    becomes 1; a float is a TypeError), so equal templates share a key.
     """
     _fields = ("handle", "p", "q")
 
@@ -57,6 +65,8 @@ class SlopeTemplate(Frozen):
             raise ValueError("handle index %d out of range" % self.handle)
         if self.p == 0 and self.q == 0:
             raise ValueError("slope (0, 0) is not a curve")
+        for name in self._fields:
+            object.__setattr__(self, name, index(getattr(self, name)))
         if gcd(abs(self.p), abs(self.q)) != 1:
             raise ValueError("slope (%d, %d) is not primitive" % (self.p, self.q))
         if self.p < 0 or (self.p == 0 and self.q < 0):
@@ -130,13 +140,31 @@ def _unchecked(cls, **fields):
     return obj
 
 
+# The shared template values: (handle, p, q) -> its SlopeTemplate, and
+# (genus, handle, p, q) -> its Curve, slopes sign-normalized.  A key is
+# read off a template that SlopeTemplate accepted and an int genus, so a
+# rejected input raises on every call and stores nothing.
+_TEMPLATES = {}
+_TEMPLATE_CURVES = {}
+
+
 def curve_from_template(genus, handle, p, q):
+    """The slope-(p, q) curve of handle ``handle`` on the genus-``genus``
+    surface: one shared object per (genus, handle, sign-normalized
+    slope), built on its first call."""
     if handle > genus:
         raise ValueError("handle %d exceeds genus %d" % (handle, genus))
     tpl = SlopeTemplate(handle, p, q)
-    # the Christoffel word is cyclically reduced and abelianizes to (p, q)
-    return _unchecked(Curve, genus=genus, word=tpl.word(),
-                      homology=tpl.homology(genus), template=tpl)
+    genus = index(genus)
+    key = (genus, tpl.handle, tpl.p, tpl.q)
+    curve = _TEMPLATE_CURVES.get(key)
+    if curve is None:
+        tpl = _TEMPLATES.setdefault(key[1:], tpl)
+        # the Christoffel word is cyclically reduced and abelianizes to (p, q)
+        curve = _unchecked(Curve, genus=genus, word=tpl.word(),
+                           homology=tpl.homology(genus), template=tpl)
+        _TEMPLATE_CURVES[key] = curve
+    return curve
 
 
 def curve_from_word(genus, word):
@@ -153,21 +181,11 @@ def reembed(curve, genus, handle_map):
     values in 1..genus.  A word curve's letters x_h, y_h become x_h',
     y_h' for h' = handle_map[h].  A slope template keeps its slope on the
     new handle: only ``curve_from_template`` makes template curves, so the
-    renumbered word is the new template's word, and the result equals
-    ``curve_from_template(genus, h', p, q)``.
+    result is ``curve_from_template(genus, h', p, q)``, the shared curve.
     """
     tpl = curve.template
     if tpl is not None:
-        handle = handle_map[tpl.handle]
-        if not 1 <= handle <= genus:
-            raise ValueError("handle %d out of range 1..%d" % (handle, genus))
-        word = curve.word
-        if handle != tpl.handle:
-            step = 2 * (handle - tpl.handle)
-            word = tuple([v + step if v > 0 else v - step for v in word])
-            tpl = _unchecked(SlopeTemplate, handle=handle, p=tpl.p, q=tpl.q)
-        return _unchecked(Curve, genus=genus, word=word,
-                          homology=tpl.homology(genus), template=tpl)
+        return curve_from_template(genus, handle_map[tpl.handle], tpl.p, tpl.q)
     word = []
     for v in curve.word:
         h = (abs(v) + 1) // 2

@@ -27,6 +27,17 @@ def test_catalog_params_match_declared():
     assert time.monotonic() - start < 1.0
 
 
+def test_each_catalog_diagram_is_built_once():
+    for name in ALL_NAMES:
+        assert genus_one_diagram(name) is genus_one_diagram(name)
+    assert genus_zero_diagram() is genus_zero_diagram()
+    stored = genus_one_diagram.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            genus_one_diagram("S4")
+    assert genus_one_diagram.cache_info().currsize == stored
+
+
 def test_triangle_signs():
     # oracle: explicit determinant products over the slope triples
     for name, slopes in (("CP2", ((1, 0), (0, 1), (1, 1))),

@@ -18,7 +18,7 @@ from trisect.diagram import (Curve, CutSystem, HeegaardDiagram, SlopeTemplate,
                              standard_heegaard, surface_relator,
                              system_from_templates, trisection_h1,
                              trisection_params)
-from trisect import reports
+from trisect import diagram, reports
 from trisect.catalog import ALL_NAMES, genus_one_diagram
 from trisect.homology import HomologyClass, algebraic_intersection
 from trisect.intmatrix import AbelianGroup, invariant_factors
@@ -118,6 +118,76 @@ def test_reembed_of_a_template_curve_is_the_template_curve(args):
                                         tpl.p, tpl.q)
     if handle_map[tpl.handle] == tpl.handle:
         assert moved.template is tpl
+    # and it is that shared object, not a copy
+    assert moved is curve_from_template(new_genus, handle_map[tpl.handle],
+                                        tpl.p, tpl.q)
+    assert reembed(curve, curve.genus, {tpl.handle: tpl.handle}) is curve
+
+
+# -- shared template values ---------------------------------------------------
+
+@settings(derandomize=True, database=None, max_examples=200)
+@given(st.integers(1, 5).flatmap(lambda g: st.tuples(
+    st.just(g), st.integers(1, g),
+    st.tuples(st.integers(-9, 9), st.integers(-9, 9)).filter(
+        lambda s: gcd(*s) == 1))))
+def test_a_template_curve_is_one_object_per_genus_handle_and_slope(args):
+    g, h, (p, q) = args
+    c = curve_from_template(g, h, p, q)
+    assert c is curve_from_template(g, h, -p, -q)
+    # one template per (handle, slope), whatever the genus
+    assert c.template is curve_from_template(g + 1, h, p, q).template
+    # the shared curve is the one the checking constructor builds
+    fresh = Curve(g, c.word, c.homology, SlopeTemplate(h, p, q))
+    assert c == fresh and hash(c) == hash(fresh) and repr(c) == repr(fresh)
+
+
+@pytest.mark.parametrize("args,error", [
+    ((1, 2, 1, 0), ValueError),      # handle above the genus
+    ((2, 0, 1, 0), ValueError),      # handle below 1
+    ((2, 1, 0, 0), ValueError),      # slope (0, 0)
+    ((2, 1, 2, 4), ValueError),      # not primitive
+    ((2, 1, 1.0, 0), TypeError),     # a float slope, though 1.0 == 1
+    ((2, 1, 0, -1.0), TypeError),
+    ((2.0, 1, 1, 0), TypeError),     # a float genus
+    ((2, 1.0, 1, 0), TypeError),     # a float handle
+])
+def test_a_rejected_template_raises_every_call_and_stores_nothing(args,
+                                                                  error):
+    curve_from_template(2, 1, 1, 0)
+    curve_from_template(2, 1, 0, 1)
+    def tables():
+        return [{key: id(value) for key, value in table.items()}
+                for table in (diagram._TEMPLATES, diagram._TEMPLATE_CURVES)]
+
+    before = tables()
+    for _ in range(2):
+        with pytest.raises(error):
+            curve_from_template(*args)
+    assert tables() == before
+
+
+def test_a_bool_slope_stores_the_int_curve():
+    # a key no other test builds, dropped first so that True builds it
+    diagram._TEMPLATES.pop((9, 1, 0), None)
+    diagram._TEMPLATE_CURVES.pop((9, 9, 1, 0), None)
+    c = curve_from_template(9, 9, True, False)
+    assert c is curve_from_template(9, 9, 1, 0)
+    assert repr(c.template) == "SlopeTemplate(handle=9, p=1, q=0)"
+
+
+def test_a_catalog_sum_shares_its_template_curves():
+    names = ("S1xS3", "CP2", "S4STAB1", "CP2R", "S1xS3", "CP2")
+    t = genus_one_diagram(names[0])
+    for name in names[1:]:
+        t = connected_sum(t, genus_one_diagram(name))
+    curves = [c for cs in t.systems() for c in cs.curves]
+    assert t.genus == 6 and len(curves) == 18
+    # one object per handle and slope: S1xS3 has one slope, S4STAB1 two
+    # and CP2 and CP2R three each
+    assert len({id(c) for c in curves}) == 1 + 3 + 2 + 3 + 1 + 3
+    assert all(c is curve_from_template(6, c.template.handle, c.template.p,
+                                        c.template.q) for c in curves)
 
 
 def test_geometric_intersection_frozen():

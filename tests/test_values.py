@@ -165,7 +165,10 @@ def test_value_class_contract(cls, args, text, bad):
 
 
 def test_equality_and_hash_read_the_declared_fields_only():
-    a, b = curve_from_template(1, 1, 1, 0), curve_from_template(1, 1, 1, 0)
+    # template curves are shared, so the second one is built and validated
+    # afresh
+    a = curve_from_template(1, 1, 1, 0)
+    b = Curve(1, a.word, a.homology, SlopeTemplate(1, 1, 0))
     a.support()
     assert getattr(a, "_support") == frozenset([1])
     assert getattr(b, "_support", None) is None
