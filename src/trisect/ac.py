@@ -16,18 +16,22 @@ the class images), a key is the column of images that ``canonical_key``
 formats, and an edge is a small descriptor, expanded into primitive moves
 only for the returned path.  A child replaces one relator of the expanded
 state by a new core, so it is keyed from the state's class entries and the
-core's, and stored as (state, relator index, core) only when its key is
-new.  A core of the class of an earlier core replacing the same relator is
-skipped: the two children differ by a rotation or inversion of that
-relator, so they share a key, which the earlier one left stored.
+core's.  It is one flat tuple, (key, parent key, parent state, relator
+index, core, *descriptor), and when its key is new that tuple is the key's
+only record: the search's parent map and frontier hold it, and the child
+state is built only when it is expanded.  A core of the class of an earlier
+core replacing the same relator is skipped: the two children differ by a
+rotation or inversion of that relator, so they share a key, which the
+earlier one left stored.
 
 Expanding a state streams records (``_expansion``): per keyed child, its
 class lookups, counter increments and the child.  They depend on the state
-and the bounds alone, and every backward side grows from the trivial
-presentation, so the process keeps the records of a repeated backward
-expansion for later searches (``_records``).  The path is replayed with
-``apply_ac_move``, which validates every step; each backward move is the
-first child keyed to the next key, found by an orbit test (``_rows``).
+and the bounds alone (the parent key is a function of the state), and
+every backward side grows from the trivial presentation, so the process
+keeps the records of a repeated backward expansion for later searches
+(``_records``).  The path is replayed with ``apply_ac_move``, which
+validates every step; each backward move is the first child keyed to the
+next key, found by an orbit test (``_rows``).
 """
 
 from __future__ import annotations
@@ -304,9 +308,10 @@ def _orbit_images(base, indices):
 # class adds its 2^n n! images, a composer index list as many indices, a
 # kept expansion one per record and per class lookup in it, and a mark one
 # until records replace it.  An image costs about 80 bytes and a record
-# unit about 200, so a full table holds 10-25 MB; the 139 searches of the
-# ac-ak benchmark at 10 s store about 49,000 units (2,800 of them in
-# records) in their four tables.
+# unit about 210 (tracemalloc, CPython 3.11: 540-630 bytes per kept record
+# with its lookups, 136 of them the child's flat tuple), so a full table
+# holds 10-28 MB; the 139 searches of the ac-ak benchmark at 10 s store
+# about 49,000 units (2,800 of them in records) in their four tables.
 _SYMMETRY_CAP = 1 << 17
 
 # generator count -> its symmetry table (``_symmetry``), shared by every
@@ -457,8 +462,10 @@ class SearchResult(Frozen):
     (``orbit_images``: relabeled from their orbit), and the children
     keyed or skipped for a sibling's class (``child_keys``,
     ``sibling_skips``), all in the search's expansions (writing out the
-    path counts nothing), and ``complete``: unknown because both frontiers
-    emptied with only the length cap cutting.  Stats never enter witnesses.
+    path counts nothing), and ``complete``: unknown because one side's
+    component closed with no depth or generator-cap cut on that side, so
+    no trivialization exists within the length cap.  Stats never enter
+    witnesses.
     """
     _fields = ("path", "verdict", "stats")
     _defaults = {"stats": None}
@@ -606,16 +613,19 @@ def _rows(entries, target):
     return {i: left[0] for i, left in enumerate(lefts) if len(left) == 1}
 
 
-def _expansion(state, memo, stable, gen_cap, max_total_length, target=None):
-    """The records of the edges out of ``state``, streamed: per keyed
-    child ``(looked, pruned, skips, child)``, then a tail record whose
-    child is None.  Since the record before, ``looked`` lists the class
-    lookups ``(n, w, entry)``, and ``pruned`` and ``skips`` count children
-    over the length cap or skipped for a sibling's class.  ``child`` is
-    ``(descriptor, key, base, i, core)``: ``base`` with relator i replaced
-    by ``core``, or ``base`` when i is None.  ``memo`` is only a cache, so
-    records depend on the state and bounds alone.  A ``target`` key drops
-    the rows and cores that cannot reach it."""
+def _expansion(state, key, memo, stable, gen_cap, max_total_length,
+               target=None):
+    """The records of the edges out of ``state``, whose key is ``key``
+    (only copied into the records), streamed: per keyed child ``(looked,
+    pruned, skips, child)``, then a tail record whose child is None.
+    Since the record before, ``looked`` lists the class lookups ``(n, w,
+    entry)``, and ``pruned`` and ``skips`` count children over the length
+    cap or skipped for a sibling's class.  ``child`` is the flat tuple
+    ``(child_key, key, base, i, core, *descriptor)``: the child is
+    ``base`` with relator i replaced by ``core``, or ``base`` when i is
+    None.  ``memo`` is only a cache, so records depend on the state and
+    bounds alone.  A ``target`` key drops the rows and cores that cannot
+    reach it."""
     n = len(state)
     slot = _slot(memo, n) if n else None
     entries = [_lookup(slot, w) for w in state]
@@ -642,7 +652,9 @@ def _expansion(state, memo, stable, gen_cap, max_total_length, target=None):
         (lo, win), (_, x, won) = leasts[i], entry
         cand = win if x > lo else won if x < lo else win.union(won)
         ckey = _column(rests[i] + [entry], cand)
-        yield looked, pruned, skips, (desc, ckey, state, i, core)
+        _, j, m, e, k = desc
+        yield looked, pruned, skips, (ckey, key, state, i, core,
+                                      i + 1, j, m, e, k)
         looked, pruned, skips = [], 0, 0
     for desc, child in (_stable_edges(state, gen_cap, max_total_length)
                         if stable else ()):
@@ -650,17 +662,18 @@ def _expansion(state, memo, stable, gen_cap, max_total_length, target=None):
             pruned += 1
             continue
         ckey = _key(child, memo, looked)
-        yield looked, pruned, skips, (desc, ckey, child, None, None)
+        yield looked, pruned, skips, (ckey, key, child, None, None, *desc)
         looked, pruned, skips = [], 0, 0
     yield looked, pruned, skips, None
 
 
-def _records(state, backward, memo, stable, gen_cap, max_total_length):
-    """The records of expanding ``state`` under the bounds: the process's
-    if it keeps them, else streamed (``_expansion``) and kept by the second
-    backward expansion to stream them to the end.  The first only marks the
-    state, so a one-off expansion keeps none; ``_SYMMETRY_CAP`` counts."""
-    records = _expansion(state, memo, stable, gen_cap, max_total_length)
+def _records(state, key, backward, memo, stable, gen_cap, max_total_length):
+    """The records of expanding ``state``, whose key is ``key``, under the
+    bounds: the process's if it keeps them, else streamed (``_expansion``)
+    and kept by the second backward expansion to stream them to the end.
+    The first only marks the state, so a one-off expansion keeps none;
+    ``_SYMMETRY_CAP`` counts."""
+    records = _expansion(state, key, memo, stable, gen_cap, max_total_length)
     table = _symmetry(max(len(state), 1))  # the empty state's: that of 1
     rkey = (state, stable, gen_cap, max_total_length)
     kept = table[5].get(rkey)
@@ -687,8 +700,17 @@ def _children(records, parents, memo, stats):
         stats["pruned_length"] += pruned
         stats["sibling_skips"] += skips
         stats["child_keys"] += child is not None
-        if child is not None and child[1] not in parents:
+        if child is not None and child[0] not in parents:
             yield child
+
+
+def _depth(parents, key):
+    """The search edges from the root of ``parents`` to ``key``: the length
+    of its chain of parent keys."""
+    depth, key = 0, parents[key][1]
+    while key is not None:
+        depth, key = depth + 1, parents[key][1]
+    return depth
 
 
 def ac_search(p, max_total_length, max_depth, stable=False,
@@ -710,14 +732,18 @@ def ac_search(p, max_total_length, max_depth, stable=False,
     The edge family is closed under inverses, so the search runs from both
     ends (the input and the trivial form), always expanding the smaller
     frontier, and splices the halves where they meet; results are
-    deterministic for fixed budgets.  Class images and the records of
-    repeated backward expansions come from the process's symmetry tables
-    (``_symmetry``), which earlier searches may have filled.  Every value
-    there is a pure function of the generator count and its key, and
-    counters are kept per search, so what ran before changes no answer,
-    path or counter, only the work done.  The engine is single-threaded;
-    a race between threads on the tables could only repeat work or
-    misjudge a table's size, never change a value.
+    deterministic for fixed budgets.  When one side's frontier empties and
+    nothing cut that side by depth or by the generator cap, that side's
+    component within the length cap has closed without meeting the other
+    side: the search answers unknown at once, with ``complete`` set.
+    Class images and the records of repeated backward expansions come from
+    the process's symmetry tables (``_symmetry``), which earlier searches
+    may have filled.  Every value there is a pure function of the
+    generator count and its key, and counters are kept per search, so what
+    ran before changes no answer, path or counter, only the work done.
+    The engine is single-threaded; a race between threads on the tables
+    could only repeat work or misjudge a table's size, never change a
+    value.
     """
     if max_total_length < 1 or max_depth < 1 or max_states < 1:
         raise ValueError("budgets must be positive")
@@ -754,13 +780,16 @@ def ac_search(p, max_total_length, max_depth, stable=False,
     start, goal = _state(p0), _state(trivial_presentation(p.generators))
     start_key, goal_key = _key(start, memo), _key(goal, memo)
 
-    # parents[key] = (parent_key, edge_descriptor, depth); None marks the
-    # root.  A frontier entry (base, i, core, key, depth) is a child as
-    # ``_children`` yields it, built only when it is expanded.
-    fwd = {"parents": {start_key: (None, None, 0)},
-           "frontier": deque([(start, None, None, start_key, 0)])}
-    bwd = {"parents": {goal_key: (None, None, 0)},
-           "frontier": deque([(goal, None, None, goal_key, 0)])}
+    # parents[key] is the key's record, as ``_children`` yields it: (key,
+    # parent_key, base, i, core, *descriptor), a root's being (key, None,
+    # state, None, None).  The frontier holds the same records, a child's
+    # state is built only when it is expanded, and a key's depth is the
+    # length of its chain of parents (``_depth``).  ``cut`` is set when the
+    # side prunes a state by depth or by the generator cap.
+    roots = (start_key, None, start, None, None), \
+        (goal_key, None, goal, None, None)
+    fwd, bwd = [{"parents": {root[0]: root}, "frontier": deque([root]),
+                 "cut": False} for root in roots]
 
     def _result(path, verdict):
         stats["stored"] = len(fwd["parents"]) + len(bwd["parents"])
@@ -774,22 +803,23 @@ def ac_search(p, max_total_length, max_depth, stable=False,
         form, replayed from p0 through apply_ac_move: the forward chain,
         then toward each backward parent key the first child keyed to it
         (a skipped sibling has an earlier sibling's key)."""
-        chain, k = [], key
-        while fwd["parents"][k][0] is not None:
-            k, desc, _ = fwd["parents"][k]
-            chain.append(desc)
+        chain, record = [], fwd["parents"][key]
+        while record[1] is not None:
+            chain.append(record[5:])
+            record = fwd["parents"][record[1]]
         moves, cur = list(prefix), p0
-        target = bwd["parents"][key][0]
+        target = bwd["parents"][key][1]
         while chain or target is not None:
             if chain:
                 desc = chain.pop()
             else:
-                desc = next((child[0] for *_, child in _expansion(
-                    _state(cur), memo, stable, gen_cap, max_total_length,
-                    target) if child and child[1] == target), None)
+                desc = next((child[5:] for *_, child in _expansion(
+                    _state(cur), None, memo, stable, gen_cap,
+                    max_total_length, target)
+                    if child and child[0] == target), None)
                 if desc is None:
                     raise AssertionError("guided replay lost the key trail")
-                target = bwd["parents"][target][0]
+                target = bwd["parents"][target][1]
             edge = _product_moves(cur, desc)
             moves.extend(edge)
             for m in edge:
@@ -801,36 +831,49 @@ def ac_search(p, max_total_length, max_depth, stable=False,
     while fwd["frontier"] or bwd["frontier"]:
         f, b = len(fwd["frontier"]), len(bwd["frontier"])
         side, other = (fwd, bwd) if f and (f <= b or not b) else (bwd, fwd)
-        base, i, core, key, depth = side["frontier"].popleft()
+        key, _, base, i, core = side["frontier"].popleft()[:5]
         stats["visited"] += 1
+        depth = _depth(side["parents"], key)
         if depth >= max_depth:
             stats["pruned_depth"] += 1
+            side["cut"] = True
             continue
         state = base if i is None else base[:i] + (core,) + base[i + 1:]
         if stable and len(state) >= gen_cap:
             stats["pruned_generator_cap"] += 1
-        for desc, ckey, base, i, core in _children(_records(
-                state, side is bwd, memo, stable, gen_cap, max_total_length),
-                side["parents"], memo, stats):
+            side["cut"] = True
+        for record in _children(_records(
+                state, key, side is bwd, memo, stable, gen_cap,
+                max_total_length), side["parents"], memo, stats):
             if len(fwd["parents"]) + len(bwd["parents"]) >= max_states:
                 stats["aborted"] = "state-cap"
                 return _result(None, unknown(
                     "exhausted: state cap %d reached after %d states "
                     "visited" % (max_states, stats["visited"])))
-            side["parents"][ckey] = (key, desc, depth + 1)
+            ckey = record[0]
+            side["parents"][ckey] = record
             # a forward child in trivial form meets the backward root
-            hit = other["parents"].get(ckey)
-            if hit is not None and depth + 1 + hit[2] <= max_depth:
-                path = _path(ckey)
-                depth += 1 + hit[2]
-                return _result(path, verified(
-                    "trivialized in %d primitive moves (%d search edges)"
-                    % (len(path), depth),
-                    {"kind": "ac-path", "moves": [list(m) for m in path],
-                     "depth": depth}))
-            side["frontier"].append((base, i, core, ckey, depth + 1))
-    stats["complete"] = not (stats["pruned_depth"]
-                             or stats["pruned_generator_cap"])
+            if ckey in other["parents"]:
+                edges = depth + 1 + _depth(other["parents"], ckey)
+                if edges <= max_depth:
+                    path = _path(ckey)
+                    return _result(path, verified(
+                        "trivialized in %d primitive moves (%d search "
+                        "edges)" % (len(path), edges),
+                        {"kind": "ac-path",
+                         "moves": [list(m) for m in path], "depth": edges}))
+            side["frontier"].append(record)
+        if not (side["frontier"] or side["cut"]):
+            # every key the side reaches within the length cap is stored,
+            # and none met the other side: the bound is complete
+            stats["complete"] = True
+            return _result(None, unknown(
+                "exhausted: no trivialization within total length %d: %s "
+                "component closed at %d key%s (%d states visited)"
+                % (max_total_length, "the input's" if side is fwd else
+                   "the trivial presentation's", len(side["parents"]),
+                   "" if len(side["parents"]) == 1 else "s",
+                   stats["visited"])))
     return _result(None, unknown(
         "exhausted: no trivialization within total length %d and depth %d "
         "(%d states visited)"

@@ -352,14 +352,17 @@ def test_child_keys_equal_the_keys_of_the_built_children(p, slack):
     state = _state(_normalize_start(p)[0])
     n, cap = len(state), sum(map(len, state)) + slack
     memo, stats = {}, Counter()
-    ac._key(state, memo)
-    got = list(ac._children(ac._expansion(state, memo, False, n, cap), {},
-                            memo, stats))
+    parent = ac._key(state, memo)
+    got = list(ac._children(ac._expansion(state, parent, memo, False, n,
+                                          cap), {}, memo, stats))
     keys = {}
-    for k, (desc, key, base, i, core) in enumerate(got):
-        # a child is named by the expanded state, the replaced relator and
-        # the core, and built only from them
-        assert (base, i) == (state, desc[0] - 1)
+    for k, (key, named, base, i, core, *desc) in enumerate(got):
+        # a child is named by the expanded state's key and state, the
+        # replaced relator and the core, and built only from them; its
+        # descriptor fills the rest of the record
+        desc = tuple(desc)
+        assert named == parent
+        assert (base, i, len(desc)) == (state, desc[0] - 1, 5)
         child = base[:i] + (core,) + base[i + 1:]
         keys[desc] = key
         assert key == ac._key(child, {})
@@ -418,8 +421,9 @@ def test_child_keys_depend_on_the_key_alone(states, stable, slack):
     cap = sum(map(len, a)) + slack
 
     def child_keys(state):
-        return {child[1] for *_, child in ac._expansion(
-            state, {}, stable, len(state) + 2, cap) if child is not None}
+        return {child[0] for *_, child in ac._expansion(
+            state, None, {}, stable, len(state) + 2, cap)
+            if child is not None}
 
     assert child_keys(a) == child_keys(b)
 
@@ -575,10 +579,10 @@ def _streamed(monkeypatch):
     states = []
     direct = ac._expansion
 
-    def counted(state, memo, stable, gen_cap, cap, target=None):
+    def counted(state, key, memo, stable, gen_cap, cap, target=None):
         if target is None:  # when first iterated, as the producer runs
             states.append(state)
-        yield from direct(state, memo, stable, gen_cap, cap, target)
+        yield from direct(state, key, memo, stable, gen_cap, cap, target)
     monkeypatch.setattr(ac, "_expansion", counted)
     return states
 
@@ -763,12 +767,14 @@ def _memo_contents(memo):
 def test_replayed_records_answer_as_the_streamed_expansion(cold_tables, p,
                                                            cap, stable):
     state = _state(_normalize_start(p)[0])
+    key = ac._key(state, {})
     gen_cap = len(state) + 2
-    records = list(ac._expansion(state, {}, stable, gen_cap, cap))
+    records = list(ac._expansion(state, key, {}, stable, gen_cap, cap))
     children = [record[3] for record in records if record[3] is not None]
     assert records[-1][3] is None and len(children) > 3
+    assert all(child[1] == key for child in children)
     # a side whose parents hold every third child's key
-    parents = {child[1] for child in children[::3]}
+    parents = {child[0] for child in children[::3]}
 
     def step(source, k):
         """The first k children a search step takes from ``source``, with
@@ -778,41 +784,40 @@ def test_replayed_records_answer_as_the_streamed_expansion(cold_tables, p,
         ac._key(state, memo)
         ac._key(_state(trivial_presentation(len(state))), memo)
         taken = islice(ac._children(source(memo), parents, memo, stats), k)
-        return ([child[:2] for child in taken], dict(stats),
-                _memo_contents(memo))
+        return list(taken), dict(stats), _memo_contents(memo)
 
     # the meet and the state cap stop a search after any child
     for k in (1, 2, len(children) // 2, None):
         streamed = step(lambda memo: ac._expansion(
-            state, memo, stable, gen_cap, cap), k)
+            state, key, memo, stable, gen_cap, cap), k)
         assert step(lambda memo: iter(records), k) == streamed
     # through the process's table: marked the first time, kept the second,
     # replayed from then on
     for _ in range(2):
-        assert list(ac._records(state, True, {}, stable, gen_cap,
+        assert list(ac._records(state, key, True, {}, stable, gen_cap,
                                 cap)) == records
     kept = ac._symmetry(len(state))[5][(state, stable, gen_cap, cap)]
     assert kept == records
     for backward in (True, False):
-        replayed = list(ac._records(state, backward, {}, stable, gen_cap,
-                                    cap))
+        replayed = list(ac._records(state, key, backward, {}, stable,
+                                    gen_cap, cap))
         assert len(replayed) == len(kept)
         assert all(a is b for a, b in zip(replayed, kept))
     # a forward expansion streams what is not kept, and marks nothing
-    assert list(ac._records(state, False, {}, stable, gen_cap,
+    assert list(ac._records(state, key, False, {}, stable, gen_cap,
                             cap + 1)) == list(ac._expansion(
-                                state, {}, stable, gen_cap, cap + 1))
+                                state, key, {}, stable, gen_cap, cap + 1))
     assert (state, stable, gen_cap, cap + 1) not in \
         ac._symmetry(len(state))[5]
 
 
 def _first_child_keyed_to(state, target, stable, gen_cap, cap):
-    """The unfiltered rule for a backward step of a path: the first child
-    of the whole expansion, keyed with a fresh memo, whose key is the
-    target."""
-    return next(desc for desc, key, *_ in ac._children(
-        ac._expansion(state, {}, stable, gen_cap, cap), {}, {}, Counter())
-        if key == target)
+    """The unfiltered rule for a backward step of a path: the descriptor
+    (the record's tail) of the first child of the whole expansion, keyed
+    with a fresh memo, whose key is the target."""
+    return next(child[5:] for child in ac._children(
+        ac._expansion(state, None, {}, stable, gen_cap, cap), {}, {},
+        Counter()) if child[0] == target)
 
 
 @pytest.mark.parametrize("p, cap, stable, states", [
@@ -830,12 +835,13 @@ def test_the_path_takes_the_move_the_unfiltered_rule_takes(monkeypatch, p,
     steps = []
     direct = ac._expansion
 
-    def checked(state, memo, stable, gen_cap, cap, target=None):
+    def checked(state, key, memo, stable, gen_cap, cap, target=None):
         if target is None:
-            return direct(state, memo, stable, gen_cap, cap)
-        records = list(direct(state, memo, stable, gen_cap, cap, target))
-        got = next(child[0] for *_, child in records
-                   if child and child[1] == target)
+            return direct(state, key, memo, stable, gen_cap, cap)
+        records = list(direct(state, key, memo, stable, gen_cap, cap,
+                              target))
+        got = next(child[5:] for *_, child in records
+                   if child and child[0] == target)
         steps.append((got, _first_child_keyed_to(state, target, stable,
                                                  gen_cap, cap)))
         return iter(records)
@@ -848,8 +854,8 @@ def test_the_path_takes_the_move_the_unfiltered_rule_takes(monkeypatch, p,
 
 
 def test_only_an_exhausted_uncut_search_is_complete():
-    # AK(2) within total length 11: both frontiers empty, and only the
-    # length cap cut anything
+    # AK(2) within total length 11: one side's component closed, and only
+    # the length cap cut anything there
     bound = ac_search(ak_presentation(2), 11, 10 ** 6, max_states=10 ** 6)
     assert bound.verdict.is_unknown and bound.stats["complete"] is True
     assert bound.stats["pruned_length"] > 0
@@ -866,6 +872,19 @@ def test_only_an_exhausted_uncut_search_is_complete():
     assert all(res.verdict.is_verified for res in found)
     assert not any(res.stats["complete"] for res in [capped, shallow] + found)
     assert all("complete" not in res.verdict.witness for res in found)
+
+
+def test_a_closed_backward_side_stops_the_search(monkeypatch):
+    # within total length 11 AK(2) has no child, so standing in for the
+    # trivial presentation it closes the backward side at its root, while
+    # the forward side from AK(1) is still open: the search stops there
+    monkeypatch.setattr(ac, "trivial_presentation",
+                        lambda n: ak_presentation(2))
+    res = ac_search(ak_presentation(1), 11, 10 ** 6, max_states=10 ** 6)
+    assert res.verdict.is_unknown and res.stats["complete"] is True
+    assert res.stats["visited"] == 2 and res.stats["stored"] > 2
+    assert "the trivial presentation's component closed at 1 key " in \
+        res.verdict.reason
 
 
 def test_aligned_products_replay_to_their_children():
@@ -944,6 +963,25 @@ def _component(p, cap, memo):
     return seen
 
 
+@pytest.mark.parametrize("cap, stable, visited, stored, component", [
+    (15, False, 10, 13, 7), (17, False, 266, 325, 257), (13, True, 1, 2, 1)])
+def test_ak3_closes_its_component_within_total_length(cap, stable, visited,
+                                                      stored, component):
+    # exhaustive bounds: with depth unbounded, AK(3)'s side closes before
+    # the trivial presentation's, so the search stops there, and the
+    # trivial side keeps what it stored by then; stable at 13, on at most
+    # 4 generators, a search that walked the trivial side passed 1.1 GB
+    # unfinished
+    res = ac_search(ak_presentation(3), cap, 10 ** 6, stable=stable,
+                    max_states=10 ** 7)
+    assert res.verdict.status == "unknown"
+    assert (res.stats["visited"], res.stats["stored"]) == (visited, stored)
+    assert (res.stats["pruned_depth"], res.stats["pruned_generator_cap"],
+            res.stats["aborted"], res.stats["complete"]) == (0, 0, None, True)
+    assert ("the input's component closed at %d key" % component) in \
+        res.verdict.reason
+
+
 def test_ak3_has_no_trivialization_within_total_length_13():
     # an exhaustive bound: with depth unbounded, no path of the search's
     # edges through cyclically reduced states of total length at most 13
@@ -951,14 +989,16 @@ def test_ak3_has_no_trivialization_within_total_length_13():
     p = ak_presentation(3)
     res = ac_search(p, 13, 10 ** 6, max_states=10 ** 7)
     assert res.verdict.status == "unknown"
-    assert res.stats["stored"] == res.stats["visited"] == 3365
+    # AK(3)'s side closes at its root, which every product of its
+    # relators replaces by a longer one: the two roots are all it stores
+    assert (res.stats["visited"], res.stats["stored"]) == (1, 2)
     assert (res.stats["pruned_depth"], res.stats["aborted"]) == (0, None)
     # nothing but the length cap cut it, and the stats say so
     assert res.stats["complete"] is True
-    # a plain search from both ends finds as many keys: AK(3) alone (every
-    # product of its relators is longer than the one it replaces) and the
-    # 3,364 of the trivial form's component; the key set is pinned, so it
-    # may depend on no hash order
+    assert "the input's component closed at 1 key " in res.verdict.reason
+    # a plain search from both ends finds AK(3) alone and the 3,364 keys
+    # of the trivial form's component, none of them AK(3)'s; the key set
+    # is pinned, so it may depend on no hash order
     memo = {}
     start = _component(_normalize_start(p)[0], 13, memo)
     goal = _component(trivial_presentation(2), 13, memo)

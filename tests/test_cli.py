@@ -117,8 +117,9 @@ def test_search_report_counts_class_and_orbit_images(capsys):
 
 
 def test_search_report_says_whether_its_bound_is_complete(capsys):
-    # AK(2) within total length 11: both frontiers emptied, and only the
-    # length cap cut anything, so "no trivialization" is a bound
+    # AK(2) within total length 11: its own component closed at its root,
+    # and only the length cap cut anything, so "no trivialization" is a
+    # bound
     code, out, _ = run(capsys, "ac-search", "--ak", "2", "--max-length", "11",
                        "--max-depth", "1000000", "--json")
     assert code == 2
