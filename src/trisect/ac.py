@@ -747,10 +747,11 @@ def ac_search(p, max_total_length, max_depth, stable=False,
     """
     if max_total_length < 1 or max_depth < 1 or max_states < 1:
         raise ValueError("budgets must be positive")
-    stats = {"visited": 0, "stored": 0, "pruned_length": 0,
-             "pruned_depth": 0, "pruned_generator_cap": 0, "aborted": None,
-             "class_images": 0, "orbit_images": 0, "child_keys": 0,
-             "sibling_skips": 0, "complete": False}
+    # in the order of the ac-search report's lines
+    stats = {"visited": 0, "stored": 0, "complete": False,
+             "pruned_length": 0, "pruned_depth": 0, "pruned_generator_cap": 0,
+             "aborted": None, "class_images": 0, "orbit_images": 0,
+             "child_keys": 0, "sibling_skips": 0}
     bad = ab_det_refutation(p)
     if bad is not None:
         return SearchResult(None, bad, stats)

@@ -12,8 +12,9 @@ their top level this module imports ``diagio``, ``reports`` and
 ``verdict``; ``diagio`` imports only the standard library and ``words``,
 and ``reports`` those, ``diagio`` and ``verdict``.  Engine modules are
 imported at four boundaries: a command handler below, a file-kind parser
-in ``diagio``, a witness check in ``reports.CHECKERS`` and a builder in
-``reports.CONSTRUCTIONS``; never inside a per-state or per-step function
+in ``diagio``, a witness check in ``reports.CHECKERS`` or
+``reports.BRIDGES`` and a builder in ``reports.CONSTRUCTIONS``; never
+inside a per-state or per-step function
 (``canonical_key``, the search's child keys in ``ac._children``, slide
 descent, Tietze moves).
 
@@ -39,7 +40,8 @@ command loads:
 * ``classify``, ``stabilize``, ``connect-sum`` and ``slide``: ``moves``,
   ``catalog`` and the diagram set;
 * ``replay``: what the check or construction of the recorded witness
-  kind calls, which is the set of the command that wrote the report.
+  kind calls, or the bridge command's producer, which is the set of the
+  command that wrote the report.
 """
 
 from __future__ import annotations
@@ -195,39 +197,16 @@ def _cmd_hk_to_tri(args):
     return [(args.file, text)], payload, v, out_text
 
 
-def _parse_picks(spec):
-    """The (gamma, beta) pairs of a '1:1,2:3' string, or a ValueError."""
-    picks = []
-    for part in spec.split(","):
-        piece = part.strip()
-        if not piece:
-            continue
-        bits = piece.split(":")
-        if len(bits) != 2:
-            raise ValueError("picks must look like '1:1,2:3', got %r" % piece)
-        try:
-            picks.append((int(bits[0]), int(bits[1])))
-        except ValueError:
-            raise ValueError("picks must be integer pairs, got %r" % piece)
-    if not picks:
-        raise ValueError("at least one gamma:beta pick is required")
-    return picks
-
-
-def _format_picks(picks):
-    return ",".join("%d:%d" % p for p in picks)
-
-
 def _cmd_tri_to_hk(args):
-    from .kirby import trisection_to_hk
+    from .kirby import format_picks, parse_picks, trisection_to_hk
 
     text, t = _load(args.file, "trisection", "tri-to-hk")
     try:
-        picks = _parse_picks(args.picks)
+        picks = parse_picks(args.picks)
         H, v = trisection_to_hk(t, picks)
     except ValueError as e:
         raise _UsageError(str(e))
-    payload = [("picks", _format_picks(picks))]
+    payload = [("picks", format_picks(picks))]
     out_text = None
     if H is not None:
         payload += [("components", H.c), ("target-m", H.m)]
@@ -274,11 +253,8 @@ def _cmd_ac_search(args):
                     max_states=max_states)
     payload = [("generators", p.generators),
                ("total-length", p.total_length())]
-    payload += [(key.replace("_", "-"), res.stats[key])
-                for key in ("visited", "stored", "complete", "pruned_length",
-                            "pruned_depth", "pruned_generator_cap", "aborted",
-                            "class_images", "orbit_images", "child_keys",
-                            "sibling_skips")]
+    payload += [(key.replace("_", "-"), value)
+                for key, value in res.stats.items()]
     if res.found:
         payload.append(("path-moves", len(res.path)))
     return inputs, payload, res.verdict, None
@@ -367,36 +343,11 @@ def _cmd_replay(args):
     w = vdict.get("witness")
     if w is not None and w["kind"] not in reports.CHECKERS:
         raise _UsageError("unsupported witness kind %r" % w["kind"])
-    objs = _reconstruct_for_replay(doc, tuple(objs), w and w["kind"])
-    reports.replay_verdict(objs, vdict)
+    reports.replay_verdict(tuple(objs), vdict, doc.get("operation"),
+                           doc.get("payload", {}))
     v = Verdict(vdict["status"], "replay confirms: %s" % vdict["reason"],
                 vdict["witness"])
     return [(args.report, raw)], payload, v, None
-
-
-def _reconstruct_for_replay(doc, objs, kind):
-    """Rebuild the object a witness of ``kind`` talks about, when the command
-    derived it from the input file (hk-to-tri, tri-to-hk): a check that
-    reads a heegaard-kirby diagram reads that diagram, a construction the
-    recorded inputs, and any other check the trisection."""
-    op = doc.get("operation")
-    on_hk = kind is not None and reports.CHECKERS[kind][1] == "heegaard-kirby"
-    try:
-        if op == "hk-to-tri" and not on_hk and kind != "construction":
-            return (reports.apply_construction("hk-to-tri", {}, objs),)
-        if op == "tri-to-hk" and on_hk:
-            payload = doc.get("payload", {})
-            picks = _parse_picks(payload["picks"])
-            if _format_picks(picks) != payload["picks"]:
-                raise ValueError("picks %r are not as tri-to-hk writes them"
-                                 % payload["picks"])
-            H = reports.apply_construction(
-                "tri-to-hk", {"picks": picks, "m": int(payload["target-m"])},
-                objs)
-            return (H,)
-    except (ValueError, KeyError, TypeError, AttributeError) as e:
-        raise reports.ReplayError("cannot rebuild the derived object: %s" % e)
-    return objs
 
 
 # -- parser and dispatch -------------------------------------------------------

@@ -181,7 +181,8 @@ def validate_hk(H, recorded=None):
     confirmed free of rank m when a completion is available.  Given a
     ``recorded`` heegaard-kirby witness, the two Tietze runs replay its
     background's and its pi1's traces instead of searching; a null
-    background witness or trace is a ValueError.
+    background witness or trace is a ValueError.  A witness of another
+    kind (a bridge report's) replays nothing.
     """
     return _validate_hk(H, recorded)[0]
 
@@ -237,6 +238,8 @@ def _validate_hk(H, recorded=None):
     from .diagram import detect_k, heegaard_h1, quotient_presentation
     from .presentations import tietze_simplify
 
+    if recorded is not None and recorded["kind"] != "heegaard-kirby":
+        recorded = None
     h1 = heegaard_h1(H.background)
     n, nv = detect_k(H.background, h1, None if recorded is None else
                      recorded_finding(recorded["background"], "background"))
@@ -274,38 +277,31 @@ def _validate_hk(H, recorded=None):
          "background": nv.witness, "pi1": tv.witness}), gamma
 
 
-def bridge_trisection(H, gamma=None):
-    """The background's alpha and beta with the link's completion
-    (``gamma``, if the caller has it) as third system, declaring (n, g-c, m)
-    with n the k of detect_k; None if there is no completion.  Search-free.
+def hk_to_trisection(H, recorded=None):
+    """Trisection with the link, completed by beta-parallel curves, as
+    the third system, declaring (n, g-c, m).
+
+    The verdict is the weaker of ``validate_hk``'s and the assembled
+    diagram's ``trisection_params``.  Given its report's ``recorded``
+    witness, validate_hk replays the traces of a heegaard-kirby one; the
+    completion and the parameter check (a Tietze run on each boundary
+    pair) rerun as the command runs them.
     """
-    from .diagram import TrisectionDiagram, heegaard_h1
+    from .diagram import TrisectionDiagram, heegaard_h1, trisection_params
 
-    if gamma is None:
-        gamma = complete_link_to_system(H)
-        if gamma is None:
-            return None
-    n = heegaard_h1(H.background).free_rank
-    return TrisectionDiagram(H.genus, H.background.alpha, H.background.beta,
-                             gamma, declared_params=(n, H.genus - H.c, H.m))
-
-
-def hk_to_trisection(H):
-    """Trisection with the link (completed) as the third system.
-
-    The declared parameters are (n, g-c, m).  The verdict combines the
-    link validation with the parameter check of the assembled diagram.
-    """
-    from .diagram import trisection_params
-
-    v, gamma = _validate_hk(H)
+    v, gamma = _validate_hk(H, recorded)
     if v.is_refuted:
         return None, v
-    t = None if gamma is False else bridge_trisection(H, gamma)
-    if t is None:
+    if gamma is None:
+        # validate_hk stopped before it looked for a completion
+        gamma = complete_link_to_system(H)
+    if not gamma:
         return None, unknown(
             "no beta-parallel completion of the link in the template "
             "model; cannot assemble the third system")
+    n = heegaard_h1(H.background).free_rank
+    t = TrisectionDiagram(H.genus, H.background.alpha, H.background.beta,
+                          gamma, declared_params=(n, H.genus - H.c, H.m))
     return t, weakest([v, trisection_params(t)[1]])
 
 
@@ -334,15 +330,19 @@ def find_primitive_pairs(t):
         {"kind": "primitive-pairs", "pairs": [list(p) for p in pairs]})
 
 
-def trisection_to_hk(t, picks):
+def trisection_to_hk(t, picks, recorded=None):
     """Extract the framed link determined by primitive gamma/beta picks.
 
     Each picked gamma curve must meet its picked beta curve exactly once
     and the other picked beta curves exactly zero times (all counts
-    exact); violations raise with the failing pair.  The diagram is
-    bridge_hk's, with m the trisection's third parameter.
+    exact); violations raise ValueError with the failing pair.
+    ``pair_homology`` refutes first; otherwise the diagram has background
+    (alpha, beta), the picked gamma curves as a surface-framed link and
+    target m = k3, and ``validate_hk`` gives the verdict.  Given its
+    report's ``recorded`` witness, validate_hk replays the traces of a
+    heegaard-kirby one; the pick checks and the homology rerun.
     """
-    from .diagram import geometric_intersection, trisection_params
+    from .diagram import HeegaardDiagram, geometric_intersection, pair_homology
 
     g = t.genus
     gammas = [gi for gi, _ in picks]
@@ -362,22 +362,37 @@ def trisection_to_hk(t, picks):
                     "pick (%d, %d): gamma %d meets beta %d in %s points "
                     "(need exactly %d, exact)"
                     % (gi, bi, gi, bj, got[0] if got[1] else "unknown", want))
-    params, pv = trisection_params(t)
-    if pv.is_refuted:
-        return None, pv
-    H = bridge_hk(t, picks, params.k3)
-    return H, validate_hk(H)
+    _, ks, bad = pair_homology(t)
+    if bad is not None:
+        return None, bad
+    H = HeegaardKirbyDiagram(
+        g, HeegaardDiagram(g, t.alpha, t.beta),
+        tuple(FramedComponent(t.gamma.curve(gi)) for gi, _ in picks),
+        m=ks[2])
+    return H, validate_hk(H, recorded)
 
 
-def bridge_hk(t, picks, m):
-    """Background (alpha, beta), the picked gamma curves as a surface-
-    framed link, target ``m``.  Checks only the picks' range; search-free.
-    """
-    from .diagram import HeegaardDiagram
+def parse_picks(spec):
+    """The (gamma, beta) pairs of a '1:1,2:3' string, or a ValueError."""
+    picks = []
+    for part in spec.split(","):
+        piece = part.strip()
+        if not piece:
+            continue
+        bits = piece.split(":")
+        if len(bits) != 2:
+            raise ValueError("picks must look like '1:1,2:3', got %r" % piece)
+        try:
+            picks.append((int(bits[0]), int(bits[1])))
+        except ValueError:
+            raise ValueError("picks must be integer pairs, got %r" % piece)
+    if not picks:
+        raise ValueError("at least one gamma:beta pick is required")
+    return picks
 
-    return HeegaardKirbyDiagram(
-        t.genus, HeegaardDiagram(t.genus, t.alpha, t.beta),
-        tuple(FramedComponent(t.gamma.curve(gi)) for gi, _ in picks), m=m)
+
+def format_picks(picks):
+    return ",".join("%d:%d" % p for p in picks)
 
 
 # -- linking-matrix calculus --------------------------------------------------

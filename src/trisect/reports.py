@@ -18,16 +18,21 @@ of a ``classification`` (``standardize``).  It derives every other field
 from the input as the search run does, so each of those witnesses is
 written in one place.  An ``ac-path`` is replayed move by move, with
 its depth checked for type and range, and a ``construction`` is rebuilt
-by ``construct``, which also writes it for the CLI.
+by ``construct``, which also writes it for the CLI.  A report of a bridge
+command (``hk-to-tri``, ``tri-to-hk``) replays through that command's
+producer whatever its witness kind: it replays the traces of a
+``heegaard-kirby`` witness, reruns every other step, and reads the
+``--picks`` of the payload.
 
 ``CHECKERS`` binds each witness kind to the status it certifies, the file
-kind its check reads and the check that re-derives it; ``CONSTRUCTIONS``
-binds each deterministic construction (stabilize, slide, connect-sum and
-the two kirby bridges) to the file kinds it reads, the argument keys its
-builder reads with their types, and its builder.  A new kind is one line
-there: ``replay_verdict`` and ``apply_construction`` check the inputs
-against the tables, the CLI reads them, and a ``construction`` witness
-replays through ``CONSTRUCTIONS``.
+kind its check reads and the check that re-derives it; ``BRIDGES`` binds
+each bridge command to its input's file kind and its check;
+``CONSTRUCTIONS`` binds each construction command (stabilize, slide and
+connect-sum) to the file kinds it reads, the argument keys its builder
+reads with their types, and its builder.  A new kind is one line there:
+``replay_verdict`` and ``apply_construction`` check the inputs against
+the tables, the CLI reads them, and a ``construction`` witness replays
+through ``CONSTRUCTIONS``.
 """
 
 from __future__ import annotations
@@ -235,21 +240,60 @@ CHECKERS = {
                      lambda w, *objs: construct(w["op"], w["args"], objs)[2]),
 }
 
+# -- the surgery bridge --------------------------------------------------------
+# A bridge command's verdict may speak of the diagram it derives, so its
+# check, called as check(witness, input, payload), is its producer.
+
+def _hk_to_tri(w, H, payload):
+    from .kirby import hk_to_trisection
+
+    return hk_to_trisection(H, w)[1]
+
+
+def _tri_to_hk(w, t, payload):
+    """Replay on the report's --picks, which must read as tri-to-hk
+    writes them and give the recorded target-m (compared as JSON, so
+    true is not 1)."""
+    from .kirby import format_picks, parse_picks, trisection_to_hk
+
+    spec = payload.get("picks")
+    try:
+        picks = parse_picks(str(spec))
+        if format_picks(picks) != spec:
+            raise ValueError("picks %r are not as tri-to-hk writes them"
+                             % (spec,))
+    except ValueError as e:
+        raise ReplayError("cannot rebuild the derived object: %s" % e)
+    H, v = trisection_to_hk(t, picks, w)
+    m = json.dumps(H and H.m)
+    _need(json.dumps(payload.get("target-m")) == m,
+          "cannot rebuild the derived object: its target-m is %s" % m)
+    return v
+
+
+# operation -> (the file kind of its one input, its check)
+BRIDGES = {
+    "hk-to-tri": ("heegaard-kirby", _hk_to_tri),
+    "tri-to-hk": ("trisection", _tri_to_hk),
+}
+
 # what a malformed witness field or an input of the wrong type raises
 # inside a check
 _MALFORMED = (KeyError, TypeError, ValueError, IndexError, AttributeError)
 
 
-def replay_verdict(objs, vdict):
+def replay_verdict(objs, vdict, operation=None, payload=None):
     """Re-derive a recorded verdict from its witness and the parsed inputs.
 
-    ``objs`` is the tuple of parsed input objects in command order.  Returns
-    None on success; raises KeyError for a witness kind that has no checker
-    (before any check runs), and ReplayError when the witness certifies
-    another status than the recorded one, is given inputs of another kind
-    than its check reads, has malformed fields, or differs, as sorted-key
-    JSON, from the witness its check re-derives, or when that check
-    re-derives another status.
+    ``objs`` is the tuple of parsed input objects in command order, and
+    ``operation`` and ``payload`` (a dict) are the report's; the check is
+    the operation's in ``BRIDGES`` or else the witness kind's.  Returns
+    None on success; raises KeyError for a witness kind that has no
+    checker (before any check runs), and ReplayError when the witness
+    certifies another status than the recorded one, is given inputs of
+    another kind than its check reads, has malformed fields, or differs,
+    as sorted-key JSON, from the witness its check re-derives, or when
+    that check re-derives another status.
     """
     status = vdict["status"]
     if status == "unknown":
@@ -259,6 +303,9 @@ def replay_verdict(objs, vdict):
         raise ReplayError("verdict has no witness")
     kind = w["kind"]
     certified, reads, check = CHECKERS[kind]
+    if operation in BRIDGES:
+        reads, bridge = BRIDGES[operation]
+        check = lambda w, obj: bridge(w, obj, payload)
     mismatch = "a %s witness certifies %s, not %s"
     _need(certified in (None, status), mismatch % (kind, certified, status))
     _need(reads is None or len(objs) == 1 and kind_of(objs[0]) == reads,
@@ -326,32 +373,15 @@ def _connect_sum(args, objs):
     return connected_sum(*objs)
 
 
-def _hk_to_tri(args, objs):
-    from .kirby import bridge_trisection
-
-    t = bridge_trisection(objs[0])
-    if t is None:
-        raise ValueError("no template completion of the link")
-    return t
-
-
-def _tri_to_hk(args, objs):
-    from .kirby import bridge_hk
-
-    return bridge_hk(objs[0], args["picks"], args["m"])
-
-
 # op -> (the file kinds of its inputs, in order, the argument keys its
-# builder reads with their types, as the CLI writes them, its builder).
-# A None file kind marks the builders that take several kinds and tell
-# them apart themselves.
+# builder reads with their types, as the CLI writes them, its builder),
+# one entry for each construction command.  A None file kind marks the
+# builders that take several kinds and tell them apart themselves.
 CONSTRUCTIONS = {
     "stabilize": (None, {"type": str}, _stabilize),
     "slide": (None, {"system": str, "from": int, "over": int, "guide": str,
                      "sign": int}, _slide),
     "connect-sum": (("trisection", "trisection"), {}, _connect_sum),
-    "hk-to-tri": (("heegaard-kirby",), {}, _hk_to_tri),
-    "tri-to-hk": (("trisection",), {"picks": list, "m": int}, _tri_to_hk),
 }
 
 

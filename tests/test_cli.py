@@ -6,8 +6,9 @@ import pytest
 from trisect import cli, diagio, reports
 from trisect.catalog import genus_one_diagram
 from trisect.cli import run_command
-from trisect.diagram import standard_heegaard
-from trisect.kirby import LinkingMatrix
+from trisect.diagram import HeegaardDiagram, standard_heegaard
+from trisect.kirby import (FramedComponent, HeegaardKirbyDiagram,
+                           LinkingMatrix, validate_hk)
 from trisect.moves import connected_sum
 
 
@@ -437,6 +438,18 @@ def test_classify_refutes_wrong_declared_params_at_any_genus(tmp_path,
     assert code == 1 and "replay confirms" in out
 
 
+# a genus-2 unknot over S3 surgers to S1xS2, not to the declared #^2
+_HK_WRONG_M = ("heegaard-kirby genus=2\nalpha: @1(1,0) ; @2(1,0)\n"
+               "beta: @1(0,1) ; @2(0,1)\nlink: @1(1,0) framing=surface\n"
+               "target m=2\n")
+# gamma 1 meets beta 1 once, so the picks 1:1 are sound
+_TRI_PICKABLE = ("trisection genus=1\nalpha: @1(1,0)\nbeta: @1(0,1)\n"
+                 "gamma: @1(1,0)\n")
+# gamma 1 misses beta 1, so tri-to-hk refuses the picks 1:1
+_TRI_PARALLEL = ("trisection genus=1\nalpha: @1(1,0)\nbeta: @1(1,0)\n"
+                 "gamma: @1(1,0)\n")
+
+
 def test_replay_of_derived_object_reports(tmp_path, capsys):
     hkt = write(tmp_path, "u.hkt",
                 "heegaard-kirby genus=1\nalpha: @1(1,0)\nbeta: @1(0,1)\n"
@@ -448,6 +461,85 @@ def test_replay_of_derived_object_reports(tmp_path, capsys):
     _, _, rep = _json_report(capsys, tmp_path, "r2.json", "tri-to-hk", tri,
                              "--picks", "1:1")
     assert run(capsys, "replay", rep, tri)[0] == 0
+
+    # the refutations each bridge command writes replay too
+    hkt = write(tmp_path, "m.hkt", _HK_WRONG_M)
+    code, doc, rep = _json_report(capsys, tmp_path, "r3.json", "hk-to-tri",
+                                  hkt)
+    assert code == 1
+    assert doc["verdict"]["witness"]["kind"] == "surgery-homology"
+    assert run(capsys, "replay", rep, hkt)[0] == 1
+
+    tri = write(tmp_path, "p.tri",
+                _TRI_PICKABLE.replace("genus=1", "genus=1 params=(1,1,1)"))
+    code, doc, rep = _json_report(capsys, tmp_path, "r4.json", "tri-to-hk",
+                                  tri, "--picks", "1:1")
+    assert code == 1
+    assert doc["verdict"]["witness"] == {
+        "kind": "params-mismatch", "declared": [1, 1, 1],
+        "computed": [0, 0, 1]}
+    assert run(capsys, "replay", rep, tri)[0] == 1
+
+
+def _picked_hk(text, m):
+    """The surgery diagram that --picks 1:1 reads off a genus-1 trisection
+    file, with target ``m``."""
+    t = diagio.parse_any(text)
+    return HeegaardKirbyDiagram(1, HeegaardDiagram(1, t.alpha, t.beta),
+                                (FramedComponent(t.gamma.curve(1)),), m)
+
+
+def _forge_target_m(doc):
+    # the picks give target m 1, which the input verifies
+    doc["payload"]["target-m"] = 2
+    doc["verdict"].update(status="refuted", witness={
+        "kind": "surgery-homology", "h1": "Z", "target_m": 2})
+
+
+def _forge_refused_picks(doc):
+    doc["inputs"][0]["sha256"] = reports.sha256_text(_TRI_PARALLEL)
+    doc["verdict"] = validate_hk(_picked_hk(_TRI_PARALLEL, 1)).to_dict()
+
+
+def _forge_unwritten_witness(doc):
+    # true of the assembled trisection, but hk-to-tri refutes from the
+    # surgered homology before it assembles one
+    doc["verdict"]["witness"] = {"kind": "params-mismatch",
+                                 "declared": [0, 1, 2], "computed": [0, 1, 1]}
+
+
+def _forge_construction(doc):
+    doc["verdict"]["witness"] = {
+        "kind": "construction", "op": "tri-to-hk",
+        "args": {"picks": [[1, 1]], "m": 5},
+        "output_sha256": reports.sha256_text(
+            diagio.format_any(_picked_hk(_TRI_PICKABLE, 5)))}
+
+
+@pytest.mark.parametrize("argv, text, replayed, forge", [
+    (["tri-to-hk", "--picks", "1:1"], _TRI_PICKABLE, _TRI_PICKABLE,
+     _forge_target_m),
+    (["tri-to-hk", "--picks", "1:1"], _TRI_PICKABLE, _TRI_PARALLEL,
+     _forge_refused_picks),
+    (["hk-to-tri"], _HK_WRONG_M, _HK_WRONG_M, _forge_unwritten_witness),
+    (["tri-to-hk", "--picks", "1:1"], _TRI_PICKABLE, _TRI_PICKABLE,
+     _forge_construction),
+], ids=["target-m", "refused-picks", "unwritten-witness", "construction"])
+def test_replay_rejects_a_forged_bridge_report(tmp_path, capsys, argv, text,
+                                               replayed, forge):
+    """Each forgery is a report the command never writes for its input,
+    and each one replays through the command's own producer."""
+    path = write(tmp_path, "in.txt", text)
+    _, doc, _ = _json_report(capsys, tmp_path, "r.json", argv[0], path,
+                             *argv[1:])
+    forge(doc)
+    forged = write(tmp_path, "forged.json", json.dumps(doc))
+    target = write(tmp_path, "replayed.txt", replayed)
+    if replayed != text:
+        assert run(capsys, argv[0], target, *argv[1:])[0] == 3
+    code, out, err = run(capsys, "replay", forged, target)
+    assert code == 4 and out == ""
+    assert "replay: FAILED" in err
 
 
 @pytest.mark.parametrize("field, value", [

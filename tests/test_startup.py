@@ -85,8 +85,8 @@ LINKING = BRIDGE | {"diagram", "homology", "presentations"}
 AC_ONLY = {"catalog", "diagram", "homology", "kirby", "moves",
            "presentations"}
 
-# (command, input file name, input object, status it answers, modules
-# that neither the command nor its replay may load)
+# (command and its flags, input file name, input object, status it
+# answers, modules that neither the command nor its replay may load)
 CASES = [
     ("ac-search", "ak1.pres", ak_presentation(1), "verified", AC_ONLY),
     ("ac-search", "det2.pres", BalancedPresentation(2, ((1, 1), (2,))),
@@ -98,6 +98,8 @@ CASES = [
     ("gprc-check", "hopf.lnk", LinkingMatrix.from_rows([[0, 1], [1, 0]]),
      "refuted", LINKING),
     ("hk-to-tri", "unknot.hkt", _unknot_over_s1xs2(), "verified", BRIDGE),
+    ("tri-to-hk --picks 1:1", "s4stab3.tri", genus_one_diagram("S4STAB3"),
+     "verified", BRIDGE),
     ("validate", "cross.hkt", _crossing_link(), "refuted", BRIDGE),
     ("validate", "lens.heeg", _lens_space(), "refuted", TRI_ONLY),
 ]
@@ -127,12 +129,13 @@ def test_importing_the_cli_loads_no_engine_module():
 
 @pytest.mark.parametrize(
     "command,name,obj,status,unloaded", CASES,
-    ids=["%s-%s" % (case[0], case[1]) for case in CASES])
+    ids=["%s-%s" % (case[0].split()[0], case[1]) for case in CASES])
 def test_a_command_and_its_replay_load_only_their_modules(
         tmp_path, command, name, obj, status, unloaded):
     path = tmp_path / name
     path.write_text(diagio.format_any(obj))
-    made = _fresh([command, str(path), "--json"])
+    command, *flags = command.split()
+    made = _fresh([command, str(path)] + flags + ["--json"])
     doc = json.loads(made["stdout"])
     assert doc["verdict"]["status"] == status
     assert made["code"] == EXIT_FOR_STATUS[status]
