@@ -713,6 +713,18 @@ def _depth(parents, key):
     return depth
 
 
+def path_verdict(moves, depth):
+    """The verdict of a move path to trivial form found ``depth`` search
+    edges from the input; ``ac_search`` writes it and replay re-derives
+    it."""
+    reason = "already in trivial form" if depth == 0 else \
+        "trivialized in %d primitive moves (%d search edges)" \
+        % (len(moves), depth)
+    return verified(reason, {"kind": "ac-path",
+                             "moves": [list(m) for m in moves],
+                             "depth": depth})
+
+
 def ac_search(p, max_total_length, max_depth, stable=False,
               max_states=DEFAULT_MAX_STATES):
     """Breadth-first search for a move path to the trivial presentation.
@@ -758,10 +770,7 @@ def ac_search(p, max_total_length, max_depth, stable=False,
 
     p0, prefix = _normalize_start(p)
     if p0.is_trivial_form():
-        return SearchResult(tuple(prefix), verified(
-            "already in trivial form",
-            {"kind": "ac-path", "moves": [list(m) for m in prefix],
-             "depth": 0}), stats)
+        return SearchResult(tuple(prefix), path_verdict(prefix, 0), stats)
     if p0.total_length() > max_total_length:
         return SearchResult(None, unknown(
             "exhausted: the presentation itself exceeds total length %d"
@@ -858,11 +867,7 @@ def ac_search(p, max_total_length, max_depth, stable=False,
                 edges = depth + 1 + _depth(other["parents"], ckey)
                 if edges <= max_depth:
                     path = _path(ckey)
-                    return _result(path, verified(
-                        "trivialized in %d primitive moves (%d search "
-                        "edges)" % (len(path), edges),
-                        {"kind": "ac-path",
-                         "moves": [list(m) for m in path], "depth": edges}))
+                    return _result(path, path_verdict(path, edges))
             side["frontier"].append(record)
         if not (side["frontier"] or side["cut"]):
             # every key the side reaches within the length cap is stored,

@@ -2,19 +2,22 @@
 
 One command per invocation; reports go to standard output in a
 line-oriented ``key: value`` form (or JSON with --json), diagram output
-goes to ``-o`` files or follows the report after a blank line.  Exit
-codes encode the verdict: 0 verified or plain success, 1 refuted,
-2 unknown or exhausted, 3 usage error, 4 I/O or parse error, 5 internal
-error (a crash never exits with a verdict code).
+goes to ``-o`` files or follows the report after a blank line, and its
+digest is the payload's ``output-sha256``.  The constructions
+(``stabilize``, ``slide``, ``connect-sum``) and ``catalog`` are plain
+output: their reports carry no verdict, and running them again checks
+them.  Exit codes encode the verdict: 0 verified or plain success,
+1 refuted, 2 unknown or exhausted, 3 usage error, 4 I/O or parse error
+(a replay that fails included), 5 internal error (a crash never exits
+with a verdict code).
 
 Each process compiles only the engine modules its command runs.  At
 their top level this module imports ``diagio``, ``reports`` and
 ``verdict``; ``diagio`` imports only the standard library and ``words``,
 and ``reports`` those, ``diagio`` and ``verdict``.  Engine modules are
-imported at four boundaries: a command handler below, a file-kind parser
-in ``diagio``, a witness check in ``reports.CHECKERS`` or
-``reports.BRIDGES`` and a builder in ``reports.CONSTRUCTIONS``; never
-inside a per-state or per-step function
+imported at three boundaries: a command handler below, a file-kind
+parser in ``diagio``, and a witness check in ``reports.CHECKERS`` or
+``reports.BRIDGES``; never inside a per-state or per-step function
 (``canonical_key``, the search's child keys in ``ac._children``, slide
 descent, Tietze moves).
 
@@ -39,9 +42,10 @@ command loads:
 * ``catalog``: ``catalog`` and the diagram set;
 * ``classify``, ``stabilize``, ``connect-sum`` and ``slide``: ``moves``,
   ``catalog`` and the diagram set;
-* ``replay``: what the check or construction of the recorded witness
-  kind calls, or the bridge command's producer, which is the set of the
-  command that wrote the report.
+* ``replay``: what the check of the recorded witness kind calls, or the
+  bridge command's producer, which is the set of the command that wrote
+  the report.  It prints the reason the check re-derives, which must
+  equal the recorded one.
 """
 
 from __future__ import annotations
@@ -144,74 +148,90 @@ def _cmd_classify(args):
     return [(args.file, text)], payload, v, None
 
 
-def _construct(op, cargs, paths, reason, payload):
-    """Handler of construction ``op``: its output and a verdict that
-    certifies it by digest; ``payload(objs, out)`` gives the report lines.
-    """
+def _built(paths, build):
+    """Handler of a construction: ``build(*objs)`` gives its output
+    diagram and report lines, and a ValueError from a builder is a usage
+    error.  The output is plain, with no verdict: its digest ends the
+    payload."""
     loaded = [(path,) + _load(path) for path in paths]
-    objs = tuple(obj for _, _, obj in loaded)
     try:
-        out, out_text, v = reports.construct(op, cargs, objs, reason)
+        out, payload = build(*(obj for _, _, obj in loaded))
     except ValueError as e:
         raise _UsageError(str(e))
-    return ([(path, text) for path, text, _ in loaded], payload(objs, out),
-            v, out_text)
+    out_text = diagio.format_any(out)
+    return ([(path, text) for path, text, _ in loaded],
+            reports.with_output(payload, out_text), None, out_text)
 
 
 def _cmd_stabilize(args):
-    return _construct(
-        "stabilize", {"type": args.type}, [args.file],
-        "stabilization of type %s constructed" % args.type,
-        lambda objs, out: [("genus", objs[0].genus),
-                           ("result-genus", out.genus)])
+    from .moves import heegaard_stabilize, i_stabilize
+
+    def build(t):
+        kind = diagio.kind_of(t)
+        if args.type == "heegaard":
+            if kind != "heegaard":
+                raise _UsageError(
+                    "heegaard stabilization needs a heegaard file")
+            out = heegaard_stabilize(t)
+        elif kind != "trisection":
+            raise _UsageError("stabilization type %s needs a trisection"
+                              % args.type)
+        else:
+            out = t
+            for i in (1, 2, 3) if args.type == "balanced" \
+                    else (int(args.type),):
+                out = i_stabilize(out, i)
+        return out, [("genus", t.genus), ("result-genus", out.genus)]
+    return _built([args.file], build)
 
 
 def _cmd_connect_sum(args):
-    return _construct("connect-sum", {}, [args.a, args.b],
-                      "connected sum constructed",
-                      lambda objs, out: [("genus", out.genus)])
+    from .moves import connected_sum
+
+    def build(a, b):
+        if diagio.kind_of(a) != "trisection" \
+                or diagio.kind_of(b) != "trisection":
+            raise _UsageError("connect-sum needs a trisection file and a "
+                              "trisection file")
+        out = connected_sum(a, b)
+        return out, [("genus", out.genus)]
+    return _built([args.a, args.b], build)
 
 
 def _cmd_slide(args):
-    cargs = {"system": args.system, "from": args.src, "over": args.over,
-             "guide": args.guide, "sign": {"+": 1, "-": -1}[args.sign]}
-    return _construct(
-        "slide", cargs, [args.file],
-        "handleslide of %s curve %d over %d applied"
-        % (args.system, args.src, args.over),
-        lambda objs, out: [("system", args.system), ("from", args.src),
-                           ("over", args.over)])
+    from .moves import handleslide
+    from .words import parse_surface_word
+
+    def build(d):
+        kind = diagio.kind_of(d)
+        if kind not in ("trisection", "heegaard"):
+            raise _UsageError("slide needs a diagram file")
+        if kind == "heegaard" and args.system == "gamma":
+            raise _UsageError("a heegaard diagram has alpha and beta only")
+        fields = {name: getattr(d, name) for name in d._fields}
+        fields[args.system] = handleslide(
+            fields[args.system], args.src, args.over,
+            guide=tuple(parse_surface_word(args.guide)),
+            sign={"+": 1, "-": -1}[args.sign])
+        return type(d)(**fields), [("system", args.system),
+                                   ("from", args.src), ("over", args.over)]
+    return _built([args.file], build)
 
 
 def _cmd_hk_to_tri(args):
-    from .kirby import hk_to_trisection
-
     text, H = _load(args.file, "heegaard-kirby", "hk-to-tri")
-    t, v = hk_to_trisection(H)
-    payload = [("genus", H.genus), ("components", H.c), ("target-m", H.m)]
-    out_text = None
-    if t is not None:
-        payload.append(("params", "(%d;%d,%d,%d)" %
-                        ((t.genus,) + t.declared_params)))
-        out_text = diagio.format_any(t)
-    return [(args.file, text)], payload, v, out_text
+    return ([(args.file, text)],) + reports.hk_to_tri(H)
 
 
 def _cmd_tri_to_hk(args):
-    from .kirby import format_picks, parse_picks, trisection_to_hk
+    from .kirby import parse_picks
 
     text, t = _load(args.file, "trisection", "tri-to-hk")
     try:
-        picks = parse_picks(args.picks)
-        H, v = trisection_to_hk(t, picks)
+        return ([(args.file, text)],) + reports.tri_to_hk(
+            t, parse_picks(args.picks))
     except ValueError as e:
         raise _UsageError(str(e))
-    payload = [("picks", format_picks(picks))]
-    out_text = None
-    if H is not None:
-        payload += [("components", H.c), ("target-m", H.m)]
-        out_text = diagio.format_any(H)
-    return [(args.file, text)], payload, v, out_text
 
 
 def _cmd_gprc_check(args):
@@ -270,7 +290,7 @@ def _cmd_catalog(args):
                       (name, diagio.format_diagram(genus_one_diagram(name))))
     out_text = "\n".join(blocks)
     payload = [("figure", args.figure), ("names", " ".join(names))]
-    return [], payload, None, out_text
+    return [], reports.with_output(payload, out_text), None, out_text
 
 
 def _check_report_shape(doc):
@@ -343,10 +363,9 @@ def _cmd_replay(args):
     w = vdict.get("witness")
     if w is not None and w["kind"] not in reports.CHECKERS:
         raise _UsageError("unsupported witness kind %r" % w["kind"])
-    reports.replay_verdict(tuple(objs), vdict, doc.get("operation"),
-                           doc.get("payload", {}))
-    v = Verdict(vdict["status"], "replay confirms: %s" % vdict["reason"],
-                vdict["witness"])
+    got = reports.replay_verdict(tuple(objs), vdict, doc.get("operation"),
+                                 doc.get("payload", {}))
+    v = Verdict(got.status, "replay confirms: %s" % got.reason, got.witness)
     return [(args.report, raw)], payload, v, None
 
 
@@ -485,8 +504,6 @@ def _run(args):
     start = time.perf_counter()
     inputs, payload, verdict, out_text = args.func(args)
     elapsed_ms = (time.perf_counter() - start) * 1000
-    if out_text is not None:
-        payload = payload + [("output-sha256", reports.sha256_text(out_text))]
     report = reports.Report(
         operation=args.command,
         inputs=tuple((label, reports.sha256_text(text))

@@ -5,34 +5,31 @@ what the verdict was, and the witness.  ``replay_verdict`` re-derives a
 Verified or Refuted verdict from the recorded witness and the original
 input alone, so stored certificates stay checkable.  One rule covers
 every witness kind: its check is the producer that wrote it, run again
-on the input, and replay requires the recorded status and the whole
-recorded witness.  So no forged or added field replays, and neither
-does a sound witness other than the one the engine writes.  A producer
-that runs no search simply reruns; for ``standard-pair`` and
-``nonstandard`` that reruns the pairing backtracking of
-``is_standard_pair``.  A producer that searches is given the recorded
-witness and, at its one search step, replays what the search found
-instead of searching: each Tietze trace (``tietze_simplify``) of a
-``detect-k``, ``params`` or ``heegaard-kirby`` witness, and the slides
-of a ``classification`` (``standardize``).  It derives every other field
-from the input as the search run does, so each of those witnesses is
-written in one place.  An ``ac-path`` is replayed move by move, with
-its depth checked for type and range, and a ``construction`` is rebuilt
-by ``construct``, which also writes it for the CLI.  A report of a bridge
-command (``hk-to-tri``, ``tri-to-hk``) replays through that command's
-producer whatever its witness kind: it replays the traces of a
-``heegaard-kirby`` witness, reruns every other step, and reads the
-``--picks`` of the payload.
+on the input, and replay requires the recorded status, the whole
+recorded witness and, when one is recorded, the reason.  So no forged
+or added field replays, and neither does a sound witness other than the
+one the engine writes.  A producer that runs no search simply reruns;
+for ``standard-pair`` and ``nonstandard`` that reruns the pairing
+backtracking of ``is_standard_pair``.  A producer that searches is given
+the recorded witness and, at its one search step, replays what the
+search found instead of searching: each Tietze trace
+(``tietze_simplify``) of a ``detect-k``, ``params`` or
+``heegaard-kirby`` witness, and the slides of a ``classification``
+(``standardize``).  It derives every other field from the input as the
+search run does, so each of those witnesses is written in one place.
+An ``ac-path`` is replayed move by move, with its depth checked for
+type and range, and its verdict written by ``ac.path_verdict``.  A
+report of a bridge command (``hk-to-tri``, ``tri-to-hk``) replays
+through the function that wrote its payload, verdict and output
+(``hk_to_tri``, ``tri_to_hk``) whatever its witness kind: it replays the
+traces of a ``heegaard-kirby`` witness, reruns every other step, reads
+the ``--picks`` of the payload and must re-derive the whole payload.
 
 ``CHECKERS`` binds each witness kind to the status it certifies, the file
 kind its check reads and the check that re-derives it; ``BRIDGES`` binds
-each bridge command to its input's file kind and its check;
-``CONSTRUCTIONS`` binds each construction command (stabilize, slide and
-connect-sum) to the file kinds it reads, the argument keys its builder
-reads with their types, and its builder.  A new kind is one line there:
-``replay_verdict`` and ``apply_construction`` check the inputs against
-the tables, the CLI reads them, and a ``construction`` witness replays
-through ``CONSTRUCTIONS``.
+each bridge command to its input's file kind and its check.  A new kind
+is one line there: ``replay_verdict`` checks the inputs against the
+tables and the CLI reads them.
 """
 
 from __future__ import annotations
@@ -40,15 +37,21 @@ from __future__ import annotations
 import hashlib
 import json
 
-from . import __version__, words
+from . import __version__
 from .diagio import format_any, kind_of
-from .verdict import Frozen, verified
+from .verdict import Frozen
 
 ENGINE = "trisect %s" % __version__
 
 
 def sha256_text(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def with_output(payload, text):
+    """Report lines ``payload`` followed by the digest of the command's
+    output ``text``."""
+    return payload + [("output-sha256", sha256_text(text))]
 
 
 class Report(Frozen):
@@ -192,7 +195,7 @@ def _hk(w, H):
 
 
 def _replay_ac_path(w, p):
-    from .ac import replay_ac_path
+    from .ac import path_verdict, replay_ac_path
 
     final = replay_ac_path(p, [tuple(m) for m in w["moves"]])
     _need(final.is_trivial_form(), "path does not end in trivial form")
@@ -202,8 +205,7 @@ def _replay_ac_path(w, p):
     _need(type(depth) is int and 0 <= depth <= len(w["moves"]),
           "depth %r is not a count from 0 to the %d moves"
           % (depth, len(w["moves"])))
-    return verified("replayed", {"kind": "ac-path", "moves": w["moves"],
-                                 "depth": depth})
+    return path_verdict(w["moves"], depth)
 
 
 # kind -> (the status its witness certifies, the file kind of the one
@@ -236,45 +238,54 @@ CHECKERS = {
     "linking": (None, "linking", _recomputed(_linking)),
     "ab-det": ("refuted", "presentation", _recomputed(_ab_det)),
     "ac-path": ("verified", "presentation", _replay_ac_path),
-    "construction": ("verified", None,
-                     lambda w, *objs: construct(w["op"], w["args"], objs)[2]),
 }
 
 # -- the surgery bridge --------------------------------------------------------
-# A bridge command's verdict may speak of the diagram it derives, so its
-# check, called as check(witness, input, payload), is its producer.
+# A bridge command's verdict may speak of the diagram it derives, so the
+# function that writes its payload lines, verdict and output text (None
+# when it derives no diagram) is also its check: the CLI calls it with no
+# witness, and replay with the recorded one, through BRIDGES.
 
-def _hk_to_tri(w, H, payload):
+def hk_to_tri(H, recorded=None):
     from .kirby import hk_to_trisection
 
-    return hk_to_trisection(H, w)[1]
+    t, v = hk_to_trisection(H, recorded)
+    payload = [("genus", H.genus), ("components", H.c), ("target-m", H.m)]
+    if t is None:
+        return payload, v, None
+    payload.append(("params", "(%d;%d,%d,%d)" %
+                    ((t.genus,) + t.declared_params)))
+    text = format_any(t)
+    return with_output(payload, text), v, text
 
 
-def _tri_to_hk(w, t, payload):
-    """Replay on the report's --picks, which must read as tri-to-hk
-    writes them and give the recorded target-m (compared as JSON, so
-    true is not 1)."""
-    from .kirby import format_picks, parse_picks, trisection_to_hk
+def tri_to_hk(t, picks, recorded=None):
+    from .kirby import format_picks, trisection_to_hk
 
-    spec = payload.get("picks")
+    H, v = trisection_to_hk(t, picks, recorded)
+    payload = [("picks", format_picks(picks))]
+    if H is None:
+        return payload, v, None
+    text = format_any(H)
+    return with_output(payload + [("components", H.c), ("target-m", H.m)],
+                       text), v, text
+
+
+def _recorded_picks(payload):
+    from .kirby import parse_picks
+
     try:
-        picks = parse_picks(str(spec))
-        if format_picks(picks) != spec:
-            raise ValueError("picks %r are not as tri-to-hk writes them"
-                             % (spec,))
+        return parse_picks(str(payload.get("picks")))
     except ValueError as e:
         raise ReplayError("cannot rebuild the derived object: %s" % e)
-    H, v = trisection_to_hk(t, picks, w)
-    m = json.dumps(H and H.m)
-    _need(json.dumps(payload.get("target-m")) == m,
-          "cannot rebuild the derived object: its target-m is %s" % m)
-    return v
 
 
-# operation -> (the file kind of its one input, its check)
+# operation -> (the file kind of its one input, its check), a check being
+# called as check(witness, input, payload)
 BRIDGES = {
-    "hk-to-tri": ("heegaard-kirby", _hk_to_tri),
-    "tri-to-hk": ("trisection", _tri_to_hk),
+    "hk-to-tri": ("heegaard-kirby", lambda w, H, payload: hk_to_tri(H, w)),
+    "tri-to-hk": ("trisection", lambda w, t, payload:
+                  tri_to_hk(t, _recorded_picks(payload), w)),
 }
 
 # what a malformed witness field or an input of the wrong type raises
@@ -287,13 +298,15 @@ def replay_verdict(objs, vdict, operation=None, payload=None):
 
     ``objs`` is the tuple of parsed input objects in command order, and
     ``operation`` and ``payload`` (a dict) are the report's; the check is
-    the operation's in ``BRIDGES`` or else the witness kind's.  Returns
-    None on success; raises KeyError for a witness kind that has no
-    checker (before any check runs), and ReplayError when the witness
-    certifies another status than the recorded one, is given inputs of
-    another kind than its check reads, has malformed fields, or differs,
-    as sorted-key JSON, from the witness its check re-derives, or when
-    that check re-derives another status.
+    the operation's in ``BRIDGES``, which must re-derive the whole
+    payload (compared as sorted-key JSON, so true is not 1), or else the
+    witness kind's.  Returns the re-derived verdict; raises KeyError for
+    a witness kind that has no checker (before any check runs), and
+    ReplayError when the witness certifies another status than the
+    recorded one, is given inputs of another kind than its check reads,
+    has malformed fields, or differs, as sorted-key JSON, from the
+    witness its check re-derives, or when that check re-derives another
+    status or, where ``vdict`` records a reason, another reason.
     """
     status = vdict["status"]
     if status == "unknown":
@@ -305,7 +318,14 @@ def replay_verdict(objs, vdict, operation=None, payload=None):
     certified, reads, check = CHECKERS[kind]
     if operation in BRIDGES:
         reads, bridge = BRIDGES[operation]
-        check = lambda w, obj: bridge(w, obj, payload)
+
+        def check(w, obj):
+            lines, v, _ = bridge(w, obj, payload)
+            derived = json.dumps(dict(lines), sort_keys=True)
+            _need(derived == json.dumps(payload, sort_keys=True),
+                  "cannot rebuild the derived object: its payload is %s"
+                  % derived)
+            return v
     mismatch = "a %s witness certifies %s, not %s"
     _need(certified in (None, status), mismatch % (kind, certified, status))
     _need(reads is None or len(objs) == 1 and kind_of(objs[0]) == reads,
@@ -320,96 +340,7 @@ def replay_verdict(objs, vdict, operation=None, payload=None):
           "the %s witness does not replay: the recomputed witness is %s"
           % (kind, recomputed))
     _need(got.status == status, mismatch % (kind, got.status, status))
-
-
-# -- deterministic constructions ----------------------------------------------
-# build(args, objs) raises ValueError on inputs it cannot build from.
-# Every builder is search-free, so construction witnesses replay by
-# digest.  Like the checks, a builder imports what it calls.
-
-def _stabilize(args, objs):
-    from .moves import heegaard_stabilize, i_stabilize
-
-    kind = args["type"]
-    t = objs[0]
-    if kind == "heegaard":
-        if kind_of(t) != "heegaard":
-            raise ValueError("heegaard stabilization needs a heegaard file")
-        return heegaard_stabilize(t)
-    if kind_of(t) != "trisection":
-        raise ValueError("stabilization type %s needs a trisection" % kind)
-    if kind == "balanced":
-        for i in (1, 2, 3):
-            t = i_stabilize(t, i)
-        return t
-    return i_stabilize(t, int(kind))
-
-
-def _slide(args, objs):
-    from .moves import handleslide
-
-    d = objs[0]
-    system = args["system"]
-    kind = kind_of(d)
-    if kind == "trisection":
-        if system not in ("alpha", "beta", "gamma"):
-            raise ValueError("system must be alpha, beta, or gamma")
-    elif kind == "heegaard":
-        if system not in ("alpha", "beta"):
-            raise ValueError("a heegaard diagram has alpha and beta only")
-    else:
-        raise ValueError("slide needs a diagram file")
-    guide = tuple(words.parse_surface_word(args.get("guide", "")))
-    cs = handleslide(getattr(d, system), args["from"], args["over"],
-                     guide=guide, sign=args.get("sign", 1))
-    fields = {name: getattr(d, name) for name in d._fields}
-    fields[system] = cs
-    return type(d)(**fields)
-
-
-def _connect_sum(args, objs):
-    from .moves import connected_sum
-
-    return connected_sum(*objs)
-
-
-# op -> (the file kinds of its inputs, in order, the argument keys its
-# builder reads with their types, as the CLI writes them, its builder),
-# one entry for each construction command.  A None file kind marks the
-# builders that take several kinds and tell them apart themselves.
-CONSTRUCTIONS = {
-    "stabilize": (None, {"type": str}, _stabilize),
-    "slide": (None, {"system": str, "from": int, "over": int, "guide": str,
-                     "sign": int}, _slide),
-    "connect-sum": (("trisection", "trisection"), {}, _connect_sum),
-}
-
-
-def apply_construction(op, args, objs):
-    """Rebuild a constructive operation's output from inputs and arguments;
-    raise ValueError when it cannot, or when an argument is one its
-    builder does not read or of another type."""
-    if op not in CONSTRUCTIONS:
-        raise ValueError("unknown construction %r" % op)
-    reads, takes, build = CONSTRUCTIONS[op]
-    if reads is not None and tuple(map(kind_of, objs)) != reads:
-        raise ValueError("%s needs %s" % (
-            op, " and ".join("a %s file" % k for k in reads)))
-    for key, value in args.items():
-        if type(value) is not takes.get(key):
-            raise ValueError("%s takes %s, not %s=%r" % (
-                op, ", ".join("%s (%s)" % (k, t.__name__)
-                              for k, t in takes.items()) or "no arguments",
-                key, value))
-    return build(args, objs)
-
-
-def construct(op, args, objs, reason="replayed"):
-    """The output of construction ``op``, its text, and the verdict that
-    certifies the output by its digest; raises ValueError as
-    ``apply_construction`` does."""
-    out = apply_construction(op, args, objs)
-    text = format_any(out)
-    return out, text, verified(reason, {
-        "kind": "construction", "op": op, "args": args,
-        "output_sha256": sha256_text(text)})
+    _need(vdict.get("reason", got.reason) == got.reason,
+          "the %s witness does not replay: the re-derived reason is %r"
+          % (kind, got.reason))
+    return got

@@ -508,12 +508,12 @@ def _forge_unwritten_witness(doc):
                                  "declared": [0, 1, 2], "computed": [0, 1, 1]}
 
 
-def _forge_construction(doc):
-    doc["verdict"]["witness"] = {
-        "kind": "construction", "op": "tri-to-hk",
-        "args": {"picks": [[1, 1]], "m": 5},
-        "output_sha256": reports.sha256_text(
-            diagio.format_any(_picked_hk(_TRI_PICKABLE, 5)))}
+_HK_UNKNOT = ("heegaard-kirby genus=1\nalpha: @1(1,0)\nbeta: @1(0,1)\n"
+              "link: @1(1,0) framing=surface\ntarget m=1\n")
+
+
+def _forge_payload(field, value):
+    return lambda doc: doc["payload"].update({field: value})
 
 
 @pytest.mark.parametrize("argv, text, replayed, forge", [
@@ -522,16 +522,26 @@ def _forge_construction(doc):
     (["tri-to-hk", "--picks", "1:1"], _TRI_PICKABLE, _TRI_PARALLEL,
      _forge_refused_picks),
     (["hk-to-tri"], _HK_WRONG_M, _HK_WRONG_M, _forge_unwritten_witness),
+    (["hk-to-tri"], _HK_UNKNOT, _HK_UNKNOT,
+     _forge_payload("output-sha256", "0" * 64)),
+    (["hk-to-tri"], _HK_UNKNOT, _HK_UNKNOT,
+     _forge_payload("params", "(9;9,9,9)")),
+    (["hk-to-tri"], _HK_UNKNOT, _HK_UNKNOT, _forge_payload("components", 7)),
     (["tri-to-hk", "--picks", "1:1"], _TRI_PICKABLE, _TRI_PICKABLE,
-     _forge_construction),
-], ids=["target-m", "refused-picks", "unwritten-witness", "construction"])
+     _forge_payload("output-sha256", "0" * 64)),
+    (["tri-to-hk", "--picks", "1:1"], _TRI_PICKABLE, _TRI_PICKABLE,
+     _forge_payload("components", 7)),
+], ids=["target-m", "refused-picks", "unwritten-witness",
+        "hk-to-tri-output-sha256", "hk-to-tri-params", "hk-to-tri-components",
+        "tri-to-hk-output-sha256", "tri-to-hk-components"])
 def test_replay_rejects_a_forged_bridge_report(tmp_path, capsys, argv, text,
                                                replayed, forge):
     """Each forgery is a report the command never writes for its input,
     and each one replays through the command's own producer."""
     path = write(tmp_path, "in.txt", text)
-    _, doc, _ = _json_report(capsys, tmp_path, "r.json", argv[0], path,
-                             *argv[1:])
+    _, doc, rep = _json_report(capsys, tmp_path, "r.json", argv[0], path,
+                               *argv[1:])
+    assert run(capsys, "replay", rep, path)[0] in (0, 1)
     forge(doc)
     forged = write(tmp_path, "forged.json", json.dumps(doc))
     target = write(tmp_path, "replayed.txt", replayed)
@@ -555,7 +565,8 @@ def test_replay_rejects_tampered_picks(tmp_path, capsys, field, value):
     assert code == 4 and "cannot rebuild the derived object" in err
 
 
-def test_replay_of_search_and_construction_witnesses(tmp_path, capsys):
+def test_replay_of_a_search_witness_and_of_construction_reports(tmp_path,
+                                                                capsys):
     code, doc, rep = _json_report(capsys, tmp_path, "ak1.json",
                                   "ac-search", "--ak", "1",
                                   "--max-length", "32", "--max-depth", "20")
@@ -564,12 +575,41 @@ def test_replay_of_search_and_construction_witnesses(tmp_path, capsys):
                  "presentation generators=2\n"
                  "relator: x2 x1 x2 X1 X2 X1\n"
                  "relator: x1 x1 X2\n")
-    assert run(capsys, "replay", rep, pres)[0] == 0
+    code, out, _ = run(capsys, "replay", rep, pres)
+    assert code == 0
+    assert "reason: replay confirms: %s\n" % doc["verdict"]["reason"] in out
 
+    # a construction is plain output: no verdict, and its digest is the
+    # output file's
     cp2 = tri_file(tmp_path, "c.tri", genus_one_diagram("CP2"))
-    _, _, rep = _json_report(capsys, tmp_path, "st.json", "stabilize", cp2,
-                             "--type", "balanced")
-    assert run(capsys, "replay", rep, cp2)[0] == 0
+    stab, slid = str(tmp_path / "stab.tri"), str(tmp_path / "slid.tri")
+    for argv, inputs, out_path in (
+            (["stabilize", cp2, "--type", "balanced"], [cp2], stab),
+            (["slide", stab, "--system", "beta", "--from", "2", "--over",
+              "1", "--guide", "x1"], [stab], slid),
+            (["connect-sum", cp2, slid], [cp2, slid],
+             str(tmp_path / "sum.tri"))):
+        code, doc, rep = _json_report(capsys, tmp_path, "c.json", *argv,
+                                      "-o", out_path)
+        assert code == 0 and doc["verdict"] is None
+        with open(out_path, encoding="utf-8") as f:
+            written = f.read()
+        assert doc["payload"]["output-sha256"] == reports.sha256_text(written)
+        code, out, err = run(capsys, "replay", rep, *inputs)
+        assert code == 3 and out == ""
+        assert "report carries no verdict to replay" in err
+
+
+def test_replay_rejects_a_forged_reason(tmp_path, capsys):
+    tri = tri_file(tmp_path, "c.tri", genus_one_diagram("CP2"))
+    _, doc, rep = _json_report(capsys, tmp_path, "r.json", "classify", tri)
+    code, out, _ = run(capsys, "replay", rep, tri)
+    assert code == 0 and "reason: replay confirms: diagram is CP2\n" in out
+    doc["verdict"]["reason"] = "diagram is S4"
+    forged = write(tmp_path, "forged.json", json.dumps(doc))
+    code, out, err = run(capsys, "replay", forged, tri)
+    assert code == 4 and out == ""
+    assert "re-derived reason is 'diagram is CP2'" in err
 
 
 def test_replay_rejects_tampered_input(tmp_path, capsys):

@@ -13,19 +13,20 @@ commands draws ``catalog`` (a figure name, right or wrong),
 or none), an output path that may not be writable, and a dropped or
 stray argument.  Every command line runs through ``cli.run_command`` in
 process.  Exit code 5 (internal error) must never occur.  A report that
-exits 0-2 must replay to the same exit code, from the files it names; a
-``catalog`` report names none and carries no verdict, so replay refuses
-it and the figure is emitted again instead, to the same output digest.
+exits 0-2 must replay to the same exit code, from the files it names,
+unless it is plain output: a ``catalog``, ``stabilize``, ``slide`` or
+``connect-sum`` report carries no verdict, so replay refuses it (exit 3)
+and the command is run again instead, to the same output digest.
 
 A ``replay`` example takes the report of one of a fixed set of commands
-(verified, refuted and unknown; one input and two) and replays it with an
-input missing, added, swapped, renamed or edited, from a truncated or
-edited report (a character, or one field set to another value or
-deleted), from a file that is not a report or does not exist, or with a
-stray argument.  Replay never exits 5.  It exits 3 when the inputs do not
-match the recorded digests, and when it confirms, it confirms the status
-the report records, and a decided status only where the command decided
-it.
+(verified, refuted, unknown and plain output; one input and two) and
+replays it with an input missing, added, swapped, renamed or edited,
+from a truncated or edited report (a character, or one field set to
+another value or deleted), from a file that is not a report or does not
+exist, or with a stray argument.  Replay never exits 5.  It exits 3 when the inputs do not
+match the recorded digests and on a report with no verdict, and when it
+confirms, it confirms the status the report records, and a decided
+status only where the command decided it.
 """
 
 import contextlib
@@ -103,6 +104,20 @@ def _run(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run_command(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+# commands whose reports are plain output, with no verdict to replay
+PLAIN = ("catalog", "stabilize", "slide", "connect-sum")
+
+
+def _check_plain(argv, code, doc, replay_code, replay_err):
+    """A plain-output report exits 0 and carries no verdict, so replay
+    refuses it (exit 3); the same argv writes the same output again."""
+    assert (code, replay_code, doc["verdict"]) == (0, 3, None), \
+        (argv, replay_err)
+    again = json.loads(_run(argv)[1])
+    assert again["payload"] == doc["payload"]
+    assert "output-sha256" in again["payload"]
 
 
 @settings(max_examples=400, derandomize=True, database=None, deadline=None,
@@ -215,7 +230,10 @@ def test_diagram_command_lines_never_crash_and_their_reports_replay(
     (tmp_path / "report.json").write_text(out)
     inputs = [entry["name"] for entry in doc["inputs"]]
     replay_code, _, replay_err = _run(["replay", "report.json"] + inputs)
-    assert replay_code == code, (argv, replay_err)
+    if argv[0] in PLAIN:
+        _check_plain(argv, code, doc, replay_code, replay_err)
+    else:
+        assert replay_code == code, (argv, replay_err)
 
 
 # besides u.hkt (the 0-framed unknot over S3, verified) and m.lnk
@@ -288,22 +306,17 @@ def test_other_command_lines_never_crash_and_their_reports_replay(
     (tmp_path / "report.json").write_text(out)
     inputs = [entry["name"] for entry in doc["inputs"]]
     replay_code, _, replay_err = _run(["replay", "report.json"] + inputs)
-    if argv[0] == "catalog":
-        # a catalog report names no input and carries no verdict, so
-        # replay refuses it (exit 3); its figure is checked by emitting it
-        # again
-        assert (code, inputs, replay_code, doc["verdict"]) == \
-            (0, [], 3, None), (argv, replay_err)
-        figure = doc["payload"]["figure"]
-        again = json.loads(_run(["catalog", figure, "--json"])[1])
-        assert again["payload"] == doc["payload"]
-        assert "output-sha256" in again["payload"]
+    if argv[0] in PLAIN:
+        # a catalog report names no input either
+        assert inputs == [], argv
+        _check_plain(argv, code, doc, replay_code, replay_err)
     else:
         assert replay_code == code, (argv, replay_err)
 
 
 # commands whose reports replay from their input files, with the exit code
-# each gives: verified, refuted and unknown, one and two inputs
+# each gives: verified, refuted and unknown, one and two inputs; the
+# construction reports carry no verdict, so replay refuses them (exit 3)
 REPORTED = [
     (["classify", "sum.tri"], 0),
     (["validate", "s4.tri"], 0),
@@ -386,6 +399,8 @@ def test_tampered_replays_never_crash_and_never_confirm_other_inputs(
     code, out, err = _run(argv + ["--json"])
     assert code == want, (argv, err)
     doc = json.loads(out)
+    # the exit code of replaying the report as it is
+    replayed = 3 if argv[0] in PLAIN else code
     inputs = [entry["name"] for entry in doc["inputs"]]
     report = out
     expect = None  # the exit code replay must give, when it is known
@@ -393,7 +408,7 @@ def test_tampered_replays_never_crash_and_never_confirm_other_inputs(
         # the digest pins the content, not the name
         (tmp_path / "renamed").write_text(ALL_FILES[inputs[0]])
         inputs[0] = "renamed"
-        expect = code
+        expect = replayed
     elif how == "missing input":
         del inputs[int(detail[0] * len(inputs))]
         expect = 3
@@ -403,7 +418,7 @@ def test_tampered_replays_never_crash_and_never_confirm_other_inputs(
     elif how == "swapped inputs":
         inputs.reverse()
         same = len({ALL_FILES[name] for name in inputs}) == 1
-        expect = code if same else 3
+        expect = replayed if same else 3
     elif how == "edited input":
         i = int(detail[0] * len(inputs))
         text = ALL_FILES[inputs[i]]
@@ -436,7 +451,7 @@ def test_tampered_replays_never_crash_and_never_confirm_other_inputs(
     if expect is not None:
         assert replay_code == expect, (argv, how, detail, replay_err)
     if how == "as is":
-        assert replay_code == code
+        assert replay_code == replayed
     if replay_code in (0, 1, 2):
         # a replay confirms the status its report records, and a verified
         # or refuted one only where the command itself decided so
@@ -446,4 +461,4 @@ def test_tampered_replays_never_crash_and_never_confirm_other_inputs(
             status = None
         assert STATUS_CODES.get(status) == replay_code, \
             (argv, how, detail, replay_out)
-        assert replay_code in (code, 2), (argv, how, detail, replay_out)
+        assert replay_code in (replayed, 2), (argv, how, detail, replay_out)

@@ -1,4 +1,5 @@
-import inspect
+import contextlib
+import io
 import json
 import pathlib
 import re
@@ -17,7 +18,6 @@ from trisect.kirby import (FramedComponent, HeegaardKirbyDiagram,
                            LinkingMatrix, find_primitive_pairs,
                            gprc_necessary_check, validate_hk)
 from trisect.moves import check_classified_params, connected_sum, standardize
-from trisect.verdict import verified
 
 # the fields each kind's producer writes, besides "kind"
 _FIELDS = {
@@ -39,7 +39,6 @@ _FIELDS = {
     "linking": ("entry", "value", "size"),
     "ab-det": ("det",),
     "ac-path": ("moves", "depth"),
-    "construction": ("op", "args", "output_sha256"),
 }
 
 
@@ -127,9 +126,8 @@ _INTERNAL_KINDS = {"count", "pairing", "imprimitive", "lagrangian", "tietze"}
 
 def test_the_kind_tables_agree_with_the_engine():
     written = re.compile(r'"kind": "([a-z0-9-]+)"')
-    # of reports.py, only construct writes a witness; its checks restate
-    # the kinds they check
-    produced = set(written.findall(inspect.getsource(reports.construct)))
+    # reports.py writes no witness; its checks restate the kinds they check
+    produced = set()
     for path in pathlib.Path(reports.__file__).parent.glob("*.py"):
         if path.name != "reports.py":
             produced |= set(written.findall(path.read_text(encoding="utf-8")))
@@ -140,8 +138,6 @@ def test_the_kind_tables_agree_with_the_engine():
     file_kinds = set(diagio._KINDS)
     for _, reads, _ in reports.CHECKERS.values():
         assert reads is None or reads in file_kinds
-    for reads, _, _ in reports.CONSTRUCTIONS.values():
-        assert reads is None or set(reads) <= file_kinds
     for reads, _ in reports.BRIDGES.values():
         assert reads in file_kinds
 
@@ -168,32 +164,16 @@ def test_witness_indices_are_one_based_and_in_range():
             reports.replay_verdict((obj,), {"status": "refuted", "witness": w})
 
 
-def test_every_construction_is_in_the_table():
-    # the ops cli._construct writes; the bridge commands replay through
-    # their producers (reports.BRIDGES)
-    assert set(reports.CONSTRUCTIONS) == {"stabilize", "slide", "connect-sum"}
-    with pytest.raises(ValueError, match="unknown construction 'catalog'"):
-        reports.apply_construction("catalog", {}, ())
-
-
-def test_a_construction_takes_only_the_arguments_its_builder_reads():
-    cp2 = genus_one_diagram("CP2")
-    honest = {"kind": "construction", "op": "stabilize", "args": {"type": "1"},
-              "output_sha256": _construction("stabilize", {"type": "1"},
-                                             (cp2,))}
-    reports.replay_verdict((cp2,), {"status": "verified", "witness": honest})
-    for args in ({"type": "1", "note": "S4"}, {"type": 1}):
-        with pytest.raises(ValueError, match="stabilize takes type"):
-            reports.apply_construction("stabilize", args, (cp2,))
-        with pytest.raises(reports.ReplayError):
-            reports.replay_verdict((cp2,), {"status": "verified", "witness":
-                                            dict(honest, args=args)})
-    for args in ({"system": "alpha", "from": True, "over": 1},
-                 {"system": "alpha", "from": 1, "over": 1, "sign": "+"}):
-        with pytest.raises(ValueError, match="slide takes system"):
-            reports.apply_construction("slide", args, (cp2,))
-    with pytest.raises(ValueError, match="connect-sum takes no arguments"):
-        reports.apply_construction("connect-sum", {"added": 0}, (cp2, cp2))
+def test_replay_re_derives_the_recorded_reason():
+    t, v = genus_one_diagram("CP2"), standardize(genus_one_diagram("CP2"))[1]
+    honest = json.loads(json.dumps(v.to_dict()))
+    assert reports.replay_verdict((t,), honest) == v
+    # a library caller may pass no reason, and then none is compared
+    del honest["reason"]
+    assert reports.replay_verdict((t,), honest) == v
+    with pytest.raises(reports.ReplayError,
+                       match="the re-derived reason is 'diagram is CP2'"):
+        reports.replay_verdict((t,), dict(honest, reason="diagram is S4"))
 
 
 def test_an_ac_path_depth_is_a_count_of_at_most_its_moves():
@@ -202,26 +182,42 @@ def test_an_ac_path_depth_is_a_count_of_at_most_its_moves():
               "witness": ac_search(p, 32, 20).verdict.witness}
     assert (len(honest["witness"]["moves"]), honest["witness"]["depth"]) \
         == (12, 4)
-    reports.replay_verdict((p,), honest)
+    assert reports.replay_verdict((p,), honest).reason == \
+        "trivialized in 12 primitive moves (4 search edges)"
     for depth in (-5, "x", [1], True, 10 ** 6):
         forged = dict(honest["witness"], depth=depth)
         with pytest.raises(reports.ReplayError, match="depth"):
             reports.replay_verdict((p,), dict(honest, witness=forged))
 
 
-def test_a_slide_rebuilds_the_diagram_around_the_slid_system():
+def _built(tmp_path, command, obj, *flags):
+    """The diagram ``command`` writes from ``obj``, and its exit code and
+    error output."""
+    from trisect.cli import run_command
+
+    path, out = tmp_path / "in.txt", tmp_path / "out.txt"
+    path.write_text(diagio.format_any(obj))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = run_command([command, str(path), *flags, "-o", str(out)])
+    built = diagio.parse_any(out.read_text()) if code == 0 else None
+    return built, code, err.getvalue()
+
+
+def test_a_slide_rebuilds_the_diagram_around_the_slid_system(tmp_path):
     t = genus_one_diagram("CP2")
-    s = reports.apply_construction("stabilize", {"type": "1"}, (t,))
-    args = {"system": "gamma", "from": 1, "over": 2, "sign": -1}
-    out = reports.apply_construction("slide", args, (s,))
+    s = _built(tmp_path, "stabilize", t, "--type", "1")[0]
+    args = ["--system", "gamma", "--from", "1", "--over", "2", "--sign", "-"]
+    out = _built(tmp_path, "slide", s, *args)[0]
     assert (out.alpha, out.beta) == (s.alpha, s.beta)
     assert out.gamma != s.gamma
     assert out.declared_params == s.declared_params
     d = HeegaardDiagram(2, s.alpha, s.beta)
-    out = reports.apply_construction("slide", dict(args, system="beta"), (d,))
+    out = _built(tmp_path, "slide", d, *args[:1], "beta", *args[2:])[0]
     assert isinstance(out, HeegaardDiagram) and out.alpha == d.alpha
-    with pytest.raises(ValueError, match="alpha and beta only"):
-        reports.apply_construction("slide", args, (d,))
+    _, code, err = _built(tmp_path, "slide", d, *args)
+    assert code == 3 and "alpha and beta only" in err
 
 
 def _reflected(witness):
@@ -285,11 +281,6 @@ def _hk(background, slopes, m, framing="surface"):
         for s in slopes), m)
 
 
-def _construction(op, args, objs):
-    out = reports.apply_construction(op, args, objs)
-    return reports.sha256_text(diagio.format_any(out))
-
-
 def _engine_witnesses():
     """(input, verdict) pairs: one verdict the engine writes for each
     witness kind, with the input it was written for."""
@@ -300,10 +291,6 @@ def _engine_witnesses():
     s1xs2 = standard_heegaard(2, 1)
     det2 = BalancedPresentation(2, ((1, 1), (2,)))
     hopf = LinkingMatrix.from_rows([[0, 1], [1, 0]])
-    construction = {"kind": "construction", "op": "stabilize",
-                    "args": {"type": "1"},
-                    "output_sha256": _construction("stabilize",
-                                                   {"type": "1"}, (cp2,))}
     return [
         (cp2_sum, trisection_params(cp2_sum)[1]),
         (misdeclared, trisection_params(misdeclared)[1]),
@@ -328,7 +315,6 @@ def _engine_witnesses():
         (hopf, gprc_necessary_check(hopf)),
         (det2, ab_det_refutation(det2)),
         (ak_presentation(1), ac_search(ak_presentation(1), 32, 20).verdict),
-        (cp2, verified("stabilized", construction)),
     ]
 
 
