@@ -8,7 +8,7 @@ from the extracted surgery diagram, and prints its catalog name.
 
 from trisect.catalog import genus_one_diagram, match_genus_one
 from trisect.diagio import format_diagram
-from trisect.diagram import curve_from_template, standard_heegaard, trisection_params
+from trisect.diagram import curve_from_template, standard_heegaard
 from trisect.kirby import (FramedComponent, HeegaardKirbyDiagram, find_primitive_pairs,
                            hk_to_trisection, trisection_to_hk, validate_hk)
 
@@ -22,10 +22,11 @@ def main():
     verdict = validate_hk(H)
     print("validate: %s (%s)" % (verdict.status, verdict.reason))
 
+    # the bridge's verdict is trisection_params' on the trisection it
+    # assembles, so the declared parameters it checks are the computed ones
     t, bridge = hk_to_trisection(H)
-    params, _ = trisection_params(t)
     print("completed trisection parameters: (%d;%d,%d,%d)  [%s]"
-          % (params.genus, *params.ks, bridge.status))
+          % (t.genus, *t.declared_params, bridge.status))
     print()
     print(format_diagram(t))
 

@@ -7,17 +7,17 @@ set of primitive gamma/beta pairs hands back the framed link.  The
 linking-matrix calculus at the bottom tracks the homological shadow of
 framed-link handleslides and stabilizations.
 
-That calculus needs only ``intmatrix`` and ``verdict``, so the modules
-the bridge runs (``diagram``, ``homology``, ``presentations``) are
-imported inside the functions that call them, and a linking-matrix
-command loads none of the three.
+Each Heegaard pair's #^k(S1xS2) check is ``diagram.detect_k``, run once
+per pair, so kirby imports nothing from ``presentations``.  The
+linking-matrix calculus needs only ``intmatrix`` and ``verdict``, so the
+modules the bridge runs (``diagram``, ``homology``) are imported inside
+the functions that call them, and a linking-matrix command loads neither.
 """
 
 from __future__ import annotations
 
 from .intmatrix import IntegerMatrix, cokernel, invariant_factors, kernel_basis
-from .verdict import (Frozen, recorded_finding, refuted, unknown, verified,
-                      weakest)
+from .verdict import Frozen, recorded_finding, refuted, unknown, verified
 
 SURFACE = "surface"
 
@@ -174,27 +174,57 @@ def complete_link_to_system(H):
 def validate_hk(H, recorded=None):
     """Does the diagram present surgery data from #^n to #^m?
 
-    Checks, in order: the background is a confirmed #^n diagram; integer
-    framings only appear over S3; the link is embeddable as far as exact
-    data goes; the link classes extend the beta system primitively; the
-    surgered first homology is Z^m; and pi1 of the surgered manifold is
-    confirmed free of rank m when a completion is available.  Given a
-    ``recorded`` heegaard-kirby witness, the two Tietze runs replay its
-    background's and its pi1's traces instead of searching; a null
-    background witness or trace is a ValueError.  A witness of another
-    kind (a bridge report's) replays nothing.
+    The search-free ``surgery_data_check`` runs first, and its
+    refutation or caveat is the verdict.  Otherwise ``detect_k`` checks
+    the background (alpha, beta) is #^n and the pair of alpha and the
+    completed link (``complete_link_to_system``) is #^m: its certificate
+    is the witness's ``pi1``.  Given a ``recorded`` heegaard-kirby
+    witness, each detect_k replays the trace of its ``background`` and
+    ``pi1`` certificate instead of searching; a missing or null one is
+    an error, so no replay searches.
     """
-    return _validate_hk(H, recorded)[0]
+    from .diagram import HeegaardDiagram, detect_k, heegaard_h1
+
+    def finding(name):
+        return None if recorded is None \
+            else recorded_finding(recorded[name], name)
+
+    h1 = heegaard_h1(H.background)
+    bad = surgery_data_check(H, h1)
+    if bad is not None:
+        return bad
+    n, nv = detect_k(H.background, h1, finding("background"))
+    if not nv.is_verified:
+        return unknown("background #^%d not confirmed: %s" % (n, nv.reason))
+    gamma = complete_link_to_system(H)
+    if gamma is None:
+        return unknown(
+            "homology agrees with #^%d but no template completion of the "
+            "link was found, so pi1 is unconfirmed" % H.m)
+    m, pv = detect_k(HeegaardDiagram(H.genus, H.background.alpha, gamma),
+                     None, finding("pi1"))
+    if not pv.is_verified:
+        return unknown("surgered homology is Z^%d but pi1 is unconfirmed: %s"
+                       % (H.m, pv.reason))
+    if m != H.m:
+        raise AssertionError("pi1 rank %d contradicts H1 rank %d"
+                             % (m, H.m))
+    return verified(
+        "surgery data from #^%d to #^%d over a genus-%d surface "
+        "confirmed" % (n, H.m, H.genus),
+        {"kind": "heegaard-kirby", "n": n, "c": H.c, "m": H.m,
+         "background": nv.witness, "pi1": pv.witness})
 
 
 def surgery_data_check(H, h1):
     """The search-free steps of validate_hk, over a background whose
     first homology is ``h1``: its torsion, the framings, the embedding,
-    the primitive extension of beta and the surgered homology, in order.
+    the primitive extension of beta, the surgered homology and the
+    exactness of the link data, in order.
 
-    Returns (verdict, the number of link pairs without exact counts, 0
-    when it stops before the embedding): the first step's refutation,
-    unknown when integer framings leave the homology undecided, or None
+    Returns the first step's refutation; unknown when integer framings
+    leave the homology undecided, or when a word-only component or a
+    pair without exact counts leaves the geometry unconfirmed; or None
     when every step passes.
     """
     from .diagram import torsion_refutation
@@ -202,14 +232,14 @@ def surgery_data_check(H, h1):
     bad = torsion_refutation(h1)
     if bad is not None:
         return refuted("background: %s" % bad.reason,
-                       {"kind": "background", "inner": bad.witness}), 0
+                       {"kind": "background", "inner": bad.witness})
     n = h1.free_rank
     integer_framed = [k + 1 for k, comp in enumerate(H.link)
                       if not comp.is_surface_framed]
     if integer_framed and n > 0:
         return refuted(
             "integer framings are not defined over a #^%d background" % n,
-            {"kind": "framing", "components": integer_framed, "n": n}), 0
+            {"kind": "framing", "components": integer_framed, "n": n})
 
     bad, inexact_pairs = _link_embedding_check(H)
     if bad is None and integer_framed:
@@ -220,89 +250,53 @@ def surgery_data_check(H, h1):
     if bad is None and H.link:
         bad = _beta_extension_check(H)
     if bad is not None:
-        return bad, inexact_pairs
+        return bad
 
     surgered = _surgery_homology(H)
-    if surgered.is_free and surgered.free_rank == H.m:
-        return None, inexact_pairs
-    return refuted(
-        "surgered first homology is %s, but #^%d(S1xS2) needs Z^%d"
-        % (surgered, H.m, H.m),
-        {"kind": "surgery-homology", "h1": str(surgered),
-         "target_m": H.m}), inexact_pairs
-
-
-def _validate_hk(H, recorded=None):
-    """validate_hk's verdict and the link completion: None if it stopped
-    before looking for one, False if it looked and found none."""
-    from .diagram import detect_k, heegaard_h1, quotient_presentation
-    from .presentations import tietze_simplify
-
-    if recorded is not None and recorded["kind"] != "heegaard-kirby":
-        recorded = None
-    h1 = heegaard_h1(H.background)
-    n, nv = detect_k(H.background, h1, None if recorded is None else
-                     recorded_finding(recorded["background"], "background"))
-    if nv.is_unknown:
-        return unknown("background #^n not confirmed: %s" % nv.reason), None
-    bad, inexact_pairs = surgery_data_check(H, h1)
-    if bad is not None:
-        return bad, None
-
-    gamma = complete_link_to_system(H)
-    if gamma is None:
-        return unknown(
-            "homology agrees with #^%d but no template completion of the "
-            "link was found, so pi1 is unconfirmed" % H.m), False
-    _, tv = tietze_simplify(
-        quotient_presentation(H.genus, [H.background.alpha, gamma]),
-        None if recorded is None
-        else recorded_finding(recorded["pi1"]["trace"], "pi1 trace"))
-    if not tv.is_verified:
-        return unknown("surgered homology is Z^%d but pi1 is unconfirmed: %s"
-                       % (H.m, tv.reason)), gamma
-    if tv.witness["rank"] != H.m:
-        raise AssertionError("pi1 rank %d contradicts H1 rank %d"
-                             % (tv.witness["rank"], H.m))
+    if not (surgered.is_free and surgered.free_rank == H.m):
+        return refuted(
+            "surgered first homology is %s, but #^%d(S1xS2) needs Z^%d"
+            % (surgered, H.m, H.m),
+            {"kind": "surgery-homology", "h1": str(surgered),
+             "target_m": H.m})
     word_only = [k + 1 for k, comp in enumerate(H.link)
                  if comp.curve.template is None]
     if word_only or inexact_pairs:
         return unknown(
-            "homology and pi1 agree with #^%d but components %s carry "
-            "no exact intersection data" % (H.m, word_only or "(pairs)")), gamma
-    return verified(
-        "surgery data from #^%d to #^%d over a genus-%d surface "
-        "confirmed" % (n, H.m, H.genus),
-        {"kind": "heegaard-kirby", "n": n, "c": H.c, "m": H.m,
-         "background": nv.witness, "pi1": tv.witness}), gamma
+            "surgered homology agrees with #^%d but components %s carry "
+            "no exact intersection data" % (H.m, word_only or "(pairs)"))
+    return None
 
 
 def hk_to_trisection(H, recorded=None):
     """Trisection with the link, completed by beta-parallel curves, as
     the third system, declaring (n, g-c, m).
 
-    The verdict is the weaker of ``validate_hk``'s and the assembled
-    diagram's ``trisection_params``.  Given its report's ``recorded``
-    witness, validate_hk replays the traces of a heegaard-kirby one; the
-    completion and the parameter check (a Tietze run on each boundary
-    pair) rerun as the command runs them.
+    ``surgery_data_check`` refutes first.  Otherwise the verdict is the
+    assembled trisection's ``trisection_params``, so a verified one
+    certifies the diagram this returns; under the check's caveat it
+    stays unknown, unless homology refutes the trisection's parameters.
+    Given its report's ``recorded`` params witness, trisection_params
+    replays its three pair traces instead of searching.
     """
-    from .diagram import TrisectionDiagram, heegaard_h1, trisection_params
+    from .diagram import (TrisectionDiagram, heegaard_h1, pair_homology,
+                          trisection_params)
 
-    v, gamma = _validate_hk(H, recorded)
-    if v.is_refuted:
-        return None, v
+    h1 = heegaard_h1(H.background)
+    caveat = surgery_data_check(H, h1)
+    if caveat is not None and caveat.is_refuted:
+        return None, caveat
+    gamma = complete_link_to_system(H)
     if gamma is None:
-        # validate_hk stopped before it looked for a completion
-        gamma = complete_link_to_system(H)
-    if not gamma:
         return None, unknown(
             "no beta-parallel completion of the link in the template "
             "model; cannot assemble the third system")
-    n = heegaard_h1(H.background).free_rank
     t = TrisectionDiagram(H.genus, H.background.alpha, H.background.beta,
-                          gamma, declared_params=(n, H.genus - H.c, H.m))
-    return t, weakest([v, trisection_params(t)[1]])
+                          gamma, declared_params=(h1.free_rank,
+                                                  H.genus - H.c, H.m))
+    if caveat is None:
+        return t, trisection_params(t, recorded)[1]
+    return t, pair_homology(t)[2] or caveat
 
 
 def find_primitive_pairs(t):
@@ -339,8 +333,8 @@ def trisection_to_hk(t, picks, recorded=None):
     ``pair_homology`` refutes first; otherwise the diagram has background
     (alpha, beta), the picked gamma curves as a surface-framed link and
     target m = k3, and ``validate_hk`` gives the verdict.  Given its
-    report's ``recorded`` witness, validate_hk replays the traces of a
-    heegaard-kirby one; the pick checks and the homology rerun.
+    report's ``recorded`` witness, validate_hk replays its traces; the
+    pick checks and the homology rerun.
     """
     from .diagram import HeegaardDiagram, geometric_intersection, pair_homology
 

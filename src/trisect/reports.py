@@ -22,8 +22,10 @@ type and range, and its verdict written by ``ac.path_verdict``.  A
 report of a bridge command (``hk-to-tri``, ``tri-to-hk``) replays
 through the function that wrote its payload, verdict and output
 (``hk_to_tri``, ``tri_to_hk``) whatever its witness kind: it replays the
-traces of a ``heegaard-kirby`` witness, reruns every other step, reads
-the ``--picks`` of the payload and must re-derive the whole payload.
+traces of a ``params`` (``hk-to-tri``) or ``heegaard-kirby``
+(``tri-to-hk``) witness, reruns every other step, none of which
+searches, reads the ``--picks`` of the payload and must re-derive the
+whole payload.  So no replay runs a search.
 
 ``CHECKERS`` binds each witness kind to the status it certifies, the file
 kind its check reads and the check that re-derives it; ``BRIDGES`` binds
@@ -149,7 +151,7 @@ def _surgery_data(H):
     from .diagram import heegaard_h1
     from .kirby import surgery_data_check
 
-    return surgery_data_check(H, heegaard_h1(H.background))[0]
+    return surgery_data_check(H, heegaard_h1(H.background))
 
 
 def _primitive_pairs(t):

@@ -226,8 +226,9 @@ def test_criterion_06_heegaard_kirby_bridge():
         assert bv.is_verified
         assert time.monotonic() - start < 1.0
         assert match_genus_one(back) == name
-        # the bridge witness talks about the heegaard-kirby diagram
-        record(H, bv)
+        # the bridge witness certifies the parameters of the trisection
+        # it assembles
+        record(back, bv)
         round_tripped.append(name)
     assert set(round_tripped) == {"CP2", "CP2R", "S4STAB1", "S4STAB3"}
     print("criterion 6: hk_to_trisection emits (g;n,g-c,m) on %d inputs and "

@@ -512,6 +512,12 @@ _HK_UNKNOT = ("heegaard-kirby genus=1\nalpha: @1(1,0)\nbeta: @1(0,1)\n"
               "link: @1(1,0) framing=surface\ntarget m=1\n")
 
 
+def _forge_validate_witness(doc):
+    # validate's certificate of the same file speaks of the surgery
+    # diagram, not of the trisection hk-to-tri writes
+    doc["verdict"] = validate_hk(diagio.parse_any(_HK_UNKNOT)).to_dict()
+
+
 def _forge_payload(field, value):
     return lambda doc: doc["payload"].update({field: value})
 
@@ -527,12 +533,14 @@ def _forge_payload(field, value):
     (["hk-to-tri"], _HK_UNKNOT, _HK_UNKNOT,
      _forge_payload("params", "(9;9,9,9)")),
     (["hk-to-tri"], _HK_UNKNOT, _HK_UNKNOT, _forge_payload("components", 7)),
+    (["hk-to-tri"], _HK_UNKNOT, _HK_UNKNOT, _forge_validate_witness),
     (["tri-to-hk", "--picks", "1:1"], _TRI_PICKABLE, _TRI_PICKABLE,
      _forge_payload("output-sha256", "0" * 64)),
     (["tri-to-hk", "--picks", "1:1"], _TRI_PICKABLE, _TRI_PICKABLE,
      _forge_payload("components", 7)),
 ], ids=["target-m", "refused-picks", "unwritten-witness",
         "hk-to-tri-output-sha256", "hk-to-tri-params", "hk-to-tri-components",
+        "hk-to-tri-validate-witness",
         "tri-to-hk-output-sha256", "tri-to-hk-components"])
 def test_replay_rejects_a_forged_bridge_report(tmp_path, capsys, argv, text,
                                                replayed, forge):
@@ -632,6 +640,10 @@ def test_replay_rejects_tampered_witness(tmp_path, capsys):
 
 _S1XS2_HKT = ("heegaard-kirby genus=1\nalpha: @1(1,0)\nbeta: @1(1,0)\n"
               "target m=1\n")
+# a 0-framed unknot in a genus-2 S1xS2, whose pairs need Tietze traces
+_UNKNOT_HKT = ("heegaard-kirby genus=2\nalpha: @1(1,0) ; @2(1,0)\n"
+               "beta: @1(1,0) ; @2(0,1)\nlink: @2(1,0) framing=surface\n"
+               "target m=2\n")
 _LENS_HEEG = "heegaard genus=1\nalpha: @1(1,0)\nbeta: @1(1,2)\n"
 _S1XS2_HEEG = "heegaard genus=1\nalpha: @1(1,0)\nbeta: @1(1,0)\n"
 
@@ -644,12 +656,13 @@ def _refuted_by_forged_surgery_homology(verdict):
 
 @pytest.mark.parametrize("text, tamper", [
     (_S1XS2_HKT, _refuted_by_forged_surgery_homology),
-    (_S1XS2_HKT, lambda v: v["witness"]["pi1"].update(rank=9)),
+    (_S1XS2_HKT, lambda v: v["witness"]["pi1"].update(k=9)),
+    (_UNKNOT_HKT, lambda v: v["witness"]["pi1"]["trace"].pop()),
     (_S1XS2_HKT, lambda v: v["witness"]["background"].update(h1="Z/7 + Z^9")),
     (_LENS_HEEG, lambda v: v["witness"].update(h1="Z/7 + Z^9")),
     (_S1XS2_HEEG, lambda v: v["witness"].update(h1="Z/7 + Z^9")),
-], ids=["surgery-homology-target", "pi1-rank", "background-h1", "torsion-h1",
-        "detect-k-h1"])
+], ids=["surgery-homology-target", "pi1-rank", "pi1-trace", "background-h1",
+        "torsion-h1", "detect-k-h1"])
 def test_replay_rejects_a_forged_witness_field(tmp_path, capsys, text,
                                                tamper):
     path = write(tmp_path, "in.txt", text)
@@ -659,6 +672,65 @@ def test_replay_rejects_a_forged_witness_field(tmp_path, capsys, text,
     code, out, err = run(capsys, "replay", forged, path)
     assert code == 4 and out == ""
     assert "replay: FAILED" in err
+
+
+# the inputs of the reports below, by file name
+_NO_SEARCH_FILES = {
+    "sum.tri": diagio.format_any(connected_sum(genus_one_diagram("CP2"),
+                                               genus_one_diagram("S1xS3"))),
+    "s1xs2.heeg": diagio.format_any(standard_heegaard(2, 1)),
+    "unknot.hkt": _UNKNOT_HKT,
+    "twin.hkt": _UNKNOT_HKT.replace("m=2", "m=1"),
+    "hopf.lnk": "linking size=2\nrow: 0 1\nrow: 1 0\n",
+    "ak2.pres": "presentation generators=2\n"
+                "relator: x2 x1 x2 X1 X2 X1\n"
+                "relator: x1 x1 x1 X2 X2\n",
+}
+
+
+# (argv, the exit code of the report and of its replay)
+_NO_SEARCH_CASES = [
+    (["validate", "sum.tri"], 0),
+    (["validate", "s1xs2.heeg"], 0),
+    (["validate", "unknot.hkt"], 0),
+    (["validate", "twin.hkt"], 1),
+    (["invariants", "sum.tri"], 0),
+    (["classify", "sum.tri"], 0),
+    (["gprc-check", "hopf.lnk"], 1),
+    (["ac-search", "ak2.pres"], 0),
+    (["hk-to-tri", "unknot.hkt"], 0),
+    (["hk-to-tri", "twin.hkt"], 1),
+    (["tri-to-hk", "unknot.tri", "--picks", "1:2"], 0),
+]
+
+
+@pytest.mark.parametrize("argv, code", _NO_SEARCH_CASES,
+                         ids=[" ".join(argv) for argv, _ in _NO_SEARCH_CASES])
+def test_no_replay_runs_a_search(tmp_path, capsys, monkeypatch, argv, code):
+    """Each report replays from what its witness recorded: no Tietze
+    search, slide descent or AC search runs again."""
+    from trisect import ac, moves, presentations
+
+    for name, text in _NO_SEARCH_FILES.items():
+        write(tmp_path, name, text)
+    run(capsys, "hk-to-tri", str(tmp_path / "unknot.hkt"),
+        "-o", str(tmp_path / "unknot.tri"))
+    argv = [str(tmp_path / a) if "." in a else a for a in argv]
+    got, _, rep = _json_report(capsys, tmp_path, "r.json", *argv)
+    assert got == code
+    calls = {}
+    for module, name in ((presentations, "_search"),
+                         (moves, "_descend_words"), (ac, "ac_search")):
+        calls[name] = 0
+
+        def counted(*args, _name=name, _real=getattr(module, name),
+                    **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    replayed, _, err = run(capsys, "replay", rep, argv[1])
+    assert replayed == code, err
+    assert calls == {"_search": 0, "_descend_words": 0, "ac_search": 0}
 
 
 @pytest.mark.parametrize("tamper", [

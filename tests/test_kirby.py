@@ -190,8 +190,8 @@ def test_hk_to_trisection_builds_each_bridge_fact_once(monkeypatch):
         (FramedComponent(curve_from_template(3, 3, 1, 0)),), m=2)
     t, v = hk_to_trisection(H)
     assert v.is_verified and t.declared_params == (1, 2, 2)
-    # one detect_k on the background, one on each of the three pairs
-    assert calls == {"detect_k": 4, "complete_link_to_system": 1}
+    # one detect_k on each of the three pairs, the background among them
+    assert calls == {"detect_k": 3, "complete_link_to_system": 1}
 
 
 def test_hk_to_trisection_looks_for_a_missing_completion_once(monkeypatch):
@@ -201,7 +201,51 @@ def test_hk_to_trisection_looks_for_a_missing_completion_once(monkeypatch):
         (FramedComponent(curve_from_word(2, (1, 3))),), m=1)
     t, v = hk_to_trisection(H)
     assert t is None and v.is_unknown
-    assert calls == {"detect_k": 1, "complete_link_to_system": 1}
+    # the word-only link leaves the answer unknown, and no pair is checked
+    assert calls == {"detect_k": 0, "complete_link_to_system": 1}
+
+
+def _genus_two_unknot(m):
+    """A 0-framed unknot in a genus-2 S1xS2, with target ``m``: m = 2 is
+    right, and the surgered homology refutes m = 1."""
+    link = (FramedComponent(curve_from_template(2, 2, 1, 0)),)
+    return HeegaardKirbyDiagram(2, standard_heegaard(2, 1), link, m)
+
+
+@pytest.mark.parametrize("producer, m, searches, status", [
+    (hk_to_trisection, 2, 3, "verified"),
+    (hk_to_trisection, 1, 0, "refuted"),
+    (validate_hk, 2, 2, "verified"),
+    (validate_hk, 1, 0, "refuted"),
+])
+def test_each_bridge_pair_is_searched_once(monkeypatch, producer, m,
+                                           searches, status):
+    # hk_to_trisection searches the three pairs of the trisection it
+    # assembles, validate_hk the background and alpha with the completed
+    # link; a search-free refutation comes before any search
+    from trisect import presentations
+
+    calls = []
+    search = presentations._search
+
+    def counted(p):
+        calls.append(p)
+        return search(p)
+
+    monkeypatch.setattr(presentations, "_search", counted)
+    got = producer(_genus_two_unknot(m))
+    v = got[1] if producer is hk_to_trisection else got
+    assert (len(calls), v.status) == (searches, status)
+
+
+def test_a_verified_bridge_certifies_the_trisection_it_assembles():
+    t, v = hk_to_trisection(_genus_two_unknot(2))
+    assert v.is_verified
+    assert v.witness == trisection_params(t)[1].witness
+    hv = validate_hk(_genus_two_unknot(2))
+    assert hv.witness["pi1"]["kind"] == "detect-k"
+    assert hv.witness["pi1"] == diagram.detect_k(
+        HeegaardDiagram(2, t.alpha, t.gamma))[1].witness
 
 
 def test_full_primitive_picks_on_induced_trisection():

@@ -340,11 +340,11 @@ def _tampered(value):
 
 
 def _nested_paths(value, path):
-    """The paths to the h1 and rank fields nested in ``value``."""
+    """The paths to the h1 and k fields nested in ``value``."""
     items = value.items() if isinstance(value, dict) else \
         enumerate(value) if isinstance(value, list) else ()
     for key, item in items:
-        if key in ("h1", "rank"):
+        if key in ("h1", "k"):
             yield path + (key,)
         yield from _nested_paths(item, path + (key,))
 
