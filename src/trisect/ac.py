@@ -308,10 +308,12 @@ def _orbit_images(base, indices):
 # class adds its 2^n n! images, a composer index list as many indices, a
 # kept expansion one per record and per class lookup in it, and a mark one
 # until records replace it.  An image costs about 80 bytes and a record
-# unit about 210 (tracemalloc, CPython 3.11: 540-630 bytes per kept record
-# with its lookups, 136 of them the child's flat tuple), so a full table
-# holds 10-28 MB; the 139 searches of the ac-ak benchmark at 10 s store
-# about 49,000 units (2,800 of them in records) in their four tables.
+# unit about 170-215 (CPython 3.11: 480-575 bytes per kept record on 2
+# generators with its class lookups, 136 of them the child's flat tuple,
+# by getsizeof over the ac-ak benchmark's kept records and by
+# tracemalloc), so a full table holds 10-28 MB; the 139 searches of the
+# ac-ak benchmark at 10 s store about 49,000 units (2,700 of them in
+# records) in their four tables.
 _SYMMETRY_CAP = 1 << 17
 
 # generator count -> its symmetry table (``_symmetry``), shared by every
@@ -371,14 +373,16 @@ def _shared_entry(table, c):
 def _slot(memo, n):
     """The slot of n >= 1 generators in a search's memo, made when missing:
     the shared symmetry table, the entry of each relator class met (under
-    its class word and every byte relator met in it), the orbits met (by
+    its class word alone, so one entry per class), the orbits met (by
     least image), and the counts of classes met first and later in one."""
     return memo.get(n) or memo.setdefault(n, (_symmetry(n), {}, set(), [0, 0]))
 
 
 def _lookup(slot, w):
     """The class entry ``(images, least, winners)`` of byte relator ``w``,
-    from the slot's classes or the shared table, entering nothing."""
+    from the slot's classes or the shared table, entering nothing.  Only
+    class words are keys of the classes, so any other relator reaches its
+    entry through its class word (``_byte_class``)."""
     entry = slot[1].get(w)
     if entry is None:
         c = _byte_class(w)
@@ -387,16 +391,16 @@ def _lookup(slot, w):
 
 
 def _enter(memo, looked):
-    """Enter the class lookups ``(n, w, entry)`` in the search's memo, in
-    order, counting each new class as the first or a later of its orbit."""
-    for n, w, entry in looked:
+    """Enter the class lookups ``(n, entry)`` in the search's memo, in
+    order, each under its class word, counting each new class as the first
+    or a later of its orbit."""
+    for n, entry in looked:
         _, classes, met, counts = memo.get(n) or _slot(memo, n)
         c = entry[0][0]  # images[0] is the class's word
         if c not in classes:
             counts[entry[1] in met] += 1  # later in its orbit, or first
             met.add(entry[1])
             classes[c] = entry
-        classes.setdefault(w, entry)
 
 
 def _least(entries):
@@ -421,14 +425,14 @@ def _state(p):
 
 def _key(state, memo, looked=None):
     """The key of a state: the column of images that ``canonical_key``
-    formats, one per relator.  Its class lookups are appended to
-    ``looked``, or entered in ``memo`` when it is None."""
+    formats, one per relator.  Its class lookups ``(n, entry)`` are
+    appended to ``looked``, or entered in ``memo`` when it is None."""
     n = len(state)
     if not n:
         return ()
     slot = _slot(memo, n)
     entries = [_lookup(slot, w) for w in state]
-    found = [(n, w, e) for w, e in zip(state, entries)]
+    found = [(n, e) for e in entries]
     if looked is None:
         _enter(memo, found)
     else:
@@ -618,9 +622,11 @@ def _expansion(state, key, memo, stable, gen_cap, max_total_length,
     """The records of the edges out of ``state``, whose key is ``key``
     (only copied into the records), streamed: per keyed child ``(looked,
     pruned, skips, child)``, then a tail record whose child is None.
-    Since the record before, ``looked`` lists the class lookups ``(n, w,
-    entry)``, and ``pruned`` and ``skips`` count children over the length
-    cap or skipped for a sibling's class.  ``child`` is the flat tuple
+    Since the record before, ``looked`` lists the class lookups ``(n,
+    entry)``, which name no relator word (``_enter`` files an entry under
+    its class word), so a kept record holds no core but its child's; and
+    ``pruned`` and ``skips`` count children over the length cap or
+    skipped for a sibling's class.  ``child`` is the flat tuple
     ``(child_key, key, base, i, core, *descriptor)``: the child is
     ``base`` with relator i replaced by ``core``, or ``base`` when i is
     None.  ``memo`` is only a cache, so records depend on the state and
@@ -629,8 +635,7 @@ def _expansion(state, key, memo, stable, gen_cap, max_total_length,
     n = len(state)
     slot = _slot(memo, n) if n else None
     entries = [_lookup(slot, w) for w in state]
-    looked, pruned, skips, seen = [
-        (n, w, e) for w, e in zip(state, entries)], 0, 0, set()
+    looked, pruned, skips, seen = [(n, e) for e in entries], 0, 0, set()
     rests = [entries[:i] + entries[i + 1:] for i in range(n)]
     leasts = [_least(rest) for rest in rests] if n > 1 else []
     need = None if target is None else _rows(entries, target)
@@ -642,7 +647,7 @@ def _expansion(state, key, memo, stable, gen_cap, max_total_length,
         if need is not None and len(core) != len(need[i]):
             continue
         entry = _lookup(slot, core)
-        looked.append((n, core, entry))
+        looked.append((n, entry))
         if need is not None and entry[1] != need[i]:
             continue
         if (i, entry[0][0]) in seen:  # images[0] is the class's word

@@ -276,6 +276,8 @@ def hk_to_trisection(H, recorded=None):
     assembled trisection's ``trisection_params``, so a verified one
     certifies the diagram this returns; under the check's caveat it
     stays unknown, unless homology refutes the trisection's parameters.
+    A caveat with a target m over the genus assembles nothing: no
+    genus-g trisection has k3 > g.
     Given its report's ``recorded`` params witness, trisection_params
     replays its three pair traces instead of searching.
     """
@@ -284,7 +286,7 @@ def hk_to_trisection(H, recorded=None):
 
     h1 = heegaard_h1(H.background)
     caveat = surgery_data_check(H, h1)
-    if caveat is not None and caveat.is_refuted:
+    if caveat is not None and (caveat.is_refuted or H.m > H.genus):
         return None, caveat
     gamma = complete_link_to_system(H)
     if gamma is None:

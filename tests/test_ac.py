@@ -752,9 +752,55 @@ def test_three_generator_scramble_trees_are_pinned(seed, visited, stored,
 
 def _memo_contents(memo):
     """What a search's class memo holds per generator count: the entry of
-    every word met, the orbits met and the counts of classes met first and
-    later in theirs."""
+    every relator class met under its class word, the orbits met and the
+    counts of classes met first and later in theirs."""
     return {n: (slot[1], slot[2], slot[3]) for n, slot in memo.items()}
+
+
+def _rotations_and_inverses(w):
+    """Every rotation of byte word ``w`` and of its inverse."""
+    inv = w[::-1].translate(ac._NEGATE)
+    return [x[k:] + x[:k] for x in (w, inv) for k in range(max(len(x), 1))]
+
+
+# AK(2) (its stable edges reach 3 generators) and a three-generator
+# scramble, each through the first 30 expansions of a search from it
+@pytest.mark.parametrize("p, cap, stable", [
+    (ak_presentation(2), 32, False),
+    (ak_presentation(2), 32, True),
+    (_scramble3(5), 16, False),
+], ids=["ak2", "ak2-stable", "scramble3-5"])
+def test_the_memo_holds_one_entry_per_relator_class(p, cap, stable):
+    state = _state(_normalize_start(p)[0])
+    gen_cap = len(state) + 2
+    memo, stats = {}, Counter()
+    parents = {ac._key(state, memo)}
+    frontier, expanded = deque([state]), []
+    while frontier and len(expanded) < 30:
+        state = frontier.popleft()
+        expanded.append(state)
+        for key, _, base, i, core, *_ in ac._children(ac._expansion(
+                state, None, memo, stable, gen_cap, cap), parents, memo,
+                stats):
+            parents.add(key)
+            frontier.append(base if i is None
+                            else base[:i] + (core,) + base[i + 1:])
+    assert stats["child_keys"] > len(expanded)
+    assert set(memo) == ({2, 3} if stable else {len(state)})
+    for n, (_, classes, met, counts) in memo.items():
+        # keyed by class words alone: one entry per class, each counted
+        # once as the first or a later class of its orbit
+        assert all(ac._byte_class(c) == c == entry[0][0]
+                   for c, entry in classes.items())
+        assert len(classes) == sum(counts) > 0
+        assert met == {entry[1] for entry in classes.values()}
+    # a rotation or inverse of any relator met reaches its class's entry
+    for state in expanded:
+        slot = memo[len(state)]
+        for w in state:
+            entry = slot[1][ac._byte_class(w)]
+            assert all(ac._lookup(slot, x) is entry
+                       for x in _rotations_and_inverses(w))
 
 
 # the trivial root and AK(2) on 2 generators with stable edges (their

@@ -442,6 +442,10 @@ def test_classify_refutes_wrong_declared_params_at_any_genus(tmp_path,
 _HK_WRONG_M = ("heegaard-kirby genus=2\nalpha: @1(1,0) ; @2(1,0)\n"
                "beta: @1(0,1) ; @2(0,1)\nlink: @1(1,0) framing=surface\n"
                "target m=2\n")
+# an integer-framed unknot over a genus-1 S3, with a target m over the genus
+_HK_INTEGER_OVER_GENUS = ("heegaard-kirby genus=1\nalpha: @1(1,0)\n"
+                          "beta: @1(0,1)\nlink: @1(1,0) framing=-1\n"
+                          "target m=5\n")
 # gamma 1 meets beta 1 once, so the picks 1:1 are sound
 _TRI_PICKABLE = ("trisection genus=1\nalpha: @1(1,0)\nbeta: @1(0,1)\n"
                  "gamma: @1(1,0)\n")
@@ -479,6 +483,22 @@ def test_replay_of_derived_object_reports(tmp_path, capsys):
         "kind": "params-mismatch", "declared": [1, 1, 1],
         "computed": [0, 0, 1]}
     assert run(capsys, "replay", rep, tri)[0] == 1
+
+
+def test_hk_to_tri_over_the_genus_exits_two_and_writes_nothing(tmp_path,
+                                                                capsys):
+    # an integer framing over S3 leaves the surgered homology undecided,
+    # and no genus-1 trisection declares k3 = 5
+    hkt = write(tmp_path, "s3.hkt", _HK_INTEGER_OVER_GENUS)
+    out = str(tmp_path / "out.tri")
+    code, doc, rep = _json_report(capsys, tmp_path, "r.json", "hk-to-tri",
+                                  hkt, "-o", out)
+    assert code == 2 and doc["verdict"]["status"] == "unknown"
+    assert "params" not in doc["payload"]
+    assert "output-sha256" not in doc["payload"]
+    assert not (tmp_path / "out.tri").exists()
+    assert run(capsys, "replay", rep, hkt)[0] == 2
+    assert run(capsys, "validate", hkt)[0] == 2
 
 
 def _picked_hk(text, m):

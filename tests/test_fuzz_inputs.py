@@ -39,6 +39,14 @@ SEEDS = {
                   "beta: @1(1,0)\n"
                   "link: @1(0,1) framing=-1\n"
                   "target m=1\n",
+    # integer-framed over an S3 background, where the framing caveat
+    # leaves the homology undecided and target m= mutations reach
+    # hk-to-tri's assembly
+    "s3-framed.hkt": "heegaard-kirby genus=1\n"
+                     "alpha: @1(1,0)\n"
+                     "beta: @1(0,1)\n"
+                     "link: @1(1,0) framing=-1\n"
+                     "target m=1\n",
     "hopf.lnk": "linking size=2\nrow: 0 1\nrow: 1 0\n",
     "framed.lnk": "linking size=3\nrow: 1 0 2\nrow: 0 0 1\nrow: 2 1 -1\n",
     "ak1.pres": "presentation generators=2\n"

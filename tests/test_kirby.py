@@ -96,6 +96,22 @@ def test_integer_framing_needs_s3_background():
     assert "integer framings" in v0.reason
 
 
+def test_an_integer_framed_target_over_the_genus_assembles_nothing():
+    # the integer framing leaves the surgered homology undecided, and a
+    # genus-1 trisection cannot declare k3 = 5: no trisection, the caveat
+    H = HeegaardKirbyDiagram(
+        1, standard_heegaard(1, 0),
+        (FramedComponent(curve_from_template(1, 1, 1, 0), -1),), m=5)
+    t, v = hk_to_trisection(H)
+    assert t is None and v.is_unknown
+    assert v == validate_hk(H)
+    assert "integer framings" in v.reason
+    # within the genus the same caveat still assembles the trisection
+    t, v = hk_to_trisection(HeegaardKirbyDiagram(1, H.background, H.link,
+                                                 m=1))
+    assert t.declared_params == (0, 0, 1) and v.is_unknown
+
+
 def test_crossing_link_components_are_refuted():
     bg = standard_heegaard(2, 0)
     link = (FramedComponent(curve_from_template(2, 1, 1, 0)),
