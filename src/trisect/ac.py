@@ -29,7 +29,7 @@ class lookups, counter increments and the child.  They depend on the state
 and the bounds alone (the parent key is a function of the state), and
 every backward side grows from the trivial presentation, so the process
 keeps the records of a repeated backward expansion for later searches
-(``_records``).  The path is replayed with ``apply_ac_move``, which
+(``_step``).  The path is replayed with ``apply_ac_move``, which
 validates every step; each backward move is the first child keyed to the
 next key, found by an orbit test (``_rows``).
 """
@@ -316,91 +316,81 @@ def _orbit_images(base, indices):
 # records) in their four tables.
 _SYMMETRY_CAP = 1 << 17
 
-# generator count -> its symmetry table (``_symmetry``), shared by every
-# search of the process
+
+class _Symmetry:
+    """The symmetry table of n >= 1 generators: the ``_relabelings(n)``
+    ``tables``, the ``_composer`` function ``compose``, the ``orbits``
+    index mapping every image of a class whose images were computed to
+    that class's entry, the ``indices`` lists of ``compose`` by ``s``, the
+    ``size`` in units of what the dicts hold, and the kept expansions
+    (``records``) of states with n relators (``_step``).  Every value in
+    it depends on n and its key alone, so one table serves every search of
+    the process, and emptying it (see ``_SYMMETRY_CAP``) changes no
+    answer, only work."""
+    __slots__ = ("tables", "compose", "orbits", "indices", "size", "records")
+
+    def __init__(self, n):
+        self.tables = _relabelings(n)
+        self.compose = _composer(n, self.tables)
+        self.orbits, self.indices, self.size, self.records = {}, {}, 0, {}
+
+    def store(self, size):
+        """Make room for ``size`` more units, emptying the table first when
+        they would take it over ``_SYMMETRY_CAP``."""
+        if self.size + size > _SYMMETRY_CAP:
+            self.orbits, self.indices, self.records, self.size = {}, {}, {}, 0
+        self.size += size
+
+    def entry(self, c):
+        """The entry ``(images, least, winners)`` of class word ``c``: the
+        computed entry of its orbit, relabeled unless ``c`` is that
+        class."""
+        base = self.orbits.get(c)
+        if base is None:
+            base = _class_images(c, self.tables)
+            self.store(len(base[0]))
+            self.orbits.update(dict.fromkeys(base[0], base))
+            return base
+        s = base[0].index(c)
+        if not s:
+            return base
+        indices = self.indices.get(s)
+        if indices is None:
+            indices = self.compose(s)
+            self.store(len(indices))
+            self.indices[s] = indices
+        return _orbit_images(base, indices)
+
+
+# generator count -> its symmetry table, shared by every search of the
+# process
 _SYMMETRY = {}
 
 
 def _symmetry(n):
-    """The symmetry table of n >= 1 generators, ``[tables, compose,
-    orbits, indices, size, records]``: the ``_relabelings(n)`` tables, the
-    ``_composer`` function, the orbit index mapping every image of a
-    class whose images were computed to that class's entry, the index
-    lists of ``compose`` by ``s``, how many units the dicts hold, and the
-    kept expansions of states with n relators (``_records``).  Every value
-    in it depends on n and its key alone, so one table serves every search
-    of the process, and emptying it (see ``_SYMMETRY_CAP``) changes no
-    answer, only work."""
-    table = _SYMMETRY.get(n)
-    if table is None:
-        tables = _relabelings(n)
-        table = _SYMMETRY[n] = [tables, _composer(n, tables), {}, {}, 0, {}]
-    return table
+    """The process's symmetry table of n >= 1 generators."""
+    return _SYMMETRY.get(n) or _SYMMETRY.setdefault(n, _Symmetry(n))
 
 
-def _store(table, size):
-    """Make room for ``size`` more units in the table, emptying it first
-    when they would take it over ``_SYMMETRY_CAP``."""
-    if table[4] + size > _SYMMETRY_CAP:
-        table[2].clear()
-        table[3].clear()
-        table[5].clear()
-        table[4] = 0
-    table[4] += size
-
-
-def _shared_entry(table, c):
-    """The entry ``(images, least, winners)`` of class word ``c``: the
-    computed entry of its orbit, relabeled unless ``c`` is that class."""
-    tables, compose, orbits, lists, _, _ = table
-    base = orbits.get(c)
-    if base is None:
-        base = _class_images(c, tables)
-        _store(table, len(base[0]))
-        orbits.update(dict.fromkeys(base[0], base))
-        return base
-    s = base[0].index(c)
-    if not s:
-        return base
-    indices = lists.get(s)
-    if indices is None:
-        indices = compose(s)
-        _store(table, len(indices))
-        lists[s] = indices
-    return _orbit_images(base, indices)
-
-
-def _slot(memo, n):
-    """The slot of n >= 1 generators in a search's memo, made when missing:
-    the shared symmetry table, the entry of each relator class met (under
-    its class word alone, so one entry per class), the orbits met (by
-    least image), and the counts of classes met first and later in one."""
-    return memo.get(n) or memo.setdefault(n, (_symmetry(n), {}, set(), [0, 0]))
-
-
-def _lookup(slot, w):
-    """The class entry ``(images, least, winners)`` of byte relator ``w``,
-    from the slot's classes or the shared table, entering nothing.  Only
-    class words are keys of the classes, so any other relator reaches its
-    entry through its class word (``_byte_class``)."""
-    entry = slot[1].get(w)
+def _lookup(classes, n, w):
+    """The class entry ``(images, least, winners)`` of byte relator ``w`` on
+    n generators, from the ``classes`` a search's memo met on n (its
+    ``memo[n]``) or the shared table, entering nothing.  Only class words
+    are keys of the classes, one entry per class, so any other relator
+    reaches its entry through its class word (``_byte_class``)."""
+    entry = classes.get(w)
     if entry is None:
         c = _byte_class(w)
-        entry = slot[1].get(c) or _shared_entry(slot[0], c)
+        entry = classes.get(c) or _symmetry(n).entry(c)
     return entry
 
 
 def _enter(memo, looked):
     """Enter the class lookups ``(n, entry)`` in the search's memo, in
-    order, each under its class word, counting each new class as the first
-    or a later of its orbit."""
+    order, each under its class word (``images[0]``)."""
     for n, entry in looked:
-        _, classes, met, counts = memo.get(n) or _slot(memo, n)
-        c = entry[0][0]  # images[0] is the class's word
-        if c not in classes:
-            counts[entry[1] in met] += 1  # later in its orbit, or first
-            met.add(entry[1])
-            classes[c] = entry
+        classes = memo.get(n) or memo.setdefault(n, {})
+        classes.setdefault(entry[0][0], entry)
 
 
 def _least(entries):
@@ -430,8 +420,8 @@ def _key(state, memo, looked=None):
     n = len(state)
     if not n:
         return ()
-    slot = _slot(memo, n)
-    entries = [_lookup(slot, w) for w in state]
+    classes = memo.setdefault(n, {})
+    entries = [_lookup(classes, n, w) for w in state]
     found = [(n, e) for e in entries]
     if looked is None:
         _enter(memo, found)
@@ -447,7 +437,7 @@ def canonical_key(p):
     inversion, the list is sorted, and the whole is minimized over signed
     relabelings of the generators: the text of the search's key ``_key``.
     Each call keys on a fresh memo; its symmetry table is still the
-    process's (``_slot``), shared with every search.
+    process's (``_symmetry``), shared with every search.
     """
     column = _key(_state(p), {})
     return ("%d:%s" % (len(column), "|".join(
@@ -460,16 +450,17 @@ class SearchResult(Frozen):
 
     ``path`` is a replayable tuple of primitive moves when found, else
     None.  ``stats`` (a fresh dict by default) counts visited states, what
-    cut the frontier, the relabeling orbits of relator classes the search
-    met (``class_images``: the classes whose images it would compute on an
-    empty symmetry table) and the other classes it met in them
-    (``orbit_images``: relabeled from their orbit), and the children
-    keyed or skipped for a sibling's class (``child_keys``,
-    ``sibling_skips``), all in the search's expansions (writing out the
-    path counts nothing), and ``complete``: unknown because one side's
-    component closed with no depth or generator-cap cut on that side, so
-    no trivialization exists within the length cap.  Stats never enter
-    witnesses.
+    cut the frontier, the states expanded at the generator cap
+    (``pruned_generator_cap``, which cut nothing), the relabeling orbits
+    of relator classes the search met (``class_images``: the classes
+    whose images it would compute on an empty symmetry table) and the
+    other classes it met in them (``orbit_images``: relabeled from their
+    orbit), and the children keyed or skipped for a sibling's class
+    (``child_keys``, ``sibling_skips``), all in the search's expansions
+    (writing out the path counts nothing), and ``complete``: unknown
+    because one side's component closed with no depth cut on that side,
+    so no trivialization exists within the length cap (and, stable,
+    through at most two more generators).  Stats never enter witnesses.
     """
     _fields = ("path", "verdict", "stats")
     _defaults = {"stats": None}
@@ -609,7 +600,7 @@ def _rows(entries, target):
     if len(target) != len(entries):
         return {}
     table = _symmetry(len(target))
-    want = Counter([(table[2].get(x) or _shared_entry(table, x))[1]
+    want = Counter([(table.orbits.get(x) or table.entry(x))[1]
                     for x in target])
     have = Counter([e[1] for e in entries])
     lefts = [list((want - (have - Counter([e[1]]))).elements())
@@ -633,8 +624,8 @@ def _expansion(state, key, memo, stable, gen_cap, max_total_length,
     bounds alone.  A ``target`` key drops the rows and cores that cannot
     reach it."""
     n = len(state)
-    slot = _slot(memo, n) if n else None
-    entries = [_lookup(slot, w) for w in state]
+    classes = memo.setdefault(n, {}) if n else None
+    entries = [_lookup(classes, n, w) for w in state]
     looked, pruned, skips, seen = [(n, e) for e in entries], 0, 0, set()
     rests = [entries[:i] + entries[i + 1:] for i in range(n)]
     leasts = [_least(rest) for rest in rests] if n > 1 else []
@@ -646,7 +637,7 @@ def _expansion(state, key, memo, stable, gen_cap, max_total_length,
         i = desc[0] - 1
         if need is not None and len(core) != len(need[i]):
             continue
-        entry = _lookup(slot, core)
+        entry = _lookup(classes, n, core)
         looked.append((n, entry))
         if need is not None and entry[1] != need[i]:
             continue
@@ -672,41 +663,45 @@ def _expansion(state, key, memo, stable, gen_cap, max_total_length,
     yield looked, pruned, skips, None
 
 
-def _records(state, key, backward, memo, stable, gen_cap, max_total_length):
-    """The records of expanding ``state``, whose key is ``key``, under the
-    bounds: the process's if it keeps them, else streamed (``_expansion``)
-    and kept by the second backward expansion to stream them to the end.
-    The first only marks the state, so a one-off expansion keeps none;
-    ``_SYMMETRY_CAP`` counts."""
-    records = _expansion(state, key, memo, stable, gen_cap, max_total_length)
+def _step(record, seen, backward, memo, stats, stable, gen_cap,
+          max_total_length):
+    """One closure step: expand the state of ``record`` (a key's record,
+    as ``_step`` yields it) under the bounds, enter each expansion
+    record's lookups and counts in ``memo`` and ``stats`` (a state at the
+    generator cap counts too; it offers no stabilization, and it cuts
+    nothing), and yield the children whose keys are not in ``seen``.  The
+    records are the process's if it keeps them, else streamed
+    (``_expansion``) and kept by the second ``backward`` expansion to
+    stream them to the end; the first only marks the state, so a one-off
+    expansion keeps none."""
+    key, _, base, i, core = record[:5]
+    state = base if i is None else base[:i] + (core,) + base[i + 1:]
+    stats["pruned_generator_cap"] += stable and len(state) >= gen_cap
     table = _symmetry(max(len(state), 1))  # the empty state's: that of 1
     rkey = (state, stable, gen_cap, max_total_length)
-    kept = table[5].get(rkey)
-    if kept != () or not backward:  # not a marked state's second expansion
-        if kept is None and backward:
-            _store(table, 1)
-            table[5][rkey] = ()
-        yield from kept or records
-        return
+    records = table.records.get(rkey)
+    keep = backward and records == ()  # a marked state's second expansion
+    if not records:
+        if records is None and backward:
+            table.store(1)
+            table.records[rkey] = ()
+        records = _expansion(state, key, memo, stable, gen_cap,
+                             max_total_length)
     kept = []
-    for record in records:
-        kept.append(record)
-        yield record
-    table[4] -= table[5].pop(rkey, None) is not None  # its mark's unit
-    _store(table, sum([1 + len(record[0]) for record in kept]))
-    table[5][rkey] = kept
-
-
-def _children(records, parents, memo, stats):
-    """One search's step: the children of ``records`` whose keys are not in
-    ``parents``, after entering each record's lookups and counts."""
-    for looked, pruned, skips, child in records:
+    for item in records:
+        if keep:
+            kept.append(item)
+        looked, pruned, skips, child = item
         _enter(memo, looked)
         stats["pruned_length"] += pruned
         stats["sibling_skips"] += skips
         stats["child_keys"] += child is not None
-        if child is not None and child[0] not in parents:
+        if child is not None and child[0] not in seen:
             yield child
+    if keep:
+        table.size -= table.records.pop(rkey, None) is not None  # the mark
+        table.store(sum([1 + len(looked) for looked, *_ in kept]))
+        table.records[rkey] = kept
 
 
 def _depth(parents, key):
@@ -730,6 +725,22 @@ def path_verdict(moves, depth):
                              "depth": depth})
 
 
+class _Side:
+    """One end of ``ac_search``.  ``parents`` maps each key stored to its
+    record, as ``_step`` yields it: (key, parent key, base, i, core,
+    *descriptor), a root's being (key, None, state, None, None).  The
+    ``frontier`` holds the same records, so a child's state is built only
+    when it is expanded, and a key's depth is the length of its chain of
+    parents (``_depth``).  ``cut`` is set when the side prunes a state by
+    depth."""
+    __slots__ = ("parents", "frontier", "cut")
+
+    def __init__(self, state, memo):
+        root = (_key(state, memo), None, state, None, None)
+        self.parents, self.frontier = {root[0]: root}, deque([root])
+        self.cut = False
+
+
 def ac_search(p, max_total_length, max_depth, stable=False,
               max_states=DEFAULT_MAX_STATES):
     """Breadth-first search for a move path to the trivial presentation.
@@ -750,9 +761,11 @@ def ac_search(p, max_total_length, max_depth, stable=False,
     ends (the input and the trivial form), always expanding the smaller
     frontier, and splices the halves where they meet; results are
     deterministic for fixed budgets.  When one side's frontier empties and
-    nothing cut that side by depth or by the generator cap, that side's
-    component within the length cap has closed without meeting the other
-    side: the search answers unknown at once, with ``complete`` set.
+    nothing cut that side by depth, that side's component within the
+    length cap, and stable within the generator cap, has closed without
+    meeting the other side (no stabilization is offered at the cap, so
+    the capped edges are still closed under inverses): the search answers
+    unknown at once, with ``complete`` set.
     Class images and the records of repeated backward expansions come from
     the process's symmetry tables (``_symmetry``), which earlier searches
     may have filled.  Every value there is a pure function of the
@@ -792,25 +805,15 @@ def ac_search(p, max_total_length, max_depth, stable=False,
             % (reach, relabelings, max_states)), stats)
 
     memo = {}
-    start, goal = _state(p0), _state(trivial_presentation(p.generators))
-    start_key, goal_key = _key(start, memo), _key(goal, memo)
-
-    # parents[key] is the key's record, as ``_children`` yields it: (key,
-    # parent_key, base, i, core, *descriptor), a root's being (key, None,
-    # state, None, None).  The frontier holds the same records, a child's
-    # state is built only when it is expanded, and a key's depth is the
-    # length of its chain of parents (``_depth``).  ``cut`` is set when the
-    # side prunes a state by depth or by the generator cap.
-    roots = (start_key, None, start, None, None), \
-        (goal_key, None, goal, None, None)
-    fwd, bwd = [{"parents": {root[0]: root}, "frontier": deque([root]),
-                 "cut": False} for root in roots]
+    fwd = _Side(_state(p0), memo)
+    bwd = _Side(_state(trivial_presentation(p.generators)), memo)
 
     def _result(path, verdict):
-        stats["stored"] = len(fwd["parents"]) + len(bwd["parents"])
-        for slot in memo.values():
-            stats["class_images"] += slot[-1][0]
-            stats["orbit_images"] += slot[-1][1]
+        stats["stored"] = len(fwd.parents) + len(bwd.parents)
+        for classes in memo.values():
+            orbits = len({entry[1] for entry in classes.values()})
+            stats["class_images"] += orbits
+            stats["orbit_images"] += len(classes) - orbits
         return SearchResult(path, verdict, stats)
 
     def _path(key):
@@ -818,12 +821,12 @@ def ac_search(p, max_total_length, max_depth, stable=False,
         form, replayed from p0 through apply_ac_move: the forward chain,
         then toward each backward parent key the first child keyed to it
         (a skipped sibling has an earlier sibling's key)."""
-        chain, record = [], fwd["parents"][key]
+        chain, record = [], fwd.parents[key]
         while record[1] is not None:
             chain.append(record[5:])
-            record = fwd["parents"][record[1]]
+            record = fwd.parents[record[1]]
         moves, cur = list(prefix), p0
-        target = bwd["parents"][key][1]
+        target = bwd.parents[key][1]
         while chain or target is not None:
             if chain:
                 desc = chain.pop()
@@ -834,7 +837,7 @@ def ac_search(p, max_total_length, max_depth, stable=False,
                     if child and child[0] == target), None)
                 if desc is None:
                     raise AssertionError("guided replay lost the key trail")
-                target = bwd["parents"][target][1]
+                target = bwd.parents[target][1]
             edge = _product_moves(cur, desc)
             moves.extend(edge)
             for m in edge:
@@ -843,47 +846,43 @@ def ac_search(p, max_total_length, max_depth, stable=False,
             raise AssertionError("guided replay missed the trivial form")
         return tuple(moves)
 
-    while fwd["frontier"] or bwd["frontier"]:
-        f, b = len(fwd["frontier"]), len(bwd["frontier"])
+    while fwd.frontier or bwd.frontier:
+        f, b = len(fwd.frontier), len(bwd.frontier)
         side, other = (fwd, bwd) if f and (f <= b or not b) else (bwd, fwd)
-        key, _, base, i, core = side["frontier"].popleft()[:5]
+        record = side.frontier.popleft()
         stats["visited"] += 1
-        depth = _depth(side["parents"], key)
-        if depth >= max_depth:
+        if _depth(side.parents, record[0]) >= max_depth:
             stats["pruned_depth"] += 1
-            side["cut"] = True
+            side.cut = True
             continue
-        state = base if i is None else base[:i] + (core,) + base[i + 1:]
-        if stable and len(state) >= gen_cap:
-            stats["pruned_generator_cap"] += 1
-            side["cut"] = True
-        for record in _children(_records(
-                state, key, side is bwd, memo, stable, gen_cap,
-                max_total_length), side["parents"], memo, stats):
-            if len(fwd["parents"]) + len(bwd["parents"]) >= max_states:
+        for child in _step(record, side.parents, side is bwd, memo, stats,
+                           stable, gen_cap, max_total_length):
+            if len(fwd.parents) + len(bwd.parents) >= max_states:
                 stats["aborted"] = "state-cap"
                 return _result(None, unknown(
                     "exhausted: state cap %d reached after %d states "
                     "visited" % (max_states, stats["visited"])))
-            ckey = record[0]
-            side["parents"][ckey] = record
+            ckey = child[0]
+            side.parents[ckey] = child
             # a forward child in trivial form meets the backward root
-            if ckey in other["parents"]:
-                edges = depth + 1 + _depth(other["parents"], ckey)
+            if ckey in other.parents:
+                edges = _depth(fwd.parents, ckey) + _depth(bwd.parents, ckey)
                 if edges <= max_depth:
                     path = _path(ckey)
                     return _result(path, path_verdict(path, edges))
-            side["frontier"].append(record)
-        if not (side["frontier"] or side["cut"]):
-            # every key the side reaches within the length cap is stored,
-            # and none met the other side: the bound is complete
+            side.frontier.append(child)
+        if not (side.frontier or side.cut):
+            # every key the side reaches within the caps is stored, and
+            # none met the other side: the bound is complete
             stats["complete"] = True
             return _result(None, unknown(
-                "exhausted: no trivialization within total length %d: %s "
+                "exhausted: no trivialization within total length %d%s: %s "
                 "component closed at %d key%s (%d states visited)"
-                % (max_total_length, "the input's" if side is fwd else
-                   "the trivial presentation's", len(side["parents"]),
-                   "" if len(side["parents"]) == 1 else "s",
+                % (max_total_length,
+                   " and %d generators" % gen_cap if stable else "",
+                   "the input's" if side is fwd else
+                   "the trivial presentation's", len(side.parents),
+                   "" if len(side.parents) == 1 else "s",
                    stats["visited"])))
     return _result(None, unknown(
         "exhausted: no trivialization within total length %d and depth %d "

@@ -18,7 +18,7 @@ and ``reports`` those, ``diagio`` and ``verdict``.  Engine modules are
 imported at three boundaries: a command handler below, a file-kind
 parser in ``diagio``, and a witness check in ``reports.CHECKERS`` or
 ``reports.BRIDGES``; never inside a per-state or per-step function
-(``canonical_key``, the search's child keys in ``ac._children``, slide
+(``canonical_key``, the search's closure step ``ac._step``, slide
 descent, Tietze moves).
 
 No engine module imports the standard dataclass module.  The value
@@ -438,7 +438,8 @@ def _commands():
                 # command runs
                 _arg("--max-states", type=int, dest="max_states"),
                 _arg("--stable", action="store_true",
-                     help="allow adding and deleting trivial pairs")]),
+                     help="allow adding and deleting trivial pairs, "
+                     "up to two more generators")]),
         "catalog": (
             _cmd_catalog, "emit the built-in genus-one diagrams",
             [_arg("figure", choices=["figure1", "figure2"]), output]),

@@ -353,8 +353,8 @@ def test_child_keys_equal_the_keys_of_the_built_children(p, slack):
     n, cap = len(state), sum(map(len, state)) + slack
     memo, stats = {}, Counter()
     parent = ac._key(state, memo)
-    got = list(ac._children(ac._expansion(state, parent, memo, False, n,
-                                          cap), {}, memo, stats))
+    got = list(ac._step((parent, None, state, None, None), {}, False, memo,
+                        stats, False, n, cap))
     keys = {}
     for k, (key, named, base, i, core, *desc) in enumerate(got):
         # a child is named by the expanded state's key and state, the
@@ -436,8 +436,8 @@ def _letter_maps(n):
         [ac._BASE - g for g in range(1, n + 1)]
     maps = []
     for image, inverse_, _ in ac._relabelings(n):
-        for table in (image, inverse_):
-            maps.append(tuple(table[b] for b in letters))
+        for t in (image, inverse_):
+            maps.append(tuple(t[b] for b in letters))
     return letters, maps
 
 
@@ -498,13 +498,21 @@ def image_calls(monkeypatch, cold_tables):
     return calls
 
 
+def _image_counts(classes):
+    """What the ``classes`` a search's memo met on one generator count add
+    to its stats: the relabeling orbits met (``class_images``) and the
+    other classes met in them (``orbit_images``)."""
+    orbits = len({entry[1] for entry in classes.values()})
+    return orbits, len(classes) - orbits
+
+
 def test_a_relabeled_class_takes_its_images_from_the_orbit(image_calls):
     p = trivial_presentation(3)
     memo = {}
     assert _memo_key(p, memo) == _oracle_key(p)
     # x1, x2 and x3 are one orbit: its images are computed for x1 alone
     assert len(image_calls) == 1
-    assert memo[3][-1] == [1, 2]
+    assert _image_counts(memo[3]) == (1, 2)
 
 
 @pytest.mark.parametrize("relators", [
@@ -516,7 +524,7 @@ def test_five_generator_keys_equal_the_oracle(relators):
     memo = {}
     assert _memo_key(p, memo) == _oracle_key(p)
     # two of the relators are one orbit, so one class took the orbit path
-    assert memo[5][-1][1] >= 1
+    assert _image_counts(memo[5])[1] >= 1
 
 
 def test_search_stats_count_class_and_orbit_images(image_calls):
@@ -638,11 +646,11 @@ def _stored(table):
     """The units a symmetry table holds, counted from its orbit index,
     index lists and kept expansions: an image, a composer index, a record,
     a class lookup in one and a mark are one each."""
-    bases = {id(entry): entry for entry in table[2].values()}
+    bases = {id(entry): entry for entry in table.orbits.values()}
     return sum(len(entry[0]) for entry in bases.values()) + \
-        sum(map(len, table[3].values())) + \
+        sum(map(len, table.indices.values())) + \
         sum(sum(1 + len(record[0]) for record in kept) if kept else 1
-            for kept in table[5].values())
+            for kept in table.records.values())
 
 
 def test_a_capped_symmetry_table_empties_and_answers_alike(monkeypatch,
@@ -663,14 +671,14 @@ def test_a_capped_symmetry_table_empties_and_answers_alike(monkeypatch,
     ac._SYMMETRY.clear()
     monkeypatch.setattr(ac, "_SYMMETRY_CAP", 1000)
     emptied = []
-    direct = ac._store
+    direct = ac._Symmetry.store
 
     def watched(table, size):
         held = _stored(table)
-        assert held == table[4] <= 1000
+        assert held == table.size <= 1000
         direct(table, size)
-        emptied.append(table[4] < held + size)
-    monkeypatch.setattr(ac, "_store", watched)
+        emptied.append(table.size < held + size)
+    monkeypatch.setattr(ac._Symmetry, "store", watched)
     res = ac_search(p, 32, 20, stable=True)
     assert all(_stored(table) <= 1000 for table in ac._SYMMETRY.values())
     assert any(emptied)
@@ -685,12 +693,12 @@ def test_a_capped_symmetry_table_empties_and_answers_alike(monkeypatch,
 
     def dropping(table, size):
         held = _stored(table)
-        assert held == table[4] <= 4000
-        kept = sum(1 for records in table[5].values() if records)
+        assert held == table.size <= 4000
+        kept = sum(1 for records in table.records.values() if records)
         direct(table, size)
-        if table[4] < held + size:
+        if table.size < held + size:
             dropped.append(kept)
-    monkeypatch.setattr(ac, "_store", dropping)
+    monkeypatch.setattr(ac._Symmetry, "store", dropping)
     for _ in range(3):
         dropped.append(None)  # a search starts
         res = ac_search(p, 32, 20, stable=True)
@@ -700,7 +708,21 @@ def test_a_capped_symmetry_table_empties_and_answers_alike(monkeypatch,
     # records were dropped, and kept again, within one search
     assert any(kept for kept in dropped[dropped.index(None, 1):])
     assert any(kept for table in ac._SYMMETRY.values()
-               for kept in table[5].values())
+               for kept in table.records.values())
+
+
+def test_the_symmetry_tables_hold_the_pinned_units(cold_tables):
+    # the pinned trees on empty tables, at 32/20: AK(1), AK(2), stable
+    # AK(2), and AK(3) capped at 5,000 states; what each generator count's
+    # table then holds, in the units ``_SYMMETRY_CAP`` counts, pins its
+    # accounting, and the units are those the table's contents count to
+    for n, stable, cap in ((1, False, 20000), (2, False, 20000),
+                           (2, True, 20000), (3, False, 5000)):
+        ac_search(ak_presentation(n), 32, 20, stable=stable, max_states=cap)
+    assert {n: table.size for n, table in ac._SYMMETRY.items()} == \
+        {1: 4, 2: 22204, 3: 3232, 4: 10755}
+    assert all(_stored(table) == table.size
+               for table in ac._SYMMETRY.values())
 
 
 # a stabilization lengthens by one letter, so at these caps it is pruned
@@ -750,13 +772,6 @@ def test_three_generator_scramble_trees_are_pinned(seed, visited, stored,
     assert replay_ac_path(p, res.path).is_trivial_form()
 
 
-def _memo_contents(memo):
-    """What a search's class memo holds per generator count: the entry of
-    every relator class met under its class word, the orbits met and the
-    counts of classes met first and later in theirs."""
-    return {n: (slot[1], slot[2], slot[3]) for n, slot in memo.items()}
-
-
 def _rotations_and_inverses(w):
     """Every rotation of byte word ``w`` and of its inverse."""
     inv = w[::-1].translate(ac._NEGATE)
@@ -779,27 +794,24 @@ def test_the_memo_holds_one_entry_per_relator_class(p, cap, stable):
     while frontier and len(expanded) < 30:
         state = frontier.popleft()
         expanded.append(state)
-        for key, _, base, i, core, *_ in ac._children(ac._expansion(
-                state, None, memo, stable, gen_cap, cap), parents, memo,
-                stats):
+        for key, _, base, i, core, *_ in ac._step(
+                (None, None, state, None, None), parents, False, memo, stats,
+                stable, gen_cap, cap):
             parents.add(key)
             frontier.append(base if i is None
                             else base[:i] + (core,) + base[i + 1:])
     assert stats["child_keys"] > len(expanded)
     assert set(memo) == ({2, 3} if stable else {len(state)})
-    for n, (_, classes, met, counts) in memo.items():
-        # keyed by class words alone: one entry per class, each counted
-        # once as the first or a later class of its orbit
-        assert all(ac._byte_class(c) == c == entry[0][0]
-                   for c, entry in classes.items())
-        assert len(classes) == sum(counts) > 0
-        assert met == {entry[1] for entry in classes.values()}
+    for classes in memo.values():
+        # keyed by class words alone: one entry per class
+        assert classes and all(ac._byte_class(c) == c == entry[0][0]
+                               for c, entry in classes.items())
     # a rotation or inverse of any relator met reaches its class's entry
     for state in expanded:
-        slot = memo[len(state)]
+        n = len(state)
         for w in state:
-            entry = slot[1][ac._byte_class(w)]
-            assert all(ac._lookup(slot, x) is entry
+            entry = memo[n][ac._byte_class(w)]
+            assert all(ac._lookup(memo[n], n, x) is entry
                        for x in _rotations_and_inverses(w))
 
 
@@ -810,7 +822,8 @@ def test_the_memo_holds_one_entry_per_relator_class(p, cap, stable):
     (ak_presentation(2), 32, True),
     (_scramble3(5), 16, False),
 ], ids=["trivial2-stable", "ak2-stable", "scramble3-5"])
-def test_replayed_records_answer_as_the_streamed_expansion(cold_tables, p,
+def test_replayed_records_answer_as_the_streamed_expansion(cold_tables,
+                                                           monkeypatch, p,
                                                            cap, stable):
     state = _state(_normalize_start(p)[0])
     key = ac._key(state, {})
@@ -821,49 +834,52 @@ def test_replayed_records_answer_as_the_streamed_expansion(cold_tables, p,
     assert all(child[1] == key for child in children)
     # a side whose parents hold every third child's key
     parents = {child[0] for child in children[::3]}
+    fresh = [child for child in children if child[0] not in parents]
+    table, rkey = ac._symmetry(len(state)), (state, stable, gen_cap, cap)
 
-    def step(source, k):
-        """The first k children a search step takes from ``source``, with
+    def step(backward, k):
+        """The first k children a search step from the state takes, with
         the counts and memo it leaves, from a memo that met the state and
         the trivial presentation (the search meets both first)."""
         memo, stats = {}, Counter()
         ac._key(state, memo)
         ac._key(_state(trivial_presentation(len(state))), memo)
-        taken = islice(ac._children(source(memo), parents, memo, stats), k)
-        return list(taken), dict(stats), _memo_contents(memo)
+        taken = islice(ac._step((key, None, state, None, None), parents,
+                                backward, memo, stats, stable, gen_cap, cap),
+                       k)
+        return list(taken), dict(stats), memo
 
-    # the meet and the state cap stop a search after any child
-    for k in (1, 2, len(children) // 2, None):
-        streamed = step(lambda memo: ac._expansion(
-            state, key, memo, stable, gen_cap, cap), k)
-        assert step(lambda memo: iter(records), k) == streamed
-    # through the process's table: marked the first time, kept the second,
-    # replayed from then on
-    for _ in range(2):
-        assert list(ac._records(state, key, True, {}, stable, gen_cap,
-                                cap)) == records
-    kept = ac._symmetry(len(state))[5][(state, stable, gen_cap, cap)]
-    assert kept == records
+    # the meet and the state cap stop a search after any child; a forward
+    # step streams its expansion and marks nothing
+    ks = (1, 2, len(children) // 2, len(fresh), None)
+    streamed = {k: step(False, k) for k in ks}
+    assert rkey not in table.records
+    # through the process's table: the first backward step marks the
+    # state, and the second keeps its records only if it streams them all,
+    # not if it stops at its last new child
+    for k in (1, len(fresh), None):
+        assert step(True, k) == streamed[k]
+        assert table.records[rkey] == (() if k else records)
+    # replayed from then on, either way, with no expansion streamed
+    monkeypatch.setattr(ac, "_expansion", None)
+    kept = [record[3] for record in table.records[rkey]]
     for backward in (True, False):
-        replayed = list(ac._records(state, key, backward, {}, stable,
-                                    gen_cap, cap))
-        assert len(replayed) == len(kept)
-        assert all(a is b for a, b in zip(replayed, kept))
-    # a forward expansion streams what is not kept, and marks nothing
-    assert list(ac._records(state, key, False, {}, stable, gen_cap,
-                            cap + 1)) == list(ac._expansion(
-                                state, key, {}, stable, gen_cap, cap + 1))
-    assert (state, stable, gen_cap, cap + 1) not in \
-        ac._symmetry(len(state))[5]
+        for k in ks:
+            assert step(backward, k) == streamed[k]
+        taken = step(backward, None)[0]
+        assert taken == fresh
+        assert all(a is b for a, b in zip(taken, [
+            child for child in kept if child and child[0] not in parents]))
+    assert _stored(table) == table.size
 
 
 def _first_child_keyed_to(state, target, stable, gen_cap, cap):
     """The unfiltered rule for a backward step of a path: the descriptor
     (the record's tail) of the first child of the whole expansion, keyed
     with a fresh memo, whose key is the target."""
-    return next(child[5:] for child in ac._children(
-        ac._expansion(state, None, {}, stable, gen_cap, cap), {}, {},
-        Counter()) if child[0] == target)
+    return next(child[5:] for child in ac._step(
+        (None, None, state, None, None), {}, False, {}, Counter(), stable,
+        gen_cap, cap) if child[0] == target)
 
 
 @pytest.mark.parametrize("p, cap, stable, states", [
@@ -992,14 +1008,15 @@ def test_children_of_a_cyclically_reduced_state_are_cyclically_reduced(rels):
     assert built
 
 
-def _component(p, cap, memo):
+def _component(p, cap, memo, stable=False, gen_cap=None):
     """The ``canonical_key`` texts of every state a plain breadth-first
-    search over ``_edges`` reaches from ``p`` within total length cap."""
+    search over ``_edges`` reaches from ``p`` within total length cap, and
+    when stable within ``gen_cap`` generators."""
     seen = {_memo_key(p, memo)}
     queue = deque([_state(p)])
     while queue:
         state = queue.popleft()
-        for _, child in _edges(state, False, len(state), cap):
+        for _, child in _edges(state, stable, gen_cap, cap):
             if child is None:
                 continue
             text = _memo_key(_presentation(child), memo)
@@ -1009,8 +1026,14 @@ def _component(p, cap, memo):
     return seen
 
 
+# the states a stable search visits at the generator cap, per total length
+_AT_GENERATOR_CAP = {15: 1, 16: 10, 17: 557}
+
+
 @pytest.mark.parametrize("cap, stable, visited, stored, component", [
-    (15, False, 10, 13, 7), (17, False, 266, 325, 257), (13, True, 1, 2, 1)])
+    (15, False, 10, 13, 7), (17, False, 266, 325, 257), (13, True, 1, 2, 1),
+    (14, True, 2, 3, 2), (15, True, 22, 35, 16), (16, True, 144, 252, 126),
+    (17, True, 4741, 6619, 4614)])
 def test_ak3_closes_its_component_within_total_length(cap, stable, visited,
                                                       stored, component):
     # exhaustive bounds: with depth unbounded, AK(3)'s side closes before
@@ -1022,10 +1045,22 @@ def test_ak3_closes_its_component_within_total_length(cap, stable, visited,
                     max_states=10 ** 7)
     assert res.verdict.status == "unknown"
     assert (res.stats["visited"], res.stats["stored"]) == (visited, stored)
+    # a state at the generator cap offers no stabilization, so the capped
+    # edges are still closed under inverses: it is expanded and counted,
+    # and the side still closes
+    at_cap = _AT_GENERATOR_CAP.get(cap, 0) if stable else 0
     assert (res.stats["pruned_depth"], res.stats["pruned_generator_cap"],
-            res.stats["aborted"], res.stats["complete"]) == (0, 0, None, True)
+            res.stats["aborted"], res.stats["complete"]) == \
+        (0, at_cap, None, True)
     assert ("the input's component closed at %d key" % component) in \
         res.verdict.reason
+    assert ("within total length %d and 4 generators:" % cap in
+            res.verdict.reason) == stable
+    # a plain breadth-first search over the same edges, on at most 4
+    # generators when stable, reaches as many keys
+    if cap < 17:
+        p = _normalize_start(ak_presentation(3))[0]
+        assert len(_component(p, cap, {}, stable, 4)) == component
 
 
 def test_ak3_has_no_trivialization_within_total_length_13():
