@@ -33,8 +33,9 @@ def main():
     print()
     print("== back the other way, starting from CP2 ==")
     cp2 = genus_one_diagram("CP2")
-    pairs, pv = find_primitive_pairs(cp2)
-    print("primitive gamma/beta pairs on CP2: %s  [%s]" % (pairs, pv.status))
+    pairs, exact = find_primitive_pairs(cp2)
+    print("primitive gamma/beta pairs on CP2: %s  [%s]"
+          % (pairs, "exact" if exact else "inexact"))
     H2, hv = trisection_to_hk(cp2, [pairs[0]])
     print("extracted surgery diagram [%s]:" % hv.status)
     print(format_diagram(H2))

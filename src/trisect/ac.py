@@ -451,7 +451,7 @@ class SearchResult(Frozen):
     ``path`` is a replayable tuple of primitive moves when found, else
     None.  ``stats`` (a fresh dict by default) counts visited states, what
     cut the frontier, the states expanded at the generator cap
-    (``pruned_generator_cap``, which cut nothing), the relabeling orbits
+    (``at_generator_cap``, which cut nothing), the relabeling orbits
     of relator classes the search met (``class_images``: the classes
     whose images it would compute on an empty symmetry table) and the
     other classes it met in them (``orbit_images``: relabeled from their
@@ -676,7 +676,7 @@ def _step(record, seen, backward, memo, stats, stable, gen_cap,
     expansion keeps none."""
     key, _, base, i, core = record[:5]
     state = base if i is None else base[:i] + (core,) + base[i + 1:]
-    stats["pruned_generator_cap"] += stable and len(state) >= gen_cap
+    stats["at_generator_cap"] += stable and len(state) >= gen_cap
     table = _symmetry(max(len(state), 1))  # the empty state's: that of 1
     rkey = (state, stable, gen_cap, max_total_length)
     records = table.records.get(rkey)
@@ -779,7 +779,7 @@ def ac_search(p, max_total_length, max_depth, stable=False,
         raise ValueError("budgets must be positive")
     # in the order of the ac-search report's lines
     stats = {"visited": 0, "stored": 0, "complete": False,
-             "pruned_length": 0, "pruned_depth": 0, "pruned_generator_cap": 0,
+             "pruned_length": 0, "pruned_depth": 0, "at_generator_cap": 0,
              "aborted": None, "class_images": 0, "orbit_images": 0,
              "child_keys": 0, "sibling_skips": 0}
     bad = ab_det_refutation(p)

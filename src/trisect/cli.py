@@ -330,6 +330,19 @@ def _check_report_shape(doc):
              "kind")
 
 
+def _ak_input(label):
+    """(label, text) of the input ``ac-search --ak N`` records as ``ak-N``,
+    rebuilt as that command writes it: no file holds it."""
+    from .ac import ak_presentation
+
+    n = label[3:]
+    if not (label.startswith("ak-") and n.isascii() and n.isdigit()
+            and n[0] != "0"):
+        raise _UsageError("report lists 1 input, 0 given, and %r is not "
+                          "the ak-N input of ac-search --ak N" % label)
+    return label, diagio.format_presentation(ak_presentation(int(n)))
+
+
 def _cmd_replay(args):
     raw = _read(args.report)
     try:
@@ -342,15 +355,19 @@ def _cmd_replay(args):
         raise _UsageError("report lists no input files, so no witness can "
                           "be replayed against them")
     given = args.inputs
-    if len(given) != len(recorded):
+    if not given and doc.get("operation") == "ac-search" \
+            and len(recorded) == 1:
+        sources = [_ak_input(recorded[0]["name"])]
+    elif len(given) != len(recorded):
         raise _UsageError("report lists %d inputs, %d given"
                           % (len(recorded), len(given)))
+    else:
+        sources = ((path, _read(path)) for path in given)
     objs = []
-    for path, rec in zip(given, recorded):
-        text = _read(path)
+    for (source, text), rec in zip(sources, recorded):
         if reports.sha256_text(text) != rec["sha256"]:
             raise _UsageError("input %s does not match the recorded digest "
-                              "for %s" % (path, rec["name"]))
+                              "for %s" % (source, rec["name"]))
         objs.append(diagio.parse_any(text))
     vdict = doc.get("verdict")
     if vdict is None:
@@ -447,7 +464,8 @@ def _commands():
             _cmd_replay, "re-derive a recorded verdict from its witness", [
                 _arg("report", help="a JSON report produced with --json"),
                 _arg("inputs", nargs="*",
-                     help="the original input files, in command order")]),
+                     help="the original input files, in command order "
+                     "(none for an ac-search --ak N report)")]),
     }
 
 

@@ -428,77 +428,6 @@ def detect_k(d, h1=None, recorded=None):
     return k, verified("pi1 is free of rank %d, matching H1" % k, witness)
 
 
-def is_standard_pair(d):
-    """Does (alpha, beta) match the (g,k)-standard pattern for some pairing?
-
-    Searches index pairings: matched pairs must be identical curves or
-    meet exactly once, all other pairs must be disjoint, every count
-    exact.  Refutes only when exact data rules out every pairing.
-    """
-    g = d.genus
-    if g == 0:
-        return verified("empty diagram is (0,0)-standard",
-                        {"kind": "standard-pair", "k": 0, "pairing": []})
-    inter = [[geometric_intersection(a, b) for b in d.beta.curves]
-             for a in d.alpha.curves]
-    ident = [[same_curve(a, b) for b in d.beta.curves]
-             for a in d.alpha.curves]
-
-    hit_inexact = [False]
-
-    def extend(i, used, pairing):
-        # returns a full pairing (list of (j, identical)) or None
-        if i == g:
-            return list(pairing)
-        for j in range(g):
-            if j in used:
-                continue
-            count, exact = inter[i][j]
-            if ident[i][j]:
-                ok = True
-            elif not exact:
-                hit_inexact[0] = True
-                continue
-            else:
-                ok = count == 1
-            if not ok:
-                continue
-            # cross checks against previously assigned rows
-            clean = True
-            for i2, (j2, _) in enumerate(pairing):
-                for (r, c) in ((i, j2), (i2, j)):
-                    cnt, ex = inter[r][c]
-                    if not ex:
-                        hit_inexact[0] = True
-                        clean = False
-                    elif cnt != 0:
-                        clean = False
-                if not clean:
-                    break
-            if not clean:
-                continue
-            pairing.append((j, ident[i][j]))
-            full = extend(i + 1, used | {j}, pairing)
-            if full is not None:
-                return full
-            pairing.pop()
-        return None
-
-    full = extend(0, frozenset(), [])
-    if full is not None:
-        k = sum(1 for (_, same) in full if same)
-        return verified(
-            "diagram is (%d,%d)-standard" % (g, k),
-            {"kind": "standard-pair", "k": k,
-             "pairing": [j + 1 for (j, _) in full]})
-    if hit_inexact[0]:
-        return unknown("intersection data is inexact for word curves")
-    return refuted(
-        "exact intersection counts rule out every index pairing",
-        {"kind": "nonstandard",
-         "matrix": [[inter[i][j][0] for j in range(g)] for i in range(g)]})
-
-
 # -- trisection parameters ----------------------------------------------------
 
 _PAIRS = (("alpha", "beta"), ("beta", "gamma"), ("gamma", "alpha"))

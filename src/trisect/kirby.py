@@ -302,28 +302,21 @@ def hk_to_trisection(H, recorded=None):
 
 
 def find_primitive_pairs(t):
-    """All (gamma-index, beta-index) pairs meeting exactly once.
-
-    The verdict is Verified when every pair had exact intersection data,
-    Unknown otherwise (word curves cannot certify counts).
+    """(pairs, exact): all (gamma-index, beta-index) pairs meeting exactly
+    once, and whether every gamma/beta pair had exact intersection data
+    (word curves cannot certify counts, so an inexact pair may be missed).
     """
     from .diagram import geometric_intersection
 
     pairs = []
-    inexact = 0
+    exact = True
     for i, gc in enumerate(t.gamma.curves, 1):
         for j, bc in enumerate(t.beta.curves, 1):
-            count, exact = geometric_intersection(gc, bc)
-            if not exact:
-                inexact += 1
-            elif count == 1:
+            count, known = geometric_intersection(gc, bc)
+            exact = exact and known
+            if known and count == 1:
                 pairs.append((i, j))
-    if inexact:
-        return pairs, unknown(
-            "%d gamma/beta pairs lack exact intersection data" % inexact)
-    return pairs, verified(
-        "%d primitive pairs found with exact counts" % len(pairs),
-        {"kind": "primitive-pairs", "pairs": [list(p) for p in pairs]})
+    return pairs, exact
 
 
 def trisection_to_hk(t, picks, recorded=None):

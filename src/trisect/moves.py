@@ -30,7 +30,7 @@ from .diagram import (_PAIRS, HeegaardDiagram, TrisectionDiagram,
                       curve_from_template, curve_from_word,
                       geometric_intersection, moved_system, reembed,
                       pair_homology)
-from .verdict import Frozen, refuted, unknown, verified
+from .verdict import Frozen, unknown, verified
 
 _DESCENT_PLATEAU_CAP = 64
 _DESCENT_STEP_CAP = 400
@@ -378,28 +378,18 @@ def unscramble(t):
 # -- parameter constraints ----------------------------------------------------
 
 def check_classified_params(params):
-    """Constraint check for parameter triples in the classified range.
+    """The paper's constraint on parameter triples in the classified range.
 
     With k1 the maximum: k1 = g forces k2 = k3; k1 = g-1 forces
-    |k2 - k3| <= 1.  Anything below g-1 is outside the classified range.
+    |k2 - k3| <= 1.  Returns (case, holds), case "k1=g" or "k1=g-1", or
+    None below g-1, which is outside the classified range.
     """
-    g = params.genus
     k1, k2, k3 = sorted(params.ks, reverse=True)
-    if k1 == g:
-        case, holds = "k1=g", k2 == k3
-        need = "a (g;g,k2,k3) triple needs k2 = k3"
-    elif k1 == g - 1:
-        case, holds = "k1=g-1", abs(k2 - k3) <= 1
-        need = "a (g;g-1,k2,k3) triple needs k3 within 1 of k2"
-    else:
-        return unknown("parameters %s are outside the classified range "
-                       "(max k < g-1)" % str(params))
-    witness = {"kind": "param-constraint", "case": case,
-               "ks": list(params.ks)}
-    if holds:
-        return verified("parameters %s satisfy the %s constraint"
-                        % (params, case), witness)
-    return refuted("%s, got %s" % (need, params), witness)
+    if k1 == params.genus:
+        return "k1=g", k2 == k3
+    if k1 == params.genus - 1:
+        return "k1=g-1", abs(k2 - k3) <= 1
+    return None
 
 
 # -- standardization ----------------------------------------------------------

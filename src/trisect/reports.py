@@ -3,17 +3,16 @@
 A Report wraps one operation run: what ran, on which inputs (by digest),
 what the verdict was, and the witness.  ``replay_verdict`` re-derives a
 Verified or Refuted verdict from the recorded witness and the original
-input alone, so stored certificates stay checkable.  One rule covers
-every witness kind: its check is the producer that wrote it, run again
-on the input, and replay requires the recorded status, the whole
-recorded witness and, when one is recorded, the reason.  So no forged
-or added field replays, and neither does a sound witness other than the
-one the engine writes.  A producer that runs no search simply reruns;
-for ``standard-pair`` and ``nonstandard`` that reruns the pairing
-backtracking of ``is_standard_pair``.  A producer that searches is given
-the recorded witness and, at its one search step, replays what the
-search found instead of searching: each Tietze trace
-(``tietze_simplify``) of a ``detect-k``, ``params`` or
+input alone, so stored certificates stay checkable.  Every kind it
+checks is one that some command writes.  One rule covers every witness
+kind: its check is the producer that wrote it, run again on the input,
+and replay requires the recorded status, the whole recorded witness
+and, when one is recorded, the reason.  So no forged or added field
+replays, and neither does a sound witness other than the one the
+engine writes.  A producer that runs no search simply reruns.  A
+producer that searches is given the recorded witness and, at its one
+search step, replays what the search found instead of searching: each
+Tietze trace (``tietze_simplify``) of a ``detect-k``, ``params`` or
 ``heegaard-kirby`` witness, and the slides of a ``classification``
 (``standardize``).  It derives every other field from the input as the
 search run does, so each of those witnesses is written in one place.
@@ -133,31 +132,11 @@ def _pair_refutation(obj):
     return pair_homology(obj)[2]
 
 
-def _standard_pair(d):
-    from .diagram import is_standard_pair
-
-    return is_standard_pair(d)
-
-
-def _classified_params(t):
-    from .diagram import TrisectionParams, pair_homology
-    from .moves import check_classified_params
-
-    return check_classified_params(
-        TrisectionParams(t.genus, *pair_homology(t)[1]))
-
-
 def _surgery_data(H):
     from .diagram import heegaard_h1
     from .kirby import surgery_data_check
 
     return surgery_data_check(H, heegaard_h1(H.background))
-
-
-def _primitive_pairs(t):
-    from .kirby import find_primitive_pairs
-
-    return find_primitive_pairs(t)[1]
 
 
 def _linking(m):
@@ -211,13 +190,11 @@ def _replay_ac_path(w, p):
 
 
 # kind -> (the status its witness certifies, the file kind of the one
-# input its check reads, its check).  A None status marks the kinds whose
-# witness itself tells which status holds (a constraint case holds or
-# fails, a linking matrix is zero or has a nonzero entry).  A None file
-# kind marks the checks that take several kinds of input and tell them
-# apart themselves.
+# input its check reads, its check).  A None status marks the one kind
+# whose witness itself tells which status holds: a linking matrix is zero
+# or has a nonzero entry.  A None file kind marks the checks that take
+# several kinds of input and tell them apart themselves.
 _SURGERY_DATA = _recomputed(_surgery_data)
-_STANDARD_PAIR = _recomputed(_standard_pair)
 CHECKERS = {
     "params": ("verified", "trisection", _params),
     "params-mismatch": ("refuted", "trisection",
@@ -225,18 +202,12 @@ CHECKERS = {
     "torsion": ("refuted", None, _recomputed(_pair_refutation)),
     "detect-k": ("verified", "heegaard", _detect_k),
     "classification": ("verified", "trisection", _classification),
-    "standard-pair": ("verified", "heegaard", _STANDARD_PAIR),
-    "nonstandard": ("refuted", "heegaard", _STANDARD_PAIR),
-    "param-constraint": (None, "trisection",
-                         _recomputed(_classified_params)),
     "heegaard-kirby": ("verified", "heegaard-kirby", _hk),
     "background": ("refuted", "heegaard-kirby", _SURGERY_DATA),
     "framing": ("refuted", "heegaard-kirby", _SURGERY_DATA),
     "link-crossing": ("refuted", "heegaard-kirby", _SURGERY_DATA),
     "link-extension": ("refuted", "heegaard-kirby", _SURGERY_DATA),
     "surgery-homology": ("refuted", "heegaard-kirby", _SURGERY_DATA),
-    "primitive-pairs": ("verified", "trisection",
-                        _recomputed(_primitive_pairs)),
     "linking": (None, "linking", _recomputed(_linking)),
     "ab-det": ("refuted", "presentation", _recomputed(_ab_det)),
     "ac-path": ("verified", "presentation", _replay_ac_path),

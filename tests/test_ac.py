@@ -567,7 +567,7 @@ def test_search_trees_are_pinned(n, stable, cap, status, visited, stored,
             res.stats["pruned_length"]) == (visited, stored, pruned)
     # stable AK(2) visits 3 states at the generator cap; writing the path
     # out must not add to that count
-    assert res.stats["pruned_generator_cap"] == (3 if stable else 0)
+    assert res.stats["at_generator_cap"] == (3 if stable else 0)
     if moves is None:
         assert res.path is None
     else:
@@ -1049,7 +1049,7 @@ def test_ak3_closes_its_component_within_total_length(cap, stable, visited,
     # edges are still closed under inverses: it is expanded and counted,
     # and the side still closes
     at_cap = _AT_GENERATOR_CAP.get(cap, 0) if stable else 0
-    assert (res.stats["pruned_depth"], res.stats["pruned_generator_cap"],
+    assert (res.stats["pruned_depth"], res.stats["at_generator_cap"],
             res.stats["aborted"], res.stats["complete"]) == \
         (0, at_cap, None, True)
     assert ("the input's component closed at %d key" % component) in \

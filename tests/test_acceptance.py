@@ -141,16 +141,18 @@ def test_criterion_04_classified_parameter_constraints():
     for g in range(1, 5):
         for ks in itertools.product(range(g + 1), repeat=3):
             params = TrisectionParams(g, *ks)
-            v = check_classified_params(params)
+            result = check_classified_params(params)
             k1, k2, k3 = ks
             if k1 == g and k2 != k3:
-                assert v.is_refuted, params
+                assert result == ("k1=g", False), params
             if k1 == g - 1 and k3 not in (k2 - 1, k2, k2 + 1):
-                assert v.is_refuted, params
+                assert result is not None and not result[1], params
             if k1 == g and k2 == k3:
-                assert v.is_verified, params
+                assert result == ("k1=g", True), params
             if max(ks) == g - 1 and k1 == g - 1 and abs(k2 - k3) <= 1:
-                assert v.is_verified, params
+                assert result == ("k1=g-1", True), params
+            if max(ks) < g - 1:
+                assert result is None, params
             checked += 1
     print("criterion 4: constraint checks verified on all %d parameter "
           "triples with g <= 4: pass" % checked)

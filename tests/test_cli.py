@@ -6,7 +6,9 @@ import pytest
 from trisect import cli, diagio, reports
 from trisect.catalog import genus_one_diagram
 from trisect.cli import run_command
-from trisect.diagram import HeegaardDiagram, standard_heegaard
+from trisect.diagram import (HeegaardDiagram, TrisectionDiagram,
+                             curve_from_template, standard_heegaard,
+                             system_from_templates)
 from trisect.kirby import (FramedComponent, HeegaardKirbyDiagram,
                            LinkingMatrix, validate_hk)
 from trisect.moves import connected_sum
@@ -127,7 +129,7 @@ def test_search_report_says_whether_its_bound_is_complete(capsys):
     doc = json.loads(out)
     payload = doc["payload"]
     assert (payload["complete"], payload["pruned-depth"],
-            payload["pruned-generator-cap"], payload["aborted"]) == \
+            payload["at-generator-cap"], payload["aborted"]) == \
         (True, 0, 0, None)
     assert payload["pruned-length"] > 0
     assert doc["verdict"]["witness"] is None
@@ -805,6 +807,123 @@ def test_replay_of_a_report_without_inputs_is_a_usage_error(tmp_path,
     code, out, err = run(capsys, "replay", rep)
     assert code == 3 and out == ""
     assert "usage error: report lists no input files" in err
+
+
+def test_an_ak_search_report_replays_without_an_input_file(tmp_path,
+                                                           capsys):
+    # ac-search --ak N writes no input file, so replay rebuilds the ak-N
+    # text as the command wrote it and requires its recorded digest
+    code, doc, rep = _json_report(capsys, tmp_path, "ak1.json",
+                                  "ac-search", "--ak", "1")
+    assert code == 0 and doc["inputs"][0]["name"] == "ak-1"
+    code, out, err = run(capsys, "replay", rep)
+    assert code == 0, err
+    assert "reason: replay confirms: %s\n" % doc["verdict"]["reason"] in out
+    edited = json.loads(json.dumps(doc))
+    edited["inputs"][0]["sha256"] = "0" * 64
+    code, out, err = run(capsys, "replay",
+                         write(tmp_path, "edited.json", json.dumps(edited)))
+    assert code == 3 and out == ""
+    assert "does not match the recorded digest for ak-1" in err
+    for label in ("ak-0", "ak-x", "ak-01", "ak-", "ak1.pres"):
+        forged = json.loads(json.dumps(doc))
+        forged["inputs"][0]["name"] = label
+        code, out, err = run(capsys, "replay",
+                             write(tmp_path, "f.json", json.dumps(forged)))
+        assert code == 3 and out == "", label
+        assert "is not the ak-N input of ac-search --ak N" in err, label
+
+
+def _hk_text(background, slopes, m, framing="surface"):
+    g = background.genus
+    return diagio.format_any(HeegaardKirbyDiagram(g, background, tuple(
+        FramedComponent(curve_from_template(g, *s), framing)
+        for s in slopes), m))
+
+
+def _lens(p, q):
+    return HeegaardDiagram(1, system_from_templates(1, [(1, 1, 0)]),
+                           system_from_templates(1, [(1, p, q)]))
+
+
+def _argv_per_kind():
+    """(command, input text): one command line per witness kind that some
+    command writes."""
+    from trisect.ac import BalancedPresentation, ak_presentation
+
+    cp2 = genus_one_diagram("CP2")
+    cp2_sum = diagio.format_any(connected_sum(cp2, genus_one_diagram(
+        "S1xS3")))
+    s1xs2 = standard_heegaard(2, 1)
+    return [
+        ("validate", cp2_sum),
+        ("validate", diagio.format_any(TrisectionDiagram(
+            1, cp2.alpha, cp2.beta, cp2.gamma, declared_params=(1, 1, 1)))),
+        ("validate", diagio.format_any(_lens(1, 2))),
+        ("validate", diagio.format_any(s1xs2)),
+        ("classify", cp2_sum),
+        ("validate", _hk_text(s1xs2, [(2, 1, 0)], 2)),
+        ("validate", _hk_text(_lens(1, 2), [], 0)),
+        ("validate", _hk_text(_lens(1, 0), [(1, 0, 1)], 1, framing=0)),
+        ("validate", _hk_text(standard_heegaard(2, 0),
+                              [(1, 1, 0), (1, 1, 1)], 2)),
+        ("validate", _hk_text(_lens(0, 1), [(1, 0, 1)], 1)),
+        ("validate", _hk_text(_lens(1, 0), [], 2)),
+        ("gprc-check", "linking size=2\nrow: 0 1\nrow: 1 0\n"),
+        ("ac-search", diagio.format_any(
+            BalancedPresentation(2, ((1, 1), (2,))))),
+        ("ac-search", diagio.format_any(ak_presentation(1))),
+    ]
+
+
+def test_replay_checks_exactly_the_witness_kinds_the_commands_write(
+        tmp_path, capsys):
+    written = []
+    for i, (command, text) in enumerate(_argv_per_kind()):
+        path = write(tmp_path, "in%d.txt" % i, text)
+        code, doc, rep = _json_report(capsys, tmp_path, "r%d.json" % i,
+                                      command, path)
+        written.append(doc["verdict"]["witness"]["kind"])
+        replayed, _, err = run(capsys, "replay", rep, path)
+        assert replayed == code, (command, written[-1], err)
+    assert sorted(written) == sorted(set(written))
+    assert set(written) == set(reports.CHECKERS)
+
+
+# verdicts the engine wrote, and replay confirmed, before replay came to
+# check only the witness kinds a command writes
+_UNWRITTEN = [
+    ({"status": "verified", "reason": "diagram is (2,1)-standard",
+      "witness": {"kind": "standard-pair", "k": 1, "pairing": [1, 2]}},
+     diagio.format_any(standard_heegaard(2, 1))),
+    ({"status": "refuted",
+      "reason": "exact intersection counts rule out every index pairing",
+      "witness": {"kind": "nonstandard", "matrix": [[2]]}},
+     diagio.format_any(_lens(1, 2))),
+    ({"status": "verified",
+      "reason": "parameters (1;0,0,0) satisfy the k1=g-1 constraint",
+      "witness": {"kind": "param-constraint", "case": "k1=g-1",
+                  "ks": [0, 0, 0]}},
+     diagio.format_any(genus_one_diagram("CP2"))),
+    ({"status": "verified",
+      "reason": "1 primitive pairs found with exact counts",
+      "witness": {"kind": "primitive-pairs", "pairs": [[1, 1]]}},
+     diagio.format_any(genus_one_diagram("CP2"))),
+]
+
+
+@pytest.mark.parametrize("verdict, text", _UNWRITTEN,
+                         ids=[v["witness"]["kind"] for v, _ in _UNWRITTEN])
+def test_a_kind_no_command_writes_is_a_usage_error(tmp_path, capsys, verdict,
+                                                   text):
+    path = write(tmp_path, "in.txt", text)
+    _, doc, _ = _json_report(capsys, tmp_path, "r.json", "validate", path)
+    doc["verdict"] = verdict
+    code, out, err = run(capsys, "replay",
+                         write(tmp_path, "hand.json", json.dumps(doc)), path)
+    assert code == 3 and out == ""
+    assert "usage error: unsupported witness kind %r" \
+        % verdict["witness"]["kind"] in err
 
 
 def test_replay_on_unknown_verdict_exits_two(tmp_path, capsys):

@@ -12,7 +12,7 @@ from trisect.diagram import (Curve, CutSystem, HeegaardDiagram, SlopeTemplate,
                              curve_from_template,
                              curve_from_word, detect_k, euler_characteristic,
                              geometric_intersection, heegaard_h1,
-                             is_standard_pair, pair_diagrams,
+                             pair_diagrams,
                              pi1_presentation,
                              quotient_presentation, reembed,
                              standard_heegaard, surface_relator,
@@ -344,31 +344,6 @@ def test_detect_k_torsion_refuted():
     assert v.is_refuted
     assert v.witness["kind"] == "torsion"
     assert v.witness["factors"] == [2]
-
-
-def test_standard_pair_examples():
-    d = HeegaardDiagram(2,
-                        system_from_templates(2, [(1, 1, 0), (2, 1, 0)]),
-                        system_from_templates(2, [(1, 1, 0), (2, 0, 1)]))
-    v = is_standard_pair(d)
-    assert v.is_verified and v.witness["k"] == 1
-    # shuffled pairing still found
-    d2 = HeegaardDiagram(2,
-                         system_from_templates(2, [(1, 1, 0), (2, 1, 0)]),
-                         system_from_templates(2, [(2, 0, 1), (1, 1, 0)]))
-    v2 = is_standard_pair(d2)
-    assert v2.is_verified and v2.witness["k"] == 1
-    # genus-one pair meeting twice is exactly non-standard
-    d3 = HeegaardDiagram(1,
-                         system_from_templates(1, [(1, 1, 0)]),
-                         system_from_templates(1, [(1, 3, 2)]))
-    v3 = is_standard_pair(d3)
-    assert v3.is_refuted and v3.witness["matrix"] == [[2]]
-    # word curves: honest Unknown
-    d4 = HeegaardDiagram(1,
-                         CutSystem(1, (curve_from_word(1, (1,)),)),
-                         CutSystem(1, (curve_from_word(1, (2,)),)))
-    assert is_standard_pair(d4).is_unknown
 
 
 def test_surface_relator():

@@ -131,8 +131,8 @@ def test_unknot_round_trip_is_the_third_stabilization():
 def test_catalog_primitive_round_trips():
     for name in ("CP2", "CP2R", "S4STAB1", "S4STAB3"):
         t = genus_one_diagram(name)
-        pairs, pv = find_primitive_pairs(t)
-        assert pv.is_verified
+        pairs, exact = find_primitive_pairs(t)
+        assert exact
         assert pairs == [(1, 1)]
         H, hv = trisection_to_hk(t, pairs)
         assert not hv.is_refuted
@@ -144,8 +144,8 @@ def test_catalog_primitive_round_trips():
 def test_catalog_empty_pick_round_trips():
     for name in ("S1xS3", "S4STAB2"):
         t = genus_one_diagram(name)
-        pairs, pv = find_primitive_pairs(t)
-        assert pv.is_verified and pairs == []
+        pairs, exact = find_primitive_pairs(t)
+        assert exact and pairs == []
         H, hv = trisection_to_hk(t, [])
         assert hv.is_verified
         assert H.c == 0
@@ -270,8 +270,8 @@ def test_full_primitive_picks_on_induced_trisection():
             FramedComponent(curve_from_template(3, 3, 1, 0)))
     H = HeegaardKirbyDiagram(3, bg, link, m=3)
     t, _ = hk_to_trisection(H)
-    pairs, pv = find_primitive_pairs(t)
-    assert pv.is_verified
+    pairs, exact = find_primitive_pairs(t)
+    assert exact
     assert pairs == [(1, 2), (2, 3)]
     params, _ = trisection_params(t)
     H2, hv = trisection_to_hk(t, pairs)
@@ -296,9 +296,9 @@ def test_primitive_pairs_without_templates_is_unknown():
     beta = CutSystem(1, (curve_from_word(1, (2,)),))
     gamma = CutSystem(1, (curve_from_word(1, (1, 2)),))
     t = TrisectionDiagram(1, alpha, beta, gamma)
-    pairs, pv = find_primitive_pairs(t)
+    pairs, exact = find_primitive_pairs(t)
     assert pairs == []
-    assert pv.is_unknown
+    assert not exact
 
 
 def test_completion_prefers_beta_parallel_curves():

@@ -26,6 +26,9 @@ PUBLIC_API = {
         "a library move; the benchmark tracer names it only as a string",
     ("moves", "destabilize"): "a library move, removing a certified "
                               "genus-one summand",
+    ("moves", "check_classified_params"):
+        "the paper's parameter constraint on the classified range, which "
+        "the acceptance criterion checks on every triple",
     ("words", "parse_generator_word"): "the inverse of "
                                        "format_generator_word",
 }

@@ -11,13 +11,12 @@ from trisect.ac import (BalancedPresentation, ab_det_refutation, ac_search,
                         ak_presentation)
 from trisect.catalog import genus_one_diagram
 from trisect.diagram import (HeegaardDiagram, TrisectionDiagram,
-                             curve_from_template, detect_k, is_standard_pair,
+                             curve_from_template, detect_k,
                              standard_heegaard, system_from_templates,
                              trisection_params)
 from trisect.kirby import (FramedComponent, HeegaardKirbyDiagram,
-                           LinkingMatrix, find_primitive_pairs,
-                           gprc_necessary_check, validate_hk)
-from trisect.moves import check_classified_params, connected_sum, standardize
+                           LinkingMatrix, gprc_necessary_check, validate_hk)
+from trisect.moves import connected_sum, standardize
 
 # the fields each kind's producer writes, besides "kind"
 _FIELDS = {
@@ -26,16 +25,12 @@ _FIELDS = {
     "torsion": ("h1", "factors"),
     "detect-k": ("k", "h1", "trace"),
     "classification": ("name", "names", "tree"),
-    "standard-pair": ("k", "pairing"),
-    "nonstandard": ("matrix",),
-    "param-constraint": ("case", "ks"),
     "heegaard-kirby": ("n", "c", "m", "background", "pi1"),
     "background": ("inner",),
     "framing": ("components", "n"),
     "link-crossing": ("pair", "count"),
     "link-extension": ("factors",),
     "surgery-homology": ("h1", "target_m"),
-    "primitive-pairs": ("pairs",),
     "linking": ("entry", "value", "size"),
     "ab-det": ("det",),
     "ac-path": ("moves", "depth"),
@@ -94,10 +89,19 @@ def test_forged_fields_of_a_replayable_witness_fail():
 
 def test_a_witness_binds_to_its_own_input():
     t = genus_one_diagram("CP2")  # parameters (0,0,0)
-    # a constraint case on parameters that are not the diagram's
-    w = {"kind": "param-constraint", "case": "k1=g", "ks": [1, 0, 1]}
+    # a mismatch recorded for declared parameters that are not this file's
+    other = TrisectionDiagram(1, t.alpha, t.beta, t.gamma,
+                              declared_params=(1, 1, 1))
+    v = trisection_params(other)[1]
+    assert v.witness["kind"] == "params-mismatch"
+    reports.replay_verdict((other,), {"status": "refuted",
+                                      "witness": v.witness})
+    mine = TrisectionDiagram(1, t.alpha, t.beta, t.gamma,
+                             declared_params=(0, 1, 0))
+    assert trisection_params(mine)[1].witness["kind"] == "params-mismatch"
     with pytest.raises(reports.ReplayError, match="recomputed witness"):
-        reports.replay_verdict((t,), {"status": "refuted", "witness": w})
+        reports.replay_verdict((mine,), {"status": "refuted",
+                                         "witness": v.witness})
     # a one-pair certificate offered for a whole trisection
     _, v = detect_k(HeegaardDiagram(1, t.alpha, t.beta))
     reports.replay_verdict((HeegaardDiagram(1, t.alpha, t.beta),),
@@ -297,9 +301,6 @@ def _engine_witnesses():
         (_lens(1, 2), detect_k(_lens(1, 2))[1]),
         (s1xs2, detect_k(s1xs2)[1]),
         (cp2_sum, standardize(cp2_sum)[1]),
-        (s1xs2, is_standard_pair(s1xs2)),
-        (_lens(1, 2), is_standard_pair(_lens(1, 2))),
-        (cp2, check_classified_params(trisection_params(cp2)[0])),
         (_hk(s1xs2, [(2, 1, 0)], 2),
          validate_hk(_hk(s1xs2, [(2, 1, 0)], 2))),
         (_hk(_lens(1, 2), [], 0), validate_hk(_hk(_lens(1, 2), [], 0))),
@@ -311,7 +312,6 @@ def _engine_witnesses():
         (_hk(_lens(0, 1), [(1, 0, 1)], 1),
          validate_hk(_hk(_lens(0, 1), [(1, 0, 1)], 1))),
         (_hk(_lens(1, 0), [], 2), validate_hk(_hk(_lens(1, 0), [], 2))),
-        (cp2, find_primitive_pairs(cp2)[1]),
         (hopf, gprc_necessary_check(hopf)),
         (det2, ab_det_refutation(det2)),
         (ak_presentation(1), ac_search(ak_presentation(1), 32, 20).verdict),
