@@ -46,6 +46,16 @@ from .intmatrix import IntegerMatrix
 from .verdict import Frozen, refuted, unknown, verified
 
 DEFAULT_MAX_STATES = 20000
+# the largest n of ak_presentation that ac-search takes: AK(n) has total
+# length 2n + 7, far above any bound a search can exhaust
+AK_MAX_N = 1000
+# the counters of one search, at their start values, in the order of the
+# ac-search report's lines; replay reads them from the report, as only a
+# search can re-derive them
+STATS = {"visited": 0, "stored": 0, "complete": False, "pruned_length": 0,
+         "pruned_depth": 0, "at_generator_cap": 0, "aborted": None,
+         "class_images": 0, "orbit_images": 0, "child_keys": 0,
+         "sibling_skips": 0}
 
 
 class BalancedPresentation(Frozen):
@@ -777,11 +787,7 @@ def ac_search(p, max_total_length, max_depth, stable=False,
     """
     if max_total_length < 1 or max_depth < 1 or max_states < 1:
         raise ValueError("budgets must be positive")
-    # in the order of the ac-search report's lines
-    stats = {"visited": 0, "stored": 0, "complete": False,
-             "pruned_length": 0, "pruned_depth": 0, "at_generator_cap": 0,
-             "aborted": None, "class_images": 0, "orbit_images": 0,
-             "child_keys": 0, "sibling_skips": 0}
+    stats = dict(STATS)
     bad = ab_det_refutation(p)
     if bad is not None:
         return SearchResult(None, bad, stats)

@@ -16,8 +16,8 @@ their top level this module imports ``diagio``, ``reports`` and
 ``verdict``; ``diagio`` imports only the standard library and ``words``,
 and ``reports`` those, ``diagio`` and ``verdict``.  Engine modules are
 imported at three boundaries: a command handler below, a file-kind
-parser in ``diagio``, and a witness check in ``reports.CHECKERS`` or
-``reports.BRIDGES``; never inside a per-state or per-step function
+parser in ``diagio``, and a command's producer in
+``reports.OPERATIONS``; never inside a per-state or per-step function
 (``canonical_key``, the search's closure step ``ac._step``, slide
 descent, Tietze moves).
 
@@ -42,10 +42,17 @@ command loads:
 * ``catalog``: ``catalog`` and the diagram set;
 * ``classify``, ``stabilize``, ``connect-sum`` and ``slide``: ``moves``,
   ``catalog`` and the diagram set;
-* ``replay``: what the check of the recorded witness kind calls, or the
-  bridge command's producer, which is the set of the command that wrote
-  the report.  It prints the reason the check re-derives, which must
-  equal the recorded one.
+* ``replay``: what the producer of the command that wrote the report
+  calls, which is that command's set.  The producer re-derives the whole
+  payload and verdict from the recorded witness and payload, and replay
+  prints the reason it re-derives, which must equal the recorded one.
+  A report of an operation with no producer, such as a replay's own
+  report, is a usage error.
+
+Each command whose report carries a verdict derives its report through
+its producer in ``reports.OPERATIONS``, the same function its replay
+runs; its handler here parses the command line, loads the input and
+checks its kind.
 """
 
 from __future__ import annotations
@@ -77,29 +84,43 @@ def _read(path):
         return f.read()
 
 
-def _load(path, want=None, label=None):
-    """Text and object of ``path``, which ``label`` needs of kind ``want``."""
+def _load(path, reads=None, label=None):
+    """Text and object of ``path``, which ``label`` needs of a kind in
+    ``reads``."""
     text = _read(path)
     obj = diagio.parse_any(text)
-    if want is not None and diagio.kind_of(obj) != want:
-        raise _UsageError("%s expects a %s file, got a %s file"
-                          % (label, want, diagio.kind_of(obj)))
+    kind = diagio.kind_of(obj)
+    if reads is not None and kind not in reads:
+        raise _UsageError("%s expects a %s file, got %s"
+                          % (label, " or ".join(reads), kind))
     return text, obj
+
+
+def _operand(args):
+    """Text and object of the command's one input file, of a kind that its
+    producer in ``reports.OPERATIONS`` reads."""
+    return _load(args.file, reports.OPERATIONS[args.command][0],
+                 args.command)
+
+
+def _produced(args, text, obj, **options):
+    """The report that the command's producer derives from its input."""
+    return ([(args.file, text)],) \
+        + reports.OPERATIONS[args.command][1](obj, **options)
 
 
 # -- command handlers ----------------------------------------------------------
 # each returns (inputs, payload, verdict, output_text | None)
 
 def _cmd_validate(args):
-    text, obj = _load(args.file)
-    return _diagram_report(args.file, text, obj, "validate")
+    return _produced(args, *_operand(args))
 
 
 def _cmd_invariants(args):
     text, obj = _load(args.file)
     kind = diagio.kind_of(obj)
     if kind == "linking":
-        payload = [("kind", "linking")] + _linking_lines(obj)
+        payload = [("kind", "linking")] + reports.gprc_check(obj)[0]
         return [(args.file, text)], payload, None, None
     if kind == "presentation":
         from .ac import ab_det
@@ -107,45 +128,12 @@ def _cmd_invariants(args):
                    ("total-length", obj.total_length()),
                    ("ab-det", ab_det(obj))]
         return [(args.file, text)], payload, None, None
-    return _diagram_report(args.file, text, obj, "invariants")
-
-
-def _diagram_report(path, text, obj, command):
-    """validate's report on a diagram; invariants adds chi and H1."""
-    kind = diagio.kind_of(obj)
-    if kind not in ("trisection", "heegaard", "heegaard-kirby"):
-        raise _UsageError("%s expects a diagram file, got %s" % (command, kind))
-    payload = [("kind", kind), ("genus", obj.genus)]
-    if kind == "trisection":
-        from .diagram import (euler_characteristic, trisection_h1,
-                              trisection_params)
-        params, v = trisection_params(obj)
-        payload.append(("params", str(params)))
-        if command == "invariants":
-            payload += [("chi", euler_characteristic(params)),
-                        ("h1", str(trisection_h1(obj)))]
-    elif kind == "heegaard":
-        from .diagram import detect_k, heegaard_h1
-        k, v = detect_k(obj)
-        payload.append(("k", k))
-        if command == "invariants":
-            payload.append(("h1", str(heegaard_h1(obj))))
-    else:
-        from .kirby import validate_hk
-        v = validate_hk(obj)
-        payload += [("components", obj.c), ("target-m", obj.m)]
-    return [(path, text)], payload, v, None
+    # every other file kind is a diagram
+    return _produced(args, text, obj)
 
 
 def _cmd_classify(args):
-    from .moves import standardize
-
-    text, obj = _load(args.file, "trisection", "classify")
-    v = standardize(obj)[1]
-    payload = [("genus", obj.genus)]
-    if v.is_verified:
-        payload.append(("name", v.witness["name"]))
-    return [(args.file, text)], payload, v, None
+    return _produced(args, *_operand(args))
 
 
 def _built(paths, build):
@@ -219,38 +207,25 @@ def _cmd_slide(args):
 
 
 def _cmd_hk_to_tri(args):
-    text, H = _load(args.file, "heegaard-kirby", "hk-to-tri")
-    return ([(args.file, text)],) + reports.hk_to_tri(H)
+    return _produced(args, *_operand(args))
 
 
 def _cmd_tri_to_hk(args):
     from .kirby import parse_picks
 
-    text, t = _load(args.file, "trisection", "tri-to-hk")
+    loaded = _operand(args)
     try:
-        return ([(args.file, text)],) + reports.tri_to_hk(
-            t, parse_picks(args.picks))
+        return _produced(args, *loaded, picks=parse_picks(args.picks))
     except ValueError as e:
         raise _UsageError(str(e))
 
 
 def _cmd_gprc_check(args):
-    from .kirby import gprc_necessary_check
-
-    text, m = _load(args.file, "linking", "gprc-check")
-    return [(args.file, text)], _linking_lines(m), gprc_necessary_check(m), None
-
-
-def _linking_lines(m):
-    from .kirby import surgery_h1
-
-    return [("size", m.size),
-            ("framings", " ".join(str(f) for f in m.framings())),
-            ("surgery-h1", str(surgery_h1(m)))]
+    return _produced(args, *_operand(args))
 
 
 def _cmd_ac_search(args):
-    from .ac import DEFAULT_MAX_STATES, ac_search, ak_presentation
+    from .ac import AK_MAX_N, DEFAULT_MAX_STATES, ak_presentation
 
     max_states = DEFAULT_MAX_STATES if args.max_states is None \
         else args.max_states
@@ -262,22 +237,15 @@ def _cmd_ac_search(args):
         if value < 1:
             raise _UsageError("%s needs a value >= 1, got %d" % (flag, value))
     if args.ak is not None:
-        if args.ak < 1:
-            raise _UsageError("--ak needs n >= 1")
+        if not 1 <= args.ak <= AK_MAX_N:
+            raise _UsageError("--ak needs 1 <= n <= %d" % AK_MAX_N)
         p = ak_presentation(args.ak)
         inputs = [("ak-%d" % args.ak, diagio.format_presentation(p))]
     else:
-        text, p = _load(args.file, "presentation", "ac-search")
+        text, p = _operand(args)
         inputs = [(args.file, text)]
-    res = ac_search(p, args.max_length, args.max_depth, stable=args.stable,
-                    max_states=max_states)
-    payload = [("generators", p.generators),
-               ("total-length", p.total_length())]
-    payload += [(key.replace("_", "-"), value)
-                for key, value in res.stats.items()]
-    if res.found:
-        payload.append(("path-moves", len(res.path)))
-    return inputs, payload, res.verdict, None
+    return (inputs,) + reports.ac_search(p, bounds=(
+        args.max_length, args.max_depth, args.stable, max_states))
 
 
 def _cmd_catalog(args):
@@ -333,13 +301,17 @@ def _check_report_shape(doc):
 def _ak_input(label):
     """(label, text) of the input ``ac-search --ak N`` records as ``ak-N``,
     rebuilt as that command writes it: no file holds it."""
-    from .ac import ak_presentation
+    from .ac import AK_MAX_N, ak_presentation
 
     n = label[3:]
     if not (label.startswith("ak-") and n.isascii() and n.isdigit()
             and n[0] != "0"):
         raise _UsageError("report lists 1 input, 0 given, and %r is not "
                           "the ak-N input of ac-search --ak N" % label)
+    # a label of thousands of digits is too long for int()
+    if len(n) > len(str(AK_MAX_N)) or int(n) > AK_MAX_N:
+        raise _UsageError("report lists the input %s, but ac-search --ak N "
+                          "takes n <= %d" % (label, AK_MAX_N))
     return label, diagio.format_presentation(ak_presentation(int(n)))
 
 
@@ -372,7 +344,10 @@ def _cmd_replay(args):
     vdict = doc.get("verdict")
     if vdict is None:
         raise _UsageError("report carries no verdict to replay")
-    payload = [("replayed-operation", doc.get("operation", "?")),
+    operation = doc.get("operation", "?")
+    if operation not in reports.OPERATIONS:
+        raise _UsageError("no producer replays a %r report" % operation)
+    payload = [("replayed-operation", operation),
                ("recorded-status", vdict["status"])]
     if vdict["status"] == "unknown":
         v = unknown("unknown verdicts carry no witness to replay")
@@ -380,7 +355,7 @@ def _cmd_replay(args):
     w = vdict.get("witness")
     if w is not None and w["kind"] not in reports.CHECKERS:
         raise _UsageError("unsupported witness kind %r" % w["kind"])
-    got = reports.replay_verdict(tuple(objs), vdict, doc.get("operation"),
+    got = reports.replay_verdict(tuple(objs), vdict, operation,
                                  doc.get("payload", {}))
     v = Verdict(got.status, "replay confirms: %s" % got.reason, got.witness)
     return [(args.report, raw)], payload, v, None

@@ -3,34 +3,34 @@
 A Report wraps one operation run: what ran, on which inputs (by digest),
 what the verdict was, and the witness.  ``replay_verdict`` re-derives a
 Verified or Refuted verdict from the recorded witness and the original
-input alone, so stored certificates stay checkable.  Every kind it
-checks is one that some command writes.  One rule covers every witness
-kind: its check is the producer that wrote it, run again on the input,
-and replay requires the recorded status, the whole recorded witness
-and, when one is recorded, the reason.  So no forged or added field
-replays, and neither does a sound witness other than the one the
-engine writes.  A producer that runs no search simply reruns.  A
-producer that searches is given the recorded witness and, at its one
-search step, replays what the search found instead of searching: each
-Tietze trace (``tietze_simplify``) of a ``detect-k``, ``params`` or
-``heegaard-kirby`` witness, and the slides of a ``classification``
-(``standardize``).  It derives every other field from the input as the
-search run does, so each of those witnesses is written in one place.
-An ``ac-path`` is replayed move by move, with its depth checked for
-type and range, and its verdict written by ``ac.path_verdict``.  A
-report of a bridge command (``hk-to-tri``, ``tri-to-hk``) replays
-through the function that wrote its payload, verdict and output
-(``hk_to_tri``, ``tri_to_hk``) whatever its witness kind: it replays the
-traces of a ``params`` (``hk-to-tri``) or ``heegaard-kirby``
-(``tri-to-hk``) witness, reruns every other step, none of which
-searches, reads the ``--picks`` of the payload and must re-derive the
-whole payload.  So no replay runs a search.
+input alone, so stored certificates stay checkable.
 
-``CHECKERS`` binds each witness kind to the status it certifies, the file
-kind its check reads and the check that re-derives it; ``BRIDGES`` binds
-each bridge command to its input's file kind and its check.  A new kind
-is one line there: ``replay_verdict`` checks the inputs against the
-tables and the CLI reads them.
+One rule covers every report: it replays through the producer of the
+command that wrote it, the one function that derives the command's
+payload lines, verdict and output text (``OPERATIONS``).  The command
+calls the producer with no witness; replay calls it with the recorded
+witness and payload, and requires the recorded status, the whole
+recorded witness, the whole recorded payload and, when one is recorded,
+the reason.  So no forged or added field or payload line replays, and
+neither does a sound witness other than the one the engine writes.  A
+producer reads the witness only at its one search step, where it replays
+what the search found instead of searching: each Tietze trace
+(``tietze_simplify``) of a ``detect-k``, ``params`` or ``heegaard-kirby``
+witness, the slides of a ``classification`` (``standardize``) and the
+moves of an ``ac-path``, whose depth is checked for type and range.  It
+derives every other line and field from the input as the command does,
+so no replay runs a search.  Two payload entries are read, not derived:
+the ``picks`` of a ``tri-to-hk`` report, which its command line gives,
+and the counters of an ``ac-search`` report, which only the search
+knows.  The counters are the one payload taken as written; a missing or
+added counter line still fails.
+
+``OPERATIONS`` binds each command to the file kinds its input may have
+and its producer; ``CHECKERS`` binds each witness kind to the status it
+certifies and the operation whose producer checks it when a caller names
+no operation.  A new command is one line in the first and a new witness
+kind one line in the second: ``replay_verdict`` checks the inputs
+against the tables and the CLI reads them.
 """
 
 from __future__ import annotations
@@ -109,156 +109,159 @@ def _need(cond, detail):
         raise ReplayError(detail)
 
 
-# Each check is called as check(witness, *inputs), once replay_verdict has
-# checked the inputs against the file kind the check reads (CHECKERS), and
-# returns its producer's verdict (or None, as a producer may):
-# replay_verdict requires its status and its whole witness.
-# ``_recomputed`` makes the check of a search-free kind from its producer,
-# called as producer(*inputs).  The check of a search kind calls its
-# producer with the recorded witness, which raises one of _MALFORMED when
-# what the search found does not apply.  A check imports the engine
-# functions it calls, so a replay loads only the modules its witness kind
-# needs.
+# -- producers -------------------------------------------------------------
+# A producer returns its command's payload lines, verdict and output text
+# (None when it writes no diagram).  The command calls it with no witness;
+# replay calls it as producer(input, recorded, payload), with the recorded
+# witness and payload (None when the caller has none).  It imports the
+# engine functions it calls, so a process loads only the modules its
+# command needs.
 
-def _recomputed(producer):
-    return lambda w, *objs: producer(*objs)
-
-
-def _pair_refutation(obj):
-    from .diagram import heegaard_h1, pair_homology, torsion_refutation
-
-    if kind_of(obj) == "heegaard":
-        return torsion_refutation(heegaard_h1(obj))
-    return pair_homology(obj)[2]
-
-
-def _surgery_data(H):
-    from .diagram import heegaard_h1
-    from .kirby import surgery_data_check
-
-    return surgery_data_check(H, heegaard_h1(H.background))
-
-
-def _linking(m):
-    from .kirby import gprc_necessary_check
-
-    return gprc_necessary_check(m)
+def validate(d, recorded=None, payload=None, invariant=False):
+    """validate's report on a diagram file; invariants' adds chi and H1."""
+    kind = kind_of(d)
+    lines = [("kind", kind), ("genus", d.genus)]
+    if kind == "trisection":
+        from .diagram import (euler_characteristic, trisection_h1,
+                              trisection_params)
+        params, v = trisection_params(d, recorded)
+        lines.append(("params", str(params)))
+        if invariant:
+            lines += [("chi", euler_characteristic(params)),
+                      ("h1", str(trisection_h1(d)))]
+    elif kind == "heegaard":
+        from .diagram import detect_k, heegaard_h1
+        k, v = detect_k(d, recorded=recorded)
+        lines.append(("k", k))
+        if invariant:
+            lines.append(("h1", str(heegaard_h1(d))))
+    else:
+        from .kirby import validate_hk
+        v = validate_hk(d, recorded)
+        lines += [("components", d.c), ("target-m", d.m)]
+    return lines, v, None
 
 
-def _ab_det(p):
-    from .ac import ab_det_refutation
-
-    return ab_det_refutation(p)
+def invariants(d, recorded=None, payload=None):
+    return validate(d, recorded, payload, invariant=True)
 
 
-def _detect_k(w, d):
-    from .diagram import detect_k
-
-    return detect_k(d, recorded=w)[1]
-
-
-def _params(w, t):
-    from .diagram import trisection_params
-
-    return trisection_params(t, w)[1]
-
-
-def _classification(w, t):
+def classify(t, recorded=None, payload=None):
     from .moves import standardize
 
-    return standardize(t, w)[1]
+    v = standardize(t, recorded)[1]
+    lines = [("genus", t.genus)]
+    if v.is_verified:
+        lines.append(("name", v.witness["name"]))
+    return lines, v, None
 
 
-def _hk(w, H):
-    from .kirby import validate_hk
+def gprc_check(m, recorded=None, payload=None):
+    from .kirby import gprc_necessary_check, surgery_h1
 
-    return validate_hk(H, w)
-
-
-def _replay_ac_path(w, p):
-    from .ac import path_verdict, replay_ac_path
-
-    final = replay_ac_path(p, [tuple(m) for m in w["moves"]])
-    _need(final.is_trivial_form(), "path does not end in trivial form")
-    # each search edge is one move or more, and a start in trivial form
-    # has depth 0
-    depth = w["depth"]
-    _need(type(depth) is int and 0 <= depth <= len(w["moves"]),
-          "depth %r is not a count from 0 to the %d moves"
-          % (depth, len(w["moves"])))
-    return path_verdict(w["moves"], depth)
+    return [("size", m.size),
+            ("framings", " ".join(str(f) for f in m.framings())),
+            ("surgery-h1", str(surgery_h1(m)))], gprc_necessary_check(m), None
 
 
-# kind -> (the status its witness certifies, the file kind of the one
-# input its check reads, its check).  A None status marks the one kind
-# whose witness itself tells which status holds: a linking matrix is zero
-# or has a nonzero entry.  A None file kind marks the checks that take
-# several kinds of input and tell them apart themselves.
-_SURGERY_DATA = _recomputed(_surgery_data)
-CHECKERS = {
-    "params": ("verified", "trisection", _params),
-    "params-mismatch": ("refuted", "trisection",
-                        _recomputed(_pair_refutation)),
-    "torsion": ("refuted", None, _recomputed(_pair_refutation)),
-    "detect-k": ("verified", "heegaard", _detect_k),
-    "classification": ("verified", "trisection", _classification),
-    "heegaard-kirby": ("verified", "heegaard-kirby", _hk),
-    "background": ("refuted", "heegaard-kirby", _SURGERY_DATA),
-    "framing": ("refuted", "heegaard-kirby", _SURGERY_DATA),
-    "link-crossing": ("refuted", "heegaard-kirby", _SURGERY_DATA),
-    "link-extension": ("refuted", "heegaard-kirby", _SURGERY_DATA),
-    "surgery-homology": ("refuted", "heegaard-kirby", _SURGERY_DATA),
-    "linking": (None, "linking", _recomputed(_linking)),
-    "ab-det": ("refuted", "presentation", _recomputed(_ab_det)),
-    "ac-path": ("verified", "presentation", _replay_ac_path),
-}
+def ac_search(p, recorded=None, payload=None, bounds=None):
+    """ac-search's report: a search within ``bounds`` (the arguments of
+    ``ac.ac_search`` after ``p``) or, given a recorded witness, the
+    search's refutation from the exponent matrix or else the recorded
+    path replayed, with the counters read from ``payload``."""
+    from . import ac
 
-# -- the surgery bridge --------------------------------------------------------
-# A bridge command's verdict may speak of the diagram it derives, so the
-# function that writes its payload lines, verdict and output text (None
-# when it derives no diagram) is also its check: the CLI calls it with no
-# witness, and replay with the recorded one, through BRIDGES.
+    lines = [("generators", p.generators),
+             ("total-length", p.total_length())]
+    if recorded is None:
+        res = ac.ac_search(p, *bounds)
+        v = res.verdict
+        lines += [(key.replace("_", "-"), value)
+                  for key, value in res.stats.items()]
+    else:
+        v = ac.ab_det_refutation(p)
+        if v is None:
+            moves, depth = recorded["moves"], recorded["depth"]
+            final = ac.replay_ac_path(p, [tuple(m) for m in moves])
+            _need(final.is_trivial_form(), "path does not end in trivial form")
+            # each search edge is one move or more, and a start in trivial
+            # form has depth 0
+            _need(type(depth) is int and 0 <= depth <= len(moves),
+                  "depth %r is not a count from 0 to the %d moves"
+                  % (depth, len(moves)))
+            v = ac.path_verdict(moves, depth)
+        for key in () if payload is None else ac.STATS:
+            line = key.replace("_", "-")
+            _need(line in payload,
+                  "the recorded payload has no %s counter" % line)
+            lines.append((line, payload[line]))
+    if v.is_verified:
+        lines.append(("path-moves", len(v.witness["moves"])))
+    return lines, v, None
 
-def hk_to_tri(H, recorded=None):
+
+def hk_to_tri(H, recorded=None, payload=None):
     from .kirby import hk_to_trisection
 
     t, v = hk_to_trisection(H, recorded)
-    payload = [("genus", H.genus), ("components", H.c), ("target-m", H.m)]
+    lines = [("genus", H.genus), ("components", H.c), ("target-m", H.m)]
     if t is None:
-        return payload, v, None
-    payload.append(("params", "(%d;%d,%d,%d)" %
-                    ((t.genus,) + t.declared_params)))
+        return lines, v, None
+    lines.append(("params", "(%d;%d,%d,%d)" %
+                  ((t.genus,) + t.declared_params)))
     text = format_any(t)
-    return with_output(payload, text), v, text
+    return with_output(lines, text), v, text
 
 
-def tri_to_hk(t, picks, recorded=None):
-    from .kirby import format_picks, trisection_to_hk
+def tri_to_hk(t, recorded=None, payload=None, picks=None):
+    """tri-to-hk's report along ``picks``, which the command gives and
+    replay reads from the recorded payload."""
+    from .kirby import format_picks, parse_picks, trisection_to_hk
 
+    if picks is None:
+        try:
+            picks = parse_picks(str(payload.get("picks")))
+        except ValueError as e:
+            raise ReplayError("cannot rebuild the derived object: %s" % e)
     H, v = trisection_to_hk(t, picks, recorded)
-    payload = [("picks", format_picks(picks))]
+    lines = [("picks", format_picks(picks))]
     if H is None:
-        return payload, v, None
+        return lines, v, None
     text = format_any(H)
-    return with_output(payload + [("components", H.c), ("target-m", H.m)],
+    return with_output(lines + [("components", H.c), ("target-m", H.m)],
                        text), v, text
 
 
-def _recorded_picks(payload):
-    from .kirby import parse_picks
+_DIAGRAMS = ("trisection", "heegaard", "heegaard-kirby")
+# operation -> (the file kinds of its one input, its producer)
+OPERATIONS = {
+    "validate": (_DIAGRAMS, validate),
+    "invariants": (_DIAGRAMS, invariants),
+    "classify": (("trisection",), classify),
+    "gprc-check": (("linking",), gprc_check),
+    "ac-search": (("presentation",), ac_search),
+    "hk-to-tri": (("heegaard-kirby",), hk_to_tri),
+    "tri-to-hk": (("trisection",), tri_to_hk),
+}
 
-    try:
-        return parse_picks(str(payload.get("picks")))
-    except ValueError as e:
-        raise ReplayError("cannot rebuild the derived object: %s" % e)
-
-
-# operation -> (the file kind of its one input, its check), a check being
-# called as check(witness, input, payload)
-BRIDGES = {
-    "hk-to-tri": ("heegaard-kirby", lambda w, H, payload: hk_to_tri(H, w)),
-    "tri-to-hk": ("trisection", lambda w, t, payload:
-                  tri_to_hk(t, _recorded_picks(payload), w)),
+# witness kind -> (the status it certifies, the operation whose producer
+# checks it when the caller names none); a None status marks the one kind
+# whose witness tells which status holds (a linking matrix is zero or not)
+CHECKERS = {
+    "params": ("verified", "validate"),
+    "params-mismatch": ("refuted", "validate"),
+    "torsion": ("refuted", "validate"),
+    "detect-k": ("verified", "validate"),
+    "classification": ("verified", "classify"),
+    "heegaard-kirby": ("verified", "validate"),
+    "background": ("refuted", "validate"),
+    "framing": ("refuted", "validate"),
+    "link-crossing": ("refuted", "validate"),
+    "link-extension": ("refuted", "validate"),
+    "surgery-homology": ("refuted", "validate"),
+    "linking": (None, "gprc-check"),
+    "ab-det": ("refuted", "ac-search"),
+    "ac-path": ("verified", "ac-search"),
 }
 
 # what a malformed witness field or an input of the wrong type raises
@@ -270,16 +273,18 @@ def replay_verdict(objs, vdict, operation=None, payload=None):
     """Re-derive a recorded verdict from its witness and the parsed inputs.
 
     ``objs`` is the tuple of parsed input objects in command order, and
-    ``operation`` and ``payload`` (a dict) are the report's; the check is
-    the operation's in ``BRIDGES``, which must re-derive the whole
-    payload (compared as sorted-key JSON, so true is not 1), or else the
-    witness kind's.  Returns the re-derived verdict; raises KeyError for
-    a witness kind that has no checker (before any check runs), and
-    ReplayError when the witness certifies another status than the
-    recorded one, is given inputs of another kind than its check reads,
-    has malformed fields, or differs, as sorted-key JSON, from the
-    witness its check re-derives, or when that check re-derives another
-    status or, where ``vdict`` records a reason, another reason.
+    ``operation`` and ``payload`` (a dict) are the report's.  The check
+    is the producer of ``operation``, or of the operation ``CHECKERS``
+    names for the witness kind, run with the recorded witness and
+    payload; when ``payload`` is given it must re-derive the whole
+    payload (compared as sorted-key JSON, so true is not 1).  Returns the
+    re-derived verdict; raises KeyError for an operation or witness kind
+    that has no entry (before any check runs), and ReplayError when the
+    witness certifies another status than the recorded one, is given
+    inputs of another kind than the producer reads, has malformed
+    fields, or differs, as sorted-key JSON, from the witness the producer
+    re-derives, or when the producer re-derives another status or, where
+    ``vdict`` records a reason, another reason.
     """
     status = vdict["status"]
     if status == "unknown":
@@ -288,27 +293,24 @@ def replay_verdict(objs, vdict, operation=None, payload=None):
     if w is None:
         raise ReplayError("verdict has no witness")
     kind = w["kind"]
-    certified, reads, check = CHECKERS[kind]
-    if operation in BRIDGES:
-        reads, bridge = BRIDGES[operation]
-
-        def check(w, obj):
-            lines, v, _ = bridge(w, obj, payload)
-            derived = json.dumps(dict(lines), sort_keys=True)
-            _need(derived == json.dumps(payload, sort_keys=True),
-                  "cannot rebuild the derived object: its payload is %s"
-                  % derived)
-            return v
+    certified, checked_by = CHECKERS[kind]
+    reads, producer = OPERATIONS[checked_by if operation is None
+                                  else operation]
     mismatch = "a %s witness certifies %s, not %s"
     _need(certified in (None, status), mismatch % (kind, certified, status))
-    _need(reads is None or len(objs) == 1 and kind_of(objs[0]) == reads,
-          "a %s witness needs one %s input" % (kind, reads))
+    _need(len(objs) == 1 and kind_of(objs[0]) in reads,
+          "a %s witness needs one %s input" % (kind, " or ".join(reads)))
     try:
-        got = check(w, *objs)
+        lines, got, _ = producer(objs[0], w, payload)
     except _MALFORMED as e:
         raise ReplayError("the %s witness does not replay: %s: %s"
                           % (kind, type(e).__name__, e))
-    recomputed = json.dumps(got and got.witness, sort_keys=True)
+    if payload is not None:
+        derived = json.dumps(dict(lines), sort_keys=True)
+        _need(derived == json.dumps(payload, sort_keys=True),
+              "the recorded payload does not replay: the re-derived "
+              "payload is %s" % derived)
+    recomputed = json.dumps(got.witness, sort_keys=True)
     _need(recomputed == json.dumps(w, sort_keys=True),
           "the %s witness does not replay: the recomputed witness is %s"
           % (kind, recomputed))

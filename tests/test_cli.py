@@ -10,7 +10,7 @@ from trisect.diagram import (HeegaardDiagram, TrisectionDiagram,
                              curve_from_template, standard_heegaard,
                              system_from_templates)
 from trisect.kirby import (FramedComponent, HeegaardKirbyDiagram,
-                           LinkingMatrix, validate_hk)
+                           LinkingMatrix, parse_picks, validate_hk)
 from trisect.moves import connected_sum
 
 
@@ -592,7 +592,14 @@ def test_replay_rejects_tampered_picks(tmp_path, capsys, field, value):
     doc["payload"][field] = value
     forged = write(tmp_path, "forged.json", json.dumps(doc))
     code, _, err = run(capsys, "replay", forged, tri)
-    assert code == 4 and "cannot rebuild the derived object" in err
+    # picks that do not parse rebuild nothing; any other edit is a line
+    # the producer does not re-derive
+    try:
+        parse_picks(str(doc["payload"]["picks"]))
+        want = "the recorded payload does not replay"
+    except ValueError:
+        want = "cannot rebuild the derived object"
+    assert code == 4 and want in err
 
 
 def test_replay_of_a_search_witness_and_of_construction_reports(tmp_path,
@@ -694,6 +701,84 @@ def test_replay_rejects_a_forged_witness_field(tmp_path, capsys, text,
     code, out, err = run(capsys, "replay", forged, path)
     assert code == 4 and out == ""
     assert "replay: FAILED" in err
+
+
+_CP2_TRI = diagio.format_any(genus_one_diagram("CP2"))
+_HOPF_LNK = "linking size=2\nrow: 0 1\nrow: 1 0\n"
+_AK1_PRES = ("presentation generators=2\nrelator: x2 x1 x2 X1 X2 X1\n"
+             "relator: x1 x1 X2\n")
+
+
+_PAYLOAD_FORGED = "replay: FAILED: the recorded payload does not replay"
+
+
+# (command, input text, forgery, the error of the forged replay, or None
+# when it replays); each forged line but the counter's replayed with exit
+# 0 or 1 while replay checked only the verdict of these commands
+@pytest.mark.parametrize("command, text, forge, failure", [
+    ("validate", _CP2_TRI, _forge_payload("params", "(9;9,9,9)"),
+     _PAYLOAD_FORGED),
+    ("validate", _S1XS2_HEEG, _forge_payload("k", 7), _PAYLOAD_FORGED),
+    ("validate", _HK_UNKNOT, _forge_payload("target-m", 5), _PAYLOAD_FORGED),
+    ("invariants", _CP2_TRI, _forge_payload("chi", 999), _PAYLOAD_FORGED),
+    ("invariants", _CP2_TRI, _forge_payload("h1", "Z/7"), _PAYLOAD_FORGED),
+    ("classify", _CP2_TRI, _forge_payload("name", "CP2 # CP2 # CP2"),
+     _PAYLOAD_FORGED),
+    ("gprc-check", _HOPF_LNK, _forge_payload("surgery-h1", "Z/7"),
+     _PAYLOAD_FORGED),
+    ("ac-search", _AK1_PRES, _forge_payload("path-moves", 11),
+     _PAYLOAD_FORGED),
+    ("ac-search", _AK1_PRES, _forge_payload("total-length", 10),
+     _PAYLOAD_FORGED),
+    # the counters are the one payload taken as written, as only the
+    # search knows them, but their lines are pinned
+    ("ac-search", _AK1_PRES, _forge_payload("visited", 123456), None),
+    ("ac-search", _AK1_PRES, lambda doc: doc["payload"].pop("visited"),
+     "replay: FAILED: the recorded payload has no visited counter"),
+    ("ac-search", _AK1_PRES, _forge_payload("extra-counter", 0),
+     _PAYLOAD_FORGED),
+], ids=["validate-params", "validate-k", "validate-target-m",
+        "invariants-chi", "invariants-h1", "classify-name",
+        "gprc-check-surgery-h1", "ac-search-path-moves",
+        "ac-search-total-length", "ac-search-counter-value",
+        "ac-search-counter-deleted", "ac-search-counter-added"])
+def test_replay_rejects_a_forged_report(tmp_path, capsys, command, text,
+                                        forge, failure):
+    """Replay runs the producer of the command that wrote the report,
+    which must re-derive the whole payload."""
+    path = write(tmp_path, "in.txt", text)
+    code, doc, rep = _json_report(capsys, tmp_path, "r.json", command, path)
+    assert run(capsys, "replay", rep, path)[0] == code
+    forge(doc)
+    forged = write(tmp_path, "forged.json", json.dumps(doc))
+    replayed, out, err = run(capsys, "replay", forged, path)
+    if failure is None:
+        assert replayed == code, err
+    else:
+        assert replayed == 4 and out == "" and failure in err
+
+
+def test_a_forged_ak_label_is_refused_before_ak_n_is_built(tmp_path, capsys,
+                                                           monkeypatch):
+    from trisect import ac
+
+    code, doc, _ = _json_report(capsys, tmp_path, "ak1.json",
+                                "ac-search", "--ak", "1")
+    assert code == 0
+
+    def refused(n):
+        raise AssertionError("built AK(%d)" % n)
+
+    monkeypatch.setattr(ac, "ak_presentation", refused)
+    doc["inputs"][0]["name"] = "ak-1000000000"
+    code, out, err = run(capsys, "replay",
+                         write(tmp_path, "f.json", json.dumps(doc)))
+    assert code == 3 and out == ""
+    assert "takes n <= %d" % ac.AK_MAX_N in err
+    code, out, err = run(capsys, "ac-search", "--ak",
+                         str(ac.AK_MAX_N + 1))
+    assert code == 3 and out == ""
+    assert "--ak needs 1 <= n <= %d" % ac.AK_MAX_N in err
 
 
 # the inputs of the reports below, by file name
@@ -884,10 +969,17 @@ def test_replay_checks_exactly_the_witness_kinds_the_commands_write(
         code, doc, rep = _json_report(capsys, tmp_path, "r%d.json" % i,
                                       command, path)
         written.append(doc["verdict"]["witness"]["kind"])
+        # the operation that checks a kind when no operation is named
+        # writes that kind
+        assert reports.CHECKERS[written[-1]][1] == command
         replayed, _, err = run(capsys, "replay", rep, path)
         assert replayed == code, (command, written[-1], err)
     assert sorted(written) == sorted(set(written))
     assert set(written) == set(reports.CHECKERS)
+    # every command whose report carries a verdict has a producer; a
+    # replay's own report only confirms another one
+    plain = {"stabilize", "connect-sum", "slide", "catalog"}
+    assert set(reports.OPERATIONS) == set(cli._commands()) - plain - {"replay"}
 
 
 # verdicts the engine wrote, and replay confirmed, before replay came to
@@ -1023,7 +1115,7 @@ def test_replay_rejects_refuted_witnesses_flipped_to_verified(tmp_path,
 
 def test_a_kind_never_replays_under_the_status_it_does_not_certify():
     one = (genus_one_diagram("CP2"),)
-    for kind, (status, _, _) in reports.CHECKERS.items():
+    for kind, (status, _) in reports.CHECKERS.items():
         if status is None:
             continue
         other = {"verified": "refuted", "refuted": "verified"}[status]

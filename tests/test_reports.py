@@ -61,7 +61,7 @@ def test_every_checked_kind_has_its_fields_listed():
 def test_a_malformed_witness_is_a_replay_error(kind):
     # a missing field, a field of the wrong type or an input of the wrong
     # kind must fail the replay, never crash it and never confirm it
-    certified, _, _ = reports.CHECKERS[kind]
+    certified, _ = reports.CHECKERS[kind]
     statuses = ("verified", "refuted") if certified is None else (certified,)
     for obj in _inputs():
         for w in _malformed(kind):
@@ -102,12 +102,14 @@ def test_a_witness_binds_to_its_own_input():
     with pytest.raises(reports.ReplayError, match="recomputed witness"):
         reports.replay_verdict((mine,), {"status": "refuted",
                                          "witness": v.witness})
-    # a one-pair certificate offered for a whole trisection
+    # a one-pair certificate offered for a whole trisection: validate's
+    # producer reads the trisection's three pair certificates from it
     _, v = detect_k(HeegaardDiagram(1, t.alpha, t.beta))
     reports.replay_verdict((HeegaardDiagram(1, t.alpha, t.beta),),
                            {"status": "verified", "witness": v.witness})
     with pytest.raises(reports.ReplayError,
-                       match="a detect-k witness needs one heegaard input"):
+                       match="the detect-k witness does not replay: "
+                             "KeyError: 'pairs'"):
         reports.replay_verdict((t,), {"status": "verified",
                                       "witness": v.witness})
 
@@ -140,10 +142,10 @@ def test_the_kind_tables_agree_with_the_engine():
     assert set(reports.CHECKERS) <= produced
     assert produced <= set(reports.CHECKERS) | _INTERNAL_KINDS
     file_kinds = set(diagio._KINDS)
-    for _, reads, _ in reports.CHECKERS.values():
-        assert reads is None or reads in file_kinds
-    for reads, _ in reports.BRIDGES.values():
-        assert reads in file_kinds
+    for _, operation in reports.CHECKERS.values():
+        assert operation in reports.OPERATIONS
+    for reads, _ in reports.OPERATIONS.values():
+        assert reads and set(reads) <= file_kinds
 
 
 def test_witness_indices_are_one_based_and_in_range():
