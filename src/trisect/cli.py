@@ -80,8 +80,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read(path):
-    with open(path, "r", encoding="utf-8") as f:
-        return f.read()
+    """The text of ``path`` as text mode reads it, newlines translated.  A
+    byte that is no UTF-8 is a ParseError at its line and column, counted
+    as the parser counts them."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        # the bytes before the first bad one decode; the sentinel makes
+        # the last line the one the bad byte is on
+        lines = (data[:e.start].decode("utf-8") + "x").splitlines()
+        raise diagio.ParseError("byte 0x%02x is not UTF-8" % data[e.start],
+                                len(lines), len(lines[-1]))
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _load(path, reads=None, label=None):

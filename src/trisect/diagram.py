@@ -31,10 +31,14 @@ out of checked ones (its docstring gives the invariant).
 ``curve_from_template`` returns one shared curve per (genus, handle,
 sign-normalized slope), and one shared ``SlopeTemplate`` per (handle,
 slope), so ``reembed``, sums, stabilizations and parsed ``@h(p,q)``
-curves build no copies.  Sharing is safe because every value is
-``Frozen``: equal by its fields, never changed after it is built (the
-``_support`` cache is no field), and no engine code compares curves by
-identity.
+curves build no copies.  It looks its exact-int arguments up as a key
+before it checks them, and builds a ``SlopeTemplate`` only on a miss: a
+key is stored only once its arguments passed the checks, so a hit is
+what the checks would return, and any other input (a float, a bool, a
+negated slope, a handle out of range) is checked as before.  Sharing
+is safe because every value is ``Frozen``: equal by its fields, never
+changed after it is built (the ``_support`` cache is no field), and no
+engine code compares curves by identity.
 """
 
 from __future__ import annotations
@@ -151,7 +155,19 @@ _TEMPLATE_CURVES = {}
 def curve_from_template(genus, handle, p, q):
     """The slope-(p, q) curve of handle ``handle`` on the genus-``genus``
     surface: one shared object per (genus, handle, sign-normalized
-    slope), built on its first call."""
+    slope), built on its first call.
+
+    Exact ints are first looked up as a key.  A hit is safe: a key is
+    stored only after its arguments passed every check below, so the
+    checking path would return the same curve.  Anything else (a miss, a
+    float, a bool, a negated slope, a handle out of range) takes the
+    checking path, which raises as it always did or normalizes and
+    stores."""
+    if type(genus) is int and type(handle) is int \
+            and type(p) is int and type(q) is int:
+        curve = _TEMPLATE_CURVES.get((genus, handle, p, q))
+        if curve is not None:
+            return curve
     if handle > genus:
         raise ValueError("handle %d exceeds genus %d" % (handle, genus))
     tpl = SlopeTemplate(handle, p, q)
@@ -178,7 +194,8 @@ def reembed(curve, genus, handle_map):
     ``handle_map[h]``.
 
     The map must be defined and injective on the curve's support, with
-    values in 1..genus.  A word curve's letters x_h, y_h become x_h',
+    values in 1..genus; a value outside is a ValueError for either kind
+    of curve.  A word curve's letters x_h, y_h become x_h',
     y_h' for h' = handle_map[h].  A slope template keeps its slope on the
     new handle: only ``curve_from_template`` makes template curves, so the
     result is ``curve_from_template(genus, h', p, q)``, the shared curve.
@@ -186,6 +203,10 @@ def reembed(curve, genus, handle_map):
     tpl = curve.template
     if tpl is not None:
         return curve_from_template(genus, handle_map[tpl.handle], tpl.p, tpl.q)
+    for h in curve.support():
+        if not 1 <= handle_map[h] <= genus:
+            raise ValueError("handle %d maps to %d, outside 1..%d"
+                             % (h, handle_map[h], genus))
     word = []
     for v in curve.word:
         h = (abs(v) + 1) // 2

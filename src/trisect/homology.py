@@ -78,7 +78,10 @@ def lagrangian_verdict(classes, genus):
 
     This is the homological certificate that g declared-disjoint curves can
     bound a complete disk system: right count, pairwise pairing zero, and a
-    primitive span (all Smith invariant factors 1).
+    primitive span (all Smith invariant factors 1).  Two classes with no
+    handle on which both have a nonzero part pair to 0 term by term, so
+    only pairs that share a handle are paired, in the same order; the
+    first refuting pair is the one the all-pairs loop would find.
     """
     classes = list(classes)
     if any(c.genus != genus for c in classes):
@@ -86,8 +89,12 @@ def lagrangian_verdict(classes, genus):
     if len(classes) != genus:
         return refuted("expected %d classes, got %d" % (genus, len(classes)),
                        {"kind": "count", "expected": genus, "got": len(classes)})
+    handles = [{h for h in range(genus)
+                if c.coeffs[2 * h] or c.coeffs[2 * h + 1]} for c in classes]
     for i in range(genus):
         for j in range(i + 1, genus):
+            if handles[i].isdisjoint(handles[j]):
+                continue
             pairing = algebraic_intersection(classes[i], classes[j])
             if pairing != 0:
                 return refuted(

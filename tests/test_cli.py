@@ -174,6 +174,54 @@ def test_io_and_parse_errors_exit_four(tmp_path, capsys):
     assert "line 2, col 8" in err
 
 
+@pytest.mark.parametrize("data, error", [
+    (b"trisection genus=1\nalpha: @1(1,0)\xff\n",
+     "line 2, col 15: byte 0xff is not UTF-8"),
+    # a CRLF ends one line, as the parser counts them
+    (b"trisection genus=1\r\nalpha: \xc3(\n",
+     "line 2, col 8: byte 0xc3 is not UTF-8"),
+    (b"\xfe", "line 1, col 1: byte 0xfe is not UTF-8"),
+])
+def test_a_file_that_is_no_utf8_is_a_parse_error(tmp_path, capsys, data,
+                                                 error):
+    path = tmp_path / "bad.tri"
+    path.write_bytes(data)
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 4 and out == ""
+    assert err == "parse error: %s\n" % error
+
+
+def test_a_report_or_input_that_is_no_utf8_fails_replay(tmp_path, capsys):
+    path = tri_file(tmp_path, "cp2.tri", genus_one_diagram("CP2"))
+    code, report, _ = run(capsys, "classify", path, "--json")
+    assert code == 0
+    forged = tmp_path / "r.json"
+    forged.write_bytes(report.encode().replace(b'"name"', b'"\xffname"', 1))
+    head = report[:report.index('"name"')].split("\n")
+    code, out, err = run(capsys, "replay", str(forged), path)
+    assert code == 4 and out == ""
+    assert err == "parse error: line %d, col %d: byte 0xff is not UTF-8\n" \
+        % (len(head), len(head[-1]) + 2)
+    rep = write(tmp_path, "good.json", report)
+    bad = tmp_path / "bad.tri"
+    bad.write_bytes(open(path, "rb").read() + b"\xff")
+    code, out, err = run(capsys, "replay", rep, str(bad))
+    assert code == 4 and out == "" and "byte 0xff is not UTF-8" in err
+
+
+def test_crlf_input_reads_as_its_lf_text(tmp_path, capsys):
+    text = diagio.format_diagram(genus_one_diagram("CP2"))
+    lf = write(tmp_path, "lf.tri", text)
+    crlf = tmp_path / "crlf.tri"
+    crlf.write_bytes(text.replace("\n", "\r\n").encode())
+    code, report, _ = run(capsys, "classify", lf, "--json")
+    assert code == 0
+    # the digest is taken after newline translation, so either file replays
+    code, _, _ = run(capsys, "replay", write(tmp_path, "r.json", report),
+                     str(crlf))
+    assert code == 0
+
+
 def test_template_handle_above_the_genus_exits_four(tmp_path, capsys):
     path = write(tmp_path, "high.tri",
                  "trisection genus=2\nalpha: @1(1,0); @17(0,1)\n"

@@ -176,6 +176,59 @@ def test_a_bool_slope_stores_the_int_curve():
     assert repr(c.template) == "SlopeTemplate(handle=9, p=1, q=0)"
 
 
+def _count_template_builds(monkeypatch):
+    """A list that gains an entry each time a SlopeTemplate is checked."""
+    built = []
+    check = SlopeTemplate.__post_init__
+
+    def counted(self):
+        built.append((self.handle, self.p, self.q))
+        check(self)
+
+    monkeypatch.setattr(SlopeTemplate, "__post_init__", counted)
+    return built
+
+
+def test_a_stored_key_is_found_before_any_check(monkeypatch):
+    monkeypatch.setattr(diagram, "_TEMPLATES", {})
+    monkeypatch.setattr(diagram, "_TEMPLATE_CURVES", {})
+    built = _count_template_builds(monkeypatch)
+    c = curve_from_template(2, 1, 1, 0)
+    assert c is curve_from_template(2, 1, 1, 0)
+    assert len(built) == 1
+    # inputs that are no stored key take the checking path
+    with pytest.raises(TypeError):
+        curve_from_template(2, 1, 1.0, 0)
+    for handle in (3, 0):
+        with pytest.raises(ValueError):
+            curve_from_template(2, handle, 1, 0)
+    assert curve_from_template(2, 1, True, 0) is c
+    assert curve_from_template(2, 1, -1, 0) is c
+    # one check each for the float, handle 0, True and -1; handle 3 is
+    # refused before a template is built
+    assert built == [(1, 1, 0), (1, 1.0, 0), (0, 1, 0), (1, True, 0),
+                     (1, -1, 0)]
+    assert list(diagram._TEMPLATE_CURVES) == [(2, 1, 1, 0)]
+
+
+def test_a_sum_of_stored_pieces_builds_no_template(monkeypatch):
+    a, b = genus_one_diagram("CP2"), genus_one_diagram("S1xS3")
+    want = connected_sum(a, b)
+    built = _count_template_builds(monkeypatch)
+    assert connected_sum(a, b) == want
+    assert built == []
+
+
+def test_reembed_rejects_a_target_outside_the_genus():
+    word = curve_from_word(2, (1, 3))
+    tpl = curve_from_template(2, 1, 1, 0)
+    for target in (0, 3):
+        for curve in (word, tpl):
+            with pytest.raises(ValueError):
+                reembed(curve, 2, {1: target, 2: 2})
+    assert reembed(word, 3, {1: 3, 2: 1}).word == (5, 1)
+
+
 def test_a_catalog_sum_shares_its_template_curves():
     names = ("S1xS3", "CP2", "S4STAB1", "CP2R", "S1xS3", "CP2")
     t = genus_one_diagram(names[0])

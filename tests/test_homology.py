@@ -3,9 +3,14 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from trisect import homology
 from trisect.homology import (HomologyClass, abelianize, algebraic_intersection,
                               lagrangian_verdict)
+from trisect.intmatrix import invariant_factors
+from trisect.verdict import refuted, verified
 
 
 def _pairing_oracle(u, v):
@@ -111,3 +116,129 @@ def test_lagrangian_invariant_under_unimodular_change():
             classes[i] = classes[i].add(classes[j]) if rng.random() < 0.5 \
                 else classes[i].sub(classes[j])
         assert lagrangian_verdict(classes, g).is_verified
+
+
+# -- the pairing loop skips pairs on disjoint handles -------------------------
+
+def _all_pairs_verdict(classes, genus):
+    """The Lagrangian check that pairs every class with every other."""
+    classes = list(classes)
+    if len(classes) != genus:
+        return refuted("expected %d classes, got %d" % (genus, len(classes)),
+                       {"kind": "count", "expected": genus, "got": len(classes)})
+    for i in range(genus):
+        for j in range(i + 1, genus):
+            pairing = algebraic_intersection(classes[i], classes[j])
+            if pairing != 0:
+                return refuted(
+                    "classes %d and %d pair to %d, not 0" % (i, j, pairing),
+                    {"kind": "pairing", "i": i, "j": j, "value": pairing})
+    factors = list(invariant_factors([c.coeffs for c in classes]))
+    if factors != [1] * genus:
+        return refuted("span is not a primitive rank-%d summand" % genus,
+                       {"kind": "imprimitive", "snf_factors": factors})
+    return verified("rank-%d Lagrangian primitive summand" % genus,
+                    {"kind": "lagrangian", "snf_factors": factors})
+
+
+def _transvect(x, v):
+    """x + <x, v> v: a symplectic map, so it keeps a system isotropic."""
+    t = algebraic_intersection(x, v)
+    return HomologyClass(x.genus, tuple(a + t * b
+                                        for a, b in zip(x.coeffs, v.coeffs)))
+
+
+@st.composite
+def _class_lists(draw):
+    """Classes at genus 0..6: wrong counts, isotropic systems (images of
+    a standard one under transvections), some scaled to be imprimitive,
+    and sparse random classes, which refute at one or several pairs."""
+    g = draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(("count", "isotropic", "sparse")))
+    if kind == "count":
+        n = draw(st.integers(0, 7).filter(lambda n: n != g))
+        return [HomologyClass(g, tuple(draw(st.lists(
+            st.integers(-2, 2), min_size=2 * g, max_size=2 * g))))
+                for _ in range(n)], g
+    if kind == "sparse":
+        classes = []
+        for _ in range(g):
+            coeffs = [0] * (2 * g)
+            for h in draw(st.lists(st.integers(0, g - 1), max_size=3)):
+                coeffs[2 * h] = draw(st.integers(-2, 2))
+                coeffs[2 * h + 1] = draw(st.integers(-2, 2))
+            classes.append(HomologyClass(g, tuple(coeffs)))
+        return classes, g
+    classes = [HomologyClass.basis_a(g, h) for h in range(1, g + 1)]
+    for _ in range(draw(st.integers(0, 3))):
+        v = HomologyClass(g, tuple(draw(st.lists(
+            st.integers(-1, 1), min_size=2 * g, max_size=2 * g))))
+        classes = [_transvect(c, v) for c in classes]
+    if g and draw(st.booleans()):
+        i, k = draw(st.integers(0, g - 1)), draw(st.integers(2, 3))
+        classes[i] = HomologyClass(g, tuple(k * a for a in classes[i].coeffs))
+    return classes, g
+
+
+@settings(derandomize=True, database=None, max_examples=400)
+@given(_class_lists())
+def test_lagrangian_verdict_matches_the_all_pairs_loop(args):
+    classes, g = args
+    got, want = lagrangian_verdict(classes, g), _all_pairs_verdict(classes, g)
+    assert (got.status, got.reason, got.witness) \
+        == (want.status, want.reason, want.witness)
+
+
+def test_classes_whose_shared_handles_cancel_pair_to_zero():
+    # a1 + a2 and b1 - b2 share both handles, and their parts cancel:
+    # with a3 they span a Lagrangian summand
+    g = 3
+    u = HomologyClass(g, (1, 0, 1, 0, 0, 0))
+    v = HomologyClass(g, (0, 1, 0, -1, 0, 0))
+    w = HomologyClass.basis_a(g, 3)
+    assert algebraic_intersection(u, v) == 0
+    got = lagrangian_verdict([u, v, w], g)
+    assert got.is_verified
+    want = _all_pairs_verdict([u, v, w], g)
+    assert (got.reason, got.witness) == (want.reason, want.witness)
+
+
+def test_the_first_of_several_refuting_pairs_is_reported():
+    # (0, 2) and (1, 2) both refute; the first in i < j order is reported
+    g = 3
+    bad = [HomologyClass.basis_a(g, 1), HomologyClass.basis_a(g, 2),
+           HomologyClass(g, (0, 1, 0, 2, 0, 0))]
+    got = lagrangian_verdict(bad, g)
+    assert got.witness == {"kind": "pairing", "i": 0, "j": 2, "value": 1}
+
+
+def test_only_classes_sharing_a_handle_are_paired(monkeypatch):
+    calls = []
+
+    def counted(u, v):
+        calls.append((u, v))
+        return algebraic_intersection(u, v)
+
+    monkeypatch.setattr(homology, "algebraic_intersection", counted)
+    rng = random.Random(45)
+    for _ in range(60):
+        g = rng.randint(0, 7)
+        classes = []
+        for _ in range(g):
+            coeffs = [0] * (2 * g)
+            for h in rng.sample(range(g), rng.randint(0, min(g, 2))):
+                coeffs[2 * h] = rng.randint(-1, 1)
+                coeffs[2 * h + 1] = rng.randint(-1, 1)
+            classes.append(HomologyClass(g, tuple(coeffs)))
+        calls.clear()
+        v = lagrangian_verdict(classes, g)
+        last = (v.witness["i"], v.witness["j"]) \
+            if v.witness["kind"] == "pairing" else (g, g)
+        shared = [(classes[i], classes[j])
+                  for i in range(g) for j in range(i + 1, g)
+                  if (i, j) <= last
+                  and any((classes[i].handle_part(h) != (0, 0))
+                          and (classes[j].handle_part(h) != (0, 0))
+                          for h in range(1, g + 1))]
+        assert [(id(u), id(v)) for u, v in calls] \
+            == [(id(u), id(v)) for u, v in shared]
