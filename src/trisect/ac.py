@@ -42,7 +42,7 @@ from math import factorial
 from operator import itemgetter
 
 from . import words
-from .intmatrix import IntegerMatrix
+from .intmatrix import determinant
 from .verdict import Frozen, refuted, unknown, verified
 
 DEFAULT_MAX_STATES = 20000
@@ -171,7 +171,7 @@ def ab_det(p):
         for v in r:
             row[abs(v) - 1] += 1 if v > 0 else -1
         rows.append(row)
-    return IntegerMatrix.from_rows(rows).determinant()
+    return determinant(rows)
 
 
 def ab_det_refutation(p):

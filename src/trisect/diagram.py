@@ -195,18 +195,26 @@ def reembed(curve, genus, handle_map):
 
     The map must be defined and injective on the curve's support, with
     values in 1..genus; a value outside is a ValueError for either kind
-    of curve.  A word curve's letters x_h, y_h become x_h',
-    y_h' for h' = handle_map[h].  A slope template keeps its slope on the
-    new handle: only ``curve_from_template`` makes template curves, so the
-    result is ``curve_from_template(genus, h', p, q)``, the shared curve.
+    of curve, and so are two handles of a word curve sent to one (a
+    template curve has one handle).  A word curve's letters x_h, y_h
+    become x_h', y_h' for h' = handle_map[h].  A slope template keeps its
+    slope on the new handle: only ``curve_from_template`` makes template
+    curves, so the result is ``curve_from_template(genus, h', p, q)``, the
+    shared curve.
     """
     tpl = curve.template
     if tpl is not None:
         return curve_from_template(genus, handle_map[tpl.handle], tpl.p, tpl.q)
+    seen = {}
     for h in curve.support():
-        if not 1 <= handle_map[h] <= genus:
+        target = handle_map[h]
+        if not 1 <= target <= genus:
             raise ValueError("handle %d maps to %d, outside 1..%d"
-                             % (h, handle_map[h], genus))
+                             % (h, target, genus))
+        if target in seen:
+            raise ValueError("handles %d and %d both map to %d"
+                             % (*sorted((seen[target], h)), target))
+        seen[target] = h
     word = []
     for v in curve.word:
         h = (abs(v) + 1) // 2

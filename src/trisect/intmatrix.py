@@ -1,4 +1,7 @@
-"""Exact integer matrices: products, determinants, Smith normal form.
+"""Exact integer matrices: determinants, Smith normal form, kernels.
+
+A matrix is a sequence of row sequences; results are tuples of row
+tuples.
 
 Entries are arbitrary-precision Python ints throughout; intermediate values
 in SNF pivoting can exceed 64 bits even for small inputs, so no fixed-width
@@ -10,82 +13,39 @@ from __future__ import annotations
 from .verdict import Frozen
 
 
-class IntegerMatrix(Frozen):
-    """``rows`` is a tuple of row tuples."""
-    _fields = ("rows",)
+def _rows(rows):
+    """The rows as lists, rejecting a ragged matrix."""
+    a = [list(r) for r in rows]
+    if any(len(r) != len(a[0]) for r in a):
+        raise ValueError("ragged matrix")
+    return a
 
-    def __post_init__(self):
-        if any(len(r) != self.ncols for r in self.rows):
-            raise ValueError("ragged matrix")
 
-    @property
-    def nrows(self):
-        return len(self.rows)
-
-    @property
-    def ncols(self):
-        return len(self.rows[0]) if self.rows else 0
-
-    @staticmethod
-    def from_rows(rows):
-        return IntegerMatrix(tuple(tuple(int(v) for v in r) for r in rows))
-
-    @staticmethod
-    def from_columns(cols, nrows=None):
-        cols = [tuple(c) for c in cols]
-        if nrows is None:
-            if not cols:
-                raise ValueError("need nrows for an empty column list")
-            nrows = len(cols[0])
-        if any(len(c) != nrows for c in cols):
-            raise ValueError("ragged columns")
-        return IntegerMatrix(tuple(tuple(c[i] for c in cols) for i in range(nrows)))
-
-    def transpose(self):
-        return IntegerMatrix(tuple(zip(*self.rows)) if self.rows else ())
-
-    def mul(self, other):
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch %dx%d * %dx%d"
-                             % (self.nrows, self.ncols, other.nrows, other.ncols))
-        cols = other.transpose().rows
-        return IntegerMatrix(tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-            for row in self.rows))
-
-    def __mul__(self, other):
-        return self.mul(other)
-
-    def entry(self, i, j):
-        return self.rows[i][j]
-
-    def diagonal(self):
-        return tuple(self.rows[i][i] for i in range(min(self.nrows, self.ncols)))
-
-    def determinant(self):
-        """Bareiss fraction-free elimination; exact for any size."""
-        n = self.nrows
-        if n != self.ncols:
-            raise ValueError("determinant of a non-square matrix")
-        if n == 0:
-            return 1
-        a = [list(r) for r in self.rows]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
+def determinant(rows):
+    """Determinant of the square matrix with the given rows, by Bareiss
+    fraction-free elimination; exact for any size, 1 for the empty matrix."""
+    a = _rows(rows)
+    n = len(a)
+    if a and len(a[0]) != n:
+        raise ValueError("determinant of a non-square matrix")
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
             for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def _pivot(a, t, nr, nc):
@@ -193,19 +153,19 @@ def _diagonalize(a, u=None, v=None):
         t += 1
 
 
-def smith_normal_form(m):
-    """Return (s, u, v) with u * m * v = s, u and v unimodular, and s diagonal
-    with non-negative entries d1 | d2 | ... (zeros trailing).
+def smith_normal_form(rows):
+    """Return (s, u, v) with u * m * v = s for the matrix m with the given
+    rows, u and v unimodular, and s diagonal with non-negative entries
+    d1 | d2 | ... (zeros trailing); each is a tuple of row tuples.
 
     Classical pivot reduction with explicit transform tracking.
     """
-    nr, nc = m.nrows, m.ncols
-    a = [list(r) for r in m.rows]
+    a = _rows(rows)
+    nr, nc = len(a), len(a[0]) if a else 0
     u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
     v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
     _diagonalize(a, u, v)
-    s = IntegerMatrix.from_rows(a)
-    return s, IntegerMatrix.from_rows(u), IntegerMatrix.from_rows(v)
+    return tuple(tuple(tuple(r) for r in x) for x in (a, u, v))
 
 
 def invariant_factors(vectors):
@@ -215,40 +175,40 @@ def invariant_factors(vectors):
 
     Runs the same reduction as smith_normal_form without the transforms.
     """
-    a = [list(v) for v in vectors]
+    a = _rows(vectors)
     _diagonalize(a)
     return tuple(a[i][i] for i in range(min(len(a), len(a[0]) if a else 0))
                  if a[i][i] != 0)
 
 
-def kernel_basis(m):
-    """Basis of the integer kernel of m, as a tuple of column vectors.
+def kernel_basis(rows):
+    """Basis of the integer kernel of the matrix with the given rows, as a
+    tuple of vector tuples.
 
     With u m v = s diagonal of rank r, the kernel of m is spanned by the
     columns of v past position r (m v has those columns zero, and v is
     unimodular so they are independent and saturate the kernel).
     """
-    s, _, v = smith_normal_form(m)
-    rank = len([d for d in s.diagonal() if d != 0])
-    return tuple(tuple(v.entry(i, j) for i in range(m.ncols))
-                 for j in range(rank, m.ncols))
+    s, _, v = smith_normal_form(rows)
+    rank = sum(1 for i in range(min(len(s), len(v))) if s[i][i] != 0)
+    return tuple(tuple(r[j] for r in v) for j in range(rank, len(v)))
 
 
-def solve(m, b):
-    """One integer solution x of m @ x = b, or None if none exists."""
-    s, u, v = smith_normal_form(m)
-    ub = [sum(u.entry(i, k) * b[k] for k in range(m.nrows)) for i in range(m.nrows)]
-    rank = len([d for d in s.diagonal() if d != 0])
-    y = [0] * m.ncols
-    for i in range(m.nrows):
-        d = s.entry(i, i) if i < min(m.nrows, m.ncols) else 0
-        if i < rank:
+def solve(rows, b):
+    """One integer solution x of m @ x = b for the matrix m with the given
+    rows, as a tuple, or None if none exists."""
+    s, u, v = smith_normal_form(rows)
+    ub = [sum(x * y for x, y in zip(r, b)) for r in u]
+    y = [0] * len(v)
+    for i, r in enumerate(s):
+        d = r[i] if i < len(r) else 0
+        if d != 0:
             if ub[i] % d != 0:
                 return None
             y[i] = ub[i] // d
         elif ub[i] != 0:
             return None
-    return tuple(sum(v.entry(i, k) * y[k] for k in range(m.ncols)) for i in range(m.ncols))
+    return tuple(sum(x * z for x, z in zip(r, y)) for r in v)
 
 
 class AbelianGroup(Frozen):
@@ -287,7 +247,8 @@ def span_equal(cols_a, cols_b, ambient_rank):
     """Do two column sets generate the same sublattice of Z^ambient_rank?"""
     if not cols_a or not cols_b:
         return not cols_a and not cols_b
-    ma = IntegerMatrix.from_columns(cols_a, nrows=ambient_rank)
-    mb = IntegerMatrix.from_columns(cols_b, nrows=ambient_rank)
+    if any(len(c) != ambient_rank for cols in (cols_a, cols_b) for c in cols):
+        raise ValueError("ragged columns")
+    ma, mb = tuple(zip(*cols_a)), tuple(zip(*cols_b))
     return (all(solve(ma, c) is not None for c in cols_b)
             and all(solve(mb, c) is not None for c in cols_a))

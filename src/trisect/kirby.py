@@ -16,7 +16,7 @@ the functions that call them, and a linking-matrix command loads neither.
 
 from __future__ import annotations
 
-from .intmatrix import IntegerMatrix, cokernel, invariant_factors, kernel_basis
+from .intmatrix import cokernel, invariant_factors, kernel_basis
 from .verdict import Frozen, recorded_finding, refuted, unknown, verified
 
 SURFACE = "surface"
@@ -118,9 +118,8 @@ def _surviving_beta_classes(H):
     beta = H.background.beta.classes()
     if not H.link:
         return [list(c.coeffs) for c in beta]
-    pairing = IntegerMatrix.from_rows(
-        [[algebraic_intersection(b, comp.curve.homology) for b in beta]
-         for comp in H.link])
+    pairing = [[algebraic_intersection(b, comp.curve.homology) for b in beta]
+               for comp in H.link]
     out = []
     for combo in kernel_basis(pairing):
         vec = [0] * (2 * H.genus)
@@ -445,7 +444,8 @@ def gprc_necessary_check(m):
 
 
 def matrix_handleslide(m, i, j, sign=1):
-    """Congruence by E = I + sign * e_ij: component i slides over j."""
+    """Congruence by E = I + sign * e_ij: component i slides over j, and
+    E M E^T is row i += sign * row j, then column i += sign * column j."""
     if i == j:
         raise ValueError("cannot slide a component over itself")
     if sign not in (1, -1):
@@ -453,11 +453,11 @@ def matrix_handleslide(m, i, j, sign=1):
     n = m.size
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError("indices out of range 1..%d" % n)
-    e = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-    e[i - 1][j - 1] = sign
-    em = IntegerMatrix.from_rows(e)
-    prod = em * IntegerMatrix.from_rows(m.rows) * em.transpose()
-    return LinkingMatrix(prod.rows)
+    rows = [list(r) for r in m.rows]
+    rows[i - 1] = [x + sign * y for x, y in zip(rows[i - 1], rows[j - 1])]
+    for r in rows:
+        r[i - 1] += sign * r[j - 1]
+    return LinkingMatrix(tuple(map(tuple, rows)))
 
 
 def stabilize_link(m, kind):

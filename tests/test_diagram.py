@@ -229,6 +229,16 @@ def test_reembed_rejects_a_target_outside_the_genus():
     assert reembed(word, 3, {1: 3, 2: 1}).word == (5, 1)
 
 
+def test_reembed_rejects_a_map_that_merges_handles():
+    word = curve_from_word(2, (1, 3))
+    with pytest.raises(ValueError, match="handles 1 and 2 both map to 1"):
+        reembed(word, 2, {1: 1, 2: 1})
+    with pytest.raises(ValueError, match="handles 1 and 2 both map to 3"):
+        reembed(word, 3, {1: 3, 2: 3})
+    # a handle off the support may share a target with one on it
+    assert reembed(curve_from_word(2, (1,)), 2, {1: 2, 2: 2}).word == (3,)
+
+
 def test_a_catalog_sum_shares_its_template_curves():
     names = ("S1xS3", "CP2", "S4STAB1", "CP2R", "S1xS3", "CP2")
     t = genus_one_diagram(names[0])

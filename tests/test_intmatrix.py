@@ -10,7 +10,7 @@ from sympy import Matrix as SympyMatrix
 from sympy.matrices.normalforms import (
     invariant_factors as sympy_invariant_factors)
 
-from trisect.intmatrix import (AbelianGroup, IntegerMatrix, cokernel,
+from trisect.intmatrix import (AbelianGroup, cokernel, determinant,
                                invariant_factors, kernel_basis,
                                smith_normal_form, solve, span_equal)
 
@@ -28,14 +28,24 @@ def _random_matrix(rng, nr, nc, lo=-6, hi=6):
     return [[rng.randint(lo, hi) for _ in range(nc)] for _ in range(nr)]
 
 
+def _product(a, b):
+    """The row tuples of the matrix product a b, for the U M V = S oracle."""
+    cols = list(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols)
+                 for row in a)
+
+
+def _diagonal(s):
+    return tuple(s[i][i] for i in range(min(len(s), len(s[0]) if s else 0)))
+
+
 def test_snf_frozen_example():
     # diag(2, 3) has invariant factors (1, 6); value computed by the oracle
     rows = [[2, 0], [0, 3]]
     assert _sympy_invariant_factors(rows) == (1, 6)
-    m = IntegerMatrix.from_rows(rows)
-    s, u, v = smith_normal_form(m)
-    assert s.diagonal() == (1, 6)
-    assert u.mul(m).mul(v).rows == s.rows
+    s, u, v = smith_normal_form(rows)
+    assert _diagonal(s) == (1, 6)
+    assert _product(_product(u, rows), v) == s
 
 
 def test_snf_properties_random():
@@ -44,18 +54,18 @@ def test_snf_properties_random():
         nr = rng.randint(1, 5)
         nc = rng.randint(1, 5)
         rows = _random_matrix(rng, nr, nc)
-        m = IntegerMatrix.from_rows(rows)
-        s, u, v = smith_normal_form(m)
+        s, u, v = smith_normal_form(rows)
         # recomposition: U M V = S with unimodular transforms
-        assert u.mul(m).mul(v).rows == s.rows
-        assert abs(u.determinant()) == 1
-        assert abs(v.determinant()) == 1
+        assert _product(_product(u, rows), v) == s
+        assert abs(determinant(u)) == 1
+        assert abs(determinant(v)) == 1
         # diagonal, non-negative, divisibility chain
-        diag = s.diagonal()
-        for i in range(s.nrows):
-            for j in range(s.ncols):
+        diag = _diagonal(s)
+        assert len(s) == nr and all(len(r) == nc for r in s)
+        for i in range(nr):
+            for j in range(nc):
                 if i != j:
-                    assert s.entry(i, j) == 0
+                    assert s[i][j] == 0
         nonzero = [d for d in diag if d != 0]
         assert all(d > 0 for d in nonzero)
         for a, b in zip(nonzero, nonzero[1:]):
@@ -69,8 +79,21 @@ def test_determinant_against_oracle():
     for _ in range(80):
         n = rng.randint(1, 5)
         rows = _random_matrix(rng, n, n)
-        assert IntegerMatrix.from_rows(rows).determinant() == int(SympyMatrix(rows).det())
-    assert IntegerMatrix.from_rows([]).determinant() == 1  # empty product
+        assert determinant(rows) == int(SympyMatrix(rows).det())
+    assert determinant([]) == 1  # empty product
+
+
+def test_ragged_and_non_square_rows_are_rejected():
+    with pytest.raises(ValueError, match="ragged matrix"):
+        determinant([[1, 2], [3]])
+    with pytest.raises(ValueError, match="determinant of a non-square matrix"):
+        determinant([[1, 2]])
+    with pytest.raises(ValueError, match="determinant of a non-square matrix"):
+        determinant([[1], [2]])
+    for rows in ([[1, 2], [3]], [[2], [3, 4]]):
+        for f in (smith_normal_form, invariant_factors):
+            with pytest.raises(ValueError, match="ragged matrix"):
+                f(rows)
 
 
 def test_solve_finds_integer_solutions():
@@ -78,17 +101,17 @@ def test_solve_finds_integer_solutions():
     for _ in range(60):
         nr = rng.randint(1, 4)
         nc = rng.randint(1, 4)
-        m = IntegerMatrix.from_rows(_random_matrix(rng, nr, nc, -4, 4))
+        m = _random_matrix(rng, nr, nc, -4, 4)
         x = [rng.randint(-3, 3) for _ in range(nc)]
-        b = [sum(m.entry(i, k) * x[k] for k in range(nc)) for i in range(nr)]
+        b = [sum(m[i][k] * x[k] for k in range(nc)) for i in range(nr)]
         got = solve(m, b)
         assert got is not None
-        check = [sum(m.entry(i, k) * got[k] for k in range(nc)) for i in range(nr)]
+        check = [sum(m[i][k] * got[k] for k in range(nc)) for i in range(nr)]
         assert check == b
 
 
 def test_solve_detects_infeasible():
-    m = IntegerMatrix.from_rows([[2, 0], [0, 2]])
+    m = [[2, 0], [0, 2]]
     assert solve(m, (1, 0)) is None
     assert solve(m, (2, 4)) == (1, 2)
 
@@ -120,11 +143,10 @@ def test_kernel_basis_matches_nullspace_dimension():
         nr = rng.randrange(1, 5)
         nc = rng.randrange(1, 5)
         rows = [[rng.randrange(-4, 5) for _ in range(nc)] for _ in range(nr)]
-        m = IntegerMatrix.from_rows(rows)
-        basis = kernel_basis(m)
+        basis = kernel_basis(rows)
         # every vector maps to zero
         for vec in basis:
-            assert all(sum(m.entry(i, k) * vec[k] for k in range(nc)) == 0
+            assert all(sum(rows[i][k] * vec[k] for k in range(nc)) == 0
                        for i in range(nr))
         # count matches the rational nullity, and the set is independent
         nullity = nc - SympyMatrix(rows).rank()
@@ -134,8 +156,7 @@ def test_kernel_basis_matches_nullspace_dimension():
 
 
 def test_kernel_basis_spans_an_explicit_kernel():
-    m = IntegerMatrix.from_rows([[1, 1, 1]])
-    basis = kernel_basis(m)
+    basis = kernel_basis([[1, 1, 1]])
     assert len(basis) == 2
     assert span_equal([list(v) for v in basis],
                       [[1, -1, 0], [0, 1, -1]], 3)
@@ -162,12 +183,11 @@ def _matrices(draw):
 @settings(derandomize=True, database=None, max_examples=400)
 @given(_matrices())
 def test_invariant_factors_match_the_smith_diagonal_and_sympy(rows):
-    m = IntegerMatrix.from_rows(rows)
-    s, _, _ = smith_normal_form(m)
+    s, _, _ = smith_normal_form(rows)
     factors = invariant_factors(rows)
-    assert factors == tuple(d for d in s.diagonal() if d != 0)
+    assert factors == tuple(d for d in _diagonal(s) if d != 0)
     # the vectors may be rows or columns: the transpose is one more input
-    for vectors in (rows, m.transpose().rows):
+    for vectors in (rows, list(zip(*rows))):
         assert invariant_factors(vectors) == factors
         if vectors and vectors[0]:
             oracle = sympy_invariant_factors(SympyMatrix(vectors), domain=ZZ)
@@ -270,14 +290,12 @@ def test_smith_form_transforms_match_the_full_pivot_scan():
     kinds = set()
     for kind, rows in _seeded_matrices(20261018):
         kinds.add(kind)
-        m = IntegerMatrix.from_rows(rows)
-        s, u, v = smith_normal_form(m)
+        s, u, v = smith_normal_form(rows)
         ref = _full_scan_smith_form(rows)
-        assert (list(map(list, s.rows)), list(map(list, u.rows)),
-                list(map(list, v.rows))) == ref, (kind, rows)
+        assert (list(map(list, s)), list(map(list, u)),
+                list(map(list, v))) == ref, (kind, rows)
         assert invariant_factors(rows) == tuple(
-            ref[0][i][i] for i in range(min(m.nrows, m.ncols))
-            if ref[0][i][i] != 0)
+            d for d in _diagonal(ref[0]) if d != 0)
     assert kinds == {"units", "zero-rows", "no-units"}
 
 
@@ -286,8 +304,7 @@ def test_cokernel_reduces_the_transpose_and_rejects_ragged_columns():
     for _ in range(200):
         n, k = rng.randint(0, 5), rng.randint(0, 5)
         cols = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(k)]
-        factors = (invariant_factors(IntegerMatrix.from_columns(cols, n).rows)
-                   if cols else ())
+        factors = invariant_factors(list(zip(*cols))) if cols else ()
         assert cokernel(cols, n) == AbelianGroup(
             n - len(factors), tuple(d for d in factors if d > 1))
     with pytest.raises(ValueError, match="ragged columns"):

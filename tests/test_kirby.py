@@ -1,6 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import Matrix as SympyMatrix
+from sympy import eye
 
 from trisect import diagram, kirby
 from trisect.catalog import genus_one_diagram, match_genus_one
@@ -387,6 +391,33 @@ def test_double_slide_with_opposite_signs_restores():
         while j == i:
             j = rng.randrange(1, m.size + 1)
         assert matrix_handleslide(matrix_handleslide(m, i, j, 1), i, j, -1) == m
+
+
+@st.composite
+def _slides(draw):
+    """A random symmetric matrix up to 5x5, two distinct components and a
+    sign."""
+    n = draw(st.integers(2, 5))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = draw(st.integers(-9, 9))
+    i = draw(st.integers(1, n))
+    j = draw(st.integers(1, n).filter(lambda j: j != i))
+    return LinkingMatrix.from_rows(rows), i, j, draw(st.sampled_from((1, -1)))
+
+
+@settings(derandomize=True, database=None, max_examples=200)
+@given(_slides())
+def test_matrix_handleslide_is_the_congruence_by_an_elementary_matrix(args):
+    m, i, j, sign = args
+    e = eye(m.size)
+    e[i - 1, j - 1] = sign
+    slid = matrix_handleslide(m, i, j, sign)
+    assert SympyMatrix(slid.rows) == e * SympyMatrix(m.rows) * e.T
+    assert all(slid.rows[a][b] == slid.rows[b][a]
+               for a in range(m.size) for b in range(m.size))
+    assert surgery_h1(slid) == surgery_h1(m)
 
 
 def test_surgery_h1_frozen_values():

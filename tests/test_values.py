@@ -24,7 +24,7 @@ from trisect.diagram import (Curve, CutSystem, HeegaardDiagram, SlopeTemplate,
                              TrisectionDiagram, TrisectionParams, _unchecked,
                              curve_from_template)
 from trisect.homology import HomologyClass
-from trisect.intmatrix import AbelianGroup, IntegerMatrix
+from trisect.intmatrix import AbelianGroup
 from trisect.kirby import FramedComponent, HeegaardKirbyDiagram, LinkingMatrix
 from trisect.moves import StabilizationCertificate
 from trisect.presentations import GroupPresentation
@@ -67,8 +67,6 @@ CASES = [
      (0, E, E, E, (0, 0, 1))),
     (TrisectionParams, (2, 1, 0, 0),
      "TrisectionParams(genus=2, k1=1, k2=0, k3=0)", (2, 3, 0, 0)),
-    (IntegerMatrix, (((1, 2), (3, 4)),), "IntegerMatrix(rows=((1, 2), (3, 4)))",
-     (((1, 2), (3,)),)),
     (AbelianGroup, (1, (2,)), "AbelianGroup(free_rank=1, torsion=(2,))",
      None),
     (GroupPresentation, (2, ((1, 2, -1),)),
@@ -105,7 +103,6 @@ SIGNATURES = {
     HeegaardDiagram: "(genus, alpha, beta)",
     TrisectionDiagram: "(genus, alpha, beta, gamma, declared_params=None)",
     TrisectionParams: "(genus, k1, k2, k3)",
-    IntegerMatrix: "(rows)",
     AbelianGroup: "(free_rank, torsion)",
     GroupPresentation: "(num_generators, relators)",
     FramedComponent: "(curve, framing='surface')",
@@ -267,7 +264,7 @@ def _engine_value_classes():
 def test_cases_cover_every_engine_value_class():
     classes = _engine_value_classes()
     assert classes == {case[0] for case in CASES} == set(SIGNATURES)
-    assert len(classes) == 18
+    assert len(classes) == 17
 
 
 @pytest.mark.parametrize("cls", list(SIGNATURES),
